@@ -11,6 +11,12 @@ Two axes are selectable independently:
   and one shared gate set at every call site; ``HETEROGENEOUS`` allows a
   separate threshold per call site, mimicking pipelines whose matching
   stages were tuned independently.
+
+Every site filters its pairs through ``gate_mask``, the one gate predicate
+(descriptor threshold, depth filter, parallax); ``passes_gates`` is its
+form for a single candidate.  Call sites add only geometric admissibility
+of their own: image bounds and positive depth for projection searches, the
+epipolar band for triangulation.
 """
 
 from __future__ import annotations
@@ -23,13 +29,7 @@ import numpy as np
 
 from .errors import NoBaselineError
 from .features import hamming_matrix
-from .geometry import (
-    CameraIntrinsics,
-    Pose,
-    parallax_angles,
-    projection_jacobian,
-    unit_ray,
-)
+from .geometry import CameraIntrinsics, Pose, parallax_angles, unit_ray
 
 
 class Ordering(enum.Enum):
@@ -91,30 +91,29 @@ class MatchCandidate:
     predicted_depth_ok: bool | None = None
 
 
-def passes_gates(candidate: MatchCandidate, policy: AssociationPolicy,
-                 site: Site) -> bool:
+def gate_mask(hamming, policy: AssociationPolicy, site: Site,
+              depth_ok=None, parallax=None):
     """The one gate predicate shared by every association site.
 
-    Clauses whose inputs are undefined for a pairing (parallax for an
+    Elementwise over broadcastable ``hamming``, ``depth_ok`` and
+    ``parallax`` arrays.  A clause whose input is None (parallax for an
     already-triangulated point, the depth filter where no interval exists)
-    are vacuous at every site alike.
+    is vacuous at every site alike.
     """
-    if candidate.hamming > policy.threshold_for(site):
-        return False
-    if policy.use_depth_filter and candidate.predicted_depth_ok is False:
-        return False
-    if candidate.parallax is not None and candidate.parallax < policy.min_parallax:
-        return False
-    return True
-
-
-def _admissible_pairs(dist, threshold, pair_mask=None, query_mask=None):
-    ok = dist <= threshold
-    if query_mask is not None:
-        ok &= np.asarray(query_mask, dtype=bool)[:, None]
-    if pair_mask is not None:
-        ok &= np.asarray(pair_mask, dtype=bool)
+    ok = np.asarray(hamming) <= policy.threshold_for(site)
+    if policy.use_depth_filter and depth_ok is not None:
+        ok = ok & np.asarray(depth_ok, dtype=bool)
+    if parallax is not None:
+        ok = ok & (np.asarray(parallax) >= policy.min_parallax)
     return ok
+
+
+def passes_gates(candidate: MatchCandidate, policy: AssociationPolicy,
+                 site: Site) -> bool:
+    """``gate_mask`` for one candidate."""
+    return bool(gate_mask(candidate.hamming, policy, site,
+                          depth_ok=candidate.predicted_depth_ok,
+                          parallax=candidate.parallax))
 
 
 def match(query_ids, query_descriptors, target_ids, target_descriptors,
@@ -123,21 +122,23 @@ def match(query_ids, query_descriptors, target_ids, target_descriptors,
     """One-to-one matching between two descriptor stacks.
 
     ``pair_mask`` (Nq, Nt) carries any geometric admissibility computed by
-    the call site; ``depth_ok`` (Nq,) the per-query depth-filter verdict;
-    ``parallax`` (Nq, Nt) per-pair angles where triangulation applies.
-    Returns accepted MatchCandidate records.
+    the call site; ``query_mask`` (Nq,) drops queries outright;
+    ``depth_ok`` (Nq,) the per-query depth-filter verdict; ``parallax``
+    (Nq, Nt) per-pair angles where triangulation applies.  Returns the
+    accepted MatchCandidate records, each of which passes ``gate_mask``.
     """
     query_ids = np.asarray(query_ids, dtype=np.int64)
     target_ids = np.asarray(target_ids, dtype=np.int64)
     if query_ids.size == 0 or target_ids.size == 0:
         return []
     dist = hamming_matrix(query_descriptors, target_descriptors)
-    threshold = policy.threshold_for(site)
-    ok = _admissible_pairs(dist, threshold, pair_mask)
-    if policy.use_depth_filter and depth_ok is not None:
-        ok &= np.asarray(depth_ok, dtype=bool)[:, None]
-    if parallax is not None:
-        ok &= np.asarray(parallax) >= policy.min_parallax
+    ok = gate_mask(
+        dist, policy, site,
+        depth_ok=None if depth_ok is None else np.asarray(depth_ok)[:, None],
+        parallax=parallax,
+    )
+    if pair_mask is not None:
+        ok &= np.asarray(pair_mask, dtype=bool)
     if query_mask is not None:
         ok &= np.asarray(query_mask, dtype=bool)[:, None]
     qi, ti = np.nonzero(ok)
@@ -185,16 +186,16 @@ def match(query_ids, query_descriptors, target_ids, target_descriptors,
 
 def search_by_projection(keyframe, map_points, predicted_pose_wc: Pose,
                          policy: AssociationPolicy, cam: CameraIntrinsics,
-                         site: Site = Site.PROJECTION_TRACK,
-                         exclude_point_ids=()):
+                         site: Site = Site.PROJECTION_TRACK):
     """Match map points against a frame's keypoints under a predicted pose.
 
-    Candidate gating: positive depth, projection inside the image, the
+    ``keyframe`` needs only ``n_keypoints`` and ``descriptors``, so a
+    ``Keyframe`` and a pipeline ``FrameInput`` both serve.  Candidate gating: positive depth, projection inside the image, the
     depth-invariance filter, then the descriptor threshold.  Returns
     accepted candidates with query ids = point ids, target ids = keypoint
     indices.
     """
-    points = [p for p in map_points if p.point_id not in exclude_point_ids]
+    points = list(map_points)
     if not points or keyframe.n_keypoints == 0:
         return []
     pose_cw = predicted_pose_wc.inverse()
@@ -383,11 +384,3 @@ def fuse(points, keyframe, policy: AssociationPolicy, cam: CameraIntrinsics,
         )
     return decisions
 
-
-def dump_matches_csv(path, candidates):
-    """Debug emission of accepted candidates."""
-    with open(path, "w") as f:
-        f.write("query_id,target_id,hamming,parallax_deg\n")
-        for c in candidates:
-            par = "" if c.parallax is None else f"{math.degrees(c.parallax):.6f}"
-            f.write(f"{c.query_index},{c.target_index},{c.hamming},{par}\n")

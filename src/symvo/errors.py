@@ -35,17 +35,6 @@ class DegenerateProblemError(SymvoError):
     """An optimization problem is under-constrained or rank-deficient."""
 
 
-class TrackingLostError(SymvoError):
-    """Too few matches survived tracking; the run terminates."""
-
-    def __init__(self, frame_index, n_matches):
-        super().__init__(
-            f"tracking lost at frame {frame_index}: only {n_matches} matches"
-        )
-        self.frame_index = frame_index
-        self.n_matches = n_matches
-
-
 class AlignmentDegenerateError(SymvoError):
     """Alignment segments are too short or geometrically degenerate."""
 

@@ -15,10 +15,9 @@ import numpy as np
 
 from .errors import AlignmentDegenerateError, AssociationPairingError, SymvoError
 from .pipeline import Pipeline, PipelineConfig, reverse
-from .trajectory import Trajectory, load_trajectory, save_trajectory
+from .trajectory import Trajectory
 
 __all__ = [
-    "Trajectory", "load_trajectory", "save_trajectory",
     "SimilarityTransform", "align_start_end", "alignment_error",
     "evaluate_run", "SequenceRun", "BiasReport", "bias_metrics",
     "ABLATION_AXES", "ablation_grid", "GridRow",
@@ -30,9 +29,6 @@ class SimilarityTransform:
     scale: float
     rotation: np.ndarray
     translation: np.ndarray
-
-    def apply_points(self, pts) -> np.ndarray:
-        return self.scale * (np.asarray(pts) @ self.rotation.T) + self.translation
 
 
 def umeyama(source: np.ndarray, target: np.ndarray) -> SimilarityTransform:
@@ -286,7 +282,10 @@ def _run_one(frames, cam, config, ground_truth, segment_length):
     trajectory, report = Pipeline(cam, config).run(frames)
     if report.health != "ok":
         return None, report.health, report
-    e_r = evaluate_run(trajectory, ground_truth, segment_length)
+    try:
+        e_r = evaluate_run(trajectory, ground_truth, segment_length)
+    except AlignmentDegenerateError:
+        return None, "unevaluable", report
     return e_r, "ok", report
 
 
@@ -295,9 +294,14 @@ def ablation_grid(base_config: PipelineConfig, sequences,
                   progress=None) -> list:
     """Run the full config plus six leave-one-out configs, both directions.
 
-    ``sequences`` is an iterable of (name, frames, cam, ground_truth).
-    Failed runs become failure entries; the grid continues.
+    ``sequences`` is an iterable of (name, frames, cam, ground_truth); it
+    is read once, so a generator serves every config.  A run that does not
+    end ``ok``, or whose alignment segments are degenerate
+    (``unevaluable``), becomes a (sequence, direction, health) failure
+    entry, and its sequence is left out of that config's bias report; the
+    grid continues.
     """
+    sequences = list(sequences)
     grid = []
     for config_name, config in ablation_configs(base_config):
         fwd_runs, bwd_runs, failures = [], [], []

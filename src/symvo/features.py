@@ -43,13 +43,6 @@ class Descriptor:
             raise ValueError("n_bits must be a multiple of 8")
         return cls(rng.integers(0, 256, n_bits // 8, dtype=np.uint8).tobytes())
 
-    @classmethod
-    def from_hex(cls, text: str) -> "Descriptor":
-        return cls(bytes.fromhex(text))
-
-    def to_hex(self) -> str:
-        return self.bits.hex()
-
     def flipped(self, rng: np.random.Generator, rate: float) -> "Descriptor":
         """Copy with each bit independently flipped with probability rate."""
         if rate <= 0:
@@ -131,10 +124,6 @@ class DepthInterval:
         return self.z_min <= z <= self.z_max
 
 
-def _median(values) -> float:
-    return statistics.median(values)
-
-
 def select_reference_appearance_index(descriptors) -> int:
     """Index of the descriptor with least median distance to the others.
 
@@ -150,7 +139,7 @@ def select_reference_appearance_index(descriptors) -> int:
     best_idx, best_med = 0, math.inf
     for i in range(n):
         others = [int(dist[i, j]) for j in range(n) if j != i]
-        med = _median(others)
+        med = statistics.median(others)
         if med < best_med:
             best_idx, best_med = i, med
     return best_idx
@@ -163,16 +152,16 @@ def select_reference_appearance(descriptors) -> Descriptor:
 def select_reference_geometric_index(holders, query_translation) -> int:
     """Index of the holder whose keyframe translation is nearest the query.
 
-    ``holders`` is a sequence of (keyframe_id, translation, descriptor);
+    ``holders`` is a sequence of (keyframe_id, translation, ...) tuples;
     ties break to the lowest keyframe id.
     """
     if len(holders) == 0:
         raise ValueError("cannot select a reference from an empty holder list")
     q = np.asarray(query_translation, dtype=np.float64)
     best_idx, best_key = 0, None
-    for idx, (kf_id, t_k, _desc) in enumerate(holders):
-        d = float(np.linalg.norm(np.asarray(t_k, dtype=np.float64) - q))
-        key = (d, kf_id)
+    for idx, holder in enumerate(holders):
+        d = holder[1] - q
+        key = (float(d @ d), holder[0])
         if best_key is None or key < best_key:
             best_idx, best_key = idx, key
     return best_idx

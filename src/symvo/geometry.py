@@ -67,23 +67,6 @@ class CameraIntrinsics:
         )
 
 
-@dataclass(frozen=True)
-class ImagePoint:
-    """A keypoint at octave-0 resolution with its detection octave."""
-
-    u: float
-    v: float
-    octave: int = 0
-
-    def __post_init__(self):
-        if self.octave < 0:
-            raise ValueError("octave must be non-negative")
-
-    @property
-    def uv(self) -> np.ndarray:
-        return np.array([self.u, self.v])
-
-
 def so3_hat(w) -> np.ndarray:
     """Skew-symmetric matrix such that so3_hat(w) @ v == cross(w, v)."""
     w = np.asarray(w, dtype=np.float64)

@@ -20,7 +20,7 @@ aborting, so convergence does not depend on evaluation order.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -105,11 +105,6 @@ class OptimizationProblem:
                 raise DegenerateProblemError(
                     f"variable point {pid} is observed fewer than twice"
                 )
-
-    @property
-    def fixed_pose_ids(self) -> tuple:
-        var = set(self.variable_pose_ids)
-        return tuple(sorted(k for k in self.poses if k not in var))
 
 
 def _hat_batch(v):
@@ -783,12 +778,3 @@ def local_bundle_adjustment(problem: OptimizationProblem,
         cost=result.cost, iterations=result.iterations,
     )
 
-
-def write_iteration_log(path, records):
-    with open(path, "w") as f:
-        f.write("iter,cost,lambda,step_norm\n")
-        for rec in records:
-            f.write(
-                f"{rec.iteration},{rec.cost:.17g},{rec.lambda_:.6g},"
-                f"{rec.step_norm:.6g}\n"
-            )

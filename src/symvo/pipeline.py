@@ -24,13 +24,13 @@ from .association import (
     Ordering,
     Site,
     fuse,
+    match,
     search_by_projection,
     search_for_triangulation,
-    triangulate_midpoint,
 )
 from .errors import DegenerateProblemError, SymvoError
-from .features import PyramidConfig, hamming_matrix
-from .geometry import CameraIntrinsics, Pose, project, unit_ray
+from .features import PyramidConfig
+from .geometry import CameraIntrinsics, Pose, parallax_angles, unit_ray
 from .optimizer import (
     ObsTerm,
     OptimizationProblem,
@@ -39,7 +39,7 @@ from .optimizer import (
     local_bundle_adjustment,
     optimize_pose,
 )
-from .trajectory import Trajectory
+from .trajectory import Trajectory, reversed_timestamps
 from .uncertainty import CovarianceModel, ResidualWeighting
 from .worldmap import WorldMap
 
@@ -65,8 +65,7 @@ def reverse(frames) -> list:
     frames = list(frames)
     if not frames:
         return []
-    ts = np.array([f.timestamp for f in frames])
-    new_ts = ts[0] + (ts[-1] - ts[::-1])
+    new_ts = reversed_timestamps(np.array([f.timestamp for f in frames]))
     return [
         replace(f, timestamp=float(t))
         for f, t in zip(reversed(frames), new_ts)
@@ -75,7 +74,15 @@ def reverse(frames) -> list:
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Every bias toggle plus the numeric knobs behind them."""
+    """Every bias toggle plus the numeric knobs behind them.
+
+    The defaults are the paper's choices; ``evaluation.ABLATION_AXES``
+    flips the six toggles one at a time.  The string toggles name values
+    of the enums they select (``Ordering``, ``ConstraintMode``,
+    ``CovarianceModel``, ``OutlierMode``); ``descriptor_selection`` is
+    checked by ``WorldMap``.  The world map's invariants are checked after
+    every mapping step, whatever the config.
+    """
 
     # the six ablation toggles
     descriptor_selection: str = "geometric"  # geometric | appearance
@@ -102,7 +109,6 @@ class PipelineConfig:
     huber_delta: float = 2.447
     chi2_threshold: float = 5.991
     max_iterations: int = 50
-    eps_scalarization: str = "det"
     # initialization
     ransac_iterations: int = 200
     ransac_threshold_px: float = 1.5
@@ -110,9 +116,6 @@ class PipelineConfig:
     # keyframe management
     retention_mod: int = 5
     retention_latest: int = 5
-    # diagnostics
-    collect_matches: bool = False
-    validate_world: bool = True
 
     def association_policy(self) -> AssociationPolicy:
         policy = AssociationPolicy(
@@ -258,14 +261,6 @@ def _decompose_essential(E):
     return [(R1, t), (R1, -t), (R2, t), (R2, -t)]
 
 
-@dataclass
-class TwoViewResult:
-    rel: Pose  # camera-from-camera: maps view-1 coords into view 2
-    points: np.ndarray  # (N, 3) in the first camera's frame
-    pair_indices: np.ndarray  # (N, 2) keypoint indices (view1, view2)
-    parallax: np.ndarray  # (N,)
-
-
 def initialize_two_view(uv1, uv2, cam: CameraIntrinsics, rng,
                         iterations: int = 200, threshold_px: float = 1.5,
                         sigma=None):
@@ -327,11 +322,7 @@ def initialize_two_view(uv1, uv2, cam: CameraIntrinsics, rng,
     pts = pts[good]
     rays1 = unit_ray(uv1[keep], cam)
     rays2 = unit_ray(uv2[keep], cam) @ rel.inverse().rotation.T
-    na = np.linalg.norm(rays1, axis=1)
-    nb = np.linalg.norm(rays2, axis=1)
-    cosang = np.einsum("ij,ij->i", rays1, rays2) / (na * nb)
-    parallax = np.arccos(np.clip(cosang, -1.0, 1.0))
-    return rel, pts, keep, parallax
+    return rel, pts, keep, parallax_angles(rays1, rays2)
 
 
 def _triangulate_rays(c1, d1, c2, d2):
@@ -380,7 +371,6 @@ class Pipeline:
         self.traj_timestamps: list = []
         self.traj_poses: list = []
         self.frame_records: list = []
-        self.match_log: list = []
         self.n_removed = 0
         self._frame_index = 0
 
@@ -391,8 +381,6 @@ class Pipeline:
 
     def _match_frame_descriptors(self, frame_a, frame_b):
         """Descriptor-only one-to-one matching used by initialization."""
-        from .association import match
-
         return match(
             np.arange(frame_a.n_keypoints), frame_a.descriptors,
             np.arange(frame_b.n_keypoints), frame_b.descriptors,
@@ -500,28 +488,25 @@ class Pipeline:
         poses = {_FRAME_SENTINEL: pose_wc}
         points = {}
         terms = []
-        symmetric = self.weighting.model is CovarianceModel.SYMMETRIC
         for cand in sorted(matches, key=lambda c: c.query_index):
             point = self.world.points.get(cand.query_index)
             if point is None:
                 continue
             points[point.point_id] = point.position
-            term_kwargs = {}
-            if symmetric:
-                ref_id = point.reference_kf_id
-                ref_kf = self.world.keyframes[ref_id]
-                kp_ref = point.observations[ref_id]
-                poses.setdefault(ref_id, ref_kf.pose)
-                term_kwargs = dict(
-                    ref_kf_id=ref_id,
-                    ref_uv=tuple(ref_kf.keypoints[kp_ref]),
-                    ref_sigma2=2.0 * float(ref_kf.noise_sigma2[kp_ref]),
-                )
+            # the reference view is attached under every covariance model:
+            # its pose is the fixed gauge, and only the optimizer decides
+            # whether the backward term enters the cost
+            ref_id = point.reference_kf_id
+            ref_kf = self.world.keyframes[ref_id]
+            kp_ref = point.observations[ref_id]
+            poses.setdefault(ref_id, ref_kf.pose)
             terms.append(ObsTerm(
                 point.point_id, _FRAME_SENTINEL,
                 tuple(frame.keypoints[cand.target_index]),
                 2.0 * float(sigma2[cand.target_index]),
-                **term_kwargs,
+                ref_kf_id=ref_id,
+                ref_uv=tuple(ref_kf.keypoints[kp_ref]),
+                ref_sigma2=2.0 * float(ref_kf.noise_sigma2[kp_ref]),
             ))
         return OptimizationProblem(
             cam=self.cam, poses=poses, points=points, observations=terms,
@@ -540,12 +525,9 @@ class Pipeline:
         stage1 = self._candidate_points([last_kf_id])
         self.world.reselect_references(stage1, pose_wc.translation)
         matches = search_by_projection(
-            _FrameView(frame, self._noise_sigma2(frame.octaves)),
-            stage1, pose_wc, self.policy, self.cam,
+            frame, stage1, pose_wc, self.policy, self.cam,
             site=Site.PROJECTION_TRACK,
         )
-        if self.config.collect_matches:
-            self.match_log.extend(matches)
         n_track = len(matches)
         if n_track >= 6:
             try:
@@ -561,12 +543,9 @@ class Pipeline:
         stage2 = self._candidate_points(local_ids)
         self.world.reselect_references(stage2, pose_wc.translation)
         matches = search_by_projection(
-            _FrameView(frame, self._noise_sigma2(frame.octaves)),
-            stage2, pose_wc, self.policy, self.cam,
+            frame, stage2, pose_wc, self.policy, self.cam,
             site=Site.PROJECTION_LOCAL,
         )
-        if self.config.collect_matches:
-            self.match_log.extend(matches)
         n_local = len(matches)
         if n_local < 6:
             return None, n_track, n_local
@@ -617,7 +596,6 @@ class Pipeline:
         poses = {k: world.keyframes[k].pose for k in sorted(included_kfs | window_set)}
         points = {}
         terms = []
-        symmetric = self.weighting.model is CovarianceModel.SYMMETRIC
         for pid in point_ids:
             point = world.points[pid]
             points[pid] = point.position
@@ -627,7 +605,7 @@ class Pipeline:
             for kf_id, kp_index in point.observation_items():
                 kf = world.keyframes[kf_id]
                 kwargs = {}
-                if symmetric and kf_id != ref_id:
+                if kf_id != ref_id:
                     kwargs = dict(
                         ref_kf_id=ref_id,
                         ref_uv=tuple(ref_kf.keypoints[kp_ref]),
@@ -689,8 +667,6 @@ class Pipeline:
                     (kf_new.kf_id, tri.candidate.target_index),
                 ])
                 new_point_ids.append(point.point_id)
-            if self.config.collect_matches:
-                self.match_log.extend(t.candidate for t in found)
 
         # fuse the new points into the other local keyframes
         local_ids = [
@@ -715,8 +691,7 @@ class Pipeline:
 
         self._local_ba(kf_new.kf_id)
         world.apply_retention(kf_new.kf_id)
-        if self.config.validate_world:
-            world.check_integrity()
+        world.check_integrity()
 
     def _apply_fuse(self, points, kf):
         world = self.world
@@ -800,25 +775,3 @@ class Pipeline:
             config_snapshot=self.config.snapshot(),
         )
         return trajectory, report
-
-
-class _FrameView:
-    """Adapter giving a FrameInput the keyframe surface association expects."""
-
-    def __init__(self, frame: FrameInput, noise_sigma2):
-        self.kf_id = _FRAME_SENTINEL
-        self.keypoints = frame.keypoints
-        self.octaves = frame.octaves
-        self.descriptors = frame.descriptors
-        self.noise_sigma2 = noise_sigma2
-        self.pose = Pose.identity()
-        self.claims = {}
-
-    @property
-    def n_keypoints(self):
-        return self.keypoints.shape[0]
-
-
-def run(frames, cam: CameraIntrinsics, config: PipelineConfig) -> tuple:
-    """Convenience wrapper: one pipeline, one run."""
-    return Pipeline(cam, config).run(frames)

@@ -54,11 +54,15 @@ class Trajectory:
 
     def reversed(self) -> "Trajectory":
         """Frames in reverse order with spacing-preserving timestamps."""
-        ts = self.timestamps
-        if ts.size == 0:
+        if self.timestamps.size == 0:
             return self
-        new_ts = ts[0] + (ts[-1] - ts[::-1])
-        return Trajectory(new_ts, tuple(reversed(self.poses)))
+        return Trajectory(reversed_timestamps(self.timestamps),
+                          tuple(reversed(self.poses)))
+
+
+def reversed_timestamps(ts: np.ndarray) -> np.ndarray:
+    """Timestamps of a reversed sequence: same origin, same spacing."""
+    return ts[0] + (ts[-1] - ts[::-1])
 
 
 def load_trajectory(path, format: str = "tum") -> Trajectory:

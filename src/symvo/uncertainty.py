@@ -40,11 +40,6 @@ class KeypointNoise:
         if self.sigma2 <= 0:
             raise ValueError("keypoint variance must be positive")
 
-    @classmethod
-    def for_octave(cls, octave, scale=1.2, base_sigma2=1.0) -> "KeypointNoise":
-        """Octave-0 variance scaled by scale**(2*octave)."""
-        return cls(base_sigma2 * scale ** (2 * octave), octave)
-
 
 @dataclass(frozen=True)
 class ResidualWeighting:

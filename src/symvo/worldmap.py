@@ -20,6 +20,7 @@ from .features import (
     PyramidConfig,
     depth_invariance_interval,
     select_reference_appearance_index,
+    select_reference_geometric_index,
 )
 from .geometry import CameraIntrinsics, Pose
 
@@ -181,7 +182,7 @@ class WorldMap:
         if kf is not None and kf.claims.get(kp_index) == point.point_id:
             del kf.claims[kp_index]
         if not point.observations:
-            del self.points[point.point_id]
+            self._drop_point(point)
         else:
             self._refresh_point(point)
 
@@ -223,28 +224,26 @@ class WorldMap:
         else:
             # geometric default: closest holder to the newest keyframe
             query_t = self.keyframes[items[-1][0]].pose.translation
-            ref = self._nearest_holder_index(items, query_t)
+            ref = select_reference_geometric_index(self._holders(items), query_t)
         kf_id, kp = items[ref]
         point.reference_kf_id = kf_id
         point.reference_descriptor = self.keyframes[kf_id].descriptor_at(kp)
 
-    def _nearest_holder_index(self, items, query_translation) -> int:
-        best, best_key = 0, None
-        for idx, (kf_id, _kp) in enumerate(items):
-            d = self.keyframes[kf_id].pose.translation - query_translation
-            key = (float(d @ d), kf_id)
-            if best_key is None or key < best_key:
-                best, best_key = idx, key
-        return best
+    def _holders(self, items) -> list:
+        """(kf_id, translation) of each observing keyframe, for
+        ``select_reference_geometric_index``."""
+        return [(kf_id, self.keyframes[kf_id].pose.translation)
+                for kf_id, _kp in items]
 
     def reselect_references(self, points, query_translation):
         """Per-query geometric re-selection (no-op under appearance policy)."""
         if self.descriptor_selection != "geometric":
             return
-        q = np.asarray(query_translation, dtype=np.float64)
         for point in points:
             items = point.observation_items()
-            ref = self._nearest_holder_index(items, q)
+            ref = select_reference_geometric_index(
+                self._holders(items), query_translation
+            )
             kf_id, kp = items[ref]
             if kf_id != point.reference_kf_id:
                 point.reference_kf_id = kf_id
@@ -259,13 +258,17 @@ class WorldMap:
         for pid in sorted(self.points):
             point = self.points[pid]
             if point.n_observations < 2:
-                for kf_id, kp_index in point.observation_items():
-                    kf = self.keyframes.get(kf_id)
-                    if kf is not None and kf.claims.get(kp_index) == pid:
-                        del kf.claims[kp_index]
-                del self.points[pid]
+                self._drop_point(point)
                 culled.append(pid)
         return culled
+
+    def _drop_point(self, point: MapPoint):
+        """Release the point's keypoint claims and delete it."""
+        for kf_id, kp_index in point.observation_items():
+            kf = self.keyframes.get(kf_id)
+            if kf is not None and kf.claims.get(kp_index) == point.point_id:
+                del kf.claims[kp_index]
+        del self.points[point.point_id]
 
     def apply_retention(self, new_kf_id: int) -> list:
         """Cull keyframes outside the retention set; returns culled ids."""
@@ -289,11 +292,7 @@ class WorldMap:
         for pid in sorted(touched):
             point = self.points[pid]
             if point.n_observations < 2:
-                for kf_id, kp_index in point.observation_items():
-                    kf = self.keyframes.get(kf_id)
-                    if kf is not None and kf.claims.get(kp_index) == pid:
-                        del kf.claims[kp_index]
-                del self.points[pid]
+                self._drop_point(point)
             else:
                 self._refresh_point(point)
         return culled

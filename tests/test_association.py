@@ -190,6 +190,27 @@ class TestGatePredicate:
         assert not passes_gates(cand, on, Site.FUSE)
         assert passes_gates(cand, off, Site.FUSE)
 
+    def test_every_accepted_match_passes_the_predicate(self):
+        rng = np.random.default_rng(5)
+        n_accepted = 0
+        for trial in range(40):
+            n_q, n_t = rng.integers(3, 12), rng.integers(3, 12)
+            base = Descriptor.random(rng)
+            q = pack_descriptors([base.flipped(rng, 0.1) for _ in range(n_q)])
+            t = pack_descriptors([base.flipped(rng, 0.1) for _ in range(n_t)])
+            policy = make_policy(
+                use_depth_filter=bool(trial % 2),
+                constraint_mode=ConstraintMode.HETEROGENEOUS,
+            ).with_site_thresholds(c1=40, c3=60)
+            parallax = rng.uniform(0.0, math.radians(3.0), (n_q, n_t))
+            depth_ok = rng.random(n_q) < 0.7
+            for site in Site:
+                got = match(range(n_q), q, range(n_t), t, policy, site,
+                            parallax=parallax, depth_ok=depth_ok)
+                assert all(passes_gates(c, policy, site) for c in got)
+                n_accepted += len(got)
+        assert n_accepted > 0
+
 
 def build_world(rng, n_points=40, n_frames=3, spacing=0.5, noise=0.0,
                 flip=0.0, axis=(0.0, 0.0, 1.0), **world_kw):

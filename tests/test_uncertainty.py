@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 
 from symvo.errors import BehindCameraError
-from symvo.geometry import CameraIntrinsics, Pose, project, so3_exp
+from symvo.geometry import CameraIntrinsics, Pose, backproject, project, so3_exp
+from symvo.optimizer import ObsTerm, OptimizationProblem, evaluate_cost
 from symvo.uncertainty import (
+    CovarianceModel,
     KeypointNoise,
     ResidualTerm,
+    ResidualWeighting,
     alpha_curves,
     alpha_standard,
     alpha_symmetric,
@@ -104,6 +107,38 @@ class TestResidualSymmetric:
         with pytest.raises(BehindCameraError) as exc:
             residual_symmetric((320, 240), (320, 240), 2.0, 2.0, rel, CAM, NOISE, NOISE)
         assert exc.value.direction == "forward"
+
+
+class TestOptimizerCrossCheck:
+    def test_symmetric_residual_matches_optimizer_cost(self):
+        # view j is the world frame and the point's reference view; the
+        # point sits on the reference ray at z_j, so the forward terms agree
+        rng = np.random.default_rng(14)
+        weighting = ResidualWeighting(model=CovarianceModel.SYMMETRIC)
+        for _ in range(200):
+            rel, p_j, p_i, u_j, u_i = two_view_setup(rng)
+            u_j_obs = u_j + rng.normal(scale=1.0, size=2)
+            u_i_obs = u_i + rng.normal(scale=1.0, size=2)
+            n_i = KeypointNoise(rng.uniform(0.5, 4.0))
+            n_j = KeypointNoise(rng.uniform(0.5, 4.0))
+            point = backproject(u_j_obs, p_j[2], CAM)
+            z_i = rel.apply(point)[2]
+            term = residual_symmetric(u_i_obs, u_j_obs, p_j[2], z_i, rel, CAM,
+                                      n_i, n_j)
+            problem = OptimizationProblem(
+                cam=CAM, poses={1: Pose.identity(), 2: rel.inverse()},
+                points={7: point},
+                observations=[ObsTerm(
+                    7, 2, tuple(u_i_obs), 2.0 * n_i.sigma2, ref_kf_id=1,
+                    ref_uv=tuple(u_j_obs), ref_sigma2=2.0 * n_j.sigma2,
+                )],
+                weighting=weighting,
+            )
+            report = evaluate_cost(problem)
+            assert report.m2_backward[(7, 2)] == pytest.approx(
+                term.mahalanobis2_backward, rel=1e-9, abs=1e-12)
+            assert report.m2_forward[(7, 2)] == pytest.approx(
+                term.mahalanobis2_forward, rel=1e-9, abs=1e-12)
 
 
 class TestAlphaRatios:
