@@ -16,7 +16,9 @@ Every site filters its pairs through ``gate_mask``, the one gate predicate
 (descriptor threshold, depth filter, parallax); ``passes_gates`` is its
 form for a single candidate.  Call sites add only geometric admissibility
 of their own: image bounds and positive depth for projection searches, the
-epipolar band for triangulation.
+epipolar band for triangulation.  ``triangulate_rays`` is the one
+midpoint triangulation, used here for new points and by the pipeline's
+two-view initialization.
 """
 
 from __future__ import annotations
@@ -251,27 +253,27 @@ def fundamental_from_relative(rel: Pose, cam: CameraIntrinsics) -> np.ndarray:
     return K_inv.T @ E @ K_inv
 
 
-def triangulate_midpoint(center_a, ray_a, center_b, ray_b):
-    """Midpoint of the closest approach of two world-frame rays.
+def triangulate_rays(c1, d1, c2, d2):
+    """Midpoints of the closest approach of paired world-frame rays.
 
-    Returns None when the rays are numerically parallel.
+    ``d1``/``d2`` are (N, 3) ray directions from the centers ``c1``/``c2``.
+    Returns the (N, 3) midpoints and an (N,) mask that is False where the
+    rays are numerically parallel (those rows hold no usable point).
     """
-    d1 = np.asarray(ray_a, dtype=np.float64)
-    d2 = np.asarray(ray_b, dtype=np.float64)
-    b = np.asarray(center_b) - np.asarray(center_a)
-    a11 = d1 @ d1
-    a12 = -(d1 @ d2)
-    a22 = d2 @ d2
-    det = a11 * a22 - a12 * a12
-    if abs(det) < 1e-14 * max(a11 * a22, 1e-300):
-        return None
+    b = np.asarray(c2) - np.asarray(c1)
+    a11 = np.einsum("ij,ij->i", d1, d1)
+    a12 = -np.einsum("ij,ij->i", d1, d2)
+    a22 = np.einsum("ij,ij->i", d2, d2)
     r1 = d1 @ b
     r2 = -(d2 @ b)
-    s1 = (a22 * r1 - a12 * r2) / det
-    s2 = (a11 * r2 - a12 * r1) / det
-    p1 = np.asarray(center_a) + s1 * d1
-    p2 = np.asarray(center_b) + s2 * d2
-    return (p1 + p2) / 2.0
+    det = a11 * a22 - a12 * a12
+    ok = np.abs(det) > 1e-14 * np.maximum(a11 * a22, 1e-300)
+    det_safe = np.where(ok, det, 1.0)
+    s1 = (a22 * r1 - a12 * r2) / det_safe
+    s2 = (a11 * r2 - a12 * r1) / det_safe
+    p1 = np.asarray(c1) + s1[:, None] * d1
+    p2 = np.asarray(c2) + s2[:, None] * d2
+    return (p1 + p2) / 2.0, ok
 
 
 @dataclass(frozen=True)
@@ -330,22 +332,21 @@ def search_for_triangulation(kf_a, kf_b, policy: AssociationPolicy,
         parallax=parallax,
     )
 
-    center_a = kf_a.pose.translation
-    center_b = kf_b.pose.translation
+    if not candidates:
+        return []
     pos_a = {int(i): k for k, i in enumerate(idx_a)}
     pos_b = {int(i): k for k, i in enumerate(idx_b)}
-    results = []
-    for cand in candidates:
-        ka, kb = pos_a[cand.query_index], pos_b[cand.target_index]
-        p = triangulate_midpoint(center_a, rays_a[ka], center_b, rays_b[kb])
-        if p is None:
-            continue
-        z_a = float((kf_a.pose.inverse().apply(p))[2])
-        z_b = float((kf_b.pose.inverse().apply(p))[2])
-        if z_a <= 0 or z_b <= 0:
-            continue
-        results.append(TriangulatedMatch(cand, p, z_a, z_b))
-    return results
+    ka = np.array([pos_a[c.query_index] for c in candidates])
+    kb = np.array([pos_b[c.target_index] for c in candidates])
+    pts, ok = triangulate_rays(kf_a.pose.translation, rays_a[ka],
+                               kf_b.pose.translation, rays_b[kb])
+    z_a = kf_a.pose.depth_of(pts)
+    z_b = kf_b.pose.depth_of(pts)
+    keep = ok & (z_a > 0) & (z_b > 0)
+    return [
+        TriangulatedMatch(cand, pts[k], float(z_a[k]), float(z_b[k]))
+        for k, cand in enumerate(candidates) if keep[k]
+    ]
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,7 @@ from .association import (
     match,
     search_by_projection,
     search_for_triangulation,
+    triangulate_rays,
 )
 from .errors import DegenerateProblemError, SymvoError
 from .features import PyramidConfig
@@ -306,7 +307,7 @@ def initialize_two_view(uv1, uv2, cam: CameraIntrinsics, rng,
         rel = Pose(R, t)
         cam2_wc = rel.inverse()  # pose of view 2 in view-1 coordinates
         d2_world = unit_ray(uv2[idx], cam) @ cam2_wc.rotation.T
-        pts, ok = _triangulate_rays(
+        pts, ok = triangulate_rays(
             np.zeros(3), d1, cam2_wc.translation, d2_world
         )
         z1 = pts[:, 2]
@@ -323,24 +324,6 @@ def initialize_two_view(uv1, uv2, cam: CameraIntrinsics, rng,
     rays1 = unit_ray(uv1[keep], cam)
     rays2 = unit_ray(uv2[keep], cam) @ rel.inverse().rotation.T
     return rel, pts, keep, parallax_angles(rays1, rays2)
-
-
-def _triangulate_rays(c1, d1, c2, d2):
-    """Vectorized midpoint triangulation of paired rays."""
-    b = np.asarray(c2) - np.asarray(c1)
-    a11 = np.einsum("ij,ij->i", d1, d1)
-    a12 = -np.einsum("ij,ij->i", d1, d2)
-    a22 = np.einsum("ij,ij->i", d2, d2)
-    r1 = d1 @ b
-    r2 = -(d2 @ b)
-    det = a11 * a22 - a12 * a12
-    ok = np.abs(det) > 1e-14 * np.maximum(a11 * a22, 1e-300)
-    det_safe = np.where(ok, det, 1.0)
-    s1 = (a22 * r1 - a12 * r2) / det_safe
-    s2 = (a11 * r2 - a12 * r1) / det_safe
-    p1 = np.asarray(c1) + s1[:, None] * d1
-    p2 = np.asarray(c2) + s2[:, None] * d2
-    return (p1 + p2) / 2.0, ok
 
 
 # ----------------------------------------------------------------------

@@ -15,7 +15,7 @@ from symvo.association import (
     passes_gates,
     search_by_projection,
     search_for_triangulation,
-    triangulate_midpoint,
+    triangulate_rays,
 )
 from symvo.errors import NoBaselineError
 from symvo.features import Descriptor, PyramidConfig, pack_descriptors
@@ -329,12 +329,27 @@ class TestSearchForTriangulation:
     def test_midpoint_triangulation_exact_on_crossing_rays(self):
         p = np.array([1.0, 2.0, 7.0])
         c1, c2 = np.zeros(3), np.array([2.0, 0.0, 0.0])
-        got = triangulate_midpoint(c1, p - c1, c2, p - c2)
-        assert np.allclose(got, p, atol=1e-12)
+        got, ok = triangulate_rays(c1, (p - c1)[None], c2, (p - c2)[None])
+        assert ok.tolist() == [True]
+        assert np.allclose(got[0], p, atol=1e-12)
+
+    def test_rays_match_least_squares_reference(self):
+        rng = np.random.default_rng(15)
+        c1, c2 = rng.normal(size=3), rng.normal(size=3)
+        d1, d2 = rng.normal(size=(50, 3)), rng.normal(size=(50, 3))
+        got, ok = triangulate_rays(c1, d1, c2, d2)
+        assert ok.all()
+        for k in range(50):
+            # closest approach: c1 + s1 d1 ~ c2 + s2 d2 in least squares
+            A = np.stack([d1[k], -d2[k]], axis=1)
+            (s1, s2), *_ = np.linalg.lstsq(A, c2 - c1, rcond=None)
+            mid = (c1 + s1 * d1[k] + c2 + s2 * d2[k]) / 2.0
+            assert np.allclose(got[k], mid, rtol=1e-9, atol=1e-9)
 
     def test_midpoint_rejects_parallel_rays(self):
-        d = np.array([0.0, 0.0, 1.0])
-        assert triangulate_midpoint(np.zeros(3), d, np.array([1.0, 0, 0]), d) is None
+        d = np.array([[0.0, 0.0, 1.0]])
+        _, ok = triangulate_rays(np.zeros(3), d, np.array([1.0, 0, 0]), d)
+        assert ok.tolist() == [False]
 
 
 class TestFuse:
