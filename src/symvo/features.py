@@ -11,7 +11,6 @@ appearance stays within a configured octave shift.
 from __future__ import annotations
 
 import math
-import statistics
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,8 +18,6 @@ import numpy as np
 from .errors import DescriptorMismatchError, InvalidDepthError
 
 DESCRIPTOR_BITS = 256
-
-_POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
 
 
 @dataclass(frozen=True)
@@ -72,14 +69,33 @@ def pack_descriptors(descriptors) -> np.ndarray:
     return np.stack([d.as_array() for d in descriptors])
 
 
+def _as_words(packed: np.ndarray) -> np.ndarray:
+    """(N, n_bytes) uint8 stack as (N, ceil(n_bytes / 8)) uint64 words.
+
+    The byte width is zero-padded, which leaves every distance unchanged
+    because 0 XOR 0 = 0.
+    """
+    n, width = packed.shape
+    words = np.zeros((n, -(-width // 8) * 8), dtype=np.uint8)
+    words[:, :width] = packed
+    return words.view(np.uint64)
+
+
 def hamming_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """All-pairs Hamming distances between two packed descriptor stacks."""
+    """All-pairs Hamming distances between two packed descriptor stacks.
+
+    Returns an (Na, Nb) int32 matrix, accumulated one uint64 word at a
+    time with a native popcount.
+    """
     if a.shape[-1] != b.shape[-1]:
         raise DescriptorMismatchError("packed descriptor widths differ")
     if a.shape[0] == 0 or b.shape[0] == 0:
         return np.zeros((a.shape[0], b.shape[0]), dtype=np.int32)
-    xor = np.bitwise_xor(a[:, None, :], b[None, :, :])
-    return _POPCOUNT[xor].sum(axis=-1, dtype=np.int32)
+    wa, wb = _as_words(a), _as_words(b)
+    dist = np.zeros((wa.shape[0], wb.shape[0]), dtype=np.int32)
+    for w in range(wa.shape[1]):
+        dist += np.bitwise_count(wa[:, w, None] ^ wb[None, :, w])
+    return dist
 
 
 @dataclass(frozen=True)
@@ -135,14 +151,11 @@ def select_reference_appearance_index(descriptors) -> int:
     if n == 1:
         return 0
     packed = pack_descriptors(descriptors)
-    dist = hamming_matrix(packed, packed)
-    best_idx, best_med = 0, math.inf
-    for i in range(n):
-        others = [int(dist[i, j]) for j in range(n) if j != i]
-        med = statistics.median(others)
-        if med < best_med:
-            best_idx, best_med = i, med
-    return best_idx
+    # each sorted row starts with the zero self-distance, so the median of
+    # the other n - 1 distances is the mean of these two columns; their
+    # integer sum ranks rows exactly, and argmin keeps the first minimum
+    rows = np.sort(hamming_matrix(packed, packed), axis=1)
+    return int(np.argmin(rows[:, n // 2] + rows[:, (n + 1) // 2]))
 
 
 def select_reference_appearance(descriptors) -> Descriptor:

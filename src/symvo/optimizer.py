@@ -15,6 +15,13 @@ The solver is deterministic: fixed term ordering, a fixed damping
 schedule, and no time- or memory-dependent state.  Behind-camera terms
 are frozen (previous cost, zero gradient) for the step instead of
 aborting, so convergence does not depend on evaluation order.
+
+The order in which terms are summed into the normal equations is part
+of that contract.  Floating-point addition is not associative, so every
+element of H and g must receive its terms in the same sequence (forward
+terms, then the backward observing-observing, reference-reference,
+observing-reference and reference-observing blocks), each sum starting
+from zero; reordering them moves every pose digest.
 """
 
 from __future__ import annotations
@@ -333,15 +340,45 @@ def _term_jacobians(asm: _Assembled, state: _State, ev: _Evaluation) -> _Jacobia
     return J
 
 
+class _Scatter:
+    """Queued (block index, blocks) batches summed into one block array.
+
+    ``total`` runs one ``np.bincount`` per block component over all
+    batches in queue order, starting from zero.  Every element therefore
+    receives the same additions in the same order as sequential
+    ``np.add.at`` calls would make, so the sums are bit-identical to them.
+    """
+
+    def __init__(self, n_blocks, block_shape):
+        self.n_blocks = n_blocks
+        self.block_shape = block_shape
+        self.index = []
+        self.blocks = []
+
+    def add(self, index, blocks):
+        self.index.append(index)
+        self.blocks.append(blocks)
+
+    def total(self):
+        out = np.zeros((self.n_blocks,) + self.block_shape)
+        if self.index:
+            index = np.concatenate(self.index)
+            for c in np.ndindex(self.block_shape):
+                column = np.concatenate([b[(..., *c)] for b in self.blocks])
+                out[(..., *c)] = np.bincount(index, weights=column,
+                                             minlength=self.n_blocks)
+        return out
+
+
 def _build_normal_equations(asm: _Assembled, state: _State, ev: _Evaluation,
                             delta: float):
     """Accumulate the damped-ready H blocks and gradient."""
     P, L = asm.n_var_poses, asm.n_var_points
-    Hpp = np.zeros((P, P, 6, 6))
-    Hll = np.zeros((L, 3, 3))
-    Hpl = np.zeros((P, L, 6, 3))
-    gp = np.zeros((P, 6))
-    gl = np.zeros((L, 3))
+    Hpp = _Scatter(P * P, (6, 6))
+    Hll = _Scatter(L, (3, 3))
+    Hpl = _Scatter(P * L, (6, 3))
+    gp = _Scatter(P, (6,))
+    gl = _Scatter(L, (3,))
     jac = _term_jacobians(asm, state, ev)
 
     # forward terms ----------------------------------------------------
@@ -356,21 +393,16 @@ def _build_normal_equations(asm: _Assembled, state: _State, ev: _Evaluation,
         mp = kv >= 0
         ml = lv >= 0
         if np.any(mp):
-            blocks = np.einsum("kba,kbc->kac", Jpose[mp], w[mp] * Jpose[mp])
-            np.add.at(Hpp, (kv[mp], kv[mp]), blocks)
-            np.add.at(gp, kv[mp],
-                      np.einsum("kba,kbc->ka", Jpose[mp], w[mp] * r[mp]))
+            Hpp.add(kv[mp] * P + kv[mp],
+                    np.einsum("kba,kbc->kac", Jpose[mp], w[mp] * Jpose[mp]))
+            gp.add(kv[mp], np.einsum("kba,kbc->ka", Jpose[mp], w[mp] * r[mp]))
         if np.any(ml):
-            np.add.at(Hll, lv[ml],
-                      np.einsum("kba,kbc->kac", Jpt[ml], w[ml] * Jpt[ml]))
-            np.add.at(gl, lv[ml],
-                      np.einsum("kba,kbc->ka", Jpt[ml], w[ml] * r[ml]))
+            Hll.add(lv[ml], np.einsum("kba,kbc->kac", Jpt[ml], w[ml] * Jpt[ml]))
+            gl.add(lv[ml], np.einsum("kba,kbc->ka", Jpt[ml], w[ml] * r[ml]))
         both = mp & ml
         if np.any(both):
-            np.add.at(
-                Hpl, (kv[both], lv[both]),
-                np.einsum("kba,kbc->kac", Jpose[both], w[both] * Jpt[both]),
-            )
+            Hpl.add(kv[both] * L + lv[both],
+                    np.einsum("kba,kbc->kac", Jpose[both], w[both] * Jpt[both]))
 
     # backward terms ---------------------------------------------------
     idx = np.nonzero(ev.valid_b)[0] if asm.n_backward else np.zeros(0, np.int64)
@@ -387,8 +419,7 @@ def _build_normal_equations(asm: _Assembled, state: _State, ev: _Evaluation,
         for va, Ja in ((kv, Jpose_k), (jv, Jpose_j)):
             m = va >= 0
             if np.any(m):
-                np.add.at(gp, va[m],
-                          np.einsum("kba,kbc->ka", Ja[m], w[m] * r[m]))
+                gp.add(va[m], np.einsum("kba,kbc->ka", Ja[m], w[m] * r[m]))
         for va, Ja, vb, Jb in (
             (kv, Jpose_k, kv, Jpose_k),
             (jv, Jpose_j, jv, Jpose_j),
@@ -397,25 +428,21 @@ def _build_normal_equations(asm: _Assembled, state: _State, ev: _Evaluation,
             m = (va >= 0) & (vb >= 0)
             if np.any(m):
                 blocks = np.einsum("kba,kbc->kac", Ja[m], w[m] * Jb[m])
-                np.add.at(Hpp, (va[m], vb[m]), blocks)
+                Hpp.add(va[m] * P + vb[m], blocks)
                 if Ja is not Jb:
-                    np.add.at(Hpp, (vb[m], va[m]),
-                              np.transpose(blocks, (0, 2, 1)))
+                    Hpp.add(vb[m] * P + va[m], np.transpose(blocks, (0, 2, 1)))
         ml = lv >= 0
         if np.any(ml):
-            np.add.at(Hll, lv[ml],
-                      np.einsum("kba,kbc->kac", Jpt[ml], w[ml] * Jpt[ml]))
-            np.add.at(gl, lv[ml],
-                      np.einsum("kba,kbc->ka", Jpt[ml], w[ml] * r[ml]))
+            Hll.add(lv[ml], np.einsum("kba,kbc->kac", Jpt[ml], w[ml] * Jpt[ml]))
+            gl.add(lv[ml], np.einsum("kba,kbc->ka", Jpt[ml], w[ml] * r[ml]))
         for va, Ja in ((kv, Jpose_k), (jv, Jpose_j)):
             m = (va >= 0) & ml
             if np.any(m):
-                np.add.at(
-                    Hpl, (va[m], lv[m]),
-                    np.einsum("kba,kbc->kac", Ja[m], w[m] * Jpt[m]),
-                )
+                Hpl.add(va[m] * L + lv[m],
+                        np.einsum("kba,kbc->kac", Ja[m], w[m] * Jpt[m]))
 
-    return Hpp, Hpl, Hll, gp, gl
+    return (Hpp.total().reshape(P, P, 6, 6), Hpl.total().reshape(P, L, 6, 3),
+            Hll.total(), gp.total(), gl.total())
 
 
 def _solve_step(Hpp, Hpl, Hll, gp, gl, lam):
@@ -424,11 +451,12 @@ def _solve_step(Hpp, Hpl, Hll, gp, gl, lam):
     L = Hll.shape[0]
     if P == 0 and L == 0:
         return np.zeros(0), np.zeros((0, 3))
-    Hll_d = Hll.copy()
-    for i in range(L):
-        diag = np.diagonal(Hll_d[i]).copy()
-        diag = np.where(diag > 1e-12, diag, 1e-12)
-        Hll_d[i] += lam * np.diag(diag)
+    # each point block gets lam * its clipped diagonal; the zero
+    # off-diagonal entries of the damping add +0.0
+    diag = np.diagonal(Hll, axis1=1, axis2=2)
+    damping = np.zeros((L, 3, 3))
+    damping[:, [0, 1, 2], [0, 1, 2]] = lam * np.where(diag > 1e-12, diag, 1e-12)
+    Hll_d = Hll + damping
     if P == 0:
         dl = -np.linalg.solve(Hll_d, gl[:, :, None])[:, :, 0]
         return np.zeros(0), dl

@@ -29,7 +29,7 @@ from .association import (
     search_for_triangulation,
     triangulate_rays,
 )
-from .errors import DegenerateProblemError, SymvoError
+from .errors import ConfigError, DegenerateProblemError, SymvoError
 from .features import PyramidConfig
 from .geometry import CameraIntrinsics, Pose, parallax_angles, unit_ray
 from .optimizer import (
@@ -45,6 +45,22 @@ from .uncertainty import CovarianceModel, ResidualWeighting
 from .worldmap import WorldMap
 
 _FRAME_SENTINEL = 0  # pseudo keyframe id of the frame being tracked
+
+# PipelineConfig field -> (lowest allowed value, whether it is allowed itself)
+_LOWER_BOUNDS = {
+    "pyramid_scale": (1, False),
+    "pyramid_octaves": (1, True),
+    "delta_l": (0, True),
+    "descriptor_threshold": (0, True),
+    "threshold_c1": (-1, True),
+    "threshold_c2": (-1, True),
+    "threshold_c3": (-1, True),
+    "threshold_c4": (-1, True),
+    "huber_delta": (0, False),
+    "chi2_threshold": (0, False),
+    "max_iterations": (1, True),
+    "ransac_iterations": (1, True),
+}
 
 
 @dataclass(frozen=True)
@@ -80,9 +96,10 @@ class PipelineConfig:
     The defaults are the paper's choices; ``evaluation.ABLATION_AXES``
     flips the six toggles one at a time.  The string toggles name values
     of the enums they select (``Ordering``, ``ConstraintMode``,
-    ``CovarianceModel``, ``OutlierMode``); ``descriptor_selection`` is
-    checked by ``WorldMap``.  The world map's invariants are checked after
-    every mapping step, whatever the config.
+    ``CovarianceModel``, ``OutlierMode``).  Construction raises
+    ``ConfigError`` on an unknown toggle string or an out-of-range knob.
+    The world map's invariants are checked after every mapping step,
+    whatever the config.
     """
 
     # the six ablation toggles
@@ -117,6 +134,31 @@ class PipelineConfig:
     # keyframe management
     retention_mod: int = 5
     retention_latest: int = 5
+
+    def __post_init__(self):
+        if self.descriptor_selection not in ("geometric", "appearance"):
+            raise ConfigError(
+                f"unknown descriptor_selection {self.descriptor_selection!r}"
+            )
+        for name, enum_type in (
+            ("association_ordering", Ordering),
+            ("constraint_mode", ConstraintMode),
+            ("covariance_model", CovarianceModel),
+            ("outlier_policy", OutlierMode),
+        ):
+            try:
+                enum_type(getattr(self, name))
+            except ValueError:
+                raise ConfigError(
+                    f"unknown {name} {getattr(self, name)!r}"
+                ) from None
+        for name, (low, inclusive) in _LOWER_BOUNDS.items():
+            value = getattr(self, name)
+            if not (value >= low if inclusive else value > low):
+                raise ConfigError(
+                    f"{name} must be {'>=' if inclusive else '>'} {low}, "
+                    f"got {value!r}"
+                )
 
     def association_policy(self) -> AssociationPolicy:
         policy = AssociationPolicy(

@@ -69,6 +69,67 @@ class TestHamming:
                 assert mat[i, j] == hamming(a, b)
 
 
+def scalar_hamming_matrix(left, right):
+    return np.array([[hamming(a, b) for b in right] for a in left],
+                    dtype=np.int64).reshape(len(left), len(right))
+
+
+class TestHammingMatrixOracle:
+    """``hamming_matrix`` against the scalar ``hamming``."""
+
+    @pytest.mark.parametrize("n_bytes", [1, 7, 8, 9, 32, 33])
+    def test_every_width(self, n_bytes):
+        rng = np.random.default_rng(100 + n_bytes)
+        left = [Descriptor.random(rng, 8 * n_bytes) for _ in range(11)]
+        right = [Descriptor.random(rng, 8 * n_bytes) for _ in range(6)]
+        left.append(Descriptor(bytes(b ^ 0xFF for b in right[0].bits)))
+        mat = hamming_matrix(pack_descriptors(left), pack_descriptors(right))
+        assert mat.dtype == np.int32
+        assert np.array_equal(mat, scalar_hamming_matrix(left, right))
+        assert mat[-1, 0] == 8 * n_bytes
+
+    @pytest.mark.parametrize("shape", [(0, 5), (5, 0), (0, 0)])
+    def test_empty_inputs(self, shape):
+        rng = np.random.default_rng(12)
+        a = rng.integers(0, 256, (shape[0], 32), dtype=np.uint8)
+        b = rng.integers(0, 256, (shape[1], 32), dtype=np.uint8)
+        mat = hamming_matrix(a, b)
+        assert mat.shape == shape
+        assert mat.dtype == np.int32
+
+    def test_non_contiguous_input(self):
+        rng = np.random.default_rng(13)
+        descs = [Descriptor.random(rng) for _ in range(14)]
+        packed = pack_descriptors(descs)
+        assert not packed[::2].flags.c_contiguous
+        mat = hamming_matrix(packed[::2], packed[1::3])
+        assert np.array_equal(mat, scalar_hamming_matrix(descs[::2], descs[1::3]))
+        cols = np.asfortranarray(packed)
+        assert np.array_equal(hamming_matrix(cols, cols),
+                              scalar_hamming_matrix(descs, descs))
+
+    @pytest.mark.parametrize("widths", [(32, 33), (8, 7), (1, 9)])
+    def test_width_mismatch_raises(self, widths):
+        a = np.zeros((3, widths[0]), dtype=np.uint8)
+        b = np.zeros((2, widths[1]), dtype=np.uint8)
+        with pytest.raises(DescriptorMismatchError):
+            hamming_matrix(a, b)
+        with pytest.raises(DescriptorMismatchError):
+            hamming_matrix(a[:0], b)
+
+
+def appearance_index_loop(descriptors):
+    """The per-row ``statistics.median`` rule, first minimum wins."""
+    best_idx, best_med = 0, None
+    for i, d in enumerate(descriptors):
+        med = statistics.median(
+            hamming(d, o) for j, o in enumerate(descriptors) if j != i
+        )
+        if best_med is None or med < best_med:
+            best_idx, best_med = i, med
+    return best_idx
+
+
 class TestReferenceAppearance:
     def test_singleton(self):
         d = Descriptor.random(np.random.default_rng(4))
@@ -116,6 +177,28 @@ class TestReferenceAppearance:
     def test_empty_raises(self):
         with pytest.raises(ValueError):
             select_reference_appearance([])
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 9, 16, 17])
+    def test_matches_median_loop(self, n):
+        rng = np.random.default_rng(200 + n)
+        for trial in range(30):
+            # few bits and repeated members force equal medians
+            n_bits = 8 if trial % 2 else 16
+            pool = [Descriptor.random(rng, n_bits) for _ in range(n)]
+            if trial % 3 == 0:
+                pool[-1] = Descriptor(pool[0].bits)
+            assert select_reference_appearance_index(pool) == \
+                appearance_index_loop(pool)
+
+    def test_tie_goes_to_lowest_index(self):
+        rng = np.random.default_rng(14)
+        d = Descriptor.random(rng)
+        pool = [d, Descriptor(d.bits), descriptor_with_distance(d, 3),
+                Descriptor(d.bits)]
+        # three holders share median 0; the first one wins
+        assert appearance_index_loop(pool) == 0
+        assert select_reference_appearance_index(pool) == 0
+        assert select_reference_appearance_index(pool[2:]) == 0
 
     def test_permutation_invariant_up_to_tie_break(self):
         rng = np.random.default_rng(6)

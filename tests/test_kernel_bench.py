@@ -1,0 +1,80 @@
+"""Micro-benchmarks of the hot kernels, each checked against an oracle.
+
+Run alone with ``python -m pytest tests/test_kernel_bench.py``; pass
+``--benchmark-skip`` to leave them out of a test run.  Rounds are few so
+that the suite stays fast.
+"""
+
+import numpy as np
+import pytest
+
+from symvo.features import Descriptor, hamming, hamming_matrix, pack_descriptors
+from symvo.geometry import CameraIntrinsics, Pose, project, so3_exp
+from symvo.optimizer import ObsTerm, OptimizationProblem, solve_problem
+from symvo.uncertainty import CovarianceModel, ResidualWeighting
+
+CAM = CameraIntrinsics(fx=500.0, fy=500.0, cx=320.0, cy=240.0, width=640, height=480)
+
+
+def test_hamming_matrix_corridor_size(benchmark):
+    """One all-pairs call at the size of a corridor frame: 1580 x 1580."""
+    rng = np.random.default_rng(0)
+    left = [Descriptor.random(rng) for _ in range(1580)]
+    right = [Descriptor.random(rng) for _ in range(1580)]
+    a, b = pack_descriptors(left), pack_descriptors(right)
+    dist = benchmark.pedantic(hamming_matrix, args=(a, b), rounds=5,
+                              iterations=1, warmup_rounds=1)
+    assert dist.shape == (1580, 1580) and dist.dtype == np.int32
+    for i in rng.choice(1580, size=12, replace=False):
+        assert list(dist[i]) == [hamming(left[i], r) for r in right]
+
+
+@pytest.fixture(scope="module")
+def ba_window():
+    """A noiseless 8-view window of 200 points, started off the truth."""
+    rng = np.random.default_rng(1)
+    truth_poses = {
+        k: Pose(so3_exp(np.array([0.0, 0.02 * k, 0.0])),
+                np.array([0.1 * k, 0.0, 0.4 * k]))
+        for k in range(1, 9)
+    }
+    truth_points = {}
+    while len(truth_points) < 200:
+        p = rng.uniform([-4.0, -3.0, 8.0], [4.0, 3.0, 30.0])
+        uvs = [project(pose.inverse().apply(p), CAM) for pose in truth_poses.values()]
+        if all(CAM.contains(uv) for uv in uvs):
+            truth_points[len(truth_points) + 1] = p
+    terms = []
+    for pid, p in truth_points.items():
+        ref_uv = tuple(project(truth_poses[1].inverse().apply(p), CAM))
+        terms.append(ObsTerm(pid, 1, ref_uv, 2.0))
+        for k in range(2, 9):
+            uv = tuple(project(truth_poses[k].inverse().apply(p), CAM))
+            terms.append(ObsTerm(pid, k, uv, 2.0, ref_kf_id=1, ref_uv=ref_uv,
+                                 ref_sigma2=2.0))
+    start_poses = {
+        k: pose if k <= 2 else Pose(
+            so3_exp(rng.normal(scale=0.01, size=3)) @ pose.rotation,
+            pose.translation + rng.normal(scale=0.01, size=3))
+        for k, pose in truth_poses.items()
+    }
+    start_points = {p: x + rng.normal(scale=0.02, size=3)
+                    for p, x in truth_points.items()}
+    problem = OptimizationProblem(
+        cam=CAM, poses=start_poses, points=start_points, observations=terms,
+        weighting=ResidualWeighting(model=CovarianceModel.SYMMETRIC),
+        variable_pose_ids=tuple(range(3, 9)),
+        variable_point_ids=tuple(truth_points),
+    )
+    return problem, truth_points
+
+
+def test_solve_problem_ba_window(benchmark, ba_window):
+    """Symmetric-cost LM on the window; the oracle is the noiseless truth."""
+    problem, truth_points = ba_window
+    result = benchmark.pedantic(solve_problem, args=(problem,), rounds=3,
+                                iterations=1)
+    assert result.iterations > 0
+    assert result.cost < 1e-12
+    assert np.allclose(result.state.pts, np.stack(list(truth_points.values())),
+                       atol=1e-6)

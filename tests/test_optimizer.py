@@ -9,15 +9,17 @@ from symvo.optimizer import (
     OutlierMode,
     OutlierPolicy,
     _Assembled,
+    _build_normal_equations,
     _evaluate,
     _retract,
+    _solve_step,
     _term_jacobians,
     evaluate_cost,
     local_bundle_adjustment,
     optimize_pose,
     solve_problem,
 )
-from symvo.uncertainty import CovarianceModel, ResidualWeighting
+from symvo.uncertainty import CovarianceModel, ResidualWeighting, huber_weight
 
 CAM = CameraIntrinsics(fx=500.0, fy=500.0, cx=320.0, cy=240.0, width=640, height=480)
 
@@ -459,3 +461,193 @@ class TestSolverProperties:
         report = evaluate_cost(problem)
         assert (1, 1) in report.behind_camera
         assert np.isfinite(report.total)
+
+
+# --- reference kernels ----------------------------------------------------
+# The sequential np.add.at accumulation and the per-point damping loop that
+# _build_normal_equations and _solve_step replace.  The kernels must agree
+# with them bit for bit.
+
+def reference_normal_equations(asm, state, ev, delta):
+    P, L = asm.n_var_poses, asm.n_var_points
+    Hpp = np.zeros((P, P, 6, 6))
+    Hll = np.zeros((L, 3, 3))
+    Hpl = np.zeros((P, L, 6, 3))
+    gp = np.zeros((P, 6))
+    gl = np.zeros((L, 3))
+    jac = _term_jacobians(asm, state, ev)
+
+    idx = np.nonzero(ev.valid_f)[0]
+    if idx.size:
+        w = (huber_weight(ev.m2_f[idx], delta) * asm.f_info[idx])[:, None, None]
+        r = ev.r_f[idx][:, :, None]
+        Jpose = jac.f_pose[idx]
+        Jpt = jac.f_pt[idx]
+        kv = asm.f_kf_var[idx]
+        lv = asm.f_pt_var[idx]
+        mp = kv >= 0
+        ml = lv >= 0
+        if np.any(mp):
+            blocks = np.einsum("kba,kbc->kac", Jpose[mp], w[mp] * Jpose[mp])
+            np.add.at(Hpp, (kv[mp], kv[mp]), blocks)
+            np.add.at(gp, kv[mp],
+                      np.einsum("kba,kbc->ka", Jpose[mp], w[mp] * r[mp]))
+        if np.any(ml):
+            np.add.at(Hll, lv[ml],
+                      np.einsum("kba,kbc->kac", Jpt[ml], w[ml] * Jpt[ml]))
+            np.add.at(gl, lv[ml],
+                      np.einsum("kba,kbc->ka", Jpt[ml], w[ml] * r[ml]))
+        both = mp & ml
+        if np.any(both):
+            np.add.at(
+                Hpl, (kv[both], lv[both]),
+                np.einsum("kba,kbc->kac", Jpose[both], w[both] * Jpt[both]),
+            )
+
+    idx = np.nonzero(ev.valid_b)[0] if asm.n_backward else np.zeros(0, np.int64)
+    if idx.size:
+        fwd = asm.b_fwd[idx]
+        w = (huber_weight(ev.m2_b[idx], delta) * asm.b_info[idx])[:, None, None]
+        r = ev.r_b[idx][:, :, None]
+        Jpose_k = jac.b_pose_k[idx]
+        Jpose_j = jac.b_pose_j[idx]
+        Jpt = jac.b_pt[idx]
+        kv = asm.f_kf_var[fwd]
+        jv = asm.b_ref_var[idx]
+        lv = asm.f_pt_var[fwd]
+        for va, Ja in ((kv, Jpose_k), (jv, Jpose_j)):
+            m = va >= 0
+            if np.any(m):
+                np.add.at(gp, va[m],
+                          np.einsum("kba,kbc->ka", Ja[m], w[m] * r[m]))
+        for va, Ja, vb, Jb in (
+            (kv, Jpose_k, kv, Jpose_k),
+            (jv, Jpose_j, jv, Jpose_j),
+            (kv, Jpose_k, jv, Jpose_j),
+        ):
+            m = (va >= 0) & (vb >= 0)
+            if np.any(m):
+                blocks = np.einsum("kba,kbc->kac", Ja[m], w[m] * Jb[m])
+                np.add.at(Hpp, (va[m], vb[m]), blocks)
+                if Ja is not Jb:
+                    np.add.at(Hpp, (vb[m], va[m]),
+                              np.transpose(blocks, (0, 2, 1)))
+        ml = lv >= 0
+        if np.any(ml):
+            np.add.at(Hll, lv[ml],
+                      np.einsum("kba,kbc->kac", Jpt[ml], w[ml] * Jpt[ml]))
+            np.add.at(gl, lv[ml],
+                      np.einsum("kba,kbc->ka", Jpt[ml], w[ml] * r[ml]))
+        for va, Ja in ((kv, Jpose_k), (jv, Jpose_j)):
+            m = (va >= 0) & ml
+            if np.any(m):
+                np.add.at(
+                    Hpl, (va[m], lv[m]),
+                    np.einsum("kba,kbc->kac", Ja[m], w[m] * Jpt[m]),
+                )
+    return Hpp, Hpl, Hll, gp, gl
+
+
+def reference_solve_step(Hpp, Hpl, Hll, gp, gl, lam):
+    P = Hpp.shape[0]
+    L = Hll.shape[0]
+    if P == 0 and L == 0:
+        return np.zeros(0), np.zeros((0, 3))
+    Hll_d = Hll.copy()
+    for i in range(L):
+        diag = np.diagonal(Hll_d[i]).copy()
+        diag = np.where(diag > 1e-12, diag, 1e-12)
+        Hll_d[i] += lam * np.diag(diag)
+    if P == 0:
+        dl = -np.linalg.solve(Hll_d, gl[:, :, None])[:, :, 0]
+        return np.zeros(0), dl
+    Hpp_m = Hpp.transpose(0, 2, 1, 3).reshape(6 * P, 6 * P).copy()
+    diag = np.diagonal(Hpp_m).copy()
+    diag = np.where(diag > 1e-12, diag, 1e-12)
+    Hpp_m += lam * np.diag(diag)
+    gp_v = gp.reshape(6 * P)
+    if L == 0:
+        dp = -np.linalg.solve(Hpp_m, gp_v)
+        return dp.reshape(P, 6), np.zeros((0, 3))
+    Hll_inv = np.linalg.inv(Hll_d)
+    Hpl_m = Hpl.transpose(0, 2, 1, 3).reshape(6 * P, 3 * L)
+    W = np.einsum("plab,lbc->plac", Hpl, Hll_inv)
+    W_m = W.transpose(0, 2, 1, 3).reshape(6 * P, 3 * L)
+    S = Hpp_m - W_m @ Hpl_m.T
+    rhs = -(gp_v - W_m @ gl.reshape(3 * L))
+    dp = np.linalg.solve(S, rhs)
+    dl_rhs = -gl - np.einsum("plab,pa->lb", Hpl, dp.reshape(P, 6))
+    dl = np.einsum("lab,lb->la", Hll_inv, dl_rhs)
+    return dp.reshape(P, 6), dl
+
+
+def assert_bit_identical(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+        assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
+# (weighting, variable poses, variable points?); pose 1 is every
+# observation's reference view, so (1, 2, 3, 4) varies it too
+KERNEL_CASES = [
+    (STANDARD, (2, 3, 4), True),
+    (SYMMETRIC, (2, 3, 4), True),
+    (SYMMETRIC, (1, 2, 3, 4), True),
+    (STANDARD, (2, 3), False),
+    (SYMMETRIC, (1, 3), False),
+    (STANDARD, (), True),
+    (SYMMETRIC, (), True),
+]
+KERNEL_IDS = ["standard", "symmetric", "symmetric-ref-varies",
+              "standard-no-points", "symmetric-no-points",
+              "standard-no-poses", "symmetric-no-poses"]
+
+
+def kernel_state(weighting, variable_pose_ids, variable_points, seed):
+    """Noisy, perturbed window with outliers and one point behind views."""
+    rng = np.random.default_rng(seed)
+    poses, points = make_scene(rng, n_poses=5, n_points=40)
+    terms = make_observations(poses, points, weighting, noise=1.5, rng=rng)
+    for i in range(0, len(terms), 7):  # gross outliers: Huber weights < 1
+        t = terms[i]
+        terms[i] = ObsTerm(t.point_id, t.kf_id, (t.uv[0] + 40.0, t.uv[1]),
+                           t.sigma2, t.ref_kf_id, t.ref_uv, t.ref_sigma2)
+    start_poses, start_points = perturbed(poses, points, rng, rot=0.03,
+                                          trans=0.05, pt=0.2)
+    start_points[1] = np.array([0.3, 0.2, 1.0])  # behind views 3, 4 and 5
+    problem = OptimizationProblem(
+        cam=CAM, poses=start_poses, points=start_points, observations=terms,
+        weighting=weighting, variable_pose_ids=variable_pose_ids,
+        variable_point_ids=tuple(sorted(points)) if variable_points else (),
+    )
+    asm = _Assembled(problem)
+    state = asm.initial_state(problem)
+    ev = _evaluate(asm, state)
+    assert not np.all(ev.valid_f)
+    return asm, state, ev, weighting.huber_delta
+
+
+class TestKernelBitIdentity:
+    @pytest.mark.parametrize("case", KERNEL_CASES, ids=KERNEL_IDS)
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_normal_equations_match_sequential_add_at(self, case, seed):
+        asm, state, ev, delta = kernel_state(*case, seed)
+        assert_bit_identical(_build_normal_equations(asm, state, ev, delta),
+                             reference_normal_equations(asm, state, ev, delta))
+
+    @pytest.mark.parametrize("case", KERNEL_CASES, ids=KERNEL_IDS)
+    @pytest.mark.parametrize("lam", [1e-12, 1e-4, 1e-1, 1.0, 1e3, 1e12])
+    def test_solve_step_matches_damping_loop(self, case, lam):
+        H = reference_normal_equations(*kernel_state(*case, seed=3))
+        assert_bit_identical(_solve_step(*H, lam), reference_solve_step(*H, lam))
+
+    @pytest.mark.parametrize("lam", [1e-4, 1.0])
+    def test_solve_step_clips_vanishing_point_diagonal(self, lam):
+        Hpp, Hpl, Hll, gp, gl = reference_normal_equations(
+            *kernel_state(SYMMETRIC, (2, 3, 4), True, seed=4))
+        Hll[0] = 0.0  # an unobserved point: its damping uses the 1e-12 floor
+        Hpl[:, 0] = 0.0
+        Hll[1, 2, 2] = -1.0
+        H = (Hpp, Hpl, Hll, gp, gl)
+        assert_bit_identical(_solve_step(*H, lam), reference_solve_step(*H, lam))

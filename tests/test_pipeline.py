@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from symvo.errors import ConfigError
+from symvo.evaluation import ablation_configs
 from symvo.pipeline import Pipeline, PipelineConfig, reverse
 from symvo.synth import SceneSpec, generate
 
@@ -50,3 +52,43 @@ def test_reverse_round_trip_and_ground_truth_timestamps(orbit):
     backward = [f.timestamp for f in reverse(seq.frames)]
     assert backward == list(seq.ground_truth.reversed().timestamps)
     assert np.all(np.diff(backward) > 0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("descriptor_selection", "nearest"),
+    ("association_ordering", "greedy"),
+    ("constraint_mode", "symmetrical"),
+    ("covariance_model", "Symmetric"),
+    ("outlier_policy", "keep_some"),
+    ("pyramid_scale", 1.0),
+    ("pyramid_octaves", 0),
+    ("delta_l", -1),
+    ("descriptor_threshold", -1),
+    ("threshold_c1", -2),
+    ("threshold_c2", -2),
+    ("threshold_c3", -2),
+    ("threshold_c4", -5),
+    ("huber_delta", 0.0),
+    ("huber_delta", float("nan")),
+    ("chi2_threshold", -5.991),
+    ("max_iterations", 0),
+    ("ransac_iterations", 0),
+])
+def test_config_rejects_bad_value(field, value):
+    with pytest.raises(ConfigError, match=field):
+        PipelineConfig(**{field: value})
+
+
+@pytest.mark.parametrize("overrides", [
+    {"pyramid_scale": 1.0001, "pyramid_octaves": 1, "delta_l": 0},
+    {"descriptor_threshold": 0, "threshold_c1": -1, "threshold_c4": 0},
+    {"max_iterations": 1, "ransac_iterations": 1, "huber_delta": 1e-9},
+])
+def test_config_accepts_boundary_values(overrides):
+    config = PipelineConfig(**overrides)
+    assert all(getattr(config, k) == v for k, v in overrides.items())
+
+
+def test_every_ablation_config_is_valid():
+    names = [name for name, _ in ablation_configs(PipelineConfig())]
+    assert len(names) == 7 and names[0] == "full"
