@@ -11,6 +11,14 @@ Residual models:
   normalized by twice the reference view's variance.  Both directions
   therefore enter classification with their own covariances.
 
+A problem's observations are rows of the ``OBSERVATION`` structured dtype:
+``(point, kf, uv, sigma2, ref_kf, ref_uv, ref_sigma2)``, the measured
+pixel and its variance in the observing view, then the point's reference
+view with its pixel and variance.  A row whose ``ref_kf`` equals its
+``kf`` is the reference view itself and has no backward term.  A row is
+an inlier when each of its directional terms projects in front of its
+cameras with a Mahalanobis^2 within the cut.
+
 The solver is deterministic: fixed term ordering, a fixed damping
 schedule, and no time- or memory-dependent state.  Behind-camera terms
 are frozen (previous cost, zero gradient) for the step instead of
@@ -21,13 +29,16 @@ of that contract.  Floating-point addition is not associative, so every
 element of H and g must receive its terms in the same sequence (forward
 terms, then the backward observing-observing, reference-reference,
 observing-reference and reference-observing blocks), each sum starting
-from zero; reordering them moves every pose digest.
+from zero; reordering them moves every pose digest.  Within each batch
+the terms follow the rows sorted by (point, kf), which the problem does
+once when it is built, so the order in which a caller lists the rows
+never reaches the sums.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -56,29 +67,44 @@ class OutlierPolicy:
             raise ValueError("chi2_threshold must be positive")
 
 
-@dataclass(frozen=True)
-class ObsTerm:
-    """One observation of a point: measured pixel, its variance, and the
-    reference view used by the symmetric model (None for the reference
-    observation itself)."""
+OBSERVATION = np.dtype([
+    ("point", np.int64),
+    ("kf", np.int64),
+    ("uv", np.float64, (2,)),
+    ("sigma2", np.float64),
+    ("ref_kf", np.int64),
+    ("ref_uv", np.float64, (2,)),
+    ("ref_sigma2", np.float64),
+])
 
-    point_id: int
-    kf_id: int
-    uv: tuple
-    sigma2: float
-    ref_kf_id: int | None = None
-    ref_uv: tuple | None = None
-    ref_sigma2: float | None = None
+
+def _rows_of(ids, keys) -> np.ndarray:
+    """Position of each key in the ascending ``ids``; -1 where it is absent."""
+    ids = np.asarray(ids, dtype=np.int64)
+    keys = np.asarray(keys, dtype=np.int64)
+    pos = np.searchsorted(ids, keys)
+    hit = pos < ids.size
+    hit[hit] = ids[pos[hit]] == keys[hit]
+    return np.where(hit, pos, -1)
 
 
 @dataclass
 class OptimizationProblem:
-    """Poses, points, and observation terms with the variable/fixed split."""
+    """Poses, points and observation rows with the variable/fixed split.
+
+    ``__post_init__`` validates the problem and assembles it, once: it
+    sorts ``observations`` by (point, kf) and derives the index arrays the
+    solver reads.  Forward term i is row i.  Backward term b belongs to
+    row ``b_fwd[b]`` and projects into keyframe row ``b_ref[b]``.
+    ``f_kf``/``f_pt`` index ``kf_ids``/``pt_ids``; the ``*_var`` arrays
+    hold the variable index of a term's pose or point, or -1 when it is
+    fixed.
+    """
 
     cam: CameraIntrinsics
     poses: dict  # kf_id -> Pose, world-from-camera
     points: dict  # point_id -> (3,) position
-    observations: list  # ObsTerm
+    observations: np.ndarray  # OBSERVATION rows
     weighting: ResidualWeighting
     variable_pose_ids: tuple = ()
     variable_point_ids: tuple = ()
@@ -86,32 +112,64 @@ class OptimizationProblem:
     def __post_init__(self):
         self.variable_pose_ids = tuple(sorted(self.variable_pose_ids))
         self.variable_point_ids = tuple(sorted(self.variable_point_ids))
-        fixed = [k for k in self.poses if k not in set(self.variable_pose_ids)]
-        if self.variable_pose_ids and not fixed:
+        if self.variable_pose_ids and not set(self.poses) - set(self.variable_pose_ids):
             raise DegenerateProblemError("problem has no fixed pose (gauge free)")
-        for kf_id in self.variable_pose_ids:
-            if kf_id not in self.poses:
-                raise DegenerateProblemError(f"variable pose {kf_id} has no state")
-        counts = {}
-        for term in self.observations:
-            if term.kf_id not in self.poses:
+        self.kf_ids = sorted(self.poses)
+        self.pt_ids = sorted(self.points)
+        self.var_pose_rows = _rows_of(self.kf_ids, self.variable_pose_ids)
+        if np.any(self.var_pose_rows < 0):
+            kf_id = self.variable_pose_ids[np.argmin(self.var_pose_rows)]
+            raise DegenerateProblemError(f"variable pose {kf_id} has no state")
+        obs = self.observations[np.lexsort((self.observations["kf"],
+                                            self.observations["point"]))]
+        self.observations = obs
+        self.f_kf = _rows_of(self.kf_ids, obs["kf"])
+        ref = _rows_of(self.kf_ids, obs["ref_kf"])
+        self.f_pt = _rows_of(self.pt_ids, obs["point"])
+        for rows, name, what in ((self.f_kf, "kf", "keyframe"),
+                                 (ref, "ref_kf", "reference keyframe"),
+                                 (self.f_pt, "point", "point")):
+            if np.any(rows < 0):
+                missing = obs[name][np.argmin(rows)]
                 raise DegenerateProblemError(
-                    f"observation references unknown keyframe {term.kf_id}"
+                    f"observation references unknown {what} {missing}"
                 )
-            if term.ref_kf_id is not None and term.ref_kf_id not in self.poses:
-                raise DegenerateProblemError(
-                    f"observation references unknown reference keyframe {term.ref_kf_id}"
-                )
-            if term.point_id not in self.points:
-                raise DegenerateProblemError(
-                    f"observation references unknown point {term.point_id}"
-                )
-            counts[term.point_id] = counts.get(term.point_id, 0) + 1
-        for pid in self.variable_point_ids:
-            if counts.get(pid, 0) < 2:
-                raise DegenerateProblemError(
-                    f"variable point {pid} is observed fewer than twice"
-                )
+        self.f_kf_var = _rows_of(self.variable_pose_ids, obs["kf"])
+        self.f_pt_var = _rows_of(self.variable_point_ids, obs["point"])
+        counts = np.bincount(self.f_pt_var[self.f_pt_var >= 0],
+                             minlength=len(self.variable_point_ids))
+        if np.any(counts < 2):
+            pid = self.variable_point_ids[np.argmin(counts >= 2)]
+            raise DegenerateProblemError(
+                f"variable point {pid} is observed fewer than twice"
+            )
+        self.var_pt_rows = _rows_of(self.pt_ids, self.variable_point_ids)
+        self.f_uv = obs["uv"].copy()
+        self.f_info = 1.0 / obs["sigma2"]
+
+        # a row whose ref_kf is its own kf is the reference view
+        if self.weighting.model is CovarianceModel.SYMMETRIC:
+            self.b_fwd = np.flatnonzero(obs["ref_kf"] != obs["kf"])
+        else:
+            self.b_fwd = np.zeros(0, dtype=np.int64)
+        self.b_uv = obs["ref_uv"][self.b_fwd]
+        self.b_info = 1.0 / obs["ref_sigma2"][self.b_fwd]
+        self.b_ref = ref[self.b_fwd]
+        self.b_ref_var = _rows_of(self.variable_pose_ids, obs["ref_kf"][self.b_fwd])
+        # measured-ray directions in the observing camera
+        self.b_dir = np.ones((self.b_fwd.size, 3))
+        self.b_dir[:, 0] = (self.f_uv[self.b_fwd, 0] - self.cam.cx) / self.cam.fx
+        self.b_dir[:, 1] = (self.f_uv[self.b_fwd, 1] - self.cam.cy) / self.cam.fy
+
+    def initial_state(self) -> _State:
+        """Camera-from-world rows in ``kf_ids`` order, points in ``pt_ids`` order."""
+        inverses = [self.poses[k].inverse() for k in self.kf_ids]
+        return _State(
+            np.array([p.rotation for p in inverses], dtype=np.float64).reshape(-1, 3, 3),
+            np.array([p.translation for p in inverses], dtype=np.float64).reshape(-1, 3),
+            np.array([self.points[p] for p in self.pt_ids],
+                     dtype=np.float64).reshape(-1, 3),
+        )
 
 
 def _hat_batch(v):
@@ -125,73 +183,6 @@ def _hat_batch(v):
     H[:, 2, 0] = -v[:, 1]
     H[:, 2, 1] = v[:, 0]
     return H
-
-
-class _Assembled:
-    """Static index/measurement arrays for one optimization problem."""
-
-    def __init__(self, problem: OptimizationProblem):
-        cam = problem.cam
-        self.cam = cam
-        self.kf_ids = sorted(problem.poses)
-        self.pt_ids = sorted(problem.points)
-        kf_pos = {k: i for i, k in enumerate(self.kf_ids)}
-        pt_pos = {p: i for i, p in enumerate(self.pt_ids)}
-        var_pose = {k: i for i, k in enumerate(problem.variable_pose_ids)}
-        var_pt = {p: i for i, p in enumerate(problem.variable_point_ids)}
-        self.n_var_poses = len(var_pose)
-        self.n_var_points = len(var_pt)
-
-        terms = sorted(problem.observations, key=lambda t: (t.point_id, t.kf_id))
-        self.terms = terms
-        F = len(terms)
-        self.f_uv = np.array([t.uv for t in terms], dtype=np.float64).reshape(F, 2)
-        self.f_info = np.array([1.0 / t.sigma2 for t in terms])
-        self.f_kf = np.array([kf_pos[t.kf_id] for t in terms], dtype=np.int64)
-        self.f_pt = np.array([pt_pos[t.point_id] for t in terms], dtype=np.int64)
-        self.f_kf_var = np.array(
-            [var_pose.get(t.kf_id, -1) for t in terms], dtype=np.int64
-        )
-        self.f_pt_var = np.array(
-            [var_pt.get(t.point_id, -1) for t in terms], dtype=np.int64
-        )
-
-        symmetric = problem.weighting.model is CovarianceModel.SYMMETRIC
-        b_rows = [
-            (i, t) for i, t in enumerate(terms)
-            if symmetric and t.ref_kf_id is not None and t.ref_kf_id != t.kf_id
-        ]
-        B = len(b_rows)
-        self.b_fwd = np.array([i for i, _ in b_rows], dtype=np.int64)
-        self.b_uv = np.array(
-            [t.ref_uv for _, t in b_rows], dtype=np.float64
-        ).reshape(B, 2)
-        self.b_info = np.array([1.0 / t.ref_sigma2 for _, t in b_rows])
-        self.b_ref = np.array([kf_pos[t.ref_kf_id] for _, t in b_rows], dtype=np.int64)
-        self.b_ref_var = np.array(
-            [var_pose.get(t.ref_kf_id, -1) for _, t in b_rows], dtype=np.int64
-        )
-        # measured-ray directions in the observing camera
-        d = np.ones((B, 3))
-        if B:
-            uv_k = self.f_uv[self.b_fwd]
-            d[:, 0] = (uv_k[:, 0] - cam.cx) / cam.fx
-            d[:, 1] = (uv_k[:, 1] - cam.cy) / cam.fy
-        self.b_dir = d
-        self.n_forward = F
-        self.n_backward = B
-
-    def initial_state(self, problem):
-        R = np.stack(
-            [problem.poses[k].inverse().rotation for k in self.kf_ids]
-        ) if self.kf_ids else np.zeros((0, 3, 3))
-        t = np.stack(
-            [problem.poses[k].inverse().translation for k in self.kf_ids]
-        ) if self.kf_ids else np.zeros((0, 3))
-        pts = np.stack(
-            [problem.points[p] for p in self.pt_ids]
-        ) if self.pt_ids else np.zeros((0, 3))
-        return _State(R, t, pts)
 
 
 @dataclass
@@ -210,30 +201,30 @@ class _Evaluation:
     __slots__ = ("q_f", "r_f", "valid_f", "m2_f", "q_b", "r_b", "valid_b", "m2_b")
 
 
-def _evaluate(asm: _Assembled, state: _State) -> _Evaluation:
-    cam = asm.cam
+def _evaluate(problem: OptimizationProblem, state: _State) -> _Evaluation:
+    cam = problem.cam
     ev = _Evaluation()
-    p_w = state.pts[asm.f_pt]
-    q = np.einsum("kij,kj->ki", state.R[asm.f_kf], p_w) + state.t[asm.f_kf]
+    p_w = state.pts[problem.f_pt]
+    q = np.einsum("kij,kj->ki", state.R[problem.f_kf], p_w) + state.t[problem.f_kf]
     valid = q[:, 2] > _Z_EPS
     z = np.where(valid, q[:, 2], 1.0)
-    uv = np.empty_like(asm.f_uv)
+    uv = np.empty_like(problem.f_uv)
     uv[:, 0] = cam.fx * q[:, 0] / z + cam.cx
     uv[:, 1] = cam.fy * q[:, 1] / z + cam.cy
     ev.q_f = q
-    ev.r_f = asm.f_uv - uv
+    ev.r_f = problem.f_uv - uv
     ev.valid_f = valid
-    ev.m2_f = np.einsum("ki,ki->k", ev.r_f, ev.r_f) * asm.f_info
+    ev.m2_f = np.einsum("ki,ki->k", ev.r_f, ev.r_f) * problem.f_info
 
-    B = asm.n_backward
+    B = problem.b_fwd.size
     if B:
-        z_k = q[asm.b_fwd, 2]
-        X_k = asm.b_dir * z_k[:, None]
-        Rk = state.R[asm.f_kf[asm.b_fwd]]
-        tk = state.t[asm.f_kf[asm.b_fwd]]
+        z_k = q[problem.b_fwd, 2]
+        X_k = problem.b_dir * z_k[:, None]
+        Rk = state.R[problem.f_kf[problem.b_fwd]]
+        tk = state.t[problem.f_kf[problem.b_fwd]]
         Y = np.einsum("kji,kj->ki", Rk, X_k - tk)  # R^T (X - t)
-        Rj = state.R[asm.b_ref]
-        tj = state.t[asm.b_ref]
+        Rj = state.R[problem.b_ref]
+        tj = state.t[problem.b_ref]
         q_b = np.einsum("kij,kj->ki", Rj, Y) + tj
         valid_b = (q_b[:, 2] > _Z_EPS) & (z_k > _Z_EPS)
         z_b = np.where(valid_b, q_b[:, 2], 1.0)
@@ -241,9 +232,9 @@ def _evaluate(asm: _Assembled, state: _State) -> _Evaluation:
         uv_b[:, 0] = cam.fx * q_b[:, 0] / z_b + cam.cx
         uv_b[:, 1] = cam.fy * q_b[:, 1] / z_b + cam.cy
         ev.q_b = q_b
-        ev.r_b = asm.b_uv - uv_b
+        ev.r_b = problem.b_uv - uv_b
         ev.valid_b = valid_b
-        ev.m2_b = np.einsum("ki,ki->k", ev.r_b, ev.r_b) * asm.b_info
+        ev.m2_b = np.einsum("ki,ki->k", ev.r_b, ev.r_b) * problem.b_info
     else:
         ev.q_b = np.zeros((0, 3))
         ev.r_b = np.zeros((0, 2))
@@ -252,11 +243,9 @@ def _evaluate(asm: _Assembled, state: _State) -> _Evaluation:
     return ev
 
 
-def _term_costs(asm: _Assembled, ev: _Evaluation, delta: float, prev=None):
+def _term_costs(ev: _Evaluation, delta: float, prev=None):
     """Per-term Huber costs with freezing of behind-camera terms."""
-    costs = np.empty(asm.n_forward + asm.n_backward)
-    costs[: asm.n_forward] = huber_rho(ev.m2_f, delta)
-    costs[asm.n_forward:] = huber_rho(ev.m2_b, delta)
+    costs = np.concatenate([huber_rho(ev.m2_f, delta), huber_rho(ev.m2_b, delta)])
     valid = np.concatenate([ev.valid_f, ev.valid_b])
     if prev is None:
         prev = np.zeros_like(costs)
@@ -284,17 +273,18 @@ class _Jacobians:
     __slots__ = ("f_pose", "f_pt", "b_pose_k", "b_pose_j", "b_pt")
 
 
-def _term_jacobians(asm: _Assembled, state: _State, ev: _Evaluation) -> _Jacobians:
+def _term_jacobians(problem: OptimizationProblem, state: _State,
+                    ev: _Evaluation) -> _Jacobians:
     J = _Jacobians()
-    F, B = asm.n_forward, asm.n_backward
+    F, B = problem.f_kf.size, problem.b_fwd.size
     J.f_pose = np.zeros((F, 2, 6))
     J.f_pt = np.zeros((F, 2, 3))
     idx = np.nonzero(ev.valid_f)[0]
     if idx.size:
         q = ev.q_f[idx]
-        A = _projection_block(q, asm.cam)  # -dPi/dq
-        Rk = state.R[asm.f_kf[idx]]
-        tk = state.t[asm.f_kf[idx]]
+        A = _projection_block(q, problem.cam)  # -dPi/dq
+        Rk = state.R[problem.f_kf[idx]]
+        tk = state.t[problem.f_kf[idx]]
         # dq/d(dw) = -[q - t]x ; dq/d(dt) = I ; dq/dp = R
         Jw = -np.einsum("kab,kbc->kac", A, _hat_batch(q - tk))
         J.f_pose[idx] = np.concatenate([Jw, A], axis=2)
@@ -306,14 +296,14 @@ def _term_jacobians(asm: _Assembled, state: _State, ev: _Evaluation) -> _Jacobia
     if B:
         idx = np.nonzero(ev.valid_b)[0]
         if idx.size:
-            fwd = asm.b_fwd[idx]
+            fwd = problem.b_fwd[idx]
             q_b = ev.q_b[idx]
-            Bm = _projection_block(q_b, asm.cam)  # -dPi/dq_b
-            Rk = state.R[asm.f_kf[fwd]]
-            tk = state.t[asm.f_kf[fwd]]
-            tj = state.t[asm.b_ref[idx]]
-            Rj = state.R[asm.b_ref[idx]]
-            d = asm.b_dir[idx]
+            Bm = _projection_block(q_b, problem.cam)  # -dPi/dq_b
+            Rk = state.R[problem.f_kf[fwd]]
+            tk = state.t[problem.f_kf[fwd]]
+            tj = state.t[problem.b_ref[idx]]
+            Rj = state.R[problem.b_ref[idx]]
+            d = problem.b_dir[idx]
             z_k = ev.q_f[fwd, 2]
             X_k = d * z_k[:, None]
             v = ev.q_f[fwd] - tk  # R_k p_w
@@ -370,26 +360,26 @@ class _Scatter:
         return out
 
 
-def _build_normal_equations(asm: _Assembled, state: _State, ev: _Evaluation,
-                            delta: float):
+def _build_normal_equations(problem: OptimizationProblem, state: _State,
+                            ev: _Evaluation, delta: float):
     """Accumulate the damped-ready H blocks and gradient."""
-    P, L = asm.n_var_poses, asm.n_var_points
+    P, L = len(problem.variable_pose_ids), len(problem.variable_point_ids)
     Hpp = _Scatter(P * P, (6, 6))
     Hll = _Scatter(L, (3, 3))
     Hpl = _Scatter(P * L, (6, 3))
     gp = _Scatter(P, (6,))
     gl = _Scatter(L, (3,))
-    jac = _term_jacobians(asm, state, ev)
+    jac = _term_jacobians(problem, state, ev)
 
     # forward terms ----------------------------------------------------
     idx = np.nonzero(ev.valid_f)[0]
     if idx.size:
-        w = (huber_weight(ev.m2_f[idx], delta) * asm.f_info[idx])[:, None, None]
+        w = (huber_weight(ev.m2_f[idx], delta) * problem.f_info[idx])[:, None, None]
         r = ev.r_f[idx][:, :, None]
         Jpose = jac.f_pose[idx]
         Jpt = jac.f_pt[idx]
-        kv = asm.f_kf_var[idx]
-        lv = asm.f_pt_var[idx]
+        kv = problem.f_kf_var[idx]
+        lv = problem.f_pt_var[idx]
         mp = kv >= 0
         ml = lv >= 0
         if np.any(mp):
@@ -405,17 +395,17 @@ def _build_normal_equations(asm: _Assembled, state: _State, ev: _Evaluation,
                     np.einsum("kba,kbc->kac", Jpose[both], w[both] * Jpt[both]))
 
     # backward terms ---------------------------------------------------
-    idx = np.nonzero(ev.valid_b)[0] if asm.n_backward else np.zeros(0, np.int64)
+    idx = np.nonzero(ev.valid_b)[0]
     if idx.size:
-        fwd = asm.b_fwd[idx]
-        w = (huber_weight(ev.m2_b[idx], delta) * asm.b_info[idx])[:, None, None]
+        fwd = problem.b_fwd[idx]
+        w = (huber_weight(ev.m2_b[idx], delta) * problem.b_info[idx])[:, None, None]
         r = ev.r_b[idx][:, :, None]
         Jpose_k = jac.b_pose_k[idx]
         Jpose_j = jac.b_pose_j[idx]
         Jpt = jac.b_pt[idx]
-        kv = asm.f_kf_var[fwd]
-        jv = asm.b_ref_var[idx]
-        lv = asm.f_pt_var[fwd]
+        kv = problem.f_kf_var[fwd]
+        jv = problem.b_ref_var[idx]
+        lv = problem.f_pt_var[fwd]
         for va, Ja in ((kv, Jpose_k), (jv, Jpose_j)):
             m = va >= 0
             if np.any(m):
@@ -480,15 +470,35 @@ def _solve_step(Hpp, Hpl, Hll, gp, gl, lam):
     return dp.reshape(P, 6), dl
 
 
-def _retract(asm: _Assembled, state: _State, dp, dl, var_pose_rows, var_pt_rows):
+def _retract(problem: OptimizationProblem, state: _State, dp, dl):
     new = state.copy()
-    for i, row in enumerate(var_pose_rows):
+    for i, row in enumerate(problem.var_pose_rows):
         dw, dt = dp[i, :3], dp[i, 3:]
         new.R[row] = orthonormalize_rotation(so3_exp(dw) @ state.R[row])
         new.t[row] = state.t[row] + dt
     if dl.size:
-        new.pts[var_pt_rows] += dl
+        new.pts[problem.var_pt_rows] += dl
     return new
+
+
+def _inliers(problem: OptimizationProblem, ev: _Evaluation, cut: float) -> np.ndarray:
+    """Per row: every directional term valid and its Mahalanobis^2 within ``cut``."""
+    ok = ev.valid_f & (ev.m2_f <= cut)
+    ok[problem.b_fwd] &= ev.valid_b & (ev.m2_b <= cut)
+    return ok
+
+
+def _keys(observations) -> list:
+    """(point_id, kf_id) of each row."""
+    return list(zip(observations["point"].tolist(), observations["kf"].tolist()))
+
+
+def _poses_and_points(problem: OptimizationProblem, state: _State):
+    """World-from-camera poses and point positions of a solver state."""
+    poses = {k: Pose(state.R[i], state.t[i]).inverse()
+             for i, k in enumerate(problem.kf_ids)}
+    points = {p: state.pts[i].copy() for i, p in enumerate(problem.pt_ids)}
+    return poses, points
 
 
 @dataclass
@@ -504,30 +514,17 @@ class SolveResult:
     state: _State
     cost: float
     iterations: int
-    m2_forward: np.ndarray
-    m2_backward: np.ndarray
-    valid_forward: np.ndarray
-    valid_backward: np.ndarray
+    evaluation: _Evaluation  # of the final state
     trace: list
 
 
 def solve_problem(problem: OptimizationProblem, max_iterations: int = 50,
                   trace: list | None = None) -> SolveResult:
     """Run LM to convergence on the assembled problem."""
-    asm = _Assembled(problem)
-    state = asm.initial_state(problem)
+    state = problem.initial_state()
     delta = problem.weighting.huber_delta
-    kf_pos = {k: i for i, k in enumerate(asm.kf_ids)}
-    pt_pos = {p: i for i, p in enumerate(asm.pt_ids)}
-    var_pose_rows = np.array(
-        [kf_pos[k] for k in problem.variable_pose_ids], dtype=np.int64
-    )
-    var_pt_rows = np.array(
-        [pt_pos[p] for p in problem.variable_point_ids], dtype=np.int64
-    )
-
-    ev = _evaluate(asm, state)
-    term_prev, _ = _term_costs(asm, ev, delta)
+    ev = _evaluate(problem, state)
+    term_prev, _ = _term_costs(ev, delta)
     cost = float(np.sum(term_prev))
     lam = _LAMBDA_INIT
     iterations = 0
@@ -535,7 +532,7 @@ def solve_problem(problem: OptimizationProblem, max_iterations: int = 50,
     for it in range(max_iterations):
         if converged:
             break
-        Hpp, Hpl, Hll, gp, gl = _build_normal_equations(asm, state, ev, delta)
+        Hpp, Hpl, Hll, gp, gl = _build_normal_equations(problem, state, ev, delta)
         accepted = False
         while lam <= _LAMBDA_MAX:
             try:
@@ -547,9 +544,9 @@ def solve_problem(problem: OptimizationProblem, max_iterations: int = 50,
             step_norm = float(
                 np.sqrt(np.sum(dp * dp) + np.sum(dl * dl))
             )
-            candidate = _retract(asm, state, dp, dl, var_pose_rows, var_pt_rows)
-            ev_new = _evaluate(asm, candidate)
-            costs_new, valid_new = _term_costs(asm, ev_new, delta, term_prev)
+            candidate = _retract(problem, state, dp, dl)
+            ev_new = _evaluate(problem, candidate)
+            costs_new, valid_new = _term_costs(ev_new, delta, term_prev)
             cost_new = float(np.sum(costs_new))
             if cost_new < cost:
                 rel = (cost - cost_new) / max(cost, 1e-300)
@@ -568,13 +565,7 @@ def solve_problem(problem: OptimizationProblem, max_iterations: int = 50,
             break
 
     return SolveResult(
-        state=state,
-        cost=cost,
-        iterations=iterations,
-        m2_forward=ev.m2_f.copy(),
-        m2_backward=ev.m2_b.copy(),
-        valid_forward=ev.valid_f.copy(),
-        valid_backward=ev.valid_b.copy(),
+        state=state, cost=cost, iterations=iterations, evaluation=ev,
         trace=trace if trace is not None else [],
     )
 
@@ -592,60 +583,21 @@ def evaluate_cost(problem: OptimizationProblem) -> CostReport:
 
     Behind-camera terms are flagged and contribute a fixed capped cost.
     """
-    asm = _Assembled(problem)
-    state = asm.initial_state(problem)
-    ev = _evaluate(asm, state)
+    ev = _evaluate(problem, problem.initial_state())
     delta = problem.weighting.huber_delta
     cap = _BEHIND_CAMERA_COST_CAP * delta * delta
-    costs, valid = _term_costs(
-        asm, ev, delta, prev=np.full(asm.n_forward + asm.n_backward, cap)
+    costs, _ = _term_costs(
+        ev, delta, prev=np.full(ev.m2_f.size + ev.m2_b.size, cap)
     )
-    m2f, m2b, behind = {}, {}, []
-    for i, term in enumerate(asm.terms):
-        key = (term.point_id, term.kf_id)
-        m2f[key] = float(ev.m2_f[i]) if ev.valid_f[i] else float("inf")
-        if not ev.valid_f[i]:
-            behind.append(key)
-    for b in range(asm.n_backward):
-        term = asm.terms[asm.b_fwd[b]]
-        key = (term.point_id, term.kf_id)
-        m2b[key] = float(ev.m2_b[b]) if ev.valid_b[b] else float("inf")
-        if not ev.valid_b[b]:
-            behind.append(key)
+    keys = _keys(problem.observations)
+    b_keys = [keys[i] for i in problem.b_fwd]
     return CostReport(
-        total=float(np.sum(costs)), m2_forward=m2f, m2_backward=m2b,
-        behind_camera=behind,
+        total=float(np.sum(costs)),
+        m2_forward=dict(zip(keys, np.where(ev.valid_f, ev.m2_f, np.inf).tolist())),
+        m2_backward=dict(zip(b_keys, np.where(ev.valid_b, ev.m2_b, np.inf).tolist())),
+        behind_camera=[keys[i] for i in np.flatnonzero(~ev.valid_f)]
+        + [b_keys[b] for b in np.flatnonzero(~ev.valid_b)],
     )
-
-
-def _classify(asm: _Assembled, result: SolveResult, delta: float):
-    """Per-observation inlier flags: every directional term within delta."""
-    flags = {}
-    for i, term in enumerate(asm.terms):
-        key = (term.point_id, term.kf_id)
-        ok = bool(result.valid_forward[i]) and result.m2_forward[i] <= delta * delta
-        flags[key] = ok
-    for b in range(asm.n_backward):
-        term = asm.terms[asm.b_fwd[b]]
-        key = (term.point_id, term.kf_id)
-        ok = bool(result.valid_backward[b]) and result.m2_backward[b] <= delta * delta
-        flags[key] = flags[key] and ok
-    return flags
-
-
-def _removal_set(asm: _Assembled, result: SolveResult, chi2: float):
-    """Observations with any directional Mahalanobis^2 above the cut."""
-    removed = set()
-    for i, term in enumerate(asm.terms):
-        key = (term.point_id, term.kf_id)
-        if not result.valid_forward[i] or result.m2_forward[i] > chi2:
-            removed.add(key)
-    for b in range(asm.n_backward):
-        term = asm.terms[asm.b_fwd[b]]
-        key = (term.point_id, term.kf_id)
-        if not result.valid_backward[b] or result.m2_backward[b] > chi2:
-            removed.add(key)
-    return removed
 
 
 @dataclass
@@ -654,25 +606,6 @@ class PoseResult:
     inlier: dict  # (point_id, kf_id) -> bool
     cost: float
     iterations: int
-
-
-def _classify_at_pose(problem, pose_wc, kf_id):
-    """Inlier flags of all observations with the variable pose replaced."""
-    probe = OptimizationProblem(
-        cam=problem.cam,
-        poses={**problem.poses, kf_id: pose_wc},
-        points=problem.points,
-        observations=problem.observations,
-        weighting=problem.weighting,
-    )
-    asm = _Assembled(probe)
-    ev = _evaluate(asm, asm.initial_state(probe))
-    fake = SolveResult(
-        state=None, cost=0.0, iterations=0,
-        m2_forward=ev.m2_f, m2_backward=ev.m2_b,
-        valid_forward=ev.valid_f, valid_backward=ev.valid_b, trace=[],
-    )
-    return _classify(asm, fake, problem.weighting.huber_delta)
 
 
 def optimize_pose(problem: OptimizationProblem, max_iterations: int = 50,
@@ -691,50 +624,40 @@ def optimize_pose(problem: OptimizationProblem, max_iterations: int = 50,
             "optimize_pose expects exactly one variable pose and fixed points"
         )
     kf_id = problem.variable_pose_ids[0]
-    n_obs = sum(1 for t in problem.observations if t.kf_id == kf_id)
+    n_obs = int(np.count_nonzero(problem.observations["kf"] == kf_id))
     if n_obs < 6:
         raise DegenerateProblemError(
             f"pose optimization needs at least 6 observations, got {n_obs}"
         )
-    asm0 = _Assembled(problem)
-    state0 = asm0.initial_state(problem)
-    ev0 = _evaluate(asm0, state0)
-    Hpp, _, _, _, _ = _build_normal_equations(asm0, state0, ev0,
-                                              problem.weighting.huber_delta)
+    delta = problem.weighting.huber_delta
+    state0 = problem.initial_state()
+    Hpp, _, _, _, _ = _build_normal_equations(problem, state0,
+                                              _evaluate(problem, state0), delta)
     if Hpp.shape[0]:
         eigvals = np.linalg.eigvalsh(Hpp[0, 0])
         if eigvals[-1] <= 0 or eigvals[0] < 1e-12 * eigvals[-1]:
             raise DegenerateProblemError("pose normal equations are rank-deficient")
 
-    all_terms = problem.observations
-    active = list(all_terms)
+    row = problem.var_pose_rows[0]
+    active = np.ones(len(problem.observations), dtype=bool)
     current = problem
-    pose = problem.poses[kf_id]
     cost = 0.0
     iterations = 0
     for _ in range(max(rounds, 1)):
         result = solve_problem(current, max_iterations, trace)
-        row = sorted(current.poses).index(kf_id)
         pose = Pose(result.state.R[row], result.state.t[row]).inverse()
         cost, iterations = result.cost, iterations + result.iterations
-        flags = _classify_at_pose(problem, pose, kf_id)
-        survivors = [t for t in all_terms if flags[(t.point_id, t.kf_id)]]
-        same = {(t.point_id, t.kf_id) for t in survivors} == {
-            (t.point_id, t.kf_id) for t in active
-        }
-        if len(survivors) < 6 or same:
+        # reclassify every row, the variable row derived as initial_state does
+        probe, inverse = state0.copy(), pose.inverse()
+        probe.R[row], probe.t[row] = inverse.rotation, inverse.translation
+        ok = _inliers(problem, _evaluate(problem, probe), delta * delta)
+        if np.count_nonzero(ok) < 6 or np.array_equal(ok, active):
             break
-        active = survivors
-        current = OptimizationProblem(
-            cam=problem.cam,
-            poses={**problem.poses, kf_id: pose},
-            points=problem.points,
-            observations=active,
-            weighting=problem.weighting,
-            variable_pose_ids=(kf_id,),
-        )
-    flags = _classify_at_pose(problem, pose, kf_id)
-    return PoseResult(pose=pose, inlier=flags, cost=cost, iterations=iterations)
+        active = ok
+        current = replace(problem, poses={**problem.poses, kf_id: pose},
+                          observations=problem.observations[ok])
+    inlier = dict(zip(_keys(problem.observations), ok.tolist()))
+    return PoseResult(pose=pose, inlier=inlier, cost=cost, iterations=iterations)
 
 
 @dataclass
@@ -753,56 +676,34 @@ def local_bundle_adjustment(problem: OptimizationProblem,
                             trace: list | None = None) -> BAResult:
     """Joint LM over poses and points with Schur elimination.
 
-    Under EARLY_REMOVAL, observations whose final Mahalanobis^2 exceeds
-    the chi2 cut (per directional term) are deleted and the reduced
-    problem is re-optimized once; KEEP_ALL_ROBUST never deletes.
+    Under EARLY_REMOVAL, observations that are not inliers at the chi2
+    cut (per directional term) are deleted and the reduced problem is
+    re-optimized once; KEEP_ALL_ROBUST never deletes.
     """
     policy = policy or OutlierPolicy()
-    asm = _Assembled(problem)
     result = solve_problem(problem, max_iterations, trace)
     removed = []
     if policy.mode is OutlierMode.EARLY_REMOVAL:
-        doomed = _removal_set(asm, result, policy.chi2_threshold)
-        if doomed:
-            removed = sorted(doomed)
-            survivors = [
-                t for t in problem.observations
-                if (t.point_id, t.kf_id) not in doomed
-            ]
-            counts = {}
-            for t in survivors:
-                counts[t.point_id] = counts.get(t.point_id, 0) + 1
-            reduced = OptimizationProblem(
-                cam=problem.cam,
-                poses={
-                    k: Pose(result.state.R[i], result.state.t[i]).inverse()
-                    for i, k in enumerate(asm.kf_ids)
-                },
-                points={
-                    p: result.state.pts[i].copy()
-                    for i, p in enumerate(asm.pt_ids)
-                },
-                observations=survivors,
-                weighting=problem.weighting,
-                variable_pose_ids=problem.variable_pose_ids,
+        keep = _inliers(problem, result.evaluation, policy.chi2_threshold)
+        if not np.all(keep):
+            removed = _keys(problem.observations[~keep])
+            kept_var = problem.f_pt_var[keep]
+            counts = np.bincount(kept_var[kept_var >= 0],
+                                 minlength=len(problem.variable_point_ids))
+            poses, points = _poses_and_points(problem, result.state)
+            problem = replace(
+                problem, poses=poses, points=points,
+                observations=problem.observations[keep],
                 variable_point_ids=tuple(
-                    p for p in problem.variable_point_ids
-                    if counts.get(p, 0) >= 2
+                    p for p, n in zip(problem.variable_point_ids, counts) if n >= 2
                 ),
             )
-            asm = _Assembled(reduced)
-            result = solve_problem(reduced, max_iterations, trace)
-            problem = reduced
-    flags = _classify(asm, result, problem.weighting.huber_delta)
-    kf_index = {k: i for i, k in enumerate(asm.kf_ids)}
-    pt_index = {p: i for i, p in enumerate(asm.pt_ids)}
-    poses = {
-        k: Pose(result.state.R[kf_index[k]], result.state.t[kf_index[k]]).inverse()
-        for k in asm.kf_ids
-    }
-    points = {p: result.state.pts[pt_index[p]].copy() for p in asm.pt_ids}
+            result = solve_problem(problem, max_iterations, trace)
+    delta = problem.weighting.huber_delta
+    inlier = _inliers(problem, result.evaluation, delta * delta)
+    poses, points = _poses_and_points(problem, result.state)
     return BAResult(
-        poses=poses, points=points, inlier=flags, removed=removed,
-        cost=result.cost, iterations=result.iterations,
+        poses=poses, points=points,
+        inlier=dict(zip(_keys(problem.observations), inlier.tolist())),
+        removed=removed, cost=result.cost, iterations=result.iterations,
     )
-

@@ -33,7 +33,7 @@ from .errors import ConfigError, DegenerateProblemError, SymvoError
 from .features import PyramidConfig
 from .geometry import CameraIntrinsics, Pose, parallax_angles, unit_ray
 from .optimizer import (
-    ObsTerm,
+    OBSERVATION,
     OptimizationProblem,
     OutlierMode,
     OutlierPolicy,
@@ -484,8 +484,8 @@ class Pipeline:
         self.prev_pose_cw = pose2_cw
         self._mapping_step(kf2)
         # both initial poses enter the trajectory after the mapping step
-        self._record_pose(ref.timestamp, world.keyframes[kf1.kf_id].pose)
-        self._record_pose(frame.timestamp, world.keyframes[kf2.kf_id].pose)
+        self._record_pose(ref.timestamp, kf1.pose)
+        self._record_pose(frame.timestamp, kf2.pose)
         return True
 
     # ------------------------------------------------------------------
@@ -512,7 +512,7 @@ class Pipeline:
         sigma2 = self._noise_sigma2(frame.octaves)
         poses = {_FRAME_SENTINEL: pose_wc}
         points = {}
-        terms = []
+        rows = []
         for cand in sorted(matches, key=lambda c: c.query_index):
             point = self.world.points.get(cand.query_index)
             if point is None:
@@ -525,16 +525,16 @@ class Pipeline:
             ref_kf = self.world.keyframes[ref_id]
             kp_ref = point.observations[ref_id]
             poses.setdefault(ref_id, ref_kf.pose)
-            terms.append(ObsTerm(
+            rows.append((
                 point.point_id, _FRAME_SENTINEL,
-                tuple(frame.keypoints[cand.target_index]),
+                frame.keypoints[cand.target_index],
                 2.0 * float(sigma2[cand.target_index]),
-                ref_kf_id=ref_id,
-                ref_uv=tuple(ref_kf.keypoints[kp_ref]),
-                ref_sigma2=2.0 * float(ref_kf.noise_sigma2[kp_ref]),
+                ref_id, ref_kf.keypoints[kp_ref],
+                2.0 * float(ref_kf.noise_sigma2[kp_ref]),
             ))
         return OptimizationProblem(
-            cam=self.cam, poses=poses, points=points, observations=terms,
+            cam=self.cam, poses=poses, points=points,
+            observations=np.array(rows, dtype=OBSERVATION),
             weighting=self.weighting, variable_pose_ids=(_FRAME_SENTINEL,),
         )
 
@@ -620,7 +620,7 @@ class Pipeline:
 
         poses = {k: world.keyframes[k].pose for k in sorted(included_kfs | window_set)}
         points = {}
-        terms = []
+        rows = []
         for pid in point_ids:
             point = world.points[pid]
             points[pid] = point.position
@@ -629,23 +629,19 @@ class Pipeline:
             kp_ref = point.observations[ref_id]
             for kf_id, kp_index in point.observation_items():
                 kf = world.keyframes[kf_id]
-                kwargs = {}
-                if kf_id != ref_id:
-                    kwargs = dict(
-                        ref_kf_id=ref_id,
-                        ref_uv=tuple(ref_kf.keypoints[kp_ref]),
-                        ref_sigma2=2.0 * float(ref_kf.noise_sigma2[kp_ref]),
-                    )
-                terms.append(ObsTerm(
-                    pid, kf_id, tuple(kf.keypoints[kp_index]),
-                    2.0 * float(kf.noise_sigma2[kp_index]), **kwargs,
+                rows.append((
+                    pid, kf_id, kf.keypoints[kp_index],
+                    2.0 * float(kf.noise_sigma2[kp_index]),
+                    ref_id, ref_kf.keypoints[kp_ref],
+                    2.0 * float(ref_kf.noise_sigma2[kp_ref]),
                 ))
         variable_points = tuple(
             pid for pid in point_ids
             if len(world.points[pid].observations) >= 2
         )
         problem = OptimizationProblem(
-            cam=self.cam, poses=poses, points=points, observations=terms,
+            cam=self.cam, poses=poses, points=points,
+            observations=np.array(rows, dtype=OBSERVATION),
             weighting=self.weighting,
             variable_pose_ids=tuple(sorted(variable)),
             variable_point_ids=variable_points,
@@ -764,8 +760,7 @@ class Pipeline:
         self._mapping_step(kf)
         self.velocity_cw = kf.pose.inverse().compose(self.prev_pose_cw.inverse())
         self.prev_pose_cw = kf.pose.inverse()
-        self._record_pose(frame.timestamp, self.world.keyframes[kf.kf_id].pose
-                          if kf.kf_id in self.world.keyframes else kf.pose)
+        self._record_pose(frame.timestamp, kf.pose)
         return True
 
     def run(self, frames) -> tuple:

@@ -311,17 +311,12 @@ class WorldMap:
         return sorted(latest | shared)
 
     def graph_stats(self) -> "GraphStats":
-        n_inliers = 0
-        for pid in sorted(self.points):
-            point = self.points[pid]
-            n_inliers += sum(
-                1 for kf_id, _ in point.observation_items()
-                if point.inlier.get(kf_id, True)
-            )
         return GraphStats(
             n_map_points=len(self.points),
             n_local_keyframes=len(self.local_keyframe_ids()),
-            n_observation_inliers=n_inliers,
+            n_observation_inliers=sum(
+                sum(point.inlier.values()) for point in self.points.values()
+            ),
         )
 
     def check_integrity(self):
@@ -329,6 +324,10 @@ class WorldMap:
         for pid, point in self.points.items():
             if point.n_observations < 1:
                 raise WorldIntegrityError(f"point {pid} has no observations")
+            if point.inlier.keys() != point.observations.keys():
+                raise WorldIntegrityError(
+                    f"point {pid} inlier flags and observations name other keyframes"
+                )
             for kf_id, kp_index in point.observations.items():
                 kf = self.keyframes.get(kf_id)
                 if kf is None:

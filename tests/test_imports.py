@@ -1,11 +1,14 @@
-"""Every import in the package is used by the module that makes it."""
+"""Every import in the package is used by the module that makes it, and
+every installed script names a function that exists."""
 
 import ast
+import importlib
 import pathlib
 
 import pytest
 
-SOURCES = sorted((pathlib.Path(__file__).parent.parent / "src" / "symvo").glob("*.py"))
+ROOT = pathlib.Path(__file__).parent.parent
+SOURCES = sorted((ROOT / "src" / "symvo").glob("*.py"))
 
 
 def unused_imports(tree: ast.Module) -> list:
@@ -29,3 +32,11 @@ def unused_imports(tree: ast.Module) -> list:
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(ast.parse(path.read_text())) == []
+
+
+def test_declared_scripts_import():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    for name, target in project.get("scripts", {}).items():
+        module, _, function = target.partition(":")
+        assert callable(getattr(importlib.import_module(module), function)), name

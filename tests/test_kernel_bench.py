@@ -10,7 +10,12 @@ import pytest
 
 from symvo.features import Descriptor, hamming, hamming_matrix, pack_descriptors
 from symvo.geometry import CameraIntrinsics, Pose, project, so3_exp
-from symvo.optimizer import ObsTerm, OptimizationProblem, solve_problem
+from symvo.optimizer import (
+    OBSERVATION,
+    OptimizationProblem,
+    optimize_pose,
+    solve_problem,
+)
 from symvo.uncertainty import CovarianceModel, ResidualWeighting
 
 CAM = CameraIntrinsics(fx=500.0, fy=500.0, cx=320.0, cy=240.0, width=640, height=480)
@@ -44,14 +49,13 @@ def ba_window():
         uvs = [project(pose.inverse().apply(p), CAM) for pose in truth_poses.values()]
         if all(CAM.contains(uv) for uv in uvs):
             truth_points[len(truth_points) + 1] = p
-    terms = []
+    rows = []
     for pid, p in truth_points.items():
-        ref_uv = tuple(project(truth_poses[1].inverse().apply(p), CAM))
-        terms.append(ObsTerm(pid, 1, ref_uv, 2.0))
+        ref_uv = project(truth_poses[1].inverse().apply(p), CAM)
+        rows.append((pid, 1, ref_uv, 2.0, 1, ref_uv, 2.0))
         for k in range(2, 9):
-            uv = tuple(project(truth_poses[k].inverse().apply(p), CAM))
-            terms.append(ObsTerm(pid, k, uv, 2.0, ref_kf_id=1, ref_uv=ref_uv,
-                                 ref_sigma2=2.0))
+            uv = project(truth_poses[k].inverse().apply(p), CAM)
+            rows.append((pid, k, uv, 2.0, 1, ref_uv, 2.0))
     start_poses = {
         k: pose if k <= 2 else Pose(
             so3_exp(rng.normal(scale=0.01, size=3)) @ pose.rotation,
@@ -61,7 +65,8 @@ def ba_window():
     start_points = {p: x + rng.normal(scale=0.02, size=3)
                     for p, x in truth_points.items()}
     problem = OptimizationProblem(
-        cam=CAM, poses=start_poses, points=start_points, observations=terms,
+        cam=CAM, poses=start_poses, points=start_points,
+        observations=np.array(rows, dtype=OBSERVATION),
         weighting=ResidualWeighting(model=CovarianceModel.SYMMETRIC),
         variable_pose_ids=tuple(range(3, 9)),
         variable_point_ids=tuple(truth_points),
@@ -78,3 +83,42 @@ def test_solve_problem_ba_window(benchmark, ba_window):
     assert result.cost < 1e-12
     assert np.allclose(result.state.pts, np.stack(list(truth_points.values())),
                        atol=1e-6)
+
+
+@pytest.fixture(scope="module")
+def tracking_problem():
+    """A tracking-sized pose problem: one variable view, 300 fixed points
+    held by a fixed reference view, 10% of the keypoints gross outliers."""
+    rng = np.random.default_rng(2)
+    reference = Pose(so3_exp(np.array([0.0, -0.03, 0.0])), np.array([-0.2, 0.0, -0.5]))
+    truth = Pose(so3_exp(np.array([0.01, 0.03, 0.0])), np.array([0.15, 0.02, 0.3]))
+    points, rows = {}, []
+    while len(points) < 300:
+        p = rng.uniform([-4.0, -3.0, 6.0], [4.0, 3.0, 25.0])
+        uv = project(truth.inverse().apply(p), CAM)
+        ref_uv = project(reference.inverse().apply(p), CAM)
+        if CAM.contains(uv) and CAM.contains(ref_uv):
+            points[len(points) + 1] = p
+            rows.append((len(points), 0, uv, 2.0, 1, ref_uv, 2.0))
+    observations = np.array(rows, dtype=OBSERVATION)
+    outliers = rng.choice(300, size=30, replace=False)
+    observations["uv"][outliers] = rng.uniform([0.0, 0.0], [640.0, 480.0], (30, 2))
+    start = Pose(so3_exp(rng.normal(scale=0.01, size=3)) @ truth.rotation,
+                 truth.translation + rng.normal(scale=0.02, size=3))
+    problem = OptimizationProblem(
+        cam=CAM, poses={0: start, 1: reference}, points=points,
+        observations=observations,
+        weighting=ResidualWeighting(model=CovarianceModel.SYMMETRIC),
+        variable_pose_ids=(0,),
+    )
+    return problem, truth, set((outliers + 1).tolist())
+
+
+def test_optimize_pose_tracking_size(benchmark, tracking_problem):
+    """Refine/reclassify rounds on the symmetric cost; the oracle is the
+    truth pose, which the inliers alone pin down exactly."""
+    problem, truth, outliers = tracking_problem
+    result = benchmark.pedantic(optimize_pose, args=(problem,), rounds=5,
+                                iterations=1)
+    assert result.pose.almost_equal(truth, tol=1e-6)
+    assert {pid for (pid, _), ok in result.inlier.items() if not ok} == outliers

@@ -3,7 +3,7 @@ import pytest
 
 from symvo.errors import BehindCameraError
 from symvo.geometry import CameraIntrinsics, Pose, backproject, project, so3_exp
-from symvo.optimizer import ObsTerm, OptimizationProblem, evaluate_cost
+from symvo.optimizer import OBSERVATION, OptimizationProblem, evaluate_cost
 from symvo.uncertainty import (
     CovarianceModel,
     KeypointNoise,
@@ -128,10 +128,10 @@ class TestOptimizerCrossCheck:
             problem = OptimizationProblem(
                 cam=CAM, poses={1: Pose.identity(), 2: rel.inverse()},
                 points={7: point},
-                observations=[ObsTerm(
-                    7, 2, tuple(u_i_obs), 2.0 * n_i.sigma2, ref_kf_id=1,
-                    ref_uv=tuple(u_j_obs), ref_sigma2=2.0 * n_j.sigma2,
-                )],
+                observations=np.array([(
+                    7, 2, u_i_obs, 2.0 * n_i.sigma2,
+                    1, u_j_obs, 2.0 * n_j.sigma2,
+                )], dtype=OBSERVATION),
                 weighting=weighting,
             )
             report = evaluate_cost(problem)

@@ -229,6 +229,20 @@ class TestIntegrity:
         with pytest.raises(WorldIntegrityError):
             world.check_integrity()
 
+    @pytest.mark.parametrize("edit", ["drop", "extra"])
+    def test_inlier_flags_out_of_step_with_observations_detected(self, edit):
+        rng = np.random.default_rng(14)
+        world, kfs, landmarks = tiny_world(rng)
+        point = world.create_point(landmarks[0],
+                                   [(kfs[0].kf_id, 0), (kfs[1].kf_id, 0)])
+        world.check_integrity()
+        if edit == "drop":
+            del point.inlier[kfs[1].kf_id]
+        else:
+            point.inlier[kfs[2].kf_id] = True
+        with pytest.raises(WorldIntegrityError, match="inlier flags"):
+            world.check_integrity()
+
     def test_dump_csv(self, tmp_path):
         rng = np.random.default_rng(13)
         world, kfs, landmarks = tiny_world(rng)
