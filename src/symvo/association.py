@@ -8,9 +8,9 @@ Two axes are selectable independently:
   in the order given and greedily grabs the best remaining target, which
   is order-sensitive by design (the bias witness).
 - constraint mode: ``SYMMETRIC`` applies one shared descriptor threshold
-  and one shared gate set at every call site; ``HETEROGENEOUS`` allows a
-  separate threshold per call site, mimicking pipelines whose matching
-  stages were tuned independently.
+  and one shared gate set at every call site; ``HETEROGENEOUS`` applies
+  the fixed per-site table ``HETEROGENEOUS_THRESHOLDS``, mimicking
+  pipelines whose matching stages were tuned independently.
 
 Every site filters its pairs through ``gate_mask``, the one gate predicate
 (descriptor threshold, depth filter, parallax); ``passes_gates`` is its
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,12 +53,21 @@ class Site(enum.Enum):
     FUSE = "fuse"                              # c4: duplicate merging
 
 
+# Descriptor thresholds of the heterogeneous mode: each stage tuned on its
+# own, as in ORB-SLAM2 (Mur-Artal & Tardos, IEEE T-RO 2017).
+HETEROGENEOUS_THRESHOLDS = {
+    Site.PROJECTION_TRACK: 22,
+    Site.PROJECTION_LOCAL: 14,
+    Site.TRIANGULATION: 16,
+    Site.FUSE: 12,
+}
+
+
 @dataclass(frozen=True)
 class AssociationPolicy:
     """Gate thresholds and regime selection for all association sites."""
 
     descriptor_threshold: int = 50
-    site_thresholds: dict = field(default_factory=dict)
     min_parallax: float = math.radians(1.0)
     use_depth_filter: bool = True
     epipolar_sigma_factor: float = 2.0
@@ -68,18 +77,7 @@ class AssociationPolicy:
     def threshold_for(self, site: Site) -> int:
         if self.constraint_mode is ConstraintMode.SYMMETRIC:
             return self.descriptor_threshold
-        return int(self.site_thresholds.get(site, self.descriptor_threshold))
-
-    def with_site_thresholds(self, c1=None, c2=None, c3=None, c4=None):
-        table = dict(self.site_thresholds)
-        for site, c in zip(
-            (Site.PROJECTION_TRACK, Site.PROJECTION_LOCAL,
-             Site.TRIANGULATION, Site.FUSE),
-            (c1, c2, c3, c4),
-        ):
-            if c is not None:
-                table[site] = int(c)
-        return replace(self, site_thresholds=table)
+        return HETEROGENEOUS_THRESHOLDS[site]
 
 
 @dataclass(frozen=True)
@@ -192,7 +190,8 @@ def search_by_projection(keyframe, map_points, predicted_pose_wc: Pose,
     """Match map points against a frame's keypoints under a predicted pose.
 
     ``keyframe`` needs only ``n_keypoints`` and ``descriptors``, so a
-    ``Keyframe`` and a pipeline ``FrameInput`` both serve.  Candidate gating: positive depth, projection inside the image, the
+    ``Keyframe`` and a pipeline ``FrameInput`` both serve.  Candidate
+    gating: positive depth, projection inside the image, the
     depth-invariance filter, then the descriptor threshold.  Returns
     accepted candidates with query ids = point ids, target ids = keypoint
     indices.

@@ -257,11 +257,7 @@ ABLATION_AXES = (
     ("no_geometric_descriptor", {"descriptor_selection": "appearance"}),
     ("no_depth_filter", {"use_depth_filter": False}),
     ("no_robust_matching", {"association_ordering": "sequential"}),
-    ("no_symmetric_gates", {
-        "constraint_mode": "heterogeneous",
-        "threshold_c1": 22, "threshold_c2": 14,
-        "threshold_c3": 16, "threshold_c4": 12,
-    }),
+    ("no_symmetric_gates", {"constraint_mode": "heterogeneous"}),
     ("no_symmetric_covariance", {"covariance_model": "standard"}),
     ("no_keep_all_outliers", {"outlier_policy": "early_removal"}),
 )

@@ -104,8 +104,6 @@ class PyramidConfig:
 
     scale: float = 1.2
     n_octaves: int = 8
-    base_width: int = 640
-    base_height: int = 480
     base_sigma2: float = 1.0
 
     def __post_init__(self):

@@ -4,8 +4,8 @@ Every frame is processed to completion before the next one starts:
 initialization (seeded RANSAC on an essential matrix), constant-velocity
 tracking with two projection-search stages, keyframe creation, point
 creation and fusion, local bundle adjustment, and keyframe retention.
-The only random draws in a run come from the generator seeded by
-``rng_seed``; all container traversal is id-ordered, so identical inputs
+The only random draws in a run come from the generator seeded with
+``RNG_SEED``; all container traversal is id-ordered, so identical inputs
 reproduce bit-identical outputs.
 """
 
@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -46,21 +45,8 @@ from .worldmap import WorldMap
 
 _FRAME_SENTINEL = 0  # pseudo keyframe id of the frame being tracked
 
-# PipelineConfig field -> (lowest allowed value, whether it is allowed itself)
-_LOWER_BOUNDS = {
-    "pyramid_scale": (1, False),
-    "pyramid_octaves": (1, True),
-    "delta_l": (0, True),
-    "descriptor_threshold": (0, True),
-    "threshold_c1": (-1, True),
-    "threshold_c2": (-1, True),
-    "threshold_c3": (-1, True),
-    "threshold_c4": (-1, True),
-    "huber_delta": (0, False),
-    "chi2_threshold": (0, False),
-    "max_iterations": (1, True),
-    "ransac_iterations": (1, True),
-}
+MIN_INIT_MATCHES = 50  # correspondences two-view initialization needs
+RNG_SEED = 13  # seed of the one generator a run draws from
 
 
 @dataclass(frozen=True)
@@ -91,49 +77,24 @@ def reverse(frames) -> list:
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Every bias toggle plus the numeric knobs behind them.
+    """The six bias toggles; the defaults are the paper's choices.
 
-    The defaults are the paper's choices; ``evaluation.ABLATION_AXES``
-    flips the six toggles one at a time.  The string toggles name values
-    of the enums they select (``Ordering``, ``ConstraintMode``,
-    ``CovarianceModel``, ``OutlierMode``).  Construction raises
-    ``ConfigError`` on an unknown toggle string or an out-of-range knob.
-    The world map's invariants are checked after every mapping step,
-    whatever the config.
+    ``evaluation.ABLATION_AXES`` flips them one at a time.  The string
+    toggles name values of the enums they select (``Ordering``,
+    ``ConstraintMode``, ``CovarianceModel``, ``OutlierMode``), and
+    construction raises ``ConfigError`` on an unknown one.  Every numeric
+    setting is stated once: as the default of the component that uses it,
+    or as a module constant here (``MIN_INIT_MATCHES``, ``RNG_SEED``).  The
+    world map's invariants are checked after every mapping step, whatever
+    the config.
     """
 
-    # the six ablation toggles
     descriptor_selection: str = "geometric"  # geometric | appearance
     use_depth_filter: bool = True
     association_ordering: str = "hamming_ordered"  # hamming_ordered | sequential
     constraint_mode: str = "symmetric"  # symmetric | heterogeneous
     covariance_model: str = "symmetric"  # symmetric | standard
     outlier_policy: str = "keep_all"  # keep_all | early_removal
-    rng_seed: int = 13
-    # pyramid and depth filter
-    pyramid_scale: float = 1.2
-    pyramid_octaves: int = 8
-    base_sigma2: float = 1.0
-    delta_l: int = 1
-    # association gates
-    descriptor_threshold: int = 50
-    threshold_c1: int = -1  # heterogeneous per-site overrides; -1 = shared
-    threshold_c2: int = -1
-    threshold_c3: int = -1
-    threshold_c4: int = -1
-    min_parallax_deg: float = 1.0
-    epipolar_sigma_factor: float = 2.0
-    # optimization
-    huber_delta: float = 2.447
-    chi2_threshold: float = 5.991
-    max_iterations: int = 50
-    # initialization
-    ransac_iterations: int = 200
-    ransac_threshold_px: float = 1.5
-    min_init_matches: int = 50
-    # keyframe management
-    retention_mod: int = 5
-    retention_latest: int = 5
 
     def __post_init__(self):
         if self.descriptor_selection not in ("geometric", "appearance"):
@@ -152,55 +113,6 @@ class PipelineConfig:
                 raise ConfigError(
                     f"unknown {name} {getattr(self, name)!r}"
                 ) from None
-        for name, (low, inclusive) in _LOWER_BOUNDS.items():
-            value = getattr(self, name)
-            if not (value >= low if inclusive else value > low):
-                raise ConfigError(
-                    f"{name} must be {'>=' if inclusive else '>'} {low}, "
-                    f"got {value!r}"
-                )
-
-    def association_policy(self) -> AssociationPolicy:
-        policy = AssociationPolicy(
-            descriptor_threshold=self.descriptor_threshold,
-            min_parallax=math.radians(self.min_parallax_deg),
-            use_depth_filter=self.use_depth_filter,
-            epipolar_sigma_factor=self.epipolar_sigma_factor,
-            ordering=Ordering(self.association_ordering),
-            constraint_mode=ConstraintMode(self.constraint_mode),
-        )
-        overrides = {}
-        for key, c in zip(
-            ("c1", "c2", "c3", "c4"),
-            (self.threshold_c1, self.threshold_c2,
-             self.threshold_c3, self.threshold_c4),
-        ):
-            if c >= 0:
-                overrides[key] = c
-        if overrides:
-            policy = policy.with_site_thresholds(**overrides)
-        return policy
-
-    def residual_weighting(self) -> ResidualWeighting:
-        return ResidualWeighting(
-            model=CovarianceModel(self.covariance_model),
-            huber_delta=self.huber_delta,
-        )
-
-    def outlier(self) -> OutlierPolicy:
-        return OutlierPolicy(
-            mode=OutlierMode(self.outlier_policy),
-            chi2_threshold=self.chi2_threshold,
-        )
-
-    def pyramid(self, cam: CameraIntrinsics) -> PyramidConfig:
-        return PyramidConfig(
-            scale=self.pyramid_scale,
-            n_octaves=self.pyramid_octaves,
-            base_width=cam.width,
-            base_height=cam.height,
-            base_sigma2=self.base_sigma2,
-        )
 
     def snapshot(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -377,18 +289,19 @@ class Pipeline:
     def __init__(self, cam: CameraIntrinsics, config: PipelineConfig):
         self.cam = cam
         self.config = config
-        self.policy = config.association_policy()
-        self.weighting = config.residual_weighting()
-        self.outlier_policy = config.outlier()
-        self.pyramid = config.pyramid(cam)
-        self.world = WorldMap(
-            cam, self.pyramid,
-            delta_l=config.delta_l,
-            descriptor_selection=config.descriptor_selection,
-            retention_mod=config.retention_mod,
-            retention_latest=config.retention_latest,
+        self.policy = AssociationPolicy(
+            use_depth_filter=config.use_depth_filter,
+            ordering=Ordering(config.association_ordering),
+            constraint_mode=ConstraintMode(config.constraint_mode),
         )
-        self.rng = np.random.default_rng(config.rng_seed)
+        self.weighting = ResidualWeighting(
+            model=CovarianceModel(config.covariance_model))
+        self.outlier_policy = OutlierPolicy(
+            mode=OutlierMode(config.outlier_policy))
+        self.pyramid = PyramidConfig()
+        self.world = WorldMap(
+            self.pyramid, descriptor_selection=config.descriptor_selection)
+        self.rng = np.random.default_rng(RNG_SEED)
         self.initialized = False
         self.init_ref: FrameInput | None = None
         self.prev_pose_cw: Pose | None = None
@@ -428,7 +341,7 @@ class Pipeline:
             return False
 
         candidates = self._match_frame_descriptors(ref, frame)
-        if len(candidates) < self.config.min_init_matches:
+        if len(candidates) < MIN_INIT_MATCHES:
             return give_up()
         pairs = np.array(
             [(c.query_index, c.target_index) for c in candidates], dtype=np.int64
@@ -439,23 +352,18 @@ class Pipeline:
             self._noise_sigma2(ref.octaves[pairs[:, 0]]),
             self._noise_sigma2(frame.octaves[pairs[:, 1]]),
         ))
-        got = initialize_two_view(
-            uv1, uv2, self.cam, self.rng,
-            iterations=self.config.ransac_iterations,
-            threshold_px=self.config.ransac_threshold_px,
-            sigma=sigma,
-        )
+        got = initialize_two_view(uv1, uv2, self.cam, self.rng, sigma=sigma)
         if got is None:
             return give_up()
         rel, pts, keep, parallax = got
-        if keep.size < self.config.min_init_matches:
+        if keep.size < MIN_INIT_MATCHES:
             return give_up()
-        if np.median(parallax) < math.radians(self.config.min_parallax_deg):
+        if np.median(parallax) < self.policy.min_parallax:
             return give_up()
         # the triangulation-site parallax gate applies to each created
         # point; ill-conditioned depths would poison the first adjustment
         solid = parallax >= self.policy.min_parallax
-        if int(np.count_nonzero(solid)) < self.config.min_init_matches:
+        if int(np.count_nonzero(solid)) < MIN_INIT_MATCHES:
             return give_up()
         keep = keep[solid]
         pts = pts[solid]
@@ -557,9 +465,7 @@ class Pipeline:
         if n_track >= 6:
             try:
                 result = optimize_pose(
-                    self._pose_problem(frame, pose_wc, matches),
-                    self.config.max_iterations,
-                )
+                    self._pose_problem(frame, pose_wc, matches))
                 pose_wc = result.pose
             except DegenerateProblemError:
                 pass
@@ -574,10 +480,7 @@ class Pipeline:
         n_local = len(matches)
         if n_local < 6:
             return None, n_track, n_local
-        result = optimize_pose(
-            self._pose_problem(frame, pose_wc, matches),
-            self.config.max_iterations,
-        )
+        result = optimize_pose(self._pose_problem(frame, pose_wc, matches))
         pose_wc = result.pose
         dropped = 0
         if self.outlier_policy.mode is OutlierMode.EARLY_REMOVAL:
@@ -646,9 +549,7 @@ class Pipeline:
             variable_pose_ids=tuple(sorted(variable)),
             variable_point_ids=variable_points,
         )
-        result = local_bundle_adjustment(
-            problem, self.outlier_policy, self.config.max_iterations
-        )
+        result = local_bundle_adjustment(problem, self.outlier_policy)
         for kf_id in variable:
             world.keyframes[kf_id].pose = result.poses[kf_id]
         for pid in variable_points:

@@ -305,8 +305,6 @@ def load_intrinsics(path) -> tuple:
         pyr = PyramidConfig(
             scale=float(values.get("pyramid.scale", 1.2)),
             n_octaves=int(values.get("pyramid.octaves", 8)),
-            base_width=int(values["camera.width"]),
-            base_height=int(values["camera.height"]),
         )
     except KeyError as exc:
         raise ParseError(path, 0, f"missing key {exc}") from exc

@@ -22,7 +22,7 @@ from .features import (
     select_reference_appearance_index,
     select_reference_geometric_index,
 )
-from .geometry import CameraIntrinsics, Pose
+from .geometry import Pose
 
 
 @dataclass
@@ -90,12 +90,11 @@ def keyframe_retention(new_frame_id: int, retained, mod: int = 5,
 class WorldMap:
     """The observation graph plus its maintenance policies."""
 
-    def __init__(self, cam: CameraIntrinsics, pyramid: PyramidConfig,
-                 delta_l: int = 1, descriptor_selection: str = "geometric",
+    def __init__(self, pyramid: PyramidConfig, delta_l: int = 1,
+                 descriptor_selection: str = "geometric",
                  retention_mod: int = 5, retention_latest: int = 5):
         if descriptor_selection not in ("geometric", "appearance"):
             raise ValueError(f"unknown descriptor selection {descriptor_selection!r}")
-        self.cam = cam
         self.pyramid = pyramid
         self.delta_l = delta_l
         self.descriptor_selection = descriptor_selection

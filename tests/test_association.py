@@ -176,12 +176,11 @@ class TestGatePredicate:
             assert len(verdicts) == 1
 
     def test_heterogeneous_mode_varies_by_site(self):
-        policy = make_policy(
-            constraint_mode=ConstraintMode.HETEROGENEOUS
-        ).with_site_thresholds(c1=20, c2=60, c3=40, c4=50)
-        cand = MatchCandidate(1, 2, hamming=30)
-        assert not passes_gates(cand, policy, Site.PROJECTION_TRACK)
-        assert passes_gates(cand, policy, Site.PROJECTION_LOCAL)
+        policy = make_policy(constraint_mode=ConstraintMode.HETEROGENEOUS)
+        # between the local-map (14) and the motion-model (22) thresholds
+        cand = MatchCandidate(1, 2, hamming=18)
+        assert passes_gates(cand, policy, Site.PROJECTION_TRACK)
+        assert not passes_gates(cand, policy, Site.PROJECTION_LOCAL)
 
     def test_depth_filter_toggle(self):
         cand = MatchCandidate(1, 2, hamming=10, predicted_depth_ok=False)
@@ -190,32 +189,33 @@ class TestGatePredicate:
         assert not passes_gates(cand, on, Site.FUSE)
         assert passes_gates(cand, off, Site.FUSE)
 
-    def test_every_accepted_match_passes_the_predicate(self):
+    @pytest.mark.parametrize("mode", list(ConstraintMode))
+    def test_every_accepted_match_passes_the_predicate(self, mode):
         rng = np.random.default_rng(5)
-        n_accepted = 0
+        n_accepted = dict.fromkeys(Site, 0)
         for trial in range(40):
             n_q, n_t = rng.integers(3, 12), rng.integers(3, 12)
             base = Descriptor.random(rng)
-            q = pack_descriptors([base.flipped(rng, 0.1) for _ in range(n_q)])
-            t = pack_descriptors([base.flipped(rng, 0.1) for _ in range(n_t)])
+            # pair distances ~ 15 bits: around the heterogeneous thresholds
+            q = pack_descriptors([base.flipped(rng, 0.03) for _ in range(n_q)])
+            t = pack_descriptors([base.flipped(rng, 0.03) for _ in range(n_t)])
             policy = make_policy(
-                use_depth_filter=bool(trial % 2),
-                constraint_mode=ConstraintMode.HETEROGENEOUS,
-            ).with_site_thresholds(c1=40, c3=60)
+                use_depth_filter=bool(trial % 2), constraint_mode=mode,
+            )
             parallax = rng.uniform(0.0, math.radians(3.0), (n_q, n_t))
             depth_ok = rng.random(n_q) < 0.7
             for site in Site:
                 got = match(range(n_q), q, range(n_t), t, policy, site,
                             parallax=parallax, depth_ok=depth_ok)
                 assert all(passes_gates(c, policy, site) for c in got)
-                n_accepted += len(got)
-        assert n_accepted > 0
+                n_accepted[site] += len(got)
+        assert all(n > 0 for n in n_accepted.values())
 
 
 def build_world(rng, n_points=40, n_frames=3, spacing=0.5, noise=0.0,
                 flip=0.0, axis=(0.0, 0.0, 1.0), **world_kw):
     """A tiny world: landmarks ahead of a camera moving along ``axis``."""
-    world = WorldMap(CAM, PYR, **world_kw)
+    world = WorldMap(PYR, **world_kw)
     axis = np.asarray(axis, dtype=np.float64)
     landmarks = []
     while len(landmarks) < n_points:

@@ -1,9 +1,20 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
+from symvo.association import (
+    HETEROGENEOUS_THRESHOLDS,
+    ConstraintMode,
+    Ordering,
+    Site,
+)
 from symvo.errors import ConfigError
-from symvo.evaluation import ablation_configs
+from symvo.evaluation import ABLATION_AXES, ablation_configs
+from symvo.geometry import CameraIntrinsics
+from symvo.optimizer import OutlierMode
 from symvo.pipeline import Pipeline, PipelineConfig, reverse
+from symvo.uncertainty import CovarianceModel
 from symvo.synth import SceneSpec, generate
 
 N_FRAMES = 6
@@ -60,33 +71,61 @@ def test_reverse_round_trip_and_ground_truth_timestamps(orbit):
     ("constraint_mode", "symmetrical"),
     ("covariance_model", "Symmetric"),
     ("outlier_policy", "keep_some"),
-    ("pyramid_scale", 1.0),
-    ("pyramid_octaves", 0),
-    ("delta_l", -1),
-    ("descriptor_threshold", -1),
-    ("threshold_c1", -2),
-    ("threshold_c2", -2),
-    ("threshold_c3", -2),
-    ("threshold_c4", -5),
-    ("huber_delta", 0.0),
-    ("huber_delta", float("nan")),
-    ("chi2_threshold", -5.991),
-    ("max_iterations", 0),
-    ("ransac_iterations", 0),
 ])
 def test_config_rejects_bad_value(field, value):
     with pytest.raises(ConfigError, match=field):
         PipelineConfig(**{field: value})
 
 
-@pytest.mark.parametrize("overrides", [
-    {"pyramid_scale": 1.0001, "pyramid_octaves": 1, "delta_l": 0},
-    {"descriptor_threshold": 0, "threshold_c1": -1, "threshold_c4": 0},
-    {"max_iterations": 1, "ransac_iterations": 1, "huber_delta": 1e-9},
+CAM = CameraIntrinsics(fx=500.0, fy=500.0, cx=320.0, cy=240.0,
+                       width=640, height=480)
+
+# each toggle -> where a Pipeline holds the value it selected
+TOGGLES = {
+    "descriptor_selection": lambda p: p.world.descriptor_selection,
+    "use_depth_filter": lambda p: p.policy.use_depth_filter,
+    "association_ordering": lambda p: p.policy.ordering.value,
+    "constraint_mode": lambda p: p.policy.constraint_mode.value,
+    "covariance_model": lambda p: p.weighting.model.value,
+    "outlier_policy": lambda p: p.outlier_policy.mode.value,
+}
+
+
+def test_config_is_the_six_toggles():
+    assert [f.name for f in fields(PipelineConfig)] == list(TOGGLES)
+
+
+@pytest.mark.parametrize("field, value", [
+    *[("descriptor_selection", v) for v in ("geometric", "appearance")],
+    *[("use_depth_filter", v) for v in (True, False)],
+    *[("association_ordering", o.value) for o in Ordering],
+    *[("constraint_mode", m.value) for m in ConstraintMode],
+    *[("covariance_model", m.value) for m in CovarianceModel],
+    *[("outlier_policy", m.value) for m in OutlierMode],
 ])
-def test_config_accepts_boundary_values(overrides):
-    config = PipelineConfig(**overrides)
-    assert all(getattr(config, k) == v for k, v in overrides.items())
+def test_pipeline_hands_each_toggle_to_its_component(field, value):
+    pipe = Pipeline(CAM, PipelineConfig(**{field: value}))
+    assert TOGGLES[field](pipe) == value
+
+
+def test_every_ablation_axis_flips_one_toggle():
+    base = PipelineConfig()
+    for name, overrides in ABLATION_AXES:
+        if name == "full":
+            assert overrides == {}
+            continue
+        assert len(overrides) == 1, name
+        (field, value), = overrides.items()
+        assert field in TOGGLES and getattr(base, field) != value, name
+
+
+@pytest.mark.parametrize("site", list(Site))
+def test_heterogeneous_pipeline_gates_with_the_per_site_table(site):
+    symmetric = Pipeline(CAM, PipelineConfig()).policy
+    heterogeneous = Pipeline(
+        CAM, PipelineConfig(constraint_mode="heterogeneous")).policy
+    assert heterogeneous.threshold_for(site) == HETEROGENEOUS_THRESHOLDS[site]
+    assert heterogeneous.threshold_for(site) != symmetric.threshold_for(site)
 
 
 def test_every_ablation_config_is_valid():

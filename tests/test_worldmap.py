@@ -44,7 +44,7 @@ class TestKeyframeRetention:
 
 def tiny_world(rng, n_landmarks=12, n_frames=6, spacing=0.4,
                descriptor_selection="geometric"):
-    world = WorldMap(CAM, PYR, descriptor_selection=descriptor_selection)
+    world = WorldMap(PYR, descriptor_selection=descriptor_selection)
     landmarks = []
     while len(landmarks) < n_landmarks:
         p = np.array([rng.uniform(-3, 3), rng.uniform(-2, 2),
@@ -169,7 +169,7 @@ class TestCulling:
 
 class TestGraphStats:
     def test_empty_map(self):
-        world = WorldMap(CAM, PYR)
+        world = WorldMap(PYR)
         assert world.graph_stats() == GraphStats(0, 0, 0)
 
     def test_noiseless_world_all_inliers(self):
