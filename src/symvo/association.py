@@ -62,6 +62,9 @@ HETEROGENEOUS_THRESHOLDS = {
     Site.FUSE: 12,
 }
 
+# Half-width of the triangulation epipolar band, in keypoint deviations
+EPIPOLAR_SIGMA_FACTOR = 2.0
+
 
 @dataclass(frozen=True)
 class AssociationPolicy:
@@ -70,7 +73,6 @@ class AssociationPolicy:
     descriptor_threshold: int = 50
     min_parallax: float = math.radians(1.0)
     use_depth_filter: bool = True
-    epipolar_sigma_factor: float = 2.0
     ordering: Ordering = Ordering.HAMMING_ORDERED
     constraint_mode: ConstraintMode = ConstraintMode.SYMMETRIC
 
@@ -218,7 +220,7 @@ def search_by_projection(keyframe, map_points, predicted_pose_wc: Pose,
             for k in range(len(points))
         ]
     )
-    descriptors = np.stack([p.reference_descriptor.as_array() for p in points])
+    descriptors = np.stack([p.reference_descriptor for p in points])
     return match(
         query_ids=[p.point_id for p in points],
         query_descriptors=descriptors,
@@ -284,12 +286,13 @@ class TriangulatedMatch:
 
 
 def search_for_triangulation(kf_a, kf_b, policy: AssociationPolicy,
-                             cam: CameraIntrinsics,
-                             free_a=None, free_b=None):
+                             cam: CameraIntrinsics):
     """Epipolar-gated matching plus midpoint triangulation of a keyframe pair.
 
-    ``free_a``/``free_b`` restrict the search to keypoints not yet bound
-    to a map point.  Raises NoBaselineError for a near-zero baseline.
+    Only keypoints that no map point claims take part: each keyframe's
+    ``free_keypoints()``.  Returns ``TriangulatedMatch`` records whose
+    query ids index ``kf_a``'s keypoints and target ids ``kf_b``'s.  Raises
+    NoBaselineError for a near-zero baseline.
     """
     baseline = kf_b.pose.translation - kf_a.pose.translation
     if np.linalg.norm(baseline) < 1e-6:
@@ -298,8 +301,8 @@ def search_for_triangulation(kf_a, kf_b, policy: AssociationPolicy,
         )
     if kf_a.n_keypoints == 0 or kf_b.n_keypoints == 0:
         return []
-    idx_a = np.arange(kf_a.n_keypoints) if free_a is None else np.asarray(free_a)
-    idx_b = np.arange(kf_b.n_keypoints) if free_b is None else np.asarray(free_b)
+    idx_a = kf_a.free_keypoints()
+    idx_b = kf_b.free_keypoints()
     if idx_a.size == 0 or idx_b.size == 0:
         return []
     uv_a = kf_a.keypoints[idx_a]
@@ -312,8 +315,8 @@ def search_for_triangulation(kf_a, kf_b, policy: AssociationPolicy,
     dist_in_a = _epipolar_distances(uv_b, uv_a, F_ba, cam).T
     sigma_a = np.sqrt(kf_a.noise_sigma2[idx_a])[:, None]
     sigma_b = np.sqrt(kf_b.noise_sigma2[idx_b])[None, :]
-    epi_ok = (dist_in_b <= policy.epipolar_sigma_factor * sigma_b) & (
-        dist_in_a <= policy.epipolar_sigma_factor * sigma_a
+    epi_ok = (dist_in_b <= EPIPOLAR_SIGMA_FACTOR * sigma_b) & (
+        dist_in_a <= EPIPOLAR_SIGMA_FACTOR * sigma_a
     )
 
     rays_a = unit_ray(uv_a, cam) @ kf_a.pose.rotation.T
@@ -357,22 +360,22 @@ class FuseDecision:
     merged_into: int | None  # set when the keypoint already belongs elsewhere
 
 
-def fuse(points, keyframe, policy: AssociationPolicy, cam: CameraIntrinsics,
-         claims) -> list:
+def fuse(points, keyframe, policy: AssociationPolicy, cam: CameraIntrinsics) -> list:
     """Attach points to a keyframe's keypoints, detecting duplicates.
 
-    ``claims`` maps keypoint index -> point id for already-bound
-    keypoints.  A candidate landing on a free keypoint becomes a new
+    The points are projected at the keyframe's pose.  A candidate landing
+    on a keypoint the keyframe's ``claims`` leave free becomes a new
     observation; one landing on a keypoint bound to a different point is a
-    merge (survivor = lower point id).  Decisions are returned in point-id
-    order and do not mutate anything.
+    merge (survivor = lower point id); one landing on the point's own
+    keypoint is dropped.  Decisions are returned in point-id order and do
+    not mutate anything.
     """
     candidates = search_by_projection(
         keyframe, points, keyframe.pose, policy, cam, site=Site.FUSE
     )
     decisions = []
     for cand in sorted(candidates, key=lambda c: (c.query_index, c.target_index)):
-        owner = claims.get(cand.target_index)
+        owner = keyframe.claims.get(cand.target_index)
         if owner == cand.query_index:
             continue
         decisions.append(

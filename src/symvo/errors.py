@@ -19,10 +19,6 @@ class InvalidDepthError(SymvoError):
     """A depth value that must be strictly positive is not."""
 
 
-class DegenerateRayError(SymvoError):
-    """A viewing ray has (numerically) zero norm."""
-
-
 class DescriptorMismatchError(SymvoError):
     """Two descriptors of different bit lengths were compared."""
 

@@ -168,7 +168,7 @@ def _aggregate(values) -> dict:
 
 def _quantiles(values) -> dict:
     arr = np.asarray(values, dtype=np.float64)
-    q = np.percentile(arr, [0, 25, 50, 75, 100])
+    q = np.percentile(arr, [0, 25, 50, 75, 100]) if arr.size else [math.nan] * 5
     return {"min": q[0], "q1": q[1], "median": q[2], "q3": q[3], "max": q[4]}
 
 

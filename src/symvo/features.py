@@ -1,11 +1,13 @@
 """Binary descriptors, pyramid bookkeeping, and reference-point policies.
 
-Descriptors are fixed-length bit vectors compared by Hamming distance.
-Map points summarize their descriptor sets by a single reference
-descriptor chosen either by appearance (least median distance to the
-rest) or by geometry (held by the keyframe closest to the query).  The
-depth-invariance interval bounds the query depths at which a point's
-appearance stays within a configured octave shift.
+Descriptors are fixed-length bit vectors compared by Hamming distance;
+the program keeps them packed, one (N, n_bytes) uint8 row per keypoint,
+and ``Descriptor``/``hamming`` are the scalar reference forms.  Map points
+summarize their descriptor sets by a single reference descriptor chosen
+either by appearance (least median distance to the rest) or by geometry
+(held by the keyframe closest to the query).  The depth-invariance
+interval bounds the query depths at which a point's appearance stays
+within a given octave shift.
 """
 
 from __future__ import annotations
@@ -104,7 +106,6 @@ class PyramidConfig:
 
     scale: float = 1.2
     n_octaves: int = 8
-    base_sigma2: float = 1.0
 
     def __post_init__(self):
         if self.scale <= 1.0:
@@ -113,8 +114,8 @@ class PyramidConfig:
             raise ValueError("pyramid needs at least one octave")
 
     def sigma2_at(self, octave) -> np.ndarray:
-        """Keypoint variance at a given octave (vectorized)."""
-        return self.base_sigma2 * self.scale ** (2.0 * np.asarray(octave))
+        """Keypoint variance at a given octave (vectorized); 1 px^2 at octave 0."""
+        return self.scale ** (2.0 * np.asarray(octave))
 
     def octave_for_depth(self, z, z_far: float) -> np.ndarray:
         """Detection octave implied by depth: closer points sit higher."""
@@ -138,17 +139,16 @@ class DepthInterval:
         return self.z_min <= z <= self.z_max
 
 
-def select_reference_appearance_index(descriptors) -> int:
-    """Index of the descriptor with least median distance to the others.
+def select_reference_appearance_index(packed: np.ndarray) -> int:
+    """Row of an (n, n_bytes) packed stack with least median distance to the others.
 
     Ties break to the lowest index.  A singleton wins by definition.
     """
-    n = len(descriptors)
+    n = len(packed)
     if n == 0:
         raise ValueError("cannot select a reference from an empty set")
     if n == 1:
         return 0
-    packed = pack_descriptors(descriptors)
     # each sorted row starts with the zero self-distance, so the median of
     # the other n - 1 distances is the mean of these two columns; their
     # integer sum ranks rows exactly, and argmin keeps the first minimum
@@ -156,14 +156,10 @@ def select_reference_appearance_index(descriptors) -> int:
     return int(np.argmin(rows[:, n // 2] + rows[:, (n + 1) // 2]))
 
 
-def select_reference_appearance(descriptors) -> Descriptor:
-    return descriptors[select_reference_appearance_index(descriptors)]
-
-
 def select_reference_geometric_index(holders, query_translation) -> int:
     """Index of the holder whose keyframe translation is nearest the query.
 
-    ``holders`` is a sequence of (keyframe_id, translation, ...) tuples;
+    ``holders`` is a sequence of (keyframe_id, translation) pairs;
     ties break to the lowest keyframe id.
     """
     if len(holders) == 0:
@@ -178,12 +174,8 @@ def select_reference_geometric_index(holders, query_translation) -> int:
     return best_idx
 
 
-def select_reference_geometric(holders, query_translation) -> Descriptor:
-    return holders[select_reference_geometric_index(holders, query_translation)][2]
-
-
 def depth_invariance_interval(observed_depths, pyramid: PyramidConfig,
-                              delta_l: int = 1) -> DepthInterval:
+                              delta_l: int) -> DepthInterval:
     """Depth range over which appearance stays within delta_l octaves.
 
     Intersects per-observation bands [z_k * s^(-dl-0.5), z_k * s^(dl+0.5)];
@@ -201,9 +193,3 @@ def depth_invariance_interval(observed_depths, pyramid: PyramidConfig,
     hi = float(np.min(depths * s ** (delta_l + 0.5)))
     return DepthInterval(lo, hi)
 
-
-def passes_depth_filter(z_q: float, interval: DepthInterval) -> bool:
-    """Closed-interval membership test for a candidate depth."""
-    if z_q <= 0:
-        raise InvalidDepthError("query depth must be positive")
-    return interval.contains(z_q)

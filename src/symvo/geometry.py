@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BehindCameraError, DegenerateRayError, InvalidDepthError
+from .errors import BehindCameraError, InvalidDepthError
 
 _EPS_DEPTH = 1e-12
 _ORTHO_TOL = 1e-9
@@ -55,15 +55,15 @@ class CameraIntrinsics:
             [[self.fx, 0.0, self.cx], [0.0, self.fy, self.cy], [0.0, 0.0, 1.0]]
         )
 
-    def contains(self, uv, margin: float = 0.0):
+    def contains(self, uv):
         """Vectorized test that pixel coordinates lie inside the image."""
         uv = np.asarray(uv, dtype=np.float64)
         u, v = uv[..., 0], uv[..., 1]
         return (
-            (u >= margin)
-            & (u <= self.width - 1 - margin)
-            & (v >= margin)
-            & (v <= self.height - 1 - margin)
+            (u >= 0)
+            & (u <= self.width - 1)
+            & (v >= 0)
+            & (v <= self.height - 1)
         )
 
 
@@ -299,16 +299,6 @@ def isotropic_scale(gradient, method: str = "det") -> float:
     raise ValueError(f"unknown scalarization method {method!r}")
 
 
-def parallax_angle(ray_i, ray_j) -> float:
-    """Angle in [0, pi] between two viewing rays."""
-    a = np.asarray(ray_i, dtype=np.float64)
-    b = np.asarray(ray_j, dtype=np.float64)
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na < 1e-15 or nb < 1e-15:
-        raise DegenerateRayError("parallax of a zero-norm ray is undefined")
-    return math.acos(float(np.clip(np.dot(a, b) / (na * nb), -1.0, 1.0)))
-
-
 def parallax_angles(rays_i, rays_j) -> np.ndarray:
     """Vectorized parallax between row-paired stacks of rays."""
     a = np.asarray(rays_i, dtype=np.float64)
@@ -318,7 +308,3 @@ def parallax_angles(rays_i, rays_j) -> np.ndarray:
     cosang = np.einsum("...k,...k->...", a, b) / (na * nb)
     return np.arccos(np.clip(cosang, -1.0, 1.0))
 
-
-def ray_from_observation(uv, pose_wc: Pose, cam: CameraIntrinsics) -> np.ndarray:
-    """World-frame viewing ray of an observation (not normalized)."""
-    return unit_ray(uv, cam) @ pose_wc.rotation.T

@@ -44,27 +44,23 @@ import numpy as np
 
 from .errors import DegenerateProblemError
 from .geometry import CameraIntrinsics, Pose, orthonormalize_rotation, so3_exp
-from .uncertainty import CovarianceModel, ResidualWeighting, huber_rho, huber_weight
+from .uncertainty import HUBER_DELTA, CovarianceModel, huber_rho, huber_weight
 
 _Z_EPS = 1e-9
 _LAMBDA_INIT = 1e-4
 _LAMBDA_MAX = 1e12
 _BEHIND_CAMERA_COST_CAP = 19.0  # in units of delta^2; rho at |r|/sigma = 10*delta
 
+# early-removal cut per directional term: the 95% quantile of chi^2 with
+# 2 DoF, as ORB-SLAM2 fixes it (Mur-Artal & Tardos, IEEE T-RO 2017)
+CHI2_THRESHOLD = 5.991
+MAX_ITERATIONS = 50  # LM iterations of one solve
+POSE_ROUNDS = 3  # refine/reclassify rounds of optimize_pose
+
 
 class OutlierMode(enum.Enum):
     EARLY_REMOVAL = "early_removal"
     KEEP_ALL_ROBUST = "keep_all"
-
-
-@dataclass(frozen=True)
-class OutlierPolicy:
-    mode: OutlierMode = OutlierMode.KEEP_ALL_ROBUST
-    chi2_threshold: float = 5.991  # 95% quantile, 2 DoF, per directional term
-
-    def __post_init__(self):
-        if self.chi2_threshold <= 0:
-            raise ValueError("chi2_threshold must be positive")
 
 
 OBSERVATION = np.dtype([
@@ -105,7 +101,7 @@ class OptimizationProblem:
     poses: dict  # kf_id -> Pose, world-from-camera
     points: dict  # point_id -> (3,) position
     observations: np.ndarray  # OBSERVATION rows
-    weighting: ResidualWeighting
+    model: CovarianceModel
     variable_pose_ids: tuple = ()
     variable_point_ids: tuple = ()
 
@@ -148,7 +144,7 @@ class OptimizationProblem:
         self.f_info = 1.0 / obs["sigma2"]
 
         # a row whose ref_kf is its own kf is the reference view
-        if self.weighting.model is CovarianceModel.SYMMETRIC:
+        if self.model is CovarianceModel.SYMMETRIC:
             self.b_fwd = np.flatnonzero(obs["ref_kf"] != obs["kf"])
         else:
             self.b_fwd = np.zeros(0, dtype=np.int64)
@@ -243,9 +239,10 @@ def _evaluate(problem: OptimizationProblem, state: _State) -> _Evaluation:
     return ev
 
 
-def _term_costs(ev: _Evaluation, delta: float, prev=None):
+def _term_costs(ev: _Evaluation, prev=None):
     """Per-term Huber costs with freezing of behind-camera terms."""
-    costs = np.concatenate([huber_rho(ev.m2_f, delta), huber_rho(ev.m2_b, delta)])
+    costs = np.concatenate([huber_rho(ev.m2_f, HUBER_DELTA),
+                            huber_rho(ev.m2_b, HUBER_DELTA)])
     valid = np.concatenate([ev.valid_f, ev.valid_b])
     if prev is None:
         prev = np.zeros_like(costs)
@@ -361,7 +358,7 @@ class _Scatter:
 
 
 def _build_normal_equations(problem: OptimizationProblem, state: _State,
-                            ev: _Evaluation, delta: float):
+                            ev: _Evaluation):
     """Accumulate the damped-ready H blocks and gradient."""
     P, L = len(problem.variable_pose_ids), len(problem.variable_point_ids)
     Hpp = _Scatter(P * P, (6, 6))
@@ -374,7 +371,8 @@ def _build_normal_equations(problem: OptimizationProblem, state: _State,
     # forward terms ----------------------------------------------------
     idx = np.nonzero(ev.valid_f)[0]
     if idx.size:
-        w = (huber_weight(ev.m2_f[idx], delta) * problem.f_info[idx])[:, None, None]
+        w = (huber_weight(ev.m2_f[idx], HUBER_DELTA)
+             * problem.f_info[idx])[:, None, None]
         r = ev.r_f[idx][:, :, None]
         Jpose = jac.f_pose[idx]
         Jpt = jac.f_pt[idx]
@@ -398,7 +396,8 @@ def _build_normal_equations(problem: OptimizationProblem, state: _State,
     idx = np.nonzero(ev.valid_b)[0]
     if idx.size:
         fwd = problem.b_fwd[idx]
-        w = (huber_weight(ev.m2_b[idx], delta) * problem.b_info[idx])[:, None, None]
+        w = (huber_weight(ev.m2_b[idx], HUBER_DELTA)
+             * problem.b_info[idx])[:, None, None]
         r = ev.r_b[idx][:, :, None]
         Jpose_k = jac.b_pose_k[idx]
         Jpose_j = jac.b_pose_j[idx]
@@ -518,21 +517,20 @@ class SolveResult:
     trace: list
 
 
-def solve_problem(problem: OptimizationProblem, max_iterations: int = 50,
+def solve_problem(problem: OptimizationProblem,
                   trace: list | None = None) -> SolveResult:
     """Run LM to convergence on the assembled problem."""
     state = problem.initial_state()
-    delta = problem.weighting.huber_delta
     ev = _evaluate(problem, state)
-    term_prev, _ = _term_costs(ev, delta)
+    term_prev, _ = _term_costs(ev)
     cost = float(np.sum(term_prev))
     lam = _LAMBDA_INIT
     iterations = 0
     converged = False
-    for it in range(max_iterations):
+    for it in range(MAX_ITERATIONS):
         if converged:
             break
-        Hpp, Hpl, Hll, gp, gl = _build_normal_equations(problem, state, ev, delta)
+        Hpp, Hpl, Hll, gp, gl = _build_normal_equations(problem, state, ev)
         accepted = False
         while lam <= _LAMBDA_MAX:
             try:
@@ -546,7 +544,7 @@ def solve_problem(problem: OptimizationProblem, max_iterations: int = 50,
             )
             candidate = _retract(problem, state, dp, dl)
             ev_new = _evaluate(problem, candidate)
-            costs_new, valid_new = _term_costs(ev_new, delta, term_prev)
+            costs_new, valid_new = _term_costs(ev_new, term_prev)
             cost_new = float(np.sum(costs_new))
             if cost_new < cost:
                 rel = (cost - cost_new) / max(cost, 1e-300)
@@ -584,11 +582,8 @@ def evaluate_cost(problem: OptimizationProblem) -> CostReport:
     Behind-camera terms are flagged and contribute a fixed capped cost.
     """
     ev = _evaluate(problem, problem.initial_state())
-    delta = problem.weighting.huber_delta
-    cap = _BEHIND_CAMERA_COST_CAP * delta * delta
-    costs, _ = _term_costs(
-        ev, delta, prev=np.full(ev.m2_f.size + ev.m2_b.size, cap)
-    )
+    cap = _BEHIND_CAMERA_COST_CAP * HUBER_DELTA * HUBER_DELTA
+    costs, _ = _term_costs(ev, prev=np.full(ev.m2_f.size + ev.m2_b.size, cap))
     keys = _keys(problem.observations)
     b_keys = [keys[i] for i in problem.b_fwd]
     return CostReport(
@@ -608,11 +603,11 @@ class PoseResult:
     iterations: int
 
 
-def optimize_pose(problem: OptimizationProblem, max_iterations: int = 50,
-                  trace: list | None = None, rounds: int = 3) -> PoseResult:
+def optimize_pose(problem: OptimizationProblem,
+                  trace: list | None = None) -> PoseResult:
     """Single-pose refinement over fixed structure.
 
-    Runs a fixed number of refine/reclassify rounds: after each LM pass
+    Runs up to ``POSE_ROUNDS`` refine/reclassify rounds: after each LM pass
     every observation (active or not) is reclassified against the new
     pose, and the next pass optimizes over the current inliers.  The
     exclusion is transient; nothing is removed from the problem.  The
@@ -629,10 +624,9 @@ def optimize_pose(problem: OptimizationProblem, max_iterations: int = 50,
         raise DegenerateProblemError(
             f"pose optimization needs at least 6 observations, got {n_obs}"
         )
-    delta = problem.weighting.huber_delta
     state0 = problem.initial_state()
     Hpp, _, _, _, _ = _build_normal_equations(problem, state0,
-                                              _evaluate(problem, state0), delta)
+                                              _evaluate(problem, state0))
     if Hpp.shape[0]:
         eigvals = np.linalg.eigvalsh(Hpp[0, 0])
         if eigvals[-1] <= 0 or eigvals[0] < 1e-12 * eigvals[-1]:
@@ -643,14 +637,14 @@ def optimize_pose(problem: OptimizationProblem, max_iterations: int = 50,
     current = problem
     cost = 0.0
     iterations = 0
-    for _ in range(max(rounds, 1)):
-        result = solve_problem(current, max_iterations, trace)
+    for _ in range(POSE_ROUNDS):
+        result = solve_problem(current, trace)
         pose = Pose(result.state.R[row], result.state.t[row]).inverse()
         cost, iterations = result.cost, iterations + result.iterations
         # reclassify every row, the variable row derived as initial_state does
         probe, inverse = state0.copy(), pose.inverse()
         probe.R[row], probe.t[row] = inverse.rotation, inverse.translation
-        ok = _inliers(problem, _evaluate(problem, probe), delta * delta)
+        ok = _inliers(problem, _evaluate(problem, probe), HUBER_DELTA * HUBER_DELTA)
         if np.count_nonzero(ok) < 6 or np.array_equal(ok, active):
             break
         active = ok
@@ -671,20 +665,18 @@ class BAResult:
 
 
 def local_bundle_adjustment(problem: OptimizationProblem,
-                            policy: OutlierPolicy | None = None,
-                            max_iterations: int = 50,
+                            mode: OutlierMode = OutlierMode.KEEP_ALL_ROBUST,
                             trace: list | None = None) -> BAResult:
     """Joint LM over poses and points with Schur elimination.
 
-    Under EARLY_REMOVAL, observations that are not inliers at the chi2
-    cut (per directional term) are deleted and the reduced problem is
-    re-optimized once; KEEP_ALL_ROBUST never deletes.
+    Under EARLY_REMOVAL, observations that are not inliers at the
+    ``CHI2_THRESHOLD`` cut (per directional term) are deleted and the
+    reduced problem is re-optimized once; KEEP_ALL_ROBUST never deletes.
     """
-    policy = policy or OutlierPolicy()
-    result = solve_problem(problem, max_iterations, trace)
+    result = solve_problem(problem, trace)
     removed = []
-    if policy.mode is OutlierMode.EARLY_REMOVAL:
-        keep = _inliers(problem, result.evaluation, policy.chi2_threshold)
+    if mode is OutlierMode.EARLY_REMOVAL:
+        keep = _inliers(problem, result.evaluation, CHI2_THRESHOLD)
         if not np.all(keep):
             removed = _keys(problem.observations[~keep])
             kept_var = problem.f_pt_var[keep]
@@ -698,9 +690,8 @@ def local_bundle_adjustment(problem: OptimizationProblem,
                     p for p, n in zip(problem.variable_point_ids, counts) if n >= 2
                 ),
             )
-            result = solve_problem(problem, max_iterations, trace)
-    delta = problem.weighting.huber_delta
-    inlier = _inliers(problem, result.evaluation, delta * delta)
+            result = solve_problem(problem, trace)
+    inlier = _inliers(problem, result.evaluation, HUBER_DELTA * HUBER_DELTA)
     poses, points = _poses_and_points(problem, result.state)
     return BAResult(
         poses=poses, points=points,

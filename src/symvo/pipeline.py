@@ -35,18 +35,19 @@ from .optimizer import (
     OBSERVATION,
     OptimizationProblem,
     OutlierMode,
-    OutlierPolicy,
     local_bundle_adjustment,
     optimize_pose,
 )
 from .trajectory import Trajectory, reversed_timestamps
-from .uncertainty import CovarianceModel, ResidualWeighting
-from .worldmap import WorldMap
+from .uncertainty import CovarianceModel
+from .worldmap import GraphStats, WorldMap
 
 _FRAME_SENTINEL = 0  # pseudo keyframe id of the frame being tracked
 
 MIN_INIT_MATCHES = 50  # correspondences two-view initialization needs
 RNG_SEED = 13  # seed of the one generator a run draws from
+RANSAC_ITERATIONS = 200  # fixed draw count of two-view initialization
+RANSAC_THRESHOLD_PX = 1.5  # epipolar inlier cut, in keypoint deviations
 
 
 @dataclass(frozen=True)
@@ -83,10 +84,11 @@ class PipelineConfig:
     toggles name values of the enums they select (``Ordering``,
     ``ConstraintMode``, ``CovarianceModel``, ``OutlierMode``), and
     construction raises ``ConfigError`` on an unknown one.  Every numeric
-    setting is stated once: as the default of the component that uses it,
-    or as a module constant here (``MIN_INIT_MATCHES``, ``RNG_SEED``).  The
-    world map's invariants are checked after every mapping step, whatever
-    the config.
+    setting is a module constant of the module that uses it, such as
+    ``optimizer.CHI2_THRESHOLD``, ``worldmap.RETENTION_LATEST`` or
+    ``RANSAC_ITERATIONS`` here; nothing sets them per run.  The world
+    map's invariants are checked after every mapping step, whatever the
+    config.
     """
 
     descriptor_selection: str = "geometric"  # geometric | appearance
@@ -135,7 +137,7 @@ class RunReport:
     n_frames: int
     n_tracked: int
     lost_at_frame: int | None
-    graph_stats: tuple
+    graph_stats: GraphStats
     digest: str
     frame_records: list = field(default_factory=list)
     n_observations_removed: int = 0
@@ -147,11 +149,7 @@ class RunReport:
             "n_frames": self.n_frames,
             "n_tracked": self.n_tracked,
             "lost_at_frame": self.lost_at_frame,
-            "graph_stats": {
-                "n_map_points": self.graph_stats[0],
-                "n_local_keyframes": self.graph_stats[1],
-                "n_observation_inliers": self.graph_stats[2],
-            },
+            "graph_stats": self.graph_stats._asdict(),
             "digest": self.digest,
             "n_observations_removed": self.n_observations_removed,
             "config": self.config_snapshot,
@@ -216,25 +214,23 @@ def _decompose_essential(E):
     return [(R1, t), (R1, -t), (R2, t), (R2, -t)]
 
 
-def initialize_two_view(uv1, uv2, cam: CameraIntrinsics, rng,
-                        iterations: int = 200, threshold_px: float = 1.5,
-                        sigma=None):
+def initialize_two_view(uv1, uv2, cam: CameraIntrinsics, rng, sigma):
     """Seeded-RANSAC relative pose and triangulation of two views.
 
     Returns (rel_pose, points, inlier_mask, parallax) or None when no
-    usable model exists.  No adaptive early exit: the iteration count is
+    usable model exists.  No adaptive early exit: ``RANSAC_ITERATIONS`` is
     fixed so the draw sequence never depends on the data.  ``sigma`` is
-    the per-pair keypoint deviation; the pixel threshold scales with it
-    so coarse-octave matches are gated fairly.
+    the per-pair keypoint deviation; ``RANSAC_THRESHOLD_PX`` scales with
+    it so coarse-octave matches are gated fairly.
     """
     n = len(uv1)
     if n < 8:
         return None
     x1 = unit_ray(uv1, cam)[:, :2]
     x2 = unit_ray(uv2, cam)[:, :2]
-    cutoff = threshold_px * (np.ones(n) if sigma is None else np.asarray(sigma))
+    cutoff = RANSAC_THRESHOLD_PX * np.asarray(sigma)
     best_count, best_mask, best_E = 0, None, None
-    for _ in range(iterations):
+    for _ in range(RANSAC_ITERATIONS):
         sample = rng.choice(n, size=8, replace=False)
         try:
             E = _eight_point(x1[sample], x2[sample])
@@ -294,10 +290,8 @@ class Pipeline:
             ordering=Ordering(config.association_ordering),
             constraint_mode=ConstraintMode(config.constraint_mode),
         )
-        self.weighting = ResidualWeighting(
-            model=CovarianceModel(config.covariance_model))
-        self.outlier_policy = OutlierPolicy(
-            mode=OutlierMode(config.outlier_policy))
+        self.covariance_model = CovarianceModel(config.covariance_model)
+        self.outlier_mode = OutlierMode(config.outlier_policy)
         self.pyramid = PyramidConfig()
         self.world = WorldMap(
             self.pyramid, descriptor_selection=config.descriptor_selection)
@@ -352,7 +346,7 @@ class Pipeline:
             self._noise_sigma2(ref.octaves[pairs[:, 0]]),
             self._noise_sigma2(frame.octaves[pairs[:, 1]]),
         ))
-        got = initialize_two_view(uv1, uv2, self.cam, self.rng, sigma=sigma)
+        got = initialize_two_view(uv1, uv2, self.cam, self.rng, sigma)
         if got is None:
             return give_up()
         rel, pts, keep, parallax = got
@@ -443,7 +437,7 @@ class Pipeline:
         return OptimizationProblem(
             cam=self.cam, poses=poses, points=points,
             observations=np.array(rows, dtype=OBSERVATION),
-            weighting=self.weighting, variable_pose_ids=(_FRAME_SENTINEL,),
+            model=self.covariance_model, variable_pose_ids=(_FRAME_SENTINEL,),
         )
 
     def _track(self, frame: FrameInput):
@@ -483,7 +477,7 @@ class Pipeline:
         result = optimize_pose(self._pose_problem(frame, pose_wc, matches))
         pose_wc = result.pose
         dropped = 0
-        if self.outlier_policy.mode is OutlierMode.EARLY_REMOVAL:
+        if self.outlier_mode is OutlierMode.EARLY_REMOVAL:
             kept = [
                 c for c in matches
                 if result.inlier.get((c.query_index, _FRAME_SENTINEL), False)
@@ -545,11 +539,11 @@ class Pipeline:
         problem = OptimizationProblem(
             cam=self.cam, poses=poses, points=points,
             observations=np.array(rows, dtype=OBSERVATION),
-            weighting=self.weighting,
+            model=self.covariance_model,
             variable_pose_ids=tuple(sorted(variable)),
             variable_point_ids=variable_points,
         )
-        result = local_bundle_adjustment(problem, self.outlier_policy)
+        result = local_bundle_adjustment(problem, self.outlier_mode)
         for kf_id in variable:
             world.keyframes[kf_id].pose = result.poses[kf_id]
         for pid in variable_points:
@@ -579,10 +573,7 @@ class Pipeline:
                 kf_prev.pose.translation - kf_new.pose.translation
             ) < 1e-6:
                 continue
-            found = search_for_triangulation(
-                kf_prev, kf_new, self.policy, self.cam,
-                free_a=kf_prev.free_keypoints(), free_b=kf_new.free_keypoints(),
-            )
+            found = search_for_triangulation(kf_prev, kf_new, self.policy, self.cam)
             for tri in found:
                 point = world.create_point(tri.position, [
                     (kf_prev.kf_id, tri.candidate.query_index),
@@ -618,7 +609,7 @@ class Pipeline:
     def _apply_fuse(self, points, kf):
         world = self.world
         self.world.reselect_references(points, kf.pose.translation)
-        decisions = fuse(points, kf, self.policy, self.cam, claims=kf.claims)
+        decisions = fuse(points, kf, self.policy, self.cam)
         for dec in decisions:
             point = world.points.get(dec.point_id)
             if point is None:
@@ -682,14 +673,12 @@ class Pipeline:
             Trajectory(np.array(self.traj_timestamps), tuple(self.traj_poses))
             if self.traj_poses else Trajectory(np.zeros(0), ())
         )
-        stats = self.world.graph_stats()
         report = RunReport(
             health=health,
             n_frames=len(frames),
             n_tracked=len(self.traj_poses),
             lost_at_frame=lost_at,
-            graph_stats=(stats.n_map_points, stats.n_local_keyframes,
-                         stats.n_observation_inliers),
+            graph_stats=self.world.graph_stats(),
             digest=poses_digest(self.traj_timestamps, self.traj_poses),
             frame_records=self.frame_records,
             n_observations_removed=self.n_removed,

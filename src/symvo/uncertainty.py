@@ -25,8 +25,9 @@ class CovarianceModel(enum.Enum):
     SYMMETRIC = "symmetric"
 
 
-# 95% quantile of the chi distribution with 2 degrees of freedom
-DEFAULT_HUBER_DELTA = 2.447
+# Huber threshold of every robust cost: the 95% quantile of the chi
+# distribution with 2 degrees of freedom, sqrt(5.991)
+HUBER_DELTA = 2.447
 
 
 @dataclass(frozen=True)
@@ -39,18 +40,6 @@ class KeypointNoise:
     def __post_init__(self):
         if self.sigma2 <= 0:
             raise ValueError("keypoint variance must be positive")
-
-
-@dataclass(frozen=True)
-class ResidualWeighting:
-    """Selects the covariance model and the robust-kernel threshold."""
-
-    model: CovarianceModel = CovarianceModel.SYMMETRIC
-    huber_delta: float = DEFAULT_HUBER_DELTA
-
-    def __post_init__(self):
-        if self.huber_delta <= 0:
-            raise ValueError("huber_delta must be positive")
 
 
 @dataclass(frozen=True)

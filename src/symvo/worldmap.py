@@ -10,19 +10,23 @@ optimizer.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import WorldIntegrityError
 from .features import (
     DepthInterval,
-    Descriptor,
     PyramidConfig,
     depth_invariance_interval,
     select_reference_appearance_index,
     select_reference_geometric_index,
 )
 from .geometry import Pose
+
+DELTA_L = 1  # octave shift a point's depth-invariance interval allows
+RETENTION_MOD = 5  # every RETENTION_MOD-th keyframe id is retained ...
+RETENTION_LATEST = 5  # ... plus the RETENTION_LATEST most recent keyframes
 
 
 @dataclass
@@ -48,9 +52,6 @@ class Keyframe:
     def n_keypoints(self) -> int:
         return self.keypoints.shape[0]
 
-    def descriptor_at(self, index: int) -> Descriptor:
-        return Descriptor(self.descriptors[index].tobytes())
-
     def free_keypoints(self) -> np.ndarray:
         mask = np.ones(self.n_keypoints, dtype=bool)
         for idx in self.claims:
@@ -67,7 +68,7 @@ class MapPoint:
     observations: dict = field(default_factory=dict)  # kf_id -> keypoint index
     inlier: dict = field(default_factory=dict)  # kf_id -> bool
     reference_kf_id: int = -1
-    reference_descriptor: Descriptor | None = None
+    reference_descriptor: np.ndarray | None = None  # row of the reference's descriptors
     depth_interval: DepthInterval = DepthInterval(0.0, float("inf"))
 
     @property
@@ -78,28 +79,23 @@ class MapPoint:
         return sorted(self.observations.items())
 
 
-def keyframe_retention(new_frame_id: int, retained, mod: int = 5,
-                       latest: int = 5) -> set:
-    """Ids kept after admitting ``new_frame_id``: every ``mod``-th plus the
-    ``latest`` most recent."""
+def keyframe_retention(new_frame_id: int, retained) -> set:
+    """Ids kept after admitting ``new_frame_id``: every ``RETENTION_MOD``-th
+    plus the ``RETENTION_LATEST`` most recent."""
     ids = sorted(set(retained) | {new_frame_id})
-    recent = set(ids[-latest:])
-    return {k for k in ids if k % mod == 0} | recent
+    recent = set(ids[-RETENTION_LATEST:])
+    return {k for k in ids if k % RETENTION_MOD == 0} | recent
 
 
 class WorldMap:
     """The observation graph plus its maintenance policies."""
 
-    def __init__(self, pyramid: PyramidConfig, delta_l: int = 1,
-                 descriptor_selection: str = "geometric",
-                 retention_mod: int = 5, retention_latest: int = 5):
+    def __init__(self, pyramid: PyramidConfig,
+                 descriptor_selection: str = "geometric"):
         if descriptor_selection not in ("geometric", "appearance"):
             raise ValueError(f"unknown descriptor selection {descriptor_selection!r}")
         self.pyramid = pyramid
-        self.delta_l = delta_l
         self.descriptor_selection = descriptor_selection
-        self.retention_mod = retention_mod
-        self.retention_latest = retention_latest
         self.keyframes: dict[int, Keyframe] = {}
         self.points: dict[int, MapPoint] = {}
         self._next_kf_id = 1
@@ -127,12 +123,8 @@ class WorldMap:
     def keyframe_ids(self) -> list:
         return sorted(self.keyframes)
 
-    def latest_keyframe_ids(self, n=None) -> list:
-        n = self.retention_latest if n is None else n
-        return self.keyframe_ids()[-n:]
-
-    def point_depth(self, point: MapPoint, kf_id: int) -> float:
-        return float(self.keyframes[kf_id].pose.depth_of(point.position))
+    def latest_keyframe_ids(self) -> list:
+        return self.keyframe_ids()[-RETENTION_LATEST:]
 
     # ------------------------------------------------------------------
     # points and observations
@@ -214,19 +206,18 @@ class WorldMap:
             point.depth_interval = DepthInterval(1.0, 0.0)
         else:
             point.depth_interval = depth_invariance_interval(
-                depths, self.pyramid, self.delta_l
+                depths, self.pyramid, DELTA_L
             )
         if self.descriptor_selection == "appearance":
-            descriptors = [self.keyframes[kf_id].descriptor_at(kp)
-                           for kf_id, kp in items]
-            ref = select_reference_appearance_index(descriptors)
+            ref = select_reference_appearance_index(np.stack(
+                [self.keyframes[kf_id].descriptors[kp] for kf_id, kp in items]))
         else:
             # geometric default: closest holder to the newest keyframe
             query_t = self.keyframes[items[-1][0]].pose.translation
             ref = select_reference_geometric_index(self._holders(items), query_t)
         kf_id, kp = items[ref]
         point.reference_kf_id = kf_id
-        point.reference_descriptor = self.keyframes[kf_id].descriptor_at(kp)
+        point.reference_descriptor = self.keyframes[kf_id].descriptors[kp]
 
     def _holders(self, items) -> list:
         """(kf_id, translation) of each observing keyframe, for
@@ -246,7 +237,7 @@ class WorldMap:
             kf_id, kp = items[ref]
             if kf_id != point.reference_kf_id:
                 point.reference_kf_id = kf_id
-                point.reference_descriptor = self.keyframes[kf_id].descriptor_at(kp)
+                point.reference_descriptor = self.keyframes[kf_id].descriptors[kp]
 
     # ------------------------------------------------------------------
     # maintenance
@@ -271,10 +262,7 @@ class WorldMap:
 
     def apply_retention(self, new_kf_id: int) -> list:
         """Cull keyframes outside the retention set; returns culled ids."""
-        retained = keyframe_retention(
-            new_kf_id, self.keyframes.keys(),
-            mod=self.retention_mod, latest=self.retention_latest,
-        )
+        retained = keyframe_retention(new_kf_id, self.keyframes.keys())
         culled = [k for k in self.keyframe_ids() if k not in retained]
         touched = set()
         for kf_id in culled:
@@ -349,31 +337,10 @@ class WorldMap:
                         f"dangling claim at keyframe {kf_id} keypoint {kp_index}"
                     )
 
-    def dump_csv(self, path):
-        with open(path, "w") as f:
-            f.write("point_id,x,y,z,n_obs\n")
-            for pid in sorted(self.points):
-                p = self.points[pid]
-                x, y, z = p.position
-                f.write(f"{pid},{x:.9f},{y:.9f},{z:.9f},{p.n_observations}\n")
 
-
-@dataclass(frozen=True)
-class GraphStats:
+class GraphStats(NamedTuple):
     """Bias-sensitive totals of the observation graph."""
 
     n_map_points: int
     n_local_keyframes: int
     n_observation_inliers: int
-
-    def __post_init__(self):
-        if min(self.n_map_points, self.n_local_keyframes,
-               self.n_observation_inliers) < 0:
-            raise ValueError("graph statistics must be non-negative")
-
-    def delta(self, other: "GraphStats") -> tuple:
-        return (
-            self.n_map_points - other.n_map_points,
-            self.n_local_keyframes - other.n_local_keyframes,
-            self.n_observation_inliers - other.n_observation_inliers,
-        )

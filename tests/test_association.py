@@ -20,7 +20,7 @@ from symvo.association import (
 from symvo.errors import NoBaselineError
 from symvo.features import Descriptor, PyramidConfig, pack_descriptors
 from symvo.geometry import CameraIntrinsics, Pose, project, so3_exp, unit_ray
-from symvo.worldmap import WorldMap
+from symvo.worldmap import Keyframe, WorldMap
 
 CAM = CameraIntrinsics(fx=500.0, fy=500.0, cx=320.0, cy=240.0, width=640, height=480)
 PYR = PyramidConfig()
@@ -319,6 +319,42 @@ class TestSearchForTriangulation:
                 tri.position, landmarks[tri.candidate.query_index], atol=1e-6
             )
 
+    def test_claimed_keypoints_never_take_part(self):
+        rng = np.random.default_rng(16)
+        world, kfs, landmarks, _ = build_world(
+            rng, n_frames=3, spacing=1.0, axis=(1.0, 0.0, 0.0)
+        )
+        # landmarks 0-9 are mapped through keyframe 1's keypoints, 10-19
+        # through keyframe 2's; only 20-39 are free in both
+        for i in range(10):
+            world.create_point(landmarks[i], [(kfs[0].kf_id, i), (kfs[2].kf_id, i)])
+        for i in range(10, 20):
+            world.create_point(landmarks[i], [(kfs[1].kf_id, i), (kfs[2].kf_id, i)])
+        got = search_for_triangulation(kfs[0], kfs[1], make_policy(), CAM)
+        assert not {t.candidate.query_index for t in got} & set(kfs[0].claims)
+        assert not {t.candidate.target_index for t in got} & set(kfs[1].claims)
+        assert sorted(t.candidate.query_index for t in got) == list(range(20, 40))
+
+        # oracle: the same search on keyframes cut down to their free
+        # keypoints, with the cut-down indices mapped back
+        def free_only(kf):
+            keep = kf.free_keypoints()
+            sub = Keyframe(kf.kf_id, kf.timestamp, kf.pose, kf.keypoints[keep],
+                           kf.octaves[keep], kf.descriptors[keep],
+                           kf.noise_sigma2[keep])
+            return sub, keep
+
+        sub_a, keep_a = free_only(kfs[0])
+        sub_b, keep_b = free_only(kfs[1])
+        want = search_for_triangulation(sub_a, sub_b, make_policy(), CAM)
+        assert [(t.candidate.query_index, t.candidate.target_index,
+                 t.candidate.hamming, t.depth_a, t.depth_b, t.position.tobytes())
+                for t in got] == \
+            [(int(keep_a[t.candidate.query_index]),
+              int(keep_b[t.candidate.target_index]),
+              t.candidate.hamming, t.depth_a, t.depth_b, t.position.tobytes())
+             for t in want]
+
     def test_low_parallax_pairs_rejected(self):
         rng = np.random.default_rng(11)
         world, kfs, landmarks, _ = build_world(rng, n_frames=2, spacing=0.01)
@@ -361,8 +397,7 @@ class TestFuse:
             landmarks[0] + rng.normal(scale=1e-4, size=3), [(kfs[2].kf_id, 0)]
         )
         points = [world.points[p] for p in sorted(world.points)]
-        decisions = fuse(points, kfs[2], make_policy(), CAM,
-                         claims=kfs[2].claims)
+        decisions = fuse(points, kfs[2], make_policy(), CAM)
         merges = [d for d in decisions if d.merged_into is not None]
         assert len(merges) == 1
         assert merges[0].merged_into == a.point_id
@@ -373,7 +408,7 @@ class TestFuse:
         world.create_point(landmarks[0], [(kfs[0].kf_id, 0), (kfs[1].kf_id, 0)])
         world.create_point(landmarks[1], [(kfs[0].kf_id, 1), (kfs[1].kf_id, 1)])
         points = [world.points[p] for p in sorted(world.points)]
-        decisions = fuse(points, kfs[2], make_policy(), CAM, claims=kfs[2].claims)
+        decisions = fuse(points, kfs[2], make_policy(), CAM)
         assert all(d.merged_into is None for d in decisions)
 
     def test_attach_matches_brute_force_best_candidate(self):
@@ -383,12 +418,13 @@ class TestFuse:
             landmarks[5], [(kfs[0].kf_id, 5), (kfs[1].kf_id, 5)]
         ).point_id
         point = world.points[pid]
-        decisions = fuse([point], kfs[2], make_policy(), CAM, claims=kfs[2].claims)
+        decisions = fuse([point], kfs[2], make_policy(), CAM)
         # brute force: the admissible keypoint with least hamming
-        from symvo.features import hamming, Descriptor as D
+        from symvo.features import hamming
 
+        reference = Descriptor(point.reference_descriptor.tobytes())
         dists = [
-            (hamming(point.reference_descriptor, kfs[2].descriptor_at(i)), i)
+            (hamming(reference, Descriptor(kfs[2].descriptors[i].tobytes())), i)
             for i in range(kfs[2].n_keypoints)
         ]
         best = min(dists)

@@ -1,10 +1,15 @@
+import math
+
 import numpy as np
+import pytest
 
 from symvo import evaluation
-from symvo.evaluation import ABLATION_AXES, ablation_grid
+from symvo.errors import AssociationPairingError
+from symvo.evaluation import ABLATION_AXES, SequenceRun, ablation_grid, bias_metrics
 from symvo.geometry import Pose
 from symvo.pipeline import FrameInput, PipelineConfig, RunReport
 from symvo.trajectory import Trajectory
+from symvo.worldmap import GraphStats
 
 N = 40  # default segments then hold 4 poses at each end
 
@@ -26,7 +31,7 @@ def stub_pipeline(n_poses):
             stamps = [f.timestamp for f in frames][:n_poses]
             report = RunReport(health="ok", n_frames=len(frames),
                                n_tracked=len(stamps), lost_at_frame=None,
-                               graph_stats=(0, 0, 0), digest="")
+                               graph_stats=GraphStats(0, 0, 0), digest="")
             return circle(stamps), report
 
     return Stub
@@ -58,3 +63,52 @@ def test_unevaluable_run_is_a_failure_entry(monkeypatch):
         assert row.failures == [("seq", "fwd", "unevaluable"),
                                 ("seq", "bwd", "unevaluable")]
     assert set(seen) == {"unevaluable"}
+
+
+# hand-made runs: biases (f - b) are -1, 1 and 3
+FORWARD = [SequenceRun("c", 4.0, (5, 2, 9)), SequenceRun("a", 1.0, (3, 1, 4)),
+           SequenceRun("b", 2.0)]
+BACKWARD = [SequenceRun("b", 1.0), SequenceRun("a", 2.0, (1, 1, 6)),
+            SequenceRun("c", 1.0, (5, 3, 2))]
+
+
+def test_bias_pairs_runs_by_name():
+    report = bias_metrics(FORWARD, BACKWARD)
+    assert report.rows == [("a", 1.0, 2.0, -1.0), ("b", 2.0, 1.0, 1.0),
+                           ("c", 4.0, 1.0, 3.0)]
+    # a sequence without graph stats in either direction has no delta row
+    assert report.graph_stat_deltas == [("a", (2, 0, -2)), ("c", (0, -1, 7))]
+
+
+@pytest.mark.parametrize("forward, backward, orphans", [
+    (FORWARD, BACKWARD[:2], "c"),
+    (FORWARD[1:], BACKWARD, "c"),
+    (FORWARD + [SequenceRun("d", 1.0)], BACKWARD + [SequenceRun("e", 1.0)], "d, e"),
+])
+def test_unpaired_sequences_raise(forward, backward, orphans):
+    with pytest.raises(AssociationPairingError,
+                       match=f"unpaired sequences: {orphans}$"):
+        bias_metrics(forward, backward)
+
+
+def test_bias_aggregates_match_hand_values():
+    report = bias_metrics(FORWARD, BACKWARD)
+    # population statistics: std is sqrt(mean(x^2) - mean^2)
+    for got, (rmse, mean, std) in (
+        (report.forward, (math.sqrt(7.0), 7.0 / 3.0, math.sqrt(14.0) / 3.0)),
+        (report.backward, (math.sqrt(2.0), 4.0 / 3.0, math.sqrt(2.0) / 3.0)),
+        (report.bias, (math.sqrt(11.0 / 3.0), 1.0, math.sqrt(8.0 / 3.0))),
+    ):
+        assert got == pytest.approx({"rmse": rmse, "mean": mean, "std": std},
+                                    rel=1e-15)
+    # linear interpolation between the sorted biases -1, 1, 3
+    assert report.bias_quantiles == {"min": -1.0, "q1": 0.0, "median": 1.0,
+                                     "q3": 2.0, "max": 3.0}
+
+
+def test_bias_of_no_runs_is_nan():
+    report = bias_metrics([], [])
+    assert report.rows == [] and report.graph_stat_deltas == []
+    for values in (report.forward, report.backward, report.bias,
+                   report.bias_quantiles):
+        assert values and all(math.isnan(v) for v in values.values())

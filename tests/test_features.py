@@ -13,10 +13,8 @@ from symvo.features import (
     hamming,
     hamming_matrix,
     pack_descriptors,
-    passes_depth_filter,
-    select_reference_appearance,
     select_reference_appearance_index,
-    select_reference_geometric,
+    select_reference_geometric_index,
 )
 
 PYR = PyramidConfig(scale=1.2, n_octaves=8)
@@ -133,7 +131,7 @@ def appearance_index_loop(descriptors):
 class TestReferenceAppearance:
     def test_singleton(self):
         d = Descriptor.random(np.random.default_rng(4))
-        assert select_reference_appearance([d]) is d
+        assert select_reference_appearance_index(pack_descriptors([d])) == 0
 
     def test_duplicated_descriptor_wins(self):
         rng = np.random.default_rng(5)
@@ -153,7 +151,7 @@ class TestReferenceAppearance:
             )
             if best_med is None or med < best_med:
                 best, best_med = i, med
-        assert select_reference_appearance_index(pool) == best
+        assert select_reference_appearance_index(pack_descriptors(pool)) == best
         # two zero-distances among four beat the unduplicated outsiders
         assert best == 1
 
@@ -171,12 +169,14 @@ class TestReferenceAppearance:
         assert hamming(d2, d3) == 12
         # medians: d1 -> 6, d2 -> 7, d3 -> 11; d1 wins outright here, so
         # also check the pure tie case with two copies of the same set
-        assert select_reference_appearance_index([d1, d2, d3]) == 0
-        assert select_reference_appearance_index([d1, Descriptor(d1.bits)]) == 0
+        assert select_reference_appearance_index(
+            pack_descriptors([d1, d2, d3])) == 0
+        assert select_reference_appearance_index(
+            pack_descriptors([d1, Descriptor(d1.bits)])) == 0
 
     def test_empty_raises(self):
         with pytest.raises(ValueError):
-            select_reference_appearance([])
+            select_reference_appearance_index(pack_descriptors([]))
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 9, 16, 17])
     def test_matches_median_loop(self, n):
@@ -187,7 +187,7 @@ class TestReferenceAppearance:
             pool = [Descriptor.random(rng, n_bits) for _ in range(n)]
             if trial % 3 == 0:
                 pool[-1] = Descriptor(pool[0].bits)
-            assert select_reference_appearance_index(pool) == \
+            assert select_reference_appearance_index(pack_descriptors(pool)) == \
                 appearance_index_loop(pool)
 
     def test_tie_goes_to_lowest_index(self):
@@ -197,47 +197,42 @@ class TestReferenceAppearance:
                 Descriptor(d.bits)]
         # three holders share median 0; the first one wins
         assert appearance_index_loop(pool) == 0
-        assert select_reference_appearance_index(pool) == 0
-        assert select_reference_appearance_index(pool[2:]) == 0
+        assert select_reference_appearance_index(pack_descriptors(pool)) == 0
+        assert select_reference_appearance_index(pack_descriptors(pool[2:])) == 0
 
     def test_permutation_invariant_up_to_tie_break(self):
         rng = np.random.default_rng(6)
         pool = [Descriptor.random(rng) for _ in range(9)]
-        ref = select_reference_appearance(pool)
+        ref = pool[select_reference_appearance_index(pack_descriptors(pool))]
         for _ in range(10):
             perm = list(rng.permutation(len(pool)))
             shuffled = [pool[i] for i in perm]
-            assert select_reference_appearance(shuffled).bits == ref.bits
+            got = select_reference_appearance_index(pack_descriptors(shuffled))
+            assert shuffled[got].bits == ref.bits
 
 
 class TestReferenceGeometric:
     def test_nearest_holder_wins(self):
-        rng = np.random.default_rng(7)
-        descs = [Descriptor.random(rng) for _ in range(3)]
         holders = [
-            (1, np.array([0.0, 0.0, 0.0]), descs[0]),
-            (2, np.array([1.0, 0.0, 0.0]), descs[1]),
-            (3, np.array([5.0, 0.0, 0.0]), descs[2]),
+            (1, np.array([0.0, 0.0, 0.0])),
+            (2, np.array([1.0, 0.0, 0.0])),
+            (3, np.array([5.0, 0.0, 0.0])),
         ]
-        assert select_reference_geometric(holders, (1.1, 0, 0)) is descs[1]
+        assert select_reference_geometric_index(holders, (1.1, 0, 0)) == 1
 
     def test_coincident_query(self):
-        rng = np.random.default_rng(8)
-        descs = [Descriptor.random(rng) for _ in range(2)]
-        holders = [(4, np.array([2.0, 1.0, 0.0]), descs[0]),
-                   (9, np.array([-3.0, 0.0, 1.0]), descs[1])]
-        assert select_reference_geometric(holders, (-3, 0, 1)) is descs[1]
+        holders = [(4, np.array([2.0, 1.0, 0.0])),
+                   (9, np.array([-3.0, 0.0, 1.0]))]
+        assert select_reference_geometric_index(holders, (-3, 0, 1)) == 1
 
     def test_equidistant_tie_breaks_to_lower_id(self):
-        rng = np.random.default_rng(9)
-        descs = [Descriptor.random(rng) for _ in range(2)]
-        holders = [(7, np.array([1.0, 0.0, 0.0]), descs[0]),
-                   (3, np.array([-1.0, 0.0, 0.0]), descs[1])]
-        assert select_reference_geometric(holders, (0, 0, 0)) is descs[1]
+        holders = [(7, np.array([1.0, 0.0, 0.0])),
+                   (3, np.array([-1.0, 0.0, 0.0]))]
+        assert select_reference_geometric_index(holders, (0, 0, 0)) == 1
 
     def test_empty_raises(self):
         with pytest.raises(ValueError):
-            select_reference_geometric([], (0, 0, 0))
+            select_reference_geometric_index([], (0, 0, 0))
 
 
 class TestDepthInterval:
@@ -295,17 +290,17 @@ class TestDepthInterval:
 class TestDepthFilter:
     def test_example_interval_membership(self):
         iv = depth_invariance_interval([2.0], PYR, 1)
-        assert passes_depth_filter(2.0, iv)
+        assert iv.contains(2.0)
 
     def test_empty_interval_rejects_everything(self):
         iv = DepthInterval(4.0, 2.0)
         for z in (0.5, 2.0, 3.0, 4.0, 100.0):
-            assert not passes_depth_filter(z, iv)
+            assert not iv.contains(z)
 
     def test_boundary_is_closed(self):
         iv = depth_invariance_interval([2.0], PYR, 1)
-        assert passes_depth_filter(iv.z_min, iv)
-        assert passes_depth_filter(iv.z_max, iv)
+        assert iv.contains(iv.z_min)
+        assert iv.contains(iv.z_max)
 
     def test_octave_simulation_oracle(self):
         # a query depth passes iff its implied octave shift relative to
@@ -319,11 +314,7 @@ class TestDepthFilter:
             for z_q in np.geomspace(0.5, 50.0, 100):
                 shifts = np.log(depths / z_q) / np.log(s)
                 oracle = bool(np.all(np.abs(np.rint(shifts)) <= dl))
-                assert passes_depth_filter(z_q, iv) == oracle
-
-    def test_rejects_nonpositive_query(self):
-        with pytest.raises(InvalidDepthError):
-            passes_depth_filter(0.0, DepthInterval(1.0, 2.0))
+                assert iv.contains(z_q) == oracle
 
 
 class TestPyramid:

@@ -3,21 +3,21 @@ import math
 import numpy as np
 import pytest
 
-from symvo.errors import BehindCameraError, DegenerateRayError, InvalidDepthError
+from symvo.errors import BehindCameraError, InvalidDepthError
 from symvo.geometry import (
     CameraIntrinsics,
     Pose,
     backproject,
     deformation_gradient,
     isotropic_scale,
-    parallax_angle,
+    parallax_angles,
     project,
     quaternion_to_rotation,
-    ray_from_observation,
     reproject,
     rotation_to_quaternion,
     so3_exp,
     so3_log,
+    unit_ray,
 )
 
 CAM = CameraIntrinsics(fx=500.0, fy=500.0, cx=320.0, cy=240.0, width=640, height=480)
@@ -135,43 +135,45 @@ class TestDeformationGradient:
 
 class TestParallax:
     def test_identical_rays(self):
-        assert parallax_angle((1, 2, 3), (1, 2, 3)) == 0.0
+        assert parallax_angles((1, 2, 3), (1, 2, 3)) == 0.0
 
     def test_perpendicular_rays(self):
-        assert parallax_angle((1, 0, 1), (-1, 0, 1)) == pytest.approx(math.pi / 2)
+        assert parallax_angles((1, 0, 1), (-1, 0, 1)) == pytest.approx(math.pi / 2)
 
     def test_antipodal_rays(self):
-        assert parallax_angle((0, 1, 0), (0, -1, 0)) == pytest.approx(math.pi)
-
-    def test_zero_ray_raises(self):
-        with pytest.raises(DegenerateRayError):
-            parallax_angle((0, 0, 0), (1, 0, 0))
+        assert parallax_angles((0, 1, 0), (0, -1, 0)) == pytest.approx(math.pi)
 
     def test_symmetric_and_scale_invariant(self):
         rng = np.random.default_rng(3)
         for _ in range(200):
             a, b = rng.normal(size=3), rng.normal(size=3)
             s = rng.uniform(0.01, 100.0)
-            assert parallax_angle(a, b) == pytest.approx(parallax_angle(b, a))
-            assert parallax_angle(s * a, b) == pytest.approx(
-                parallax_angle(a, b), abs=1e-9
+            assert parallax_angles(a, b) == pytest.approx(parallax_angles(b, a))
+            assert parallax_angles(s * a, b) == pytest.approx(
+                parallax_angles(a, b), abs=1e-9
             )
 
 
 class TestRays:
+    """World-frame viewing rays, as triangulation forms them."""
+
+    @staticmethod
+    def ray(uv, pose_wc):
+        return unit_ray(np.asarray(uv, dtype=np.float64), CAM) @ pose_wc.rotation.T
+
     def test_principal_point_identity_pose(self):
-        r = ray_from_observation((320, 240), Pose.identity(), CAM)
+        r = self.ray((320, 240), Pose.identity())
         assert np.allclose(r, (0, 0, 1))
 
     def test_rotated_pose(self):
         pose = Pose.from_axis_angle((0, math.pi / 2, 0))
-        r = ray_from_observation((320, 240), pose, CAM)
+        r = self.ray((320, 240), pose)
         assert np.allclose(r, (1, 0, 0), atol=1e-9)
 
     def test_parallax_unchanged_by_ray_scaling(self):
-        r1 = ray_from_observation((400, 200), Pose.identity(), CAM)
-        r2 = ray_from_observation((250, 300), Pose.identity(), CAM)
-        assert parallax_angle(3.7 * r1, r2) == pytest.approx(parallax_angle(r1, r2))
+        r1 = self.ray((400, 200), Pose.identity())
+        r2 = self.ray((250, 300), Pose.identity())
+        assert parallax_angles(3.7 * r1, r2) == pytest.approx(parallax_angles(r1, r2))
 
 
 class TestPose:

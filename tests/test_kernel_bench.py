@@ -16,7 +16,7 @@ from symvo.optimizer import (
     optimize_pose,
     solve_problem,
 )
-from symvo.uncertainty import CovarianceModel, ResidualWeighting
+from symvo.uncertainty import CovarianceModel
 
 CAM = CameraIntrinsics(fx=500.0, fy=500.0, cx=320.0, cy=240.0, width=640, height=480)
 
@@ -67,7 +67,7 @@ def ba_window():
     problem = OptimizationProblem(
         cam=CAM, poses=start_poses, points=start_points,
         observations=np.array(rows, dtype=OBSERVATION),
-        weighting=ResidualWeighting(model=CovarianceModel.SYMMETRIC),
+        model=CovarianceModel.SYMMETRIC,
         variable_pose_ids=tuple(range(3, 9)),
         variable_point_ids=tuple(truth_points),
     )
@@ -108,7 +108,7 @@ def tracking_problem():
     problem = OptimizationProblem(
         cam=CAM, poses={0: start, 1: reference}, points=points,
         observations=observations,
-        weighting=ResidualWeighting(model=CovarianceModel.SYMMETRIC),
+        model=CovarianceModel.SYMMETRIC,
         variable_pose_ids=(0,),
     )
     return problem, truth, set((outliers + 1).tolist())

@@ -9,7 +9,6 @@ from symvo.optimizer import (
     OBSERVATION,
     OptimizationProblem,
     OutlierMode,
-    OutlierPolicy,
     _build_normal_equations,
     _evaluate,
     _retract,
@@ -20,12 +19,12 @@ from symvo.optimizer import (
     optimize_pose,
     solve_problem,
 )
-from symvo.uncertainty import CovarianceModel, ResidualWeighting, huber_weight
+from symvo.uncertainty import HUBER_DELTA, CovarianceModel, huber_weight
 
 CAM = CameraIntrinsics(fx=500.0, fy=500.0, cx=320.0, cy=240.0, width=640, height=480)
 
-STANDARD = ResidualWeighting(model=CovarianceModel.STANDARD)
-SYMMETRIC = ResidualWeighting(model=CovarianceModel.SYMMETRIC)
+STANDARD = CovarianceModel.STANDARD
+SYMMETRIC = CovarianceModel.SYMMETRIC
 
 
 def make_scene(rng, n_poses=4, n_points=30, spacing=0.6):
@@ -57,7 +56,7 @@ def reference_row(pid, kf_id, uv, sigma2):
     return (pid, kf_id, uv, sigma2, kf_id, uv, sigma2)
 
 
-def make_observations(poses, points, weighting, noise=0.0, rng=None,
+def make_observations(poses, points, model, noise=0.0, rng=None,
                       sigma2=1.0):
     """Perfect or noisy measurements; reference = lowest observing kf."""
     rows = []
@@ -97,9 +96,9 @@ def perturbed(poses, points, rng, rot=0.02, trans=0.02, pt=0.05, skip=()):
 class TestJacobians:
     """Analytic residual Jacobians vs central finite differences."""
 
-    @pytest.mark.parametrize("weighting", [STANDARD, SYMMETRIC],
+    @pytest.mark.parametrize("model", [STANDARD, SYMMETRIC],
                              ids=["standard", "symmetric"])
-    def test_matches_finite_differences(self, weighting):
+    def test_matches_finite_differences(self, model):
         rng = np.random.default_rng(42)
         h = 1e-6
         checked = 0
@@ -107,10 +106,10 @@ class TestJacobians:
             poses, points = make_scene(rng, n_poses=2, n_points=1)
             poses, points = perturbed(poses, points, rng, rot=0.3, trans=0.3,
                                       pt=0.3)
-            terms = make_observations(poses, points, weighting)
+            terms = make_observations(poses, points, model)
             problem = OptimizationProblem(
                 cam=CAM, poses=poses, points=points, observations=terms,
-                weighting=weighting,
+                model=model,
                 variable_pose_ids=(2,), variable_point_ids=(1,),
             )
             state = problem.initial_state()
@@ -164,17 +163,17 @@ class TestOptimizePose:
         rng = np.random.default_rng(1)
         poses, points = make_scene(rng)
         truth = poses[4]
-        for weighting in (STANDARD, SYMMETRIC):
+        for model in (STANDARD, SYMMETRIC):
             start = Pose(
                 so3_exp(rng.normal(scale=0.05 / np.sqrt(3), size=3))
                 @ truth.rotation,
                 truth.translation + rng.normal(scale=0.05 / np.sqrt(3), size=3),
             )
-            terms = make_observations(poses, points, weighting)
+            terms = make_observations(poses, points, model)
             terms = terms[terms["kf"] == 4]
             problem = OptimizationProblem(
                 cam=CAM, poses={**poses, 4: start}, points=points,
-                observations=terms, weighting=weighting,
+                observations=terms, model=model,
                 variable_pose_ids=(4,),
             )
             result = optimize_pose(problem)
@@ -190,7 +189,7 @@ class TestOptimizePose:
         terms = terms[terms["kf"] == 3]
         problem = OptimizationProblem(
             cam=CAM, poses=poses, points=points, observations=terms,
-            weighting=STANDARD, variable_pose_ids=(3,),
+            model=STANDARD, variable_pose_ids=(3,),
         )
         result = optimize_pose(problem)
         assert result.cost == pytest.approx(0.0, abs=1e-18)
@@ -220,7 +219,7 @@ class TestOptimizePose:
                     terms["uv"][i] = (draw.uniform(0, 640), draw.uniform(0, 480))
             problem = OptimizationProblem(
                 cam=CAM, poses={**poses, 4: start}, points=points,
-                observations=terms, weighting=STANDARD,
+                observations=terms, model=STANDARD,
                 variable_pose_ids=(4,),
             )
             result = optimize_pose(problem)
@@ -237,16 +236,16 @@ class TestOptimizePose:
         terms = terms[terms["kf"] == 2]
         problem = OptimizationProblem(
             cam=CAM, poses=poses, points=points, observations=terms,
-            weighting=STANDARD, variable_pose_ids=(2,),
+            model=STANDARD, variable_pose_ids=(2,),
         )
         with pytest.raises(DegenerateProblemError):
             optimize_pose(problem)
 
 
 class TestLocalBundleAdjustment:
-    def build(self, rng, weighting, noise=0.0, perturb=True):
+    def build(self, rng, model, noise=0.0, perturb=True):
         poses, points = make_scene(rng, n_poses=5, n_points=40)
-        terms = make_observations(poses, points, weighting, noise=noise,
+        terms = make_observations(poses, points, model, noise=noise,
                                   rng=rng)
         start_poses, start_points = poses, points
         if perturb:
@@ -256,17 +255,17 @@ class TestLocalBundleAdjustment:
             )
         problem = OptimizationProblem(
             cam=CAM, poses=start_poses, points=start_points,
-            observations=terms, weighting=weighting,
+            observations=terms, model=model,
             variable_pose_ids=(3, 4, 5),
             variable_point_ids=tuple(sorted(points)),
         )
         return poses, points, problem
 
-    @pytest.mark.parametrize("weighting", [STANDARD, SYMMETRIC],
+    @pytest.mark.parametrize("model", [STANDARD, SYMMETRIC],
                              ids=["standard", "symmetric"])
-    def test_noiseless_window_converges_to_truth(self, weighting):
+    def test_noiseless_window_converges_to_truth(self, model):
         rng = np.random.default_rng(5)
-        poses, points, problem = self.build(rng, weighting)
+        poses, points, problem = self.build(rng, model)
         result = local_bundle_adjustment(problem)
         # reprojection RMSE after convergence
         errs = []
@@ -284,9 +283,7 @@ class TestLocalBundleAdjustment:
         rng = np.random.default_rng(6)
         _, _, problem = self.build(rng, SYMMETRIC, noise=2.0)
         n_before = len(problem.observations)
-        result = local_bundle_adjustment(
-            problem, OutlierPolicy(mode=OutlierMode.KEEP_ALL_ROBUST)
-        )
+        result = local_bundle_adjustment(problem, OutlierMode.KEEP_ALL_ROBUST)
         assert result.removed == []
         assert len(problem.observations) == n_before
 
@@ -303,12 +300,10 @@ class TestLocalBundleAdjustment:
         # over the threshold
         problem = OptimizationProblem(
             cam=CAM, poses=poses, points=points, observations=corrupted,
-            weighting=STANDARD,
+            model=STANDARD,
             variable_pose_ids=(3, 4),
         )
-        result = local_bundle_adjustment(
-            problem, OutlierPolicy(mode=OutlierMode.EARLY_REMOVAL)
-        )
+        result = local_bundle_adjustment(problem, OutlierMode.EARLY_REMOVAL)
         assert set(result.removed) == planted
 
     def test_gauge_free_problem_rejected(self):
@@ -318,7 +313,7 @@ class TestLocalBundleAdjustment:
         with pytest.raises(DegenerateProblemError):
             OptimizationProblem(
                 cam=CAM, poses=poses, points=points, observations=terms,
-                weighting=STANDARD, variable_pose_ids=(1, 2),
+                model=STANDARD, variable_pose_ids=(1, 2),
             )
 
     def test_underobserved_variable_point_rejected(self):
@@ -329,7 +324,7 @@ class TestLocalBundleAdjustment:
         with pytest.raises(DegenerateProblemError):
             OptimizationProblem(
                 cam=CAM, poses=poses, points=points, observations=terms,
-                weighting=STANDARD, variable_pose_ids=(2,),
+                model=STANDARD, variable_pose_ids=(2,),
                 variable_point_ids=(2,),
             )
 
@@ -343,7 +338,7 @@ class TestProblemValidation:
         poses, points = make_scene(rng, n_poses=3, n_points=6)
         return dict(cam=CAM, poses=poses, points=points,
                     observations=make_observations(poses, points, SYMMETRIC),
-                    weighting=SYMMETRIC, variable_pose_ids=(3,))
+                    model=SYMMETRIC, variable_pose_ids=(3,))
 
     def test_unknown_keyframe_rejected(self):
         args = self.arguments()
@@ -380,7 +375,7 @@ def permutation_case():
     terms["uv"][::5, 1] -= 30.0
     start_poses, start_points = perturbed(poses, points, rng, skip=(1,))
     return dict(cam=CAM, poses=start_poses, points=start_points,
-                observations=terms, weighting=SYMMETRIC,
+                observations=terms, model=SYMMETRIC,
                 variable_pose_ids=(2, 3),
                 variable_point_ids=tuple(sorted(points)))
 
@@ -407,7 +402,7 @@ class TestSolverProperties:
         start_poses, start_points = perturbed(poses, points, rng, skip=(1,))
         problem = OptimizationProblem(
             cam=CAM, poses=start_poses, points=start_points,
-            observations=terms, weighting=SYMMETRIC,
+            observations=terms, model=SYMMETRIC,
             variable_pose_ids=(2, 3),
             variable_point_ids=tuple(sorted(points)),
         )
@@ -427,7 +422,7 @@ class TestSolverProperties:
                 cam=CAM,
                 poses=dict(start_poses),
                 points={k: v.copy() for k, v in start_points.items()},
-                observations=terms.copy(), weighting=SYMMETRIC,
+                observations=terms.copy(), model=SYMMETRIC,
                 variable_pose_ids=(2, 3),
                 variable_point_ids=tuple(sorted(points)),
             )
@@ -451,7 +446,7 @@ class TestSolverProperties:
         terms = make_observations(poses, points, SYMMETRIC)
         problem = OptimizationProblem(
             cam=CAM, poses=poses, points=points, observations=terms,
-            weighting=SYMMETRIC, variable_pose_ids=(2,),
+            model=SYMMETRIC, variable_pose_ids=(2,),
         )
         report = evaluate_cost(problem)
         assert report.total == pytest.approx(0.0, abs=1e-16)
@@ -465,7 +460,7 @@ class TestSolverProperties:
                          dtype=OBSERVATION)
         problem = OptimizationProblem(
             cam=CAM, poses={1: pose}, points={1: point}, observations=terms,
-            weighting=STANDARD,
+            model=STANDARD,
         )
         report = evaluate_cost(problem)
         assert report.total == pytest.approx(2.0)
@@ -479,9 +474,9 @@ class TestSolverProperties:
                          dtype=OBSERVATION)
         problem = OptimizationProblem(
             cam=CAM, poses={1: pose}, points={1: point}, observations=terms,
-            weighting=STANDARD,
+            model=STANDARD,
         )
-        delta = STANDARD.huber_delta
+        delta = HUBER_DELTA
         expected = 2 * delta * np.sqrt(200.0) - delta**2
         assert evaluate_cost(problem).total == pytest.approx(expected)
 
@@ -491,12 +486,12 @@ class TestSolverProperties:
         terms = make_observations(poses, points, SYMMETRIC, noise=0.5, rng=rng)
         problem = OptimizationProblem(
             cam=CAM, poses=poses, points=points, observations=terms,
-            weighting=SYMMETRIC, variable_pose_ids=(2, 3, 4),
+            model=SYMMETRIC, variable_pose_ids=(2, 3, 4),
         )
         total_fwd = evaluate_cost(problem).total
         reversed_problem = OptimizationProblem(
             cam=CAM, poses=poses, points=points,
-            observations=terms[::-1], weighting=SYMMETRIC,
+            observations=terms[::-1], model=SYMMETRIC,
             variable_pose_ids=(2, 3, 4),
         )
         assert evaluate_cost(reversed_problem).total == pytest.approx(
@@ -513,7 +508,7 @@ class TestSolverProperties:
         problem = OptimizationProblem(
             cam=CAM, poses={1: pose},
             points={1: point, 2: np.array([0.0, 0.0, 5.0])},
-            observations=terms, weighting=STANDARD,
+            observations=terms, model=STANDARD,
         )
         report = evaluate_cost(problem)
         assert (1, 1) in report.behind_camera
@@ -525,7 +520,7 @@ class TestSolverProperties:
 # _build_normal_equations and _solve_step replace.  The kernels must agree
 # with them bit for bit.
 
-def reference_normal_equations(problem, state, ev, delta):
+def reference_normal_equations(problem, state, ev):
     P, L = len(problem.variable_pose_ids), len(problem.variable_point_ids)
     Hpp = np.zeros((P, P, 6, 6))
     Hll = np.zeros((L, 3, 3))
@@ -536,7 +531,8 @@ def reference_normal_equations(problem, state, ev, delta):
 
     idx = np.nonzero(ev.valid_f)[0]
     if idx.size:
-        w = (huber_weight(ev.m2_f[idx], delta) * problem.f_info[idx])[:, None, None]
+        w = (huber_weight(ev.m2_f[idx], HUBER_DELTA)
+             * problem.f_info[idx])[:, None, None]
         r = ev.r_f[idx][:, :, None]
         Jpose = jac.f_pose[idx]
         Jpt = jac.f_pt[idx]
@@ -564,7 +560,8 @@ def reference_normal_equations(problem, state, ev, delta):
     idx = np.nonzero(ev.valid_b)[0] if problem.b_fwd.size else np.zeros(0, np.int64)
     if idx.size:
         fwd = problem.b_fwd[idx]
-        w = (huber_weight(ev.m2_b[idx], delta) * problem.b_info[idx])[:, None, None]
+        w = (huber_weight(ev.m2_b[idx], HUBER_DELTA)
+             * problem.b_info[idx])[:, None, None]
         r = ev.r_b[idx][:, :, None]
         Jpose_k = jac.b_pose_k[idx]
         Jpose_j = jac.b_pose_j[idx]
@@ -645,7 +642,7 @@ def assert_bit_identical(got, want):
         assert g.shape == w.shape and g.tobytes() == w.tobytes()
 
 
-# (weighting, variable poses, variable points?); pose 1 is every
+# (model, variable poses, variable points?); pose 1 is every
 # observation's reference view, so (1, 2, 3, 4) varies it too
 KERNEL_CASES = [
     (STANDARD, (2, 3, 4), True),
@@ -661,33 +658,33 @@ KERNEL_IDS = ["standard", "symmetric", "symmetric-ref-varies",
               "standard-no-poses", "symmetric-no-poses"]
 
 
-def kernel_state(weighting, variable_pose_ids, variable_points, seed):
+def kernel_state(model, variable_pose_ids, variable_points, seed):
     """Noisy, perturbed window with outliers and one point behind views."""
     rng = np.random.default_rng(seed)
     poses, points = make_scene(rng, n_poses=5, n_points=40)
-    terms = make_observations(poses, points, weighting, noise=1.5, rng=rng)
+    terms = make_observations(poses, points, model, noise=1.5, rng=rng)
     terms["uv"][::7, 0] += 40.0  # gross outliers: Huber weights < 1
     start_poses, start_points = perturbed(poses, points, rng, rot=0.03,
                                           trans=0.05, pt=0.2)
     start_points[1] = np.array([0.3, 0.2, 1.0])  # behind views 3, 4 and 5
     problem = OptimizationProblem(
         cam=CAM, poses=start_poses, points=start_points, observations=terms,
-        weighting=weighting, variable_pose_ids=variable_pose_ids,
+        model=model, variable_pose_ids=variable_pose_ids,
         variable_point_ids=tuple(sorted(points)) if variable_points else (),
     )
     state = problem.initial_state()
     ev = _evaluate(problem, state)
     assert not np.all(ev.valid_f)
-    return problem, state, ev, weighting.huber_delta
+    return problem, state, ev
 
 
 class TestKernelBitIdentity:
     @pytest.mark.parametrize("case", KERNEL_CASES, ids=KERNEL_IDS)
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_normal_equations_match_sequential_add_at(self, case, seed):
-        problem, state, ev, delta = kernel_state(*case, seed)
-        assert_bit_identical(_build_normal_equations(problem, state, ev, delta),
-                             reference_normal_equations(problem, state, ev, delta))
+        problem, state, ev = kernel_state(*case, seed)
+        assert_bit_identical(_build_normal_equations(problem, state, ev),
+                             reference_normal_equations(problem, state, ev))
 
     @pytest.mark.parametrize("case", KERNEL_CASES, ids=KERNEL_IDS)
     @pytest.mark.parametrize("lam", [1e-12, 1e-4, 1e-1, 1.0, 1e3, 1e12])

@@ -1,3 +1,4 @@
+import json
 from dataclasses import fields
 
 import numpy as np
@@ -53,6 +54,22 @@ def test_runs_are_deterministic_and_track_after_init(orbit):
     assert report_a.digest == report_b.digest
 
 
+def test_run_report_serializes(orbit):
+    seq, frames = orbit
+    _, report = Pipeline(seq.cam, PipelineConfig()).run(frames)
+    out = report.to_dict()
+    assert out["graph_stats"] == {
+        "n_map_points": report.graph_stats.n_map_points,
+        "n_local_keyframes": report.graph_stats.n_local_keyframes,
+        "n_observation_inliers": report.graph_stats.n_observation_inliers,
+    }
+    assert min(out["graph_stats"].values()) > 0
+    assert out["config"] == PipelineConfig().snapshot()
+    assert (out["health"], out["n_frames"], out["digest"]) == \
+        ("ok", N_FRAMES, report.digest)
+    assert json.loads(report.to_json()) == out
+
+
 def test_reverse_round_trip_and_ground_truth_timestamps(orbit):
     seq, _ = orbit
     again = reverse(reverse(seq.frames))
@@ -86,8 +103,8 @@ TOGGLES = {
     "use_depth_filter": lambda p: p.policy.use_depth_filter,
     "association_ordering": lambda p: p.policy.ordering.value,
     "constraint_mode": lambda p: p.policy.constraint_mode.value,
-    "covariance_model": lambda p: p.weighting.model.value,
-    "outlier_policy": lambda p: p.outlier_policy.mode.value,
+    "covariance_model": lambda p: p.covariance_model.value,
+    "outlier_policy": lambda p: p.outlier_mode.value,
 }
 
 

@@ -8,7 +8,6 @@ from symvo.uncertainty import (
     CovarianceModel,
     KeypointNoise,
     ResidualTerm,
-    ResidualWeighting,
     alpha_curves,
     alpha_standard,
     alpha_symmetric,
@@ -114,7 +113,6 @@ class TestOptimizerCrossCheck:
         # view j is the world frame and the point's reference view; the
         # point sits on the reference ray at z_j, so the forward terms agree
         rng = np.random.default_rng(14)
-        weighting = ResidualWeighting(model=CovarianceModel.SYMMETRIC)
         for _ in range(200):
             rel, p_j, p_i, u_j, u_i = two_view_setup(rng)
             u_j_obs = u_j + rng.normal(scale=1.0, size=2)
@@ -132,7 +130,7 @@ class TestOptimizerCrossCheck:
                     7, 2, u_i_obs, 2.0 * n_i.sigma2,
                     1, u_j_obs, 2.0 * n_j.sigma2,
                 )], dtype=OBSERVATION),
-                weighting=weighting,
+                model=CovarianceModel.SYMMETRIC,
             )
             report = evaluate_cost(problem)
             assert report.m2_backward[(7, 2)] == pytest.approx(

@@ -9,7 +9,7 @@ from symvo.features import (
     pack_descriptors,
 )
 from symvo.geometry import CameraIntrinsics, Pose, project
-from symvo.worldmap import GraphStats, WorldMap, keyframe_retention
+from symvo.worldmap import DELTA_L, GraphStats, WorldMap, keyframe_retention
 
 CAM = CameraIntrinsics(fx=500.0, fy=500.0, cx=320.0, cy=240.0, width=640, height=480)
 PYR = PyramidConfig()
@@ -76,7 +76,7 @@ class TestObservations:
         world, kfs, landmarks = tiny_world(rng)
         point = world.create_point(landmarks[0], [(kfs[0].kf_id, 0)])
         assert point.reference_kf_id == kfs[0].kf_id
-        assert point.reference_descriptor.bits == kfs[0].descriptor_at(0).bits
+        assert np.array_equal(point.reference_descriptor, kfs[0].descriptors[0])
 
     def test_duplicate_keyframe_observation_rejected(self):
         rng = np.random.default_rng(1)
@@ -116,9 +116,9 @@ class TestObservations:
             )
         for pid in sorted(world.points):
             point = world.points[pid]
-            depths = [world.point_depth(point, kf_id)
+            depths = [float(world.keyframes[kf_id].pose.depth_of(point.position))
                       for kf_id, _ in point.observation_items()]
-            fresh = depth_invariance_interval(depths, PYR, world.delta_l)
+            fresh = depth_invariance_interval(depths, PYR, DELTA_L)
             assert point.depth_interval == fresh
 
 
@@ -187,16 +187,6 @@ class TestGraphStats:
         # latest five keyframes plus keyframe 1, covisible through the points
         assert stats.n_local_keyframes == 6
 
-    def test_delta(self):
-        a = GraphStats(10, 5, 100)
-        b = GraphStats(8, 5, 90)
-        assert a.delta(b) == (2, 0, 10)
-        assert b.delta(a) == (-2, 0, -10)
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            GraphStats(-1, 0, 0)
-
 
 class TestMerge:
     def test_merge_unions_observations(self):
@@ -242,14 +232,3 @@ class TestIntegrity:
             point.inlier[kfs[2].kf_id] = True
         with pytest.raises(WorldIntegrityError, match="inlier flags"):
             world.check_integrity()
-
-    def test_dump_csv(self, tmp_path):
-        rng = np.random.default_rng(13)
-        world, kfs, landmarks = tiny_world(rng)
-        world.create_point(landmarks[0], [(kfs[0].kf_id, 0), (kfs[1].kf_id, 0)])
-        path = tmp_path / "map.csv"
-        world.dump_csv(path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "point_id,x,y,z,n_obs"
-        assert len(lines) == 2
-        assert lines[1].endswith(",2")
