@@ -26,11 +26,12 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import NoBaselineError
-from .features import hamming_matrix
+from .features import DepthInterval, hamming_matrix
 from .geometry import CameraIntrinsics, Pose, parallax_angles, unit_ray
 
 
@@ -186,50 +187,49 @@ def match(query_ids, query_descriptors, target_ids, target_descriptors,
     return accepted
 
 
-def search_by_projection(keyframe, map_points, predicted_pose_wc: Pose,
+class PointBatch(NamedTuple):
+    """Map points as the projection searches read them, one row each; built
+    by ``WorldMap.point_batch`` from the keyframes that hold the points."""
+
+    ids: np.ndarray  # (n,) point ids
+    positions: np.ndarray  # (n, 3) world positions
+    descriptors: np.ndarray  # (n, n_bytes) packed reference descriptors
+    depth: DepthInterval  # (n,) depth-invariance intervals
+
+
+def search_by_projection(frame, points: PointBatch, predicted_pose_wc: Pose,
                          policy: AssociationPolicy, cam: CameraIntrinsics,
                          site: Site = Site.PROJECTION_TRACK):
     """Match map points against a frame's keypoints under a predicted pose.
 
-    ``keyframe`` needs only ``n_keypoints`` and ``descriptors``, so a
-    ``Keyframe`` and a pipeline ``FrameInput`` both serve.  Candidate
-    gating: positive depth, projection inside the image, the
-    depth-invariance filter, then the descriptor threshold.  Returns
-    accepted candidates with query ids = point ids, target ids = keypoint
-    indices.
+    ``frame`` needs only ``n_keypoints`` and ``descriptors``, so a
+    ``Keyframe`` and a pipeline ``FrameInput`` both serve.  ``points`` is a
+    ``PointBatch``; its row order is the query order that
+    ``Ordering.SEQUENTIAL`` walks.  Candidate gating: positive depth,
+    projection inside the image, the depth-invariance filter, then the
+    descriptor threshold.  Returns accepted candidates with query ids =
+    point ids, target ids = keypoint indices.
     """
-    points = list(map_points)
-    if not points or keyframe.n_keypoints == 0:
+    if points.ids.size == 0 or frame.n_keypoints == 0:
         return []
     pose_cw = predicted_pose_wc.inverse()
-    positions = np.stack([p.position for p in points])
-    in_cam = pose_cw.apply(positions)
+    in_cam = pose_cw.apply(points.positions)
     z = in_cam[:, 2]
-    visible = z > 1e-9
-    uv = np.zeros((len(points), 2))
-    if np.any(visible):
-        vis_pts = in_cam[visible]
-        uv[visible, 0] = cam.fx * vis_pts[:, 0] / vis_pts[:, 2] + cam.cx
-        uv[visible, 1] = cam.fy * vis_pts[:, 1] / vis_pts[:, 2] + cam.cy
-    visible &= cam.contains(uv)
+    with np.errstate(divide="ignore", invalid="ignore"):  # z <= 0: not visible
+        uv = np.stack([cam.fx * in_cam[:, 0] / z + cam.cx,
+                       cam.fy * in_cam[:, 1] / z + cam.cy], axis=1)
+    visible = (z > 1e-9) & cam.contains(uv)
     if not np.any(visible):
         return []
-    depth_ok = np.array(
-        [
-            bool(visible[k]) and points[k].depth_interval.contains(float(z[k]))
-            for k in range(len(points))
-        ]
-    )
-    descriptors = np.stack([p.reference_descriptor for p in points])
     return match(
-        query_ids=[p.point_id for p in points],
-        query_descriptors=descriptors,
-        target_ids=np.arange(keyframe.n_keypoints),
-        target_descriptors=keyframe.descriptors,
+        query_ids=points.ids,
+        query_descriptors=points.descriptors,
+        target_ids=np.arange(frame.n_keypoints),
+        target_descriptors=frame.descriptors,
         policy=policy,
         site=site,
         query_mask=visible,
-        depth_ok=depth_ok,
+        depth_ok=visible & points.depth.contains(z),
     )
 
 
@@ -289,8 +289,8 @@ def search_for_triangulation(kf_a, kf_b, policy: AssociationPolicy,
                              cam: CameraIntrinsics):
     """Epipolar-gated matching plus midpoint triangulation of a keyframe pair.
 
-    Only keypoints that no map point claims take part: each keyframe's
-    ``free_keypoints()``.  Returns ``TriangulatedMatch`` records whose
+    Only free keypoints take part: those whose entry in the keyframe's
+    ``point_ids`` column is -1.  Returns ``TriangulatedMatch`` records whose
     query ids index ``kf_a``'s keypoints and target ids ``kf_b``'s.  Raises
     NoBaselineError for a near-zero baseline.
     """
@@ -299,10 +299,8 @@ def search_for_triangulation(kf_a, kf_b, policy: AssociationPolicy,
         raise NoBaselineError(
             f"keyframes {kf_a.kf_id} and {kf_b.kf_id} have no baseline"
         )
-    if kf_a.n_keypoints == 0 or kf_b.n_keypoints == 0:
-        return []
-    idx_a = kf_a.free_keypoints()
-    idx_b = kf_b.free_keypoints()
+    idx_a = np.flatnonzero(kf_a.point_ids < 0)
+    idx_b = np.flatnonzero(kf_b.point_ids < 0)
     if idx_a.size == 0 or idx_b.size == 0:
         return []
     uv_a = kf_a.keypoints[idx_a]
@@ -336,10 +334,8 @@ def search_for_triangulation(kf_a, kf_b, policy: AssociationPolicy,
 
     if not candidates:
         return []
-    pos_a = {int(i): k for k, i in enumerate(idx_a)}
-    pos_b = {int(i): k for k, i in enumerate(idx_b)}
-    ka = np.array([pos_a[c.query_index] for c in candidates])
-    kb = np.array([pos_b[c.target_index] for c in candidates])
+    ka = np.searchsorted(idx_a, [c.query_index for c in candidates])
+    kb = np.searchsorted(idx_b, [c.target_index for c in candidates])
     pts, ok = triangulate_rays(kf_a.pose.translation, rays_a[ka],
                                kf_b.pose.translation, rays_b[kb])
     z_a = kf_a.pose.depth_of(pts)
@@ -360,30 +356,31 @@ class FuseDecision:
     merged_into: int | None  # set when the keypoint already belongs elsewhere
 
 
-def fuse(points, keyframe, policy: AssociationPolicy, cam: CameraIntrinsics) -> list:
+def fuse(points: PointBatch, keyframe, policy: AssociationPolicy,
+         cam: CameraIntrinsics) -> list:
     """Attach points to a keyframe's keypoints, detecting duplicates.
 
-    The points are projected at the keyframe's pose.  A candidate landing
-    on a keypoint the keyframe's ``claims`` leave free becomes a new
-    observation; one landing on a keypoint bound to a different point is a
-    merge (survivor = lower point id); one landing on the point's own
-    keypoint is dropped.  Decisions are returned in point-id order and do
-    not mutate anything.
+    ``points`` (a ``PointBatch``) are projected at the keyframe's pose, and
+    the keyframe's ``point_ids`` column tells each landing keypoint's owner.
+    A candidate landing on a free keypoint (-1) becomes a new observation;
+    one landing on a keypoint bound to a different point is a merge
+    (survivor = lower point id); one landing on the point's own keypoint is
+    dropped.  Decisions are returned in point-id order and do not mutate
+    anything.
     """
     candidates = search_by_projection(
         keyframe, points, keyframe.pose, policy, cam, site=Site.FUSE
     )
     decisions = []
     for cand in sorted(candidates, key=lambda c: (c.query_index, c.target_index)):
-        owner = keyframe.claims.get(cand.target_index)
+        owner = int(keyframe.point_ids[cand.target_index])
         if owner == cand.query_index:
             continue
         decisions.append(
             FuseDecision(
                 point_id=cand.query_index,
                 keypoint_index=cand.target_index,
-                merged_into=None if owner is None else min(owner, cand.query_index),
+                merged_into=None if owner < 0 else min(owner, cand.query_index),
             )
         )
     return decisions
-

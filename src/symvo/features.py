@@ -8,18 +8,24 @@ either by appearance (least median distance to the rest) or by geometry
 (held by the keyframe closest to the query).  The depth-invariance
 interval bounds the query depths at which a point's appearance stays
 within a given octave shift.
+
+The reference rules and the interval are per-point rules over the
+keyframes that observe a point; they take a point's holders as one run of
+rows, the runs beginning at ``starts``, so many points cost one call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DescriptorMismatchError, InvalidDepthError
+from .errors import DescriptorMismatchError
 
 DESCRIPTOR_BITS = 256
+_PAST_ANY_DISTANCE = 1 << 30  # pads distance tables past any real distance
 
 
 @dataclass(frozen=True)
@@ -124,72 +130,90 @@ class PyramidConfig:
         return np.clip(np.rint(raw), 0, self.n_octaves - 1).astype(np.int64)
 
 
-@dataclass(frozen=True)
-class DepthInterval:
-    """Closed depth interval; empty (z_min > z_max) is a valid state."""
+class DepthInterval(NamedTuple):
+    """Closed depth intervals, one per point; z_min > z_max is empty."""
 
-    z_min: float
-    z_max: float
+    z_min: np.ndarray
+    z_max: np.ndarray
 
-    @property
-    def is_empty(self) -> bool:
-        return self.z_min > self.z_max
-
-    def contains(self, z: float) -> bool:
-        return self.z_min <= z <= self.z_max
+    def contains(self, z) -> np.ndarray:
+        return (self.z_min <= z) & (z <= self.z_max)
 
 
-def select_reference_appearance_index(packed: np.ndarray) -> int:
-    """Row of an (n, n_bytes) packed stack with least median distance to the others.
+def _group_starts(n_rows: int, starts) -> np.ndarray:
+    """``starts`` as an index array, checked to split ``n_rows`` rows into
+    non-empty consecutive groups."""
+    starts = np.asarray(starts, dtype=np.intp)
+    bounds = np.append(starts, n_rows)
+    if bounds[0] != 0 or np.any(np.diff(bounds) <= 0):
+        raise ValueError("groups must be non-empty consecutive runs of rows")
+    return starts
 
-    Ties break to the lowest index.  A singleton wins by definition.
+
+def select_reference_appearance_index(packed: np.ndarray, starts) -> np.ndarray:
+    """Per group of rows of an (n, n_bytes) packed stack, the row with least
+    median distance to the group's other rows.
+
+    A group is a run of rows beginning at one of ``starts``.  Ties break to
+    the lowest row; a singleton wins by definition.  One popcount gives the
+    distances of every row to every member of its group.
     """
     n = len(packed)
-    if n == 0:
-        raise ValueError("cannot select a reference from an empty set")
-    if n == 1:
-        return 0
+    starts = _group_starts(n, starts)
+    sizes = np.diff(starts, append=n)
+    size, first = np.repeat(sizes, sizes), np.repeat(starts, sizes)  # per row
+    width = int(sizes.max(initial=1))
+    member = np.arange(width + 1)  # a spare column: a singleton's second median
+    words = _as_words(packed)
+    mates = words[np.minimum(first[:, None] + member, n - 1)]
+    dist = np.bitwise_count(words[:, None, :] ^ mates)
+    dist = np.where(member < size[:, None], dist.sum(axis=-1, dtype=np.int64),
+                    _PAST_ANY_DISTANCE)
+    dist.sort(axis=1)
     # each sorted row starts with the zero self-distance, so the median of
-    # the other n - 1 distances is the mean of these two columns; their
-    # integer sum ranks rows exactly, and argmin keeps the first minimum
-    rows = np.sort(hamming_matrix(packed, packed), axis=1)
-    return int(np.argmin(rows[:, n // 2] + rows[:, (n + 1) // 2]))
+    # the other size - 1 distances is the mean of these two columns; their
+    # integer sum ranks rows exactly, and the row offset breaks ties low
+    every = np.arange(n)
+    score = dist[every, size // 2] + dist[every, (size + 1) // 2]
+    best = np.minimum.reduceat(score * width + (every - first), starts)
+    return starts + best % width
 
 
-def select_reference_geometric_index(holders, query_translation) -> int:
-    """Index of the holder whose keyframe translation is nearest the query.
+def select_reference_geometric_index(kf_ids, translations, queries,
+                                     starts) -> np.ndarray:
+    """Per group of holders, the row whose keyframe translation is nearest
+    the query; ties break to the lowest keyframe id.
 
-    ``holders`` is a sequence of (keyframe_id, translation) pairs;
-    ties break to the lowest keyframe id.
+    Row i is the holder keyframe ``kf_ids[i]`` at ``translations[i]``, and a
+    group is a run of rows beginning at one of ``starts``.  ``queries`` is
+    one translation for all rows, or one per row, equal within a group.
     """
-    if len(holders) == 0:
-        raise ValueError("cannot select a reference from an empty holder list")
-    q = np.asarray(query_translation, dtype=np.float64)
-    best_idx, best_key = 0, None
-    for idx, holder in enumerate(holders):
-        d = holder[1] - q
-        key = (float(d @ d), holder[0])
-        if best_key is None or key < best_key:
-            best_idx, best_key = idx, key
-    return best_idx
+    translations = np.asarray(translations, dtype=np.float64)
+    starts = _group_starts(len(translations), starts)
+    d = translations - np.asarray(queries, dtype=np.float64)
+    d2 = (d[:, None, :] @ d[:, :, None])[:, 0, 0]  # rounds as a 1-D d @ d
+    group = np.repeat(np.arange(starts.size), np.diff(starts, append=len(d)))
+    return np.lexsort((kf_ids, d2, group))[starts]
 
 
-def depth_invariance_interval(observed_depths, pyramid: PyramidConfig,
+def depth_invariance_interval(depths, starts, pyramid: PyramidConfig,
                               delta_l: int) -> DepthInterval:
-    """Depth range over which appearance stays within delta_l octaves.
+    """Per group of observed depths, the depth range over which appearance
+    stays within ``delta_l`` octaves.
 
-    Intersects per-observation bands [z_k * s^(-dl-0.5), z_k * s^(dl+0.5)];
-    the result may be empty when observations disagree.
+    A group is a run of ``depths`` beginning at one of ``starts``.  Each
+    group intersects its per-observation bands
+    [z_k * s^(-dl-0.5), z_k * s^(dl+0.5)]; the result may be empty when
+    observations disagree, and is the empty (1, 0) when any depth is not
+    positive: a point behind a holder's camera is never matched.
     """
-    depths = np.asarray(list(observed_depths), dtype=np.float64)
-    if depths.size == 0:
-        raise ValueError("depth interval needs at least one observation")
-    if np.any(depths <= 0):
-        raise InvalidDepthError("observed depths must be positive")
+    depths = np.asarray(depths, dtype=np.float64)
+    starts = _group_starts(depths.size, starts)
     if delta_l < 0:
         raise ValueError("delta_l must be non-negative")
     s = pyramid.scale
-    lo = float(np.max(depths * s ** (-delta_l - 0.5)))
-    hi = float(np.min(depths * s ** (delta_l + 0.5)))
+    lo = np.maximum.reduceat(depths * s ** (-delta_l - 0.5), starts)
+    hi = np.minimum.reduceat(depths * s ** (delta_l + 0.5), starts)
+    behind = np.minimum.reduceat(depths, starts) <= 0
+    lo[behind], hi[behind] = 1.0, 0.0
     return DepthInterval(lo, hi)
-

@@ -517,9 +517,10 @@ class SolveResult:
     trace: list
 
 
-def solve_problem(problem: OptimizationProblem,
-                  trace: list | None = None) -> SolveResult:
-    """Run LM to convergence on the assembled problem."""
+def solve_problem(problem: OptimizationProblem, trace: list | None = None,
+                  normal: tuple | None = None) -> SolveResult:
+    """Run LM to convergence on the assembled problem; ``normal``, when
+    given, is the initial state's normal equations, built by the caller."""
     state = problem.initial_state()
     ev = _evaluate(problem, state)
     term_prev, _ = _term_costs(ev)
@@ -530,7 +531,10 @@ def solve_problem(problem: OptimizationProblem,
     for it in range(MAX_ITERATIONS):
         if converged:
             break
-        Hpp, Hpl, Hll, gp, gl = _build_normal_equations(problem, state, ev)
+        if normal is None:
+            normal = _build_normal_equations(problem, state, ev)
+        Hpp, Hpl, Hll, gp, gl = normal
+        normal = None
         accepted = False
         while lam <= _LAMBDA_MAX:
             try:
@@ -625,8 +629,8 @@ def optimize_pose(problem: OptimizationProblem,
             f"pose optimization needs at least 6 observations, got {n_obs}"
         )
     state0 = problem.initial_state()
-    Hpp, _, _, _, _ = _build_normal_equations(problem, state0,
-                                              _evaluate(problem, state0))
+    normal = _build_normal_equations(problem, state0, _evaluate(problem, state0))
+    Hpp = normal[0]
     if Hpp.shape[0]:
         eigvals = np.linalg.eigvalsh(Hpp[0, 0])
         if eigvals[-1] <= 0 or eigvals[0] < 1e-12 * eigvals[-1]:
@@ -638,7 +642,8 @@ def optimize_pose(problem: OptimizationProblem,
     cost = 0.0
     iterations = 0
     for _ in range(POSE_ROUNDS):
-        result = solve_problem(current, trace)
+        result = solve_problem(current, trace, normal)  # built for state0
+        normal = None
         pose = Pose(result.state.R[row], result.state.t[row]).inverse()
         cost, iterations = result.cost, iterations + result.iterations
         # reclassify every row, the variable row derived as initial_state does

@@ -169,6 +169,23 @@ def poses_digest(timestamps, poses) -> str:
     return h.hexdigest()
 
 
+def _observation_rows(world: WorldMap, point, kf, uv, sigma2):
+    """``OBSERVATION`` rows of map-point observations, each with its point's
+    reference view; every keypoint variance enters twice over.
+
+    The reference view is attached under every covariance model: its pose
+    is the fixed gauge, and only the optimizer decides whether the backward
+    term enters the cost.
+    """
+    ref_kf, ref_kp = world.references(point)
+    rows = np.zeros(len(point), dtype=OBSERVATION)
+    rows["point"], rows["kf"], rows["uv"], rows["sigma2"] = point, kf, uv, 2.0 * sigma2
+    rows["ref_kf"] = ref_kf
+    rows["ref_uv"] = world.gather(ref_kf, ref_kp, "keypoints")
+    rows["ref_sigma2"] = 2.0 * world.gather(ref_kf, ref_kp, "noise_sigma2")
+    return rows
+
+
 # ----------------------------------------------------------------------
 # two-view initialization
 
@@ -375,10 +392,10 @@ class Pipeline:
             frame.timestamp, rel.inverse(), frame.keypoints, frame.octaves,
             frame.descriptors,
         )
-        for row, (i1, i2) in zip(
-            range(keep.size), pairs[keep]
-        ):
+        world.refresh_points([
             world.create_point(pts[row], [(kf1.kf_id, int(i1)), (kf2.kf_id, int(i2))])
+            for row, (i1, i2) in enumerate(pairs[keep])
+        ])
         self.initialized = True
         self.prev_pose_cw = Pose.identity()  # kf1 camera-from-world
         pose2_cw = kf2.pose.inverse()
@@ -396,49 +413,35 @@ class Pipeline:
         self.traj_timestamps.append(float(timestamp))
         self.traj_poses.append(pose_wc)
 
-    def _candidate_points(self, kf_ids):
-        seen = set()
-        out = []
-        for kf_id in kf_ids:
-            kf = self.world.keyframes.get(kf_id)
-            if kf is None:
-                continue
-            for kp_index in sorted(kf.claims):
-                pid = kf.claims[kp_index]
-                if pid not in seen:
-                    seen.add(pid)
-                    out.append(self.world.points[pid])
-        return out
+    def _candidate_points(self, kf_ids) -> np.ndarray:
+        """Ids of the points the keyframes hold, in order of first appearance
+        (keyframes in the order given, keypoints ascending)."""
+        held = np.concatenate([self.world.keyframes[k].point_ids for k in kf_ids])
+        held = held[held >= 0]
+        _, first = np.unique(held, return_index=True)
+        return held[np.sort(first)]
 
     def _pose_problem(self, frame, pose_wc, matches):
-        sigma2 = self._noise_sigma2(frame.octaves)
-        poses = {_FRAME_SENTINEL: pose_wc}
-        points = {}
-        rows = []
-        for cand in sorted(matches, key=lambda c: c.query_index):
-            point = self.world.points.get(cand.query_index)
-            if point is None:
-                continue
-            points[point.point_id] = point.position
-            # the reference view is attached under every covariance model:
-            # its pose is the fixed gauge, and only the optimizer decides
-            # whether the backward term enters the cost
-            ref_id = point.reference_kf_id
-            ref_kf = self.world.keyframes[ref_id]
-            kp_ref = point.observations[ref_id]
-            poses.setdefault(ref_id, ref_kf.pose)
-            rows.append((
-                point.point_id, _FRAME_SENTINEL,
-                frame.keypoints[cand.target_index],
-                2.0 * float(sigma2[cand.target_index]),
-                ref_id, ref_kf.keypoints[kp_ref],
-                2.0 * float(ref_kf.noise_sigma2[kp_ref]),
-            ))
+        pairs = sorted((c.query_index, c.target_index) for c in matches)
+        point, kp = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+        world = self.world
+        rows = _observation_rows(world, point, _FRAME_SENTINEL, frame.keypoints[kp],
+                                 self._noise_sigma2(frame.octaves)[kp])
+        poses = {k: world.keyframes[k].pose for k in np.unique(rows["ref_kf"]).tolist()}
         return OptimizationProblem(
-            cam=self.cam, poses=poses, points=points,
-            observations=np.array(rows, dtype=OBSERVATION),
-            model=self.covariance_model, variable_pose_ids=(_FRAME_SENTINEL,),
+            cam=self.cam, poses={**poses, _FRAME_SENTINEL: pose_wc},
+            points=dict(zip(point.tolist(), world.positions[point])),
+            observations=rows, model=self.covariance_model,
+            variable_pose_ids=(_FRAME_SENTINEL,),
         )
+
+    def _search(self, frame, kf_ids, pose_wc, site):
+        """Projection search of the points the keyframes hold, each
+        referenced from the holder nearest the predicted pose."""
+        point_ids = self._candidate_points(kf_ids)
+        self.world.reselect_references(point_ids, pose_wc.translation)
+        return search_by_projection(frame, self.world.point_batch(point_ids), pose_wc,
+                                    self.policy, self.cam, site=site)
 
     def _track(self, frame: FrameInput):
         """Two-stage projection search plus pose refinement.
@@ -449,12 +452,7 @@ class Pipeline:
         pose_wc = pred_cw.inverse()
 
         last_kf_id = self.world.keyframe_ids()[-1]
-        stage1 = self._candidate_points([last_kf_id])
-        self.world.reselect_references(stage1, pose_wc.translation)
-        matches = search_by_projection(
-            frame, stage1, pose_wc, self.policy, self.cam,
-            site=Site.PROJECTION_TRACK,
-        )
+        matches = self._search(frame, [last_kf_id], pose_wc, Site.PROJECTION_TRACK)
         n_track = len(matches)
         if n_track >= 6:
             try:
@@ -464,13 +462,8 @@ class Pipeline:
             except DegenerateProblemError:
                 pass
 
-        local_ids = self.world.local_keyframe_ids()
-        stage2 = self._candidate_points(local_ids)
-        self.world.reselect_references(stage2, pose_wc.translation)
-        matches = search_by_projection(
-            frame, stage2, pose_wc, self.policy, self.cam,
-            site=Site.PROJECTION_LOCAL,
-        )
+        matches = self._search(frame, self.world.local_keyframe_ids(), pose_wc,
+                               Site.PROJECTION_LOCAL)
         n_local = len(matches)
         if n_local < 6:
             return None, n_track, n_local
@@ -492,22 +485,17 @@ class Pipeline:
 
     # ------------------------------------------------------------------
 
-    def _local_ba(self, new_kf_id):
+    def _local_ba(self):
         world = self.world
         window = world.latest_keyframe_ids()
-        window_set = set(window)
         # points observed from the window, with every observing keyframe
-        point_ids = []
-        for pid in sorted(world.points):
-            obs = world.points[pid].observations
-            if any(k in window_set for k in obs):
-                point_ids.append(pid)
-        if not point_ids:
+        point, kf, kp = world.bindings()
+        point_ids = np.unique(point[np.isin(kf, window)])
+        if point_ids.size == 0:
             return
-        included_kfs = set()
-        for pid in point_ids:
-            included_kfs |= set(world.points[pid].observations)
-        anchors = sorted(included_kfs - window_set)
+        point, kf, kp = world.bindings(point_ids)
+        included_kfs = set(kf.tolist())
+        anchors = sorted(included_kfs - set(window))
         fixed = list(anchors)
         variable = list(window)
         while len(fixed) < 2 and len(variable) > 1:
@@ -515,49 +503,36 @@ class Pipeline:
         if not fixed:
             fixed.append(variable.pop(0))
 
-        poses = {k: world.keyframes[k].pose for k in sorted(included_kfs | window_set)}
-        points = {}
-        rows = []
-        for pid in point_ids:
-            point = world.points[pid]
-            points[pid] = point.position
-            ref_id = point.reference_kf_id
-            ref_kf = world.keyframes[ref_id]
-            kp_ref = point.observations[ref_id]
-            for kf_id, kp_index in point.observation_items():
-                kf = world.keyframes[kf_id]
-                rows.append((
-                    pid, kf_id, kf.keypoints[kp_index],
-                    2.0 * float(kf.noise_sigma2[kp_index]),
-                    ref_id, ref_kf.keypoints[kp_ref],
-                    2.0 * float(ref_kf.noise_sigma2[kp_ref]),
-                ))
-        variable_points = tuple(
-            pid for pid in point_ids
-            if len(world.points[pid].observations) >= 2
-        )
+        poses = {k: world.keyframes[k].pose for k in sorted(included_kfs | set(window))}
+        n_holders = np.bincount(np.searchsorted(point_ids, point))
+        variable_points = point_ids[n_holders >= 2]
         problem = OptimizationProblem(
-            cam=self.cam, poses=poses, points=points,
-            observations=np.array(rows, dtype=OBSERVATION),
+            cam=self.cam, poses=poses,
+            points=dict(zip(point_ids.tolist(), world.positions[point_ids])),
+            observations=_observation_rows(
+                world, point, kf, world.gather(kf, kp, "keypoints"),
+                world.gather(kf, kp, "noise_sigma2")),
             model=self.covariance_model,
             variable_pose_ids=tuple(sorted(variable)),
-            variable_point_ids=variable_points,
+            variable_point_ids=tuple(variable_points.tolist()),
         )
         result = local_bundle_adjustment(problem, self.outlier_mode)
         for kf_id in variable:
             world.keyframes[kf_id].pose = result.poses[kf_id]
-        for pid in variable_points:
-            world.points[pid].position = result.points[pid]
-        for (pid, kf_id), flag in result.inlier.items():
-            point = world.points.get(pid)
-            if point is not None and kf_id in point.observations:
-                point.inlier[kf_id] = flag
+        # result.points follows the problem's ascending point ids
+        refined = np.array(list(result.points.values()))
+        world.positions[variable_points] = refined[n_holders >= 2]
+        # rows sort by (point, kf), and so do their keys point << 32 | kf
+        pairs = np.array(list(result.inlier), dtype=np.int64).reshape(-1, 2)
+        rows = np.searchsorted(point << 32 | kf, pairs[:, 0] << 32 | pairs[:, 1])
+        flags = np.fromiter(result.inlier.values(), dtype=bool, count=rows.size)
+        for kf_id in np.unique(kf[rows]).tolist():
+            mine = kf[rows] == kf_id
+            world.keyframes[kf_id].inlier[kp[rows][mine]] = flags[mine]
         for pid, kf_id in result.removed:
-            point = world.points.get(pid)
-            if point is not None and kf_id in point.observations:
-                world.remove_observation(point, kf_id)
-                self.n_removed += 1
-        # moved poses and points leave cached intervals stale
+            world.remove_observation(pid, kf_id)
+        self.n_removed += len(result.removed)
+        # moved poses and points and removed observations change references
         world.refresh_points(point_ids)
 
     def _mapping_step(self, kf_new):
@@ -574,57 +549,54 @@ class Pipeline:
             ) < 1e-6:
                 continue
             found = search_for_triangulation(kf_prev, kf_new, self.policy, self.cam)
-            for tri in found:
-                point = world.create_point(tri.position, [
+            batch = [
+                world.create_point(tri.position, [
                     (kf_prev.kf_id, tri.candidate.query_index),
                     (kf_new.kf_id, tri.candidate.target_index),
                 ])
-                new_point_ids.append(point.point_id)
+                for tri in found
+            ]
+            world.refresh_points(batch)
+            new_point_ids += batch
 
         # fuse the new points into the other local keyframes
+        new_point_ids = np.array(new_point_ids, dtype=np.int64)  # ascending
         local_ids = [
             k for k in world.local_keyframe_ids() if k != kf_new.kf_id
         ]
         for kf_id in local_ids:
-            kf = world.keyframes[kf_id]
-            alive = [
-                world.points[p] for p in sorted(new_point_ids)
-                if p in world.points and kf_id not in world.points[p].observations
-            ]
-            if alive:
-                self._apply_fuse(alive, kf)
+            self._apply_fuse(new_point_ids, world.keyframes[kf_id])
 
         # fuse the local map into the new keyframe
-        local_points = [
-            p for p in self._candidate_points(local_ids)
-            if kf_new.kf_id not in p.observations
-        ]
-        if local_points:
-            self._apply_fuse(local_points, world.keyframes[kf_new.kf_id])
+        self._apply_fuse(self._candidate_points(local_ids), kf_new)
 
-        self._local_ba(kf_new.kf_id)
+        self._local_ba()
         world.apply_retention(kf_new.kf_id)
         world.check_integrity()
 
-    def _apply_fuse(self, points, kf):
+    def _apply_fuse(self, point_ids, kf):
+        """Fuse the live points that ``kf`` does not hold yet into it."""
         world = self.world
-        self.world.reselect_references(points, kf.pose.translation)
-        decisions = fuse(points, kf, self.policy, self.cam)
-        for dec in decisions:
-            point = world.points.get(dec.point_id)
-            if point is None:
+        point_ids = point_ids[world.live[point_ids] & ~np.isin(point_ids, kf.point_ids)]
+        if point_ids.size == 0:
+            return
+        world.reselect_references(point_ids, kf.pose.translation)
+        edited = []
+        for dec in fuse(world.point_batch(point_ids), kf, self.policy, self.cam):
+            pid, kp = dec.point_id, dec.keypoint_index
+            if not world.live[pid]:
                 continue
+            owner = int(kf.point_ids[kp])
             if dec.merged_into is None:
-                if kf.kf_id not in point.observations and \
-                        dec.keypoint_index not in kf.claims:
-                    world.add_observation(point, kf.kf_id, dec.keypoint_index)
-            else:
-                owner = kf.claims.get(dec.keypoint_index)
-                if owner is None or owner == dec.point_id:
-                    continue
-                survivor, absorbed = sorted((owner, dec.point_id))
-                if survivor in world.points and absorbed in world.points:
-                    world.merge_points(survivor, absorbed)
+                if owner < 0 and not np.any(kf.point_ids == pid):
+                    world.add_observation(pid, kf.kf_id, kp)
+                    edited.append(pid)
+            elif owner >= 0 and owner != pid:
+                survivor, absorbed = sorted((owner, pid))
+                world.merge_points(survivor, absorbed)
+                edited.append(survivor)
+        # points that were only reselected keep the reselected reference
+        world.refresh_points(edited)
 
     # ------------------------------------------------------------------
 
@@ -642,13 +614,9 @@ class Pipeline:
             frame.timestamp, pose_wc, frame.keypoints, frame.octaves,
             frame.descriptors,
         )
-        for cand in sorted(matches, key=lambda c: c.query_index):
-            point = self.world.points.get(cand.query_index)
-            if point is None or kf.kf_id in point.observations:
-                continue
-            if cand.target_index in kf.claims:
-                continue
-            self.world.add_observation(point, kf.kf_id, cand.target_index)
+        for cand in matches:
+            self.world.add_observation(cand.query_index, kf.kf_id, cand.target_index)
+        self.world.refresh_points([c.query_index for c in matches])
         self._mapping_step(kf)
         self.velocity_cw = kf.pose.inverse().compose(self.prev_pose_cw.inverse())
         self.prev_pose_cw = kf.pose.inverse()

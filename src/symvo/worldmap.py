@@ -1,10 +1,21 @@
-"""Keyframes, map points, the observation graph, and retention policy.
+"""Keyframes, map points, the one table that binds them, and retention.
 
-The map is owned and mutated by a single pipeline; every traversal runs
-in ascending id order so that identical inputs replay identically.  An
-observation binds one alive keyframe to one alive map point through the
-keyframe's claim table, and carries an inlier flag maintained by the
-optimizer.
+One binding invariant: each keyframe's per-keypoint ``point_ids`` column
+(-1 = free), with its parallel ``inlier`` column, is the only record of
+which point a keypoint observes.  A point's holders (the keyframes that
+observe it), depth-invariance interval and reference descriptor are
+gathered from the columns when needed, never cached.  Per point the map
+stores only a position and a reference keyframe id, in arrays indexed by
+point id.  The id is stored because two rules write it and the last one
+to run decides what readers see: ``refresh_points``, which each edit group
+calls once over the points it edited (edits never refresh), and
+``reselect_references`` before a projection search.
+
+``check_integrity`` asserts what the columns leave open: every live point
+has at least one holder, no keyframe binds a point to two keypoints, a
+point's reference keyframe is a holder, and no column names a dead point.
+The map is owned by a single pipeline; every traversal runs in ascending
+id order, so identical inputs replay identically.
 """
 
 from __future__ import annotations
@@ -14,6 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .association import PointBatch
 from .errors import WorldIntegrityError
 from .features import (
     DepthInterval,
@@ -40,43 +52,20 @@ class Keyframe:
     octaves: np.ndarray  # (N,)
     descriptors: np.ndarray  # (N, n_bytes) packed
     noise_sigma2: np.ndarray  # (N,)
-    claims: dict = field(default_factory=dict)  # keypoint index -> point id
+    point_ids: np.ndarray = field(init=False)  # (N,) observed point; -1 = free
+    inlier: np.ndarray = field(init=False)  # (N,) inlier flag of that binding
 
     def __post_init__(self):
         n = self.keypoints.shape[0]
         if not (self.octaves.shape[0] == self.descriptors.shape[0]
                 == self.noise_sigma2.shape[0] == n):
             raise ValueError("keyframe keypoint arrays must have equal length")
+        self.point_ids = np.full(n, -1, dtype=np.int64)
+        self.inlier = np.zeros(n, dtype=bool)
 
     @property
     def n_keypoints(self) -> int:
         return self.keypoints.shape[0]
-
-    def free_keypoints(self) -> np.ndarray:
-        mask = np.ones(self.n_keypoints, dtype=bool)
-        for idx in self.claims:
-            mask[idx] = False
-        return np.nonzero(mask)[0]
-
-
-@dataclass
-class MapPoint:
-    """An estimated 3D landmark and its keyframe observations."""
-
-    point_id: int
-    position: np.ndarray
-    observations: dict = field(default_factory=dict)  # kf_id -> keypoint index
-    inlier: dict = field(default_factory=dict)  # kf_id -> bool
-    reference_kf_id: int = -1
-    reference_descriptor: np.ndarray | None = None  # row of the reference's descriptors
-    depth_interval: DepthInterval = DepthInterval(0.0, float("inf"))
-
-    @property
-    def n_observations(self) -> int:
-        return len(self.observations)
-
-    def observation_items(self):
-        return sorted(self.observations.items())
 
 
 def keyframe_retention(new_frame_id: int, retained) -> set:
@@ -85,6 +74,16 @@ def keyframe_retention(new_frame_id: int, retained) -> set:
     ids = sorted(set(retained) | {new_frame_id})
     recent = set(ids[-RETENTION_LATEST:])
     return {k for k in ids if k % RETENTION_MOD == 0} | recent
+
+
+def _runs(point: np.ndarray) -> np.ndarray:
+    """First row of each point's run in point-sorted binding rows."""
+    return np.flatnonzero(np.diff(point, prepend=-1))
+
+
+def _free(kf: Keyframe, keypoints):
+    kf.point_ids[keypoints] = -1
+    kf.inlier[keypoints] = False
 
 
 class WorldMap:
@@ -97,9 +96,18 @@ class WorldMap:
         self.pyramid = pyramid
         self.descriptor_selection = descriptor_selection
         self.keyframes: dict[int, Keyframe] = {}
-        self.points: dict[int, MapPoint] = {}
+        # indexed by point id and doubled when full; id 0 is never handed
+        # out, so a reference of 0 means none chosen yet
+        self.positions = np.zeros((1, 3))
+        self.reference_kf = np.zeros(1, dtype=np.int64)
+        self.live = np.zeros(1, dtype=bool)
         self._next_kf_id = 1
         self._next_point_id = 1
+
+    @property
+    def points(self) -> np.ndarray:
+        """Ids of the live points, ascending."""
+        return np.flatnonzero(self.live)
 
     # ------------------------------------------------------------------
     # keyframes
@@ -127,161 +135,171 @@ class WorldMap:
         return self.keyframe_ids()[-RETENTION_LATEST:]
 
     # ------------------------------------------------------------------
-    # points and observations
+    # points and bindings
 
-    def create_point(self, position, observations) -> MapPoint:
-        """New point from (kf_id, keypoint_index) pairs; claims the keypoints."""
-        point = MapPoint(point_id=self._next_point_id,
-                         position=np.asarray(position, dtype=np.float64))
+    def create_point(self, position, observations) -> int:
+        """New point bound to (kf_id, keypoint_index) pairs; returns its id.
+        The next ``refresh_points`` over it chooses its reference."""
+        pid = self._next_point_id
         self._next_point_id += 1
-        self.points[point.point_id] = point
+        if pid == self.live.size:
+            self.positions, self.reference_kf, self.live = (
+                np.concatenate([a, np.zeros_like(a)])
+                for a in (self.positions, self.reference_kf, self.live))
+        self.positions[pid] = position
+        self.live[pid] = True
         for kf_id, kp_index in observations:
-            self.add_observation(point, kf_id, kp_index, refresh=False)
-        self._refresh_point(point)
-        return point
+            self.add_observation(pid, kf_id, kp_index)
+        return pid
 
-    def add_observation(self, point: MapPoint, kf_id: int, kp_index: int,
-                        refresh: bool = True):
-        if kf_id in point.observations:
-            raise WorldIntegrityError(
-                f"point {point.point_id} already observes keyframe {kf_id}"
-            )
+    def add_observation(self, point_id: int, kf_id: int, kp_index: int):
         kf = self.keyframes[kf_id]
-        kp_index = int(kp_index)
-        owner = kf.claims.get(kp_index)
-        if owner is not None:
+        if np.any(kf.point_ids == point_id):
             raise WorldIntegrityError(
-                f"keypoint {kp_index} of keyframe {kf_id} already bound to point {owner}"
-            )
-        kf.claims[kp_index] = point.point_id
-        point.observations[kf_id] = kp_index
-        point.inlier[kf_id] = True
-        if refresh:
-            self._refresh_point(point)
+                f"point {point_id} already observes keyframe {kf_id}")
+        if kf.point_ids[kp_index] >= 0:
+            raise WorldIntegrityError(
+                f"keypoint {kp_index} of keyframe {kf_id} already bound to point "
+                f"{kf.point_ids[kp_index]}")
+        kf.point_ids[kp_index] = point_id
+        kf.inlier[kp_index] = True
 
-    def refresh_points(self, point_ids):
-        """Batch recomputation after a group of observation edits."""
-        for pid in sorted(set(point_ids)):
-            point = self.points.get(pid)
-            if point is not None:
-                self._refresh_point(point)
-
-    def remove_observation(self, point: MapPoint, kf_id: int):
-        kp_index = point.observations.pop(kf_id)
-        point.inlier.pop(kf_id, None)
-        kf = self.keyframes.get(kf_id)
-        if kf is not None and kf.claims.get(kp_index) == point.point_id:
-            del kf.claims[kp_index]
-        if not point.observations:
-            self._drop_point(point)
-        else:
-            self._refresh_point(point)
+    def remove_observation(self, point_id: int, kf_id: int):
+        """Unbind the point from the keyframe; a point left with no holder dies."""
+        bound = self.keyframes[kf_id].point_ids == point_id
+        if not np.any(bound):
+            raise WorldIntegrityError(
+                f"point {point_id} does not observe keyframe {kf_id}")
+        _free(self.keyframes[kf_id], bound)
+        if not any(np.any(k.point_ids == point_id) for k in self.keyframes.values()):
+            self.live[point_id] = False
 
     def merge_points(self, dst_id: int, src_id: int):
         """Absorb ``src`` into ``dst``; on keyframe conflicts dst wins."""
         if dst_id == src_id:
             return
-        dst, src = self.points[dst_id], self.points[src_id]
-        for kf_id, kp_index in src.observation_items():
-            kf = self.keyframes[kf_id]
-            if kf_id in dst.observations:
-                if kf.claims.get(kp_index) == src_id:
-                    del kf.claims[kp_index]
-                continue
-            kf.claims[kp_index] = dst_id
-            dst.observations[kf_id] = kp_index
-            dst.inlier[kf_id] = src.inlier.get(kf_id, True)
-        del self.points[src_id]
-        self._refresh_point(dst)
+        for kf in self.keyframes.values():
+            if np.any(kf.point_ids == dst_id):
+                _free(kf, kf.point_ids == src_id)
+            else:
+                kf.point_ids[kf.point_ids == src_id] = dst_id
+        self.live[src_id] = False
 
-    def _refresh_point(self, point: MapPoint):
-        """Recompute the depth interval and re-select the reference."""
-        items = point.observation_items()
-        depths = [
-            float(self.keyframes[kf_id].pose.depth_of(point.position))
-            for kf_id, _ in items
-        ]
-        if min(depths) <= 0:
-            # behind-camera geometry yields an unmatchable (empty) interval
-            point.depth_interval = DepthInterval(1.0, 0.0)
-        else:
-            point.depth_interval = depth_invariance_interval(
-                depths, self.pyramid, DELTA_L
-            )
-        if self.descriptor_selection == "appearance":
-            ref = select_reference_appearance_index(np.stack(
-                [self.keyframes[kf_id].descriptors[kp] for kf_id, kp in items]))
-        else:
-            # geometric default: closest holder to the newest keyframe
-            query_t = self.keyframes[items[-1][0]].pose.translation
-            ref = select_reference_geometric_index(self._holders(items), query_t)
-        kf_id, kp = items[ref]
-        point.reference_kf_id = kf_id
-        point.reference_descriptor = self.keyframes[kf_id].descriptors[kp]
+    def _drop(self, point_ids):
+        """Free every keypoint bound to the given points and kill them."""
+        for kf in self.keyframes.values():
+            _free(kf, np.isin(kf.point_ids, point_ids))
+        self.live[point_ids] = False
 
-    def _holders(self, items) -> list:
-        """(kf_id, translation) of each observing keyframe, for
-        ``select_reference_geometric_index``."""
-        return [(kf_id, self.keyframes[kf_id].pose.translation)
-                for kf_id, _kp in items]
+    def bindings(self, point_ids=None) -> tuple:
+        """(point, kf, keypoint) arrays of every binding, sorted by point id
+        then keyframe id; only the bindings of ``point_ids`` when given."""
+        kfs = [self.keyframes[k] for k in self.keyframe_ids()]
+        point = np.concatenate([np.zeros(0, np.int64)] + [kf.point_ids for kf in kfs])
+        kf_id = np.repeat([kf.kf_id for kf in kfs],
+                          [kf.n_keypoints for kf in kfs]).astype(np.int64)
+        row = np.flatnonzero(point >= 0)
+        if point_ids is not None:
+            wanted = np.zeros(self.live.size, dtype=bool)
+            wanted[np.asarray(point_ids, dtype=np.int64)] = True
+            row = row[wanted[point[row]]]
+        # the columns are stacked in keyframe order, which a stable sort by
+        # point keeps within each point
+        row = row[np.argsort(point[row], kind="stable")]
+        return point[row], kf_id[row], row - np.searchsorted(kf_id, kf_id[row])
 
-    def reselect_references(self, points, query_translation):
+    def gather(self, kf_ids, keypoints, name: str) -> np.ndarray:
+        """``keyframes[kf_ids[i]].<name>[keypoints[i]]`` for every i, where
+        ``name`` is a per-keypoint array such as ``descriptors``."""
+        ids = self.keyframe_ids()
+        first = np.cumsum([0] + [self.keyframes[k].n_keypoints for k in ids])
+        table = np.concatenate([getattr(self.keyframes[k], name) for k in ids])
+        return table[first[np.searchsorted(ids, kf_ids)] + keypoints]
+
+    def _pose_rows(self, kf_ids, value) -> np.ndarray:
+        """The 3-vector ``value(pose)`` of each keyframe in ``kf_ids``."""
+        ids, at = np.unique(kf_ids, return_inverse=True)
+        return np.array([value(self.keyframes[k].pose) for k in ids.tolist()],
+                        dtype=np.float64).reshape(-1, 3)[at]
+
+    def references(self, point_ids) -> tuple:
+        """(reference keyframe id, its keypoint) of each point, in order."""
+        point_ids = np.asarray(point_ids, dtype=np.int64)
+        point, kf, kp = self.bindings(point_ids)
+        ref = kf == self.reference_kf[point]
+        at = np.searchsorted(point[ref], point_ids)
+        return kf[ref][at], kp[ref][at]
+
+    def point_batch(self, point_ids) -> PointBatch:
+        """The given points, in the order given, as the projection searches
+        read them: positions, reference descriptors, and depth-invariance
+        intervals over their holders' current poses."""
+        point_ids = np.asarray(point_ids, dtype=np.int64)
+        point, kf, _ = self.bindings(point_ids)
+        starts = _runs(point)
+        # each holder's depth (p - t) . R[:, 2]; a (1, 3) @ (3, 1) matmul per
+        # row rounds exactly as ``Pose.depth_of`` does, einsum would not
+        offset = self.positions[point] - self._pose_rows(kf, lambda p: p.translation)
+        axis = self._pose_rows(kf, lambda p: p.rotation[:, 2])
+        depths = (offset[:, None, :] @ axis[:, :, None])[:, 0, 0]
+        depth = depth_invariance_interval(depths, starts, self.pyramid, DELTA_L)
+        at = np.searchsorted(point[starts], point_ids)
+        return PointBatch(
+            ids=point_ids,
+            positions=self.positions[point_ids],
+            descriptors=self.gather(*self.references(point_ids), "descriptors"),
+            depth=DepthInterval(depth.z_min[at], depth.z_max[at]),
+        )
+
+    def refresh_points(self, point_ids):
+        """Re-select the references of the points an edit group touched: the
+        holder nearest the point's newest holder (geometric policy) or the
+        holder descriptor with least median distance to the others
+        (appearance policy).  Dead ids are skipped."""
+        self._select_references(point_ids, None)
+
+    def reselect_references(self, point_ids, query_translation):
         """Per-query geometric re-selection (no-op under appearance policy)."""
-        if self.descriptor_selection != "geometric":
-            return
-        for point in points:
-            items = point.observation_items()
-            ref = select_reference_geometric_index(
-                self._holders(items), query_translation
-            )
-            kf_id, kp = items[ref]
-            if kf_id != point.reference_kf_id:
-                point.reference_kf_id = kf_id
-                point.reference_descriptor = self.keyframes[kf_id].descriptors[kp]
+        if self.descriptor_selection == "geometric":
+            self._select_references(point_ids, query_translation)
+
+    def _select_references(self, point_ids, query):
+        point, kf, kp = self.bindings(point_ids)
+        starts = _runs(point)
+        if self.descriptor_selection == "appearance" and query is None:
+            rows = select_reference_appearance_index(
+                self.gather(kf, kp, "descriptors"), starts)
+        else:
+            t = self._pose_rows(kf, lambda p: p.translation)
+            if query is None:  # each point's newest holder: its run's last row
+                query = t[np.searchsorted(point, point, side="right") - 1]
+            rows = select_reference_geometric_index(kf, t, query, starts)
+        self.reference_kf[point[starts]] = kf[rows]
 
     # ------------------------------------------------------------------
     # maintenance
 
     def cull_points(self) -> list:
-        """Remove points with fewer than two observations; returns culled ids."""
-        culled = []
-        for pid in sorted(self.points):
-            point = self.points[pid]
-            if point.n_observations < 2:
-                self._drop_point(point)
-                culled.append(pid)
-        return culled
-
-    def _drop_point(self, point: MapPoint):
-        """Release the point's keypoint claims and delete it."""
-        for kf_id, kp_index in point.observation_items():
-            kf = self.keyframes.get(kf_id)
-            if kf is not None and kf.claims.get(kp_index) == point.point_id:
-                del kf.claims[kp_index]
-        del self.points[point.point_id]
+        """Remove points with fewer than two holders; returns culled ids."""
+        point, _, _ = self.bindings()
+        holders = np.bincount(point, minlength=self.live.size)
+        culled = np.flatnonzero(self.live & (holders < 2))
+        self._drop(culled)
+        return culled.tolist()
 
     def apply_retention(self, new_kf_id: int) -> list:
         """Cull keyframes outside the retention set; returns culled ids."""
         retained = keyframe_retention(new_kf_id, self.keyframes.keys())
         culled = [k for k in self.keyframe_ids() if k not in retained]
-        touched = set()
-        for kf_id in culled:
-            kf = self.keyframes[kf_id]
-            for kp_index in sorted(kf.claims):
-                pid = kf.claims[kp_index]
-                point = self.points.get(pid)
-                if point is not None and kf_id in point.observations:
-                    point.observations.pop(kf_id)
-                    point.inlier.pop(kf_id, None)
-                    touched.add(pid)
-            del self.keyframes[kf_id]
-        # orphaned points: below the two-observation survival threshold
-        for pid in sorted(touched):
-            point = self.points[pid]
-            if point.n_observations < 2:
-                self._drop_point(point)
-            else:
-                self._refresh_point(point)
+        if not culled:
+            return culled
+        held = np.concatenate([self.keyframes.pop(k).point_ids for k in culled])
+        touched = np.unique(held[held >= 0])
+        point, _, _ = self.bindings(touched)
+        holders = np.bincount(point, minlength=self.live.size)[touched]
+        # orphaned points: below the two-holder survival threshold
+        self._drop(touched[holders < 2])
+        self.refresh_points(touched[holders >= 2])
         return culled
 
     # ------------------------------------------------------------------
@@ -289,53 +307,39 @@ class WorldMap:
 
     def local_keyframe_ids(self) -> list:
         """Latest keyframes plus retained ones sharing at least one point."""
-        latest = set(self.latest_keyframe_ids())
-        shared = set()
-        for pid in sorted(self.points):
-            obs_kfs = set(self.points[pid].observations)
-            if obs_kfs & latest:
-                shared |= obs_kfs
-        return sorted(latest | shared)
+        latest = self.latest_keyframe_ids()
+        point, kf, _ = self.bindings()
+        shared = np.isin(point, point[np.isin(kf, latest)])
+        return sorted(set(latest) | set(kf[shared].tolist()))
 
     def graph_stats(self) -> "GraphStats":
         return GraphStats(
             n_map_points=len(self.points),
             n_local_keyframes=len(self.local_keyframe_ids()),
             n_observation_inliers=sum(
-                sum(point.inlier.values()) for point in self.points.values()
+                int(np.count_nonzero(kf.inlier[kf.point_ids >= 0]))
+                for kf in self.keyframes.values()
             ),
         )
 
     def check_integrity(self):
-        """Assert the bipartite no-dangling invariants; raises on violation."""
-        for pid, point in self.points.items():
-            if point.n_observations < 1:
-                raise WorldIntegrityError(f"point {pid} has no observations")
-            if point.inlier.keys() != point.observations.keys():
-                raise WorldIntegrityError(
-                    f"point {pid} inlier flags and observations name other keyframes"
-                )
-            for kf_id, kp_index in point.observations.items():
-                kf = self.keyframes.get(kf_id)
-                if kf is None:
-                    raise WorldIntegrityError(
-                        f"point {pid} observes dead keyframe {kf_id}"
-                    )
-                if kf.claims.get(kp_index) != pid:
-                    raise WorldIntegrityError(
-                        f"claim mismatch at keyframe {kf_id} keypoint {kp_index}"
-                    )
-            if point.reference_kf_id not in point.observations:
-                raise WorldIntegrityError(
-                    f"point {pid} reference keyframe is not observed"
-                )
-        for kf_id, kf in self.keyframes.items():
-            for kp_index, pid in kf.claims.items():
-                point = self.points.get(pid)
-                if point is None or point.observations.get(kf_id) != kp_index:
-                    raise WorldIntegrityError(
-                        f"dangling claim at keyframe {kf_id} keypoint {kp_index}"
-                    )
+        """Assert the binding invariants; raises on violation."""
+        point, kf, _ = self.bindings()
+        dead = np.flatnonzero(~np.isin(point, self.points))
+        if dead.size:
+            raise WorldIntegrityError(
+                f"keyframe {kf[dead[0]]} binds dead point {point[dead[0]]}")
+        twice = np.flatnonzero((np.diff(point) == 0) & (np.diff(kf) == 0))
+        if twice.size:
+            raise WorldIntegrityError(
+                f"keyframe {kf[twice[0]]} binds point {point[twice[0]]} twice")
+        n = self.live.size
+        for held, what in ((point, "has no holder"),
+                           (point[kf == self.reference_kf[point]],
+                            "reference keyframe is not a holder")):
+            bad = np.flatnonzero(self.live & (np.bincount(held, minlength=n) == 0))
+            if bad.size:
+                raise WorldIntegrityError(f"point {bad[0]} {what}")
 
 
 class GraphStats(NamedTuple):

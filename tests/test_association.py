@@ -18,7 +18,7 @@ from symvo.association import (
     triangulate_rays,
 )
 from symvo.errors import NoBaselineError
-from symvo.features import Descriptor, PyramidConfig, pack_descriptors
+from symvo.features import DepthInterval, Descriptor, PyramidConfig, pack_descriptors
 from symvo.geometry import CameraIntrinsics, Pose, project, so3_exp, unit_ray
 from symvo.worldmap import Keyframe, WorldMap
 
@@ -245,15 +245,21 @@ def build_world(rng, n_points=40, n_frames=3, spacing=0.5, noise=0.0,
     return world, kfs, landmarks, signatures
 
 
+def add_point(world, position, observations) -> int:
+    """A new point with its reference chosen, as an edit group leaves it."""
+    pid = world.create_point(position, observations)
+    world.refresh_points([pid])
+    return pid
+
+
 class TestSearchByProjection:
     def test_noiseless_frame_matches_every_visible_landmark(self):
         rng = np.random.default_rng(6)
         world, kfs, landmarks, signatures = build_world(rng)
         for i in range(len(landmarks)):
-            world.create_point(landmarks[i], [(kfs[0].kf_id, i), (kfs[1].kf_id, i)])
-        points = [world.points[p] for p in sorted(world.points)]
+            add_point(world, landmarks[i], [(kfs[0].kf_id, i), (kfs[1].kf_id, i)])
         got = search_by_projection(
-            kfs[2], points, kfs[2].pose, make_policy(), CAM
+            kfs[2], world.point_batch(world.points), kfs[2].pose, make_policy(), CAM
         )
         assert len(got) == len(landmarks)
         for cand in got:
@@ -263,33 +269,26 @@ class TestSearchByProjection:
     def test_point_behind_camera_never_a_candidate(self):
         rng = np.random.default_rng(7)
         world, kfs, landmarks, signatures = build_world(rng)
-        pid = world.create_point(
-            landmarks[0], [(kfs[0].kf_id, 0), (kfs[1].kf_id, 0)]
-        ).point_id
-        behind = world.points[pid]
-        behind.position = np.array([0.0, 0.0, -10.0])
+        pid = add_point(world, landmarks[0], [(kfs[0].kf_id, 0), (kfs[1].kf_id, 0)])
+        world.positions[pid] = [0.0, 0.0, -10.0]
         got = search_by_projection(
-            kfs[2], [behind], kfs[2].pose, make_policy(use_depth_filter=False),
-            CAM,
+            kfs[2], world.point_batch([pid]), kfs[2].pose,
+            make_policy(use_depth_filter=False), CAM,
         )
         assert got == []
 
     def test_depth_filter_excludes_out_of_interval_points(self):
         rng = np.random.default_rng(8)
         world, kfs, landmarks, signatures = build_world(rng)
-        pid = world.create_point(
-            landmarks[0], [(kfs[0].kf_id, 0), (kfs[1].kf_id, 0)]
-        ).point_id
-        point = world.points[pid]
+        pid = add_point(world, landmarks[0], [(kfs[0].kf_id, 0), (kfs[1].kf_id, 0)])
         # fake a far-away interval so the true predicted depth fails it
-        from symvo.features import DepthInterval
-
-        point.depth_interval = DepthInterval(100.0, 200.0)
+        point = world.point_batch([pid])._replace(
+            depth=DepthInterval(np.array([100.0]), np.array([200.0])))
         with_filter = search_by_projection(
-            kfs[2], [point], kfs[2].pose, make_policy(use_depth_filter=True), CAM
+            kfs[2], point, kfs[2].pose, make_policy(use_depth_filter=True), CAM
         )
         without = search_by_projection(
-            kfs[2], [point], kfs[2].pose, make_policy(use_depth_filter=False), CAM
+            kfs[2], point, kfs[2].pose, make_policy(use_depth_filter=False), CAM
         )
         assert with_filter == [] and len(without) == 1
 
@@ -330,15 +329,18 @@ class TestSearchForTriangulation:
             world.create_point(landmarks[i], [(kfs[0].kf_id, i), (kfs[2].kf_id, i)])
         for i in range(10, 20):
             world.create_point(landmarks[i], [(kfs[1].kf_id, i), (kfs[2].kf_id, i)])
+        bound_a = set(np.flatnonzero(kfs[0].point_ids >= 0).tolist())
+        bound_b = set(np.flatnonzero(kfs[1].point_ids >= 0).tolist())
+        assert bound_a == set(range(10)) and bound_b == set(range(10, 20))
         got = search_for_triangulation(kfs[0], kfs[1], make_policy(), CAM)
-        assert not {t.candidate.query_index for t in got} & set(kfs[0].claims)
-        assert not {t.candidate.target_index for t in got} & set(kfs[1].claims)
+        assert not {t.candidate.query_index for t in got} & bound_a
+        assert not {t.candidate.target_index for t in got} & bound_b
         assert sorted(t.candidate.query_index for t in got) == list(range(20, 40))
 
         # oracle: the same search on keyframes cut down to their free
         # keypoints, with the cut-down indices mapped back
         def free_only(kf):
-            keep = kf.free_keypoints()
+            keep = np.flatnonzero(kf.point_ids < 0)
             sub = Keyframe(kf.kf_id, kf.timestamp, kf.pose, kf.keypoints[keep],
                            kf.octaves[keep], kf.descriptors[keep],
                            kf.noise_sigma2[keep])
@@ -392,37 +394,32 @@ class TestFuse:
     def test_duplicate_landmark_merges(self):
         rng = np.random.default_rng(12)
         world, kfs, landmarks, signatures = build_world(rng)
-        a = world.create_point(landmarks[0], [(kfs[0].kf_id, 0), (kfs[1].kf_id, 0)])
-        b = world.create_point(
-            landmarks[0] + rng.normal(scale=1e-4, size=3), [(kfs[2].kf_id, 0)]
-        )
-        points = [world.points[p] for p in sorted(world.points)]
-        decisions = fuse(points, kfs[2], make_policy(), CAM)
+        a = add_point(world, landmarks[0], [(kfs[0].kf_id, 0), (kfs[1].kf_id, 0)])
+        add_point(world, landmarks[0] + rng.normal(scale=1e-4, size=3),
+                  [(kfs[2].kf_id, 0)])
+        decisions = fuse(world.point_batch(world.points), kfs[2], make_policy(), CAM)
         merges = [d for d in decisions if d.merged_into is not None]
         assert len(merges) == 1
-        assert merges[0].merged_into == a.point_id
+        assert merges[0].merged_into == a
 
     def test_distant_points_do_not_merge(self):
         rng = np.random.default_rng(13)
         world, kfs, landmarks, signatures = build_world(rng)
-        world.create_point(landmarks[0], [(kfs[0].kf_id, 0), (kfs[1].kf_id, 0)])
-        world.create_point(landmarks[1], [(kfs[0].kf_id, 1), (kfs[1].kf_id, 1)])
-        points = [world.points[p] for p in sorted(world.points)]
-        decisions = fuse(points, kfs[2], make_policy(), CAM)
+        add_point(world, landmarks[0], [(kfs[0].kf_id, 0), (kfs[1].kf_id, 0)])
+        add_point(world, landmarks[1], [(kfs[0].kf_id, 1), (kfs[1].kf_id, 1)])
+        decisions = fuse(world.point_batch(world.points), kfs[2], make_policy(), CAM)
         assert all(d.merged_into is None for d in decisions)
 
     def test_attach_matches_brute_force_best_candidate(self):
         rng = np.random.default_rng(14)
         world, kfs, landmarks, signatures = build_world(rng, flip=0.02)
-        pid = world.create_point(
-            landmarks[5], [(kfs[0].kf_id, 5), (kfs[1].kf_id, 5)]
-        ).point_id
-        point = world.points[pid]
-        decisions = fuse([point], kfs[2], make_policy(), CAM)
+        pid = add_point(world, landmarks[5], [(kfs[0].kf_id, 5), (kfs[1].kf_id, 5)])
+        point = world.point_batch([pid])
+        decisions = fuse(point, kfs[2], make_policy(), CAM)
         # brute force: the admissible keypoint with least hamming
         from symvo.features import hamming
 
-        reference = Descriptor(point.reference_descriptor.tobytes())
+        reference = Descriptor(point.descriptors[0].tobytes())
         dists = [
             (hamming(reference, Descriptor(kfs[2].descriptors[i].tobytes())), i)
             for i in range(kfs[2].n_keypoints)

@@ -4,7 +4,7 @@ import statistics
 import numpy as np
 import pytest
 
-from symvo.errors import DescriptorMismatchError, InvalidDepthError
+from symvo.errors import DescriptorMismatchError
 from symvo.features import (
     DepthInterval,
     Descriptor,
@@ -128,10 +128,30 @@ def appearance_index_loop(descriptors):
     return best_idx
 
 
+def appearance_index(descriptors) -> int:
+    """The appearance rule on one group."""
+    (row,) = select_reference_appearance_index(pack_descriptors(descriptors), [0])
+    return int(row)
+
+
+def geometric_index(holders, query) -> int:
+    """The geometric rule on one group of (kf_id, translation) holders."""
+    kf_ids = [kf_id for kf_id, _ in holders]
+    translations = np.array([t for _, t in holders], dtype=np.float64).reshape(-1, 3)
+    (row,) = select_reference_geometric_index(kf_ids, translations, query, [0])
+    return int(row)
+
+
+def interval(depths, delta_l):
+    """The depth-invariance interval of one group, as two floats."""
+    iv = depth_invariance_interval(depths, [0], PYR, delta_l)
+    return DepthInterval(float(iv.z_min[0]), float(iv.z_max[0]))
+
+
 class TestReferenceAppearance:
     def test_singleton(self):
         d = Descriptor.random(np.random.default_rng(4))
-        assert select_reference_appearance_index(pack_descriptors([d])) == 0
+        assert appearance_index([d]) == 0
 
     def test_duplicated_descriptor_wins(self):
         rng = np.random.default_rng(5)
@@ -151,7 +171,7 @@ class TestReferenceAppearance:
             )
             if best_med is None or med < best_med:
                 best, best_med = i, med
-        assert select_reference_appearance_index(pack_descriptors(pool)) == best
+        assert appearance_index(pool) == best
         # two zero-distances among four beat the unduplicated outsiders
         assert best == 1
 
@@ -169,14 +189,12 @@ class TestReferenceAppearance:
         assert hamming(d2, d3) == 12
         # medians: d1 -> 6, d2 -> 7, d3 -> 11; d1 wins outright here, so
         # also check the pure tie case with two copies of the same set
-        assert select_reference_appearance_index(
-            pack_descriptors([d1, d2, d3])) == 0
-        assert select_reference_appearance_index(
-            pack_descriptors([d1, Descriptor(d1.bits)])) == 0
+        assert appearance_index([d1, d2, d3]) == 0
+        assert appearance_index([d1, Descriptor(d1.bits)]) == 0
 
     def test_empty_raises(self):
         with pytest.raises(ValueError):
-            select_reference_appearance_index(pack_descriptors([]))
+            appearance_index([])
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 9, 16, 17])
     def test_matches_median_loop(self, n):
@@ -187,7 +205,7 @@ class TestReferenceAppearance:
             pool = [Descriptor.random(rng, n_bits) for _ in range(n)]
             if trial % 3 == 0:
                 pool[-1] = Descriptor(pool[0].bits)
-            assert select_reference_appearance_index(pack_descriptors(pool)) == \
+            assert appearance_index(pool) == \
                 appearance_index_loop(pool)
 
     def test_tie_goes_to_lowest_index(self):
@@ -197,18 +215,39 @@ class TestReferenceAppearance:
                 Descriptor(d.bits)]
         # three holders share median 0; the first one wins
         assert appearance_index_loop(pool) == 0
-        assert select_reference_appearance_index(pack_descriptors(pool)) == 0
-        assert select_reference_appearance_index(pack_descriptors(pool[2:])) == 0
+        assert appearance_index(pool) == 0
+        assert appearance_index(pool[2:]) == 0
 
     def test_permutation_invariant_up_to_tie_break(self):
         rng = np.random.default_rng(6)
         pool = [Descriptor.random(rng) for _ in range(9)]
-        ref = pool[select_reference_appearance_index(pack_descriptors(pool))]
+        ref = pool[appearance_index(pool)]
         for _ in range(10):
             perm = list(rng.permutation(len(pool)))
             shuffled = [pool[i] for i in perm]
-            got = select_reference_appearance_index(pack_descriptors(shuffled))
+            got = appearance_index(shuffled)
             assert shuffled[got].bits == ref.bits
+
+    def test_groups_in_one_call_match_the_loop_per_group(self):
+        rng = np.random.default_rng(7)
+        for _ in range(40):
+            sizes = rng.integers(1, 8, size=rng.integers(1, 6))
+            groups = [[Descriptor.random(rng, 16) for _ in range(m)] for m in sizes]
+            for group in groups[::2]:
+                group[-1] = Descriptor(group[0].bits)  # ties among equal medians
+            starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+            got = select_reference_appearance_index(
+                pack_descriptors([d for g in groups for d in g]), starts)
+            # a singleton wins by definition; the loop needs two members
+            assert (got - starts).tolist() == \
+                [appearance_index_loop(g) if len(g) > 1 else 0 for g in groups]
+
+    @pytest.mark.parametrize("starts", [[1], [0, 0], [0, 5], []])
+    def test_groups_must_be_nonempty_runs(self, starts):
+        rng = np.random.default_rng(8)
+        packed = pack_descriptors([Descriptor.random(rng) for _ in range(4)])
+        with pytest.raises(ValueError):
+            select_reference_appearance_index(packed, starts)
 
 
 class TestReferenceGeometric:
@@ -218,49 +257,64 @@ class TestReferenceGeometric:
             (2, np.array([1.0, 0.0, 0.0])),
             (3, np.array([5.0, 0.0, 0.0])),
         ]
-        assert select_reference_geometric_index(holders, (1.1, 0, 0)) == 1
+        assert geometric_index(holders, (1.1, 0, 0)) == 1
 
     def test_coincident_query(self):
         holders = [(4, np.array([2.0, 1.0, 0.0])),
                    (9, np.array([-3.0, 0.0, 1.0]))]
-        assert select_reference_geometric_index(holders, (-3, 0, 1)) == 1
+        assert geometric_index(holders, (-3, 0, 1)) == 1
 
     def test_equidistant_tie_breaks_to_lower_id(self):
         holders = [(7, np.array([1.0, 0.0, 0.0])),
                    (3, np.array([-1.0, 0.0, 0.0]))]
-        assert select_reference_geometric_index(holders, (0, 0, 0)) == 1
+        assert geometric_index(holders, (0, 0, 0)) == 1
 
     def test_empty_raises(self):
         with pytest.raises(ValueError):
-            select_reference_geometric_index([], (0, 0, 0))
+            geometric_index([], (0, 0, 0))
+
+    def test_groups_in_one_call_match_one_call_per_group(self):
+        rng = np.random.default_rng(9)
+        for _ in range(40):
+            sizes = rng.integers(1, 7, size=rng.integers(1, 6))
+            groups = [[(int(k), np.round(rng.normal(size=3)))
+                       for k in rng.choice(40, m, replace=False)] for m in sizes]
+            starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+            kf_ids = [k for g in groups for k, _ in g]
+            translations = np.array([t for g in groups for _, t in g])
+            # per-row queries: each group asks for its own last holder's place
+            queries = np.repeat([g[-1][1] for g in groups], sizes, axis=0)
+            got = select_reference_geometric_index(kf_ids, translations, queries, starts)
+            assert (got - starts).tolist() == \
+                [geometric_index(g, g[-1][1]) for g in groups]
 
 
 class TestDepthInterval:
     def test_single_observation_delta_one(self):
-        iv = depth_invariance_interval([2.0], PYR, delta_l=1)
+        iv = interval([2.0], delta_l=1)
         assert iv.z_min == pytest.approx(2.0 * 1.2**-1.5, abs=1e-9)
         assert iv.z_max == pytest.approx(2.0 * 1.2**1.5, abs=1e-9)
         assert iv.z_min == pytest.approx(1.5214, abs=1e-3)
         assert iv.z_max == pytest.approx(2.6290, abs=1e-3)
 
     def test_single_observation_delta_zero(self):
-        iv = depth_invariance_interval([2.0], PYR, delta_l=0)
+        iv = interval([2.0], delta_l=0)
         assert iv.z_min == pytest.approx(1.8257, abs=1e-3)
         assert iv.z_max == pytest.approx(2.1909, abs=1e-3)
 
     def test_disagreeing_observations_yield_empty(self):
-        iv = depth_invariance_interval([2.0, 4.0], PYR, delta_l=1)
+        iv = interval([2.0, 4.0], delta_l=1)
         assert iv.z_min == pytest.approx(4.0 * 1.2**-1.5, abs=1e-9)
         assert iv.z_max == pytest.approx(2.0 * 1.2**1.5, abs=1e-9)
-        assert iv.is_empty
+        assert iv.z_min > iv.z_max
 
     def test_monotone_in_delta_l(self):
         rng = np.random.default_rng(10)
         for _ in range(100):
             depths = rng.uniform(1.0, 30.0, size=rng.integers(1, 6))
-            prev = depth_invariance_interval(depths, PYR, delta_l=0)
+            prev = interval(depths, delta_l=0)
             for dl in range(1, 4):
-                cur = depth_invariance_interval(depths, PYR, delta_l=dl)
+                cur = interval(depths, delta_l=dl)
                 assert cur.z_min <= prev.z_min + 1e-12
                 assert cur.z_max >= prev.z_max - 1e-12
                 prev = cur
@@ -269,38 +323,55 @@ class TestDepthInterval:
         rng = np.random.default_rng(11)
         for _ in range(100):
             depths = list(rng.uniform(1.0, 30.0, size=4))
-            iv_all = depth_invariance_interval(depths, PYR, 1)
-            iv_sub = depth_invariance_interval(depths[:2], PYR, 1)
+            iv_all = interval(depths, 1)
+            iv_sub = interval(depths[:2], 1)
             assert iv_all.z_min >= iv_sub.z_min - 1e-12
             assert iv_all.z_max <= iv_sub.z_max + 1e-12
 
     def test_permutation_invariant(self):
         depths = [3.0, 7.0, 5.0, 4.4]
-        a = depth_invariance_interval(depths, PYR, 1)
-        b = depth_invariance_interval(depths[::-1], PYR, 1)
-        assert a == b
+        assert interval(depths, 1) == interval(depths[::-1], 1)
 
-    def test_requires_positive_depths(self):
-        with pytest.raises(InvalidDepthError):
-            depth_invariance_interval([2.0, -1.0], PYR, 1)
+    def test_nonpositive_depth_gives_the_empty_interval(self):
+        # a point behind one of its holders' cameras is never matched
+        assert interval([2.0, -1.0], 1) == (1.0, 0.0)
+        assert interval([0.0], 1) == (1.0, 0.0)
+
+    def test_requires_nonempty_groups(self):
         with pytest.raises(ValueError):
-            depth_invariance_interval([], PYR, 1)
+            depth_invariance_interval([], [0], PYR, 1)
+        with pytest.raises(ValueError):
+            depth_invariance_interval([2.0, 3.0], [0, 2], PYR, 1)
+
+    def test_groups_in_one_call_match_one_call_per_group(self):
+        rng = np.random.default_rng(13)
+        sizes = rng.integers(1, 6, size=30)
+        depths = rng.uniform(1.0, 30.0, size=sizes.sum())
+        depths[rng.integers(0, depths.size, 3)] *= -1
+        starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+        got = depth_invariance_interval(depths, starts, PYR, 1)
+        want = [interval(depths[a:a + m], 1) for a, m in zip(starts, sizes)]
+        assert list(zip(got.z_min.tolist(), got.z_max.tolist())) == want
 
 
 class TestDepthFilter:
     def test_example_interval_membership(self):
-        iv = depth_invariance_interval([2.0], PYR, 1)
+        iv = interval([2.0], 1)
         assert iv.contains(2.0)
 
     def test_empty_interval_rejects_everything(self):
-        iv = DepthInterval(4.0, 2.0)
+        iv = DepthInterval(np.array([4.0]), np.array([2.0]))
         for z in (0.5, 2.0, 3.0, 4.0, 100.0):
-            assert not iv.contains(z)
+            assert not iv.contains(z).any()
 
     def test_boundary_is_closed(self):
-        iv = depth_invariance_interval([2.0], PYR, 1)
+        iv = interval([2.0], 1)
         assert iv.contains(iv.z_min)
         assert iv.contains(iv.z_max)
+
+    def test_elementwise_over_points(self):
+        iv = DepthInterval(np.array([1.0, 2.0, 4.0]), np.array([3.0, 2.5, 3.0]))
+        assert iv.contains(np.array([2.0, 3.0, 3.5])).tolist() == [True, False, False]
 
     def test_octave_simulation_oracle(self):
         # a query depth passes iff its implied octave shift relative to
@@ -310,7 +381,7 @@ class TestDepthFilter:
         for _ in range(50):
             depths = rng.uniform(1.5, 20.0, size=rng.integers(1, 5))
             dl = int(rng.integers(0, 3))
-            iv = depth_invariance_interval(depths, PYR, dl)
+            iv = interval(depths, dl)
             for z_q in np.geomspace(0.5, 50.0, 100):
                 shifts = np.log(depths / z_q) / np.log(s)
                 oracle = bool(np.all(np.abs(np.rint(shifts)) <= dl))

@@ -7,6 +7,7 @@ from symvo.features import (
     PyramidConfig,
     depth_invariance_interval,
     pack_descriptors,
+    select_reference_appearance_index,
 )
 from symvo.geometry import CameraIntrinsics, Pose, project
 from symvo.worldmap import DELTA_L, GraphStats, WorldMap, keyframe_retention
@@ -70,79 +71,174 @@ def tiny_world(rng, n_landmarks=12, n_frames=6, spacing=0.4,
     return world, kfs, landmarks
 
 
+def add_point(world, position, observations) -> int:
+    """A new point with its reference chosen, as an edit group leaves it."""
+    pid = world.create_point(position, observations)
+    world.refresh_points([pid])
+    return pid
+
+
+def holders(world, pid) -> list:
+    return world.bindings([pid])[1].tolist()
+
+
 class TestObservations:
-    def test_first_observation_sets_reference(self):
+    def test_refresh_sets_reference(self):
         rng = np.random.default_rng(0)
         world, kfs, landmarks = tiny_world(rng)
-        point = world.create_point(landmarks[0], [(kfs[0].kf_id, 0)])
-        assert point.reference_kf_id == kfs[0].kf_id
-        assert np.array_equal(point.reference_descriptor, kfs[0].descriptors[0])
+        pid = add_point(world, landmarks[0], [(kfs[0].kf_id, 0)])
+        assert world.reference_kf[pid] == kfs[0].kf_id
+        assert np.array_equal(world.point_batch([pid]).descriptors[0],
+                              kfs[0].descriptors[0])
 
     def test_duplicate_keyframe_observation_rejected(self):
         rng = np.random.default_rng(1)
         world, kfs, landmarks = tiny_world(rng)
-        point = world.create_point(landmarks[0], [(kfs[0].kf_id, 0)])
+        pid = add_point(world, landmarks[0], [(kfs[0].kf_id, 0)])
         with pytest.raises(WorldIntegrityError):
-            world.add_observation(point, kfs[0].kf_id, 1)
+            world.add_observation(pid, kfs[0].kf_id, 1)
+
+    def test_bound_keypoint_rejected(self):
+        rng = np.random.default_rng(1)
+        world, kfs, landmarks = tiny_world(rng)
+        add_point(world, landmarks[0], [(kfs[0].kf_id, 0)])
+        other = add_point(world, landmarks[1], [(kfs[1].kf_id, 1)])
+        with pytest.raises(WorldIntegrityError, match="already bound"):
+            world.add_observation(other, kfs[0].kf_id, 0)
 
     def test_adding_observation_never_widens_interval(self):
         rng = np.random.default_rng(2)
         world, kfs, landmarks = tiny_world(rng)
-        point = world.create_point(landmarks[3], [(kfs[0].kf_id, 3)])
-        prev = point.depth_interval
+        pid = add_point(world, landmarks[3], [(kfs[0].kf_id, 3)])
+        prev = world.point_batch([pid]).depth
         for kf in kfs[1:]:
-            world.add_observation(point, kf.kf_id, 3)
-            cur = point.depth_interval
-            assert cur.z_min >= prev.z_min - 1e-12
-            assert cur.z_max <= prev.z_max + 1e-12
+            world.add_observation(pid, kf.kf_id, 3)
+            cur = world.point_batch([pid]).depth
+            assert cur.z_min[0] >= prev.z_min[0] - 1e-12
+            assert cur.z_max[0] <= prev.z_max[0] + 1e-12
             prev = cur
 
     def test_geometric_reference_switches_to_closer_holder(self):
         rng = np.random.default_rng(3)
         world, kfs, landmarks = tiny_world(rng, descriptor_selection="geometric")
-        point = world.create_point(landmarks[0], [(kfs[0].kf_id, 0)])
-        world.add_observation(point, kfs[3].kf_id, 0)
+        pid = add_point(world, landmarks[0], [(kfs[0].kf_id, 0)])
+        world.add_observation(pid, kfs[3].kf_id, 0)
+        world.refresh_points([pid])
         # newest keyframe is its own closest holder
-        assert point.reference_kf_id == kfs[3].kf_id
-        world.reselect_references([point], kfs[0].pose.translation)
-        assert point.reference_kf_id == kfs[0].kf_id
+        assert world.reference_kf[pid] == kfs[3].kf_id
+        world.reselect_references([pid], kfs[0].pose.translation)
+        assert world.reference_kf[pid] == kfs[0].kf_id
 
-    def test_stored_interval_matches_recomputation(self):
+    def test_edits_leave_the_reference_until_refresh(self):
+        rng = np.random.default_rng(3)
+        world, kfs, landmarks = tiny_world(rng)
+        pid = add_point(world, landmarks[0], [(kfs[0].kf_id, 0), (kfs[1].kf_id, 0)])
+        assert world.reference_kf[pid] == kfs[1].kf_id
+        world.add_observation(pid, kfs[4].kf_id, 0)
+        assert world.reference_kf[pid] == kfs[1].kf_id
+        world.refresh_points([pid])
+        assert world.reference_kf[pid] == kfs[4].kf_id
+
+    def test_appearance_refresh_applies_the_appearance_rule(self):
+        rng = np.random.default_rng(15)
+        world, kfs, landmarks = tiny_world(rng, descriptor_selection="appearance")
+        for i in range(len(landmarks)):
+            world.create_point(landmarks[i], [(kf.kf_id, i) for kf in kfs[i % 3:]])
+        world.refresh_points(world.points)
+        for pid in world.points.tolist():
+            kf_ids = holders(world, pid)
+            kp = pid - 1  # keypoint index = landmark index here
+            stack = np.stack([world.keyframes[k].descriptors[kp] for k in kf_ids])
+            (row,) = select_reference_appearance_index(stack, [0])
+            assert world.reference_kf[pid] == kf_ids[row]
+        # the appearance policy has no per-query rule
+        before = world.reference_kf.copy()
+        world.reselect_references(world.points, kfs[0].pose.translation)
+        assert np.array_equal(world.reference_kf, before)
+
+    def test_interval_matches_recomputation_and_follows_poses(self):
         rng = np.random.default_rng(4)
         world, kfs, landmarks = tiny_world(rng)
         for i in range(len(landmarks)):
-            world.create_point(
-                landmarks[i], [(kfs[k].kf_id, i) for k in range(4)]
-            )
-        for pid in sorted(world.points):
-            point = world.points[pid]
-            depths = [float(world.keyframes[kf_id].pose.depth_of(point.position))
-                      for kf_id, _ in point.observation_items()]
-            fresh = depth_invariance_interval(depths, PYR, DELTA_L)
-            assert point.depth_interval == fresh
+            add_point(world, landmarks[i], [(kfs[k].kf_id, i) for k in range(4)])
+
+        def check():
+            batch = world.point_batch(world.points)
+            for row, pid in enumerate(batch.ids.tolist()):
+                depths = [world.keyframes[k].pose.depth_of(world.positions[pid])
+                          for k in holders(world, pid)]
+                fresh = depth_invariance_interval(depths, [0], PYR, DELTA_L)
+                assert batch.depth.z_min[row] == fresh.z_min[0]
+                assert batch.depth.z_max[row] == fresh.z_max[0]
+
+        check()
+        # no cache to go stale: a moved holder moves the interval at once
+        kfs[1].pose = Pose(np.eye(3), np.array([0.3, -0.1, 0.9]))
+        world.positions[2] += 0.5
+        check()
+
+    def test_bindings_sorted_by_point_then_keyframe(self):
+        rng = np.random.default_rng(16)
+        world, kfs, landmarks = tiny_world(rng)
+        a = world.create_point(landmarks[0], [(kfs[3].kf_id, 0), (kfs[1].kf_id, 0)])
+        b = world.create_point(landmarks[1], [(kfs[2].kf_id, 1), (kfs[0].kf_id, 1)])
+        point, kf, kp = world.bindings()
+        assert list(zip(point.tolist(), kf.tolist(), kp.tolist())) == [
+            (a, 2, 0), (a, 4, 0), (b, 1, 1), (b, 3, 1)]
+        point, kf, _ = world.bindings([b])
+        assert point.tolist() == [b, b] and kf.tolist() == [1, 3]
+
+
+    def test_point_batch_keeps_the_order_given(self):
+        # sequential matching walks the queries in this order
+        rng = np.random.default_rng(17)
+        world, kfs, landmarks = tiny_world(rng)
+        ids = [add_point(world, landmarks[i], [(kfs[i % 3].kf_id, i), (kfs[4].kf_id, i)])
+               for i in range(5)]
+        order = [ids[3], ids[0], ids[4], ids[1]]
+        batch = world.point_batch(order)
+        assert batch.ids.tolist() == order
+        for row, pid in enumerate(order):
+            alone = world.point_batch([pid])
+            assert np.array_equal(batch.positions[row], world.positions[pid])
+            assert np.array_equal(batch.descriptors[row], alone.descriptors[0])
+            assert (batch.depth.z_min[row], batch.depth.z_max[row]) == \
+                (alone.depth.z_min[0], alone.depth.z_max[0])
 
 
 class TestCulling:
     def test_point_with_single_surviving_observation_culled(self):
         rng = np.random.default_rng(5)
         world, kfs, landmarks = tiny_world(rng)
-        p1 = world.create_point(landmarks[0], [(kfs[0].kf_id, 0), (kfs[1].kf_id, 0)])
+        p1 = add_point(world, landmarks[0], [(kfs[0].kf_id, 0), (kfs[1].kf_id, 0)])
         world.remove_observation(p1, kfs[1].kf_id)
-        assert world.cull_points() == [p1.point_id]
-        assert p1.point_id not in world.points
+        assert kfs[1].point_ids[0] == -1
+        assert world.cull_points() == [p1]
+        assert p1 not in world.points
+        assert kfs[0].point_ids[0] == -1
+
+    def test_removing_the_last_observation_kills_the_point(self):
+        rng = np.random.default_rng(5)
+        world, kfs, landmarks = tiny_world(rng)
+        p1 = add_point(world, landmarks[0], [(kfs[0].kf_id, 0)])
+        world.remove_observation(p1, kfs[0].kf_id)
+        assert len(world.points) == 0
+        with pytest.raises(WorldIntegrityError):
+            world.remove_observation(p1, kfs[0].kf_id)
+        world.check_integrity()
 
     def test_point_with_two_observations_kept(self):
         rng = np.random.default_rng(6)
         world, kfs, landmarks = tiny_world(rng)
-        p1 = world.create_point(landmarks[0], [(kfs[0].kf_id, 0), (kfs[1].kf_id, 0)])
+        p1 = add_point(world, landmarks[0], [(kfs[0].kf_id, 0), (kfs[1].kf_id, 0)])
         assert world.cull_points() == []
-        assert p1.point_id in world.points
+        assert p1 in world.points
 
     def test_culling_idempotent(self):
         rng = np.random.default_rng(7)
         world, kfs, landmarks = tiny_world(rng)
-        world.create_point(landmarks[0], [(kfs[0].kf_id, 0)])
-        world.create_point(landmarks[1], [(kfs[0].kf_id, 1), (kfs[1].kf_id, 1)])
+        add_point(world, landmarks[0], [(kfs[0].kf_id, 0)])
+        add_point(world, landmarks[1], [(kfs[0].kf_id, 1), (kfs[1].kf_id, 1)])
         first = world.cull_points()
         assert first != []
         assert world.cull_points() == []
@@ -152,17 +248,13 @@ class TestCulling:
         rng = np.random.default_rng(8)
         world, kfs, landmarks = tiny_world(rng, n_frames=12, spacing=0.2)
         # a point observed only by keyframes 1 and 2 dies with them
-        doomed = world.create_point(
-            landmarks[0], [(kfs[0].kf_id, 0), (kfs[1].kf_id, 0)]
-        )
-        survivor = world.create_point(
-            landmarks[1], [(kf.kf_id, 1) for kf in kfs]
-        )
-        world.apply_retention(12)
+        doomed = add_point(world, landmarks[0], [(kfs[0].kf_id, 0), (kfs[1].kf_id, 0)])
+        survivor = add_point(world, landmarks[1], [(kf.kf_id, 1) for kf in kfs])
+        assert world.apply_retention(12) == [1, 2, 3, 4, 6, 7]
         assert sorted(world.keyframes) == [5, 8, 9, 10, 11, 12]
-        assert doomed.point_id not in world.points
-        assert survivor.point_id in world.points
-        assert sorted(survivor.observations) == [5, 8, 9, 10, 11, 12]
+        assert doomed not in world.points
+        assert survivor in world.points
+        assert holders(world, survivor) == [5, 8, 9, 10, 11, 12]
         assert world.cull_points() == []
         world.check_integrity()
 
@@ -177,58 +269,76 @@ class TestGraphStats:
         world, kfs, landmarks = tiny_world(rng)
         total = 0
         for i in range(len(landmarks)):
-            world.create_point(
-                landmarks[i], [(kfs[k].kf_id, i) for k in range(3)]
-            )
+            add_point(world, landmarks[i], [(kfs[k].kf_id, i) for k in range(3)])
             total += 3
         stats = world.graph_stats()
         assert stats.n_map_points == len(landmarks)
         assert stats.n_observation_inliers == total
         # latest five keyframes plus keyframe 1, covisible through the points
         assert stats.n_local_keyframes == 6
+        kfs[0].inlier[0] = False
+        assert world.graph_stats().n_observation_inliers == total - 1
 
 
 class TestMerge:
     def test_merge_unions_observations(self):
         rng = np.random.default_rng(10)
         world, kfs, landmarks = tiny_world(rng)
-        a = world.create_point(landmarks[0], [(kfs[0].kf_id, 0), (kfs[1].kf_id, 0)])
-        b = world.create_point(landmarks[0], [(kfs[2].kf_id, 0), (kfs[3].kf_id, 0)])
-        world.merge_points(a.point_id, b.point_id)
-        assert b.point_id not in world.points
-        assert sorted(a.observations) == [k.kf_id for k in kfs[:4]]
+        a = add_point(world, landmarks[0], [(kfs[0].kf_id, 0), (kfs[1].kf_id, 0)])
+        b = add_point(world, landmarks[0], [(kfs[2].kf_id, 0), (kfs[3].kf_id, 0)])
+        world.merge_points(a, b)
+        world.refresh_points([a])
+        assert b not in world.points
+        assert holders(world, a) == [k.kf_id for k in kfs[:4]]
         world.check_integrity()
 
     def test_merge_conflicting_keyframe_keeps_survivor(self):
         rng = np.random.default_rng(11)
         world, kfs, landmarks = tiny_world(rng)
-        a = world.create_point(landmarks[0], [(kfs[0].kf_id, 0), (kfs[1].kf_id, 0)])
-        b = world.create_point(landmarks[1], [(kfs[0].kf_id, 1), (kfs[2].kf_id, 1)])
-        world.merge_points(a.point_id, b.point_id)
-        assert a.observations[kfs[0].kf_id] == 0  # survivor's own keypoint
-        assert kfs[0].claims.get(1) is None  # loser's claim released
+        a = add_point(world, landmarks[0], [(kfs[0].kf_id, 0), (kfs[1].kf_id, 0)])
+        b = add_point(world, landmarks[1], [(kfs[0].kf_id, 1), (kfs[2].kf_id, 1)])
+        world.merge_points(a, b)
+        world.refresh_points([a])
+        assert kfs[0].point_ids[0] == a  # survivor's own keypoint
+        assert kfs[0].point_ids[1] == -1  # loser's binding released
+        assert kfs[2].point_ids[1] == a
         world.check_integrity()
 
 
 class TestIntegrity:
-    def test_dangling_claim_detected(self):
+    def make(self):
         rng = np.random.default_rng(12)
         world, kfs, landmarks = tiny_world(rng)
-        world.create_point(landmarks[0], [(kfs[0].kf_id, 0), (kfs[1].kf_id, 0)])
-        kfs[0].claims[7] = 999
-        with pytest.raises(WorldIntegrityError):
+        pid = add_point(world, landmarks[0], [(kfs[0].kf_id, 0), (kfs[1].kf_id, 0)])
+        world.check_integrity()
+        return world, kfs, pid
+
+    def test_column_naming_an_unknown_point_detected(self):
+        world, kfs, _ = self.make()
+        kfs[0].point_ids[7] = 999
+        with pytest.raises(WorldIntegrityError, match="dead point"):
             world.check_integrity()
 
-    @pytest.mark.parametrize("edit", ["drop", "extra"])
-    def test_inlier_flags_out_of_step_with_observations_detected(self, edit):
-        rng = np.random.default_rng(14)
-        world, kfs, landmarks = tiny_world(rng)
-        point = world.create_point(landmarks[0],
-                                   [(kfs[0].kf_id, 0), (kfs[1].kf_id, 0)])
-        world.check_integrity()
-        if edit == "drop":
-            del point.inlier[kfs[1].kf_id]
-        else:
-            point.inlier[kfs[2].kf_id] = True
-        with pytest.raises(WorldIntegrityError, match="inlier flags"):
+    def test_column_naming_a_dead_point_detected(self):
+        world, kfs, pid = self.make()
+        world.live[pid] = False
+        with pytest.raises(WorldIntegrityError, match="dead point"):
+            world.check_integrity()
+
+    def test_point_bound_twice_in_one_keyframe_detected(self):
+        world, kfs, pid = self.make()
+        kfs[0].point_ids[5] = pid
+        with pytest.raises(WorldIntegrityError, match="twice"):
+            world.check_integrity()
+
+    def test_live_point_without_holder_detected(self):
+        world, kfs, pid = self.make()
+        kfs[0].point_ids[0] = kfs[1].point_ids[0] = -1
+        with pytest.raises(WorldIntegrityError, match="no holder"):
+            world.check_integrity()
+
+    def test_reference_that_is_not_a_holder_detected(self):
+        world, kfs, pid = self.make()
+        world.reference_kf[pid] = kfs[3].kf_id
+        with pytest.raises(WorldIntegrityError, match="reference"):
             world.check_integrity()
