@@ -32,7 +32,12 @@ observing-reference and reference-observing blocks), each sum starting
 from zero; reordering them moves every pose digest.  Within each batch
 the terms follow the rows sorted by (point, kf), which the problem does
 once when it is built, so the order in which a caller lists the rows
-never reaches the sums.
+never reaches the sums.  Each term's own block, ``J_a^T w J_b`` or
+``J_a^T w r``, is a ``matmul`` of the stacked per-term Jacobians, and the
+Jacobians and the Schur step are ``matmul`` products as well; changing
+how a block is contracted (``einsum``, a written-out sum) rounds it
+differently and moves the digests too, even where the accumulation
+order is kept.
 """
 
 from __future__ import annotations
@@ -197,11 +202,16 @@ class _Evaluation:
     __slots__ = ("q_f", "r_f", "valid_f", "m2_f", "q_b", "r_b", "valid_b", "m2_b")
 
 
+def _rotate(R, v):
+    """``R[k] @ v[k]`` for every k: (N, 3, 3) and (N, 3) to (N, 3)."""
+    return (R @ v[:, :, None])[:, :, 0]
+
+
 def _evaluate(problem: OptimizationProblem, state: _State) -> _Evaluation:
     cam = problem.cam
     ev = _Evaluation()
     p_w = state.pts[problem.f_pt]
-    q = np.einsum("kij,kj->ki", state.R[problem.f_kf], p_w) + state.t[problem.f_kf]
+    q = _rotate(state.R[problem.f_kf], p_w) + state.t[problem.f_kf]
     valid = q[:, 2] > _Z_EPS
     z = np.where(valid, q[:, 2], 1.0)
     uv = np.empty_like(problem.f_uv)
@@ -210,7 +220,7 @@ def _evaluate(problem: OptimizationProblem, state: _State) -> _Evaluation:
     ev.q_f = q
     ev.r_f = problem.f_uv - uv
     ev.valid_f = valid
-    ev.m2_f = np.einsum("ki,ki->k", ev.r_f, ev.r_f) * problem.f_info
+    ev.m2_f = (ev.r_f[:, 0] ** 2 + ev.r_f[:, 1] ** 2) * problem.f_info
 
     B = problem.b_fwd.size
     if B:
@@ -218,10 +228,10 @@ def _evaluate(problem: OptimizationProblem, state: _State) -> _Evaluation:
         X_k = problem.b_dir * z_k[:, None]
         Rk = state.R[problem.f_kf[problem.b_fwd]]
         tk = state.t[problem.f_kf[problem.b_fwd]]
-        Y = np.einsum("kji,kj->ki", Rk, X_k - tk)  # R^T (X - t)
+        Y = _rotate(Rk.transpose(0, 2, 1), X_k - tk)  # R^T (X - t)
         Rj = state.R[problem.b_ref]
         tj = state.t[problem.b_ref]
-        q_b = np.einsum("kij,kj->ki", Rj, Y) + tj
+        q_b = _rotate(Rj, Y) + tj
         valid_b = (q_b[:, 2] > _Z_EPS) & (z_k > _Z_EPS)
         z_b = np.where(valid_b, q_b[:, 2], 1.0)
         uv_b = np.empty((B, 2))
@@ -230,7 +240,7 @@ def _evaluate(problem: OptimizationProblem, state: _State) -> _Evaluation:
         ev.q_b = q_b
         ev.r_b = problem.b_uv - uv_b
         ev.valid_b = valid_b
-        ev.m2_b = np.einsum("ki,ki->k", ev.r_b, ev.r_b) * problem.b_info
+        ev.m2_b = (ev.r_b[:, 0] ** 2 + ev.r_b[:, 1] ** 2) * problem.b_info
     else:
         ev.q_b = np.zeros((0, 3))
         ev.r_b = np.zeros((0, 2))
@@ -262,10 +272,10 @@ def _projection_block(q, cam):
 
 
 class _Jacobians:
-    """Per-term residual Jacobians w.r.t. the retraction increments.
-
-    Invalid (behind-camera) terms carry zero blocks.
-    """
+    """Residual Jacobians w.r.t. the retraction increments of the valid
+    (in-front-of-camera) terms only: row i belongs to the i-th valid term,
+    forward terms in ``np.flatnonzero(ev.valid_f)`` order and backward
+    terms in ``np.flatnonzero(ev.valid_b)`` order."""
 
     __slots__ = ("f_pose", "f_pt", "b_pose_k", "b_pose_j", "b_pt")
 
@@ -273,57 +283,43 @@ class _Jacobians:
 def _term_jacobians(problem: OptimizationProblem, state: _State,
                     ev: _Evaluation) -> _Jacobians:
     J = _Jacobians()
-    F, B = problem.f_kf.size, problem.b_fwd.size
-    J.f_pose = np.zeros((F, 2, 6))
-    J.f_pt = np.zeros((F, 2, 3))
-    idx = np.nonzero(ev.valid_f)[0]
-    if idx.size:
-        q = ev.q_f[idx]
-        A = _projection_block(q, problem.cam)  # -dPi/dq
-        Rk = state.R[problem.f_kf[idx]]
-        tk = state.t[problem.f_kf[idx]]
-        # dq/d(dw) = -[q - t]x ; dq/d(dt) = I ; dq/dp = R
-        Jw = -np.einsum("kab,kbc->kac", A, _hat_batch(q - tk))
-        J.f_pose[idx] = np.concatenate([Jw, A], axis=2)
-        J.f_pt[idx] = np.einsum("kab,kbc->kac", A, Rk)
+    idx = np.flatnonzero(ev.valid_f)
+    q = ev.q_f[idx]
+    A = _projection_block(q, problem.cam)  # -dPi/dq
+    Rk = state.R[problem.f_kf[idx]]
+    tk = state.t[problem.f_kf[idx]]
+    # dq/d(dw) = -[q - t]x ; dq/d(dt) = I ; dq/dp = R
+    J.f_pose = np.concatenate([-(A @ _hat_batch(q - tk)), A], axis=2)
+    J.f_pt = A @ Rk
 
-    J.b_pose_k = np.zeros((B, 2, 6))
-    J.b_pose_j = np.zeros((B, 2, 6))
-    J.b_pt = np.zeros((B, 2, 3))
-    if B:
-        idx = np.nonzero(ev.valid_b)[0]
-        if idx.size:
-            fwd = problem.b_fwd[idx]
-            q_b = ev.q_b[idx]
-            Bm = _projection_block(q_b, problem.cam)  # -dPi/dq_b
-            Rk = state.R[problem.f_kf[fwd]]
-            tk = state.t[problem.f_kf[fwd]]
-            tj = state.t[problem.b_ref[idx]]
-            Rj = state.R[problem.b_ref[idx]]
-            d = problem.b_dir[idx]
-            z_k = ev.q_f[fwd, 2]
-            X_k = d * z_k[:, None]
-            v = ev.q_f[fwd] - tk  # R_k p_w
-            M = np.einsum("kab,kcb->kac", Rj, Rk)  # R_j R_k^T
-            BM = np.einsum("kab,kbc->kac", Bm, M)
-            # point: the measured ray moves only through the depth,
-            # d z_k with dz_k/dp = third row of R_k
-            r3 = Rk[:, 2, :]
-            J.b_pt[idx] = np.einsum("kab,kb,kc->kac", BM, d, r3)
-            # observing pose translation: z_k shifts with e3^T dt
-            dE = np.zeros((idx.size, 3, 3))
-            dE[:, :, 2] = d
-            Jt_k = np.einsum("kab,kbc->kac", BM, dE - np.eye(3))
-            # observing pose rotation: both the inverse map and z_k move
-            e3v = np.zeros((idx.size, 3))
-            e3v[:, 0] = -v[:, 1]
-            e3v[:, 1] = v[:, 0]
-            inner = _hat_batch(X_k - tk) - np.einsum("ka,kb->kab", d, e3v)
-            Jw_k = np.einsum("kab,kbc->kac", BM, inner)
-            J.b_pose_k[idx] = np.concatenate([Jw_k, Jt_k], axis=2)
-            # reference pose: plain projective block at q_b
-            Jw_j = -np.einsum("kab,kbc->kac", Bm, _hat_batch(q_b - tj))
-            J.b_pose_j[idx] = np.concatenate([Jw_j, Bm], axis=2)
+    idx = np.flatnonzero(ev.valid_b)
+    fwd = problem.b_fwd[idx]
+    q_b = ev.q_b[idx]
+    Bm = _projection_block(q_b, problem.cam)  # -dPi/dq_b
+    Rk = state.R[problem.f_kf[fwd]]
+    tk = state.t[problem.f_kf[fwd]]
+    tj = state.t[problem.b_ref[idx]]
+    Rj = state.R[problem.b_ref[idx]]
+    d = problem.b_dir[idx]
+    z_k = ev.q_f[fwd, 2]
+    X_k = d * z_k[:, None]
+    v = ev.q_f[fwd] - tk  # R_k p_w
+    BM = Bm @ (Rj @ Rk.transpose(0, 2, 1))  # -dPi/dq_b R_j R_k^T
+    # point: the measured ray moves only through the depth,
+    # d z_k with dz_k/dp = third row of R_k
+    J.b_pt = (BM @ d[:, :, None]) * Rk[:, None, 2, :]
+    # observing pose translation: z_k shifts with e3^T dt
+    dE = np.zeros((idx.size, 3, 3))
+    dE[:, :, 2] = d
+    Jt_k = BM @ (dE - np.eye(3))
+    # observing pose rotation: both the inverse map and z_k move
+    e3v = np.zeros((idx.size, 3))
+    e3v[:, 0] = -v[:, 1]
+    e3v[:, 1] = v[:, 0]
+    Jw_k = BM @ (_hat_batch(X_k - tk) - d[:, :, None] * e3v[:, None, :])
+    J.b_pose_k = np.concatenate([Jw_k, Jt_k], axis=2)
+    # reference pose: plain projective block at q_b
+    J.b_pose_j = np.concatenate([-(Bm @ _hat_batch(q_b - tj)), Bm], axis=2)
     return J
 
 
@@ -357,6 +353,12 @@ class _Scatter:
         return out
 
 
+def _weighted_products(Ja, w, Jb):
+    """Per-term ``Ja[k]^T w[k] Jb[k]``: (N, 2, a), (N, 1, 1) and (N, 2, b)
+    to (N, a, b)."""
+    return Ja.transpose(0, 2, 1) @ (w * Jb)
+
+
 def _build_normal_equations(problem: OptimizationProblem, state: _State,
                             ev: _Evaluation):
     """Accumulate the damped-ready H blocks and gradient."""
@@ -369,46 +371,43 @@ def _build_normal_equations(problem: OptimizationProblem, state: _State,
     jac = _term_jacobians(problem, state, ev)
 
     # forward terms ----------------------------------------------------
-    idx = np.nonzero(ev.valid_f)[0]
+    idx = np.flatnonzero(ev.valid_f)
     if idx.size:
         w = (huber_weight(ev.m2_f[idx], HUBER_DELTA)
              * problem.f_info[idx])[:, None, None]
         r = ev.r_f[idx][:, :, None]
-        Jpose = jac.f_pose[idx]
-        Jpt = jac.f_pt[idx]
+        Jpose, Jpt = jac.f_pose, jac.f_pt
         kv = problem.f_kf_var[idx]
         lv = problem.f_pt_var[idx]
         mp = kv >= 0
         ml = lv >= 0
         if np.any(mp):
             Hpp.add(kv[mp] * P + kv[mp],
-                    np.einsum("kba,kbc->kac", Jpose[mp], w[mp] * Jpose[mp]))
-            gp.add(kv[mp], np.einsum("kba,kbc->ka", Jpose[mp], w[mp] * r[mp]))
+                    _weighted_products(Jpose[mp], w[mp], Jpose[mp]))
+            gp.add(kv[mp], _weighted_products(Jpose[mp], w[mp], r[mp])[:, :, 0])
         if np.any(ml):
-            Hll.add(lv[ml], np.einsum("kba,kbc->kac", Jpt[ml], w[ml] * Jpt[ml]))
-            gl.add(lv[ml], np.einsum("kba,kbc->ka", Jpt[ml], w[ml] * r[ml]))
+            Hll.add(lv[ml], _weighted_products(Jpt[ml], w[ml], Jpt[ml]))
+            gl.add(lv[ml], _weighted_products(Jpt[ml], w[ml], r[ml])[:, :, 0])
         both = mp & ml
         if np.any(both):
             Hpl.add(kv[both] * L + lv[both],
-                    np.einsum("kba,kbc->kac", Jpose[both], w[both] * Jpt[both]))
+                    _weighted_products(Jpose[both], w[both], Jpt[both]))
 
     # backward terms ---------------------------------------------------
-    idx = np.nonzero(ev.valid_b)[0]
+    idx = np.flatnonzero(ev.valid_b)
     if idx.size:
         fwd = problem.b_fwd[idx]
         w = (huber_weight(ev.m2_b[idx], HUBER_DELTA)
              * problem.b_info[idx])[:, None, None]
         r = ev.r_b[idx][:, :, None]
-        Jpose_k = jac.b_pose_k[idx]
-        Jpose_j = jac.b_pose_j[idx]
-        Jpt = jac.b_pt[idx]
+        Jpose_k, Jpose_j, Jpt = jac.b_pose_k, jac.b_pose_j, jac.b_pt
         kv = problem.f_kf_var[fwd]
         jv = problem.b_ref_var[idx]
         lv = problem.f_pt_var[fwd]
         for va, Ja in ((kv, Jpose_k), (jv, Jpose_j)):
             m = va >= 0
             if np.any(m):
-                gp.add(va[m], np.einsum("kba,kbc->ka", Ja[m], w[m] * r[m]))
+                gp.add(va[m], _weighted_products(Ja[m], w[m], r[m])[:, :, 0])
         for va, Ja, vb, Jb in (
             (kv, Jpose_k, kv, Jpose_k),
             (jv, Jpose_j, jv, Jpose_j),
@@ -416,19 +415,18 @@ def _build_normal_equations(problem: OptimizationProblem, state: _State,
         ):
             m = (va >= 0) & (vb >= 0)
             if np.any(m):
-                blocks = np.einsum("kba,kbc->kac", Ja[m], w[m] * Jb[m])
+                blocks = _weighted_products(Ja[m], w[m], Jb[m])
                 Hpp.add(va[m] * P + vb[m], blocks)
                 if Ja is not Jb:
                     Hpp.add(vb[m] * P + va[m], np.transpose(blocks, (0, 2, 1)))
         ml = lv >= 0
         if np.any(ml):
-            Hll.add(lv[ml], np.einsum("kba,kbc->kac", Jpt[ml], w[ml] * Jpt[ml]))
-            gl.add(lv[ml], np.einsum("kba,kbc->ka", Jpt[ml], w[ml] * r[ml]))
+            Hll.add(lv[ml], _weighted_products(Jpt[ml], w[ml], Jpt[ml]))
+            gl.add(lv[ml], _weighted_products(Jpt[ml], w[ml], r[ml])[:, :, 0])
         for va, Ja in ((kv, Jpose_k), (jv, Jpose_j)):
             m = (va >= 0) & ml
             if np.any(m):
-                Hpl.add(va[m] * L + lv[m],
-                        np.einsum("kba,kbc->kac", Ja[m], w[m] * Jpt[m]))
+                Hpl.add(va[m] * L + lv[m], _weighted_products(Ja[m], w[m], Jpt[m]))
 
     return (Hpp.total().reshape(P, P, 6, 6), Hpl.total().reshape(P, L, 6, 3),
             Hll.total(), gp.total(), gl.total())
@@ -459,13 +457,13 @@ def _solve_step(Hpp, Hpl, Hll, gp, gl, lam):
         return dp.reshape(P, 6), np.zeros((0, 3))
     Hll_inv = np.linalg.inv(Hll_d)
     Hpl_m = Hpl.transpose(0, 2, 1, 3).reshape(6 * P, 3 * L)
-    W = np.einsum("plab,lbc->plac", Hpl, Hll_inv)  # Hpl Hll^-1
+    W = Hpl @ Hll_inv  # per block Hpl Hll^-1
     W_m = W.transpose(0, 2, 1, 3).reshape(6 * P, 3 * L)
     S = Hpp_m - W_m @ Hpl_m.T
     rhs = -(gp_v - W_m @ gl.reshape(3 * L))
     dp = np.linalg.solve(S, rhs)
-    dl_rhs = -gl - np.einsum("plab,pa->lb", Hpl, dp.reshape(P, 6))
-    dl = np.einsum("lab,lb->la", Hll_inv, dl_rhs)
+    dl_rhs = -gl - (Hpl_m.T @ dp).reshape(L, 3)
+    dl = (Hll_inv @ dl_rhs[:, :, None])[:, :, 0]
     return dp.reshape(P, 6), dl
 
 

@@ -38,7 +38,7 @@ from .optimizer import (
     local_bundle_adjustment,
     optimize_pose,
 )
-from .trajectory import Trajectory, reversed_timestamps
+from .trajectory import Trajectory
 from .uncertainty import CovarianceModel
 from .worldmap import GraphStats, WorldMap
 
@@ -65,15 +65,12 @@ class FrameInput:
 
 
 def reverse(frames) -> list:
-    """Frames in reverse order; timestamps keep origin and spacing."""
+    """Frames in reverse order on the forward timestamp grid: the i-th
+    reversed frame takes the i-th forward timestamp, so the origin and the
+    gaps are kept and reversing twice gives the frames back exactly."""
     frames = list(frames)
-    if not frames:
-        return []
-    new_ts = reversed_timestamps(np.array([f.timestamp for f in frames]))
-    return [
-        replace(f, timestamp=float(t))
-        for f, t in zip(reversed(frames), new_ts)
-    ]
+    return [replace(f, timestamp=t.timestamp)
+            for f, t in zip(reversed(frames), frames)]
 
 
 @dataclass(frozen=True)
@@ -169,15 +166,16 @@ def poses_digest(timestamps, poses) -> str:
     return h.hexdigest()
 
 
-def _observation_rows(world: WorldMap, point, kf, uv, sigma2):
+def _observation_rows(world: WorldMap, point, kf, uv, sigma2, bindings):
     """``OBSERVATION`` rows of map-point observations, each with its point's
-    reference view; every keypoint variance enters twice over.
+    reference view looked up in ``bindings``, the bindings of the points
+    (``WorldMap.bindings``); every keypoint variance enters twice over.
 
     The reference view is attached under every covariance model: its pose
     is the fixed gauge, and only the optimizer decides whether the backward
     term enters the cost.
     """
-    ref_kf, ref_kp = world.references(point)
+    ref_kf, ref_kp = world.references(point, bindings)
     rows = np.zeros(len(point), dtype=OBSERVATION)
     rows["point"], rows["kf"], rows["uv"], rows["sigma2"] = point, kf, uv, 2.0 * sigma2
     rows["ref_kf"] = ref_kf
@@ -426,7 +424,8 @@ class Pipeline:
         point, kp = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
         world = self.world
         rows = _observation_rows(world, point, _FRAME_SENTINEL, frame.keypoints[kp],
-                                 self._noise_sigma2(frame.octaves)[kp])
+                                 self._noise_sigma2(frame.octaves)[kp],
+                                 world.bindings(point))
         poses = {k: world.keyframes[k].pose for k in np.unique(rows["ref_kf"]).tolist()}
         return OptimizationProblem(
             cam=self.cam, poses={**poses, _FRAME_SENTINEL: pose_wc},
@@ -493,7 +492,8 @@ class Pipeline:
         point_ids = np.unique(point[np.isin(kf, window)])
         if point_ids.size == 0:
             return
-        point, kf, kp = world.bindings(point_ids)
+        bindings = world.bindings(point_ids)
+        point, kf, kp = bindings
         included_kfs = set(kf.tolist())
         anchors = sorted(included_kfs - set(window))
         fixed = list(anchors)
@@ -511,7 +511,7 @@ class Pipeline:
             points=dict(zip(point_ids.tolist(), world.positions[point_ids])),
             observations=_observation_rows(
                 world, point, kf, world.gather(kf, kp, "keypoints"),
-                world.gather(kf, kp, "noise_sigma2")),
+                world.gather(kf, kp, "noise_sigma2"), bindings),
             model=self.covariance_model,
             variable_pose_ids=tuple(sorted(variable)),
             variable_point_ids=tuple(variable_points.tolist()),

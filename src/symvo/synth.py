@@ -156,6 +156,9 @@ def _landmark_field(spec: SceneSpec, poses, rng) -> np.ndarray:
     return rng.uniform(box_lo, box_hi, size=(spec.n_landmarks, 3))
 
 
+_FLIP_ROWS = 256  # keypoints per block of descriptor-flip draws
+
+
 def generate(spec: SceneSpec) -> SyntheticSequence:
     """Render a full sequence; raises SceneSpecError on starved frames."""
     rng = np.random.default_rng(spec.seed)
@@ -191,6 +194,12 @@ def generate(spec: SceneSpec) -> SyntheticSequence:
         per_frame.append((ids, np.stack([u[ids], v[ids]], axis=1), z[ids]))
         z_ref = max(z_ref, float(z[ids].max()))
 
+    # descriptor flips are drawn into one small buffer, block by block: a
+    # fresh (n, 256) float array per frame, megabytes in size, faults its
+    # pages in again whenever the allocator has trimmed the heap between
+    # frames.  ``rng.random`` fills the rows in order, so the draws are
+    # those of one call per frame.
+    draws = np.empty((_FLIP_ROWS, DESCRIPTOR_BITS))
     frames = []
     frame_landmark_ids = []
     for k in range(spec.n_frames):
@@ -204,8 +213,11 @@ def generate(spec: SceneSpec) -> SyntheticSequence:
             uv[:, 1] = np.clip(uv[:, 1], 0.0, cam.height - 1.0)
         descs = signatures[ids].copy()
         if spec.descriptor_flip_rate > 0:
-            flips = rng.random((ids.size, DESCRIPTOR_BITS)) < spec.descriptor_flip_rate
-            descs ^= np.packbits(flips, axis=1)
+            for lo in range(0, ids.size, _FLIP_ROWS):
+                rows = draws[:min(_FLIP_ROWS, ids.size - lo)]
+                rng.random(out=rows)
+                descs[lo:lo + rows.shape[0]] ^= np.packbits(
+                    rows < spec.descriptor_flip_rate, axis=1)
         landmark_ids = ids.astype(np.int64)
 
         n_out = int(round(spec.outlier_rate * ids.size))

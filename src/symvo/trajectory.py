@@ -53,16 +53,9 @@ class Trajectory:
         return Trajectory(self.timestamps.copy(), tuple(new_poses))
 
     def reversed(self) -> "Trajectory":
-        """Frames in reverse order with spacing-preserving timestamps."""
-        if self.timestamps.size == 0:
-            return self
-        return Trajectory(reversed_timestamps(self.timestamps),
-                          tuple(reversed(self.poses)))
-
-
-def reversed_timestamps(ts: np.ndarray) -> np.ndarray:
-    """Timestamps of a reversed sequence: same origin, same spacing."""
-    return ts[0] + (ts[-1] - ts[::-1])
+        """Poses in reverse order on the same timestamps, as
+        ``pipeline.reverse`` times reversed frames."""
+        return Trajectory(self.timestamps.copy(), tuple(reversed(self.poses)))
 
 
 def load_trajectory(path, format: str = "tum") -> Trajectory:

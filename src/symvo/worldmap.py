@@ -222,10 +222,11 @@ class WorldMap:
         return np.array([value(self.keyframes[k].pose) for k in ids.tolist()],
                         dtype=np.float64).reshape(-1, 3)[at]
 
-    def references(self, point_ids) -> tuple:
-        """(reference keyframe id, its keypoint) of each point, in order."""
-        point_ids = np.asarray(point_ids, dtype=np.int64)
-        point, kf, kp = self.bindings(point_ids)
+    def references(self, point_ids, bindings) -> tuple:
+        """(reference keyframe id, its keypoint) of each point, in order,
+        looked up in ``bindings``: ``self.bindings(ids)`` of ids that
+        include every one of ``point_ids``."""
+        point, kf, kp = bindings
         ref = kf == self.reference_kf[point]
         at = np.searchsorted(point[ref], point_ids)
         return kf[ref][at], kp[ref][at]
@@ -235,7 +236,8 @@ class WorldMap:
         read them: positions, reference descriptors, and depth-invariance
         intervals over their holders' current poses."""
         point_ids = np.asarray(point_ids, dtype=np.int64)
-        point, kf, _ = self.bindings(point_ids)
+        bindings = self.bindings(point_ids)
+        point, kf, _ = bindings
         starts = _runs(point)
         # each holder's depth (p - t) . R[:, 2]; a (1, 3) @ (3, 1) matmul per
         # row rounds exactly as ``Pose.depth_of`` does, einsum would not
@@ -247,7 +249,8 @@ class WorldMap:
         return PointBatch(
             ids=point_ids,
             positions=self.positions[point_ids],
-            descriptors=self.gather(*self.references(point_ids), "descriptors"),
+            descriptors=self.gather(*self.references(point_ids, bindings),
+                                    "descriptors"),
             depth=DepthInterval(depth.z_min[at], depth.z_max[at]),
         )
 

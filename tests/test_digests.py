@@ -22,17 +22,17 @@ from symvo.synth import SceneSpec, generate
 
 DIGESTS = {
     ("orbit", "full", "fwd"):
-        "cd16443984da16dbe5d39f3fb76e4ebf332615c5ce1c3b7acb5357ffb0458f8f",
+        "7821916a9d7540ed9bcfe680be1c9418425024103facd36ed017bece04936fc7",
     ("orbit", "full", "bwd"):
-        "645ca4a2babf590947c1160809edd04c86e16ffdcf5a55b24ebe01e32de5fae9",
+        "7ccadf22d12978ee41509cbd6ab8362798846021b43a35bb249ee32b32e27145",
     ("orbit", "no_geometric_descriptor", "fwd"):
-        "e12edad295c02b9c98b3c74aeea150d5d5ca7c0cc330ff13e5a7832b67201637",
+        "20d1c105f590a0c1407b17500bd4a38b9f1c017248227f19d1904a691e447eda",
     ("orbit", "no_geometric_descriptor", "bwd"):
-        "aa15634078cf6dcb557b6121c6535fb325e96b2a3e81f8d5f13fdf6fb060cce5",
+        "63541164468a55431d608b320e159d228d7259d5327223fec2ed11db3bee2110",
     ("corridor", "full", "fwd"):
-        "371db3042459fc0e985944ebdc19013d44a5970b0c4afd3dd0f42045b8928dff",
+        "8ab5a8a2279346c8ab6ce27c0c6fcf66131df6d663ece69d80f26f36007cca40",
     ("corridor", "full", "bwd"):
-        "c944bf09693247961a3713eabfe3214c8e834b4c0df0b8ec5bb727cdd764bd21",
+        "2a7c38f237973049d4045ae0abb9cc68675eaadf6fc9a66b1e2763d49844c1ec",
 }
 
 SCENES = {

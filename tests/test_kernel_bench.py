@@ -13,10 +13,14 @@ from symvo.geometry import CameraIntrinsics, Pose, project, so3_exp
 from symvo.optimizer import (
     OBSERVATION,
     OptimizationProblem,
+    _build_normal_equations,
+    _evaluate,
     optimize_pose,
     solve_problem,
 )
 from symvo.uncertainty import CovarianceModel
+
+from oracles import reference_normal_equations
 
 CAM = CameraIntrinsics(fx=500.0, fy=500.0, cx=320.0, cy=240.0, width=640, height=480)
 
@@ -83,6 +87,19 @@ def test_solve_problem_ba_window(benchmark, ba_window):
     assert result.cost < 1e-12
     assert np.allclose(result.state.pts, np.stack(list(truth_points.values())),
                        atol=1e-6)
+
+
+def test_build_normal_equations_ba_window(benchmark, ba_window):
+    """One normal-equation build at the window's start; the oracle is the
+    sequential ``np.add.at`` accumulation, bit for bit."""
+    problem, _ = ba_window
+    state = problem.initial_state()
+    ev = _evaluate(problem, state)
+    got = benchmark.pedantic(_build_normal_equations, args=(problem, state, ev),
+                             rounds=5, iterations=1, warmup_rounds=1)
+    want = reference_normal_equations(problem, state, ev)
+    assert all(g.tobytes() == w.tobytes() and g.shape == w.shape
+               for g, w in zip(got, want))
 
 
 @pytest.fixture(scope="module")

@@ -19,7 +19,9 @@ from symvo.optimizer import (
     optimize_pose,
     solve_problem,
 )
-from symvo.uncertainty import HUBER_DELTA, CovarianceModel, huber_weight
+from symvo.uncertainty import HUBER_DELTA, CovarianceModel
+
+from oracles import reference_normal_equations, reference_solve_step
 
 CAM = CameraIntrinsics(fx=500.0, fy=500.0, cx=320.0, cy=240.0, width=640, height=480)
 
@@ -515,126 +517,6 @@ class TestSolverProperties:
         assert np.isfinite(report.total)
 
 
-# --- reference kernels ----------------------------------------------------
-# The sequential np.add.at accumulation and the per-point damping loop that
-# _build_normal_equations and _solve_step replace.  The kernels must agree
-# with them bit for bit.
-
-def reference_normal_equations(problem, state, ev):
-    P, L = len(problem.variable_pose_ids), len(problem.variable_point_ids)
-    Hpp = np.zeros((P, P, 6, 6))
-    Hll = np.zeros((L, 3, 3))
-    Hpl = np.zeros((P, L, 6, 3))
-    gp = np.zeros((P, 6))
-    gl = np.zeros((L, 3))
-    jac = _term_jacobians(problem, state, ev)
-
-    idx = np.nonzero(ev.valid_f)[0]
-    if idx.size:
-        w = (huber_weight(ev.m2_f[idx], HUBER_DELTA)
-             * problem.f_info[idx])[:, None, None]
-        r = ev.r_f[idx][:, :, None]
-        Jpose = jac.f_pose[idx]
-        Jpt = jac.f_pt[idx]
-        kv = problem.f_kf_var[idx]
-        lv = problem.f_pt_var[idx]
-        mp = kv >= 0
-        ml = lv >= 0
-        if np.any(mp):
-            blocks = np.einsum("kba,kbc->kac", Jpose[mp], w[mp] * Jpose[mp])
-            np.add.at(Hpp, (kv[mp], kv[mp]), blocks)
-            np.add.at(gp, kv[mp],
-                      np.einsum("kba,kbc->ka", Jpose[mp], w[mp] * r[mp]))
-        if np.any(ml):
-            np.add.at(Hll, lv[ml],
-                      np.einsum("kba,kbc->kac", Jpt[ml], w[ml] * Jpt[ml]))
-            np.add.at(gl, lv[ml],
-                      np.einsum("kba,kbc->ka", Jpt[ml], w[ml] * r[ml]))
-        both = mp & ml
-        if np.any(both):
-            np.add.at(
-                Hpl, (kv[both], lv[both]),
-                np.einsum("kba,kbc->kac", Jpose[both], w[both] * Jpt[both]),
-            )
-
-    idx = np.nonzero(ev.valid_b)[0] if problem.b_fwd.size else np.zeros(0, np.int64)
-    if idx.size:
-        fwd = problem.b_fwd[idx]
-        w = (huber_weight(ev.m2_b[idx], HUBER_DELTA)
-             * problem.b_info[idx])[:, None, None]
-        r = ev.r_b[idx][:, :, None]
-        Jpose_k = jac.b_pose_k[idx]
-        Jpose_j = jac.b_pose_j[idx]
-        Jpt = jac.b_pt[idx]
-        kv = problem.f_kf_var[fwd]
-        jv = problem.b_ref_var[idx]
-        lv = problem.f_pt_var[fwd]
-        for va, Ja in ((kv, Jpose_k), (jv, Jpose_j)):
-            m = va >= 0
-            if np.any(m):
-                np.add.at(gp, va[m],
-                          np.einsum("kba,kbc->ka", Ja[m], w[m] * r[m]))
-        for va, Ja, vb, Jb in (
-            (kv, Jpose_k, kv, Jpose_k),
-            (jv, Jpose_j, jv, Jpose_j),
-            (kv, Jpose_k, jv, Jpose_j),
-        ):
-            m = (va >= 0) & (vb >= 0)
-            if np.any(m):
-                blocks = np.einsum("kba,kbc->kac", Ja[m], w[m] * Jb[m])
-                np.add.at(Hpp, (va[m], vb[m]), blocks)
-                if Ja is not Jb:
-                    np.add.at(Hpp, (vb[m], va[m]),
-                              np.transpose(blocks, (0, 2, 1)))
-        ml = lv >= 0
-        if np.any(ml):
-            np.add.at(Hll, lv[ml],
-                      np.einsum("kba,kbc->kac", Jpt[ml], w[ml] * Jpt[ml]))
-            np.add.at(gl, lv[ml],
-                      np.einsum("kba,kbc->ka", Jpt[ml], w[ml] * r[ml]))
-        for va, Ja in ((kv, Jpose_k), (jv, Jpose_j)):
-            m = (va >= 0) & ml
-            if np.any(m):
-                np.add.at(
-                    Hpl, (va[m], lv[m]),
-                    np.einsum("kba,kbc->kac", Ja[m], w[m] * Jpt[m]),
-                )
-    return Hpp, Hpl, Hll, gp, gl
-
-
-def reference_solve_step(Hpp, Hpl, Hll, gp, gl, lam):
-    P = Hpp.shape[0]
-    L = Hll.shape[0]
-    if P == 0 and L == 0:
-        return np.zeros(0), np.zeros((0, 3))
-    Hll_d = Hll.copy()
-    for i in range(L):
-        diag = np.diagonal(Hll_d[i]).copy()
-        diag = np.where(diag > 1e-12, diag, 1e-12)
-        Hll_d[i] += lam * np.diag(diag)
-    if P == 0:
-        dl = -np.linalg.solve(Hll_d, gl[:, :, None])[:, :, 0]
-        return np.zeros(0), dl
-    Hpp_m = Hpp.transpose(0, 2, 1, 3).reshape(6 * P, 6 * P).copy()
-    diag = np.diagonal(Hpp_m).copy()
-    diag = np.where(diag > 1e-12, diag, 1e-12)
-    Hpp_m += lam * np.diag(diag)
-    gp_v = gp.reshape(6 * P)
-    if L == 0:
-        dp = -np.linalg.solve(Hpp_m, gp_v)
-        return dp.reshape(P, 6), np.zeros((0, 3))
-    Hll_inv = np.linalg.inv(Hll_d)
-    Hpl_m = Hpl.transpose(0, 2, 1, 3).reshape(6 * P, 3 * L)
-    W = np.einsum("plab,lbc->plac", Hpl, Hll_inv)
-    W_m = W.transpose(0, 2, 1, 3).reshape(6 * P, 3 * L)
-    S = Hpp_m - W_m @ Hpl_m.T
-    rhs = -(gp_v - W_m @ gl.reshape(3 * L))
-    dp = np.linalg.solve(S, rhs)
-    dl_rhs = -gl - np.einsum("plab,pa->lb", Hpl, dp.reshape(P, 6))
-    dl = np.einsum("lab,lb->la", Hll_inv, dl_rhs)
-    return dp.reshape(P, 6), dl
-
-
 def assert_bit_identical(got, want):
     assert len(got) == len(want)
     for g, w in zip(got, want):
@@ -701,3 +583,17 @@ class TestKernelBitIdentity:
         Hll[1, 2, 2] = -1.0
         H = (Hpp, Hpl, Hll, gp, gl)
         assert_bit_identical(_solve_step(*H, lam), reference_solve_step(*H, lam))
+
+
+class TestMatmulAgreesWithEinsum:
+    @pytest.mark.parametrize("case", KERNEL_CASES, ids=KERNEL_IDS)
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_normal_equations(self, case, seed):
+        """The matmul blocks against the einsum contractions they replaced,
+        Jacobians included: those sum each term's products in another order,
+        so the two agree to rounding only."""
+        problem, state, ev = kernel_state(*case, seed)
+        got = _build_normal_equations(problem, state, ev)
+        want = reference_normal_equations(problem, state, ev, einsum=True)
+        for g, w in zip(got, want):
+            np.testing.assert_allclose(g, w, rtol=1e-12, atol=0)

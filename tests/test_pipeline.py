@@ -3,6 +3,8 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from symvo.association import (
     HETEROGENEOUS_THRESHOLDS,
@@ -12,11 +14,12 @@ from symvo.association import (
 )
 from symvo.errors import ConfigError
 from symvo.evaluation import ABLATION_AXES, ablation_configs
-from symvo.geometry import CameraIntrinsics
+from symvo.geometry import CameraIntrinsics, Pose
 from symvo.optimizer import OutlierMode
-from symvo.pipeline import Pipeline, PipelineConfig, reverse
+from symvo.pipeline import FrameInput, Pipeline, PipelineConfig, reverse
 from symvo.uncertainty import CovarianceModel
 from symvo.synth import SceneSpec, generate
+from symvo.trajectory import Trajectory
 
 N_FRAMES = 6
 
@@ -74,12 +77,27 @@ def test_reverse_round_trip_and_ground_truth_timestamps(orbit):
     seq, _ = orbit
     again = reverse(reverse(seq.frames))
     assert all(a.keypoints is f.keypoints for a, f in zip(again, seq.frames))
-    # equal up to rounding: t0 + (tN - t) is not an exact involution
-    assert np.allclose([f.timestamp for f in again],
-                       [f.timestamp for f in seq.frames], rtol=0, atol=1e-12)
+    assert [f.timestamp for f in again] == [f.timestamp for f in seq.frames]
     backward = [f.timestamp for f in reverse(seq.frames)]
     assert backward == list(seq.ground_truth.reversed().timestamps)
     assert np.all(np.diff(backward) > 0)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(start=st.floats(-1e6, 1e6),
+       gaps=st.lists(st.floats(1e-6, 1e3), max_size=30))
+def test_reverse_twice_gives_the_timestamps_back_exactly(start, gaps):
+    stamps = (start + np.cumsum([0.0] + gaps)).tolist()
+    assume(np.all(np.diff(stamps) > 0))
+    frames = [FrameInput(t, np.zeros((0, 2)), np.zeros(0, np.int64),
+                         np.zeros((0, 32), np.uint8)) for t in stamps]
+    backward = reverse(frames)
+    assert [f.timestamp for f in backward] == stamps
+    assert all(b.keypoints is f.keypoints
+               for b, f in zip(backward, reversed(frames)))
+    assert [f.timestamp for f in reverse(backward)] == stamps
+    truth = Trajectory(np.array(stamps), [Pose.identity()] * len(stamps))
+    assert truth.reversed().reversed().timestamps.tolist() == stamps
 
 
 @pytest.mark.parametrize("field, value", [
