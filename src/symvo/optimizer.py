@@ -26,18 +26,30 @@ aborting, so convergence does not depend on evaluation order.
 
 The order in which terms are summed into the normal equations is part
 of that contract.  Floating-point addition is not associative, so every
-element of H and g must receive its terms in the same sequence (forward
-terms, then the backward observing-observing, reference-reference,
-observing-reference and reference-observing blocks), each sum starting
-from zero; reordering them moves every pose digest.  Within each batch
-the terms follow the rows sorted by (point, kf), which the problem does
-once when it is built, so the order in which a caller lists the rows
-never reaches the sums.  Each term's own block, ``J_a^T w J_b`` or
-``J_a^T w r``, is a ``matmul`` of the stacked per-term Jacobians, and the
-Jacobians and the Schur step are ``matmul`` products as well; changing
-how a block is contracted (``einsum``, a written-out sum) rounds it
-differently and moves the digests too, even where the accumulation
-order is kept.
+element of H and g must receive its terms in the same sequence, each sum
+starting from zero; reordering them moves every pose digest.  The problem
+sorts its rows by (kf, ref_kf, point) once when it is built, so the order
+in which a caller lists the rows never reaches the sums, and the terms
+fall into runs that share both of their poses: forward terms one run per
+observing keyframe, backward terms one per (observing, reference) pair.
+
+- ``_evaluate`` maps a run's points with one ``x @ R.T + t`` product,
+  with ``R_j R_k^T`` formed once per pair, and ``_term_jacobians``
+  multiplies a run's projection blocks by its rotation in one product.
+- ``H_pp`` and ``g_p`` take one product per run, ``(w J_pose)^T [J | r]``
+  over the stacked rows of the run's valid terms; the runs add in row
+  order, forward runs first.
+- The point blocks ``H_ll``, ``H_pl`` and ``g_l`` take one product per
+  term, ``[J_pose | J_pt]^T w [J_pt | r]``, summed in row order: the
+  forward terms, then the backward terms.
+- The Schur step sums the eliminated points' share of the reduced system
+  over fixed chunks of points in order, each chunk a product small enough
+  that BLAS runs it on one thread, so the sum does not depend on the BLAS
+  thread count.
+
+Changing how a product is contracted (``einsum``, a written-out sum, one
+product over more or fewer rows) rounds it differently and moves the
+digests too, even where the accumulation order is kept.
 """
 
 from __future__ import annotations
@@ -94,12 +106,16 @@ class OptimizationProblem:
     """Poses, points and observation rows with the variable/fixed split.
 
     ``__post_init__`` validates the problem and assembles it, once: it
-    sorts ``observations`` by (point, kf) and derives the index arrays the
-    solver reads.  Forward term i is row i.  Backward term b belongs to
-    row ``b_fwd[b]`` and projects into keyframe row ``b_ref[b]``.
+    sorts ``observations`` by (kf, ref_kf, point) and derives the index
+    arrays the solver reads.  Forward term i is row i.  Backward term b
+    belongs to row ``b_fwd[b]`` and projects into keyframe row ``b_ref[b]``.
     ``f_kf``/``f_pt`` index ``kf_ids``/``pt_ids``; the ``*_var`` arrays
     hold the variable index of a term's pose or point, or -1 when it is
-    fixed.
+    fixed.  Forward terms run by keyframe: run i spans terms
+    ``f_bounds[i]:f_bounds[i + 1]``, with keyframe row ``f_run_kf[i]`` and
+    variable index ``f_run_var[i]``.  Backward terms run by (kf, ref_kf)
+    pair, with ``b_bounds``, rows ``b_run_kf``/``b_run_ref`` and the
+    variable indices of both in ``b_run_var``.
     """
 
     cam: CameraIntrinsics
@@ -121,8 +137,9 @@ class OptimizationProblem:
         if np.any(self.var_pose_rows < 0):
             kf_id = self.variable_pose_ids[np.argmin(self.var_pose_rows)]
             raise DegenerateProblemError(f"variable pose {kf_id} has no state")
-        obs = self.observations[np.lexsort((self.observations["kf"],
-                                            self.observations["point"]))]
+        obs = self.observations[np.lexsort((self.observations["point"],
+                                            self.observations["ref_kf"],
+                                            self.observations["kf"]))]
         self.observations = obs
         self.f_kf = _rows_of(self.kf_ids, obs["kf"])
         ref = _rows_of(self.kf_ids, obs["ref_kf"])
@@ -162,6 +179,16 @@ class OptimizationProblem:
         self.b_dir[:, 0] = (self.f_uv[self.b_fwd, 0] - self.cam.cx) / self.cam.fx
         self.b_dir[:, 1] = (self.f_uv[self.b_fwd, 1] - self.cam.cy) / self.cam.fy
 
+        self.f_bounds = _run_bounds(self.f_kf)
+        self.f_run_kf = self.f_kf[self.f_bounds[:-1]]
+        self.f_run_var = self.f_kf_var[self.f_bounds[:-1]].tolist()
+        b_kf = self.f_kf[self.b_fwd]
+        self.b_bounds = _run_bounds(b_kf, self.b_ref)
+        first = self.b_bounds[:-1]
+        self.b_run_kf, self.b_run_ref = b_kf[first], self.b_ref[first]
+        self.b_run_var = list(zip(self.f_kf_var[self.b_fwd][first].tolist(),
+                                  self.b_ref_var[first].tolist()))
+
     def initial_state(self) -> _State:
         """Camera-from-world rows in ``kf_ids`` order, points in ``pt_ids`` order."""
         inverses = [self.poses[k].inverse() for k in self.kf_ids]
@@ -173,17 +200,24 @@ class OptimizationProblem:
         )
 
 
-def _hat_batch(v):
-    """Batched skew-symmetric matrices for (N, 3) vectors."""
-    n = v.shape[0]
-    H = np.zeros((n, 3, 3))
-    H[:, 0, 1] = -v[:, 2]
-    H[:, 0, 2] = v[:, 1]
-    H[:, 1, 0] = v[:, 2]
-    H[:, 1, 2] = -v[:, 0]
-    H[:, 2, 0] = -v[:, 1]
-    H[:, 2, 1] = v[:, 0]
-    return H
+def _run_bounds(*keys) -> np.ndarray:
+    """Start of every run of rows on which all ``keys`` agree, then the row count."""
+    n = keys[0].size
+    new = np.zeros(n, dtype=bool)
+    new[:1] = True
+    for key in keys:
+        new[1:] |= key[1:] != key[:-1]
+    return np.append(np.flatnonzero(new), n)
+
+
+def _spans(bounds, kept=None):
+    """(start, stop) of each run; counted within the ``kept`` terms when given."""
+    if kept is not None:
+        count = np.zeros(kept.size + 1, dtype=np.int64)
+        np.cumsum(kept, out=count[1:])
+        bounds = count[bounds]
+    bounds = bounds.tolist()
+    return zip(bounds[:-1], bounds[1:])
 
 
 @dataclass
@@ -199,19 +233,22 @@ class _State:
 
 
 class _Evaluation:
-    __slots__ = ("q_f", "r_f", "valid_f", "m2_f", "q_b", "r_b", "valid_b", "m2_b")
+    """Camera points, residuals, validity and Mahalanobis^2 of every term;
+    ``b_M`` holds ``R_j R_k^T`` of each backward run."""
 
-
-def _rotate(R, v):
-    """``R[k] @ v[k]`` for every k: (N, 3, 3) and (N, 3) to (N, 3)."""
-    return (R @ v[:, :, None])[:, :, 0]
+    __slots__ = ("q_f", "r_f", "valid_f", "m2_f", "q_b", "r_b", "valid_b", "m2_b",
+                 "b_M")
 
 
 def _evaluate(problem: OptimizationProblem, state: _State) -> _Evaluation:
     cam = problem.cam
     ev = _Evaluation()
     p_w = state.pts[problem.f_pt]
-    q = _rotate(state.R[problem.f_kf], p_w) + state.t[problem.f_kf]
+    q = np.empty_like(p_w)
+    for (s, e), R, t in zip(_spans(problem.f_bounds), state.R[problem.f_run_kf],
+                            state.t[problem.f_run_kf]):
+        np.matmul(p_w[s:e], R.T, out=q[s:e])
+        q[s:e] += t
     valid = q[:, 2] > _Z_EPS
     z = np.where(valid, q[:, 2], 1.0)
     uv = np.empty_like(problem.f_uv)
@@ -226,12 +263,13 @@ def _evaluate(problem: OptimizationProblem, state: _State) -> _Evaluation:
     if B:
         z_k = q[problem.b_fwd, 2]
         X_k = problem.b_dir * z_k[:, None]
-        Rk = state.R[problem.f_kf[problem.b_fwd]]
-        tk = state.t[problem.f_kf[problem.b_fwd]]
-        Y = _rotate(Rk.transpose(0, 2, 1), X_k - tk)  # R^T (X - t)
-        Rj = state.R[problem.b_ref]
-        tj = state.t[problem.b_ref]
-        q_b = _rotate(Rj, Y) + tj
+        q_b = np.empty_like(X_k)
+        k, j = problem.b_run_kf, problem.b_run_ref
+        ev.b_M = state.R[j] @ state.R[k].transpose(0, 2, 1)  # camera k to camera j
+        offset = state.t[j] - (ev.b_M @ state.t[k][:, :, None])[:, :, 0]
+        for (s, e), M, c in zip(_spans(problem.b_bounds), ev.b_M, offset):
+            np.matmul(X_k[s:e], M.T, out=q_b[s:e])
+            q_b[s:e] += c
         valid_b = (q_b[:, 2] > _Z_EPS) & (z_k > _Z_EPS)
         z_b = np.where(valid_b, q_b[:, 2], 1.0)
         uv_b = np.empty((B, 2))
@@ -246,6 +284,7 @@ def _evaluate(problem: OptimizationProblem, state: _State) -> _Evaluation:
         ev.r_b = np.zeros((0, 2))
         ev.valid_b = np.zeros(0, dtype=bool)
         ev.m2_b = np.zeros(0)
+        ev.b_M = np.zeros((0, 3, 3))
     return ev
 
 
@@ -259,177 +298,176 @@ def _term_costs(ev: _Evaluation, prev=None):
     return np.where(valid, costs, prev), valid
 
 
-def _projection_block(q, cam):
-    """Batched -dPi/dq at camera points q: (N, 2, 3)."""
-    n = q.shape[0]
-    J = np.zeros((n, 2, 3))
+def _projection_block(out, q, cam):
+    """-dPi/dq at camera points q (N, 3) into ``out`` (3, N, 2): component
+    c of residual row r of point i at ``out[c, i, r]``."""
     z = q[:, 2]
-    J[:, 0, 0] = -cam.fx / z
-    J[:, 0, 2] = cam.fx * q[:, 0] / (z * z)
-    J[:, 1, 1] = -cam.fy / z
-    J[:, 1, 2] = cam.fy * q[:, 1] / (z * z)
-    return J
+    out[0, :, 0] = -cam.fx / z
+    out[1, :, 0] = 0.0
+    out[2, :, 0] = cam.fx * q[:, 0] / (z * z)
+    out[0, :, 1] = 0.0
+    out[1, :, 1] = -cam.fy / z
+    out[2, :, 1] = cam.fy * q[:, 1] / (z * z)
+
+
+def _cross(out, a, b):
+    """Cross products ``a x b`` of component-first (3, ...) stacks that
+    broadcast, into ``out``; a row m times the skew matrix [x]x is m x x."""
+    out[0] = a[1] * b[2] - a[2] * b[1]
+    out[1] = a[2] * b[0] - a[0] * b[2]
+    out[2] = a[0] * b[1] - a[1] * b[0]
 
 
 class _Jacobians:
-    """Residual Jacobians w.r.t. the retraction increments of the valid
-    (in-front-of-camera) terms only: row i belongs to the i-th valid term,
-    forward terms in ``np.flatnonzero(ev.valid_f)`` order and backward
-    terms in ``np.flatnonzero(ev.valid_b)`` order."""
+    """The two residual rows of every valid (in-front-of-camera) term:
+    its Jacobians w.r.t. the retraction increments, then its residual.
+    Component c of residual row r of the i-th valid term is ``f[c, i, r]``
+    (forward) or ``b[c, i, r]`` (backward).  The components of ``f`` are
+    [d/d pose (6) | d/d point (3) | r]; those of ``b`` are [d/d observing
+    pose (6) | d/d reference pose (6) | d/d point (3) | r].  Valid terms
+    keep their row order, so each run of the problem is a slice of them:
+    ``f_spans``/``b_spans`` hold its (start, stop), and ``f_idx``/``b_idx``
+    the terms' indices."""
 
-    __slots__ = ("f_pose", "f_pt", "b_pose_k", "b_pose_j", "b_pt")
+    __slots__ = ("f", "b", "f_idx", "b_idx", "f_spans", "b_spans")
+
+    f_pose = property(lambda self: self.f[:6].transpose(1, 2, 0))
+    f_pt = property(lambda self: self.f[6:9].transpose(1, 2, 0))
+    b_pose_k = property(lambda self: self.b[:6].transpose(1, 2, 0))
+    b_pose_j = property(lambda self: self.b[6:12].transpose(1, 2, 0))
+    b_pt = property(lambda self: self.b[12:15].transpose(1, 2, 0))
 
 
 def _term_jacobians(problem: OptimizationProblem, state: _State,
                     ev: _Evaluation) -> _Jacobians:
     J = _Jacobians()
-    idx = np.flatnonzero(ev.valid_f)
+    J.f_idx = idx = np.flatnonzero(ev.valid_f)
+    J.f_spans = list(_spans(problem.f_bounds, ev.valid_f))
     q = ev.q_f[idx]
-    A = _projection_block(q, problem.cam)  # -dPi/dq
-    Rk = state.R[problem.f_kf[idx]]
-    tk = state.t[problem.f_kf[idx]]
-    # dq/d(dw) = -[q - t]x ; dq/d(dt) = I ; dq/dp = R
-    J.f_pose = np.concatenate([-(A @ _hat_batch(q - tk)), A], axis=2)
-    J.f_pt = A @ Rk
+    J.f = F = np.empty((10, idx.size, 2))
+    A = F[3:6]  # -dPi/dq; dq/d(dt) = I
+    _projection_block(A, q, problem.cam)
+    # dq/d(dw) = -[q - t]x ; dq/dp = R
+    _cross(F[0:3], (q - state.t[problem.f_kf[idx]]).T[:, :, None], A)
+    for (a, b), R in zip(J.f_spans, state.R[problem.f_run_kf]):
+        F[6:9, a:b] = (R.T @ A[:, a:b].reshape(3, -1)).reshape(3, -1, 2)
+    F[9] = ev.r_f[idx]
 
-    idx = np.flatnonzero(ev.valid_b)
+    J.b_idx = idx = np.flatnonzero(ev.valid_b)
+    J.b_spans = list(_spans(problem.b_bounds, ev.valid_b))
     fwd = problem.b_fwd[idx]
     q_b = ev.q_b[idx]
-    Bm = _projection_block(q_b, problem.cam)  # -dPi/dq_b
-    Rk = state.R[problem.f_kf[fwd]]
-    tk = state.t[problem.f_kf[fwd]]
-    tj = state.t[problem.b_ref[idx]]
-    Rj = state.R[problem.b_ref[idx]]
-    d = problem.b_dir[idx]
-    z_k = ev.q_f[fwd, 2]
-    X_k = d * z_k[:, None]
-    v = ev.q_f[fwd] - tk  # R_k p_w
-    BM = Bm @ (Rj @ Rk.transpose(0, 2, 1))  # -dPi/dq_b R_j R_k^T
+    J.b = B = np.empty((16, idx.size, 2))
+    Bm = B[9:12]  # -dPi/dq_b
+    _projection_block(Bm, q_b, problem.cam)
+    BM = np.empty_like(Bm)  # -dPi/dq_b R_j R_k^T
+    for (a, b), M in zip(J.b_spans, ev.b_M):
+        if a < b:
+            BM[:, a:b] = (M.T @ Bm[:, a:b].reshape(3, -1)).reshape(3, -1, 2)
+    kf = problem.f_kf[fwd]
+    tk = state.t[kf]
+    d = problem.b_dir[idx].T[:, :, None]  # its third component is 1
+    X_k = d * ev.q_f[fwd, 2][:, None]
+    v = (ev.q_f[fwd] - tk).T[:, :, None]  # R_k p_w
+    BMd = BM[0] * d[0] + BM[1] * d[1] + BM[2]
+    # observing pose rotation: both the inverse map and z_k move,
+    # BM ([X_k - t]x - d (e3 x v)^T) with e3 x v = (-v1, v0, 0)
+    _cross(B[0:3], BM, X_k - tk.T[:, :, None])
+    B[0] += BMd * v[1]
+    B[1] -= BMd * v[0]
+    # observing pose translation: z_k shifts with e3^T dt, BM (d e3^T - I)
+    np.negative(BM, out=B[3:6])
+    B[5] += BMd
+    # reference pose: plain projective block at q_b
+    _cross(B[6:9], (q_b - state.t[problem.b_ref[idx]]).T[:, :, None], Bm)
     # point: the measured ray moves only through the depth,
     # d z_k with dz_k/dp = third row of R_k
-    J.b_pt = (BM @ d[:, :, None]) * Rk[:, None, 2, :]
-    # observing pose translation: z_k shifts with e3^T dt
-    dE = np.zeros((idx.size, 3, 3))
-    dE[:, :, 2] = d
-    Jt_k = BM @ (dE - np.eye(3))
-    # observing pose rotation: both the inverse map and z_k move
-    e3v = np.zeros((idx.size, 3))
-    e3v[:, 0] = -v[:, 1]
-    e3v[:, 1] = v[:, 0]
-    Jw_k = BM @ (_hat_batch(X_k - tk) - d[:, :, None] * e3v[:, None, :])
-    J.b_pose_k = np.concatenate([Jw_k, Jt_k], axis=2)
-    # reference pose: plain projective block at q_b
-    J.b_pose_j = np.concatenate([-(Bm @ _hat_batch(q_b - tj)), Bm], axis=2)
+    B[12:15] = BMd * state.R[kf, 2].T[:, :, None]
+    B[15] = ev.r_b[idx]
     return J
 
 
-class _Scatter:
-    """Queued (block index, blocks) batches summed into one block array.
-
-    ``total`` runs one ``np.bincount`` per block component over all
-    batches in queue order, starting from zero.  Every element therefore
-    receives the same additions in the same order as sequential
-    ``np.add.at`` calls would make, so the sums are bit-identical to them.
-    """
-
-    def __init__(self, n_blocks, block_shape):
-        self.n_blocks = n_blocks
-        self.block_shape = block_shape
-        self.index = []
-        self.blocks = []
-
-    def add(self, index, blocks):
-        self.index.append(index)
-        self.blocks.append(blocks)
-
-    def total(self):
-        out = np.zeros((self.n_blocks,) + self.block_shape)
-        if self.index:
-            index = np.concatenate(self.index)
-            for c in np.ndindex(self.block_shape):
-                column = np.concatenate([b[(..., *c)] for b in self.blocks])
-                out[(..., *c)] = np.bincount(index, weights=column,
-                                             minlength=self.n_blocks)
-        return out
+def _term_products(*pairs):
+    """Per term i, ``X[:, i]^T Y[:, i]`` of each (X, Y) pair of (a, n, 2)
+    and (b, n, 2) stacks, the pairs' terms one after another: (a, b, sum n)."""
+    a, b = pairs[0][0].shape[0], pairs[0][1].shape[0]
+    out = np.empty((a, b, sum(X.shape[1] for X, _ in pairs)))
+    s = 0
+    for X, Y in pairs:
+        e = s + X.shape[1]
+        np.multiply(X[:, None, :, 0], Y[None, :, :, 0], out=out[:, :, s:e])
+        out[:, :, s:e] += X[:, None, :, 1] * Y[None, :, :, 1]
+        s = e
+    return out
 
 
-def _weighted_products(Ja, w, Jb):
-    """Per-term ``Ja[k]^T w[k] Jb[k]``: (N, 2, a), (N, 1, 1) and (N, 2, b)
-    to (N, a, b)."""
-    return Ja.transpose(0, 2, 1) @ (w * Jb)
+def _scatter(index, n_blocks, blocks):
+    """``blocks[..., i]`` summed into block ``index[i]``, in order of i, with
+    one ``np.bincount`` per block component; index ``n_blocks`` is dropped."""
+    out = np.empty((n_blocks,) + blocks.shape[:-1])
+    for c in np.ndindex(blocks.shape[:-1]):
+        out[(slice(None), *c)] = np.bincount(index, weights=blocks[c],
+                                             minlength=n_blocks + 1)[:n_blocks]
+    return out
 
 
 def _build_normal_equations(problem: OptimizationProblem, state: _State,
                             ev: _Evaluation):
     """Accumulate the damped-ready H blocks and gradient."""
     P, L = len(problem.variable_pose_ids), len(problem.variable_point_ids)
-    Hpp = _Scatter(P * P, (6, 6))
-    Hll = _Scatter(L, (3, 3))
-    Hpl = _Scatter(P * L, (6, 3))
-    gp = _Scatter(P, (6,))
-    gl = _Scatter(L, (3,))
     jac = _term_jacobians(problem, state, ev)
+    F, B, f_idx, b_idx = jac.f, jac.b, jac.f_idx, jac.b_idx
+    WF = F * (huber_weight(ev.m2_f[f_idx], HUBER_DELTA) * problem.f_info[f_idx])[:, None]
+    WB = B * (huber_weight(ev.m2_b[b_idx], HUBER_DELTA) * problem.b_info[b_idx])[:, None]
 
-    # forward terms ----------------------------------------------------
-    idx = np.flatnonzero(ev.valid_f)
-    if idx.size:
-        w = (huber_weight(ev.m2_f[idx], HUBER_DELTA)
-             * problem.f_info[idx])[:, None, None]
-        r = ev.r_f[idx][:, :, None]
-        Jpose, Jpt = jac.f_pose, jac.f_pt
-        kv = problem.f_kf_var[idx]
-        lv = problem.f_pt_var[idx]
-        mp = kv >= 0
-        ml = lv >= 0
-        if np.any(mp):
-            Hpp.add(kv[mp] * P + kv[mp],
-                    _weighted_products(Jpose[mp], w[mp], Jpose[mp]))
-            gp.add(kv[mp], _weighted_products(Jpose[mp], w[mp], r[mp])[:, :, 0])
-        if np.any(ml):
-            Hll.add(lv[ml], _weighted_products(Jpt[ml], w[ml], Jpt[ml]))
-            gl.add(lv[ml], _weighted_products(Jpt[ml], w[ml], r[ml])[:, :, 0])
-        both = mp & ml
-        if np.any(both):
-            Hpl.add(kv[both] * L + lv[both],
-                    _weighted_products(Jpose[both], w[both], Jpt[both]))
+    # pose blocks: one product per run ---------------------------------
+    Hpp = np.zeros((P, P, 6, 6))
+    gp = np.zeros((P, 6))
+    for (a, b), kv in zip(jac.f_spans, problem.f_run_var):
+        if a < b and kv >= 0:
+            G = WF[:6, a:b].reshape(6, -1) @ F[:, a:b].reshape(10, -1).T
+            Hpp[kv, kv] += G[:, :6]
+            gp[kv] += G[:, 9]
+    for (a, b), (kv, jv) in zip(jac.b_spans, problem.b_run_var):
+        if a == b or (kv < 0 and jv < 0):
+            continue
+        G = WB[:12, a:b].reshape(12, -1) @ B[:, a:b].reshape(16, -1).T
+        if kv >= 0:
+            Hpp[kv, kv] += G[:6, :6]
+            gp[kv] += G[:6, 15]
+        if jv >= 0:
+            Hpp[jv, jv] += G[6:, 6:12]
+            gp[jv] += G[6:, 15]
+        if kv >= 0 and jv >= 0:
+            Hpp[kv, jv] += G[:6, 6:12]
+            Hpp[jv, kv] += G[6:, :6]
 
-    # backward terms ---------------------------------------------------
-    idx = np.flatnonzero(ev.valid_b)
-    if idx.size:
-        fwd = problem.b_fwd[idx]
-        w = (huber_weight(ev.m2_b[idx], HUBER_DELTA)
-             * problem.b_info[idx])[:, None, None]
-        r = ev.r_b[idx][:, :, None]
-        Jpose_k, Jpose_j, Jpt = jac.b_pose_k, jac.b_pose_j, jac.b_pt
-        kv = problem.f_kf_var[fwd]
-        jv = problem.b_ref_var[idx]
-        lv = problem.f_pt_var[fwd]
-        for va, Ja in ((kv, Jpose_k), (jv, Jpose_j)):
-            m = va >= 0
-            if np.any(m):
-                gp.add(va[m], _weighted_products(Ja[m], w[m], r[m])[:, :, 0])
-        for va, Ja, vb, Jb in (
-            (kv, Jpose_k, kv, Jpose_k),
-            (jv, Jpose_j, jv, Jpose_j),
-            (kv, Jpose_k, jv, Jpose_j),
-        ):
-            m = (va >= 0) & (vb >= 0)
-            if np.any(m):
-                blocks = _weighted_products(Ja[m], w[m], Jb[m])
-                Hpp.add(va[m] * P + vb[m], blocks)
-                if Ja is not Jb:
-                    Hpp.add(vb[m] * P + va[m], np.transpose(blocks, (0, 2, 1)))
-        ml = lv >= 0
-        if np.any(ml):
-            Hll.add(lv[ml], _weighted_products(Jpt[ml], w[ml], Jpt[ml]))
-            gl.add(lv[ml], _weighted_products(Jpt[ml], w[ml], r[ml])[:, :, 0])
-        for va, Ja in ((kv, Jpose_k), (jv, Jpose_j)):
-            m = (va >= 0) & ml
-            if np.any(m):
-                Hpl.add(va[m] * L + lv[m], _weighted_products(Ja[m], w[m], Jpt[m]))
+    # point blocks: one product per term, forward terms first ----------
+    if L == 0:
+        return Hpp, np.zeros((P, 0, 6, 3)), np.zeros((0, 3, 3)), gp, np.zeros((0, 3))
+    fwd = problem.b_fwd[b_idx]
+    # J_pt^T w [J_pt | r] of every term, to its point
+    lv = np.concatenate([problem.f_pt_var[f_idx], problem.f_pt_var[fwd]])
+    Hll_gl = _scatter(np.where(lv >= 0, lv, L), L,
+                      _term_products((F[6:9], WF[6:10]), (B[12:15], WB[12:16])))
+    # J_pose^T w J_pt, to its (pose, point) pair: forward, observing, reference
+    kv = np.concatenate([problem.f_kf_var[f_idx], problem.f_kf_var[fwd],
+                         problem.b_ref_var[b_idx]])
+    lv = np.concatenate([lv, lv[f_idx.size:]])
+    Hpl = _scatter(np.where((kv >= 0) & (lv >= 0), kv * L + lv, P * L), P * L,
+                   _term_products((F[:6], WF[6:9]), (B[:6], WB[12:15]),
+                                  (B[6:12], WB[12:15])))
+    return (Hpp, Hpl.reshape(P, L, 6, 3), Hll_gl[:, :, :3], gp, Hll_gl[:, :, 3])
 
-    return (Hpp.total().reshape(P, P, 6, 6), Hpl.total().reshape(P, L, 6, 3),
-            Hll.total(), gp.total(), gl.total())
+
+# OpenBLAS runs a product of at most 2**18 multiply-adds on one thread; a
+# larger one may be split across threads, and the split changes its rounding
+_ONE_THREAD_PRODUCT = 1 << 18
+
+
+def _schur_columns(P: int) -> int:
+    """Columns (three per point) of one chunk of the Schur reduction."""
+    return 3 * max(1, _ONE_THREAD_PRODUCT // (3 * 6 * P * (6 * P + 1)))
 
 
 def _solve_step(Hpp, Hpl, Hll, gp, gl, lam):
@@ -456,13 +494,20 @@ def _solve_step(Hpp, Hpl, Hll, gp, gl, lam):
         dp = -np.linalg.solve(Hpp_m, gp_v)
         return dp.reshape(P, 6), np.zeros((0, 3))
     Hll_inv = np.linalg.inv(Hll_d)
-    Hpl_m = Hpl.transpose(0, 2, 1, 3).reshape(6 * P, 3 * L)
-    W = Hpl @ Hll_inv  # per block Hpl Hll^-1
-    W_m = W.transpose(0, 2, 1, 3).reshape(6 * P, 3 * L)
-    S = Hpp_m - W_m @ Hpl_m.T
-    rhs = -(gp_v - W_m @ gl.reshape(3 * L))
+    W_m = (Hpl @ Hll_inv).transpose(0, 2, 1, 3).reshape(6 * P, 3 * L)
+    # [Hpl^T | gl]: one product gives the Schur complement and its
+    # right-hand side, summed chunk by chunk in order
+    right = np.empty((3 * L, 6 * P + 1))
+    right[:, :-1] = Hpl.transpose(1, 3, 0, 2).reshape(3 * L, 6 * P)
+    right[:, -1] = gl.reshape(3 * L)
+    reduced = np.zeros((6 * P, 6 * P + 1))
+    step = _schur_columns(P)
+    for s in range(0, 3 * L, step):
+        reduced += W_m[:, s:s + step] @ right[s:s + step]
+    S = Hpp_m - reduced[:, :-1]
+    rhs = -(gp_v - reduced[:, -1])
     dp = np.linalg.solve(S, rhs)
-    dl_rhs = -gl - (Hpl_m.T @ dp).reshape(L, 3)
+    dl_rhs = -gl - (right[:, :-1] @ dp).reshape(L, 3)
     dl = (Hll_inv @ dl_rhs[:, :, None])[:, :, 0]
     return dp.reshape(P, 6), dl
 

@@ -1,36 +1,76 @@
 """Reference kernels of the optimizer's normal equations and Schur step.
 
-``reference_normal_equations`` accumulates with sequential ``np.add.at``
-calls and ``reference_solve_step`` damps each point block in a loop: the
-slow forms that ``_build_normal_equations`` (one ``np.bincount`` per block
-component) and ``_solve_step`` (broadcast damping) replace.  With their
-defaults they contract each term with ``matmul``, as the kernels do, and
-the kernels must agree with them bit for bit.
+``reference_normal_equations`` is the slow form of the documented
+summation order of ``_build_normal_equations``: for the pose blocks one
+boolean mask and one product per keyframe (forward) or (kf, ref_kf) pair
+(backward) group, and for the point blocks sequential ``np.add.at`` calls
+in row order, the forward terms first.  ``reference_solve_step`` damps
+each point block in a loop and reduces the Schur complement point chunk
+by point chunk.  They take the kernels' own per-group and per-term
+products, and the kernels must agree with them bit for bit.
 
-``reference_normal_equations(..., einsum=True)`` contracts with the
-``np.einsum`` forms the kernels used before ``matmul``, Jacobians
-included.  They sum a term's products in another order, so they agree
-with the kernels only to rounding; they stay as a check that shares
-none of the kernels' contractions.
+``per_term_normal_equations`` accumulates every term's own blocks with
+``np.add.at``, the order the kernels used before the groups; with
+``einsum=True`` it contracts with the ``np.einsum`` forms of the kernels
+before ``matmul``, Jacobians included.  Both sum in another order, so
+they agree with the kernels only to rounding; they stay as checks that
+share neither the kernels' grouping nor, with ``einsum``, their
+contractions.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 
-from symvo.optimizer import (
-    _hat_batch,
-    _Jacobians,
-    _projection_block,
-    _term_jacobians,
-)
+from symvo.optimizer import _schur_columns, _term_jacobians
 from symvo.uncertainty import HUBER_DELTA, huber_weight
+
+
+def _hat_batch(v):
+    """Batched skew-symmetric matrices for (N, 3) vectors."""
+    n = v.shape[0]
+    H = np.zeros((n, 3, 3))
+    H[:, 0, 1] = -v[:, 2]
+    H[:, 0, 2] = v[:, 1]
+    H[:, 1, 0] = v[:, 2]
+    H[:, 1, 2] = -v[:, 0]
+    H[:, 2, 0] = -v[:, 1]
+    H[:, 2, 1] = v[:, 0]
+    return H
+
+
+def reference_camera_points(problem, state):
+    """Each term's camera point, row by row: ``R_k p + t_k`` forward, and
+    backward the measured ray at the forward depth, mapped to the world and
+    into the reference view."""
+    q_f = np.array([state.R[k] @ state.pts[p] + state.t[k]
+                    for k, p in zip(problem.f_kf, problem.f_pt)]).reshape(-1, 3)
+    q_b = []
+    for b, i in enumerate(problem.b_fwd):
+        k, j = problem.f_kf[i], problem.b_ref[b]
+        world = state.R[k].T @ (problem.b_dir[b] * q_f[i, 2] - state.t[k])
+        q_b.append(state.R[j] @ world + state.t[j])
+    return q_f, np.array(q_b).reshape(-1, 3)
+
+
+def _projection_rows(q, cam):
+    """Batched -dPi/dq at camera points q: (N, 2, 3)."""
+    n = q.shape[0]
+    J = np.zeros((n, 2, 3))
+    z = q[:, 2]
+    J[:, 0, 0] = -cam.fx / z
+    J[:, 0, 2] = cam.fx * q[:, 0] / (z * z)
+    J[:, 1, 1] = -cam.fy / z
+    J[:, 1, 2] = cam.fy * q[:, 1] / (z * z)
+    return J
 
 
 def einsum_term_jacobians(problem, state, ev):
     """``_term_jacobians`` in its ``np.einsum`` form: the valid terms only."""
-    J = _Jacobians()
+    J = SimpleNamespace()
     idx = np.flatnonzero(ev.valid_f)
     q = ev.q_f[idx]
-    A = _projection_block(q, problem.cam)
+    A = _projection_rows(q, problem.cam)
     Rk = state.R[problem.f_kf[idx]]
     tk = state.t[problem.f_kf[idx]]
     Jw = -np.einsum("kab,kbc->kac", A, _hat_batch(q - tk))
@@ -40,7 +80,7 @@ def einsum_term_jacobians(problem, state, ev):
     idx = np.flatnonzero(ev.valid_b)
     fwd = problem.b_fwd[idx]
     q_b = ev.q_b[idx]
-    Bm = _projection_block(q_b, problem.cam)
+    Bm = _projection_rows(q_b, problem.cam)
     Rk = state.R[problem.f_kf[fwd]]
     tk = state.t[problem.f_kf[fwd]]
     tj = state.t[problem.b_ref[idx]]
@@ -65,7 +105,79 @@ def einsum_term_jacobians(problem, state, ev):
     return J
 
 
-def reference_normal_equations(problem, state, ev, einsum=False):
+def _weights(problem, ev):
+    """Huber weight times information of the valid forward and backward terms."""
+    f_idx, b_idx = np.flatnonzero(ev.valid_f), np.flatnonzero(ev.valid_b)
+    return (huber_weight(ev.m2_f[f_idx], HUBER_DELTA) * problem.f_info[f_idx],
+            huber_weight(ev.m2_b[b_idx], HUBER_DELTA) * problem.b_info[b_idx])
+
+
+def _term_products(X, Y):
+    """Per term i, ``X[:, i]^T Y[:, i]`` of component-first (a, n, 2) and
+    (b, n, 2) stacks: (n, a, b), each sum of two products as the kernel forms it."""
+    return (X[:, :, 0].T[:, :, None] * Y[:, :, 0].T[:, None, :]
+            + X[:, :, 1].T[:, :, None] * Y[:, :, 1].T[:, None, :])
+
+
+def reference_normal_equations(problem, state, ev):
+    P, L = len(problem.variable_pose_ids), len(problem.variable_point_ids)
+    Hpp = np.zeros((P, P, 6, 6))
+    Hll = np.zeros((L, 3, 3))
+    Hpl = np.zeros((P, L, 6, 3))
+    gp = np.zeros((P, 6))
+    gl = np.zeros((L, 3))
+    jac = _term_jacobians(problem, state, ev)
+    F, B = jac.f, jac.b
+    w_f, w_b = _weights(problem, ev)
+    WF = F * w_f[:, None]
+    WB = B * w_b[:, None]
+    f_idx, b_idx = np.flatnonzero(ev.valid_f), np.flatnonzero(ev.valid_b)
+    fwd = problem.b_fwd[b_idx]
+    var = {problem.kf_ids.index(k): v for v, k in enumerate(problem.variable_pose_ids)}
+
+    # pose blocks: one mask and one product per group, groups in order
+    kf = problem.f_kf[f_idx]
+    for k in np.unique(kf).tolist():
+        if k not in var:
+            continue
+        m = kf == k
+        G = WF[:, m][:6].reshape(6, -1) @ F[:, m].reshape(10, -1).T
+        Hpp[var[k], var[k]] += G[:, :6]
+        gp[var[k]] += G[:, 9]
+    kf, ref = problem.f_kf[fwd], problem.b_ref[b_idx]
+    for k, j in np.unique(np.stack([kf, ref], axis=1), axis=0).tolist():
+        if k not in var and j not in var:
+            continue
+        m = (kf == k) & (ref == j)
+        G = WB[:, m][:12].reshape(12, -1) @ B[:, m].reshape(16, -1).T
+        for a, side in ((k, slice(0, 6)), (j, slice(6, 12))):
+            if a in var:
+                gp[var[a]] += G[side, 15]
+                for b, other in ((k, slice(0, 6)), (j, slice(6, 12))):
+                    if b in var:
+                        Hpp[var[a], var[b]] += G[side, other]
+
+    # point blocks: each term's own products, in row order
+    kv, lv = problem.f_kf_var[f_idx], problem.f_pt_var[f_idx]
+    m = lv >= 0
+    T = _term_products(F[6:9], WF[6:10])
+    np.add.at(Hll, lv[m], T[m, :, :3])
+    np.add.at(gl, lv[m], T[m, :, 3])
+    m &= kv >= 0
+    np.add.at(Hpl, (kv[m], lv[m]), _term_products(F[:6], WF[6:9])[m])
+    lv = problem.f_pt_var[fwd]
+    m = lv >= 0
+    T = _term_products(B[12:15], WB[12:16])
+    np.add.at(Hll, lv[m], T[m, :, :3])
+    np.add.at(gl, lv[m], T[m, :, 3])
+    for va, pose in ((problem.f_kf_var[fwd], slice(0, 6)),
+                     (problem.b_ref_var[b_idx], slice(6, 12))):
+        m = (va >= 0) & (lv >= 0)
+        np.add.at(Hpl, (va[m], lv[m]), _term_products(B[pose], WB[12:15])[m])
+    return Hpp, Hpl, Hll, gp, gl
+
+
+def per_term_normal_equations(problem, state, ev, einsum=False):
     P, L = len(problem.variable_pose_ids), len(problem.variable_point_ids)
     Hpp = np.zeros((P, P, 6, 6))
     Hll = np.zeros((L, 3, 3))
@@ -166,9 +278,17 @@ def reference_solve_step(Hpp, Hpl, Hll, gp, gl, lam):
     Hpl_m = Hpl.transpose(0, 2, 1, 3).reshape(6 * P, 3 * L)
     W = Hpl @ Hll_inv
     W_m = W.transpose(0, 2, 1, 3).reshape(6 * P, 3 * L)
-    S = Hpp_m - W_m @ Hpl_m.T
-    rhs = -(gp_v - W_m @ gl.reshape(3 * L))
+    # C order, as in the kernel: BLAS rounds a product by its operands' layout
+    right = np.ascontiguousarray(np.concatenate([Hpl_m.T, gl.reshape(3 * L, 1)],
+                                                axis=1))
+    reduced = np.zeros((6 * P, 6 * P + 1))
+    chunk = _schur_columns(P) // 3
+    for first in range(0, L, chunk):
+        cols = slice(3 * first, 3 * min(first + chunk, L))
+        reduced += W_m[:, cols] @ right[cols]
+    S = Hpp_m - reduced[:, :-1]
+    rhs = -(gp_v - reduced[:, -1])
     dp = np.linalg.solve(S, rhs)
-    dl_rhs = -gl - (Hpl_m.T @ dp).reshape(L, 3)
+    dl_rhs = -gl - (right[:, :-1] @ dp).reshape(L, 3)
     dl = (Hll_inv @ dl_rhs[:, :, None])[:, :, 0]
     return dp.reshape(P, 6), dl

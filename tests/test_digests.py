@@ -12,7 +12,16 @@ Two scenes, each run forward and backward:
   change to either rule shows here.
 
 A change that is meant to move poses re-records these values and says so.
+
+A digest must not depend on the BLAS thread count either: the benchmark's
+corridor scene, cut to 7 frames, runs in two subprocesses, at one and at
+two BLAS threads, and both give the same digest.
 """
+
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -22,17 +31,17 @@ from symvo.synth import SceneSpec, generate
 
 DIGESTS = {
     ("orbit", "full", "fwd"):
-        "7821916a9d7540ed9bcfe680be1c9418425024103facd36ed017bece04936fc7",
+        "49470c38d34b2cee536f608181f46896f4c80ad8b130c5b120aa731c0fe7c697",
     ("orbit", "full", "bwd"):
-        "7ccadf22d12978ee41509cbd6ab8362798846021b43a35bb249ee32b32e27145",
+        "065eeea7a66f53befbaa90b83b7793b50b8123360a4830e498417d42845e78eb",
     ("orbit", "no_geometric_descriptor", "fwd"):
-        "20d1c105f590a0c1407b17500bd4a38b9f1c017248227f19d1904a691e447eda",
+        "a1cfd35a1fbb92df18a02d492c86af044cde35c89d29e2c01b209a62a6fb592e",
     ("orbit", "no_geometric_descriptor", "bwd"):
-        "63541164468a55431d608b320e159d228d7259d5327223fec2ed11db3bee2110",
+        "0400f7841c7a0d9726c681a7a525016cce4dde33525647ea051b8c6c2f14384e",
     ("corridor", "full", "fwd"):
-        "8ab5a8a2279346c8ab6ce27c0c6fcf66131df6d663ece69d80f26f36007cca40",
+        "df7b01b5c1166a2fee28ac98eed15785a4a3aeef98b852e18742b2b05c6d022e",
     ("corridor", "full", "bwd"):
-        "2a7c38f237973049d4045ae0abb9cc68675eaadf6fc9a66b1e2763d49844c1ec",
+        "50169dcad8e0038dd7a91f68fa36574ef8f270f15d454e85849ca7bc2ec4c144",
 }
 
 SCENES = {
@@ -63,3 +72,29 @@ def test_poses_digest_is_pinned(scenes, scene_name, config_name, direction):
     _, report = Pipeline(cam, config).run(frames[direction])
     assert report.health == "ok"
     assert report.digest == DIGESTS[scene_name, config_name, direction]
+
+
+# The benchmark's corridor scene (vobench/workloads.py) at seed 61: large
+# enough local windows that an unordered BLAS reduction rounds differently
+# on two threads by its 7th frame.
+THREADED_SCENE = """
+from symvo.pipeline import Pipeline, PipelineConfig
+from symvo.synth import SceneSpec, generate
+seq = generate(SceneSpec(trajectory="forward-corridor", n_frames=30, noise_px=0.5,
+                         outlier_rate=0.05, seed=61))
+_, report = Pipeline(seq.cam, PipelineConfig()).run(seq.frames[:7])
+print(report.health, report.digest)
+"""
+
+
+def test_digest_does_not_depend_on_blas_threads():
+    src = pathlib.Path(__file__).parent.parent / "src"
+    outputs = []
+    for threads in ("1", "2"):  # one subprocess at a time
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "OMP_NUM_THREADS": threads, "PYTHONPATH": str(src)}
+        run = subprocess.run([sys.executable, "-c", THREADED_SCENE], env=env,
+                             capture_output=True, text=True, check=True)
+        outputs.append(run.stdout.split())
+    assert outputs[0][0] == "ok"
+    assert outputs[0] == outputs[1]

@@ -15,12 +15,17 @@ from symvo.optimizer import (
     OptimizationProblem,
     _build_normal_equations,
     _evaluate,
+    _term_jacobians,
     optimize_pose,
     solve_problem,
 )
 from symvo.uncertainty import CovarianceModel
 
-from oracles import reference_normal_equations
+from oracles import (
+    einsum_term_jacobians,
+    reference_camera_points,
+    reference_normal_equations,
+)
 
 CAM = CameraIntrinsics(fx=500.0, fy=500.0, cx=320.0, cy=240.0, width=640, height=480)
 
@@ -87,6 +92,32 @@ def test_solve_problem_ba_window(benchmark, ba_window):
     assert result.cost < 1e-12
     assert np.allclose(result.state.pts, np.stack(list(truth_points.values())),
                        atol=1e-6)
+
+
+def test_evaluate_ba_window(benchmark, ba_window):
+    """One residual evaluation of the window; the oracle maps every term's
+    point row by row."""
+    problem, _ = ba_window
+    state = problem.initial_state()
+    ev = benchmark.pedantic(_evaluate, args=(problem, state), rounds=5,
+                            iterations=1, warmup_rounds=1)
+    q_f, q_b = reference_camera_points(problem, state)
+    assert ev.valid_f.all() and ev.valid_b.all()
+    np.testing.assert_allclose(ev.q_f, q_f, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(ev.q_b, q_b, rtol=1e-12, atol=0)
+
+
+def test_term_jacobians_ba_window(benchmark, ba_window):
+    """The window's Jacobians; the oracle is their ``np.einsum`` form."""
+    problem, _ = ba_window
+    state = problem.initial_state()
+    ev = _evaluate(problem, state)
+    jac = benchmark.pedantic(_term_jacobians, args=(problem, state, ev),
+                             rounds=5, iterations=1, warmup_rounds=1)
+    want = einsum_term_jacobians(problem, state, ev)
+    for name in ("f_pose", "f_pt", "b_pose_k", "b_pose_j", "b_pt"):
+        got, ref = getattr(jac, name), getattr(want, name)
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
 
 
 def test_build_normal_equations_ba_window(benchmark, ba_window):

@@ -21,7 +21,11 @@ from symvo.optimizer import (
 )
 from symvo.uncertainty import HUBER_DELTA, CovarianceModel
 
-from oracles import reference_normal_equations, reference_solve_step
+from oracles import (
+    per_term_normal_equations,
+    reference_normal_equations,
+    reference_solve_step,
+)
 
 CAM = CameraIntrinsics(fx=500.0, fy=500.0, cx=320.0, cy=240.0, width=640, height=480)
 
@@ -382,7 +386,57 @@ def permutation_case():
                 variable_point_ids=tuple(sorted(points)))
 
 
+def split_run_case():
+    """A noisy 5-view, 40-point symmetric window.  Even points take fixed
+    view 1 as their reference and odd points variable view 2, so the
+    backward terms of views 3-5 form two runs each.  Point 20 starts
+    behind views 3, 4 and 5: its invalid terms sit inside their runs."""
+    rng = np.random.default_rng(17)
+    poses, points = make_scene(rng, n_poses=5, n_points=40)
+    terms = make_observations(poses, points, SYMMETRIC, noise=1.5, rng=rng)
+    terms["uv"][::7, 0] += 40.0
+    for pid in range(1, 41, 2):
+        rows = np.flatnonzero(terms["point"] == pid)
+        ref = rows[terms["kf"][rows] == 2][0]
+        terms["ref_kf"][rows] = 2
+        terms["ref_uv"][rows] = terms["uv"][ref]
+        terms["ref_sigma2"][rows] = terms["sigma2"][ref]
+    start_poses, start_points = perturbed(poses, points, rng, rot=0.03,
+                                          trans=0.05, pt=0.2)
+    start_points[20] = np.array([0.3, 0.2, 1.0])
+    return dict(cam=CAM, poses=start_poses, points=start_points,
+                observations=terms, model=SYMMETRIC,
+                variable_pose_ids=(2, 3, 4),
+                variable_point_ids=tuple(sorted(points)))
+
+
+def normal_equations_of(args):
+    problem = OptimizationProblem(**args)
+    state = problem.initial_state()
+    ev = _evaluate(problem, state)
+    return problem, ev, _build_normal_equations(problem, state, ev)
+
+
 class TestSolverProperties:
+    def test_split_run_case_splits_runs(self):
+        problem, ev, _ = normal_equations_of(split_run_case())
+        inside = [i for i in np.flatnonzero(~ev.valid_f)
+                  if i not in problem.f_bounds and i + 1 not in problem.f_bounds]
+        assert {problem.observations["kf"][i] for i in inside} == {3, 4, 5}
+        assert np.any(~ev.valid_b)
+        runs = list(zip(problem.b_run_kf.tolist(), problem.b_run_ref.tolist()))
+        assert {(k, j) for k, j in runs if k >= 2} == {
+            (k, j) for k in (2, 3, 4) for j in (0, 1) if k != j}
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(order=st.permutations(range(5 * 40)))
+    def test_row_order_does_not_change_the_normal_equations(self, order):
+        args = split_run_case()
+        _, _, want = normal_equations_of(args)
+        args["observations"] = args["observations"][list(order)]
+        _, _, got = normal_equations_of(args)
+        assert_bit_identical(got, want)
+
     @settings(max_examples=25, deadline=None, derandomize=True, database=None)
     @given(order=st.permutations(range(3 * 12)))
     def test_row_order_does_not_change_the_solution(self, order):
@@ -568,6 +622,13 @@ class TestKernelBitIdentity:
         assert_bit_identical(_build_normal_equations(problem, state, ev),
                              reference_normal_equations(problem, state, ev))
 
+    def test_normal_equations_match_sequential_add_at_on_split_runs(self):
+        problem = OptimizationProblem(**split_run_case())
+        state = problem.initial_state()
+        ev = _evaluate(problem, state)
+        assert_bit_identical(_build_normal_equations(problem, state, ev),
+                             reference_normal_equations(problem, state, ev))
+
     @pytest.mark.parametrize("case", KERNEL_CASES, ids=KERNEL_IDS)
     @pytest.mark.parametrize("lam", [1e-12, 1e-4, 1e-1, 1.0, 1e3, 1e12])
     def test_solve_step_matches_damping_loop(self, case, lam):
@@ -594,6 +655,17 @@ class TestMatmulAgreesWithEinsum:
         so the two agree to rounding only."""
         problem, state, ev = kernel_state(*case, seed)
         got = _build_normal_equations(problem, state, ev)
-        want = reference_normal_equations(problem, state, ev, einsum=True)
+        want = per_term_normal_equations(problem, state, ev, einsum=True)
+        for g, w in zip(got, want):
+            np.testing.assert_allclose(g, w, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("case", KERNEL_CASES, ids=KERNEL_IDS)
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_normal_equations_match_per_term_sums(self, case, seed):
+        """The grouped blocks against every term's own blocks summed with
+        ``np.add.at``: the same Jacobians, another summation order."""
+        problem, state, ev = kernel_state(*case, seed)
+        got = _build_normal_equations(problem, state, ev)
+        want = per_term_normal_equations(problem, state, ev)
         for g, w in zip(got, want):
             np.testing.assert_allclose(g, w, rtol=1e-12, atol=0)
