@@ -19,6 +19,15 @@ of their own: image bounds and positive depth for projection searches, the
 epipolar band for triangulation.  ``triangulate_rays`` is the one
 midpoint triangulation, used here for new points and by the pipeline's
 two-view initialization.
+
+``match`` scores only pairs that can still pass the gates.  A query that
+the site's mask or the depth filter drops gets no descriptor distance at
+all.  The projection searches admit every target of a live query and
+score them with one ``hamming_matrix`` over the live rows; triangulation
+hands over the epipolar-band pairs as index arrays, with one parallax per
+pair, and they are scored by ``hamming_pairs``.  Either way the scored
+pairs become flat (query row, target row, distance[, parallax]) arrays
+that one ``gate_mask`` call filters and one acceptance pass walks.
 """
 
 from __future__ import annotations
@@ -31,7 +40,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NoBaselineError
-from .features import DepthInterval, hamming_matrix
+from .features import DepthInterval, hamming_matrix, hamming_pairs
 from .geometry import CameraIntrinsics, Pose, parallax_angles, unit_ray
 
 
@@ -121,69 +130,96 @@ def passes_gates(candidate: MatchCandidate, policy: AssociationPolicy,
 
 def match(query_ids, query_descriptors, target_ids, target_descriptors,
           policy: AssociationPolicy, site: Site,
-          pair_mask=None, query_mask=None, parallax=None, depth_ok=None):
+          pairs=None, query_mask=None, parallax=None, depth_ok=None):
     """One-to-one matching between two descriptor stacks.
 
-    ``pair_mask`` (Nq, Nt) carries any geometric admissibility computed by
-    the call site; ``query_mask`` (Nq,) drops queries outright;
-    ``depth_ok`` (Nq,) the per-query depth-filter verdict; ``parallax``
-    (Nq, Nt) per-pair angles where triangulation applies.  Returns the
-    accepted MatchCandidate records, each of which passes ``gate_mask``.
+    Per query, (Nq,): ``query_mask`` drops queries outright and
+    ``depth_ok`` is the depth-filter verdict.  Per pair: ``pairs`` is a
+    ``(qi, ti)`` pair of row-index arrays, in row-major order as
+    ``np.nonzero`` gives them, holding the pairs the call site admits
+    geometrically; ``parallax`` is one angle per pair where triangulation
+    applies.  Without ``pairs`` every target is admissible.
+
+    Distances are computed only for queries that ``query_mask`` and an
+    applied depth filter keep: by ``hamming_matrix`` over their rows when
+    every target is admissible, else by ``hamming_pairs`` over their pairs.
+    Returns the accepted MatchCandidate records, each of which passes
+    ``gate_mask``.
     """
     query_ids = np.asarray(query_ids, dtype=np.int64)
     target_ids = np.asarray(target_ids, dtype=np.int64)
     if query_ids.size == 0 or target_ids.size == 0:
         return []
-    dist = hamming_matrix(query_descriptors, target_descriptors)
-    ok = gate_mask(
-        dist, policy, site,
-        depth_ok=None if depth_ok is None else np.asarray(depth_ok)[:, None],
-        parallax=parallax,
-    )
-    if pair_mask is not None:
-        ok &= np.asarray(pair_mask, dtype=bool)
+    live = np.ones(query_ids.size, dtype=bool)
     if query_mask is not None:
-        ok &= np.asarray(query_mask, dtype=bool)[:, None]
-    qi, ti = np.nonzero(ok)
-    if qi.size == 0:
+        live &= np.asarray(query_mask, dtype=bool)
+    if policy.use_depth_filter and depth_ok is not None:
+        live &= np.asarray(depth_ok, dtype=bool)
+    if pairs is None:
+        if parallax is not None:
+            raise ValueError("parallax is given per pair, so it needs pairs")
+        rows = np.flatnonzero(live)
+        block = hamming_matrix(query_descriptors[rows], target_descriptors)
+        # a pair past the descriptor threshold cannot pass the gate; only
+        # the others are flattened
+        qi, ti = np.nonzero(block <= policy.threshold_for(site))
+        dist = block[qi, ti]
+        qi = rows[qi]
+    else:
+        qi, ti = (np.asarray(a, dtype=np.intp) for a in pairs)
+        keep = live[qi]
+        qi, ti = qi[keep], ti[keep]
+        if parallax is not None:
+            parallax = np.asarray(parallax)[keep]
+        dist = hamming_pairs(query_descriptors[qi], target_descriptors[ti])
+    ok = np.flatnonzero(gate_mask(
+        dist, policy, site,
+        depth_ok=None if depth_ok is None else np.asarray(depth_ok)[qi],
+        parallax=parallax,
+    ))
+    if ok.size == 0:
         return []
+    qi, ti, dist = qi[ok], ti[ok], dist[ok]
+    if parallax is not None:
+        parallax = parallax[ok]
 
-    def candidate(q, t):
+    def candidate(k):
+        q = qi[k]
         return MatchCandidate(
             query_index=int(query_ids[q]),
-            target_index=int(target_ids[t]),
-            hamming=int(dist[q, t]),
-            parallax=None if parallax is None else float(parallax[q, t]),
+            target_index=int(target_ids[ti[k]]),
+            hamming=int(dist[k]),
+            parallax=None if parallax is None else float(parallax[k]),
             predicted_depth_ok=None if depth_ok is None else bool(depth_ok[q]),
         )
 
     accepted = []
     if policy.ordering is Ordering.HAMMING_ORDERED:
-        order = np.lexsort((target_ids[ti], query_ids[qi], dist[qi, ti]))
+        order = np.lexsort((target_ids[ti], query_ids[qi], dist))
         used_q, used_t = set(), set()
-        for k in order:
+        for k in order.tolist():
             q, t = int(qi[k]), int(ti[k])
             if q in used_q or t in used_t:
                 continue
             used_q.add(q)
             used_t.add(t)
-            accepted.append(candidate(q, t))
+            accepted.append(candidate(k))
     else:
         used_t = set()
         by_query = {}
         for k in range(qi.size):
-            by_query.setdefault(int(qi[k]), []).append(int(ti[k]))
+            by_query.setdefault(int(qi[k]), []).append(k)
         for q in range(query_ids.size):
-            best_t, best_d = None, None
-            for t in by_query.get(q, ()):
-                if t in used_t:
+            best_k, best_d = None, None
+            for k in by_query.get(q, ()):
+                if int(ti[k]) in used_t:
                     continue
-                d = int(dist[q, t])
+                d = int(dist[k])
                 if best_d is None or d < best_d:
-                    best_t, best_d = t, d
-            if best_t is not None:
-                used_t.add(best_t)
-                accepted.append(candidate(q, best_t))
+                    best_k, best_d = k, d
+            if best_k is not None:
+                used_t.add(int(ti[best_k]))
+                accepted.append(candidate(best_k))
     return accepted
 
 
@@ -290,9 +326,11 @@ def search_for_triangulation(kf_a, kf_b, policy: AssociationPolicy,
     """Epipolar-gated matching plus midpoint triangulation of a keyframe pair.
 
     Only free keypoints take part: those whose entry in the keyframe's
-    ``point_ids`` column is -1.  Returns ``TriangulatedMatch`` records whose
-    query ids index ``kf_a``'s keypoints and target ids ``kf_b``'s.  Raises
-    NoBaselineError for a near-zero baseline.
+    ``point_ids`` column is -1.  The epipolar band is the one dense test;
+    descriptor distances and parallax are computed only for the pairs
+    inside it.  Returns ``TriangulatedMatch`` records whose query ids index
+    ``kf_a``'s keypoints and target ids ``kf_b``'s.  Raises NoBaselineError
+    for a near-zero baseline.
     """
     baseline = kf_b.pose.translation - kf_a.pose.translation
     if np.linalg.norm(baseline) < 1e-6:
@@ -309,17 +347,16 @@ def search_for_triangulation(kf_a, kf_b, policy: AssociationPolicy,
     rel_ab = kf_b.pose.inverse().compose(kf_a.pose)  # frame a -> frame b
     F_ab = fundamental_from_relative(rel_ab, cam)
     F_ba = fundamental_from_relative(rel_ab.inverse(), cam)
-    dist_in_b = _epipolar_distances(uv_a, uv_b, F_ab, cam)
-    dist_in_a = _epipolar_distances(uv_b, uv_a, F_ba, cam).T
-    sigma_a = np.sqrt(kf_a.noise_sigma2[idx_a])[:, None]
-    sigma_b = np.sqrt(kf_b.noise_sigma2[idx_b])[None, :]
-    epi_ok = (dist_in_b <= EPIPOLAR_SIGMA_FACTOR * sigma_b) & (
-        dist_in_a <= EPIPOLAR_SIGMA_FACTOR * sigma_a
-    )
+    # each band is tested on its distances as computed; only the boolean
+    # verdict of the b -> a band is transposed, which is cheaper
+    in_b = _epipolar_distances(uv_a, uv_b, F_ab, cam) <= (
+        EPIPOLAR_SIGMA_FACTOR * np.sqrt(kf_b.noise_sigma2[idx_b]))
+    in_a = _epipolar_distances(uv_b, uv_a, F_ba, cam) <= (
+        EPIPOLAR_SIGMA_FACTOR * np.sqrt(kf_a.noise_sigma2[idx_a]))
+    qi, ti = np.nonzero(in_b & in_a.T)
 
     rays_a = unit_ray(uv_a, cam) @ kf_a.pose.rotation.T
     rays_b = unit_ray(uv_b, cam) @ kf_b.pose.rotation.T
-    parallax = parallax_angles(rays_a[:, None, :], rays_b[None, :, :])
 
     candidates = match(
         query_ids=idx_a,
@@ -328,8 +365,8 @@ def search_for_triangulation(kf_a, kf_b, policy: AssociationPolicy,
         target_descriptors=kf_b.descriptors[idx_b],
         policy=policy,
         site=Site.TRIANGULATION,
-        pair_mask=epi_ok,
-        parallax=parallax,
+        pairs=(qi, ti),
+        parallax=parallax_angles(rays_a[qi], rays_b[ti]),
     )
 
     if not candidates:

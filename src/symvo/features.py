@@ -2,12 +2,13 @@
 
 Descriptors are fixed-length bit vectors compared by Hamming distance;
 the program keeps them packed, one (N, n_bytes) uint8 row per keypoint,
-and ``Descriptor``/``hamming`` are the scalar reference forms.  Map points
-summarize their descriptor sets by a single reference descriptor chosen
-either by appearance (least median distance to the rest) or by geometry
-(held by the keyframe closest to the query).  The depth-invariance
-interval bounds the query depths at which a point's appearance stays
-within a given octave shift.
+and ``Descriptor``/``hamming`` are the scalar reference forms.
+``hamming_matrix`` scores every pair of two stacks, ``hamming_pairs`` only
+row-paired ones.  Map points summarize their descriptor sets by a single
+reference descriptor chosen either by appearance (least median distance to
+the rest) or by geometry (held by the keyframe closest to the query).  The
+depth-invariance interval bounds the query depths at which a point's
+appearance stays within a given octave shift.
 
 The reference rules and the interval are per-point rules over the
 keyframes that observe a point; they take a point's holders as one run of
@@ -104,6 +105,19 @@ def hamming_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     for w in range(wa.shape[1]):
         dist += np.bitwise_count(wa[:, w, None] ^ wb[None, :, w])
     return dist
+
+
+def hamming_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-paired Hamming distances: an (N,) int32 array of ``a[i]`` vs ``b[i]``.
+
+    The per-pair form of ``hamming_matrix``, for callers that score only
+    the pairs they admit.
+    """
+    if a.shape[-1] != b.shape[-1]:
+        raise DescriptorMismatchError("packed descriptor widths differ")
+    if a.shape[0] != b.shape[0]:
+        raise ValueError("row-paired stacks need equal row counts")
+    return np.bitwise_count(_as_words(a) ^ _as_words(b)).sum(axis=1, dtype=np.int32)
 
 
 @dataclass(frozen=True)

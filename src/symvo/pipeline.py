@@ -588,7 +588,10 @@ class Pipeline:
                 continue
             owner = int(kf.point_ids[kp])
             if dec.merged_into is None:
-                if owner < 0 and not np.any(kf.point_ids == pid):
+                # the point is not held here: ``point_ids`` excludes the held
+                # ones and each point has one decision; ``add_observation``
+                # refuses it otherwise
+                if owner < 0:
                     world.add_observation(pid, kf.kf_id, kp)
                     edited.append(pid)
             elif owner >= 0 and owner != pid:
@@ -614,8 +617,8 @@ class Pipeline:
             frame.timestamp, pose_wc, frame.keypoints, frame.octaves,
             frame.descriptors,
         )
-        for cand in matches:
-            self.world.add_observation(cand.query_index, kf.kf_id, cand.target_index)
+        self.world.add_observation([c.query_index for c in matches], kf.kf_id,
+                                   [c.target_index for c in matches])
         self.world.refresh_points([c.query_index for c in matches])
         self._mapping_step(kf)
         self.velocity_cw = kf.pose.inverse().compose(self.prev_pose_cw.inverse())

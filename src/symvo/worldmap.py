@@ -86,6 +86,23 @@ def _free(kf: Keyframe, keypoints):
     kf.inlier[keypoints] = False
 
 
+def _refuse(kf: Keyframe, point_ids: list, keypoints: list):
+    """Raise the WorldIntegrityError of the first binding that one-at-a-time
+    binding of ``point_ids`` to ``keypoints`` would refuse."""
+    column = kf.point_ids.tolist()
+    held = set(column)
+    for pid, kp in zip(point_ids, keypoints):
+        if pid in held:
+            raise WorldIntegrityError(
+                f"point {pid} already observes keyframe {kf.kf_id}")
+        if column[kp] >= 0:
+            raise WorldIntegrityError(
+                f"keypoint {kp} of keyframe {kf.kf_id} already bound to point "
+                f"{column[kp]}")
+        column[kp] = pid
+        held.add(pid)
+
+
 class WorldMap:
     """The observation graph plus its maintenance policies."""
 
@@ -152,17 +169,28 @@ class WorldMap:
             self.add_observation(pid, kf_id, kp_index)
         return pid
 
-    def add_observation(self, point_id: int, kf_id: int, kp_index: int):
+    def add_observation(self, point_id, kf_id: int, kp_index):
+        """Bind points to keypoints of one keyframe.
+
+        ``point_id`` and ``kp_index`` are scalars or equal-length arrays, one
+        binding per element.  A point that would observe the keyframe twice
+        or a keypoint that is bound already raises WorldIntegrityError, as
+        the first such binding of the batch would one at a time, and
+        nothing is bound.
+        """
         kf = self.keyframes[kf_id]
-        if np.any(kf.point_ids == point_id):
-            raise WorldIntegrityError(
-                f"point {point_id} already observes keyframe {kf_id}")
-        if kf.point_ids[kp_index] >= 0:
-            raise WorldIntegrityError(
-                f"keypoint {kp_index} of keyframe {kf_id} already bound to point "
-                f"{kf.point_ids[kp_index]}")
-        kf.point_ids[kp_index] = point_id
-        kf.inlier[kp_index] = True
+        pids = np.asarray(point_id, dtype=np.int64).reshape(-1)
+        kps = np.asarray(kp_index, dtype=np.int64).reshape(-1)
+        if pids.size == 1:  # one scan costs less than a set test here
+            clash = (kf.point_ids == pids[0]).any() or kf.point_ids[kps[0]] >= 0
+        else:
+            clash = (np.isin(pids, kf.point_ids).any() or (kf.point_ids[kps] >= 0).any()
+                     or np.unique(pids).size < pids.size
+                     or np.unique(kps).size < kps.size)
+        if clash:
+            _refuse(kf, pids.tolist(), kps.tolist())
+        kf.point_ids[kps] = pids
+        kf.inlier[kps] = True
 
     def remove_observation(self, point_id: int, kf_id: int):
         """Unbind the point from the keyframe; a point left with no holder dies."""
@@ -171,18 +199,23 @@ class WorldMap:
             raise WorldIntegrityError(
                 f"point {point_id} does not observe keyframe {kf_id}")
         _free(self.keyframes[kf_id], bound)
-        if not any(np.any(k.point_ids == point_id) for k in self.keyframes.values()):
+        if not np.any(self._stacked("point_ids")[2] == point_id):
             self.live[point_id] = False
 
     def merge_points(self, dst_id: int, src_id: int):
         """Absorb ``src`` into ``dst``; on keyframe conflicts dst wins."""
         if dst_id == src_id:
             return
-        for kf in self.keyframes.values():
-            if np.any(kf.point_ids == dst_id):
-                _free(kf, kf.point_ids == src_id)
+        kfs, first, column = self._stacked("point_ids")
+        rows = np.flatnonzero((column == src_id) | (column == dst_id))
+        holder = np.searchsorted(first, rows, side="right") - 1
+        is_src = column[rows] == src_id
+        with_dst = set(holder[~is_src].tolist())
+        for row, k in zip(rows[is_src].tolist(), holder[is_src].tolist()):
+            if k in with_dst:
+                _free(kfs[k], row - first[k])
             else:
-                kf.point_ids[kf.point_ids == src_id] = dst_id
+                kfs[k].point_ids[row - first[k]] = dst_id
         self.live[src_id] = False
 
     def _drop(self, point_ids):
@@ -208,12 +241,18 @@ class WorldMap:
         row = row[np.argsort(point[row], kind="stable")]
         return point[row], kf_id[row], row - np.searchsorted(kf_id, kf_id[row])
 
+    def _stacked(self, name: str) -> tuple:
+        """(keyframes in id order, each one's first row, their per-keypoint
+        ``name`` arrays end to end)."""
+        kfs = [self.keyframes[k] for k in self.keyframe_ids()]
+        first = np.cumsum([0] + [kf.n_keypoints for kf in kfs])
+        return kfs, first, np.concatenate([getattr(kf, name) for kf in kfs])
+
     def gather(self, kf_ids, keypoints, name: str) -> np.ndarray:
         """``keyframes[kf_ids[i]].<name>[keypoints[i]]`` for every i, where
         ``name`` is a per-keypoint array such as ``descriptors``."""
-        ids = self.keyframe_ids()
-        first = np.cumsum([0] + [self.keyframes[k].n_keypoints for k in ids])
-        table = np.concatenate([getattr(self.keyframes[k], name) for k in ids])
+        kfs, first, table = self._stacked(name)
+        ids = [kf.kf_id for kf in kfs]
         return table[first[np.searchsorted(ids, kf_ids)] + keypoints]
 
     def _pose_rows(self, kf_ids, value) -> np.ndarray:

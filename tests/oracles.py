@@ -16,12 +16,33 @@ before ``matmul``, Jacobians included.  Both sum in another order, so
 they agree with the kernels only to rounding; they stay as checks that
 share neither the kernels' grouping nor, with ``einsum``, their
 contractions.
+
+``reference_match`` is the dense form of ``association.match``: it scores
+every (query, target) pair with ``hamming_matrix`` and takes geometric
+admissibility as an (Nq, Nt) ``pair_mask`` and parallax as an (Nq, Nt)
+matrix.  ``reference_search_for_triangulation`` is the triangulation
+search on top of it, with the parallax of every pair.  The program's
+forms score only the pairs that can still pass the gates and must return
+the same candidates, in the same order, with the same diagnostics.
 """
 
 from types import SimpleNamespace
 
 import numpy as np
 
+from symvo.association import (
+    EPIPOLAR_SIGMA_FACTOR,
+    MatchCandidate,
+    Ordering,
+    Site,
+    TriangulatedMatch,
+    _epipolar_distances,
+    fundamental_from_relative,
+    gate_mask,
+    triangulate_rays,
+)
+from symvo.features import hamming_matrix
+from symvo.geometry import parallax_angles, unit_ray
 from symvo.optimizer import _schur_columns, _term_jacobians
 from symvo.uncertainty import HUBER_DELTA, huber_weight
 
@@ -292,3 +313,101 @@ def reference_solve_step(Hpp, Hpl, Hll, gp, gl, lam):
     dl_rhs = -gl - (right[:, :-1] @ dp).reshape(L, 3)
     dl = (Hll_inv @ dl_rhs[:, :, None])[:, :, 0]
     return dp.reshape(P, 6), dl
+
+
+def reference_match(query_ids, query_descriptors, target_ids, target_descriptors,
+                    policy, site, pair_mask=None, query_mask=None, parallax=None,
+                    depth_ok=None):
+    """Dense one-to-one matching: every pair scored, then gated."""
+    query_ids = np.asarray(query_ids, dtype=np.int64)
+    target_ids = np.asarray(target_ids, dtype=np.int64)
+    if query_ids.size == 0 or target_ids.size == 0:
+        return []
+    dist = hamming_matrix(query_descriptors, target_descriptors)
+    ok = gate_mask(
+        dist, policy, site,
+        depth_ok=None if depth_ok is None else np.asarray(depth_ok)[:, None],
+        parallax=parallax,
+    )
+    if pair_mask is not None:
+        ok &= np.asarray(pair_mask, dtype=bool)
+    if query_mask is not None:
+        ok &= np.asarray(query_mask, dtype=bool)[:, None]
+    qi, ti = np.nonzero(ok)
+    if qi.size == 0:
+        return []
+
+    def candidate(q, t):
+        return MatchCandidate(
+            query_index=int(query_ids[q]),
+            target_index=int(target_ids[t]),
+            hamming=int(dist[q, t]),
+            parallax=None if parallax is None else float(parallax[q, t]),
+            predicted_depth_ok=None if depth_ok is None else bool(depth_ok[q]),
+        )
+
+    accepted = []
+    if policy.ordering is Ordering.HAMMING_ORDERED:
+        order = np.lexsort((target_ids[ti], query_ids[qi], dist[qi, ti]))
+        used_q, used_t = set(), set()
+        for k in order:
+            q, t = int(qi[k]), int(ti[k])
+            if q in used_q or t in used_t:
+                continue
+            used_q.add(q)
+            used_t.add(t)
+            accepted.append(candidate(q, t))
+    else:
+        used_t = set()
+        by_query = {}
+        for k in range(qi.size):
+            by_query.setdefault(int(qi[k]), []).append(int(ti[k]))
+        for q in range(query_ids.size):
+            best_t, best_d = None, None
+            for t in by_query.get(q, ()):
+                if t in used_t:
+                    continue
+                d = int(dist[q, t])
+                if best_d is None or d < best_d:
+                    best_t, best_d = t, d
+            if best_t is not None:
+                used_t.add(best_t)
+                accepted.append(candidate(q, best_t))
+    return accepted
+
+
+def reference_search_for_triangulation(kf_a, kf_b, policy, cam):
+    """``search_for_triangulation`` with the dense matcher: the epipolar band
+    as an (Na, Nb) mask and the parallax of every pair."""
+    idx_a = np.flatnonzero(kf_a.point_ids < 0)
+    idx_b = np.flatnonzero(kf_b.point_ids < 0)
+    if idx_a.size == 0 or idx_b.size == 0:
+        return []
+    uv_a = kf_a.keypoints[idx_a]
+    uv_b = kf_b.keypoints[idx_b]
+    rel_ab = kf_b.pose.inverse().compose(kf_a.pose)
+    dist_in_b = _epipolar_distances(uv_a, uv_b, fundamental_from_relative(rel_ab, cam), cam)
+    dist_in_a = _epipolar_distances(
+        uv_b, uv_a, fundamental_from_relative(rel_ab.inverse(), cam), cam).T
+    epi_ok = (
+        (dist_in_b <= EPIPOLAR_SIGMA_FACTOR * np.sqrt(kf_b.noise_sigma2[idx_b])[None, :])
+        & (dist_in_a <= EPIPOLAR_SIGMA_FACTOR * np.sqrt(kf_a.noise_sigma2[idx_a])[:, None])
+    )
+    rays_a = unit_ray(uv_a, cam) @ kf_a.pose.rotation.T
+    rays_b = unit_ray(uv_b, cam) @ kf_b.pose.rotation.T
+    candidates = reference_match(
+        idx_a, kf_a.descriptors[idx_a], idx_b, kf_b.descriptors[idx_b],
+        policy, Site.TRIANGULATION, pair_mask=epi_ok,
+        parallax=parallax_angles(rays_a[:, None, :], rays_b[None, :, :]),
+    )
+    if not candidates:
+        return []
+    ka = np.searchsorted(idx_a, [c.query_index for c in candidates])
+    kb = np.searchsorted(idx_b, [c.target_index for c in candidates])
+    pts, ok = triangulate_rays(kf_a.pose.translation, rays_a[ka],
+                               kf_b.pose.translation, rays_b[kb])
+    z_a = kf_a.pose.depth_of(pts)
+    z_b = kf_b.pose.depth_of(pts)
+    keep = ok & (z_a > 0) & (z_b > 0)
+    return [TriangulatedMatch(cand, pts[k], float(z_a[k]), float(z_b[k]))
+            for k, cand in enumerate(candidates) if keep[k]]

@@ -1,14 +1,20 @@
+import dataclasses
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import symvo.association as association
 from symvo.association import (
     AssociationPolicy,
     ConstraintMode,
     MatchCandidate,
     Ordering,
+    PointBatch,
     Site,
     fuse,
     match,
@@ -21,6 +27,8 @@ from symvo.errors import NoBaselineError
 from symvo.features import DepthInterval, Descriptor, PyramidConfig, pack_descriptors
 from symvo.geometry import CameraIntrinsics, Pose, project, so3_exp, unit_ray
 from symvo.worldmap import Keyframe, WorldMap
+
+from oracles import reference_match, reference_search_for_triangulation
 
 CAM = CameraIntrinsics(fx=500.0, fy=500.0, cx=320.0, cy=240.0, width=640, height=480)
 PYR = PyramidConfig()
@@ -202,11 +210,12 @@ class TestGatePredicate:
             policy = make_policy(
                 use_depth_filter=bool(trial % 2), constraint_mode=mode,
             )
-            parallax = rng.uniform(0.0, math.radians(3.0), (n_q, n_t))
+            pairs = np.nonzero(np.ones((n_q, n_t), dtype=bool))
+            parallax = rng.uniform(0.0, math.radians(3.0), pairs[0].size)
             depth_ok = rng.random(n_q) < 0.7
             for site in Site:
                 got = match(range(n_q), q, range(n_t), t, policy, site,
-                            parallax=parallax, depth_ok=depth_ok)
+                            pairs=pairs, parallax=parallax, depth_ok=depth_ok)
                 assert all(passes_gates(c, policy, site) for c in got)
                 n_accepted[site] += len(got)
         assert all(n > 0 for n in n_accepted.values())
@@ -427,3 +436,194 @@ class TestFuse:
         best = min(dists)
         assert len(decisions) == 1
         assert decisions[0].keypoint_index == best[1]
+
+
+# ----------------------------------------------------------------------
+# equivalence with the dense reference matcher
+
+
+@st.composite
+def policies(draw):
+    return AssociationPolicy(
+        descriptor_threshold=draw(st.integers(0, 40)),
+        min_parallax=math.radians(draw(st.sampled_from([0.0, 1.0, 3.0]))),
+        use_depth_filter=draw(st.booleans()),
+        ordering=draw(st.sampled_from(list(Ordering))),
+        constraint_mode=draw(st.sampled_from(list(ConstraintMode))),
+    )
+
+
+def near_copies(rng, base, n, rate):
+    """``n`` packed copies of the packed ``base`` with each bit flipped at ``rate``."""
+    flips = np.packbits(rng.random((n, 8 * base.size)) < rate, axis=1)
+    return base[None, :] ^ flips
+
+
+def maybe(draw, value):
+    return value if draw(st.booleans()) else None
+
+
+@st.composite
+def match_instances(draw):
+    """Query and target stacks at distances around the thresholds, distinct
+    ids in arbitrary order, and optional query, pair and depth masks."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_q, n_t = draw(st.integers(0, 9)), draw(st.integers(0, 9))
+    rate = draw(st.sampled_from([0.01, 0.04, 0.08]))
+    base = rng.integers(0, 256, 32, dtype=np.uint8)
+    return dict(
+        query_ids=rng.permutation(50)[:n_q],
+        query_descriptors=near_copies(rng, base, n_q, rate),
+        target_ids=rng.permutation(50)[:n_t],
+        target_descriptors=near_copies(rng, base, n_t, rate),
+        pair_mask=maybe(draw, rng.random((n_q, n_t)) < 0.6),
+        query_mask=maybe(draw, rng.random(n_q) < 0.7),
+        parallax=maybe(draw, rng.uniform(0.0, math.radians(4.0), (n_q, n_t))),
+        depth_ok=maybe(draw, rng.random(n_q) < 0.7),
+    )
+
+
+def per_pair_match(inst, policy, site, order=None):
+    """``match`` on ``inst`` with the dense pair mask and parallax given per
+    pair; ``order`` permutes queries and targets first."""
+    n_q, n_t = inst["query_ids"].size, inst["target_ids"].size
+    pq, pt = order if order is not None else (np.arange(n_q), np.arange(n_t))
+    mask, parallax = inst["pair_mask"], inst["parallax"]
+    pairs = None
+    if mask is not None or parallax is not None:
+        full = np.ones((n_q, n_t), dtype=bool) if mask is None else mask
+        pairs = np.nonzero(full[pq][:, pt])
+    return match(
+        inst["query_ids"][pq], inst["query_descriptors"][pq],
+        inst["target_ids"][pt], inst["target_descriptors"][pt], policy, site,
+        pairs=pairs,
+        query_mask=None if inst["query_mask"] is None else inst["query_mask"][pq],
+        parallax=None if parallax is None else parallax[pq][:, pt][pairs],
+        depth_ok=None if inst["depth_ok"] is None else inst["depth_ok"][pq],
+    )
+
+
+class TestDenseReferenceEquivalence:
+    @settings(max_examples=400, deadline=None)
+    @given(inst=match_instances(), policy=policies(), site=st.sampled_from(list(Site)))
+    def test_match_returns_the_reference_candidates(self, inst, policy, site):
+        want = reference_match(policy=policy, site=site, **inst)
+        assert per_pair_match(inst, policy, site) == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(inst=match_instances(), policy=policies(), seed=st.integers(0, 2**32 - 1))
+    def test_hamming_ordered_does_not_depend_on_input_order(self, inst, policy, seed):
+        policy = dataclasses.replace(policy, ordering=Ordering.HAMMING_ORDERED)
+        rng = np.random.default_rng(seed)
+        order = (rng.permutation(inst["query_ids"].size),
+                 rng.permutation(inst["target_ids"].size))
+        want = per_pair_match(inst, policy, Site.PROJECTION_LOCAL)
+        assert per_pair_match(inst, policy, Site.PROJECTION_LOCAL, order) == want
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), policy=policies(),
+           site=st.sampled_from([Site.PROJECTION_TRACK, Site.PROJECTION_LOCAL, Site.FUSE]))
+    def test_search_by_projection_returns_the_reference_candidates(self, seed, policy, site):
+        rng = np.random.default_rng(seed)
+        n_points, n_kp = int(rng.integers(0, 30)), int(rng.integers(0, 40))
+        base = rng.integers(0, 256, 32, dtype=np.uint8)
+        # points ahead of, beside and behind the camera, with depth intervals
+        # that hold their depth or miss it
+        positions = rng.uniform([-12, -9, -4], [12, 9, 25], (n_points, 3))
+        z = positions[:, 2] * rng.uniform(0.5, 1.5, n_points)
+        points = PointBatch(
+            ids=rng.permutation(100)[:n_points],
+            positions=positions,
+            descriptors=near_copies(rng, base, n_points, 0.06),
+            depth=DepthInterval(z * 0.8, z * 1.25),
+        )
+        frame = Keyframe(1, 0.0, Pose.identity(), rng.uniform(0, 640, (n_kp, 2)),
+                         np.zeros(n_kp, dtype=np.int64),
+                         near_copies(rng, base, n_kp, 0.06), np.ones(n_kp))
+        pose = Pose(so3_exp(rng.normal(scale=0.05, size=3)), rng.normal(size=3))
+        got = search_by_projection(frame, points, pose, policy, CAM, site=site)
+        with mock.patch.object(association, "match", reference_match):
+            want = search_by_projection(frame, points, pose, policy, CAM, site=site)
+        assert got == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), policy=policies())
+    def test_search_for_triangulation_returns_the_reference_matches(self, seed, policy):
+        rng = np.random.default_rng(seed)
+        kf_a, kf_b = triangulation_pair(rng, n_points=int(rng.integers(0, 60)))
+        got = search_for_triangulation(kf_a, kf_b, policy, CAM)
+        want = reference_search_for_triangulation(kf_a, kf_b, policy, CAM)
+        assert [(t.candidate, t.position.tobytes(), t.depth_a, t.depth_b) for t in got] \
+            == [(t.candidate, t.position.tobytes(), t.depth_a, t.depth_b) for t in want]
+
+
+def triangulation_pair(rng, n_points):
+    """Two keyframes on a lateral-and-forward baseline that see the same
+    landmarks, in shuffled keypoint order, plus decoy keypoints that carry
+    landmark signatures; some keypoints of each are bound to points already."""
+    n_decoys = n_points // 3
+    landmarks = rng.uniform([-6, -4, 4], [6, 4, 30], (n_points, 3))
+    signatures = rng.integers(0, 256, (n_points, 32), dtype=np.uint8)
+    poses = [Pose.identity(),
+             Pose(so3_exp(rng.normal(scale=0.02, size=3)),
+                  np.array([rng.uniform(0.2, 1.5), rng.normal(scale=0.1),
+                            rng.uniform(0.0, 1.0)]))]
+    kfs = []
+    for k, pose in enumerate(poses):
+        cam_pts = pose.inverse().apply(landmarks)
+        uv = np.stack([CAM.fx * cam_pts[:, 0] / cam_pts[:, 2] + CAM.cx,
+                       CAM.fy * cam_pts[:, 1] / cam_pts[:, 2] + CAM.cy], axis=1)
+        uv += rng.normal(scale=0.5, size=uv.shape)
+        descs = signatures ^ np.packbits(rng.random((n_points, 256)) < 0.02, axis=1)
+        uv = np.concatenate([uv, rng.uniform(0, 480, (n_decoys, 2))])
+        descs = np.concatenate(
+            [descs, signatures[rng.integers(0, max(n_points, 1), n_decoys)]])
+        order = rng.permutation(len(uv))
+        octaves = rng.integers(0, 3, len(uv))
+        kf = Keyframe(k + 1, 0.1 * k, pose, uv[order], octaves, descs[order],
+                      PYR.sigma2_at(octaves))
+        bound = rng.random(len(uv)) < 0.2
+        kf.point_ids[bound] = np.arange(np.count_nonzero(bound))
+        kfs.append(kf)
+    return kfs
+
+
+class TestParallaxGate:
+    def test_pair_below_min_parallax_is_never_accepted(self):
+        # target 0 is the exact copy but seen at 0.5 degrees of parallax;
+        # target 1 is three bits away at 2 degrees
+        rng = np.random.default_rng(17)
+        base = Descriptor.random(rng)
+        near = descriptors_at_distances(rng, base, [3])[0]
+        q, t = pack_descriptors([base]), pack_descriptors([base, near])
+        pairs = (np.array([0, 0]), np.array([0, 1]))
+        parallax = np.radians([0.5, 2.0])
+        for ordering in Ordering:
+            policy = make_policy(min_parallax=math.radians(1.0), ordering=ordering)
+            got = match([4], q, [7, 8], t, policy, Site.TRIANGULATION,
+                        pairs=pairs, parallax=parallax)
+            assert got == [MatchCandidate(4, 8, hamming=3, parallax=parallax[1])]
+            # without the parallax clause the exact copy would win
+            got = match([4], q, [7, 8], t, policy, Site.TRIANGULATION, pairs=pairs)
+            assert [(c.target_index, c.hamming) for c in got] == [(7, 0)]
+
+    def test_accepted_pairs_clear_min_parallax(self):
+        rng = np.random.default_rng(18)
+        base = rng.integers(0, 256, 32, dtype=np.uint8)
+        q, t = near_copies(rng, base, 30, 0.03), near_copies(rng, base, 30, 0.03)
+        pairs = np.nonzero(np.ones((30, 30), dtype=bool))
+        parallax = rng.uniform(0.0, math.radians(2.0), pairs[0].size)
+        policy = make_policy(min_parallax=math.radians(1.0))
+        got = match(range(30), q, range(30), t, policy, Site.TRIANGULATION,
+                    pairs=pairs, parallax=parallax)
+        assert got
+        assert all(c.parallax >= policy.min_parallax for c in got)
+        # each candidate carries the parallax given for its own pair
+        assert all(c.parallax == parallax[30 * c.query_index + c.target_index]
+                   for c in got)
+
+    def test_parallax_needs_pairs(self):
+        q = np.zeros((2, 32), dtype=np.uint8)
+        with pytest.raises(ValueError):
+            match(range(2), q, range(2), q, make_policy(), Site.TRIANGULATION,
+                  parallax=np.zeros((2, 2)))

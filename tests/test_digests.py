@@ -6,10 +6,15 @@ Two scenes, each run forward and backward:
   degrees per frame) at seed 61, cut to its first 12 frames.  ``full`` and
   ``no_geometric_descriptor`` cover both reference-descriptor rules.
 - a forward corridor (800 landmarks) at seed 61, cut to its first 10
-  frames, under ``full``.  On the orbit prefix the depth filter and early
-  outlier removal leave every digest as ``full`` has it; on this prefix
+  frames.  On the orbit prefix the depth filter and early outlier removal
+  leave every digest as ``full`` has it; on this prefix
   ``no_depth_filter`` and ``no_keep_all_outliers`` each move both, so a
-  change to either rule shows here.
+  change to either rule shows here.  The corridor also pins the other
+  matching branches: ``no_depth_filter`` (no depth verdict drops a
+  query), ``no_robust_matching`` (``Ordering.SEQUENTIAL``) and
+  ``no_symmetric_gates`` (the per-site thresholds).  Each differs from
+  ``full`` in both directions, so none of them can fall back to the
+  default path unseen.
 
 A change that is meant to move poses re-records these values and says so.
 
@@ -42,6 +47,18 @@ DIGESTS = {
         "df7b01b5c1166a2fee28ac98eed15785a4a3aeef98b852e18742b2b05c6d022e",
     ("corridor", "full", "bwd"):
         "50169dcad8e0038dd7a91f68fa36574ef8f270f15d454e85849ca7bc2ec4c144",
+    ("corridor", "no_depth_filter", "fwd"):
+        "d421fb19cf7e475da970256cdfe91c0ff660d8d008abe12ece0ddd4a041375c4",
+    ("corridor", "no_depth_filter", "bwd"):
+        "32690148b2dd8ecfb2e329a1193f6cbbba104c781c88a7b8033bf8126ff22dc2",
+    ("corridor", "no_robust_matching", "fwd"):
+        "02ddfca170bd8e1d4c0b94b647e5ec58458bd47041d7dc26573c6858d6670e8b",
+    ("corridor", "no_robust_matching", "bwd"):
+        "81b62c0ac0c4cbd03c33e22bc41eb3fb68cba72e428498054819a0e051127390",
+    ("corridor", "no_symmetric_gates", "fwd"):
+        "65d8ccb51cb7f248668e229b63a169a69e802ae9b1791dbd94b53f26ba901c97",
+    ("corridor", "no_symmetric_gates", "bwd"):
+        "7b170df7e3fe1a414658efdaa29db941207fc2651ebf0fcb2259efdebb26319d",
 }
 
 SCENES = {
@@ -72,6 +89,14 @@ def test_poses_digest_is_pinned(scenes, scene_name, config_name, direction):
     _, report = Pipeline(cam, config).run(frames[direction])
     assert report.health == "ok"
     assert report.digest == DIGESTS[scene_name, config_name, direction]
+
+
+@pytest.mark.parametrize("scene_name, config_name, direction",
+                         [key for key in DIGESTS if key[1] != "full"],
+                         ids=["/".join(key) for key in DIGESTS if key[1] != "full"])
+def test_pinned_toggle_moves_the_digest(scene_name, config_name, direction):
+    assert DIGESTS[scene_name, config_name, direction] != \
+        DIGESTS[scene_name, "full", direction]
 
 
 # The benchmark's corridor scene (vobench/workloads.py) at seed 61: large

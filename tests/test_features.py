@@ -12,6 +12,7 @@ from symvo.features import (
     depth_invariance_interval,
     hamming,
     hamming_matrix,
+    hamming_pairs,
     pack_descriptors,
     select_reference_appearance_index,
     select_reference_geometric_index,
@@ -114,6 +115,58 @@ class TestHammingMatrixOracle:
             hamming_matrix(a, b)
         with pytest.raises(DescriptorMismatchError):
             hamming_matrix(a[:0], b)
+
+
+class TestHammingPairsOracle:
+    """``hamming_pairs`` against the scalar ``hamming``, row by row."""
+
+    @pytest.mark.parametrize("n_bytes", [1, 7, 8, 9, 32, 33])
+    def test_every_width(self, n_bytes):
+        rng = np.random.default_rng(200 + n_bytes)
+        left = [Descriptor.random(rng, 8 * n_bytes) for _ in range(11)]
+        right = [Descriptor.random(rng, 8 * n_bytes) for _ in range(10)]
+        right.append(Descriptor(bytes(b ^ 0xFF for b in left[-1].bits)))
+        got = hamming_pairs(pack_descriptors(left), pack_descriptors(right))
+        assert got.dtype == np.int32 and got.shape == (11,)
+        assert got.tolist() == [hamming(a, b) for a, b in zip(left, right)]
+        assert got[-1] == 8 * n_bytes
+
+    def test_agrees_with_the_matrix_on_gathered_pairs(self):
+        rng = np.random.default_rng(14)
+        a = rng.integers(0, 256, (40, 32), dtype=np.uint8)
+        b = rng.integers(0, 256, (30, 32), dtype=np.uint8)
+        qi, ti = np.nonzero(rng.random((40, 30)) < 0.2)
+        assert np.array_equal(hamming_pairs(a[qi], b[ti]),
+                              hamming_matrix(a, b)[qi, ti])
+
+    def test_empty_input(self):
+        got = hamming_pairs(np.zeros((0, 32), np.uint8), np.zeros((0, 32), np.uint8))
+        assert got.shape == (0,) and got.dtype == np.int32
+
+    def test_non_contiguous_input(self):
+        rng = np.random.default_rng(15)
+        descs = [Descriptor.random(rng) for _ in range(14)]
+        packed = pack_descriptors(descs)
+        assert not packed[::2].flags.c_contiguous
+        got = hamming_pairs(packed[::2], packed[1::2])
+        assert got.tolist() == [hamming(a, b) for a, b in zip(descs[::2], descs[1::2])]
+        cols = np.asfortranarray(packed)
+        assert not cols.flags.c_contiguous
+        assert hamming_pairs(cols, cols[::-1]).tolist() == \
+            [hamming(a, b) for a, b in zip(descs, descs[::-1])]
+
+    @pytest.mark.parametrize("widths", [(32, 33), (8, 7), (1, 9)])
+    def test_width_mismatch_raises(self, widths):
+        a = np.zeros((3, widths[0]), dtype=np.uint8)
+        b = np.zeros((3, widths[1]), dtype=np.uint8)
+        with pytest.raises(DescriptorMismatchError):
+            hamming_pairs(a, b)
+        with pytest.raises(DescriptorMismatchError):
+            hamming_pairs(a[:0], b[:0])
+
+    def test_row_count_mismatch_raises(self):
+        with pytest.raises(ValueError):
+            hamming_pairs(np.zeros((3, 32), np.uint8), np.zeros((2, 32), np.uint8))
 
 
 def appearance_index_loop(descriptors):

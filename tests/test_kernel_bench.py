@@ -8,7 +8,14 @@ that the suite stays fast.
 import numpy as np
 import pytest
 
-from symvo.features import Descriptor, hamming, hamming_matrix, pack_descriptors
+from symvo.association import AssociationPolicy, search_for_triangulation
+from symvo.features import (
+    Descriptor,
+    PyramidConfig,
+    hamming,
+    hamming_matrix,
+    pack_descriptors,
+)
 from symvo.geometry import CameraIntrinsics, Pose, project, so3_exp
 from symvo.optimizer import (
     OBSERVATION,
@@ -19,12 +26,15 @@ from symvo.optimizer import (
     optimize_pose,
     solve_problem,
 )
+from symvo.synth import SceneSpec, generate
 from symvo.uncertainty import CovarianceModel
+from symvo.worldmap import WorldMap
 
 from oracles import (
     einsum_term_jacobians,
     reference_camera_points,
     reference_normal_equations,
+    reference_search_for_triangulation,
 )
 
 CAM = CameraIntrinsics(fx=500.0, fy=500.0, cx=320.0, cy=240.0, width=640, height=480)
@@ -41,6 +51,33 @@ def test_hamming_matrix_corridor_size(benchmark):
     assert dist.shape == (1580, 1580) and dist.dtype == np.int32
     for i in rng.choice(1580, size=12, replace=False):
         assert list(dist[i]) == [hamming(left[i], r) for r in right]
+
+
+@pytest.fixture(scope="module")
+def corridor_keyframes():
+    """Frames 0 and 2 of the benchmark's corridor scene (seed 61) as keyframes
+    at their true poses: about 1,280 keypoints each, all free."""
+    seq = generate(SceneSpec(trajectory="forward-corridor", n_frames=30, noise_px=0.5,
+                             outlier_rate=0.05, seed=61))
+    world = WorldMap(PyramidConfig())
+    return seq.cam, [
+        world.add_keyframe(f.timestamp, seq.ground_truth.poses[i], f.keypoints,
+                           f.octaves, f.descriptors)
+        for i, f in ((i, seq.frames[i]) for i in (0, 2))
+    ]
+
+
+def test_search_for_triangulation_corridor_size(benchmark, corridor_keyframes):
+    """Epipolar search of a corridor keyframe pair; the oracle is the dense
+    matcher over every pair, match for match."""
+    cam, (kf_a, kf_b) = corridor_keyframes
+    policy = AssociationPolicy()
+    got = benchmark.pedantic(search_for_triangulation, args=(kf_a, kf_b, policy, cam),
+                             rounds=3, iterations=1, warmup_rounds=1)
+    want = reference_search_for_triangulation(kf_a, kf_b, policy, cam)
+    assert len(got) > 100
+    assert [(t.candidate, t.position.tobytes(), t.depth_a, t.depth_b) for t in got] \
+        == [(t.candidate, t.position.tobytes(), t.depth_a, t.depth_b) for t in want]
 
 
 @pytest.fixture(scope="module")

@@ -106,6 +106,34 @@ class TestObservations:
         with pytest.raises(WorldIntegrityError, match="already bound"):
             world.add_observation(other, kfs[0].kf_id, 0)
 
+    def test_batch_binds_like_one_at_a_time(self):
+        rng = np.random.default_rng(4)
+        world, kfs, landmarks = tiny_world(rng)
+        pids = [add_point(world, landmarks[i], [(kfs[0].kf_id, i)]) for i in range(6)]
+        world.add_observation(pids[:3], kfs[1].kf_id, [5, 0, 3])
+        for pid, kp in zip(pids[3:], [1, 2, 4]):
+            world.add_observation(pid, kfs[1].kf_id, kp)
+        assert kfs[1].point_ids[:6].tolist() == [pids[1], pids[3], pids[4],
+                                                 pids[2], pids[5], pids[0]]
+        assert kfs[1].inlier[:6].all() and not kfs[1].inlier[6:].any()
+        world.check_integrity()
+
+    @pytest.mark.parametrize("pids, kps, message", [
+        ([0, 1, 0], [5, 6, 7], "point .* already observes"),  # a repeated point
+        ([0, 1, 2], [5, 6, 5], "keypoint 5 .* already bound"),  # a repeated keypoint
+        ([0, 1, 3], [5, 6, 7], "point .* already observes"),  # a held point
+        ([0, 1, 2], [5, 3, 7], "keypoint 3 .* already bound"),  # a bound keypoint
+    ])
+    def test_refused_batch_binds_nothing(self, pids, kps, message):
+        rng = np.random.default_rng(4)
+        world, kfs, landmarks = tiny_world(rng)
+        ids = [add_point(world, landmarks[i], [(kfs[0].kf_id, i)]) for i in range(4)]
+        world.add_observation(ids[3], kfs[1].kf_id, 3)
+        before = kfs[1].point_ids.copy()
+        with pytest.raises(WorldIntegrityError, match=message):
+            world.add_observation([ids[i] for i in pids], kfs[1].kf_id, kps)
+        assert np.array_equal(kfs[1].point_ids, before)
+
     def test_adding_observation_never_widens_interval(self):
         rng = np.random.default_rng(2)
         world, kfs, landmarks = tiny_world(rng)
