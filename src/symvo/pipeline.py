@@ -1,9 +1,10 @@
 """Sequential deterministic tracking and mapping.
 
 Every frame is processed to completion before the next one starts:
-initialization (seeded RANSAC on an essential matrix), constant-velocity
-tracking with two projection-search stages, keyframe creation, point
-creation and fusion, local bundle adjustment, and keyframe retention.
+initialization (seeded RANSAC on an essential matrix, its hypotheses
+solved and scored in batches), constant-velocity tracking with two
+projection-search stages, keyframe creation, point creation and fusion,
+local bundle adjustment, and keyframe retention.
 The only random draws in a run come from the generator seeded with
 ``RNG_SEED``; all container traversal is id-ordered, so identical inputs
 reproduce bit-identical outputs.
@@ -48,6 +49,7 @@ MIN_INIT_MATCHES = 50  # correspondences two-view initialization needs
 RNG_SEED = 13  # seed of the one generator a run draws from
 RANSAC_ITERATIONS = 200  # fixed draw count of two-view initialization
 RANSAC_THRESHOLD_PX = 1.5  # epipolar inlier cut, in keypoint deviations
+RANSAC_SCORE_CHUNK = 32  # hypotheses scored at once: bounds (H, 3, n) temporaries
 
 
 @dataclass(frozen=True)
@@ -139,6 +141,8 @@ class RunReport:
     frame_records: list = field(default_factory=list)
     n_observations_removed: int = 0
     config_snapshot: dict = field(default_factory=dict)
+    init_attempts: int = 0  # initialization tries made against a reference
+    init_frame: int | None = None  # 1-based frame that initialized, if any
 
     def to_dict(self) -> dict:
         return {
@@ -150,6 +154,8 @@ class RunReport:
             "digest": self.digest,
             "n_observations_removed": self.n_observations_removed,
             "config": self.config_snapshot,
+            "init_attempts": self.init_attempts,
+            "init_frame": self.init_frame,
         }
 
     def to_json(self) -> str:
@@ -189,31 +195,60 @@ def _observation_rows(world: WorldMap, point, kf, uv, sigma2, bindings):
 
 
 def _eight_point(x1, x2):
-    """Essential matrix from >= 8 normalized correspondences."""
-    A = np.stack([
-        x2[:, 0] * x1[:, 0], x2[:, 0] * x1[:, 1], x2[:, 0],
-        x2[:, 1] * x1[:, 0], x2[:, 1] * x1[:, 1], x2[:, 1],
-        x1[:, 0], x1[:, 1], np.ones(len(x1)),
-    ], axis=1)
-    _, _, Vt = np.linalg.svd(A)
-    E = Vt[-1].reshape(3, 3)
-    U, s, Vt = np.linalg.svd(E)
-    sigma = (s[0] + s[1]) / 2.0
-    return U @ np.diag([sigma, sigma, 0.0]) @ Vt
+    """Essential matrices of a stack of correspondence sets: (H, m, 2)
+    normalized coordinates each, m >= 8, give (H, 3, 3).
+
+    Each set is solved as on its own, one LAPACK SVD per matrix.  Only
+    ``Vt`` is read, so the SVD of ``A`` is thin, except for sets of fewer
+    than nine rows: their null vector is a row of the full ``Vt`` only.
+    """
+    a, b = x1[..., 0], x1[..., 1]
+    c, d = x2[..., 0], x2[..., 1]
+    A = np.stack([c * a, c * b, c, d * a, d * b, d, a, b, np.ones(a.shape)],
+                 axis=-1)
+    _, _, Vt = np.linalg.svd(A, full_matrices=A.shape[-2] < A.shape[-1])
+    U, s, Vt = np.linalg.svd(Vt[:, -1].reshape(-1, 3, 3))
+    D = np.zeros_like(U)
+    D[:, 0, 0] = D[:, 1, 1] = (s[:, 0] + s[:, 1]) / 2.0
+    return U @ D @ Vt
 
 
-def _epipolar_residuals_px(E, x1, x2, cam):
-    """Symmetric point-to-epipolar-line distances in pixels."""
+def _pixel_rows(x, cam):
+    """(3, n) homogeneous pixel coordinates of (n, 2) normalized ones."""
     K = cam.matrix
-    K_inv = np.linalg.inv(K)
+    return np.hstack([x @ K[:2, :2].T + K[:2, 2], np.ones((len(x), 1))]).T.copy()
+
+
+def _epipolar_residuals_px(E, u1, u2, K_inv):
+    """Symmetric point-to-epipolar-line distances in pixels of (H, 3, 3)
+    essential matrices over (3, n) homogeneous pixels: (H, n).
+
+    Each dot product sums its three terms as ``(p0 + p1) + p2``.
+    """
     F = K_inv.T @ E @ K_inv
-    u1 = np.hstack([x1 @ K[:2, :2].T + K[:2, 2], np.ones((len(x1), 1))])
-    u2 = np.hstack([x2 @ K[:2, :2].T + K[:2, 2], np.ones((len(x2), 1))])
-    l2 = u1 @ F.T
-    l1 = u2 @ F
-    d2 = np.abs(np.sum(l2 * u2, axis=1)) / np.hypot(l2[:, 0], l2[:, 1])
-    d1 = np.abs(np.sum(l1 * u1, axis=1)) / np.hypot(l1[:, 0], l1[:, 1])
+    l2 = F @ u1
+    l1 = F.transpose(0, 2, 1) @ u2
+    d2 = np.abs((l2[:, 0] * u2[0] + l2[:, 1] * u2[1]) + l2[:, 2] * u2[2]) \
+        / np.hypot(l2[:, 0], l2[:, 1])
+    d1 = np.abs((l1[:, 0] * u1[0] + l1[:, 1] * u1[1]) + l1[:, 2] * u1[2]) \
+        / np.hypot(l1[:, 0], l1[:, 1])
     return np.maximum(d1, d2)
+
+
+def _solve_hypotheses(x1, x2):
+    """``_eight_point`` of every (H, 8, 2) sample set, without the sets whose
+    SVD raises ``LinAlgError``; a batch that raises is solved set by set."""
+    try:
+        return _eight_point(x1, x2)
+    except np.linalg.LinAlgError:
+        pass
+    solved = []
+    for a, b in zip(x1, x2):
+        try:
+            solved.append(_eight_point(a[None], b[None]))
+        except np.linalg.LinAlgError:
+            continue
+    return np.concatenate(solved) if solved else np.zeros((0, 3, 3))
 
 
 def _decompose_essential(E):
@@ -237,6 +272,15 @@ def initialize_two_view(uv1, uv2, cam: CameraIntrinsics, rng, sigma):
     fixed so the draw sequence never depends on the data.  ``sigma`` is
     the per-pair keypoint deviation; ``RANSAC_THRESHOLD_PX`` scales with
     it so coarse-octave matches are gated fairly.
+
+    Determinism contract: the hypotheses are drawn first, each with its own
+    ``rng.choice(n, 8, replace=False)`` call in draw order, so the
+    generator ends where a draw-solve-score loop leaves it.  They are then
+    solved in one batch and scored ``RANSAC_SCORE_CHUNK`` at a time, each
+    residual's dot products summed as ``(p0 + p1) + p2``.  A hypothesis
+    whose SVD raises ``LinAlgError`` is skipped.  The winner is the first
+    hypothesis, in draw order, with the highest inlier count, and that
+    count must be positive; its inliers are refitted as a batch of one.
     """
     n = len(uv1)
     if n < 8:
@@ -244,26 +288,26 @@ def initialize_two_view(uv1, uv2, cam: CameraIntrinsics, rng, sigma):
     x1 = unit_ray(uv1, cam)[:, :2]
     x2 = unit_ray(uv2, cam)[:, :2]
     cutoff = RANSAC_THRESHOLD_PX * np.asarray(sigma)
+    samples = np.stack([rng.choice(n, size=8, replace=False)
+                        for _ in range(RANSAC_ITERATIONS)])
+    hypotheses = _solve_hypotheses(x1[samples], x2[samples])
+    u1, u2 = _pixel_rows(x1, cam), _pixel_rows(x2, cam)
+    K_inv = np.linalg.inv(cam.matrix)
     best_count, best_mask, best_E = 0, None, None
-    for _ in range(RANSAC_ITERATIONS):
-        sample = rng.choice(n, size=8, replace=False)
-        try:
-            E = _eight_point(x1[sample], x2[sample])
-        except np.linalg.LinAlgError:
-            continue
-        res = _epipolar_residuals_px(E, x1, x2, cam)
-        mask = res <= cutoff
-        count = int(np.count_nonzero(mask))
-        if count > best_count:
-            best_count, best_mask, best_E = count, mask, E
-    if best_E is None or best_count < 8:
+    for lo in range(0, len(hypotheses), RANSAC_SCORE_CHUNK):
+        E = hypotheses[lo:lo + RANSAC_SCORE_CHUNK]
+        mask = _epipolar_residuals_px(E, u1, u2, K_inv) <= cutoff
+        counts = np.count_nonzero(mask, axis=1)
+        h = int(np.argmax(counts))
+        if counts[h] > best_count:
+            best_count, best_mask, best_E = int(counts[h]), mask[h], E[h]
+    if best_count < 8:
         return None
     # refit on the consensus set
-    E = _eight_point(x1[best_mask], x2[best_mask])
-    res = _epipolar_residuals_px(E, x1, x2, cam)
-    mask = res <= cutoff
+    E = _eight_point(x1[best_mask][None], x2[best_mask][None])
+    mask = _epipolar_residuals_px(E, u1, u2, K_inv)[0] <= cutoff
     if np.count_nonzero(mask) >= 8:
-        best_E, best_mask = E, mask
+        best_E, best_mask = E[0], mask
 
     idx = np.nonzero(best_mask)[0]
     d1 = unit_ray(uv1[idx], cam)
@@ -313,6 +357,8 @@ class Pipeline:
         self.rng = np.random.default_rng(RNG_SEED)
         self.initialized = False
         self.init_ref: FrameInput | None = None
+        self.init_attempts = 0
+        self.init_frame: int | None = None
         self.prev_pose_cw: Pose | None = None
         self.velocity_cw = Pose.identity()
         self.traj_timestamps: list = []
@@ -340,6 +386,7 @@ class Pipeline:
             self._init_failures = 0
             return False
         ref = self.init_ref
+        self.init_attempts += 1
 
         def give_up():
             # a stale reference view blocks initialization forever; move on
@@ -395,6 +442,7 @@ class Pipeline:
             for row, (i1, i2) in enumerate(pairs[keep])
         ])
         self.initialized = True
+        self.init_frame = self._frame_index
         self.prev_pose_cw = Pose.identity()  # kf1 camera-from-world
         pose2_cw = kf2.pose.inverse()
         self.velocity_cw = pose2_cw.compose(self.prev_pose_cw.inverse())
@@ -654,5 +702,7 @@ class Pipeline:
             frame_records=self.frame_records,
             n_observations_removed=self.n_removed,
             config_snapshot=self.config.snapshot(),
+            init_attempts=self.init_attempts,
+            init_frame=self.init_frame,
         )
         return trajectory, report

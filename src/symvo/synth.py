@@ -153,6 +153,10 @@ def _landmark_field(spec: SceneSpec, poses, rng) -> np.ndarray:
     elif spec.trajectory == "lateral":
         box_lo[2] = hi[2] + spec.z_near + 2.0
         box_hi[2] = hi[2] + 0.75 * spec.z_far
+    else:  # random-walk: like the corridor's, the box reaches ahead of every pose
+        ahead = centers + 0.6 * spec.z_far * np.stack([p.rotation[:, 2] for p in poses])
+        box_lo = np.minimum(box_lo, ahead.min(axis=0))
+        box_hi = np.maximum(box_hi, ahead.max(axis=0))
     return rng.uniform(box_lo, box_hi, size=(spec.n_landmarks, 3))
 
 

@@ -24,6 +24,15 @@ matrix.  ``reference_search_for_triangulation`` is the triangulation
 search on top of it, with the parallax of every pair.  The program's
 forms score only the pairs that can still pass the gates and must return
 the same candidates, in the same order, with the same diagnostics.
+
+``reference_initialize_two_view`` is two-view initialization with its
+RANSAC as one loop: each hypothesis is drawn, solved with the scalar
+``reference_eight_point`` and scored with the scalar
+``reference_epipolar_residuals_px`` before the next one is drawn.  The
+program scores every hypothesis in batches and must return the same
+bytes (``initialization_bytes``) and leave the generator in the same
+state.  ``initialization_inputs`` builds the matches and deviations that
+initialization receives for two frames.
 """
 
 from types import SimpleNamespace
@@ -32,6 +41,7 @@ import numpy as np
 
 from symvo.association import (
     EPIPOLAR_SIGMA_FACTOR,
+    AssociationPolicy,
     MatchCandidate,
     Ordering,
     Site,
@@ -39,11 +49,17 @@ from symvo.association import (
     _epipolar_distances,
     fundamental_from_relative,
     gate_mask,
+    match,
     triangulate_rays,
 )
-from symvo.features import hamming_matrix
-from symvo.geometry import parallax_angles, unit_ray
+from symvo.features import PyramidConfig, hamming_matrix
+from symvo.geometry import Pose, parallax_angles, unit_ray
 from symvo.optimizer import _schur_columns, _term_jacobians
+from symvo.pipeline import (
+    RANSAC_ITERATIONS,
+    RANSAC_THRESHOLD_PX,
+    _decompose_essential,
+)
 from symvo.uncertainty import HUBER_DELTA, huber_weight
 
 
@@ -411,3 +427,120 @@ def reference_search_for_triangulation(kf_a, kf_b, policy, cam):
     keep = ok & (z_a > 0) & (z_b > 0)
     return [TriangulatedMatch(cand, pts[k], float(z_a[k]), float(z_b[k]))
             for k, cand in enumerate(candidates) if keep[k]]
+
+
+def reference_eight_point(x1, x2):
+    """Essential matrix from >= 8 normalized correspondences."""
+    A = np.stack([
+        x2[:, 0] * x1[:, 0], x2[:, 0] * x1[:, 1], x2[:, 0],
+        x2[:, 1] * x1[:, 0], x2[:, 1] * x1[:, 1], x2[:, 1],
+        x1[:, 0], x1[:, 1], np.ones(len(x1)),
+    ], axis=1)
+    _, _, Vt = np.linalg.svd(A)
+    E = Vt[-1].reshape(3, 3)
+    U, s, Vt = np.linalg.svd(E)
+    sigma = (s[0] + s[1]) / 2.0
+    return U @ np.diag([sigma, sigma, 0.0]) @ Vt
+
+
+def reference_epipolar_residuals_px(E, x1, x2, cam):
+    """Symmetric point-to-epipolar-line distances in pixels."""
+    K = cam.matrix
+    K_inv = np.linalg.inv(K)
+    F = K_inv.T @ E @ K_inv
+    u1 = np.hstack([x1 @ K[:2, :2].T + K[:2, 2], np.ones((len(x1), 1))])
+    u2 = np.hstack([x2 @ K[:2, :2].T + K[:2, 2], np.ones((len(x2), 1))])
+    l2 = u1 @ F.T
+    l1 = u2 @ F
+    d2 = np.abs(np.sum(l2 * u2, axis=1)) / np.hypot(l2[:, 0], l2[:, 1])
+    d1 = np.abs(np.sum(l1 * u1, axis=1)) / np.hypot(l1[:, 0], l1[:, 1])
+    return np.maximum(d1, d2)
+
+
+def reference_initialize_two_view(uv1, uv2, cam, rng, sigma):
+    """Seeded-RANSAC relative pose and triangulation of two views.
+
+    Returns (rel_pose, points, inlier_mask, parallax) or None when no
+    usable model exists.  No adaptive early exit: ``RANSAC_ITERATIONS`` is
+    fixed so the draw sequence never depends on the data.  ``sigma`` is
+    the per-pair keypoint deviation; ``RANSAC_THRESHOLD_PX`` scales with
+    it so coarse-octave matches are gated fairly.
+    """
+    n = len(uv1)
+    if n < 8:
+        return None
+    x1 = unit_ray(uv1, cam)[:, :2]
+    x2 = unit_ray(uv2, cam)[:, :2]
+    cutoff = RANSAC_THRESHOLD_PX * np.asarray(sigma)
+    best_count, best_mask, best_E = 0, None, None
+    for _ in range(RANSAC_ITERATIONS):
+        sample = rng.choice(n, size=8, replace=False)
+        try:
+            E = reference_eight_point(x1[sample], x2[sample])
+        except np.linalg.LinAlgError:
+            continue
+        res = reference_epipolar_residuals_px(E, x1, x2, cam)
+        mask = res <= cutoff
+        count = int(np.count_nonzero(mask))
+        if count > best_count:
+            best_count, best_mask, best_E = count, mask, E
+    if best_E is None or best_count < 8:
+        return None
+    # refit on the consensus set
+    E = reference_eight_point(x1[best_mask], x2[best_mask])
+    res = reference_epipolar_residuals_px(E, x1, x2, cam)
+    mask = res <= cutoff
+    if np.count_nonzero(mask) >= 8:
+        best_E, best_mask = E, mask
+
+    idx = np.nonzero(best_mask)[0]
+    d1 = unit_ray(uv1[idx], cam)
+    best = None
+    for R, t in _decompose_essential(best_E):
+        rel = Pose(R, t)
+        cam2_wc = rel.inverse()  # pose of view 2 in view-1 coordinates
+        d2_world = unit_ray(uv2[idx], cam) @ cam2_wc.rotation.T
+        pts, ok = triangulate_rays(
+            np.zeros(3), d1, cam2_wc.translation, d2_world
+        )
+        z1 = pts[:, 2]
+        z2 = (rel.apply(pts))[:, 2]
+        good = ok & (z1 > 0) & (z2 > 0)
+        count = int(np.count_nonzero(good))
+        if best is None or count > best[0]:
+            best = (count, rel, pts, good)
+    count, rel, pts, good = best
+    if count < 8:
+        return None
+    keep = idx[good]
+    pts = pts[good]
+    rays1 = unit_ray(uv1[keep], cam)
+    rays2 = unit_ray(uv2[keep], cam) @ rel.inverse().rotation.T
+    return rel, pts, keep, parallax_angles(rays1, rays2)
+
+
+def initialization_inputs(frame_a, frame_b):
+    """(uv1, uv2, sigma) that ``Pipeline._try_initialize`` hands
+    ``initialize_two_view`` for two frames under the default policy."""
+    pairs = np.array([
+        (c.query_index, c.target_index) for c in match(
+            np.arange(frame_a.n_keypoints), frame_a.descriptors,
+            np.arange(frame_b.n_keypoints), frame_b.descriptors,
+            AssociationPolicy(), Site.TRIANGULATION)
+    ], dtype=np.int64)
+    pyramid = PyramidConfig()
+    sigma = np.sqrt(np.maximum(
+        np.asarray(pyramid.sigma2_at(frame_a.octaves[pairs[:, 0]]), dtype=np.float64),
+        np.asarray(pyramid.sigma2_at(frame_b.octaves[pairs[:, 1]]), dtype=np.float64),
+    ))
+    return frame_a.keypoints[pairs[:, 0]], frame_b.keypoints[pairs[:, 1]], sigma
+
+
+def initialization_bytes(result):
+    """The raw bytes (and shapes) of an ``initialize_two_view`` result, so
+    that two results compare bit for bit; None stays None."""
+    if result is None:
+        return None
+    rel, *arrays = result
+    return (rel.rotation.tobytes(), rel.translation.tobytes(),
+            *((a.tobytes(), a.shape) for a in arrays))

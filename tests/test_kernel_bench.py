@@ -26,13 +26,17 @@ from symvo.optimizer import (
     optimize_pose,
     solve_problem,
 )
+from symvo.pipeline import RNG_SEED, initialize_two_view
 from symvo.synth import SceneSpec, generate
 from symvo.uncertainty import CovarianceModel
 from symvo.worldmap import WorldMap
 
 from oracles import (
     einsum_term_jacobians,
+    initialization_bytes,
+    initialization_inputs,
     reference_camera_points,
+    reference_initialize_two_view,
     reference_normal_equations,
     reference_search_for_triangulation,
 )
@@ -78,6 +82,44 @@ def test_search_for_triangulation_corridor_size(benchmark, corridor_keyframes):
     assert len(got) > 100
     assert [(t.candidate, t.position.tobytes(), t.depth_a, t.depth_b) for t in got] \
         == [(t.candidate, t.position.tobytes(), t.depth_a, t.depth_b) for t in want]
+
+
+INIT_SCENES = {
+    "orbit": SceneSpec(trajectory="orbit", n_landmarks=300, n_frames=80,
+                       path_length=20.0, noise_px=0.5, outlier_rate=0.05, seed=61),
+    "corridor": SceneSpec(trajectory="forward-corridor", n_frames=30, noise_px=0.5,
+                          outlier_rate=0.05, seed=61),
+}
+
+
+def bench_initialize_two_view(benchmark, scene, size):
+    """The 200-hypothesis RANSAC over the matches of frames 0 and 2 of a
+    benchmark scene; the oracle is the draw-solve-score loop, byte for
+    byte, with the generator left in the same state."""
+    seq = generate(INIT_SCENES[scene])
+    uv1, uv2, sigma = initialization_inputs(seq.frames[0], seq.frames[2])
+    assert abs(len(uv1) - size) < 0.1 * size
+    rngs = []
+
+    def fresh_generator():
+        rngs.append(np.random.default_rng(RNG_SEED))
+        return (uv1, uv2, seq.cam, rngs[-1], sigma), {}
+
+    got = benchmark.pedantic(initialize_two_view, setup=fresh_generator,
+                             rounds=3, iterations=1, warmup_rounds=1)
+    ref_rng = np.random.default_rng(RNG_SEED)
+    want = reference_initialize_two_view(uv1, uv2, seq.cam, ref_rng, sigma)
+    assert want is not None
+    assert rngs[-1].bit_generator.state == ref_rng.bit_generator.state
+    assert initialization_bytes(got) == initialization_bytes(want)
+
+
+def test_initialize_two_view_orbit_size(benchmark):
+    bench_initialize_two_view(benchmark, "orbit", 300)
+
+
+def test_initialize_two_view_corridor_size(benchmark):
+    bench_initialize_two_view(benchmark, "corridor", 1150)
 
 
 @pytest.fixture(scope="module")

@@ -14,12 +14,35 @@ from symvo.association import (
 )
 from symvo.errors import ConfigError
 from symvo.evaluation import ABLATION_AXES, ablation_configs
-from symvo.geometry import CameraIntrinsics, Pose
+from symvo import pipeline as pipeline_module
+from symvo.geometry import CameraIntrinsics, Pose, unit_ray
 from symvo.optimizer import OutlierMode
-from symvo.pipeline import FrameInput, Pipeline, PipelineConfig, reverse
+from symvo.pipeline import (
+    RANSAC_ITERATIONS,
+    RANSAC_SCORE_CHUNK,
+    RANSAC_THRESHOLD_PX,
+    RNG_SEED,
+    FrameInput,
+    Pipeline,
+    PipelineConfig,
+    _eight_point,
+    _epipolar_residuals_px,
+    _pixel_rows,
+    _solve_hypotheses,
+    initialize_two_view,
+    reverse,
+)
 from symvo.uncertainty import CovarianceModel
 from symvo.synth import SceneSpec, generate
 from symvo.trajectory import Trajectory
+
+from oracles import (
+    initialization_bytes,
+    initialization_inputs,
+    reference_eight_point,
+    reference_epipolar_residuals_px,
+    reference_initialize_two_view,
+)
 
 N_FRAMES = 6
 
@@ -166,3 +189,186 @@ def test_heterogeneous_pipeline_gates_with_the_per_site_table(site):
 def test_every_ablation_config_is_valid():
     names = [name for name, _ in ablation_configs(PipelineConfig())]
     assert len(names) == 7 and names[0] == "full"
+
+
+# ----------------------------------------------------------------------
+# two-view initialization against the draw-solve-score loop
+
+
+def drawn_samples(n, count=RANSAC_ITERATIONS):
+    """The first ``count`` samples a run's generator draws from n matches."""
+    rng = np.random.default_rng(RNG_SEED)
+    return np.stack([rng.choice(n, size=8, replace=False) for _ in range(count)])
+
+
+def assert_same_initialization(uv1, uv2, cam, sigma):
+    """``initialize_two_view`` returns the reference's bytes, or None with
+    it, and leaves the generator where the reference leaves it."""
+    rng, ref_rng = (np.random.default_rng(RNG_SEED) for _ in range(2))
+    got = initialize_two_view(uv1, uv2, cam, rng, sigma)
+    want = reference_initialize_two_view(uv1, uv2, cam, ref_rng, sigma)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert initialization_bytes(got) == initialization_bytes(want)
+    return got
+
+
+INIT_SCENES = {
+    "orbit": dict(trajectory="orbit", n_landmarks=300, n_frames=80,
+                  path_length=20.0),
+    "corridor": dict(trajectory="forward-corridor", n_frames=30),
+}
+
+
+@pytest.fixture(scope="module", params=[
+    (scene, seed) for scene in INIT_SCENES for seed in (61, 1009)],
+    ids=lambda p: f"{p[0]}-{p[1]}")
+def init_inputs(request):
+    """Matches of frames 0 and 2 of the benchmark's orbit (about 300) and
+    corridor (about 1,150) scenes, as initialization receives them."""
+    scene, seed = request.param
+    seq = generate(SceneSpec(noise_px=0.5, outlier_rate=0.05, seed=seed,
+                             **INIT_SCENES[scene]))
+    return seq.cam, initialization_inputs(seq.frames[0], seq.frames[2])
+
+
+def test_initialization_matches_reference(init_inputs):
+    cam, (uv1, uv2, sigma) = init_inputs
+    assert 250 <= len(uv1) <= 1300
+    assert assert_same_initialization(uv1, uv2, cam, sigma) is not None
+
+
+def test_initialization_batch_kernels_match_scalar_ones(init_inputs):
+    """Every hypothesis's essential matrix and residuals, byte for byte."""
+    cam, (uv1, uv2, _) = init_inputs
+    x1, x2 = unit_ray(uv1, cam)[:, :2], unit_ray(uv2, cam)[:, :2]
+    samples = drawn_samples(len(x1), RANSAC_SCORE_CHUNK + 5)
+    E = _eight_point(x1[samples], x2[samples])
+    res = _epipolar_residuals_px(E, _pixel_rows(x1, cam), _pixel_rows(x2, cam),
+                                 np.linalg.inv(cam.matrix))
+    for h, sample in enumerate(samples):
+        want = reference_eight_point(x1[sample], x2[sample])
+        assert E[h].tobytes() == want.tobytes()
+        assert res[h].tobytes() == \
+            reference_epipolar_residuals_px(want, x1, x2, cam).tobytes()
+
+
+def top_count_ties(uv1, uv2, cam, sigma):
+    """Whether two of the hypotheses a run draws share the highest inlier
+    count with different inlier sets, so that the tie rule picks the model."""
+    x1, x2 = unit_ray(uv1, cam)[:, :2], unit_ray(uv2, cam)[:, :2]
+    samples = drawn_samples(len(x1))
+    E = _solve_hypotheses(x1[samples], x2[samples])
+    mask = _epipolar_residuals_px(E, _pixel_rows(x1, cam), _pixel_rows(x2, cam),
+                                  np.linalg.inv(cam.matrix)) <= RANSAC_THRESHOLD_PX * sigma
+    counts = np.count_nonzero(mask, axis=1)
+    top = mask[counts == counts.max()]
+    return bool((top != top[0]).any())
+
+
+def test_initialization_with_few_matches(init_inputs):
+    """Few matches give few distinct inlier counts, so the highest is often
+    shared and the first drawn hypothesis must win."""
+    cam, (uv1, uv2, sigma) = init_inputs
+    sizes = (8, 9, 10, 16, 20, 30, 40)
+    for n in sizes:
+        assert_same_initialization(uv1[:n], uv2[:n], cam, sigma[:n])
+    assert any(top_count_ties(uv1[:n], uv2[:n], cam, sigma[:n]) for n in sizes[1:])
+    rng = np.random.default_rng(RNG_SEED)
+    assert initialize_two_view(uv1[:7], uv2[:7], cam, rng, sigma[:7]) is None
+    assert rng.bit_generator.state == \
+        np.random.default_rng(RNG_SEED).bit_generator.state
+
+
+@pytest.mark.parametrize("n", [300, 1150])
+def test_initialization_of_pure_outliers_is_none(n):
+    rng = np.random.default_rng(n)
+    uv1, uv2 = (rng.uniform([0.0, 0.0], [639.0, 479.0], (n, 2)) for _ in range(2))
+    assert assert_same_initialization(uv1, uv2, CAM, np.ones(n)) is None
+
+
+def test_initialization_skips_hypotheses_whose_svd_raises(init_inputs):
+    """A NaN keypoint makes the SVD of every sample that draws it raise."""
+    cam, (uv1, uv2, sigma) = init_inputs
+    uv1 = uv1.copy()
+    uv1[5] = np.nan
+    x1, x2 = unit_ray(uv1, cam)[:, :2], unit_ray(uv2, cam)[:, :2]
+    samples = drawn_samples(len(x1))
+    drawn = (samples == 5).any(axis=1)
+    assert drawn.any()
+    with pytest.raises(np.linalg.LinAlgError):
+        reference_eight_point(x1[samples[drawn][0]], x2[samples[drawn][0]])
+    assert len(_solve_hypotheses(x1[samples], x2[samples])) == \
+        RANSAC_ITERATIONS - np.count_nonzero(drawn)
+    assert assert_same_initialization(uv1, uv2, cam, sigma) is not None
+
+
+# ----------------------------------------------------------------------
+# initialization in the run report
+
+
+@pytest.fixture(scope="module")
+def corridor_prefix():
+    """The corridor of ``test_digests``' pinned 10-frame prefix: 800
+    landmarks, seed 61, 30 frames."""
+    seq = generate(SceneSpec(trajectory="forward-corridor", n_landmarks=800,
+                             n_frames=30, noise_px=0.5, outlier_rate=0.05,
+                             seed=61))
+    return seq.cam, seq.frames
+
+
+def observed_initialization(pipe, frames):
+    """Run ``frames``, counting initialization from outside the pipeline:
+    calls made before initialization while a reference was set, and the
+    1-based frame after which the pipeline is initialized."""
+    seen = {"calls": 0, "attempts": 0, "frame": None}
+    process = pipe.process_frame
+
+    def watched(frame):
+        was_init, had_ref = pipe.initialized, pipe.init_ref is not None
+        seen["calls"] += 1
+        try:
+            return process(frame)
+        finally:
+            if not was_init:
+                seen["attempts"] += had_ref
+                if pipe.initialized:
+                    seen["frame"] = seen["calls"]
+
+    pipe.process_frame = watched
+    _, report = pipe.run(frames)
+    return report, seen
+
+
+@pytest.mark.parametrize("direction", ["fwd", "bwd"])
+def test_run_report_records_initialization(corridor_prefix, direction):
+    cam, frames = corridor_prefix
+    frames = frames[:10]
+    if direction == "bwd":
+        frames = reverse(frames)
+    report, seen = observed_initialization(Pipeline(cam, PipelineConfig()), frames)
+    assert report.health == "ok"
+    assert (report.init_attempts, report.init_frame) == \
+        (seen["attempts"], seen["frame"]) == (2, 3)
+    assert report.to_dict()["init_attempts"] == report.init_attempts
+    assert report.to_dict()["init_frame"] == report.init_frame
+
+
+def test_initialization_moves_its_reference_after_ten_failures(
+        corridor_prefix, monkeypatch):
+    cam, frames = corridor_prefix
+    monkeypatch.setattr(pipeline_module, "initialize_two_view",
+                        lambda *args: None)
+    frames = frames[:14]
+    pipe = Pipeline(cam, PipelineConfig())
+    refs = []
+    for frame in frames:
+        pipe.process_frame(frame)
+        refs.append(pipe.init_ref)
+    # frame 1 becomes the reference; frames 2-11 fail against it, and the
+    # tenth failure makes frame 11 the next reference
+    assert all(ref is frames[0] for ref in refs[:10])
+    assert all(ref is frames[10] for ref in refs[10:])
+    assert pipe.init_attempts == len(frames) - 1
+    _, report = Pipeline(cam, PipelineConfig()).run(frames)
+    assert (report.health, report.init_attempts, report.init_frame) == \
+        ("init_failed", len(frames) - 1, None)
