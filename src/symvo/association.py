@@ -2,23 +2,22 @@
 
 Two axes are selectable independently:
 
-- ordering: ``HAMMING_ORDERED`` builds every admissible candidate pair and
-  accepts them globally by ascending descriptor distance, which makes the
-  result independent of input ordering.  ``SEQUENTIAL`` walks the queries
-  in the order given and greedily grabs the best remaining target, which
-  is order-sensitive by design (the bias witness).
+- ordering: ``HAMMING_ORDERED`` accepts the admissible pairs globally by
+  ascending descriptor distance, which makes the result independent of
+  input ordering.  ``SEQUENTIAL`` walks the queries in the order given and
+  greedily grabs the best remaining target, which is order-sensitive by
+  design (the bias witness).
 - constraint mode: ``SYMMETRIC`` applies one shared descriptor threshold
   and one shared gate set at every call site; ``HETEROGENEOUS`` applies
   the fixed per-site table ``HETEROGENEOUS_THRESHOLDS``, mimicking
   pipelines whose matching stages were tuned independently.
 
 Every site filters its pairs through ``gate_mask``, the one gate predicate
-(descriptor threshold, depth filter, parallax); ``passes_gates`` is its
-form for a single candidate.  Call sites add only geometric admissibility
-of their own: image bounds and positive depth for projection searches, the
-epipolar band for triangulation.  ``triangulate_rays`` is the one
-midpoint triangulation, used here for new points and by the pipeline's
-two-view initialization.
+(descriptor threshold, depth filter, parallax).  Call sites add only
+geometric admissibility of their own: image bounds and positive depth for
+projection searches, the epipolar band for triangulation.
+``triangulate_rays`` is the one midpoint triangulation, used here for new
+points and by the pipeline's two-view initialization.
 
 ``match`` scores only pairs that can still pass the gates.  A query that
 the site's mask or the depth filter drops gets no descriptor distance at
@@ -27,7 +26,12 @@ score them with one ``hamming_matrix`` over the live rows; triangulation
 hands over the epipolar-band pairs as index arrays, with one parallax per
 pair, and they are scored by ``hamming_pairs``.  Either way the scored
 pairs become flat (query row, target row, distance[, parallax]) arrays
-that one ``gate_mask`` call filters and one acceptance pass walks.
+that one ``gate_mask`` call filters.  One acceptance walk then takes the
+gated pairs in a sort order that ``Ordering`` picks and accepts each pair
+whose query and target are both still free.
+
+Every search returns its matches as an (n, 2) int64 array of id rows,
+with an empty result of shape (0, 2).
 """
 
 from __future__ import annotations
@@ -75,6 +79,8 @@ HETEROGENEOUS_THRESHOLDS = {
 # Half-width of the triangulation epipolar band, in keypoint deviations
 EPIPOLAR_SIGMA_FACTOR = 2.0
 
+_NO_MATCHES = np.zeros((0, 2), dtype=np.int64)
+
 
 @dataclass(frozen=True)
 class AssociationPolicy:
@@ -90,17 +96,6 @@ class AssociationPolicy:
         if self.constraint_mode is ConstraintMode.SYMMETRIC:
             return self.descriptor_threshold
         return HETEROGENEOUS_THRESHOLDS[site]
-
-
-@dataclass(frozen=True)
-class MatchCandidate:
-    """A gated query/target pairing with its gate diagnostics."""
-
-    query_index: int
-    target_index: int
-    hamming: int
-    parallax: float | None = None
-    predicted_depth_ok: bool | None = None
 
 
 def gate_mask(hamming, policy: AssociationPolicy, site: Site,
@@ -120,14 +115,6 @@ def gate_mask(hamming, policy: AssociationPolicy, site: Site,
     return ok
 
 
-def passes_gates(candidate: MatchCandidate, policy: AssociationPolicy,
-                 site: Site) -> bool:
-    """``gate_mask`` for one candidate."""
-    return bool(gate_mask(candidate.hamming, policy, site,
-                          depth_ok=candidate.predicted_depth_ok,
-                          parallax=candidate.parallax))
-
-
 def match(query_ids, query_descriptors, target_ids, target_descriptors,
           policy: AssociationPolicy, site: Site,
           pairs=None, query_mask=None, parallax=None, depth_ok=None):
@@ -143,13 +130,20 @@ def match(query_ids, query_descriptors, target_ids, target_descriptors,
     Distances are computed only for queries that ``query_mask`` and an
     applied depth filter keep: by ``hamming_matrix`` over their rows when
     every target is admissible, else by ``hamming_pairs`` over their pairs.
-    Returns the accepted MatchCandidate records, each of which passes
-    ``gate_mask``.
+
+    One walk accepts the pairs that pass ``gate_mask``: it takes them in
+    sort order and accepts a pair when neither its query row nor its
+    target row is taken yet.  ``Ordering`` picks only the sort key:
+    ``HAMMING_ORDERED`` sorts by distance, then query id, then target id;
+    ``SEQUENTIAL`` by query row, then distance, then target row, which
+    gives each query in turn its nearest free target, the lowest target
+    row on a tie.  Returns the accepted (query id, target id) rows as an
+    (n, 2) int64 array, in acceptance order.
     """
     query_ids = np.asarray(query_ids, dtype=np.int64)
     target_ids = np.asarray(target_ids, dtype=np.int64)
     if query_ids.size == 0 or target_ids.size == 0:
-        return []
+        return _NO_MATCHES
     live = np.ones(query_ids.size, dtype=bool)
     if query_mask is not None:
         live &= np.asarray(query_mask, dtype=bool)
@@ -177,50 +171,21 @@ def match(query_ids, query_descriptors, target_ids, target_descriptors,
         depth_ok=None if depth_ok is None else np.asarray(depth_ok)[qi],
         parallax=parallax,
     ))
-    if ok.size == 0:
-        return []
     qi, ti, dist = qi[ok], ti[ok], dist[ok]
-    if parallax is not None:
-        parallax = parallax[ok]
-
-    def candidate(k):
-        q = qi[k]
-        return MatchCandidate(
-            query_index=int(query_ids[q]),
-            target_index=int(target_ids[ti[k]]),
-            hamming=int(dist[k]),
-            parallax=None if parallax is None else float(parallax[k]),
-            predicted_depth_ok=None if depth_ok is None else bool(depth_ok[q]),
-        )
-
-    accepted = []
     if policy.ordering is Ordering.HAMMING_ORDERED:
         order = np.lexsort((target_ids[ti], query_ids[qi], dist))
-        used_q, used_t = set(), set()
-        for k in order.tolist():
-            q, t = int(qi[k]), int(ti[k])
-            if q in used_q or t in used_t:
-                continue
-            used_q.add(q)
-            used_t.add(t)
-            accepted.append(candidate(k))
     else:
-        used_t = set()
-        by_query = {}
-        for k in range(qi.size):
-            by_query.setdefault(int(qi[k]), []).append(k)
-        for q in range(query_ids.size):
-            best_k, best_d = None, None
-            for k in by_query.get(q, ()):
-                if int(ti[k]) in used_t:
-                    continue
-                d = int(dist[k])
-                if best_d is None or d < best_d:
-                    best_k, best_d = k, d
-            if best_k is not None:
-                used_t.add(int(ti[best_k]))
-                accepted.append(candidate(best_k))
-    return accepted
+        order = np.lexsort((ti, dist, qi))
+    qi, ti = qi[order], ti[order]
+    taken_q, taken_t = set(), set()
+    accepted = []
+    for k, (q, t) in enumerate(zip(qi.tolist(), ti.tolist())):
+        if q in taken_q or t in taken_t:
+            continue
+        taken_q.add(q)
+        taken_t.add(t)
+        accepted.append(k)
+    return np.stack([query_ids[qi[accepted]], target_ids[ti[accepted]]], axis=1)
 
 
 class PointBatch(NamedTuple):
@@ -243,11 +208,11 @@ def search_by_projection(frame, points: PointBatch, predicted_pose_wc: Pose,
     ``PointBatch``; its row order is the query order that
     ``Ordering.SEQUENTIAL`` walks.  Candidate gating: positive depth,
     projection inside the image, the depth-invariance filter, then the
-    descriptor threshold.  Returns accepted candidates with query ids =
-    point ids, target ids = keypoint indices.
+    descriptor threshold.  Returns ``match``'s (n, 2) rows of (point id,
+    keypoint index), in acceptance order.
     """
     if points.ids.size == 0 or frame.n_keypoints == 0:
-        return []
+        return _NO_MATCHES
     pose_cw = predicted_pose_wc.inverse()
     in_cam = pose_cw.apply(points.positions)
     z = in_cam[:, 2]
@@ -256,7 +221,7 @@ def search_by_projection(frame, points: PointBatch, predicted_pose_wc: Pose,
                        cam.fy * in_cam[:, 1] / z + cam.cy], axis=1)
     visible = (z > 1e-9) & cam.contains(uv)
     if not np.any(visible):
-        return []
+        return _NO_MATCHES
     return match(
         query_ids=points.ids,
         query_descriptors=points.descriptors,
@@ -313,14 +278,6 @@ def triangulate_rays(c1, d1, c2, d2):
     return (p1 + p2) / 2.0, ok
 
 
-@dataclass(frozen=True)
-class TriangulatedMatch:
-    candidate: MatchCandidate
-    position: np.ndarray
-    depth_a: float
-    depth_b: float
-
-
 def search_for_triangulation(kf_a, kf_b, policy: AssociationPolicy,
                              cam: CameraIntrinsics):
     """Epipolar-gated matching plus midpoint triangulation of a keyframe pair.
@@ -328,9 +285,11 @@ def search_for_triangulation(kf_a, kf_b, policy: AssociationPolicy,
     Only free keypoints take part: those whose entry in the keyframe's
     ``point_ids`` column is -1.  The epipolar band is the one dense test;
     descriptor distances and parallax are computed only for the pairs
-    inside it.  Returns ``TriangulatedMatch`` records whose query ids index
-    ``kf_a``'s keypoints and target ids ``kf_b``'s.  Raises NoBaselineError
-    for a near-zero baseline.
+    inside it.  Returns ``(pairs, positions)``: ``pairs`` holds ``match``'s
+    (n, 2) rows of (``kf_a`` keypoint, ``kf_b`` keypoint), in acceptance
+    order, without the rows whose rays do not meet in front of both
+    keyframes; ``positions`` holds their (n, 3) triangulated world points.
+    Raises NoBaselineError for a near-zero baseline.
     """
     baseline = kf_b.pose.translation - kf_a.pose.translation
     if np.linalg.norm(baseline) < 1e-6:
@@ -340,7 +299,7 @@ def search_for_triangulation(kf_a, kf_b, policy: AssociationPolicy,
     idx_a = np.flatnonzero(kf_a.point_ids < 0)
     idx_b = np.flatnonzero(kf_b.point_ids < 0)
     if idx_a.size == 0 or idx_b.size == 0:
-        return []
+        return _NO_MATCHES, np.zeros((0, 3))
     uv_a = kf_a.keypoints[idx_a]
     uv_b = kf_b.keypoints[idx_b]
 
@@ -358,7 +317,7 @@ def search_for_triangulation(kf_a, kf_b, policy: AssociationPolicy,
     rays_a = unit_ray(uv_a, cam) @ kf_a.pose.rotation.T
     rays_b = unit_ray(uv_b, cam) @ kf_b.pose.rotation.T
 
-    candidates = match(
+    found = match(
         query_ids=idx_a,
         query_descriptors=kf_a.descriptors[idx_a],
         target_ids=idx_b,
@@ -368,56 +327,28 @@ def search_for_triangulation(kf_a, kf_b, policy: AssociationPolicy,
         pairs=(qi, ti),
         parallax=parallax_angles(rays_a[qi], rays_b[ti]),
     )
-
-    if not candidates:
-        return []
-    ka = np.searchsorted(idx_a, [c.query_index for c in candidates])
-    kb = np.searchsorted(idx_b, [c.target_index for c in candidates])
-    pts, ok = triangulate_rays(kf_a.pose.translation, rays_a[ka],
-                               kf_b.pose.translation, rays_b[kb])
-    z_a = kf_a.pose.depth_of(pts)
-    z_b = kf_b.pose.depth_of(pts)
-    keep = ok & (z_a > 0) & (z_b > 0)
-    return [
-        TriangulatedMatch(cand, pts[k], float(z_a[k]), float(z_b[k]))
-        for k, cand in enumerate(candidates) if keep[k]
-    ]
-
-
-@dataclass(frozen=True)
-class FuseDecision:
-    """Outcome of projecting a point into a keyframe during fusion."""
-
-    point_id: int
-    keypoint_index: int
-    merged_into: int | None  # set when the keypoint already belongs elsewhere
+    pts, ok = triangulate_rays(
+        kf_a.pose.translation, rays_a[np.searchsorted(idx_a, found[:, 0])],
+        kf_b.pose.translation, rays_b[np.searchsorted(idx_b, found[:, 1])])
+    keep = ok & (kf_a.pose.depth_of(pts) > 0) & (kf_b.pose.depth_of(pts) > 0)
+    return found[keep], pts[keep]
 
 
 def fuse(points: PointBatch, keyframe, policy: AssociationPolicy,
-         cam: CameraIntrinsics) -> list:
-    """Attach points to a keyframe's keypoints, detecting duplicates.
+         cam: CameraIntrinsics) -> np.ndarray:
+    """Project points into a keyframe to attach or merge them.
 
-    ``points`` (a ``PointBatch``) are projected at the keyframe's pose, and
-    the keyframe's ``point_ids`` column tells each landing keypoint's owner.
-    A candidate landing on a free keypoint (-1) becomes a new observation;
-    one landing on a keypoint bound to a different point is a merge
-    (survivor = lower point id); one landing on the point's own keypoint is
-    dropped.  Decisions are returned in point-id order and do not mutate
-    anything.
+    ``points`` (a ``PointBatch``) are projected at the keyframe's pose.
+    Returns the (n, 2) rows of (point id, keypoint index) that
+    ``search_by_projection`` accepts, sorted by point id (a point has at
+    most one row), without the rows that land on the point's own keypoint.
+    The keyframe's ``point_ids`` column tells the caller each landing
+    keypoint's owner: a free keypoint (-1) takes a new observation, one
+    bound to a different point is a duplicate to merge.  Nothing is
+    mutated.
     """
-    candidates = search_by_projection(
+    found = search_by_projection(
         keyframe, points, keyframe.pose, policy, cam, site=Site.FUSE
     )
-    decisions = []
-    for cand in sorted(candidates, key=lambda c: (c.query_index, c.target_index)):
-        owner = int(keyframe.point_ids[cand.target_index])
-        if owner == cand.query_index:
-            continue
-        decisions.append(
-            FuseDecision(
-                point_id=cand.query_index,
-                keypoint_index=cand.target_index,
-                merged_into=None if owner < 0 else min(owner, cand.query_index),
-            )
-        )
-    return decisions
+    found = found[np.argsort(found[:, 0], kind="stable")]
+    return found[keyframe.point_ids[found[:, 1]] != found[:, 0]]

@@ -372,14 +372,6 @@ class Pipeline:
     def _noise_sigma2(self, octaves) -> np.ndarray:
         return np.asarray(self.pyramid.sigma2_at(octaves), dtype=np.float64)
 
-    def _match_frame_descriptors(self, frame_a, frame_b):
-        """Descriptor-only one-to-one matching used by initialization."""
-        return match(
-            np.arange(frame_a.n_keypoints), frame_a.descriptors,
-            np.arange(frame_b.n_keypoints), frame_b.descriptors,
-            self.policy, Site.TRIANGULATION,
-        )
-
     def _try_initialize(self, frame: FrameInput) -> bool:
         if self.init_ref is None:
             self.init_ref = frame
@@ -396,12 +388,12 @@ class Pipeline:
                 self._init_failures = 0
             return False
 
-        candidates = self._match_frame_descriptors(ref, frame)
-        if len(candidates) < MIN_INIT_MATCHES:
+        # descriptor-only one-to-one matching of the two views
+        pairs = match(np.arange(ref.n_keypoints), ref.descriptors,
+                      np.arange(frame.n_keypoints), frame.descriptors,
+                      self.policy, Site.TRIANGULATION)
+        if len(pairs) < MIN_INIT_MATCHES:
             return give_up()
-        pairs = np.array(
-            [(c.query_index, c.target_index) for c in candidates], dtype=np.int64
-        )
         uv1 = ref.keypoints[pairs[:, 0]]
         uv2 = frame.keypoints[pairs[:, 1]]
         sigma = np.sqrt(np.maximum(
@@ -438,8 +430,8 @@ class Pipeline:
             frame.descriptors,
         )
         world.refresh_points([
-            world.create_point(pts[row], [(kf1.kf_id, int(i1)), (kf2.kf_id, int(i2))])
-            for row, (i1, i2) in enumerate(pairs[keep])
+            world.create_point(pts[row], [(kf1.kf_id, i1), (kf2.kf_id, i2)])
+            for row, (i1, i2) in enumerate(pairs[keep].tolist())
         ])
         self.initialized = True
         self.init_frame = self._frame_index
@@ -468,8 +460,8 @@ class Pipeline:
         return held[np.sort(first)]
 
     def _pose_problem(self, frame, pose_wc, matches):
-        pairs = sorted((c.query_index, c.target_index) for c in matches)
-        point, kp = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+        # one row per point, so sorting by point orders the rows fully
+        point, kp = matches[np.argsort(matches[:, 0], kind="stable")].T
         world = self.world
         rows = _observation_rows(world, point, _FRAME_SENTINEL, frame.keypoints[kp],
                                  self._noise_sigma2(frame.octaves)[kp],
@@ -493,7 +485,9 @@ class Pipeline:
     def _track(self, frame: FrameInput):
         """Two-stage projection search plus pose refinement.
 
-        Returns (pose_wc, matches) or None when tracking is lost.
+        Returns (pose_wc, matches), ``matches`` being (point id, keypoint)
+        rows, or None when tracking is lost.  Either way the frame gets its
+        ``FrameRecord``.
         """
         pred_cw = self.velocity_cw.compose(self.prev_pose_cw)
         pose_wc = pred_cw.inverse()
@@ -511,24 +505,20 @@ class Pipeline:
 
         matches = self._search(frame, self.world.local_keyframe_ids(), pose_wc,
                                Site.PROJECTION_LOCAL)
-        n_local = len(matches)
-        if n_local < 6:
-            return None, n_track, n_local
+        record = FrameRecord(self._frame_index, frame.timestamp, n_track,
+                             len(matches), n_dropped=0)
+        self.frame_records.append(record)
+        if len(matches) < 6:
+            return None
         result = optimize_pose(self._pose_problem(frame, pose_wc, matches))
         pose_wc = result.pose
-        dropped = 0
         if self.outlier_mode is OutlierMode.EARLY_REMOVAL:
-            kept = [
-                c for c in matches
-                if result.inlier.get((c.query_index, _FRAME_SENTINEL), False)
-            ]
-            dropped = len(matches) - len(kept)
+            kept = matches[[result.inlier.get((pid, _FRAME_SENTINEL), False)
+                            for pid in matches[:, 0].tolist()]]
+            record.n_dropped = len(matches) - len(kept)
             if len(kept) >= 6:
                 matches = kept
-        self.frame_records.append(FrameRecord(
-            self._frame_index, frame.timestamp, n_track, n_local, dropped,
-        ))
-        return (pose_wc, matches), n_track, n_local
+        return pose_wc, matches
 
     # ------------------------------------------------------------------
 
@@ -596,13 +586,11 @@ class Pipeline:
                 kf_prev.pose.translation - kf_new.pose.translation
             ) < 1e-6:
                 continue
-            found = search_for_triangulation(kf_prev, kf_new, self.policy, self.cam)
+            pairs, positions = search_for_triangulation(
+                kf_prev, kf_new, self.policy, self.cam)
             batch = [
-                world.create_point(tri.position, [
-                    (kf_prev.kf_id, tri.candidate.query_index),
-                    (kf_new.kf_id, tri.candidate.target_index),
-                ])
-                for tri in found
+                world.create_point(position, [(kf_prev.kf_id, a), (kf_new.kf_id, b)])
+                for position, (a, b) in zip(positions, pairs.tolist())
             ]
             world.refresh_points(batch)
             new_point_ids += batch
@@ -629,15 +617,17 @@ class Pipeline:
         if point_ids.size == 0:
             return
         world.reselect_references(point_ids, kf.pose.translation)
+        found = fuse(world.point_batch(point_ids), kf, self.policy, self.cam)
+        # each row's verdict is taken from the owners before any edit
+        was_free = kf.point_ids[found[:, 1]] < 0
         edited = []
-        for dec in fuse(world.point_batch(point_ids), kf, self.policy, self.cam):
-            pid, kp = dec.point_id, dec.keypoint_index
+        for (pid, kp), attach in zip(found.tolist(), was_free.tolist()):
             if not world.live[pid]:
                 continue
             owner = int(kf.point_ids[kp])
-            if dec.merged_into is None:
+            if attach:
                 # the point is not held here: ``point_ids`` excludes the held
-                # ones and each point has one decision; ``add_observation``
+                # ones and each point has one row; ``add_observation``
                 # refuses it otherwise
                 if owner < 0:
                     world.add_observation(pid, kf.kf_id, kp)
@@ -657,7 +647,7 @@ class Pipeline:
         if not self.initialized:
             self._try_initialize(frame)
             return True
-        tracked, n_track, n_local = self._track(frame)
+        tracked = self._track(frame)
         if tracked is None:
             return False
         pose_wc, matches = tracked
@@ -665,9 +655,8 @@ class Pipeline:
             frame.timestamp, pose_wc, frame.keypoints, frame.octaves,
             frame.descriptors,
         )
-        self.world.add_observation([c.query_index for c in matches], kf.kf_id,
-                                   [c.target_index for c in matches])
-        self.world.refresh_points([c.query_index for c in matches])
+        self.world.add_observation(matches[:, 0], kf.kf_id, matches[:, 1])
+        self.world.refresh_points(matches[:, 0])
         self._mapping_step(kf)
         self.velocity_cw = kf.pose.inverse().compose(self.prev_pose_cw.inverse())
         self.prev_pose_cw = kf.pose.inverse()

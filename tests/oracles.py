@@ -21,9 +21,11 @@ contractions.
 every (query, target) pair with ``hamming_matrix`` and takes geometric
 admissibility as an (Nq, Nt) ``pair_mask`` and parallax as an (Nq, Nt)
 matrix.  ``reference_search_for_triangulation`` is the triangulation
-search on top of it, with the parallax of every pair.  The program's
-forms score only the pairs that can still pass the gates and must return
-the same candidates, in the same order, with the same diagnostics.
+search on top of it, with the parallax of every pair.  Each keeps its own
+walk per ``Ordering``: a global walk by ascending distance, and a
+query-by-query search for the nearest free target.  The program's forms
+score only the pairs that can still pass the gates, walk them once, and
+must return the same (n, 2) rows in the same order.
 
 ``reference_initialize_two_view`` is two-view initialization with its
 RANSAC as one loop: each hypothesis is drawn, solved with the scalar
@@ -42,10 +44,8 @@ import numpy as np
 from symvo.association import (
     EPIPOLAR_SIGMA_FACTOR,
     AssociationPolicy,
-    MatchCandidate,
     Ordering,
     Site,
-    TriangulatedMatch,
     _epipolar_distances,
     fundamental_from_relative,
     gate_mask,
@@ -334,11 +334,13 @@ def reference_solve_step(Hpp, Hpl, Hll, gp, gl, lam):
 def reference_match(query_ids, query_descriptors, target_ids, target_descriptors,
                     policy, site, pair_mask=None, query_mask=None, parallax=None,
                     depth_ok=None):
-    """Dense one-to-one matching: every pair scored, then gated."""
+    """Dense one-to-one matching: every pair scored, then gated.  Returns the
+    accepted (query id, target id) rows as an (n, 2) int64 array."""
     query_ids = np.asarray(query_ids, dtype=np.int64)
     target_ids = np.asarray(target_ids, dtype=np.int64)
+    none = np.zeros((0, 2), dtype=np.int64)
     if query_ids.size == 0 or target_ids.size == 0:
-        return []
+        return none
     dist = hamming_matrix(query_descriptors, target_descriptors)
     ok = gate_mask(
         dist, policy, site,
@@ -351,16 +353,10 @@ def reference_match(query_ids, query_descriptors, target_ids, target_descriptors
         ok &= np.asarray(query_mask, dtype=bool)[:, None]
     qi, ti = np.nonzero(ok)
     if qi.size == 0:
-        return []
+        return none
 
     def candidate(q, t):
-        return MatchCandidate(
-            query_index=int(query_ids[q]),
-            target_index=int(target_ids[t]),
-            hamming=int(dist[q, t]),
-            parallax=None if parallax is None else float(parallax[q, t]),
-            predicted_depth_ok=None if depth_ok is None else bool(depth_ok[q]),
-        )
+        return (int(query_ids[q]), int(target_ids[t]))
 
     accepted = []
     if policy.ordering is Ordering.HAMMING_ORDERED:
@@ -389,16 +385,17 @@ def reference_match(query_ids, query_descriptors, target_ids, target_descriptors
             if best_t is not None:
                 used_t.add(best_t)
                 accepted.append(candidate(q, best_t))
-    return accepted
+    return np.array(accepted, dtype=np.int64).reshape(-1, 2)
 
 
 def reference_search_for_triangulation(kf_a, kf_b, policy, cam):
     """``search_for_triangulation`` with the dense matcher: the epipolar band
-    as an (Na, Nb) mask and the parallax of every pair."""
+    as an (Na, Nb) mask and the parallax of every pair.  Returns (pairs,
+    positions)."""
     idx_a = np.flatnonzero(kf_a.point_ids < 0)
     idx_b = np.flatnonzero(kf_b.point_ids < 0)
     if idx_a.size == 0 or idx_b.size == 0:
-        return []
+        return np.zeros((0, 2), dtype=np.int64), np.zeros((0, 3))
     uv_a = kf_a.keypoints[idx_a]
     uv_b = kf_b.keypoints[idx_b]
     rel_ab = kf_b.pose.inverse().compose(kf_a.pose)
@@ -411,22 +408,19 @@ def reference_search_for_triangulation(kf_a, kf_b, policy, cam):
     )
     rays_a = unit_ray(uv_a, cam) @ kf_a.pose.rotation.T
     rays_b = unit_ray(uv_b, cam) @ kf_b.pose.rotation.T
-    candidates = reference_match(
+    pairs = reference_match(
         idx_a, kf_a.descriptors[idx_a], idx_b, kf_b.descriptors[idx_b],
         policy, Site.TRIANGULATION, pair_mask=epi_ok,
         parallax=parallax_angles(rays_a[:, None, :], rays_b[None, :, :]),
     )
-    if not candidates:
-        return []
-    ka = np.searchsorted(idx_a, [c.query_index for c in candidates])
-    kb = np.searchsorted(idx_b, [c.target_index for c in candidates])
+    ka = np.searchsorted(idx_a, pairs[:, 0])
+    kb = np.searchsorted(idx_b, pairs[:, 1])
     pts, ok = triangulate_rays(kf_a.pose.translation, rays_a[ka],
                                kf_b.pose.translation, rays_b[kb])
     z_a = kf_a.pose.depth_of(pts)
     z_b = kf_b.pose.depth_of(pts)
     keep = ok & (z_a > 0) & (z_b > 0)
-    return [TriangulatedMatch(cand, pts[k], float(z_a[k]), float(z_b[k]))
-            for k, cand in enumerate(candidates) if keep[k]]
+    return pairs[keep], pts[keep]
 
 
 def reference_eight_point(x1, x2):
@@ -522,12 +516,10 @@ def reference_initialize_two_view(uv1, uv2, cam, rng, sigma):
 def initialization_inputs(frame_a, frame_b):
     """(uv1, uv2, sigma) that ``Pipeline._try_initialize`` hands
     ``initialize_two_view`` for two frames under the default policy."""
-    pairs = np.array([
-        (c.query_index, c.target_index) for c in match(
-            np.arange(frame_a.n_keypoints), frame_a.descriptors,
-            np.arange(frame_b.n_keypoints), frame_b.descriptors,
-            AssociationPolicy(), Site.TRIANGULATION)
-    ], dtype=np.int64)
+    pairs = match(
+        np.arange(frame_a.n_keypoints), frame_a.descriptors,
+        np.arange(frame_b.n_keypoints), frame_b.descriptors,
+        AssociationPolicy(), Site.TRIANGULATION)
     pyramid = PyramidConfig()
     sigma = np.sqrt(np.maximum(
         np.asarray(pyramid.sigma2_at(frame_a.octaves[pairs[:, 0]]), dtype=np.float64),

@@ -12,19 +12,24 @@ import symvo.association as association
 from symvo.association import (
     AssociationPolicy,
     ConstraintMode,
-    MatchCandidate,
     Ordering,
     PointBatch,
     Site,
     fuse,
+    gate_mask,
     match,
-    passes_gates,
     search_by_projection,
     search_for_triangulation,
     triangulate_rays,
 )
 from symvo.errors import NoBaselineError
-from symvo.features import DepthInterval, Descriptor, PyramidConfig, pack_descriptors
+from symvo.features import (
+    DepthInterval,
+    Descriptor,
+    PyramidConfig,
+    hamming_pairs,
+    pack_descriptors,
+)
 from symvo.geometry import CameraIntrinsics, Pose, project, so3_exp, unit_ray
 from symvo.worldmap import Keyframe, WorldMap
 
@@ -36,6 +41,23 @@ PYR = PyramidConfig()
 
 def make_policy(**kw):
     return AssociationPolicy(**kw)
+
+
+def assert_same_rows(got, want):
+    """Equal (n, 2) match arrays: shape, dtype and every row in order."""
+    assert got.dtype == want.dtype == np.int64
+    assert np.array_equal(got, want)
+
+
+def assert_same_triangulation(got, want, kf_a, kf_b):
+    """Equal ``search_for_triangulation`` results, positions bit for bit,
+    every position in front of both keyframes."""
+    (pairs, positions), (want_pairs, want_positions) = got, want
+    assert_same_rows(pairs, want_pairs)
+    assert positions.shape == want_positions.shape == (len(pairs), 3)
+    assert positions.tobytes() == want_positions.tobytes()
+    assert (kf_a.pose.depth_of(positions) > 0).all()
+    assert (kf_b.pose.depth_of(positions) > 0).all()
 
 
 def descriptors_at_distances(rng, base, distances):
@@ -58,7 +80,8 @@ class TestMatch:
         q = pack_descriptors([Descriptor.random(rng) for _ in range(5)])
         t = pack_descriptors([Descriptor.random(rng) for _ in range(5)])
         policy = make_policy(descriptor_threshold=10)
-        assert match(range(5), q, range(5), t, policy, Site.PROJECTION_TRACK) == []
+        got = match(range(5), q, range(5), t, policy, Site.PROJECTION_TRACK)
+        assert got.shape == (0, 2) and got.dtype == np.int64
 
     def test_hamming_ordered_is_permutation_invariant(self):
         rng = np.random.default_rng(1)
@@ -74,7 +97,7 @@ class TestMatch:
                 list(range(n_t)), pack_descriptors(ts),
                 policy, Site.PROJECTION_TRACK,
             )
-            ref_set = {(c.query_index, c.target_index) for c in ref}
+            ref_set = set(map(tuple, ref.tolist()))
             for _ in range(20):
                 qp = rng.permutation(n_q)
                 tp = rng.permutation(n_t)
@@ -83,7 +106,7 @@ class TestMatch:
                     tp, pack_descriptors([ts[i] for i in tp]),
                     policy, Site.PROJECTION_TRACK,
                 )
-                got_set = {(c.query_index, c.target_index) for c in got}
+                got_set = set(map(tuple, got.tolist()))
                 assert got_set == ref_set
 
     def conflict_instance(self):
@@ -126,19 +149,27 @@ class TestMatch:
                 [0, 1, 2], pack_descriptors(ts),
                 policy_seq, Site.PROJECTION_TRACK,
             )
-            outcomes_seq.add(
-                frozenset((c.query_index, c.target_index) for c in got_seq)
-            )
+            outcomes_seq.add(frozenset(map(tuple, got_seq.tolist())))
             got_ham = match(
                 perm, pack_descriptors([qs[i] for i in perm]),
                 [0, 1, 2], pack_descriptors(ts),
                 policy_ham, Site.PROJECTION_TRACK,
             )
-            outcomes_ham.add(
-                frozenset((c.query_index, c.target_index) for c in got_ham)
-            )
+            outcomes_ham.add(frozenset(map(tuple, got_ham.tolist())))
         assert len(outcomes_seq) > 1
         assert len(outcomes_ham) == 1
+
+        # an equal-distance tie: one query three bits from each of two
+        # targets whose row order and id order disagree
+        base = Descriptor.random(np.random.default_rng(19))
+        q = pack_descriptors([base])
+        t = pack_descriptors(descriptors_at_distances(
+            np.random.default_rng(20), base, [3, 3]))
+        assert hamming_pairs(np.concatenate([q, q]), t).tolist() == [3, 3]
+        for policy, winner in ((policy_seq, 9), (policy_ham, 5)):
+            got = match([0], q, [9, 5], t, policy, Site.PROJECTION_TRACK)
+            # SEQUENTIAL: the lower target row; HAMMING_ORDERED: the lower id
+            assert got.tolist() == [[0, winner]]
 
     def test_duplicate_descriptors_tie_break_on_ids(self):
         rng = np.random.default_rng(4)
@@ -149,8 +180,7 @@ class TestMatch:
             [9, 5], pack_descriptors([d, d]),
             policy, Site.PROJECTION_TRACK,
         )
-        pairs = sorted((c.query_index, c.target_index) for c in got)
-        assert pairs == [(3, 5), (7, 9)]
+        assert sorted(map(tuple, got.tolist())) == [(3, 5), (7, 9)]
 
     def test_one_to_one(self):
         rng = np.random.default_rng(5)
@@ -164,38 +194,41 @@ class TestMatch:
                 make_policy(descriptor_threshold=80, ordering=ordering),
                 Site.PROJECTION_TRACK,
             )
-            assert len({c.query_index for c in got}) == len(got)
-            assert len({c.target_index for c in got}) == len(got)
+            assert len(got) > 0
+            assert len(set(got[:, 0].tolist())) == len(got)
+            assert len(set(got[:, 1].tolist())) == len(got)
 
 
 class TestGatePredicate:
     def test_same_predicate_at_every_site_in_symmetric_mode(self):
         policy = make_policy(constraint_mode=ConstraintMode.SYMMETRIC)
-        cases = [
-            MatchCandidate(1, 2, hamming=30),
-            MatchCandidate(1, 2, hamming=70),
-            MatchCandidate(1, 2, hamming=30, parallax=math.radians(0.5)),
-            MatchCandidate(1, 2, hamming=30, parallax=math.radians(3.0)),
-            MatchCandidate(1, 2, hamming=30, predicted_depth_ok=False),
-            MatchCandidate(1, 2, hamming=30, predicted_depth_ok=True),
+        cases = [  # (hamming, depth_ok, parallax)
+            (30, None, None),
+            (70, None, None),
+            (30, None, math.radians(0.5)),
+            (30, None, math.radians(3.0)),
+            (30, False, None),
+            (30, True, None),
         ]
-        for cand in cases:
-            verdicts = {passes_gates(cand, policy, site) for site in Site}
+        for hamming, depth_ok, parallax in cases:
+            verdicts = {
+                bool(gate_mask(hamming, policy, site, depth_ok=depth_ok,
+                               parallax=parallax))
+                for site in Site
+            }
             assert len(verdicts) == 1
 
     def test_heterogeneous_mode_varies_by_site(self):
         policy = make_policy(constraint_mode=ConstraintMode.HETEROGENEOUS)
         # between the local-map (14) and the motion-model (22) thresholds
-        cand = MatchCandidate(1, 2, hamming=18)
-        assert passes_gates(cand, policy, Site.PROJECTION_TRACK)
-        assert not passes_gates(cand, policy, Site.PROJECTION_LOCAL)
+        assert gate_mask(18, policy, Site.PROJECTION_TRACK)
+        assert not gate_mask(18, policy, Site.PROJECTION_LOCAL)
 
     def test_depth_filter_toggle(self):
-        cand = MatchCandidate(1, 2, hamming=10, predicted_depth_ok=False)
         on = make_policy(use_depth_filter=True)
         off = make_policy(use_depth_filter=False)
-        assert not passes_gates(cand, on, Site.FUSE)
-        assert passes_gates(cand, off, Site.FUSE)
+        assert not gate_mask(10, on, Site.FUSE, depth_ok=False)
+        assert gate_mask(10, off, Site.FUSE, depth_ok=False)
 
     @pytest.mark.parametrize("mode", list(ConstraintMode))
     def test_every_accepted_match_passes_the_predicate(self, mode):
@@ -216,7 +249,11 @@ class TestGatePredicate:
             for site in Site:
                 got = match(range(n_q), q, range(n_t), t, policy, site,
                             pairs=pairs, parallax=parallax, depth_ok=depth_ok)
-                assert all(passes_gates(c, policy, site) for c in got)
+                # ids are rows here, and the pairs are every (q, t) row-major
+                qr, tr = got.T
+                assert gate_mask(hamming_pairs(q[qr], t[tr]), policy, site,
+                                 depth_ok=depth_ok[qr],
+                                 parallax=parallax[n_t * qr + tr]).all()
                 n_accepted[site] += len(got)
         assert all(n > 0 for n in n_accepted.values())
 
@@ -271,9 +308,8 @@ class TestSearchByProjection:
             kfs[2], world.point_batch(world.points), kfs[2].pose, make_policy(), CAM
         )
         assert len(got) == len(landmarks)
-        for cand in got:
-            # synthetic keypoint index equals landmark index here
-            assert cand.target_index == cand.query_index - 1
+        # synthetic keypoint index equals landmark index here
+        assert np.array_equal(got[:, 1], got[:, 0] - 1)
 
     def test_point_behind_camera_never_a_candidate(self):
         rng = np.random.default_rng(7)
@@ -284,7 +320,7 @@ class TestSearchByProjection:
             kfs[2], world.point_batch([pid]), kfs[2].pose,
             make_policy(use_depth_filter=False), CAM,
         )
-        assert got == []
+        assert got.shape == (0, 2)
 
     def test_depth_filter_excludes_out_of_interval_points(self):
         rng = np.random.default_rng(8)
@@ -299,7 +335,7 @@ class TestSearchByProjection:
         without = search_by_projection(
             kfs[2], point, kfs[2].pose, make_policy(use_depth_filter=False), CAM
         )
-        assert with_filter == [] and len(without) == 1
+        assert with_filter.shape == (0, 2) and len(without) == 1
 
 
 class TestSearchForTriangulation:
@@ -319,13 +355,10 @@ class TestSearchForTriangulation:
         world, kfs, landmarks, _ = build_world(
             rng, n_frames=2, spacing=1.0, axis=(1.0, 0.0, 0.0)
         )
-        got = search_for_triangulation(kfs[0], kfs[1], make_policy(), CAM)
-        assert len(got) == len(landmarks)
-        for tri in got:
-            assert tri.candidate.query_index == tri.candidate.target_index
-            assert np.allclose(
-                tri.position, landmarks[tri.candidate.query_index], atol=1e-6
-            )
+        pairs, positions = search_for_triangulation(kfs[0], kfs[1], make_policy(), CAM)
+        assert len(pairs) == len(landmarks)
+        assert np.array_equal(pairs[:, 0], pairs[:, 1])
+        assert np.allclose(positions, landmarks[pairs[:, 0]], atol=1e-6)
 
     def test_claimed_keypoints_never_take_part(self):
         rng = np.random.default_rng(16)
@@ -342,9 +375,10 @@ class TestSearchForTriangulation:
         bound_b = set(np.flatnonzero(kfs[1].point_ids >= 0).tolist())
         assert bound_a == set(range(10)) and bound_b == set(range(10, 20))
         got = search_for_triangulation(kfs[0], kfs[1], make_policy(), CAM)
-        assert not {t.candidate.query_index for t in got} & bound_a
-        assert not {t.candidate.target_index for t in got} & bound_b
-        assert sorted(t.candidate.query_index for t in got) == list(range(20, 40))
+        pairs = got[0]
+        assert not set(pairs[:, 0].tolist()) & bound_a
+        assert not set(pairs[:, 1].tolist()) & bound_b
+        assert sorted(pairs[:, 0].tolist()) == list(range(20, 40))
 
         # oracle: the same search on keyframes cut down to their free
         # keypoints, with the cut-down indices mapped back
@@ -357,21 +391,18 @@ class TestSearchForTriangulation:
 
         sub_a, keep_a = free_only(kfs[0])
         sub_b, keep_b = free_only(kfs[1])
-        want = search_for_triangulation(sub_a, sub_b, make_policy(), CAM)
-        assert [(t.candidate.query_index, t.candidate.target_index,
-                 t.candidate.hamming, t.depth_a, t.depth_b, t.position.tobytes())
-                for t in got] == \
-            [(int(keep_a[t.candidate.query_index]),
-              int(keep_b[t.candidate.target_index]),
-              t.candidate.hamming, t.depth_a, t.depth_b, t.position.tobytes())
-             for t in want]
+        want_pairs, want_positions = search_for_triangulation(
+            sub_a, sub_b, make_policy(), CAM)
+        want_pairs = np.stack([keep_a[want_pairs[:, 0]], keep_b[want_pairs[:, 1]]],
+                              axis=1)
+        assert_same_triangulation(got, (want_pairs, want_positions), kfs[0], kfs[1])
 
     def test_low_parallax_pairs_rejected(self):
         rng = np.random.default_rng(11)
         world, kfs, landmarks, _ = build_world(rng, n_frames=2, spacing=0.01)
         policy = make_policy(min_parallax=math.radians(1.0))
-        got = search_for_triangulation(kfs[0], kfs[1], policy, CAM)
-        assert got == []
+        pairs, positions = search_for_triangulation(kfs[0], kfs[1], policy, CAM)
+        assert pairs.shape == (0, 2) and positions.shape == (0, 3)
 
     def test_midpoint_triangulation_exact_on_crossing_rays(self):
         p = np.array([1.0, 2.0, 7.0])
@@ -406,25 +437,28 @@ class TestFuse:
         a = add_point(world, landmarks[0], [(kfs[0].kf_id, 0), (kfs[1].kf_id, 0)])
         add_point(world, landmarks[0] + rng.normal(scale=1e-4, size=3),
                   [(kfs[2].kf_id, 0)])
-        decisions = fuse(world.point_batch(world.points), kfs[2], make_policy(), CAM)
-        merges = [d for d in decisions if d.merged_into is not None]
-        assert len(merges) == 1
-        assert merges[0].merged_into == a
+        found = fuse(world.point_batch(world.points), kfs[2], make_policy(), CAM)
+        owner = kfs[2].point_ids[found[:, 1]]
+        # a row landing on another point's keypoint is a merge, the lower
+        # id surviving
+        merges = np.flatnonzero(owner >= 0)
+        assert merges.size == 1
+        assert min(found[merges[0], 0], owner[merges[0]]) == a
 
     def test_distant_points_do_not_merge(self):
         rng = np.random.default_rng(13)
         world, kfs, landmarks, signatures = build_world(rng)
         add_point(world, landmarks[0], [(kfs[0].kf_id, 0), (kfs[1].kf_id, 0)])
         add_point(world, landmarks[1], [(kfs[0].kf_id, 1), (kfs[1].kf_id, 1)])
-        decisions = fuse(world.point_batch(world.points), kfs[2], make_policy(), CAM)
-        assert all(d.merged_into is None for d in decisions)
+        found = fuse(world.point_batch(world.points), kfs[2], make_policy(), CAM)
+        assert (kfs[2].point_ids[found[:, 1]] < 0).all()
 
     def test_attach_matches_brute_force_best_candidate(self):
         rng = np.random.default_rng(14)
         world, kfs, landmarks, signatures = build_world(rng, flip=0.02)
         pid = add_point(world, landmarks[5], [(kfs[0].kf_id, 5), (kfs[1].kf_id, 5)])
         point = world.point_batch([pid])
-        decisions = fuse(point, kfs[2], make_policy(), CAM)
+        found = fuse(point, kfs[2], make_policy(), CAM)
         # brute force: the admissible keypoint with least hamming
         from symvo.features import hamming
 
@@ -434,8 +468,7 @@ class TestFuse:
             for i in range(kfs[2].n_keypoints)
         ]
         best = min(dists)
-        assert len(decisions) == 1
-        assert decisions[0].keypoint_index == best[1]
+        assert found.tolist() == [[pid, best[1]]]
 
 
 # ----------------------------------------------------------------------
@@ -508,7 +541,7 @@ class TestDenseReferenceEquivalence:
     @given(inst=match_instances(), policy=policies(), site=st.sampled_from(list(Site)))
     def test_match_returns_the_reference_candidates(self, inst, policy, site):
         want = reference_match(policy=policy, site=site, **inst)
-        assert per_pair_match(inst, policy, site) == want
+        assert_same_rows(per_pair_match(inst, policy, site), want)
 
     @settings(max_examples=200, deadline=None)
     @given(inst=match_instances(), policy=policies(), seed=st.integers(0, 2**32 - 1))
@@ -518,7 +551,7 @@ class TestDenseReferenceEquivalence:
         order = (rng.permutation(inst["query_ids"].size),
                  rng.permutation(inst["target_ids"].size))
         want = per_pair_match(inst, policy, Site.PROJECTION_LOCAL)
-        assert per_pair_match(inst, policy, Site.PROJECTION_LOCAL, order) == want
+        assert_same_rows(per_pair_match(inst, policy, Site.PROJECTION_LOCAL, order), want)
 
     @settings(max_examples=150, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), policy=policies(),
@@ -544,7 +577,7 @@ class TestDenseReferenceEquivalence:
         got = search_by_projection(frame, points, pose, policy, CAM, site=site)
         with mock.patch.object(association, "match", reference_match):
             want = search_by_projection(frame, points, pose, policy, CAM, site=site)
-        assert got == want
+        assert_same_rows(got, want)
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), policy=policies())
@@ -553,8 +586,7 @@ class TestDenseReferenceEquivalence:
         kf_a, kf_b = triangulation_pair(rng, n_points=int(rng.integers(0, 60)))
         got = search_for_triangulation(kf_a, kf_b, policy, CAM)
         want = reference_search_for_triangulation(kf_a, kf_b, policy, CAM)
-        assert [(t.candidate, t.position.tobytes(), t.depth_a, t.depth_b) for t in got] \
-            == [(t.candidate, t.position.tobytes(), t.depth_a, t.depth_b) for t in want]
+        assert_same_triangulation(got, want, kf_a, kf_b)
 
 
 def triangulation_pair(rng, n_points):
@@ -602,10 +634,14 @@ class TestParallaxGate:
             policy = make_policy(min_parallax=math.radians(1.0), ordering=ordering)
             got = match([4], q, [7, 8], t, policy, Site.TRIANGULATION,
                         pairs=pairs, parallax=parallax)
-            assert got == [MatchCandidate(4, 8, hamming=3, parallax=parallax[1])]
+            assert got.tolist() == [[4, 8]]
+            # the accepted pair is target row 1: three bits away, 2 degrees
+            assert hamming_pairs(q, t[[1]]).tolist() == [3]
+            assert parallax[1] >= policy.min_parallax
             # without the parallax clause the exact copy would win
             got = match([4], q, [7, 8], t, policy, Site.TRIANGULATION, pairs=pairs)
-            assert [(c.target_index, c.hamming) for c in got] == [(7, 0)]
+            assert got.tolist() == [[4, 7]]
+            assert hamming_pairs(q, t[[0]]).tolist() == [0]
 
     def test_accepted_pairs_clear_min_parallax(self):
         rng = np.random.default_rng(18)
@@ -616,11 +652,11 @@ class TestParallaxGate:
         policy = make_policy(min_parallax=math.radians(1.0))
         got = match(range(30), q, range(30), t, policy, Site.TRIANGULATION,
                     pairs=pairs, parallax=parallax)
-        assert got
-        assert all(c.parallax >= policy.min_parallax for c in got)
-        # each candidate carries the parallax given for its own pair
-        assert all(c.parallax == parallax[30 * c.query_index + c.target_index]
-                   for c in got)
+        assert len(got) > 0
+        # ids are rows here: each accepted pair's own parallax, looked up
+        # in the row-major pair list
+        qr, tr = got.T
+        assert (parallax[30 * qr + tr] >= policy.min_parallax).all()
 
     def test_parallax_needs_pairs(self):
         q = np.zeros((2, 32), dtype=np.uint8)

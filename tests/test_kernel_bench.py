@@ -79,9 +79,12 @@ def test_search_for_triangulation_corridor_size(benchmark, corridor_keyframes):
     got = benchmark.pedantic(search_for_triangulation, args=(kf_a, kf_b, policy, cam),
                              rounds=3, iterations=1, warmup_rounds=1)
     want = reference_search_for_triangulation(kf_a, kf_b, policy, cam)
-    assert len(got) > 100
-    assert [(t.candidate, t.position.tobytes(), t.depth_a, t.depth_b) for t in got] \
-        == [(t.candidate, t.position.tobytes(), t.depth_a, t.depth_b) for t in want]
+    (pairs, positions), (want_pairs, want_positions) = got, want
+    assert len(pairs) > 100
+    assert pairs.dtype == want_pairs.dtype == np.int64
+    assert np.array_equal(pairs, want_pairs)
+    assert positions.shape == want_positions.shape
+    assert positions.tobytes() == want_positions.tobytes()
 
 
 INIT_SCENES = {

@@ -1,5 +1,5 @@
 import json
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -372,3 +372,36 @@ def test_initialization_moves_its_reference_after_ten_failures(
     _, report = Pipeline(cam, PipelineConfig()).run(frames)
     assert (report.health, report.init_attempts, report.init_frame) == \
         ("init_failed", len(frames) - 1, None)
+
+
+# ----------------------------------------------------------------------
+# per-frame records
+
+
+def test_every_frame_after_initialization_gets_a_record(corridor_prefix):
+    cam, frames = corridor_prefix
+    frames = frames[:10]
+    _, report = Pipeline(cam, PipelineConfig()).run(frames)
+    assert report.health == "ok"
+    after_init = frames[report.init_frame:]
+    assert [(r.index, r.timestamp) for r in report.frame_records] == [
+        (i, f.timestamp) for i, f in enumerate(after_init, report.init_frame + 1)]
+    assert all(r.n_matches_local >= 6 and r.n_dropped == 0
+               for r in report.frame_records)
+
+
+def test_the_frame_that_loses_tracking_gets_a_record(corridor_prefix):
+    cam, frames = corridor_prefix
+    frames = list(frames[:8])
+    # random descriptors on frame 6: no map point can be matched there
+    blind = frames[5].descriptors
+    frames[5] = replace(frames[5], descriptors=np.random.default_rng(0).integers(
+        0, 256, blind.shape, dtype=np.uint8))
+    _, report = Pipeline(cam, PipelineConfig()).run(frames)
+    assert (report.health, report.lost_at_frame) == ("tracking_lost", 6)
+    assert [r.index for r in report.frame_records] == \
+        list(range(report.init_frame + 1, report.lost_at_frame + 1))
+    lost = report.frame_records[-1]
+    assert lost.index == report.lost_at_frame
+    assert lost.timestamp == frames[5].timestamp
+    assert lost.n_matches_local < 6

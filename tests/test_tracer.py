@@ -4,15 +4,20 @@
 arguments its counting hooks read.  A renamed target, or a renamed argument
 a hook binds, breaks a traced benchmark run; this test makes it break here
 too, on a short orbit run.  The tracer is loaded from its file and is not
-modified.
+modified.  Its accepted-match count is checked against the ``len`` of every
+result ``association.match`` returns, so a change of that return type that
+skews the count breaks here too.
 """
 
 import importlib.util
 import pathlib
+from unittest import mock
 
 import pytest
 
+import symvo.association as association
 import symvo.evaluation  # noqa: F401  (every traced module must be loaded)
+import symvo.pipeline as pipeline
 from symvo.pipeline import Pipeline, PipelineConfig
 from symvo.synth import SceneSpec, generate
 
@@ -34,8 +39,20 @@ def test_traced_orbit_run_records_spans_and_unwinds(spans):
     tracer = spans.Tracer()
     inst = spans.Instrumentation(tracer)
     inst.install()
+    traced_match = association.match
+    accepted = []
+
+    def counted_match(*args, **kwargs):
+        result = traced_match(*args, **kwargs)
+        accepted.append(len(result))
+        return result
+
     try:
-        _, report = Pipeline(seq.cam, PipelineConfig()).run(seq.frames[:4])
+        # both bindings the program calls ``match`` through now hold the
+        # tracer's wrapper; each is wrapped once more to count accepted pairs
+        with mock.patch.object(association, "match", wraps=counted_match), \
+                mock.patch.object(pipeline, "match", wraps=counted_match):
+            _, report = Pipeline(seq.cam, PipelineConfig()).run(seq.frames[:4])
     finally:
         inst.uninstall()
     assert report.health == "ok"
@@ -46,5 +63,7 @@ def test_traced_orbit_run_records_spans_and_unwinds(spans):
     assert all(s[5] >= s[4] for s in tracer.spans)
     assert tracer.counts["worldmap.points_created"] > 0
     assert tracer.counts["association.queries"] > 0
+    assert len(accepted) == sum(s[3] == "association.match" for s in tracer.spans)
+    assert sum(accepted) == tracer.counts["association.accepted"] > 0
     assert tracer.counts["optimizer.lm_iterations"] > 0
     assert inst.leftover_wrappers() == []
