@@ -32,6 +32,8 @@ sorts its rows by (kf, ref_kf, point) once when it is built, so the order
 in which a caller lists the rows never reaches the sums, and the terms
 fall into runs that share both of their poses: forward terms one run per
 observing keyframe, backward terms one per (observing, reference) pair.
+It keeps the permutation as ``row_order`` (sorted row i is the caller's
+row ``row_order[i]``), and every per-row result comes back in caller rows.
 
 - ``_evaluate`` maps a run's points with one ``x @ R.T + t`` product,
   with ``R_j R_k^T`` formed once per pair, and ``_term_jacobians``
@@ -106,9 +108,10 @@ class OptimizationProblem:
     """Poses, points and observation rows with the variable/fixed split.
 
     ``__post_init__`` validates the problem and assembles it, once: it
-    sorts ``observations`` by (kf, ref_kf, point) and derives the index
-    arrays the solver reads.  Forward term i is row i.  Backward term b
-    belongs to row ``b_fwd[b]`` and projects into keyframe row ``b_ref[b]``.
+    sorts ``observations`` by (kf, ref_kf, point), keeping the permutation
+    as ``row_order``, and derives the index arrays the solver reads.
+    Forward term i is sorted row i.  Backward term b belongs to row
+    ``b_fwd[b]`` and projects into keyframe row ``b_ref[b]``.
     ``f_kf``/``f_pt`` index ``kf_ids``/``pt_ids``; the ``*_var`` arrays
     hold the variable index of a term's pose or point, or -1 when it is
     fixed.  Forward terms run by keyframe: run i spans terms
@@ -124,11 +127,11 @@ class OptimizationProblem:
     observations: np.ndarray  # OBSERVATION rows
     model: CovarianceModel
     variable_pose_ids: tuple = ()
-    variable_point_ids: tuple = ()
+    variable_point_ids: tuple = ()  # stored as a sorted int64 array
 
     def __post_init__(self):
         self.variable_pose_ids = tuple(sorted(self.variable_pose_ids))
-        self.variable_point_ids = tuple(sorted(self.variable_point_ids))
+        self.variable_point_ids = np.sort(np.asarray(self.variable_point_ids, np.int64))
         if self.variable_pose_ids and not set(self.poses) - set(self.variable_pose_ids):
             raise DegenerateProblemError("problem has no fixed pose (gauge free)")
         self.kf_ids = sorted(self.poses)
@@ -137,10 +140,10 @@ class OptimizationProblem:
         if np.any(self.var_pose_rows < 0):
             kf_id = self.variable_pose_ids[np.argmin(self.var_pose_rows)]
             raise DegenerateProblemError(f"variable pose {kf_id} has no state")
-        obs = self.observations[np.lexsort((self.observations["point"],
-                                            self.observations["ref_kf"],
-                                            self.observations["kf"]))]
-        self.observations = obs
+        self.row_order = np.lexsort((self.observations["point"],
+                                     self.observations["ref_kf"],
+                                     self.observations["kf"]))
+        obs = self.observations = self.observations[self.row_order]
         self.f_kf = _rows_of(self.kf_ids, obs["kf"])
         ref = _rows_of(self.kf_ids, obs["ref_kf"])
         self.f_pt = _rows_of(self.pt_ids, obs["point"])
@@ -530,17 +533,17 @@ def _inliers(problem: OptimizationProblem, ev: _Evaluation, cut: float) -> np.nd
     return ok
 
 
-def _keys(observations) -> list:
-    """(point_id, kf_id) of each row."""
-    return list(zip(observations["point"].tolist(), observations["kf"].tolist()))
+def _in_caller_order(problem: OptimizationProblem, rows: np.ndarray) -> np.ndarray:
+    """A per-row array of the sorted rows, put in the caller's row order."""
+    out = np.empty_like(rows)
+    out[problem.row_order] = rows
+    return out
 
 
-def _poses_and_points(problem: OptimizationProblem, state: _State):
-    """World-from-camera poses and point positions of a solver state."""
-    poses = {k: Pose(state.R[i], state.t[i]).inverse()
-             for i, k in enumerate(problem.kf_ids)}
-    points = {p: state.pts[i].copy() for i, p in enumerate(problem.pt_ids)}
-    return poses, points
+def _poses(problem: OptimizationProblem, state: _State) -> dict:
+    """World-from-camera poses of a solver state."""
+    return {k: Pose(state.R[i], state.t[i]).inverse()
+            for i, k in enumerate(problem.kf_ids)}
 
 
 @dataclass
@@ -617,10 +620,10 @@ def solve_problem(problem: OptimizationProblem, trace: list | None = None,
 
 @dataclass
 class CostReport:
-    total: float
-    m2_forward: dict
-    m2_backward: dict
-    behind_camera: list
+    total: float  # robust cost of the initial state
+    m2_forward: np.ndarray  # (n,) per caller row; inf behind the camera
+    m2_backward: np.ndarray  # (n,) likewise; NaN for a row without a backward term
+    behind_camera: np.ndarray  # (n,) bool: any of the row's terms is behind
 
 
 def evaluate_cost(problem: OptimizationProblem) -> CostReport:
@@ -631,21 +634,22 @@ def evaluate_cost(problem: OptimizationProblem) -> CostReport:
     ev = _evaluate(problem, problem.initial_state())
     cap = _BEHIND_CAMERA_COST_CAP * HUBER_DELTA * HUBER_DELTA
     costs, _ = _term_costs(ev, prev=np.full(ev.m2_f.size + ev.m2_b.size, cap))
-    keys = _keys(problem.observations)
-    b_keys = [keys[i] for i in problem.b_fwd]
+    m2_backward = np.full(ev.m2_f.size, np.nan)
+    m2_backward[problem.b_fwd] = np.where(ev.valid_b, ev.m2_b, np.inf)
+    behind = ~ev.valid_f
+    behind[problem.b_fwd] |= ~ev.valid_b
     return CostReport(
         total=float(np.sum(costs)),
-        m2_forward=dict(zip(keys, np.where(ev.valid_f, ev.m2_f, np.inf).tolist())),
-        m2_backward=dict(zip(b_keys, np.where(ev.valid_b, ev.m2_b, np.inf).tolist())),
-        behind_camera=[keys[i] for i in np.flatnonzero(~ev.valid_f)]
-        + [b_keys[b] for b in np.flatnonzero(~ev.valid_b)],
+        m2_forward=_in_caller_order(problem, np.where(ev.valid_f, ev.m2_f, np.inf)),
+        m2_backward=_in_caller_order(problem, m2_backward),
+        behind_camera=_in_caller_order(problem, behind),
     )
 
 
 @dataclass
 class PoseResult:
     pose: Pose  # world-from-camera
-    inlier: dict  # (point_id, kf_id) -> bool
+    inlier: np.ndarray  # (n,) bool per caller row
     cost: float
     iterations: int
 
@@ -661,7 +665,7 @@ def optimize_pose(problem: OptimizationProblem,
     problem must have exactly one variable pose and no variable points;
     fewer than six observations raise DegenerateProblemError.
     """
-    if len(problem.variable_pose_ids) != 1 or problem.variable_point_ids:
+    if len(problem.variable_pose_ids) != 1 or len(problem.variable_point_ids):
         raise DegenerateProblemError(
             "optimize_pose expects exactly one variable pose and fixed points"
         )
@@ -698,16 +702,15 @@ def optimize_pose(problem: OptimizationProblem,
         active = ok
         current = replace(problem, poses={**problem.poses, kf_id: pose},
                           observations=problem.observations[ok])
-    inlier = dict(zip(_keys(problem.observations), ok.tolist()))
-    return PoseResult(pose=pose, inlier=inlier, cost=cost, iterations=iterations)
+    return PoseResult(pose, _in_caller_order(problem, ok), cost, iterations)
 
 
 @dataclass
 class BAResult:
     poses: dict  # kf_id -> Pose (world-from-camera), variable ones refined
-    points: dict  # point_id -> (3,)
-    inlier: dict  # (point_id, kf_id) -> bool
-    removed: list  # (point_id, kf_id) observations deleted by early removal
+    points: np.ndarray  # (L, 3), in ascending ``problem.pt_ids`` order
+    inlier: np.ndarray  # (n,) bool per caller row; False for a removed row
+    removed: np.ndarray  # ascending caller rows deleted by early removal
     cost: float
     iterations: int
 
@@ -722,27 +725,27 @@ def local_bundle_adjustment(problem: OptimizationProblem,
     reduced problem is re-optimized once; KEEP_ALL_ROBUST never deletes.
     """
     result = solve_problem(problem, trace)
-    removed = []
+    kept = np.ones(len(problem.observations), dtype=bool)  # sorted rows
+    solved = problem
     if mode is OutlierMode.EARLY_REMOVAL:
-        keep = _inliers(problem, result.evaluation, CHI2_THRESHOLD)
-        if not np.all(keep):
-            removed = _keys(problem.observations[~keep])
-            kept_var = problem.f_pt_var[keep]
+        kept = _inliers(problem, result.evaluation, CHI2_THRESHOLD)
+        if not np.all(kept):
+            kept_var = problem.f_pt_var[kept]
             counts = np.bincount(kept_var[kept_var >= 0],
                                  minlength=len(problem.variable_point_ids))
-            poses, points = _poses_and_points(problem, result.state)
-            problem = replace(
-                problem, poses=poses, points=points,
-                observations=problem.observations[keep],
-                variable_point_ids=tuple(
-                    p for p, n in zip(problem.variable_point_ids, counts) if n >= 2
-                ),
+            # already sorted, the kept rows keep their order in ``solved``
+            solved = replace(
+                problem, poses=_poses(problem, result.state),
+                points=dict(zip(problem.pt_ids, result.state.pts)),
+                observations=problem.observations[kept],
+                variable_point_ids=problem.variable_point_ids[counts >= 2],
             )
-            result = solve_problem(problem, trace)
-    inlier = _inliers(problem, result.evaluation, HUBER_DELTA * HUBER_DELTA)
-    poses, points = _poses_and_points(problem, result.state)
+            result = solve_problem(solved, trace)
+    inlier = np.zeros(kept.size, dtype=bool)
+    inlier[kept] = _inliers(solved, result.evaluation, HUBER_DELTA * HUBER_DELTA)
     return BAResult(
-        poses=poses, points=points,
-        inlier=dict(zip(_keys(problem.observations), inlier.tolist())),
-        removed=removed, cost=result.cost, iterations=result.iterations,
+        poses=_poses(solved, result.state), points=result.state.pts,
+        inlier=_in_caller_order(problem, inlier),
+        removed=np.sort(problem.row_order[~kept]),
+        cost=result.cost, iterations=result.iterations,
     )

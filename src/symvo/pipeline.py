@@ -460,8 +460,8 @@ class Pipeline:
         return held[np.sort(first)]
 
     def _pose_problem(self, frame, pose_wc, matches):
-        # one row per point, so sorting by point orders the rows fully
-        point, kp = matches[np.argsort(matches[:, 0], kind="stable")].T
+        """The pose-only problem of the frame; row i observes ``matches[i]``."""
+        point, kp = matches.T
         world = self.world
         rows = _observation_rows(world, point, _FRAME_SENTINEL, frame.keypoints[kp],
                                  self._noise_sigma2(frame.octaves)[kp],
@@ -513,8 +513,7 @@ class Pipeline:
         result = optimize_pose(self._pose_problem(frame, pose_wc, matches))
         pose_wc = result.pose
         if self.outlier_mode is OutlierMode.EARLY_REMOVAL:
-            kept = matches[[result.inlier.get((pid, _FRAME_SENTINEL), False)
-                            for pid in matches[:, 0].tolist()]]
+            kept = matches[result.inlier]
             record.n_dropped = len(matches) - len(kept)
             if len(kept) >= 6:
                 matches = kept
@@ -542,7 +541,7 @@ class Pipeline:
             fixed.append(variable.pop(0))
 
         poses = {k: world.keyframes[k].pose for k in sorted(included_kfs | set(window))}
-        n_holders = np.bincount(np.searchsorted(point_ids, point))
+        _, n_holders = np.unique(point, return_counts=True)  # per entry of point_ids
         variable_points = point_ids[n_holders >= 2]
         problem = OptimizationProblem(
             cam=self.cam, poses=poses,
@@ -552,22 +551,18 @@ class Pipeline:
                 world.gather(kf, kp, "noise_sigma2"), bindings),
             model=self.covariance_model,
             variable_pose_ids=tuple(sorted(variable)),
-            variable_point_ids=tuple(variable_points.tolist()),
+            variable_point_ids=variable_points,
         )
         result = local_bundle_adjustment(problem, self.outlier_mode)
         for kf_id in variable:
             world.keyframes[kf_id].pose = result.poses[kf_id]
-        # result.points follows the problem's ascending point ids
-        refined = np.array(list(result.points.values()))
-        world.positions[variable_points] = refined[n_holders >= 2]
-        # rows sort by (point, kf), and so do their keys point << 32 | kf
-        pairs = np.array(list(result.inlier), dtype=np.int64).reshape(-1, 2)
-        rows = np.searchsorted(point << 32 | kf, pairs[:, 0] << 32 | pairs[:, 1])
-        flags = np.fromiter(result.inlier.values(), dtype=bool, count=rows.size)
-        for kf_id in np.unique(kf[rows]).tolist():
-            mine = kf[rows] == kf_id
-            world.keyframes[kf_id].inlier[kp[rows][mine]] = flags[mine]
-        for pid, kf_id in result.removed:
+        world.positions[variable_points] = result.points[n_holders >= 2]
+        # the problem's rows are the bindings, in order
+        for kf_id in np.unique(kf).tolist():
+            mine = kf == kf_id
+            world.keyframes[kf_id].inlier[kp[mine]] = result.inlier[mine]
+        removed = result.removed
+        for pid, kf_id in zip(point[removed].tolist(), kf[removed].tolist()):
             world.remove_observation(pid, kf_id)
         self.n_removed += len(result.removed)
         # moved poses and points and removed observations change references

@@ -47,7 +47,6 @@ class SceneSpec:
     min_visible: int = 50
     orbit_cloud_scale: float = 0.3  # landmark cloud radius / orbit radius
     camera: CameraIntrinsics = field(default_factory=lambda: DEFAULT_CAMERA)
-    pyramid: PyramidConfig = field(default_factory=PyramidConfig)
 
     def __post_init__(self):
         if self.trajectory not in TRAJECTORY_KINDS:
@@ -171,7 +170,7 @@ def generate(spec: SceneSpec) -> SyntheticSequence:
     n_bytes = DESCRIPTOR_BITS // 8
     signatures = rng.integers(0, 256, size=(spec.n_landmarks, n_bytes),
                               dtype=np.uint8)
-    cam, pyr = spec.camera, spec.pyramid
+    cam, pyr = spec.camera, PyramidConfig()
     timestamps = np.arange(spec.n_frames, dtype=np.float64) / spec.fps
 
     # visibility prepass; the deepest visible depth anchors octave 0 so
@@ -269,7 +268,6 @@ def export(seq: SyntheticSequence, out_dir):
     frames_dir = os.path.join(out_dir, "frames")
     os.makedirs(frames_dir, exist_ok=True)
     cam = seq.cam
-    pyr = seq.spec.pyramid
     with open(os.path.join(out_dir, "intrinsics.txt"), "w") as f:
         f.write(f"camera.fx = {cam.fx:.17g}\n")
         f.write(f"camera.fy = {cam.fy:.17g}\n")
@@ -277,8 +275,6 @@ def export(seq: SyntheticSequence, out_dir):
         f.write(f"camera.cy = {cam.cy:.17g}\n")
         f.write(f"camera.width = {cam.width}\n")
         f.write(f"camera.height = {cam.height}\n")
-        f.write(f"pyramid.scale = {pyr.scale:.17g}\n")
-        f.write(f"pyramid.octaves = {pyr.n_octaves}\n")
     with open(os.path.join(out_dir, "times.txt"), "w") as f:
         for frame in seq.frames:
             f.write(f"{frame.timestamp:.9f}\n")
@@ -299,8 +295,9 @@ def export(seq: SyntheticSequence, out_dir):
             f.write(f"{i},{p[0]:.17g},{p[1]:.17g},{p[2]:.17g}\n")
 
 
-def load_intrinsics(path) -> tuple:
-    """(CameraIntrinsics, PyramidConfig) from an intrinsics file."""
+def load_intrinsics(path) -> CameraIntrinsics:
+    """The camera of an intrinsics file.  The pipeline runs the default
+    ``PyramidConfig`` only, so ``pyramid.*`` keys naming another raise."""
     values = {}
     with open(path) as f:
         for lineno, line in enumerate(f, start=1):
@@ -318,18 +315,23 @@ def load_intrinsics(path) -> tuple:
             width=int(values["camera.width"]),
             height=int(values["camera.height"]),
         )
-        pyr = PyramidConfig(
-            scale=float(values.get("pyramid.scale", 1.2)),
-            n_octaves=int(values.get("pyramid.octaves", 8)),
+        pyramid = PyramidConfig(
+            scale=float(values.get("pyramid.scale", PyramidConfig.scale)),
+            n_octaves=int(values.get("pyramid.octaves", PyramidConfig.n_octaves)),
         )
     except KeyError as exc:
         raise ParseError(path, 0, f"missing key {exc}") from exc
-    return cam, pyr
+    except ValueError as exc:
+        raise ParseError(path, 0, str(exc)) from exc
+    if pyramid != PyramidConfig():
+        raise ParseError(path, 0, f"{pyramid} is not the default pyramid, "
+                                  "the only one the pipeline runs")
+    return cam
 
 
 def load_frames(seq_dir) -> tuple:
-    """(frames, cam, pyramid) from an exported sequence directory."""
-    cam, pyr = load_intrinsics(os.path.join(seq_dir, "intrinsics.txt"))
+    """(frames, cam) from an exported sequence directory."""
+    cam = load_intrinsics(os.path.join(seq_dir, "intrinsics.txt"))
     times_path = os.path.join(seq_dir, "times.txt")
     with open(times_path) as f:
         timestamps = [float(line) for line in f if line.strip()]
@@ -367,7 +369,7 @@ def load_frames(seq_dir) -> tuple:
             descriptors=(np.stack(descs) if descs
                          else np.zeros((0, DESCRIPTOR_BITS // 8), np.uint8)),
         ))
-    return frames, cam, pyr
+    return frames, cam
 
 
 def load_ground_truth(seq_dir) -> Trajectory:

@@ -14,7 +14,12 @@ Two scenes, each run forward and backward:
   query), ``no_robust_matching`` (``Ordering.SEQUENTIAL``) and
   ``no_symmetric_gates`` (the per-site thresholds).  Each differs from
   ``full`` in both directions, so none of them can fall back to the
-  default path unseen.
+  default path unseen.  ``no_keep_all_outliers`` is the one pinned case
+  in which local BA removes observations.
+
+Each case also pins the run's ``graph_stats`` and its count of removed
+observations.  Only ``graph_stats`` reads the inlier flags that local BA
+writes back, so a wrong flag would not move a digest.
 
 A change that is meant to move poses re-records these values and says so.
 
@@ -59,6 +64,29 @@ DIGESTS = {
         "65d8ccb51cb7f248668e229b63a169a69e802ae9b1791dbd94b53f26ba901c97",
     ("corridor", "no_symmetric_gates", "bwd"):
         "7b170df7e3fe1a414658efdaa29db941207fc2651ebf0fcb2259efdebb26319d",
+    ("corridor", "no_keep_all_outliers", "fwd"):
+        "291a4c5c522c6aaa29f4d621412aa15717737049c7d0c965514f26be2572e452",
+    ("corridor", "no_keep_all_outliers", "bwd"):
+        "ac8ac4e228645f5f35bf954c6090a0e4a8c1f35f86c3d714be8408f6c25b4c37",
+}
+
+# (graph_stats: map points, local keyframes, inlier observations;
+#  observations removed by local BA) of each pinned run
+GRAPHS = {
+    ("orbit", "full", "fwd"): ((300, 6, 1800), 0),
+    ("orbit", "full", "bwd"): ((300, 6, 1800), 0),
+    ("orbit", "no_geometric_descriptor", "fwd"): ((300, 6, 1800), 0),
+    ("orbit", "no_geometric_descriptor", "bwd"): ((300, 6, 1800), 0),
+    ("corridor", "full", "fwd"): ((458, 5, 1844), 0),
+    ("corridor", "full", "bwd"): ((512, 5, 1930), 0),
+    ("corridor", "no_depth_filter", "fwd"): ((433, 5, 2048), 0),
+    ("corridor", "no_depth_filter", "bwd"): ((498, 5, 2349), 0),
+    ("corridor", "no_robust_matching", "fwd"): ((457, 5, 1834), 0),
+    ("corridor", "no_robust_matching", "bwd"): ((514, 5, 1932), 0),
+    ("corridor", "no_symmetric_gates", "fwd"): ((473, 5, 1767), 0),
+    ("corridor", "no_symmetric_gates", "bwd"): ((531, 5, 1908), 0),
+    ("corridor", "no_keep_all_outliers", "fwd"): ((457, 5, 1844), 5),
+    ("corridor", "no_keep_all_outliers", "bwd"): ((511, 5, 1931), 6),
 }
 
 SCENES = {
@@ -89,6 +117,8 @@ def test_poses_digest_is_pinned(scenes, scene_name, config_name, direction):
     _, report = Pipeline(cam, config).run(frames[direction])
     assert report.health == "ok"
     assert report.digest == DIGESTS[scene_name, config_name, direction]
+    assert (tuple(report.graph_stats), report.n_observations_removed) == \
+        GRAPHS[scene_name, config_name, direction]
 
 
 @pytest.mark.parametrize("scene_name, config_name, direction",

@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 
 from symvo.geometry import Pose, so3_exp
-from symvo.synth import SceneSpec, export, generate, load_frames, load_ground_truth
+from symvo.errors import ParseError
+from symvo.synth import (
+    SceneSpec,
+    export,
+    generate,
+    load_frames,
+    load_ground_truth,
+    load_intrinsics,
+)
 from symvo.trajectory import Trajectory, load_trajectory, save_trajectory
 
 
@@ -50,9 +58,8 @@ def exported(tmp_path_factory):
 
 def test_exported_frames_load_back_exactly(exported):
     seq, out = exported
-    frames, cam, pyramid = load_frames(out)
+    frames, cam = load_frames(out)
     assert cam == seq.cam
-    assert pyramid == seq.spec.pyramid
     assert len(frames) == len(seq.frames)
     for got, want in zip(frames, seq.frames):
         assert got.timestamp == pytest.approx(want.timestamp, abs=1e-9)
@@ -68,3 +75,17 @@ def test_exported_ground_truth_loads_back(exported):
     for a, b in zip(truth.poses, seq.ground_truth.poses):
         np.testing.assert_allclose(a.rotation, b.rotation, atol=1e-12)
         np.testing.assert_array_equal(a.translation, b.translation)
+
+
+@pytest.mark.parametrize("line", ["pyramid.scale = 1.5", "pyramid.octaves = 4"])
+def test_intrinsics_naming_another_pyramid_are_refused(exported, tmp_path, line):
+    """The pipeline runs the default pyramid only: a file written for
+    another one raises instead of loading."""
+    _, out = exported
+    text = (out / "intrinsics.txt").read_text()
+    path = tmp_path / "intrinsics.txt"
+    path.write_text(text + "pyramid.scale = 1.2\npyramid.octaves = 8\n")
+    assert load_intrinsics(path) == load_intrinsics(out / "intrinsics.txt")
+    path.write_text(text + line + "\n")
+    with pytest.raises(ParseError, match="not the default pyramid"):
+        load_intrinsics(path)

@@ -251,4 +251,6 @@ def test_optimize_pose_tracking_size(benchmark, tracking_problem):
     result = benchmark.pedantic(optimize_pose, args=(problem,), rounds=5,
                                 iterations=1)
     assert result.pose.almost_equal(truth, tol=1e-6)
-    assert {pid for (pid, _), ok in result.inlier.items() if not ok} == outliers
+    assert result.inlier.shape == (300,)
+    # row r observes point r + 1
+    assert set((np.flatnonzero(~result.inlier) + 1).tolist()) == outliers

@@ -186,7 +186,8 @@ class TestOptimizePose:
             assert np.allclose(result.pose.translation, truth.translation,
                                atol=1e-6)
             assert np.allclose(result.pose.rotation, truth.rotation, atol=1e-6)
-            assert all(result.inlier.values())
+            assert result.inlier.shape == (len(terms),)
+            assert result.inlier.all()
 
     def test_already_optimal_pose_is_fixed_point(self):
         rng = np.random.default_rng(2)
@@ -265,19 +266,21 @@ class TestLocalBundleAdjustment:
             variable_pose_ids=(3, 4, 5),
             variable_point_ids=tuple(sorted(points)),
         )
-        return poses, points, problem
+        return poses, terms, problem
 
     @pytest.mark.parametrize("model", [STANDARD, SYMMETRIC],
                              ids=["standard", "symmetric"])
     def test_noiseless_window_converges_to_truth(self, model):
         rng = np.random.default_rng(5)
-        poses, points, problem = self.build(rng, model)
+        poses, terms, problem = self.build(rng, model)
         result = local_bundle_adjustment(problem)
+        assert result.points.shape == (len(problem.pt_ids), 3)
+        refined = dict(zip(problem.pt_ids, result.points))
         # reprojection RMSE after convergence
         errs = []
-        for row in problem.observations:
+        for row in terms:
             q = result.poses[int(row["kf"])].inverse().apply(
-                result.points[int(row["point"])])
+                refined[int(row["point"])])
             errs.append(project(q, CAM) - row["uv"])
         rmse = np.sqrt(np.mean(np.square(errs)))
         assert rmse < 1e-8
@@ -287,11 +290,11 @@ class TestLocalBundleAdjustment:
 
     def test_keep_all_preserves_observation_count(self):
         rng = np.random.default_rng(6)
-        _, _, problem = self.build(rng, SYMMETRIC, noise=2.0)
-        n_before = len(problem.observations)
+        _, terms, problem = self.build(rng, SYMMETRIC, noise=2.0)
         result = local_bundle_adjustment(problem, OutlierMode.KEEP_ALL_ROBUST)
-        assert result.removed == []
-        assert len(problem.observations) == n_before
+        assert result.removed.dtype == np.int64 and len(result.removed) == 0
+        assert result.inlier.shape == (len(terms),)
+        assert len(problem.observations) == len(terms)
 
     def test_early_removal_deletes_exactly_the_planted_outliers(self):
         rng = np.random.default_rng(7)
@@ -303,14 +306,20 @@ class TestLocalBundleAdjustment:
             if key in planted:
                 corrupted["uv"][i] += (40.0, -35.0)
         # points stay fixed so a planted outlier cannot drag its siblings
-        # over the threshold
-        problem = OptimizationProblem(
-            cam=CAM, poses=poses, points=points, observations=corrupted,
-            model=STANDARD,
-            variable_pose_ids=(3, 4),
-        )
-        result = local_bundle_adjustment(problem, OutlierMode.EARLY_REMOVAL)
-        assert set(result.removed) == planted
+        # over the threshold; the shuffled copy checks that the removed rows
+        # are the caller's rows, not the problem's sorted ones
+        shuffled = np.random.default_rng(70).permutation(len(corrupted))
+        for rows in (corrupted, corrupted[shuffled]):
+            problem = OptimizationProblem(
+                cam=CAM, poses=poses, points=points, observations=rows,
+                model=STANDARD,
+                variable_pose_ids=(3, 4),
+            )
+            result = local_bundle_adjustment(problem, OutlierMode.EARLY_REMOVAL)
+            removed = rows[result.removed]
+            assert set(zip(removed["point"].tolist(), removed["kf"].tolist())) == planted
+            assert np.all(np.diff(result.removed) > 0)
+            assert not result.inlier[result.removed].any()
 
     def test_gauge_free_problem_rejected(self):
         rng = np.random.default_rng(8)
@@ -440,16 +449,39 @@ class TestSolverProperties:
     @settings(max_examples=25, deadline=None, derandomize=True, database=None)
     @given(order=st.permutations(range(3 * 12)))
     def test_row_order_does_not_change_the_solution(self, order):
+        """The solution is the same, and every per-row result follows the
+        rows: row r of the permuted input is row ``order[r]`` of the input."""
+        order = list(order)
         args = permutation_case()
         want = solve_problem(OptimizationProblem(**args))
         want_report = evaluate_cost(OptimizationProblem(**args))
-        args["observations"] = args["observations"][list(order)]
+        want_ba = local_bundle_adjustment(OptimizationProblem(**args),
+                                          OutlierMode.EARLY_REMOVAL)
+        assert len(want_ba.removed) > 0
+        args["observations"] = args["observations"][order]
         got = solve_problem(OptimizationProblem(**args))
+        got_report = evaluate_cost(OptimizationProblem(**args))
+        got_ba = local_bundle_adjustment(OptimizationProblem(**args),
+                                         OutlierMode.EARLY_REMOVAL)
         for a, b in ((got.state.R, want.state.R), (got.state.t, want.state.t),
                      (got.state.pts, want.state.pts),
-                     (np.float64(got.cost), np.float64(want.cost))):
+                     (np.float64(got.cost), np.float64(want.cost)),
+                     (np.float64(got_report.total), np.float64(want_report.total))):
             assert a.tobytes() == b.tobytes()
-        assert evaluate_cost(OptimizationProblem(**args)) == want_report
+
+        def removed_mask(result):
+            mask = np.zeros(len(order), dtype=bool)
+            mask[result.removed] = True
+            return mask
+
+        # tobytes: a NaN backward entry compares unequal to itself
+        for g, w in ((got_report.m2_forward, want_report.m2_forward),
+                     (got_report.m2_backward, want_report.m2_backward),
+                     (got_report.behind_camera, want_report.behind_camera),
+                     (got_ba.inlier, want_ba.inlier),
+                     (removed_mask(got_ba), removed_mask(want_ba))):
+            assert g.shape == (len(order),)
+            assert g.tobytes() == w[order].tobytes()
 
     def test_monotone_decrease(self):
         rng = np.random.default_rng(10)
@@ -493,8 +525,8 @@ class TestSolverProperties:
             assert np.array_equal(res_a.poses[k].rotation, res_b.poses[k].rotation)
             assert np.array_equal(res_a.poses[k].translation,
                                   res_b.poses[k].translation)
-        for p in res_a.points:
-            assert np.array_equal(res_a.points[p], res_b.points[p])
+        assert res_a.points.tobytes() == res_b.points.tobytes()
+        assert res_a.inlier.tobytes() == res_b.inlier.tobytes()
 
     def test_evaluate_cost_zero_residual(self):
         rng = np.random.default_rng(12)
@@ -506,7 +538,9 @@ class TestSolverProperties:
         )
         report = evaluate_cost(problem)
         assert report.total == pytest.approx(0.0, abs=1e-16)
-        assert report.behind_camera == []
+        for per_row in (report.m2_forward, report.m2_backward, report.behind_camera):
+            assert per_row.shape == (len(terms),)
+        assert not report.behind_camera.any()
 
     def test_evaluate_cost_hand_value(self):
         pose = Pose.identity()
@@ -520,7 +554,10 @@ class TestSolverProperties:
         )
         report = evaluate_cost(problem)
         assert report.total == pytest.approx(2.0)
-        assert report.m2_forward[(1, 1)] == pytest.approx(2.0)
+        for per_row in (report.m2_forward, report.m2_backward, report.behind_camera):
+            assert per_row.shape == (1,)
+        assert report.m2_forward[0] == pytest.approx(2.0)
+        assert np.isnan(report.m2_backward[0])  # a reference row: no backward term
 
     def test_evaluate_cost_huber_region(self):
         pose = Pose.identity()
@@ -567,7 +604,8 @@ class TestSolverProperties:
             observations=terms, model=STANDARD,
         )
         report = evaluate_cost(problem)
-        assert (1, 1) in report.behind_camera
+        assert report.behind_camera.tolist() == [True, False]
+        assert np.isinf(report.m2_forward[0])
         assert np.isfinite(report.total)
 
 

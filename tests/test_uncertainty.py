@@ -133,9 +133,13 @@ class TestOptimizerCrossCheck:
                 model=CovarianceModel.SYMMETRIC,
             )
             report = evaluate_cost(problem)
-            assert report.m2_backward[(7, 2)] == pytest.approx(
+            for per_row in (report.m2_forward, report.m2_backward,
+                            report.behind_camera):
+                assert per_row.shape == (1,)
+            assert not report.behind_camera.any()
+            assert report.m2_backward[0] == pytest.approx(
                 term.mahalanobis2_backward, rel=1e-9, abs=1e-12)
-            assert report.m2_forward[(7, 2)] == pytest.approx(
+            assert report.m2_forward[0] == pytest.approx(
                 term.mahalanobis2_forward, rel=1e-9, abs=1e-12)
 
 
