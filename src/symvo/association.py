@@ -43,9 +43,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NoBaselineError
 from .features import DepthInterval, hamming_matrix, hamming_pairs
-from .geometry import CameraIntrinsics, Pose, parallax_angles, unit_ray
+from .geometry import CameraIntrinsics, Pose, parallax_angles, pinhole, unit_ray
 
 
 class Ordering(enum.Enum):
@@ -206,20 +205,16 @@ def search_by_projection(frame, points: PointBatch, predicted_pose_wc: Pose,
     ``frame`` needs only ``n_keypoints`` and ``descriptors``, so a
     ``Keyframe`` and a pipeline ``FrameInput`` both serve.  ``points`` is a
     ``PointBatch``; its row order is the query order that
-    ``Ordering.SEQUENTIAL`` walks.  Candidate gating: positive depth,
-    projection inside the image, the depth-invariance filter, then the
-    descriptor threshold.  Returns ``match``'s (n, 2) rows of (point id,
-    keypoint index), in acceptance order.
+    ``Ordering.SEQUENTIAL`` walks.  Candidate gating: in front of the
+    camera (``pinhole``), projection inside the image, the depth-invariance
+    filter, then the descriptor threshold.  Returns ``match``'s (n, 2) rows
+    of (point id, keypoint index), in acceptance order.
     """
     if points.ids.size == 0 or frame.n_keypoints == 0:
         return _NO_MATCHES
-    pose_cw = predicted_pose_wc.inverse()
-    in_cam = pose_cw.apply(points.positions)
-    z = in_cam[:, 2]
-    with np.errstate(divide="ignore", invalid="ignore"):  # z <= 0: not visible
-        uv = np.stack([cam.fx * in_cam[:, 0] / z + cam.cx,
-                       cam.fy * in_cam[:, 1] / z + cam.cy], axis=1)
-    visible = (z > 1e-9) & cam.contains(uv)
+    in_cam = predicted_pose_wc.inverse().apply(points.positions)
+    uv, in_front = pinhole(in_cam, cam)
+    visible = in_front & cam.contains(uv)
     if not np.any(visible):
         return _NO_MATCHES
     return match(
@@ -230,7 +225,7 @@ def search_by_projection(frame, points: PointBatch, predicted_pose_wc: Pose,
         policy=policy,
         site=site,
         query_mask=visible,
-        depth_ok=visible & points.depth.contains(z),
+        depth_ok=visible & points.depth.contains(in_cam[:, 2]),
     )
 
 
@@ -289,16 +284,13 @@ def search_for_triangulation(kf_a, kf_b, policy: AssociationPolicy,
     (n, 2) rows of (``kf_a`` keypoint, ``kf_b`` keypoint), in acceptance
     order, without the rows whose rays do not meet in front of both
     keyframes; ``positions`` holds their (n, 3) triangulated world points.
-    Raises NoBaselineError for a near-zero baseline.
+    Keyframes with (numerically) no baseline between them triangulate
+    nothing: both arrays are then empty.
     """
-    baseline = kf_b.pose.translation - kf_a.pose.translation
-    if np.linalg.norm(baseline) < 1e-6:
-        raise NoBaselineError(
-            f"keyframes {kf_a.kf_id} and {kf_b.kf_id} have no baseline"
-        )
     idx_a = np.flatnonzero(kf_a.point_ids < 0)
     idx_b = np.flatnonzero(kf_b.point_ids < 0)
-    if idx_a.size == 0 or idx_b.size == 0:
+    baseline = kf_b.pose.translation - kf_a.pose.translation
+    if idx_a.size == 0 or idx_b.size == 0 or np.linalg.norm(baseline) < 1e-6:
         return _NO_MATCHES, np.zeros((0, 3))
     uv_a = kf_a.keypoints[idx_a]
     uv_b = kf_b.keypoints[idx_b]

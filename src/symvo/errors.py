@@ -1,30 +1,16 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package.
+
+Every class here is raised by the package itself; reference code that
+lives with the tests defines its own errors on ``SymvoError``.
+"""
 
 
 class SymvoError(Exception):
     """Base class for all package-specific errors."""
 
 
-class BehindCameraError(SymvoError):
-    """A point has non-positive depth in the camera it is projected into."""
-
-    def __init__(self, message="point is behind the camera", direction=None):
-        if direction is not None:
-            message = f"{message} ({direction})"
-        super().__init__(message)
-        self.direction = direction
-
-
-class InvalidDepthError(SymvoError):
-    """A depth value that must be strictly positive is not."""
-
-
 class DescriptorMismatchError(SymvoError):
-    """Two descriptors of different bit lengths were compared."""
-
-
-class NoBaselineError(SymvoError):
-    """Two views have (numerically) no translation between them."""
+    """Two packed descriptor stacks of different widths were compared."""
 
 
 class DegenerateProblemError(SymvoError):

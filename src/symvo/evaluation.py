@@ -17,13 +17,6 @@ from .errors import AlignmentDegenerateError, AssociationPairingError, SymvoErro
 from .pipeline import Pipeline, PipelineConfig, reverse
 from .trajectory import Trajectory
 
-__all__ = [
-    "SimilarityTransform", "align_start_end", "alignment_error",
-    "evaluate_run", "SequenceRun", "BiasReport", "bias_metrics",
-    "ABLATION_AXES", "ablation_grid", "GridRow",
-]
-
-
 @dataclass(frozen=True)
 class SimilarityTransform:
     scale: float
@@ -55,20 +48,14 @@ def umeyama(source: np.ndarray, target: np.ndarray) -> SimilarityTransform:
     return SimilarityTransform(s, R, t)
 
 
-def associate_timestamps(est: Trajectory, ref: Trajectory,
-                         tolerance: float | None = None):
-    """Pair estimate indices with nearest reference indices.
-
-    Tolerance defaults to half the reference's median frame period.
+def associate_timestamps(est: Trajectory, ref: Trajectory):
+    """Pair estimate indices with nearest reference indices, within half
+    the reference's median frame period (0.5 s for a one-pose reference).
     """
     if len(est) == 0 or len(ref) == 0:
         raise SymvoError("cannot associate empty trajectories")
     ts_ref = ref.timestamps
-    if tolerance is None:
-        if ts_ref.size > 1:
-            tolerance = 0.5 * float(np.median(np.diff(ts_ref)))
-        else:
-            tolerance = 0.5
+    tolerance = 0.5 * float(np.median(np.diff(ts_ref))) if ts_ref.size > 1 else 0.5
     pairs = []
     for i, t in enumerate(est.timestamps):
         j = int(np.argmin(np.abs(ts_ref - t)))
@@ -79,7 +66,8 @@ def associate_timestamps(est: Trajectory, ref: Trajectory,
     return pairs
 
 
-def _segment_pairs(pairs, ref: Trajectory, segment_length: float):
+def _segment_pairs(pairs, ref: Trajectory):
+    segment_length = default_segment_length(ref)
     t0 = float(ref.timestamps[0])
     t1 = float(ref.timestamps[-1])
     head = [(i, j) for i, j in pairs if ref.timestamps[j] <= t0 + segment_length]
@@ -93,19 +81,16 @@ def default_segment_length(ref: Trajectory) -> float:
     return min(10.0, 0.1 * span)
 
 
-def align_start_end(estimate: Trajectory, ground_truth: Trajectory,
-                    segment_length: float | None = None,
-                    tolerance: float | None = None):
-    """Similarity-align the estimate to the boundary segments of the truth.
+def align_start_end(estimate: Trajectory, ground_truth: Trajectory):
+    """Similarity-align the estimate to the boundary segments of the truth,
+    each ``default_segment_length`` long.
 
     Returns (aligned_estimate, SimilarityTransform).  Degenerate segments
     (fewer than three poses each, or a collinear support) raise
     AlignmentDegenerateError.
     """
-    if segment_length is None:
-        segment_length = default_segment_length(ground_truth)
-    pairs = associate_timestamps(estimate, ground_truth, tolerance)
-    head, tail = _segment_pairs(pairs, ground_truth, segment_length)
+    pairs = associate_timestamps(estimate, ground_truth)
+    head, tail = _segment_pairs(pairs, ground_truth)
     if len(head) < 3 or len(tail) < 3:
         raise AlignmentDegenerateError(
             f"segments hold {len(head)}/{len(tail)} poses; need 3+3"
@@ -124,20 +109,18 @@ def align_start_end(estimate: Trajectory, ground_truth: Trajectory,
     return aligned, transform
 
 
-def alignment_error(aligned: Trajectory, ground_truth: Trajectory,
-                    tolerance: float | None = None) -> float:
+def alignment_error(aligned: Trajectory, ground_truth: Trajectory) -> float:
     """Translational RMSE over associated pose pairs."""
-    pairs = associate_timestamps(aligned, ground_truth, tolerance)
+    pairs = associate_timestamps(aligned, ground_truth)
     est = aligned.positions()[[i for i, _ in pairs]]
     ref = ground_truth.positions()[[j for _, j in pairs]]
     d = est - ref
     return float(np.sqrt(np.mean(np.sum(d * d, axis=1))))
 
 
-def evaluate_run(estimate: Trajectory, ground_truth: Trajectory,
-                 segment_length: float | None = None) -> float:
+def evaluate_run(estimate: Trajectory, ground_truth: Trajectory) -> float:
     """Start/end-aligned e_r of one run."""
-    aligned, _ = align_start_end(estimate, ground_truth, segment_length)
+    aligned, _ = align_start_end(estimate, ground_truth)
     return alignment_error(aligned, ground_truth)
 
 
@@ -182,7 +165,6 @@ class BiasReport:
     bias: dict
     bias_quantiles: dict
     graph_stat_deltas: list = field(default_factory=list)
-    segment_length: float | None = None
 
     def to_csv(self, path):
         with open(path, "w") as f:
@@ -213,12 +195,10 @@ class BiasReport:
                  "d_inliers": d[2]}
                 for n, d in self.graph_stat_deltas
             ],
-            "segment_length": self.segment_length,
         }
 
 
-def bias_metrics(forward_runs, backward_runs,
-                 segment_length: float | None = None) -> BiasReport:
+def bias_metrics(forward_runs, backward_runs) -> BiasReport:
     """Pair forward/backward runs by sequence name and tabulate the bias."""
     fwd = {run.name: run for run in forward_runs}
     bwd = {run.name: run for run in backward_runs}
@@ -244,7 +224,6 @@ def bias_metrics(forward_runs, backward_runs,
         bias=_aggregate(biases),
         bias_quantiles=_quantiles(biases),
         graph_stat_deltas=deltas,
-        segment_length=segment_length,
     )
 
 
@@ -274,20 +253,18 @@ class GridRow:
     failures: list  # (sequence, direction, health)
 
 
-def _run_one(frames, cam, config, ground_truth, segment_length):
+def _run_one(frames, cam, config, ground_truth):
     trajectory, report = Pipeline(cam, config).run(frames)
     if report.health != "ok":
         return None, report.health, report
     try:
-        e_r = evaluate_run(trajectory, ground_truth, segment_length)
+        e_r = evaluate_run(trajectory, ground_truth)
     except AlignmentDegenerateError:
         return None, "unevaluable", report
     return e_r, "ok", report
 
 
-def ablation_grid(base_config: PipelineConfig, sequences,
-                  segment_length: float | None = None,
-                  progress=None) -> list:
+def ablation_grid(base_config: PipelineConfig, sequences, progress=None) -> list:
     """Run the full config plus six leave-one-out configs, both directions.
 
     ``sequences`` is an iterable of (name, frames, cam, ground_truth); it
@@ -306,9 +283,7 @@ def ablation_grid(base_config: PipelineConfig, sequences,
                 ("fwd", frames, gt),
                 ("bwd", reverse(frames), gt.reversed()),
             ):
-                e_r, health, report = _run_one(
-                    use_frames, cam, config, use_gt, segment_length
-                )
+                e_r, health, report = _run_one(use_frames, cam, config, use_gt)
                 if progress is not None:
                     progress(config_name, name, direction, health, e_r)
                 if e_r is None:
@@ -320,8 +295,7 @@ def ablation_grid(base_config: PipelineConfig, sequences,
         failed_names = {name for name, _, _ in failures}
         fwd_runs = [r for r in fwd_runs if r.name not in failed_names]
         bwd_runs = [r for r in bwd_runs if r.name not in failed_names]
-        report = (bias_metrics(fwd_runs, bwd_runs, segment_length)
-                  if fwd_runs else None)
+        report = bias_metrics(fwd_runs, bwd_runs) if fwd_runs else None
         grid.append(GridRow(config_name, report, failures))
     return grid
 

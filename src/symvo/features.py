@@ -1,14 +1,15 @@
-"""Binary descriptors, pyramid bookkeeping, and reference-point policies.
+"""Binary descriptors, the image pyramid, and reference-point policies.
 
-Descriptors are fixed-length bit vectors compared by Hamming distance;
-the program keeps them packed, one (N, n_bytes) uint8 row per keypoint,
-and ``Descriptor``/``hamming`` are the scalar reference forms.
-``hamming_matrix`` scores every pair of two stacks, ``hamming_pairs`` only
-row-paired ones.  Map points summarize their descriptor sets by a single
-reference descriptor chosen either by appearance (least median distance to
-the rest) or by geometry (held by the keyframe closest to the query).  The
-depth-invariance interval bounds the query depths at which a point's
-appearance stays within a given octave shift.
+Descriptors are fixed-length bit vectors compared by Hamming distance,
+kept packed, one (N, n_bytes) uint8 row per keypoint.  ``hamming_matrix``
+scores every pair of two stacks, ``hamming_pairs`` only row-paired ones.
+The pyramid is fixed: ``PYRAMID_OCTAVES`` octaves, each ``PYRAMID_SCALE``
+coarser than the last, so a keypoint's variance (``sigma2_at``) follows
+from its octave alone.  Map points summarize their descriptor sets by a
+single reference descriptor, chosen by a ``ReferenceRule``: by appearance
+(least median distance to the rest) or by geometry (held by the keyframe
+closest to the query).  The depth-invariance interval bounds the query
+depths at which a point's appearance stays within a given octave shift.
 
 The reference rules and the interval are per-point rules over the
 keyframes that observe a point; they take a point's holders as one run of
@@ -17,8 +18,8 @@ rows, the runs beginning at ``starts``, so many points cost one call.
 
 from __future__ import annotations
 
+import enum
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -28,54 +29,16 @@ from .errors import DescriptorMismatchError
 DESCRIPTOR_BITS = 256
 _PAST_ANY_DISTANCE = 1 << 30  # pads distance tables past any real distance
 
-
-@dataclass(frozen=True)
-class Descriptor:
-    """A packed binary descriptor (8 bits per byte, MSB first)."""
-
-    bits: bytes
-
-    def __post_init__(self):
-        if len(self.bits) == 0:
-            raise ValueError("descriptor must not be empty")
-
-    @property
-    def n_bits(self) -> int:
-        return 8 * len(self.bits)
-
-    @classmethod
-    def random(cls, rng: np.random.Generator, n_bits: int = DESCRIPTOR_BITS) -> "Descriptor":
-        if n_bits % 8 != 0:
-            raise ValueError("n_bits must be a multiple of 8")
-        return cls(rng.integers(0, 256, n_bits // 8, dtype=np.uint8).tobytes())
-
-    def flipped(self, rng: np.random.Generator, rate: float) -> "Descriptor":
-        """Copy with each bit independently flipped with probability rate."""
-        if rate <= 0:
-            return self
-        arr = np.frombuffer(self.bits, dtype=np.uint8)
-        flips = rng.random(self.n_bits) < rate
-        mask = np.packbits(flips)
-        return Descriptor(np.bitwise_xor(arr, mask).tobytes())
-
-    def as_array(self) -> np.ndarray:
-        return np.frombuffer(self.bits, dtype=np.uint8)
+# the image pyramid keypoints are detected on: per-octave scale, octave count
+PYRAMID_SCALE = 1.2
+PYRAMID_OCTAVES = 8
 
 
-def hamming(a: Descriptor, b: Descriptor) -> int:
-    """Number of differing bits between two equal-length descriptors."""
-    if len(a.bits) != len(b.bits):
-        raise DescriptorMismatchError(
-            f"descriptor lengths differ: {a.n_bits} vs {b.n_bits} bits"
-        )
-    return (int.from_bytes(a.bits, "big") ^ int.from_bytes(b.bits, "big")).bit_count()
+class ReferenceRule(enum.Enum):
+    """How a map point picks the one descriptor that represents it."""
 
-
-def pack_descriptors(descriptors) -> np.ndarray:
-    """Stack descriptors into a (N, n_bytes) uint8 matrix."""
-    if len(descriptors) == 0:
-        return np.zeros((0, DESCRIPTOR_BITS // 8), dtype=np.uint8)
-    return np.stack([d.as_array() for d in descriptors])
+    GEOMETRIC = "geometric"  # the holder keyframe nearest the query
+    APPEARANCE = "appearance"  # least median distance to the other holders
 
 
 def _as_words(packed: np.ndarray) -> np.ndarray:
@@ -120,28 +83,16 @@ def hamming_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.bitwise_count(_as_words(a) ^ _as_words(b)).sum(axis=1, dtype=np.int32)
 
 
-@dataclass(frozen=True)
-class PyramidConfig:
-    """Image-pyramid geometry: per-octave scale and octave count."""
+def sigma2_at(octave) -> np.ndarray:
+    """Keypoint variance at a given octave (vectorized); 1 px^2 at octave 0."""
+    return PYRAMID_SCALE ** (2.0 * np.asarray(octave))
 
-    scale: float = 1.2
-    n_octaves: int = 8
 
-    def __post_init__(self):
-        if self.scale <= 1.0:
-            raise ValueError("pyramid scale must be greater than 1")
-        if self.n_octaves < 1:
-            raise ValueError("pyramid needs at least one octave")
-
-    def sigma2_at(self, octave) -> np.ndarray:
-        """Keypoint variance at a given octave (vectorized); 1 px^2 at octave 0."""
-        return self.scale ** (2.0 * np.asarray(octave))
-
-    def octave_for_depth(self, z, z_far: float) -> np.ndarray:
-        """Detection octave implied by depth: closer points sit higher."""
-        z = np.asarray(z, dtype=np.float64)
-        raw = np.log(z_far / z) / math.log(self.scale)
-        return np.clip(np.rint(raw), 0, self.n_octaves - 1).astype(np.int64)
+def octave_for_depth(z, z_far: float) -> np.ndarray:
+    """Detection octave implied by depth: closer points sit higher."""
+    z = np.asarray(z, dtype=np.float64)
+    raw = np.log(z_far / z) / math.log(PYRAMID_SCALE)
+    return np.clip(np.rint(raw), 0, PYRAMID_OCTAVES - 1).astype(np.int64)
 
 
 class DepthInterval(NamedTuple):
@@ -210,22 +161,22 @@ def select_reference_geometric_index(kf_ids, translations, queries,
     return np.lexsort((kf_ids, d2, group))[starts]
 
 
-def depth_invariance_interval(depths, starts, pyramid: PyramidConfig,
-                              delta_l: int) -> DepthInterval:
+def depth_invariance_interval(depths, starts, delta_l: int) -> DepthInterval:
     """Per group of observed depths, the depth range over which appearance
     stays within ``delta_l`` octaves.
 
     A group is a run of ``depths`` beginning at one of ``starts``.  Each
     group intersects its per-observation bands
-    [z_k * s^(-dl-0.5), z_k * s^(dl+0.5)]; the result may be empty when
-    observations disagree, and is the empty (1, 0) when any depth is not
-    positive: a point behind a holder's camera is never matched.
+    [z_k * s^(-dl-0.5), z_k * s^(dl+0.5)], s = ``PYRAMID_SCALE``; the
+    result may be empty when observations disagree, and is the empty
+    (1, 0) when any depth is not positive: a point behind a holder's
+    camera is never matched.
     """
     depths = np.asarray(depths, dtype=np.float64)
     starts = _group_starts(depths.size, starts)
     if delta_l < 0:
         raise ValueError("delta_l must be non-negative")
-    s = pyramid.scale
+    s = PYRAMID_SCALE
     lo = np.maximum.reduceat(depths * s ** (-delta_l - 0.5), starts)
     hi = np.minimum.reduceat(depths * s ** (delta_l + 0.5), starts)
     behind = np.minimum.reduceat(depths, starts) <= 0

@@ -8,6 +8,10 @@ Conventions used throughout the package:
   world-from-camera pose, so the camera center in world coordinates is the
   translation component.
 - keypoint coordinates are always expressed at octave-0 resolution.
+
+``pinhole`` is the one projection of camera-frame points to pixels, used
+by the projection searches, the optimizer's residuals and the scene
+generator alike; ``unit_ray`` is its inverse up to depth.
 """
 
 from __future__ import annotations
@@ -17,9 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BehindCameraError, InvalidDepthError
-
-_EPS_DEPTH = 1e-12
+IN_FRONT_DEPTH = 1e-9  # a camera-frame point is in front when its depth exceeds this
 _ORTHO_TOL = 1e-9
 
 
@@ -86,27 +88,6 @@ def so3_exp(w) -> np.ndarray:
     K = K / theta
     s, c = math.sin(theta), math.cos(theta)
     return np.eye(3) + s * K + (1.0 - c) * (K @ K)
-
-
-def so3_log(R) -> np.ndarray:
-    """Axis-angle vector of a rotation matrix (inverse of so3_exp)."""
-    R = np.asarray(R, dtype=np.float64)
-    cos_theta = np.clip((np.trace(R) - 1.0) / 2.0, -1.0, 1.0)
-    theta = math.acos(cos_theta)
-    if theta < 1e-10:
-        return np.array([R[2, 1] - R[1, 2], R[0, 2] - R[2, 0], R[1, 0] - R[0, 1]]) / 2.0
-    if theta > math.pi - 1e-6:
-        # near pi the off-diagonal formula degrades; use the symmetric part
-        A = (R + np.eye(3)) / 2.0
-        axis = np.sqrt(np.maximum(np.diagonal(A), 0.0))
-        # fix signs from the largest component
-        k = int(np.argmax(axis))
-        if axis[k] > 0:
-            axis = A[:, k] / axis[k]
-            axis = axis / np.linalg.norm(axis)
-        return axis * theta
-    vee = np.array([R[2, 1] - R[1, 2], R[0, 2] - R[2, 0], R[1, 0] - R[0, 1]])
-    return vee * theta / (2.0 * math.sin(theta))
 
 
 def orthonormalize_rotation(R) -> np.ndarray:
@@ -215,32 +196,21 @@ def quaternion_to_rotation(q) -> np.ndarray:
     )
 
 
-def project(p, cam: CameraIntrinsics) -> np.ndarray:
-    """Project camera-frame point(s) to pixel coordinates.
+def pinhole(q, cam: CameraIntrinsics) -> tuple:
+    """Pixel coordinates of camera-frame point(s) ``q`` (..., 3), and
+    whether each point is in front of the camera.
 
-    Raises BehindCameraError if any depth is non-positive.
+    A point is in front when its depth exceeds ``IN_FRONT_DEPTH``.  The
+    others are divided by a depth of 1.0 instead, which raises no
+    floating-point warning; their pixel means nothing.
     """
-    p = np.asarray(p, dtype=np.float64)
-    z = p[..., 2]
-    if np.any(z <= _EPS_DEPTH):
-        raise BehindCameraError()
-    uv = np.empty(p.shape[:-1] + (2,))
-    uv[..., 0] = cam.fx * p[..., 0] / z + cam.cx
-    uv[..., 1] = cam.fy * p[..., 1] / z + cam.cy
-    return uv
-
-
-def backproject(uv, z, cam: CameraIntrinsics) -> np.ndarray:
-    """Lift pixel coordinates to a camera-frame point at depth ``z``."""
-    uv = np.asarray(uv, dtype=np.float64)
-    z = np.asarray(z, dtype=np.float64)
-    if np.any(z <= 0):
-        raise InvalidDepthError("backprojection depth must be positive")
-    p = np.empty(np.broadcast_shapes(uv.shape[:-1], z.shape) + (3,))
-    p[..., 0] = (uv[..., 0] - cam.cx) * z / cam.fx
-    p[..., 1] = (uv[..., 1] - cam.cy) * z / cam.fy
-    p[..., 2] = z
-    return p
+    q = np.asarray(q, dtype=np.float64)
+    in_front = q[..., 2] > IN_FRONT_DEPTH
+    z = np.where(in_front, q[..., 2], 1.0)
+    uv = np.empty(q.shape[:-1] + (2,))
+    uv[..., 0] = cam.fx * q[..., 0] / z + cam.cx
+    uv[..., 1] = cam.fy * q[..., 1] / z + cam.cy
+    return uv, in_front
 
 
 def unit_ray(uv, cam: CameraIntrinsics) -> np.ndarray:
@@ -251,52 +221,6 @@ def unit_ray(uv, cam: CameraIntrinsics) -> np.ndarray:
     d[..., 1] = (uv[..., 1] - cam.cy) / cam.fy
     d[..., 2] = 1.0
     return d
-
-
-def reproject(uv, z, rel: Pose, cam: CameraIntrinsics) -> np.ndarray:
-    """Map pixel(s) of one view into another: project(rel @ backproject)."""
-    return project(rel.apply(backproject(uv, z, cam)), cam)
-
-
-def projection_jacobian(p, cam: CameraIntrinsics) -> np.ndarray:
-    """2x3 Jacobian of ``project`` at camera-frame point(s) ``p``."""
-    p = np.asarray(p, dtype=np.float64)
-    x, y, z = p[..., 0], p[..., 1], p[..., 2]
-    J = np.zeros(p.shape[:-1] + (2, 3))
-    J[..., 0, 0] = cam.fx / z
-    J[..., 0, 2] = -cam.fx * x / (z * z)
-    J[..., 1, 1] = cam.fy / z
-    J[..., 1, 2] = -cam.fy * y / (z * z)
-    return J
-
-
-def deformation_gradient(uv, z, rel: Pose, cam: CameraIntrinsics) -> np.ndarray:
-    """2x2 Jacobian of the cross-view reprojection map w.r.t. pixel coords.
-
-    The depth is held fixed; for pure forward motion of an on-axis point
-    the result is an isotropic scaling by z/(z+t).
-    """
-    q = rel.apply(backproject(uv, z, cam))
-    if q[2] <= _EPS_DEPTH:
-        raise BehindCameraError()
-    d_back = np.array([[z / cam.fx, 0.0], [0.0, z / cam.fy], [0.0, 0.0]])
-    return projection_jacobian(q, cam) @ rel.rotation @ d_back
-
-
-def isotropic_scale(gradient, method: str = "det") -> float:
-    """Scalar magnitude of a 2x2 deformation gradient.
-
-    ``det`` (default) is exact for isotropic scalings; ``opnorm`` and
-    ``trace`` are alternatives for anisotropic cases.
-    """
-    M = np.asarray(gradient, dtype=np.float64)
-    if method == "det":
-        return math.sqrt(abs(M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]))
-    if method == "opnorm":
-        return float(np.linalg.svd(M, compute_uv=False)[0])
-    if method == "trace":
-        return abs(M[0, 0] + M[1, 1]) / 2.0
-    raise ValueError(f"unknown scalarization method {method!r}")
 
 
 def parallax_angles(rays_i, rays_j) -> np.ndarray:

@@ -11,6 +11,11 @@ Residual models:
   normalized by twice the reference view's variance.  Both directions
   therefore enter classification with their own covariances.
 
+``CovarianceModel`` selects the model.  Every term is projected with
+``geometry.pinhole`` and costs ``huber_rho`` of its Mahalanobis^2, with
+the one threshold ``HUBER_DELTA``; the optimizer is the only reader of
+both, so they are defined here.
+
 A problem's observations are rows of the ``OBSERVATION`` structured dtype:
 ``(point, kf, uv, sigma2, ref_kf, ref_uv, ref_sigma2)``, the measured
 pixel and its variance in the observing view, then the point's reference
@@ -62,10 +67,15 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DegenerateProblemError
-from .geometry import CameraIntrinsics, Pose, orthonormalize_rotation, so3_exp
-from .uncertainty import HUBER_DELTA, CovarianceModel, huber_rho, huber_weight
+from .geometry import (
+    CameraIntrinsics,
+    Pose,
+    orthonormalize_rotation,
+    pinhole,
+    so3_exp,
+    unit_ray,
+)
 
-_Z_EPS = 1e-9
 _LAMBDA_INIT = 1e-4
 _LAMBDA_MAX = 1e12
 _BEHIND_CAMERA_COST_CAP = 19.0  # in units of delta^2; rho at |r|/sigma = 10*delta
@@ -80,6 +90,42 @@ POSE_ROUNDS = 3  # refine/reclassify rounds of optimize_pose
 class OutlierMode(enum.Enum):
     EARLY_REMOVAL = "early_removal"
     KEEP_ALL_ROBUST = "keep_all"
+
+
+class CovarianceModel(enum.Enum):
+    STANDARD = "standard"
+    SYMMETRIC = "symmetric"
+
+
+# Huber threshold of every robust cost: the 95% quantile of the chi
+# distribution with 2 degrees of freedom, sqrt(5.991)
+HUBER_DELTA = 2.447
+
+
+def huber_weight(mahalanobis2, delta: float):
+    """IRLS weight of the Huber kernel: 1 inside, delta/|r| outside."""
+    m2 = np.asarray(mahalanobis2, dtype=np.float64)
+    if np.any(m2 < 0):
+        raise ValueError("squared residual must be non-negative")
+    m = np.sqrt(m2)
+    w = np.where(m <= delta, 1.0, delta / np.where(m > 0, m, 1.0))
+    if np.ndim(mahalanobis2) == 0:
+        return float(w)
+    return w
+
+
+def huber_rho(mahalanobis2, delta: float):
+    """Huber cost of a squared Mahalanobis residual.
+
+    Quadratic inside the kernel, linear in sqrt(m2) outside; continuously
+    differentiable at the boundary.
+    """
+    m2 = np.asarray(mahalanobis2, dtype=np.float64)
+    m = np.sqrt(m2)
+    rho = np.where(m <= delta, m2, 2.0 * delta * m - delta * delta)
+    if np.ndim(mahalanobis2) == 0:
+        return float(rho)
+    return rho
 
 
 OBSERVATION = np.dtype([
@@ -178,9 +224,7 @@ class OptimizationProblem:
         self.b_ref = ref[self.b_fwd]
         self.b_ref_var = _rows_of(self.variable_pose_ids, obs["ref_kf"][self.b_fwd])
         # measured-ray directions in the observing camera
-        self.b_dir = np.ones((self.b_fwd.size, 3))
-        self.b_dir[:, 0] = (self.f_uv[self.b_fwd, 0] - self.cam.cx) / self.cam.fx
-        self.b_dir[:, 1] = (self.f_uv[self.b_fwd, 1] - self.cam.cy) / self.cam.fy
+        self.b_dir = unit_ray(self.f_uv[self.b_fwd], self.cam)
 
         self.f_bounds = _run_bounds(self.f_kf)
         self.f_run_kf = self.f_kf[self.f_bounds[:-1]]
@@ -244,7 +288,6 @@ class _Evaluation:
 
 
 def _evaluate(problem: OptimizationProblem, state: _State) -> _Evaluation:
-    cam = problem.cam
     ev = _Evaluation()
     p_w = state.pts[problem.f_pt]
     q = np.empty_like(p_w)
@@ -252,11 +295,7 @@ def _evaluate(problem: OptimizationProblem, state: _State) -> _Evaluation:
                             state.t[problem.f_run_kf]):
         np.matmul(p_w[s:e], R.T, out=q[s:e])
         q[s:e] += t
-    valid = q[:, 2] > _Z_EPS
-    z = np.where(valid, q[:, 2], 1.0)
-    uv = np.empty_like(problem.f_uv)
-    uv[:, 0] = cam.fx * q[:, 0] / z + cam.cx
-    uv[:, 1] = cam.fy * q[:, 1] / z + cam.cy
+    uv, valid = pinhole(q, problem.cam)
     ev.q_f = q
     ev.r_f = problem.f_uv - uv
     ev.valid_f = valid
@@ -273,14 +312,11 @@ def _evaluate(problem: OptimizationProblem, state: _State) -> _Evaluation:
         for (s, e), M, c in zip(_spans(problem.b_bounds), ev.b_M, offset):
             np.matmul(X_k[s:e], M.T, out=q_b[s:e])
             q_b[s:e] += c
-        valid_b = (q_b[:, 2] > _Z_EPS) & (z_k > _Z_EPS)
-        z_b = np.where(valid_b, q_b[:, 2], 1.0)
-        uv_b = np.empty((B, 2))
-        uv_b[:, 0] = cam.fx * q_b[:, 0] / z_b + cam.cx
-        uv_b[:, 1] = cam.fy * q_b[:, 1] / z_b + cam.cy
+        # a backward term needs its measured ray in front of both cameras
+        uv_b, in_front = pinhole(q_b, problem.cam)
         ev.q_b = q_b
         ev.r_b = problem.b_uv - uv_b
-        ev.valid_b = valid_b
+        ev.valid_b = in_front & valid[problem.b_fwd]
         ev.m2_b = (ev.r_b[:, 0] ** 2 + ev.r_b[:, 1] ** 2) * problem.b_info
     else:
         ev.q_b = np.zeros((0, 3))

@@ -30,17 +30,17 @@ from .association import (
     triangulate_rays,
 )
 from .errors import ConfigError, DegenerateProblemError, SymvoError
-from .features import PyramidConfig
+from .features import ReferenceRule, sigma2_at
 from .geometry import CameraIntrinsics, Pose, parallax_angles, unit_ray
 from .optimizer import (
     OBSERVATION,
+    CovarianceModel,
     OptimizationProblem,
     OutlierMode,
     local_bundle_adjustment,
     optimize_pose,
 )
 from .trajectory import Trajectory
-from .uncertainty import CovarianceModel
 from .worldmap import GraphStats, WorldMap
 
 _FRAME_SENTINEL = 0  # pseudo keyframe id of the frame being tracked
@@ -80,11 +80,12 @@ class PipelineConfig:
     """The six bias toggles; the defaults are the paper's choices.
 
     ``evaluation.ABLATION_AXES`` flips them one at a time.  The string
-    toggles name values of the enums they select (``Ordering``,
-    ``ConstraintMode``, ``CovarianceModel``, ``OutlierMode``), and
-    construction raises ``ConfigError`` on an unknown one.  Every numeric
-    setting is a module constant of the module that uses it, such as
-    ``optimizer.CHI2_THRESHOLD``, ``worldmap.RETENTION_LATEST`` or
+    toggles name values of the enums they select (``ReferenceRule``,
+    ``Ordering``, ``ConstraintMode``, ``CovarianceModel``,
+    ``OutlierMode``), and construction raises ``ConfigError`` on an
+    unknown one.  Every numeric setting is a module constant of the module
+    that uses it, such as ``optimizer.CHI2_THRESHOLD``,
+    ``worldmap.RETENTION_LATEST``, ``features.PYRAMID_SCALE`` or
     ``RANSAC_ITERATIONS`` here; nothing sets them per run.  The world
     map's invariants are checked after every mapping step, whatever the
     config.
@@ -98,11 +99,8 @@ class PipelineConfig:
     outlier_policy: str = "keep_all"  # keep_all | early_removal
 
     def __post_init__(self):
-        if self.descriptor_selection not in ("geometric", "appearance"):
-            raise ConfigError(
-                f"unknown descriptor_selection {self.descriptor_selection!r}"
-            )
         for name, enum_type in (
+            ("descriptor_selection", ReferenceRule),
             ("association_ordering", Ordering),
             ("constraint_mode", ConstraintMode),
             ("covariance_model", CovarianceModel),
@@ -351,9 +349,7 @@ class Pipeline:
         )
         self.covariance_model = CovarianceModel(config.covariance_model)
         self.outlier_mode = OutlierMode(config.outlier_policy)
-        self.pyramid = PyramidConfig()
-        self.world = WorldMap(
-            self.pyramid, descriptor_selection=config.descriptor_selection)
+        self.world = WorldMap(ReferenceRule(config.descriptor_selection))
         self.rng = np.random.default_rng(RNG_SEED)
         self.initialized = False
         self.init_ref: FrameInput | None = None
@@ -368,9 +364,6 @@ class Pipeline:
         self._frame_index = 0
 
     # ------------------------------------------------------------------
-
-    def _noise_sigma2(self, octaves) -> np.ndarray:
-        return np.asarray(self.pyramid.sigma2_at(octaves), dtype=np.float64)
 
     def _try_initialize(self, frame: FrameInput) -> bool:
         if self.init_ref is None:
@@ -396,10 +389,8 @@ class Pipeline:
             return give_up()
         uv1 = ref.keypoints[pairs[:, 0]]
         uv2 = frame.keypoints[pairs[:, 1]]
-        sigma = np.sqrt(np.maximum(
-            self._noise_sigma2(ref.octaves[pairs[:, 0]]),
-            self._noise_sigma2(frame.octaves[pairs[:, 1]]),
-        ))
+        sigma = np.sqrt(np.maximum(sigma2_at(ref.octaves[pairs[:, 0]]),
+                                   sigma2_at(frame.octaves[pairs[:, 1]])))
         got = initialize_two_view(uv1, uv2, self.cam, self.rng, sigma)
         if got is None:
             return give_up()
@@ -464,7 +455,7 @@ class Pipeline:
         point, kp = matches.T
         world = self.world
         rows = _observation_rows(world, point, _FRAME_SENTINEL, frame.keypoints[kp],
-                                 self._noise_sigma2(frame.octaves)[kp],
+                                 sigma2_at(frame.octaves)[kp],
                                  world.bindings(point))
         poses = {k: world.keyframes[k].pose for k in np.unique(rows["ref_kf"]).tolist()}
         return OptimizationProblem(
@@ -577,10 +568,6 @@ class Pipeline:
         new_point_ids = []
         for kf_prev_id in neighbors:
             kf_prev = world.keyframes[kf_prev_id]
-            if np.linalg.norm(
-                kf_prev.pose.translation - kf_new.pose.translation
-            ) < 1e-6:
-                continue
             pairs, positions = search_for_triangulation(
                 kf_prev, kf_new, self.policy, self.cam)
             batch = [

@@ -17,8 +17,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParseError, SceneSpecError
-from .features import DESCRIPTOR_BITS, PyramidConfig
-from .geometry import CameraIntrinsics, Pose, so3_exp
+from .features import (
+    DESCRIPTOR_BITS,
+    PYRAMID_OCTAVES,
+    PYRAMID_SCALE,
+    octave_for_depth,
+)
+from .geometry import CameraIntrinsics, Pose, pinhole, so3_exp
 from .pipeline import FrameInput
 from .trajectory import Trajectory, load_trajectory, save_trajectory
 
@@ -53,6 +58,14 @@ class SceneSpec:
             raise SceneSpecError(f"unknown trajectory kind {self.trajectory!r}")
         if not (0 <= self.outlier_rate < 1):
             raise SceneSpecError("outlier_rate must lie in [0, 1)")
+        if not self.noise_px >= 0:
+            raise SceneSpecError("noise_px must be non-negative")
+        if not (0 <= self.descriptor_flip_rate <= 1):
+            raise SceneSpecError("descriptor_flip_rate must lie in [0, 1]")
+        if not self.fps > 0:
+            raise SceneSpecError("fps must be positive")
+        if not self.z_near < self.z_far:
+            raise SceneSpecError("z_near must be less than z_far")
         if self.n_frames < 2 or self.n_landmarks < self.min_visible:
             raise SceneSpecError("scene is too small to be observable")
 
@@ -170,7 +183,7 @@ def generate(spec: SceneSpec) -> SyntheticSequence:
     n_bytes = DESCRIPTOR_BITS // 8
     signatures = rng.integers(0, 256, size=(spec.n_landmarks, n_bytes),
                               dtype=np.uint8)
-    cam, pyr = spec.camera, PyramidConfig()
+    cam = spec.camera
     timestamps = np.arange(spec.n_frames, dtype=np.float64) / spec.fps
 
     # visibility prepass; the deepest visible depth anchors octave 0 so
@@ -180,11 +193,10 @@ def generate(spec: SceneSpec) -> SyntheticSequence:
     for k, pose in enumerate(poses):
         rel = pose.inverse().apply(landmarks)
         z = rel[:, 2]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            u = cam.fx * rel[:, 0] / z + cam.cx
-            v = cam.fy * rel[:, 1] / z + cam.cy
+        uv, in_front = pinhole(rel, cam)
+        u, v = uv[:, 0], uv[:, 1]
         visible = (
-            (z > spec.z_near) & (z < spec.z_far)
+            in_front & (z > spec.z_near) & (z < spec.z_far)
             & (u >= 1.0) & (u <= cam.width - 2.0)
             & (v >= 1.0) & (v <= cam.height - 2.0)
         )
@@ -194,7 +206,7 @@ def generate(spec: SceneSpec) -> SyntheticSequence:
                 f"frame {k} observes only {ids.size} landmarks "
                 f"(minimum {spec.min_visible})"
             )
-        per_frame.append((ids, np.stack([u[ids], v[ids]], axis=1), z[ids]))
+        per_frame.append((ids, uv[ids], z[ids]))
         z_ref = max(z_ref, float(z[ids].max()))
 
     # descriptor flips are drawn into one small buffer, block by block: a
@@ -207,10 +219,10 @@ def generate(spec: SceneSpec) -> SyntheticSequence:
     frame_landmark_ids = []
     for k in range(spec.n_frames):
         ids, uv_exact, z_vis = per_frame[k]
-        octaves = pyr.octave_for_depth(z_vis, z_far=z_ref)
+        octaves = octave_for_depth(z_vis, z_far=z_ref)
         uv = uv_exact.copy()
         if spec.noise_px > 0:
-            sigma = spec.noise_px * pyr.scale ** octaves.astype(np.float64)
+            sigma = spec.noise_px * PYRAMID_SCALE ** octaves.astype(np.float64)
             uv = uv + rng.normal(size=uv.shape) * sigma[:, None]
             uv[:, 0] = np.clip(uv[:, 0], 0.0, cam.width - 1.0)
             uv[:, 1] = np.clip(uv[:, 1], 0.0, cam.height - 1.0)
@@ -229,7 +241,7 @@ def generate(spec: SceneSpec) -> SyntheticSequence:
                 rng.uniform(1.0, cam.width - 2.0, size=n_out),
                 rng.uniform(1.0, cam.height - 2.0, size=n_out),
             ], axis=1)
-            out_oct = rng.integers(0, pyr.n_octaves, size=n_out)
+            out_oct = rng.integers(0, PYRAMID_OCTAVES, size=n_out)
             out_desc = rng.integers(0, 256, size=(n_out, n_bytes), dtype=np.uint8)
             uv = np.vstack([uv, out_uv])
             octaves = np.concatenate([octaves, out_oct])
@@ -296,8 +308,9 @@ def export(seq: SyntheticSequence, out_dir):
 
 
 def load_intrinsics(path) -> CameraIntrinsics:
-    """The camera of an intrinsics file.  The pipeline runs the default
-    ``PyramidConfig`` only, so ``pyramid.*`` keys naming another raise."""
+    """The camera of an intrinsics file.  The pipeline runs one pyramid
+    (``PYRAMID_SCALE``, ``PYRAMID_OCTAVES``), so ``pyramid.*`` keys naming
+    another raise."""
     values = {}
     with open(path) as f:
         for lineno, line in enumerate(f, start=1):
@@ -315,17 +328,15 @@ def load_intrinsics(path) -> CameraIntrinsics:
             width=int(values["camera.width"]),
             height=int(values["camera.height"]),
         )
-        pyramid = PyramidConfig(
-            scale=float(values.get("pyramid.scale", PyramidConfig.scale)),
-            n_octaves=int(values.get("pyramid.octaves", PyramidConfig.n_octaves)),
-        )
+        pyramid = (float(values.get("pyramid.scale", PYRAMID_SCALE)),
+                   int(values.get("pyramid.octaves", PYRAMID_OCTAVES)))
     except KeyError as exc:
         raise ParseError(path, 0, f"missing key {exc}") from exc
     except ValueError as exc:
         raise ParseError(path, 0, str(exc)) from exc
-    if pyramid != PyramidConfig():
-        raise ParseError(path, 0, f"{pyramid} is not the default pyramid, "
-                                  "the only one the pipeline runs")
+    if pyramid != (PYRAMID_SCALE, PYRAMID_OCTAVES):
+        raise ParseError(path, 0, f"pyramid (scale, octaves) {pyramid} is not the "
+                                  "default pyramid, the only one the pipeline runs")
     return cam
 
 

@@ -29,10 +29,11 @@ from .association import PointBatch
 from .errors import WorldIntegrityError
 from .features import (
     DepthInterval,
-    PyramidConfig,
+    ReferenceRule,
     depth_invariance_interval,
     select_reference_appearance_index,
     select_reference_geometric_index,
+    sigma2_at,
 )
 from .geometry import Pose
 
@@ -106,11 +107,7 @@ def _refuse(kf: Keyframe, point_ids: list, keypoints: list):
 class WorldMap:
     """The observation graph plus its maintenance policies."""
 
-    def __init__(self, pyramid: PyramidConfig,
-                 descriptor_selection: str = "geometric"):
-        if descriptor_selection not in ("geometric", "appearance"):
-            raise ValueError(f"unknown descriptor selection {descriptor_selection!r}")
-        self.pyramid = pyramid
+    def __init__(self, descriptor_selection: ReferenceRule = ReferenceRule.GEOMETRIC):
         self.descriptor_selection = descriptor_selection
         self.keyframes: dict[int, Keyframe] = {}
         # indexed by point id and doubled when full; id 0 is never handed
@@ -137,9 +134,7 @@ class WorldMap:
             keypoints=np.asarray(keypoints, dtype=np.float64),
             octaves=np.asarray(octaves, dtype=np.int64),
             descriptors=np.asarray(descriptors, dtype=np.uint8),
-            noise_sigma2=np.asarray(
-                self.pyramid.sigma2_at(np.asarray(octaves)), dtype=np.float64
-            ),
+            noise_sigma2=sigma2_at(octaves),
         )
         self.keyframes[kf.kf_id] = kf
         self._next_kf_id += 1
@@ -283,7 +278,7 @@ class WorldMap:
         offset = self.positions[point] - self._pose_rows(kf, lambda p: p.translation)
         axis = self._pose_rows(kf, lambda p: p.rotation[:, 2])
         depths = (offset[:, None, :] @ axis[:, :, None])[:, 0, 0]
-        depth = depth_invariance_interval(depths, starts, self.pyramid, DELTA_L)
+        depth = depth_invariance_interval(depths, starts, DELTA_L)
         at = np.searchsorted(point[starts], point_ids)
         return PointBatch(
             ids=point_ids,
@@ -302,13 +297,13 @@ class WorldMap:
 
     def reselect_references(self, point_ids, query_translation):
         """Per-query geometric re-selection (no-op under appearance policy)."""
-        if self.descriptor_selection == "geometric":
+        if self.descriptor_selection is ReferenceRule.GEOMETRIC:
             self._select_references(point_ids, query_translation)
 
     def _select_references(self, point_ids, query):
         point, kf, kp = self.bindings(point_ids)
         starts = _runs(point)
-        if self.descriptor_selection == "appearance" and query is None:
+        if self.descriptor_selection is ReferenceRule.APPEARANCE and query is None:
             rows = select_reference_appearance_index(
                 self.gather(kf, kp, "descriptors"), starts)
         else:

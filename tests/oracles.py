@@ -35,8 +35,26 @@ program scores every hypothesis in batches and must return the same
 bytes (``initialization_bytes``) and leave the generator in the same
 state.  ``initialization_inputs`` builds the matches and deviations that
 initialization receives for two frames.
+
+The rest is reference code that the program itself does not call:
+
+- ``Descriptor``, ``hamming`` and ``pack_descriptors``: scalar
+  descriptors, the reference of the packed popcount kernels.
+- ``project``, ``backproject`` and ``reproject``: the pinhole map and its
+  inverse, raising on a point behind the camera or a non-positive depth,
+  where ``geometry.pinhole`` flags instead; and ``so3_log``, the inverse
+  of ``geometry.so3_exp``.
+- ``KeypointNoise``, ``ResidualTerm``, ``residual_standard`` and
+  ``residual_symmetric``: the two residual models one observation at a
+  time, the reference of ``optimizer.evaluate_cost``.
+- the covariance-ratio analysis behind the symmetric model:
+  ``alpha_standard``, ``alpha_symmetric``, ``alpha_curves`` and
+  ``write_alpha_curves``, with ``deformation_gradient``,
+  ``isotropic_scale`` and ``projection_jacobian``.
 """
 
+import math
+from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
@@ -52,15 +70,15 @@ from symvo.association import (
     match,
     triangulate_rays,
 )
-from symvo.features import PyramidConfig, hamming_matrix
-from symvo.geometry import Pose, parallax_angles, unit_ray
-from symvo.optimizer import _schur_columns, _term_jacobians
+from symvo.errors import DescriptorMismatchError, SymvoError
+from symvo.features import DESCRIPTOR_BITS, hamming_matrix, sigma2_at
+from symvo.geometry import CameraIntrinsics, Pose, parallax_angles, unit_ray
+from symvo.optimizer import HUBER_DELTA, _schur_columns, _term_jacobians, huber_weight
 from symvo.pipeline import (
     RANSAC_ITERATIONS,
     RANSAC_THRESHOLD_PX,
     _decompose_essential,
 )
-from symvo.uncertainty import HUBER_DELTA, huber_weight
 
 
 def _hat_batch(v):
@@ -520,11 +538,8 @@ def initialization_inputs(frame_a, frame_b):
         np.arange(frame_a.n_keypoints), frame_a.descriptors,
         np.arange(frame_b.n_keypoints), frame_b.descriptors,
         AssociationPolicy(), Site.TRIANGULATION)
-    pyramid = PyramidConfig()
-    sigma = np.sqrt(np.maximum(
-        np.asarray(pyramid.sigma2_at(frame_a.octaves[pairs[:, 0]]), dtype=np.float64),
-        np.asarray(pyramid.sigma2_at(frame_b.octaves[pairs[:, 1]]), dtype=np.float64),
-    ))
+    sigma = np.sqrt(np.maximum(sigma2_at(frame_a.octaves[pairs[:, 0]]),
+                               sigma2_at(frame_b.octaves[pairs[:, 1]])))
     return frame_a.keypoints[pairs[:, 0]], frame_b.keypoints[pairs[:, 1]], sigma
 
 
@@ -536,3 +551,305 @@ def initialization_bytes(result):
     rel, *arrays = result
     return (rel.rotation.tobytes(), rel.translation.tobytes(),
             *((a.tobytes(), a.shape) for a in arrays))
+
+
+# ----------------------------------------------------------------------
+# scalar descriptors
+
+
+@dataclass(frozen=True)
+class Descriptor:
+    """A packed binary descriptor (8 bits per byte, MSB first)."""
+
+    bits: bytes
+
+    def __post_init__(self):
+        if len(self.bits) == 0:
+            raise ValueError("descriptor must not be empty")
+
+    @property
+    def n_bits(self) -> int:
+        return 8 * len(self.bits)
+
+    @classmethod
+    def random(cls, rng: np.random.Generator, n_bits: int = DESCRIPTOR_BITS) -> "Descriptor":
+        if n_bits % 8 != 0:
+            raise ValueError("n_bits must be a multiple of 8")
+        return cls(rng.integers(0, 256, n_bits // 8, dtype=np.uint8).tobytes())
+
+    def flipped(self, rng: np.random.Generator, rate: float) -> "Descriptor":
+        """Copy with each bit independently flipped with probability rate."""
+        if rate <= 0:
+            return self
+        arr = np.frombuffer(self.bits, dtype=np.uint8)
+        flips = rng.random(self.n_bits) < rate
+        mask = np.packbits(flips)
+        return Descriptor(np.bitwise_xor(arr, mask).tobytes())
+
+    def as_array(self) -> np.ndarray:
+        return np.frombuffer(self.bits, dtype=np.uint8)
+
+
+def hamming(a: Descriptor, b: Descriptor) -> int:
+    """Number of differing bits between two equal-length descriptors."""
+    if len(a.bits) != len(b.bits):
+        raise DescriptorMismatchError(
+            f"descriptor lengths differ: {a.n_bits} vs {b.n_bits} bits"
+        )
+    return (int.from_bytes(a.bits, "big") ^ int.from_bytes(b.bits, "big")).bit_count()
+
+
+def pack_descriptors(descriptors) -> np.ndarray:
+    """Stack descriptors into a (N, n_bytes) uint8 matrix."""
+    if len(descriptors) == 0:
+        return np.zeros((0, DESCRIPTOR_BITS // 8), dtype=np.uint8)
+    return np.stack([d.as_array() for d in descriptors])
+
+
+# ----------------------------------------------------------------------
+# raising projections
+
+
+class BehindCameraError(SymvoError):
+    """A point has non-positive depth in the camera it is projected into."""
+
+    def __init__(self, message="point is behind the camera", direction=None):
+        if direction is not None:
+            message = f"{message} ({direction})"
+        super().__init__(message)
+        self.direction = direction
+
+
+class InvalidDepthError(SymvoError):
+    """A depth value that must be strictly positive is not."""
+
+
+_EPS_DEPTH = 1e-12
+
+
+def project(p, cam: CameraIntrinsics) -> np.ndarray:
+    """Project camera-frame point(s) to pixel coordinates.
+
+    Raises BehindCameraError if any depth is non-positive.
+    """
+    p = np.asarray(p, dtype=np.float64)
+    z = p[..., 2]
+    if np.any(z <= _EPS_DEPTH):
+        raise BehindCameraError()
+    uv = np.empty(p.shape[:-1] + (2,))
+    uv[..., 0] = cam.fx * p[..., 0] / z + cam.cx
+    uv[..., 1] = cam.fy * p[..., 1] / z + cam.cy
+    return uv
+
+
+def backproject(uv, z, cam: CameraIntrinsics) -> np.ndarray:
+    """Lift pixel coordinates to a camera-frame point at depth ``z``."""
+    uv = np.asarray(uv, dtype=np.float64)
+    z = np.asarray(z, dtype=np.float64)
+    if np.any(z <= 0):
+        raise InvalidDepthError("backprojection depth must be positive")
+    p = np.empty(np.broadcast_shapes(uv.shape[:-1], z.shape) + (3,))
+    p[..., 0] = (uv[..., 0] - cam.cx) * z / cam.fx
+    p[..., 1] = (uv[..., 1] - cam.cy) * z / cam.fy
+    p[..., 2] = z
+    return p
+
+
+def reproject(uv, z, rel: Pose, cam: CameraIntrinsics) -> np.ndarray:
+    """Map pixel(s) of one view into another: project(rel @ backproject)."""
+    return project(rel.apply(backproject(uv, z, cam)), cam)
+
+
+def so3_log(R) -> np.ndarray:
+    """Axis-angle vector of a rotation matrix (inverse of so3_exp)."""
+    R = np.asarray(R, dtype=np.float64)
+    cos_theta = np.clip((np.trace(R) - 1.0) / 2.0, -1.0, 1.0)
+    theta = math.acos(cos_theta)
+    if theta < 1e-10:
+        return np.array([R[2, 1] - R[1, 2], R[0, 2] - R[2, 0], R[1, 0] - R[0, 1]]) / 2.0
+    if theta > math.pi - 1e-6:
+        # near pi the off-diagonal formula degrades; use the symmetric part
+        A = (R + np.eye(3)) / 2.0
+        axis = np.sqrt(np.maximum(np.diagonal(A), 0.0))
+        # fix signs from the largest component
+        k = int(np.argmax(axis))
+        if axis[k] > 0:
+            axis = A[:, k] / axis[k]
+            axis = axis / np.linalg.norm(axis)
+        return axis * theta
+    vee = np.array([R[2, 1] - R[1, 2], R[0, 2] - R[2, 0], R[1, 0] - R[0, 1]])
+    return vee * theta / (2.0 * math.sin(theta))
+
+
+# ----------------------------------------------------------------------
+# residual models, one observation at a time
+
+
+@dataclass(frozen=True)
+class KeypointNoise:
+    """Pixel variance of a keypoint at its detection octave."""
+
+    sigma2: float
+    octave: int = 0
+
+    def __post_init__(self):
+        if self.sigma2 <= 0:
+            raise ValueError("keypoint variance must be positive")
+
+
+@dataclass(frozen=True)
+class ResidualTerm:
+    """A reprojection residual with per-view variances.
+
+    r_backward is all-zero under the standard model.
+    """
+
+    r_forward: np.ndarray
+    r_backward: np.ndarray
+    sigma2_i: float
+    sigma2_j: float
+
+    def __post_init__(self):
+        if self.sigma2_i <= 0 or self.sigma2_j <= 0:
+            raise ValueError("residual variances must be positive")
+
+    @property
+    def mahalanobis2_forward(self) -> float:
+        return float(np.dot(self.r_forward, self.r_forward)) / self.sigma2_i
+
+    @property
+    def mahalanobis2_backward(self) -> float:
+        return float(np.dot(self.r_backward, self.r_backward)) / self.sigma2_j
+
+    @property
+    def total_cost(self) -> float:
+        return self.mahalanobis2_forward + self.mahalanobis2_backward
+
+
+def residual_standard(u_i, u, z, rel: Pose, cam: CameraIntrinsics,
+                      noise_i: KeypointNoise) -> ResidualTerm:
+    """Single-view residual u_i - phi(u) with variance 2*sigma2_i."""
+    u_i = np.asarray(u_i, dtype=np.float64)
+    r = u_i - reproject(u, z, rel, cam)
+    s2 = 2.0 * noise_i.sigma2
+    return ResidualTerm(r, np.zeros(2), s2, s2)
+
+
+def residual_symmetric(u_i, u, z_j, z_i, rel: Pose, cam: CameraIntrinsics,
+                       noise_i: KeypointNoise, noise_j: KeypointNoise) -> ResidualTerm:
+    """Two-view residual pair, each normalized by its own view's covariance.
+
+    z_j is the point depth in the reference view, z_i its depth in the
+    observing view; both are held constant for the evaluation.
+    """
+    u_i = np.asarray(u_i, dtype=np.float64)
+    u = np.asarray(u, dtype=np.float64)
+    try:
+        r_fwd = u_i - reproject(u, z_j, rel, cam)
+    except BehindCameraError:
+        raise BehindCameraError(direction="forward")
+    try:
+        r_bwd = u - reproject(u_i, z_i, rel.inverse(), cam)
+    except BehindCameraError:
+        raise BehindCameraError(direction="backward")
+    return ResidualTerm(r_fwd, r_bwd, 2.0 * noise_i.sigma2, 2.0 * noise_j.sigma2)
+
+
+# ----------------------------------------------------------------------
+# covariance ratios: how far each model's residual variance is from the
+# linearized one under an isotropic perspective scaling eps
+
+
+def alpha_standard(eps: float) -> float:
+    """Ratio of the approximated to the linearized residual variance.
+
+    Values above 1 over-estimate the covariance, below 1 under-estimate.
+    """
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    return 2.0 / (1.0 + eps * eps)
+
+
+def alpha_symmetric(eps_ij: float, eps_ji: float,
+                    sigma2_i: float = 1.0, sigma2_j: float = 1.0) -> float:
+    """Covariance ratio of the symmetric two-view cost."""
+    if min(eps_ij, eps_ji, sigma2_i, sigma2_j) <= 0:
+        raise ValueError("all inputs must be positive")
+    num = 2.0 * sigma2_i + 2.0 * sigma2_j
+    den = (1.0 + eps_ij**2) * sigma2_j + (1.0 + eps_ji**2) * sigma2_i
+    return num / den
+
+
+def alpha_curves(eps_range=(0.1, 10.0), resolution: int = 201) -> np.ndarray:
+    """Tabulate alpha_standard and alpha_symmetric over an eps sweep.
+
+    The reverse-direction scaling is modeled as eps_ji = 1/eps_ij.  Rows
+    are (eps, alpha_standard, alpha_symmetric); sampling is geometric so a
+    symmetric range around 1 contains eps = 1 exactly for odd resolutions.
+    """
+    lo, hi = eps_range
+    if not (0 < lo < hi):
+        raise ValueError("eps_range must satisfy 0 < lo < hi")
+    if resolution < 2:
+        raise ValueError("resolution must be at least 2")
+    eps = np.geomspace(lo, hi, resolution)
+    # snap the midpoint to exactly 1 when the range is reciprocal
+    if math.isclose(lo * hi, 1.0, rel_tol=1e-12) and resolution % 2 == 1:
+        eps[resolution // 2] = 1.0
+    table = np.empty((resolution, 3))
+    for k, e in enumerate(eps):
+        table[k, 0] = e
+        table[k, 1] = alpha_standard(e)
+        table[k, 2] = alpha_symmetric(e, 1.0 / e)
+    return table
+
+
+def write_alpha_curves(path, eps_range=(0.1, 10.0), resolution: int = 201):
+    """Emit the alpha sweep as a headered CSV."""
+    table = alpha_curves(eps_range, resolution)
+    with open(path, "w") as f:
+        f.write("eps,alpha_standard,alpha_symmetric\n")
+        for eps, a_std, a_sym in table:
+            f.write(f"{eps:.17g},{a_std:.17g},{a_sym:.17g}\n")
+    return table
+
+
+def projection_jacobian(p, cam: CameraIntrinsics) -> np.ndarray:
+    """2x3 Jacobian of ``project`` at camera-frame point(s) ``p``."""
+    p = np.asarray(p, dtype=np.float64)
+    x, y, z = p[..., 0], p[..., 1], p[..., 2]
+    J = np.zeros(p.shape[:-1] + (2, 3))
+    J[..., 0, 0] = cam.fx / z
+    J[..., 0, 2] = -cam.fx * x / (z * z)
+    J[..., 1, 1] = cam.fy / z
+    J[..., 1, 2] = -cam.fy * y / (z * z)
+    return J
+
+
+def deformation_gradient(uv, z, rel: Pose, cam: CameraIntrinsics) -> np.ndarray:
+    """2x2 Jacobian of the cross-view reprojection map w.r.t. pixel coords.
+
+    The depth is held fixed; for pure forward motion of an on-axis point
+    the result is an isotropic scaling by z/(z+t).
+    """
+    q = rel.apply(backproject(uv, z, cam))
+    if q[2] <= _EPS_DEPTH:
+        raise BehindCameraError()
+    d_back = np.array([[z / cam.fx, 0.0], [0.0, z / cam.fy], [0.0, 0.0]])
+    return projection_jacobian(q, cam) @ rel.rotation @ d_back
+
+
+def isotropic_scale(gradient, method: str = "det") -> float:
+    """Scalar magnitude of a 2x2 deformation gradient.
+
+    ``det`` (default) is exact for isotropic scalings; ``opnorm`` and
+    ``trace`` are alternatives for anisotropic cases.
+    """
+    M = np.asarray(gradient, dtype=np.float64)
+    if method == "det":
+        return math.sqrt(abs(M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]))
+    if method == "opnorm":
+        return float(np.linalg.svd(M, compute_uv=False)[0])
+    if method == "trace":
+        return abs(M[0, 0] + M[1, 1]) / 2.0
+    raise ValueError(f"unknown scalarization method {method!r}")

@@ -73,6 +73,7 @@ def test_fewer_than_three_positions_raise(n):
 
 
 def test_segments_with_fewer_than_three_poses_raise():
-    truth = helix(n=60)
+    # 12 poses span 0.55 s: each 10% segment holds two of them
+    truth = helix(n=12)
     with pytest.raises(AlignmentDegenerateError, match="need 3"):
-        align_start_end(truth, truth, segment_length=0.05)
+        align_start_end(truth, truth)

@@ -22,21 +22,20 @@ from symvo.association import (
     search_for_triangulation,
     triangulate_rays,
 )
-from symvo.errors import NoBaselineError
-from symvo.features import (
-    DepthInterval,
-    Descriptor,
-    PyramidConfig,
-    hamming_pairs,
-    pack_descriptors,
-)
-from symvo.geometry import CameraIntrinsics, Pose, project, so3_exp, unit_ray
+from symvo.features import DepthInterval, hamming_pairs, octave_for_depth, sigma2_at
+from symvo.geometry import CameraIntrinsics, Pose, so3_exp
 from symvo.worldmap import Keyframe, WorldMap
 
-from oracles import reference_match, reference_search_for_triangulation
+from oracles import (
+    Descriptor,
+    hamming,
+    pack_descriptors,
+    project,
+    reference_match,
+    reference_search_for_triangulation,
+)
 
 CAM = CameraIntrinsics(fx=500.0, fy=500.0, cx=320.0, cy=240.0, width=640, height=480)
-PYR = PyramidConfig()
 
 
 def make_policy(**kw):
@@ -261,7 +260,7 @@ class TestGatePredicate:
 def build_world(rng, n_points=40, n_frames=3, spacing=0.5, noise=0.0,
                 flip=0.0, axis=(0.0, 0.0, 1.0), **world_kw):
     """A tiny world: landmarks ahead of a camera moving along ``axis``."""
-    world = WorldMap(PYR, **world_kw)
+    world = WorldMap(**world_kw)
     axis = np.asarray(axis, dtype=np.float64)
     landmarks = []
     while len(landmarks) < n_points:
@@ -285,7 +284,7 @@ def build_world(rng, n_points=40, n_frames=3, spacing=0.5, noise=0.0,
         ], axis=1)
         if noise:
             uv = uv + rng.normal(scale=noise, size=uv.shape)
-        octaves = PYR.octave_for_depth(rel[:, 2], z_far=40.0)
+        octaves = octave_for_depth(rel[:, 2], z_far=40.0)
         descs = pack_descriptors([s.flipped(rng, flip) for s in signatures])
         kfs.append(world.add_keyframe(k * 0.1, pose, uv, octaves, descs))
     return world, kfs, landmarks, signatures
@@ -339,15 +338,16 @@ class TestSearchByProjection:
 
 
 class TestSearchForTriangulation:
-    def test_pure_rotation_pair_raises_no_baseline(self):
+    def test_pure_rotation_pair_triangulates_nothing(self):
         rng = np.random.default_rng(9)
         world, kfs, *_ = build_world(rng, n_frames=2, spacing=0.5)
         spun = world.add_keyframe(
             0.3, Pose(so3_exp((0, 0.1, 0)), kfs[0].pose.translation),
             kfs[0].keypoints, kfs[0].octaves, kfs[0].descriptors,
         )
-        with pytest.raises(NoBaselineError):
-            search_for_triangulation(kfs[0], spun, make_policy(), CAM)
+        pairs, positions = search_for_triangulation(kfs[0], spun, make_policy(), CAM)
+        assert pairs.shape == (0, 2) and pairs.dtype == np.int64
+        assert positions.shape == (0, 3)
 
     def test_noiseless_pair_recovers_ground_truth(self):
         rng = np.random.default_rng(10)
@@ -460,8 +460,6 @@ class TestFuse:
         point = world.point_batch([pid])
         found = fuse(point, kfs[2], make_policy(), CAM)
         # brute force: the admissible keypoint with least hamming
-        from symvo.features import hamming
-
         reference = Descriptor(point.descriptors[0].tobytes())
         dists = [
             (hamming(reference, Descriptor(kfs[2].descriptors[i].tobytes())), i)
@@ -613,7 +611,7 @@ def triangulation_pair(rng, n_points):
         order = rng.permutation(len(uv))
         octaves = rng.integers(0, 3, len(uv))
         kf = Keyframe(k + 1, 0.1 * k, pose, uv[order], octaves, descs[order],
-                      PYR.sigma2_at(octaves))
+                      sigma2_at(octaves))
         bound = rng.random(len(uv)) < 0.2
         kf.point_ids[bound] = np.arange(np.count_nonzero(bound))
         kfs.append(kf)

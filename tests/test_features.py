@@ -1,4 +1,3 @@
-import itertools
 import statistics
 
 import numpy as np
@@ -6,19 +5,18 @@ import pytest
 
 from symvo.errors import DescriptorMismatchError
 from symvo.features import (
+    PYRAMID_SCALE,
     DepthInterval,
-    Descriptor,
-    PyramidConfig,
     depth_invariance_interval,
-    hamming,
     hamming_matrix,
     hamming_pairs,
-    pack_descriptors,
+    octave_for_depth,
     select_reference_appearance_index,
     select_reference_geometric_index,
+    sigma2_at,
 )
 
-PYR = PyramidConfig(scale=1.2, n_octaves=8)
+from oracles import Descriptor, hamming, pack_descriptors
 
 
 def descriptor_with_distance(base: Descriptor, dist: int) -> Descriptor:
@@ -30,34 +28,6 @@ def descriptor_with_distance(base: Descriptor, dist: int) -> Descriptor:
 
 
 class TestHamming:
-    def test_self_distance_zero(self):
-        d = Descriptor.random(np.random.default_rng(0))
-        assert hamming(d, d) == 0
-
-    def test_complement_distance_is_length(self):
-        d = Descriptor.random(np.random.default_rng(1))
-        comp = Descriptor(bytes(b ^ 0xFF for b in d.bits))
-        assert hamming(d, comp) == d.n_bits
-
-    def test_hand_evaluated_byte(self):
-        # xor is 0b00101000: bits 2 and 4 differ
-        a = Descriptor(bytes([0b10110010]))
-        b = Descriptor(bytes([0b10011010]))
-        assert hamming(a, b) == 2
-        assert hamming(a, Descriptor(bytes([0b10011011]))) == 3
-
-    def test_length_mismatch_raises(self):
-        with pytest.raises(DescriptorMismatchError):
-            hamming(Descriptor(b"\x00"), Descriptor(b"\x00\x00"))
-
-    def test_metric_properties(self):
-        rng = np.random.default_rng(2)
-        ds = [Descriptor.random(rng) for _ in range(12)]
-        for a, b, c in itertools.combinations(ds, 3):
-            assert hamming(a, b) == hamming(b, a)
-            assert hamming(a, a) == 0
-            assert hamming(a, c) <= hamming(a, b) + hamming(b, c)
-
     def test_matrix_matches_scalar(self):
         rng = np.random.default_rng(3)
         left = [Descriptor.random(rng) for _ in range(7)]
@@ -197,7 +167,7 @@ def geometric_index(holders, query) -> int:
 
 def interval(depths, delta_l):
     """The depth-invariance interval of one group, as two floats."""
-    iv = depth_invariance_interval(depths, [0], PYR, delta_l)
+    iv = depth_invariance_interval(depths, [0], delta_l)
     return DepthInterval(float(iv.z_min[0]), float(iv.z_max[0]))
 
 
@@ -392,9 +362,9 @@ class TestDepthInterval:
 
     def test_requires_nonempty_groups(self):
         with pytest.raises(ValueError):
-            depth_invariance_interval([], [0], PYR, 1)
+            depth_invariance_interval([], [0], 1)
         with pytest.raises(ValueError):
-            depth_invariance_interval([2.0, 3.0], [0, 2], PYR, 1)
+            depth_invariance_interval([2.0, 3.0], [0, 2], 1)
 
     def test_groups_in_one_call_match_one_call_per_group(self):
         rng = np.random.default_rng(13)
@@ -402,7 +372,7 @@ class TestDepthInterval:
         depths = rng.uniform(1.0, 30.0, size=sizes.sum())
         depths[rng.integers(0, depths.size, 3)] *= -1
         starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
-        got = depth_invariance_interval(depths, starts, PYR, 1)
+        got = depth_invariance_interval(depths, starts, 1)
         want = [interval(depths[a:a + m], 1) for a, m in zip(starts, sizes)]
         assert list(zip(got.z_min.tolist(), got.z_max.tolist())) == want
 
@@ -430,7 +400,7 @@ class TestDepthFilter:
         # a query depth passes iff its implied octave shift relative to
         # every observation is at most delta_l
         rng = np.random.default_rng(12)
-        s = PYR.scale
+        s = PYRAMID_SCALE
         for _ in range(50):
             depths = rng.uniform(1.5, 20.0, size=rng.integers(1, 5))
             dl = int(rng.integers(0, 3))
@@ -443,19 +413,13 @@ class TestDepthFilter:
 
 class TestPyramid:
     def test_sigma_grows_with_octave(self):
-        s2 = PYR.sigma2_at(np.arange(8))
+        s2 = sigma2_at(np.arange(8))
         assert np.all(np.diff(s2) > 0)
         assert s2[0] == pytest.approx(1.0)
         assert s2[3] == pytest.approx(1.2**6)
 
     def test_octave_for_depth_monotone(self):
         z = np.geomspace(1.0, 60.0, 50)
-        octs = PYR.octave_for_depth(z, z_far=60.0)
+        octs = octave_for_depth(z, z_far=60.0)
         assert np.all(np.diff(octs) <= 0)
         assert octs[-1] == 0
-
-    def test_invalid_configs(self):
-        with pytest.raises(ValueError):
-            PyramidConfig(scale=1.0)
-        with pytest.raises(ValueError):
-            PyramidConfig(n_octaves=0)

@@ -1,22 +1,18 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from symvo.errors import BehindCameraError, InvalidDepthError
 from symvo.geometry import (
+    IN_FRONT_DEPTH,
     CameraIntrinsics,
     Pose,
-    backproject,
-    deformation_gradient,
-    isotropic_scale,
     parallax_angles,
-    project,
+    pinhole,
     quaternion_to_rotation,
-    reproject,
     rotation_to_quaternion,
     so3_exp,
-    so3_log,
     unit_ray,
 )
 
@@ -40,24 +36,24 @@ def random_pose(rng, rot_scale=0.5, trans_scale=2.0):
 class TestProjection:
     def test_optical_axis_maps_to_principal_point(self):
         for z in (0.1, 1.0, 57.0):
-            assert np.allclose(project((0, 0, z), CAM), (320.0, 240.0))
+            uv, in_front = pinhole((0, 0, z), CAM)
+            assert uv.tolist() == [320.0, 240.0] and in_front
 
     def test_hand_evaluated_pinhole(self):
-        assert np.allclose(project((1, 0, 2), CAM), (570.0, 240.0))
+        uv, in_front = pinhole([[1.0, 0.0, 2.0], [-0.5, 1.5, 5.0]], CAM)
+        assert uv.tolist() == [[570.0, 240.0], [270.0, 390.0]]
+        assert in_front.tolist() == [True, True]
 
-    def test_negative_depth_raises(self):
-        with pytest.raises(BehindCameraError):
-            project((0, 0, -1.0), CAM)
-
-    def test_backproject_principal_point(self):
-        assert np.allclose(backproject((320, 240), 5.0, CAM), (0, 0, 5))
-
-    def test_backproject_inverts_projection_example(self):
-        assert np.allclose(backproject((570, 240), 2.0, CAM), (1, 0, 2))
-
-    def test_backproject_rejects_nonpositive_depth(self):
-        with pytest.raises(InvalidDepthError):
-            backproject((320, 240), 0.0, CAM)
+    def test_rows_not_in_front_are_flagged_without_a_warning(self):
+        q = [[1.0, 2.0, IN_FRONT_DEPTH], [1.0, 2.0, 0.0], [1.0, 2.0, -3.0],
+             [1.0, 2.0, 2 * IN_FRONT_DEPTH]]
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            uv, in_front = pinhole(q, CAM)
+        assert in_front.tolist() == [False, False, False, True]
+        # a row not in front is divided by depth 1: its pixel means nothing
+        assert uv[:3].tolist() == [[820.0, 1240.0]] * 3
+        assert np.isfinite(uv).all()
 
     def test_round_trip_randomized(self):
         rng = np.random.default_rng(0)
@@ -65,72 +61,8 @@ class TestProjection:
             cam = random_intrinsics(rng)
             uv = np.array([rng.uniform(0, cam.width), rng.uniform(0, cam.height)])
             z = rng.uniform(0.1, 50.0)
-            assert np.allclose(project(backproject(uv, z, cam), cam), uv, atol=1e-9)
-
-
-class TestReproject:
-    def test_identity_transform_is_identity_map(self):
-        rng = np.random.default_rng(1)
-        for _ in range(20):
-            uv = rng.uniform((0, 0), (640, 480))
-            z = rng.uniform(0.5, 30)
-            assert np.allclose(reproject(uv, z, Pose.identity(), CAM), uv, atol=1e-9)
-
-    def test_axis_point_fixed_under_forward_translation(self):
-        rel = Pose(np.eye(3), (0, 0, 3.0))
-        assert np.allclose(reproject((320, 240), 5.0, rel, CAM), (320, 240))
-
-    def test_hand_evaluated_forward_translation(self):
-        rel = Pose(np.eye(3), (0, 0, 1.0))
-        uv = reproject((570, 240), 2.0, rel, CAM)
-        # backprojects to (1,0,2), shifts to (1,0,3), projects to 500/3+320
-        assert np.allclose(uv, (486.67, 240.0), atol=0.01)
-
-    def test_behind_camera_raises(self):
-        rel = Pose(np.eye(3), (0, 0, -10.0))
-        with pytest.raises(BehindCameraError):
-            reproject((320, 240), 2.0, rel, CAM)
-
-
-class TestDeformationGradient:
-    def test_identity_rel_gives_identity(self):
-        M = deformation_gradient((100.0, 77.0), 4.0, Pose.identity(), CAM)
-        assert np.allclose(M, np.eye(2), atol=1e-12)
-
-    def test_pure_forward_on_axis_is_isotropic(self):
-        z, t = 4.0, 2.0
-        M = deformation_gradient((320, 240), z, Pose(np.eye(3), (0, 0, t)), CAM)
-        assert np.allclose(M, (z / (z + t)) * np.eye(2), atol=1e-12)
-        assert isotropic_scale(M) == pytest.approx(z / (z + t), abs=1e-12)
-
-    def test_matches_central_differences(self):
-        rng = np.random.default_rng(2)
-        h = 1e-4
-        for _ in range(200):
-            cam = random_intrinsics(rng)
-            rel = random_pose(rng, rot_scale=0.2, trans_scale=1.0)
-            uv = np.array([rng.uniform(100, 540), rng.uniform(100, 380)])
-            z = rng.uniform(3.0, 40.0)
-            try:
-                M = deformation_gradient(uv, z, rel, cam)
-            except BehindCameraError:
-                continue
-            fd = np.zeros((2, 2))
-            for k in range(2):
-                d = np.zeros(2)
-                d[k] = h
-                fd[:, k] = (
-                    reproject(uv + d, z, rel, cam) - reproject(uv - d, z, rel, cam)
-                ) / (2 * h)
-            assert np.allclose(M, fd, rtol=1e-4, atol=1e-7)
-
-    def test_scalarization_methods(self):
-        M = np.diag([0.5, 0.5])
-        assert isotropic_scale(M, "det") == pytest.approx(0.5)
-        assert isotropic_scale(M, "opnorm") == pytest.approx(0.5)
-        assert isotropic_scale(M, "trace") == pytest.approx(0.5)
-        with pytest.raises(ValueError):
-            isotropic_scale(M, "nope")
+            back, in_front = pinhole(unit_ray(uv, cam) * z, cam)
+            assert in_front and np.allclose(back, uv, atol=1e-9)
 
 
 class TestParallax:
@@ -215,23 +147,6 @@ class TestPose:
 
 
 class TestRotationConversions:
-    def test_exp_log_roundtrip(self):
-        rng = np.random.default_rng(7)
-        for _ in range(300):
-            w = rng.normal(size=3) * rng.uniform(0, 3)
-            R = so3_exp(w)
-            w_back = so3_log(R)
-            # log returns the principal value, so compare rotations
-            assert np.linalg.norm(w_back) <= math.pi + 1e-9
-            assert np.allclose(so3_exp(w_back), R, atol=1e-7)
-
-    def test_log_recovers_vectors_below_pi(self):
-        rng = np.random.default_rng(17)
-        for _ in range(200):
-            axis = rng.normal(size=3)
-            w = axis / np.linalg.norm(axis) * rng.uniform(0, 3.0)
-            assert np.allclose(so3_log(so3_exp(w)), w, atol=1e-9)
-
     def test_quaternion_roundtrip(self):
         rng = np.random.default_rng(8)
         for _ in range(300):

@@ -9,16 +9,11 @@ import numpy as np
 import pytest
 
 from symvo.association import AssociationPolicy, search_for_triangulation
-from symvo.features import (
-    Descriptor,
-    PyramidConfig,
-    hamming,
-    hamming_matrix,
-    pack_descriptors,
-)
-from symvo.geometry import CameraIntrinsics, Pose, project, so3_exp
+from symvo.features import hamming_matrix
+from symvo.geometry import CameraIntrinsics, Pose, so3_exp
 from symvo.optimizer import (
     OBSERVATION,
+    CovarianceModel,
     OptimizationProblem,
     _build_normal_equations,
     _evaluate,
@@ -28,13 +23,16 @@ from symvo.optimizer import (
 )
 from symvo.pipeline import RNG_SEED, initialize_two_view
 from symvo.synth import SceneSpec, generate
-from symvo.uncertainty import CovarianceModel
 from symvo.worldmap import WorldMap
 
 from oracles import (
+    Descriptor,
     einsum_term_jacobians,
+    hamming,
     initialization_bytes,
     initialization_inputs,
+    pack_descriptors,
+    project,
     reference_camera_points,
     reference_initialize_two_view,
     reference_normal_equations,
@@ -63,7 +61,7 @@ def corridor_keyframes():
     at their true poses: about 1,280 keypoints each, all free."""
     seq = generate(SceneSpec(trajectory="forward-corridor", n_frames=30, noise_px=0.5,
                              outlier_rate=0.05, seed=61))
-    world = WorldMap(PyramidConfig())
+    world = WorldMap()
     return seq.cam, [
         world.add_keyframe(f.timestamp, seq.ground_truth.poses[i], f.keypoints,
                            f.octaves, f.descriptors)

@@ -4,9 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symvo.errors import DegenerateProblemError
-from symvo.geometry import CameraIntrinsics, Pose, project, so3_exp
+from symvo.geometry import CameraIntrinsics, Pose, so3_exp
 from symvo.optimizer import (
+    HUBER_DELTA,
     OBSERVATION,
+    CovarianceModel,
     OptimizationProblem,
     OutlierMode,
     _build_normal_equations,
@@ -15,14 +17,16 @@ from symvo.optimizer import (
     _solve_step,
     _term_jacobians,
     evaluate_cost,
+    huber_rho,
+    huber_weight,
     local_bundle_adjustment,
     optimize_pose,
     solve_problem,
 )
-from symvo.uncertainty import HUBER_DELTA, CovarianceModel
 
 from oracles import (
     per_term_normal_equations,
+    project,
     reference_normal_equations,
     reference_solve_step,
 )
@@ -707,3 +711,28 @@ class TestMatmulAgreesWithEinsum:
         want = per_term_normal_equations(problem, state, ev)
         for g, w in zip(got, want):
             np.testing.assert_allclose(g, w, rtol=1e-12, atol=0)
+
+
+class TestHuber:
+    def test_zero_residual(self):
+        assert huber_weight(0.0, 2.0) == 1.0
+
+    def test_kernel_boundary(self):
+        assert huber_weight(4.0, 2.0) == 1.0
+
+    def test_outside_kernel(self):
+        assert huber_weight(16.0, 2.0) == pytest.approx(0.5)
+
+    def test_continuous_and_non_increasing(self):
+        m2 = np.linspace(0.0, 50.0, 2001)
+        w = huber_weight(m2, 2.447)
+        assert np.all(np.diff(w) <= 1e-12)
+        assert np.max(np.abs(np.diff(w))) < 0.01
+
+    def test_rho_matches_weight_regions(self):
+        assert huber_rho(1.0, 2.0) == 1.0
+        assert huber_rho(16.0, 2.0) == pytest.approx(2 * 2 * 4 - 4)
+
+    def test_rejects_negative(self):
+        with pytest.raises(ValueError):
+            huber_weight(-1.0, 2.0)

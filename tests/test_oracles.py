@@ -1,24 +1,192 @@
+"""Tests of the reference code in ``oracles.py`` that the program does not
+call: scalar descriptors, the raising projections and ``so3_log``, the
+residual models one observation at a time (cross-checked against
+``optimizer.evaluate_cost``), and the covariance-ratio analysis."""
+
+import itertools
+import math
+
 import numpy as np
 import pytest
 
-from symvo.errors import BehindCameraError
-from symvo.geometry import CameraIntrinsics, Pose, backproject, project, so3_exp
-from symvo.optimizer import OBSERVATION, OptimizationProblem, evaluate_cost
-from symvo.uncertainty import (
+from symvo.errors import DescriptorMismatchError
+from symvo.geometry import CameraIntrinsics, Pose, pinhole, so3_exp
+from symvo.optimizer import (
+    OBSERVATION,
     CovarianceModel,
+    OptimizationProblem,
+    evaluate_cost,
+)
+
+from oracles import (
+    BehindCameraError,
+    Descriptor,
+    InvalidDepthError,
     KeypointNoise,
     ResidualTerm,
     alpha_curves,
     alpha_standard,
     alpha_symmetric,
-    huber_rho,
-    huber_weight,
+    backproject,
+    deformation_gradient,
+    hamming,
+    isotropic_scale,
+    project,
+    reproject,
     residual_standard,
     residual_symmetric,
+    so3_log,
+    write_alpha_curves,
 )
+from test_geometry import random_intrinsics, random_pose
 
 CAM = CameraIntrinsics(fx=500.0, fy=500.0, cx=320.0, cy=240.0, width=640, height=480)
 NOISE = KeypointNoise(1.0, 0)
+
+
+class TestHamming:
+    def test_self_distance_zero(self):
+        d = Descriptor.random(np.random.default_rng(0))
+        assert hamming(d, d) == 0
+
+    def test_complement_distance_is_length(self):
+        d = Descriptor.random(np.random.default_rng(1))
+        comp = Descriptor(bytes(b ^ 0xFF for b in d.bits))
+        assert hamming(d, comp) == d.n_bits
+
+    def test_hand_evaluated_byte(self):
+        # xor is 0b00101000: bits 2 and 4 differ
+        a = Descriptor(bytes([0b10110010]))
+        b = Descriptor(bytes([0b10011010]))
+        assert hamming(a, b) == 2
+        assert hamming(a, Descriptor(bytes([0b10011011]))) == 3
+
+    def test_length_mismatch_raises(self):
+        with pytest.raises(DescriptorMismatchError):
+            hamming(Descriptor(b"\x00"), Descriptor(b"\x00\x00"))
+
+    def test_metric_properties(self):
+        rng = np.random.default_rng(2)
+        ds = [Descriptor.random(rng) for _ in range(12)]
+        for a, b, c in itertools.combinations(ds, 3):
+            assert hamming(a, b) == hamming(b, a)
+            assert hamming(a, a) == 0
+            assert hamming(a, c) <= hamming(a, b) + hamming(b, c)
+
+
+class TestProjection:
+    def test_negative_depth_raises(self):
+        with pytest.raises(BehindCameraError):
+            project((0, 0, -1.0), CAM)
+
+    def test_backproject_principal_point(self):
+        assert np.allclose(backproject((320, 240), 5.0, CAM), (0, 0, 5))
+
+    def test_backproject_inverts_projection_example(self):
+        assert np.allclose(backproject((570, 240), 2.0, CAM), (1, 0, 2))
+
+    def test_backproject_rejects_nonpositive_depth(self):
+        with pytest.raises(InvalidDepthError):
+            backproject((320, 240), 0.0, CAM)
+
+    def test_round_trip_randomized(self):
+        rng = np.random.default_rng(0)
+        for _ in range(1000):
+            cam = random_intrinsics(rng)
+            uv = np.array([rng.uniform(0, cam.width), rng.uniform(0, cam.height)])
+            z = rng.uniform(0.1, 50.0)
+            assert np.allclose(project(backproject(uv, z, cam), cam), uv, atol=1e-9)
+
+    def test_agrees_with_pinhole_in_front(self):
+        rng = np.random.default_rng(18)
+        q = rng.normal(size=(200, 3)) * (4.0, 3.0, 1.0) + (0.0, 0.0, 6.0)
+        uv, in_front = pinhole(q, CAM)
+        assert in_front.all()
+        assert project(q, CAM).tobytes() == uv.tobytes()
+
+
+class TestReproject:
+    def test_identity_transform_is_identity_map(self):
+        rng = np.random.default_rng(1)
+        for _ in range(20):
+            uv = rng.uniform((0, 0), (640, 480))
+            z = rng.uniform(0.5, 30)
+            assert np.allclose(reproject(uv, z, Pose.identity(), CAM), uv, atol=1e-9)
+
+    def test_axis_point_fixed_under_forward_translation(self):
+        rel = Pose(np.eye(3), (0, 0, 3.0))
+        assert np.allclose(reproject((320, 240), 5.0, rel, CAM), (320, 240))
+
+    def test_hand_evaluated_forward_translation(self):
+        rel = Pose(np.eye(3), (0, 0, 1.0))
+        uv = reproject((570, 240), 2.0, rel, CAM)
+        # backprojects to (1,0,2), shifts to (1,0,3), projects to 500/3+320
+        assert np.allclose(uv, (486.67, 240.0), atol=0.01)
+
+    def test_behind_camera_raises(self):
+        rel = Pose(np.eye(3), (0, 0, -10.0))
+        with pytest.raises(BehindCameraError):
+            reproject((320, 240), 2.0, rel, CAM)
+
+
+class TestDeformationGradient:
+    def test_identity_rel_gives_identity(self):
+        M = deformation_gradient((100.0, 77.0), 4.0, Pose.identity(), CAM)
+        assert np.allclose(M, np.eye(2), atol=1e-12)
+
+    def test_pure_forward_on_axis_is_isotropic(self):
+        z, t = 4.0, 2.0
+        M = deformation_gradient((320, 240), z, Pose(np.eye(3), (0, 0, t)), CAM)
+        assert np.allclose(M, (z / (z + t)) * np.eye(2), atol=1e-12)
+        assert isotropic_scale(M) == pytest.approx(z / (z + t), abs=1e-12)
+
+    def test_matches_central_differences(self):
+        rng = np.random.default_rng(2)
+        h = 1e-4
+        for _ in range(200):
+            cam = random_intrinsics(rng)
+            rel = random_pose(rng, rot_scale=0.2, trans_scale=1.0)
+            uv = np.array([rng.uniform(100, 540), rng.uniform(100, 380)])
+            z = rng.uniform(3.0, 40.0)
+            try:
+                M = deformation_gradient(uv, z, rel, cam)
+            except BehindCameraError:
+                continue
+            fd = np.zeros((2, 2))
+            for k in range(2):
+                d = np.zeros(2)
+                d[k] = h
+                fd[:, k] = (
+                    reproject(uv + d, z, rel, cam) - reproject(uv - d, z, rel, cam)
+                ) / (2 * h)
+            assert np.allclose(M, fd, rtol=1e-4, atol=1e-7)
+
+    def test_scalarization_methods(self):
+        M = np.diag([0.5, 0.5])
+        assert isotropic_scale(M, "det") == pytest.approx(0.5)
+        assert isotropic_scale(M, "opnorm") == pytest.approx(0.5)
+        assert isotropic_scale(M, "trace") == pytest.approx(0.5)
+        with pytest.raises(ValueError):
+            isotropic_scale(M, "nope")
+
+
+class TestSo3Log:
+    def test_exp_log_roundtrip(self):
+        rng = np.random.default_rng(7)
+        for _ in range(300):
+            w = rng.normal(size=3) * rng.uniform(0, 3)
+            R = so3_exp(w)
+            w_back = so3_log(R)
+            # log returns the principal value, so compare rotations
+            assert np.linalg.norm(w_back) <= math.pi + 1e-9
+            assert np.allclose(so3_exp(w_back), R, atol=1e-7)
+
+    def test_log_recovers_vectors_below_pi(self):
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            axis = rng.normal(size=3)
+            w = axis / np.linalg.norm(axis) * rng.uniform(0, 3.0)
+            assert np.allclose(so3_log(so3_exp(w)), w, atol=1e-9)
 
 
 def two_view_setup(rng):
@@ -89,15 +257,15 @@ class TestResidualSymmetric:
         n_i, n_j = KeypointNoise(1.0), KeypointNoise(2.0)
         term = residual_symmetric(u_i_obs, u_j, p_j[2], p_i[2], rel, CAM, n_i, n_j)
 
-        def pinhole(p):
+        def to_pixel(p):
             return np.array([500 * p[0] / p[2] + 320, 500 * p[1] / p[2] + 240])
 
         def lift(uv, z):
             return np.array([(uv[0] - 320) * z / 500, (uv[1] - 240) * z / 500, z])
 
-        r_f = u_i_obs - pinhole(rel.rotation @ lift(u_j, p_j[2]) + rel.translation)
+        r_f = u_i_obs - to_pixel(rel.rotation @ lift(u_j, p_j[2]) + rel.translation)
         inv = rel.inverse()
-        r_b = u_j - pinhole(inv.rotation @ lift(u_i_obs, p_i[2]) + inv.translation)
+        r_b = u_j - to_pixel(inv.rotation @ lift(u_i_obs, p_i[2]) + inv.translation)
         expected = r_f @ r_f / 2.0 + r_b @ r_b / 4.0
         assert term.total_cost == pytest.approx(expected, rel=1e-12)
 
@@ -171,31 +339,6 @@ class TestAlphaRatios:
         assert alpha_standard(2.0) != pytest.approx(alpha_standard(0.5))
 
 
-class TestHuber:
-    def test_zero_residual(self):
-        assert huber_weight(0.0, 2.0) == 1.0
-
-    def test_kernel_boundary(self):
-        assert huber_weight(4.0, 2.0) == 1.0
-
-    def test_outside_kernel(self):
-        assert huber_weight(16.0, 2.0) == pytest.approx(0.5)
-
-    def test_continuous_and_non_increasing(self):
-        m2 = np.linspace(0.0, 50.0, 2001)
-        w = huber_weight(m2, 2.447)
-        assert np.all(np.diff(w) <= 1e-12)
-        assert np.max(np.abs(np.diff(w))) < 0.01
-
-    def test_rho_matches_weight_regions(self):
-        assert huber_rho(1.0, 2.0) == 1.0
-        assert huber_rho(16.0, 2.0) == pytest.approx(2 * 2 * 4 - 4)
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            huber_weight(-1.0, 2.0)
-
-
 class TestAlphaCurves:
     def test_center_column_is_unity(self):
         table = alpha_curves()
@@ -213,8 +356,6 @@ class TestAlphaCurves:
         assert np.all(np.abs(off[:, 2] - 1.0) < np.abs(off[:, 1] - 1.0))
 
     def test_csv_emission(self, tmp_path):
-        from symvo.uncertainty import write_alpha_curves
-
         path = tmp_path / "alpha.csv"
         table = write_alpha_curves(path, resolution=11)
         lines = path.read_text().strip().splitlines()

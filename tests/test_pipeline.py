@@ -15,8 +15,9 @@ from symvo.association import (
 from symvo.errors import ConfigError
 from symvo.evaluation import ABLATION_AXES, ablation_configs
 from symvo import pipeline as pipeline_module
+from symvo.features import ReferenceRule
 from symvo.geometry import CameraIntrinsics, Pose, unit_ray
-from symvo.optimizer import OutlierMode
+from symvo.optimizer import CovarianceModel, OutlierMode
 from symvo.pipeline import (
     RANSAC_ITERATIONS,
     RANSAC_SCORE_CHUNK,
@@ -32,7 +33,6 @@ from symvo.pipeline import (
     initialize_two_view,
     reverse,
 )
-from symvo.uncertainty import CovarianceModel
 from symvo.synth import SceneSpec, generate
 from symvo.trajectory import Trajectory
 
@@ -140,7 +140,7 @@ CAM = CameraIntrinsics(fx=500.0, fy=500.0, cx=320.0, cy=240.0,
 
 # each toggle -> where a Pipeline holds the value it selected
 TOGGLES = {
-    "descriptor_selection": lambda p: p.world.descriptor_selection,
+    "descriptor_selection": lambda p: p.world.descriptor_selection.value,
     "use_depth_filter": lambda p: p.policy.use_depth_filter,
     "association_ordering": lambda p: p.policy.ordering.value,
     "constraint_mode": lambda p: p.policy.constraint_mode.value,
@@ -154,7 +154,7 @@ def test_config_is_the_six_toggles():
 
 
 @pytest.mark.parametrize("field, value", [
-    *[("descriptor_selection", v) for v in ("geometric", "appearance")],
+    *[("descriptor_selection", r.value) for r in ReferenceRule],
     *[("use_depth_filter", v) for v in (True, False)],
     *[("association_ordering", o.value) for o in Ordering],
     *[("constraint_mode", m.value) for m in ConstraintMode],

@@ -3,17 +3,17 @@ import pytest
 
 from symvo.errors import WorldIntegrityError
 from symvo.features import (
-    Descriptor,
-    PyramidConfig,
+    ReferenceRule,
     depth_invariance_interval,
-    pack_descriptors,
+    octave_for_depth,
     select_reference_appearance_index,
 )
-from symvo.geometry import CameraIntrinsics, Pose, project
+from symvo.geometry import CameraIntrinsics, Pose
 from symvo.worldmap import DELTA_L, GraphStats, WorldMap, keyframe_retention
 
+from oracles import Descriptor, pack_descriptors, project
+
 CAM = CameraIntrinsics(fx=500.0, fy=500.0, cx=320.0, cy=240.0, width=640, height=480)
-PYR = PyramidConfig()
 
 
 class TestKeyframeRetention:
@@ -44,8 +44,8 @@ class TestKeyframeRetention:
 
 
 def tiny_world(rng, n_landmarks=12, n_frames=6, spacing=0.4,
-               descriptor_selection="geometric"):
-    world = WorldMap(PYR, descriptor_selection=descriptor_selection)
+               descriptor_selection=ReferenceRule.GEOMETRIC):
+    world = WorldMap(descriptor_selection)
     landmarks = []
     while len(landmarks) < n_landmarks:
         p = np.array([rng.uniform(-3, 3), rng.uniform(-2, 2),
@@ -63,7 +63,7 @@ def tiny_world(rng, n_landmarks=12, n_frames=6, spacing=0.4,
             CAM.fx * rel[:, 0] / rel[:, 2] + CAM.cx,
             CAM.fy * rel[:, 1] / rel[:, 2] + CAM.cy,
         ], axis=1)
-        octaves = PYR.octave_for_depth(rel[:, 2], z_far=30.0)
+        octaves = octave_for_depth(rel[:, 2], z_far=30.0)
         kfs.append(world.add_keyframe(
             0.1 * k, pose, uv, octaves,
             pack_descriptors([s.flipped(rng, 0.02) for s in signatures]),
@@ -148,7 +148,8 @@ class TestObservations:
 
     def test_geometric_reference_switches_to_closer_holder(self):
         rng = np.random.default_rng(3)
-        world, kfs, landmarks = tiny_world(rng, descriptor_selection="geometric")
+        world, kfs, landmarks = tiny_world(
+            rng, descriptor_selection=ReferenceRule.GEOMETRIC)
         pid = add_point(world, landmarks[0], [(kfs[0].kf_id, 0)])
         world.add_observation(pid, kfs[3].kf_id, 0)
         world.refresh_points([pid])
@@ -169,7 +170,8 @@ class TestObservations:
 
     def test_appearance_refresh_applies_the_appearance_rule(self):
         rng = np.random.default_rng(15)
-        world, kfs, landmarks = tiny_world(rng, descriptor_selection="appearance")
+        world, kfs, landmarks = tiny_world(
+            rng, descriptor_selection=ReferenceRule.APPEARANCE)
         for i in range(len(landmarks)):
             world.create_point(landmarks[i], [(kf.kf_id, i) for kf in kfs[i % 3:]])
         world.refresh_points(world.points)
@@ -195,7 +197,7 @@ class TestObservations:
             for row, pid in enumerate(batch.ids.tolist()):
                 depths = [world.keyframes[k].pose.depth_of(world.positions[pid])
                           for k in holders(world, pid)]
-                fresh = depth_invariance_interval(depths, [0], PYR, DELTA_L)
+                fresh = depth_invariance_interval(depths, [0], DELTA_L)
                 assert batch.depth.z_min[row] == fresh.z_min[0]
                 assert batch.depth.z_max[row] == fresh.z_max[0]
 
@@ -289,7 +291,7 @@ class TestCulling:
 
 class TestGraphStats:
     def test_empty_map(self):
-        world = WorldMap(PYR)
+        world = WorldMap()
         assert world.graph_stats() == GraphStats(0, 0, 0)
 
     def test_noiseless_world_all_inliers(self):
