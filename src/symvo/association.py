@@ -7,13 +7,16 @@ Two axes are selectable independently:
   input ordering.  ``SEQUENTIAL`` walks the queries in the order given and
   greedily grabs the best remaining target, which is order-sensitive by
   design (the bias witness).
-- constraint mode: ``SYMMETRIC`` applies one shared descriptor threshold
-  and one shared gate set at every call site; ``HETEROGENEOUS`` applies
-  the fixed per-site table ``HETEROGENEOUS_THRESHOLDS``, mimicking
-  pipelines whose matching stages were tuned independently.
+- constraint mode: ``SYMMETRIC`` applies the one shared descriptor
+  threshold ``DESCRIPTOR_THRESHOLD`` and one shared gate set at every call
+  site; ``HETEROGENEOUS`` applies the fixed per-site table
+  ``HETEROGENEOUS_THRESHOLDS``, mimicking pipelines whose matching stages
+  were tuned independently.
 
 Every site filters its pairs through ``gate_mask``, the one gate predicate
-(descriptor threshold, depth filter, parallax).  Call sites add only
+(descriptor threshold, depth filter, and the ``MIN_PARALLAX`` floor).
+``AssociationPolicy`` carries only the three toggles a run varies; both
+thresholds are module constants.  Call sites add only
 geometric admissibility of their own: image bounds and positive depth for
 projection searches, the epipolar band for triangulation.
 ``triangulate_rays`` is the one midpoint triangulation, used here for new
@@ -66,6 +69,11 @@ class Site(enum.Enum):
     FUSE = "fuse"                              # c4: duplicate merging
 
 
+# Descriptor threshold of the symmetric mode, shared by every site, and the
+# least parallax a triangulated pair needs
+DESCRIPTOR_THRESHOLD = 50
+MIN_PARALLAX = math.radians(1.0)
+
 # Descriptor thresholds of the heterogeneous mode: each stage tuned on its
 # own, as in ORB-SLAM2 (Mur-Artal & Tardos, IEEE T-RO 2017).
 HETEROGENEOUS_THRESHOLDS = {
@@ -83,17 +91,15 @@ _NO_MATCHES = np.zeros((0, 2), dtype=np.int64)
 
 @dataclass(frozen=True)
 class AssociationPolicy:
-    """Gate thresholds and regime selection for all association sites."""
+    """The association toggles of a run, shared by all association sites."""
 
-    descriptor_threshold: int = 50
-    min_parallax: float = math.radians(1.0)
     use_depth_filter: bool = True
     ordering: Ordering = Ordering.HAMMING_ORDERED
     constraint_mode: ConstraintMode = ConstraintMode.SYMMETRIC
 
     def threshold_for(self, site: Site) -> int:
         if self.constraint_mode is ConstraintMode.SYMMETRIC:
-            return self.descriptor_threshold
+            return DESCRIPTOR_THRESHOLD
         return HETEROGENEOUS_THRESHOLDS[site]
 
 
@@ -110,7 +116,7 @@ def gate_mask(hamming, policy: AssociationPolicy, site: Site,
     if policy.use_depth_filter and depth_ok is not None:
         ok = ok & np.asarray(depth_ok, dtype=bool)
     if parallax is not None:
-        ok = ok & (np.asarray(parallax) >= policy.min_parallax)
+        ok = ok & (np.asarray(parallax) >= MIN_PARALLAX)
     return ok
 
 

@@ -3,12 +3,14 @@
 The headline metric is the translational RMSE of the estimate after a
 closed-form similarity alignment to the start and end segments of the
 ground truth; the motion-bias of a sequence is the difference of that
-error between its forward and backward passes.
+error between its forward and backward passes.  ``BiasReport.to_dict`` is
+the one writer of the study's numbers: plain JSON-ready values.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -135,7 +137,6 @@ class SequenceRun:
     name: str
     e_r: float
     graph_stats: tuple | None = None  # (points, local keyframes, inliers)
-    health: str = "ok"
 
 
 def _aggregate(values) -> dict:
@@ -166,19 +167,6 @@ class BiasReport:
     bias_quantiles: dict
     graph_stat_deltas: list = field(default_factory=list)
 
-    def to_csv(self, path):
-        with open(path, "w") as f:
-            f.write("sequence,e_r_forward,e_r_backward,bias\n")
-            for name, ef, eb, bias in self.rows:
-                f.write(f"{name},{ef:.9f},{eb:.9f},{bias:.9f}\n")
-            for label, agg in (("forward", self.forward),
-                               ("backward", self.backward),
-                               ("bias", self.bias)):
-                f.write(
-                    f"#aggregate_{label},rmse={agg['rmse']:.9f},"
-                    f"mean={agg['mean']:.9f},std={agg['std']:.9f}\n"
-                )
-
     def to_dict(self) -> dict:
         return {
             "rows": [
@@ -199,7 +187,19 @@ class BiasReport:
 
 
 def bias_metrics(forward_runs, backward_runs) -> BiasReport:
-    """Pair forward/backward runs by sequence name and tabulate the bias."""
+    """Pair forward/backward runs by sequence name and tabulate the bias.
+
+    Each name must appear exactly once per direction; a repeated or an
+    unpaired name raises ``AssociationPairingError``.
+    """
+    forward_runs, backward_runs = list(forward_runs), list(backward_runs)
+    repeated = sorted({name for runs in (forward_runs, backward_runs)
+                       for name, n in Counter(run.name for run in runs).items()
+                       if n > 1})
+    if repeated:
+        raise AssociationPairingError(
+            f"repeated sequences: {', '.join(repeated)}"
+        )
     fwd = {run.name: run for run in forward_runs}
     bwd = {run.name: run for run in backward_runs}
     orphans = sorted(set(fwd) ^ set(bwd))
@@ -254,7 +254,12 @@ class GridRow:
 
 
 def _run_one(frames, cam, config, ground_truth):
-    trajectory, report = Pipeline(cam, config).run(frames)
+    """(e_r, health, report) of one pass; e_r is None unless it ends ``ok``
+    and aligns, and report is None for a pass that raised a SymvoError."""
+    try:
+        trajectory, report = Pipeline(cam, config).run(frames)
+    except SymvoError:
+        return None, "raised", None
     if report.health != "ok":
         return None, report.health, report
     try:
@@ -264,15 +269,16 @@ def _run_one(frames, cam, config, ground_truth):
     return e_r, "ok", report
 
 
-def ablation_grid(base_config: PipelineConfig, sequences, progress=None) -> list:
+def ablation_grid(base_config: PipelineConfig, sequences) -> list:
     """Run the full config plus six leave-one-out configs, both directions.
 
     ``sequences`` is an iterable of (name, frames, cam, ground_truth); it
     is read once, so a generator serves every config.  A run that does not
-    end ``ok``, or whose alignment segments are degenerate
-    (``unevaluable``), becomes a (sequence, direction, health) failure
-    entry, and its sequence is left out of that config's bias report; the
-    grid continues.
+    end ``ok``, whose alignment segments are degenerate (``unevaluable``),
+    or that raises a ``SymvoError`` (``raised``) becomes a (sequence,
+    direction, health) failure entry, and its sequence is left out of that
+    config's bias report; the grid continues.  Any other exception
+    propagates.
     """
     sequences = list(sequences)
     grid = []
@@ -284,8 +290,6 @@ def ablation_grid(base_config: PipelineConfig, sequences, progress=None) -> list
                 ("bwd", reverse(frames), gt.reversed()),
             ):
                 e_r, health, report = _run_one(use_frames, cam, config, use_gt)
-                if progress is not None:
-                    progress(config_name, name, direction, health, e_r)
                 if e_r is None:
                     failures.append((name, direction, health))
                     continue
@@ -299,28 +303,3 @@ def ablation_grid(base_config: PipelineConfig, sequences, progress=None) -> list
         grid.append(GridRow(config_name, report, failures))
     return grid
 
-
-def write_grid_csv(path, grid):
-    with open(path, "w") as f:
-        f.write(
-            "config,n_sequences,n_failures,"
-            "er_f_rmse,er_f_mean,er_f_std,"
-            "er_b_rmse,er_b_mean,er_b_std,"
-            "bias_rmse,bias_mean,bias_std,bias_median_abs\n"
-        )
-        for row in grid:
-            if row.report is None:
-                f.write(f"{row.config_name},0,{len(row.failures)}"
-                        + ",nan" * 10 + "\n")
-                continue
-            rep = row.report
-            med_abs = float(np.median([abs(r[3]) for r in rep.rows]))
-            f.write(
-                f"{row.config_name},{len(rep.rows)},{len(row.failures)},"
-                f"{rep.forward['rmse']:.9f},{rep.forward['mean']:.9f},"
-                f"{rep.forward['std']:.9f},"
-                f"{rep.backward['rmse']:.9f},{rep.backward['mean']:.9f},"
-                f"{rep.backward['std']:.9f},"
-                f"{rep.bias['rmse']:.9f},{rep.bias['mean']:.9f},"
-                f"{rep.bias['std']:.9f},{med_abs:.9f}\n"
-            )

@@ -27,7 +27,10 @@ cameras with a Mahalanobis^2 within the cut.
 The solver is deterministic: fixed term ordering, a fixed damping
 schedule, and no time- or memory-dependent state.  Behind-camera terms
 are frozen (previous cost, zero gradient) for the step instead of
-aborting, so convergence does not depend on evaluation order.
+aborting, so convergence does not depend on evaluation order.  A term
+behind the camera in the initial state costs zero, both in the solver
+and in ``evaluate_cost``, which flags it.  A result reports the final
+cost and the iteration count, and nothing per iteration.
 
 The order in which terms are summed into the normal equations is part
 of that contract.  Floating-point addition is not associative, so every
@@ -78,7 +81,6 @@ from .geometry import (
 
 _LAMBDA_INIT = 1e-4
 _LAMBDA_MAX = 1e12
-_BEHIND_CAMERA_COST_CAP = 19.0  # in units of delta^2; rho at |r|/sigma = 10*delta
 
 # early-removal cut per directional term: the 95% quantile of chi^2 with
 # 2 DoF, as ORB-SLAM2 fixes it (Mur-Artal & Tardos, IEEE T-RO 2017)
@@ -102,30 +104,26 @@ class CovarianceModel(enum.Enum):
 HUBER_DELTA = 2.447
 
 
-def huber_weight(mahalanobis2, delta: float):
-    """IRLS weight of the Huber kernel: 1 inside, delta/|r| outside."""
+def huber_weight(mahalanobis2) -> np.ndarray:
+    """IRLS weight of the Huber kernel: 1 inside ``HUBER_DELTA``,
+    ``HUBER_DELTA``/|r| outside."""
     m2 = np.asarray(mahalanobis2, dtype=np.float64)
     if np.any(m2 < 0):
         raise ValueError("squared residual must be non-negative")
     m = np.sqrt(m2)
-    w = np.where(m <= delta, 1.0, delta / np.where(m > 0, m, 1.0))
-    if np.ndim(mahalanobis2) == 0:
-        return float(w)
-    return w
+    return np.where(m <= HUBER_DELTA, 1.0, HUBER_DELTA / np.where(m > 0, m, 1.0))
 
 
-def huber_rho(mahalanobis2, delta: float):
+def huber_rho(mahalanobis2) -> np.ndarray:
     """Huber cost of a squared Mahalanobis residual.
 
-    Quadratic inside the kernel, linear in sqrt(m2) outside; continuously
-    differentiable at the boundary.
+    Quadratic inside ``HUBER_DELTA``, linear in sqrt(m2) outside;
+    continuously differentiable at the boundary.
     """
     m2 = np.asarray(mahalanobis2, dtype=np.float64)
     m = np.sqrt(m2)
-    rho = np.where(m <= delta, m2, 2.0 * delta * m - delta * delta)
-    if np.ndim(mahalanobis2) == 0:
-        return float(rho)
-    return rho
+    return np.where(m <= HUBER_DELTA, m2,
+                    2.0 * HUBER_DELTA * m - HUBER_DELTA * HUBER_DELTA)
 
 
 OBSERVATION = np.dtype([
@@ -329,8 +327,7 @@ def _evaluate(problem: OptimizationProblem, state: _State) -> _Evaluation:
 
 def _term_costs(ev: _Evaluation, prev=None):
     """Per-term Huber costs with freezing of behind-camera terms."""
-    costs = np.concatenate([huber_rho(ev.m2_f, HUBER_DELTA),
-                            huber_rho(ev.m2_b, HUBER_DELTA)])
+    costs = np.concatenate([huber_rho(ev.m2_f), huber_rho(ev.m2_b)])
     valid = np.concatenate([ev.valid_f, ev.valid_b])
     if prev is None:
         prev = np.zeros_like(costs)
@@ -456,8 +453,8 @@ def _build_normal_equations(problem: OptimizationProblem, state: _State,
     P, L = len(problem.variable_pose_ids), len(problem.variable_point_ids)
     jac = _term_jacobians(problem, state, ev)
     F, B, f_idx, b_idx = jac.f, jac.b, jac.f_idx, jac.b_idx
-    WF = F * (huber_weight(ev.m2_f[f_idx], HUBER_DELTA) * problem.f_info[f_idx])[:, None]
-    WB = B * (huber_weight(ev.m2_b[b_idx], HUBER_DELTA) * problem.b_info[b_idx])[:, None]
+    WF = F * (huber_weight(ev.m2_f[f_idx]) * problem.f_info[f_idx])[:, None]
+    WB = B * (huber_weight(ev.m2_b[b_idx]) * problem.b_info[b_idx])[:, None]
 
     # pose blocks: one product per run ---------------------------------
     Hpp = np.zeros((P, P, 6, 6))
@@ -583,23 +580,14 @@ def _poses(problem: OptimizationProblem, state: _State) -> dict:
 
 
 @dataclass
-class IterationRecord:
-    iteration: int
-    cost: float
-    lambda_: float
-    step_norm: float
-
-
-@dataclass
 class SolveResult:
     state: _State
     cost: float
     iterations: int
     evaluation: _Evaluation  # of the final state
-    trace: list
 
 
-def solve_problem(problem: OptimizationProblem, trace: list | None = None,
+def solve_problem(problem: OptimizationProblem,
                   normal: tuple | None = None) -> SolveResult:
     """Run LM to convergence on the assembled problem; ``normal``, when
     given, is the initial state's normal equations, built by the caller."""
@@ -625,9 +613,6 @@ def solve_problem(problem: OptimizationProblem, trace: list | None = None,
                 raise DegenerateProblemError(
                     f"normal equations are singular: {exc}"
                 ) from exc
-            step_norm = float(
-                np.sqrt(np.sum(dp * dp) + np.sum(dl * dl))
-            )
             candidate = _retract(problem, state, dp, dl)
             ev_new = _evaluate(problem, candidate)
             costs_new, valid_new = _term_costs(ev_new, term_prev)
@@ -640,23 +625,19 @@ def solve_problem(problem: OptimizationProblem, trace: list | None = None,
                 lam = max(lam * 0.1, 1e-12)
                 iterations = it + 1
                 accepted = True
-                if trace is not None:
-                    trace.append(IterationRecord(it + 1, cost, lam, step_norm))
+                step_norm = float(np.sqrt(np.sum(dp * dp) + np.sum(dl * dl)))
                 converged = rel < 1e-8 or step_norm < 1e-10
                 break
             lam *= 10.0
         if not accepted:
             break
 
-    return SolveResult(
-        state=state, cost=cost, iterations=iterations, evaluation=ev,
-        trace=trace if trace is not None else [],
-    )
+    return SolveResult(state=state, cost=cost, iterations=iterations, evaluation=ev)
 
 
 @dataclass
 class CostReport:
-    total: float  # robust cost of the initial state
+    total: float  # robust cost of the initial state; a term behind adds zero
     m2_forward: np.ndarray  # (n,) per caller row; inf behind the camera
     m2_backward: np.ndarray  # (n,) likewise; NaN for a row without a backward term
     behind_camera: np.ndarray  # (n,) bool: any of the row's terms is behind
@@ -665,11 +646,11 @@ class CostReport:
 def evaluate_cost(problem: OptimizationProblem) -> CostReport:
     """Pure robust-cost evaluation; no state is mutated.
 
-    Behind-camera terms are flagged and contribute a fixed capped cost.
+    ``total`` is the solver's initial cost: a term behind the camera is
+    flagged and costs zero.
     """
     ev = _evaluate(problem, problem.initial_state())
-    cap = _BEHIND_CAMERA_COST_CAP * HUBER_DELTA * HUBER_DELTA
-    costs, _ = _term_costs(ev, prev=np.full(ev.m2_f.size + ev.m2_b.size, cap))
+    costs, _ = _term_costs(ev)
     m2_backward = np.full(ev.m2_f.size, np.nan)
     m2_backward[problem.b_fwd] = np.where(ev.valid_b, ev.m2_b, np.inf)
     behind = ~ev.valid_f
@@ -690,8 +671,7 @@ class PoseResult:
     iterations: int
 
 
-def optimize_pose(problem: OptimizationProblem,
-                  trace: list | None = None) -> PoseResult:
+def optimize_pose(problem: OptimizationProblem) -> PoseResult:
     """Single-pose refinement over fixed structure.
 
     Runs up to ``POSE_ROUNDS`` refine/reclassify rounds: after each LM pass
@@ -725,7 +705,7 @@ def optimize_pose(problem: OptimizationProblem,
     cost = 0.0
     iterations = 0
     for _ in range(POSE_ROUNDS):
-        result = solve_problem(current, trace, normal)  # built for state0
+        result = solve_problem(current, normal)  # built for state0
         normal = None
         pose = Pose(result.state.R[row], result.state.t[row]).inverse()
         cost, iterations = result.cost, iterations + result.iterations
@@ -752,15 +732,14 @@ class BAResult:
 
 
 def local_bundle_adjustment(problem: OptimizationProblem,
-                            mode: OutlierMode = OutlierMode.KEEP_ALL_ROBUST,
-                            trace: list | None = None) -> BAResult:
+                            mode: OutlierMode = OutlierMode.KEEP_ALL_ROBUST) -> BAResult:
     """Joint LM over poses and points with Schur elimination.
 
     Under EARLY_REMOVAL, observations that are not inliers at the
     ``CHI2_THRESHOLD`` cut (per directional term) are deleted and the
     reduced problem is re-optimized once; KEEP_ALL_ROBUST never deletes.
     """
-    result = solve_problem(problem, trace)
+    result = solve_problem(problem)
     kept = np.ones(len(problem.observations), dtype=bool)  # sorted rows
     solved = problem
     if mode is OutlierMode.EARLY_REMOVAL:
@@ -776,7 +755,7 @@ def local_bundle_adjustment(problem: OptimizationProblem,
                 observations=problem.observations[kept],
                 variable_point_ids=problem.variable_point_ids[counts >= 2],
             )
-            result = solve_problem(solved, trace)
+            result = solve_problem(solved)
     inlier = np.zeros(kept.size, dtype=bool)
     inlier[kept] = _inliers(solved, result.evaluation, HUBER_DELTA * HUBER_DELTA)
     return BAResult(

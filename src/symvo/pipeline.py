@@ -19,6 +19,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .association import (
+    MIN_PARALLAX,
     AssociationPolicy,
     ConstraintMode,
     Ordering,
@@ -84,11 +85,11 @@ class PipelineConfig:
     ``Ordering``, ``ConstraintMode``, ``CovarianceModel``,
     ``OutlierMode``), and construction raises ``ConfigError`` on an
     unknown one.  Every numeric setting is a module constant of the module
-    that uses it, such as ``optimizer.CHI2_THRESHOLD``,
-    ``worldmap.RETENTION_LATEST``, ``features.PYRAMID_SCALE`` or
-    ``RANSAC_ITERATIONS`` here; nothing sets them per run.  The world
-    map's invariants are checked after every mapping step, whatever the
-    config.
+    that uses it, such as ``association.DESCRIPTOR_THRESHOLD``,
+    ``optimizer.CHI2_THRESHOLD``, ``worldmap.RETENTION_LATEST``,
+    ``features.PYRAMID_SCALE`` or ``RANSAC_ITERATIONS`` here; nothing sets
+    them per run.  The world map's invariants are checked after every
+    mapping step, whatever the config.
     """
 
     descriptor_selection: str = "geometric"  # geometric | appearance
@@ -283,8 +284,8 @@ def initialize_two_view(uv1, uv2, cam: CameraIntrinsics, rng, sigma):
     n = len(uv1)
     if n < 8:
         return None
-    x1 = unit_ray(uv1, cam)[:, :2]
-    x2 = unit_ray(uv2, cam)[:, :2]
+    rays1, rays2 = unit_ray(uv1, cam), unit_ray(uv2, cam)
+    x1, x2 = rays1[:, :2], rays2[:, :2]
     cutoff = RANSAC_THRESHOLD_PX * np.asarray(sigma)
     samples = np.stack([rng.choice(n, size=8, replace=False)
                         for _ in range(RANSAC_ITERATIONS)])
@@ -308,12 +309,12 @@ def initialize_two_view(uv1, uv2, cam: CameraIntrinsics, rng, sigma):
         best_E, best_mask = E[0], mask
 
     idx = np.nonzero(best_mask)[0]
-    d1 = unit_ray(uv1[idx], cam)
+    d1, d2 = rays1[idx], rays2[idx]
     best = None
     for R, t in _decompose_essential(best_E):
         rel = Pose(R, t)
         cam2_wc = rel.inverse()  # pose of view 2 in view-1 coordinates
-        d2_world = unit_ray(uv2[idx], cam) @ cam2_wc.rotation.T
+        d2_world = d2 @ cam2_wc.rotation.T
         pts, ok = triangulate_rays(
             np.zeros(3), d1, cam2_wc.translation, d2_world
         )
@@ -328,9 +329,8 @@ def initialize_two_view(uv1, uv2, cam: CameraIntrinsics, rng, sigma):
         return None
     keep = idx[good]
     pts = pts[good]
-    rays1 = unit_ray(uv1[keep], cam)
-    rays2 = unit_ray(uv2[keep], cam) @ rel.inverse().rotation.T
-    return rel, pts, keep, parallax_angles(rays1, rays2)
+    return rel, pts, keep, parallax_angles(
+        rays1[keep], rays2[keep] @ rel.inverse().rotation.T)
 
 
 # ----------------------------------------------------------------------
@@ -397,11 +397,11 @@ class Pipeline:
         rel, pts, keep, parallax = got
         if keep.size < MIN_INIT_MATCHES:
             return give_up()
-        if np.median(parallax) < self.policy.min_parallax:
+        if np.median(parallax) < MIN_PARALLAX:
             return give_up()
         # the triangulation-site parallax gate applies to each created
         # point; ill-conditioned depths would poison the first adjustment
-        solid = parallax >= self.policy.min_parallax
+        solid = parallax >= MIN_PARALLAX
         if int(np.count_nonzero(solid)) < MIN_INIT_MATCHES:
             return give_up()
         keep = keep[solid]
@@ -455,7 +455,7 @@ class Pipeline:
         point, kp = matches.T
         world = self.world
         rows = _observation_rows(world, point, _FRAME_SENTINEL, frame.keypoints[kp],
-                                 sigma2_at(frame.octaves)[kp],
+                                 sigma2_at(frame.octaves[kp]),
                                  world.bindings(point))
         poses = {k: world.keyframes[k].pose for k in np.unique(rows["ref_kf"]).tolist()}
         return OptimizationProblem(

@@ -8,8 +8,9 @@ gathered from the columns when needed, never cached.  Per point the map
 stores only a position and a reference keyframe id, in arrays indexed by
 point id.  The id is stored because two rules write it and the last one
 to run decides what readers see: ``refresh_points``, which each edit group
-calls once over the points it edited (edits never refresh), and
-``reselect_references`` before a projection search.
+calls once over the points it edited (edits never refresh) and which under
+the geometric rule picks the newest holder, and ``reselect_references``,
+which picks the holder nearest the query before a projection search.
 
 ``check_integrity`` asserts what the columns leave open: every live point
 has at least one holder, no keyframe binds a point to two keypoints, a
@@ -290,28 +291,27 @@ class WorldMap:
 
     def refresh_points(self, point_ids):
         """Re-select the references of the points an edit group touched: the
-        holder nearest the point's newest holder (geometric policy) or the
-        holder descriptor with least median distance to the others
-        (appearance policy).  Dead ids are skipped."""
-        self._select_references(point_ids, None)
+        newest holder (geometric policy) or the holder descriptor with least
+        median distance to the others (appearance policy).  Dead ids are
+        skipped."""
+        point, kf, kp = self.bindings(point_ids)
+        if self.descriptor_selection is ReferenceRule.APPEARANCE:
+            runs = _runs(point)
+            rows = select_reference_appearance_index(
+                self.gather(kf, kp, "descriptors"), runs)
+        else:  # each point's newest holder: the last row of its run
+            runs = rows = np.flatnonzero(np.diff(point, append=-1))
+        self.reference_kf[point[runs]] = kf[rows]  # one row of each run
 
     def reselect_references(self, point_ids, query_translation):
-        """Per-query geometric re-selection (no-op under appearance policy)."""
+        """Per-query geometric re-selection: the holder nearest
+        ``query_translation`` (no-op under appearance policy)."""
         if self.descriptor_selection is ReferenceRule.GEOMETRIC:
-            self._select_references(point_ids, query_translation)
-
-    def _select_references(self, point_ids, query):
-        point, kf, kp = self.bindings(point_ids)
-        starts = _runs(point)
-        if self.descriptor_selection is ReferenceRule.APPEARANCE and query is None:
-            rows = select_reference_appearance_index(
-                self.gather(kf, kp, "descriptors"), starts)
-        else:
+            point, kf, _ = self.bindings(point_ids)
+            starts = _runs(point)
             t = self._pose_rows(kf, lambda p: p.translation)
-            if query is None:  # each point's newest holder: its run's last row
-                query = t[np.searchsorted(point, point, side="right") - 1]
-            rows = select_reference_geometric_index(kf, t, query, starts)
-        self.reference_kf[point[starts]] = kf[rows]
+            rows = select_reference_geometric_index(kf, t, query_translation, starts)
+            self.reference_kf[point[starts]] = kf[rows]
 
     # ------------------------------------------------------------------
     # maintenance

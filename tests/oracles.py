@@ -73,7 +73,7 @@ from symvo.association import (
 from symvo.errors import DescriptorMismatchError, SymvoError
 from symvo.features import DESCRIPTOR_BITS, hamming_matrix, sigma2_at
 from symvo.geometry import CameraIntrinsics, Pose, parallax_angles, unit_ray
-from symvo.optimizer import HUBER_DELTA, _schur_columns, _term_jacobians, huber_weight
+from symvo.optimizer import _schur_columns, _term_jacobians, huber_weight
 from symvo.pipeline import (
     RANSAC_ITERATIONS,
     RANSAC_THRESHOLD_PX,
@@ -163,8 +163,8 @@ def einsum_term_jacobians(problem, state, ev):
 def _weights(problem, ev):
     """Huber weight times information of the valid forward and backward terms."""
     f_idx, b_idx = np.flatnonzero(ev.valid_f), np.flatnonzero(ev.valid_b)
-    return (huber_weight(ev.m2_f[f_idx], HUBER_DELTA) * problem.f_info[f_idx],
-            huber_weight(ev.m2_b[b_idx], HUBER_DELTA) * problem.b_info[b_idx])
+    return (huber_weight(ev.m2_f[f_idx]) * problem.f_info[f_idx],
+            huber_weight(ev.m2_b[b_idx]) * problem.b_info[b_idx])
 
 
 def _term_products(X, Y):
@@ -252,7 +252,7 @@ def per_term_normal_equations(problem, state, ev, einsum=False):
 
     idx = np.flatnonzero(ev.valid_f)
     if idx.size:
-        w = (huber_weight(ev.m2_f[idx], HUBER_DELTA)
+        w = (huber_weight(ev.m2_f[idx])
              * problem.f_info[idx])[:, None, None]
         r = ev.r_f[idx][:, :, None]
         Jpose, Jpt = jac.f_pose, jac.f_pt
@@ -274,7 +274,7 @@ def per_term_normal_equations(problem, state, ev, einsum=False):
     idx = np.flatnonzero(ev.valid_b)
     if idx.size:
         fwd = problem.b_fwd[idx]
-        w = (huber_weight(ev.m2_b[idx], HUBER_DELTA)
+        w = (huber_weight(ev.m2_b[idx])
              * problem.b_info[idx])[:, None, None]
         r = ev.r_b[idx][:, :, None]
         Jpose_k, Jpose_j, Jpt = jac.b_pose_k, jac.b_pose_j, jac.b_pt

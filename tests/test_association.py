@@ -1,6 +1,5 @@
 import dataclasses
 import itertools
-import math
 from unittest import mock
 
 import numpy as np
@@ -10,6 +9,9 @@ from hypothesis import strategies as st
 
 import symvo.association as association
 from symvo.association import (
+    DESCRIPTOR_THRESHOLD,
+    HETEROGENEOUS_THRESHOLDS,
+    MIN_PARALLAX,
     AssociationPolicy,
     ConstraintMode,
     Ordering,
@@ -22,7 +24,13 @@ from symvo.association import (
     search_for_triangulation,
     triangulate_rays,
 )
-from symvo.features import DepthInterval, hamming_pairs, octave_for_depth, sigma2_at
+from symvo.features import (
+    DepthInterval,
+    hamming_matrix,
+    hamming_pairs,
+    octave_for_depth,
+    sigma2_at,
+)
 from symvo.geometry import CameraIntrinsics, Pose, so3_exp
 from symvo.worldmap import Keyframe, WorldMap
 
@@ -78,8 +86,9 @@ class TestMatch:
         rng = np.random.default_rng(0)
         q = pack_descriptors([Descriptor.random(rng) for _ in range(5)])
         t = pack_descriptors([Descriptor.random(rng) for _ in range(5)])
-        policy = make_policy(descriptor_threshold=10)
-        got = match(range(5), q, range(5), t, policy, Site.PROJECTION_TRACK)
+        # random descriptors sit about 128 bits apart, far past the threshold
+        assert hamming_matrix(q, t).min() > DESCRIPTOR_THRESHOLD
+        got = match(range(5), q, range(5), t, make_policy(), Site.PROJECTION_TRACK)
         assert got.shape == (0, 2) and got.dtype == np.int64
 
     def test_hamming_ordered_is_permutation_invariant(self):
@@ -89,8 +98,7 @@ class TestMatch:
             base = Descriptor.random(rng)
             qs = [base.flipped(rng, 0.05) for _ in range(n_q)]
             ts = [base.flipped(rng, 0.05) for _ in range(n_t)]
-            policy = make_policy(descriptor_threshold=60,
-                                 ordering=Ordering.HAMMING_ORDERED)
+            policy = make_policy(ordering=Ordering.HAMMING_ORDERED)
             ref = match(
                 list(range(n_q)), pack_descriptors(qs),
                 list(range(n_t)), pack_descriptors(ts),
@@ -111,16 +119,19 @@ class TestMatch:
     def conflict_instance(self):
         """3x3 instance where greedy order changes the outcome.
 
-        distance matrix (rows = queries, cols = targets):
-            q1: [2, 9, 9]
-            q2: [3, 9, 9]
-            q3: [4, 9, 9]
-        Sequentially, whoever comes first grabs t1 and the rest fall back
-        to t2/t3; the hamming-ordered result always gives t1 to q1.
+        distance matrix (rows = queries, cols = targets), T =
+        ``DESCRIPTOR_THRESHOLD``:
+            q1: [2, T + 8, > T]
+            q2: [3, > T, > T]
+            q3: [4, > T, > T]
+        Only t1 is within the threshold.  Sequentially, whoever comes first
+        grabs t1 and the rest stay unmatched; the hamming-ordered result
+        always gives t1 to q1.
         """
         base = Descriptor(bytes(32))
+        far = DESCRIPTOR_THRESHOLD + 10
         t_descs = descriptors_at_distances(
-            np.random.default_rng(2), base, [0, 60, 120]
+            np.random.default_rng(2), base, [0, far, 2 * far]
         )
         q1 = descriptors_at_distances(np.random.default_rng(3), t_descs[0], [2])[0]
 
@@ -136,10 +147,11 @@ class TestMatch:
 
     def test_sequential_is_order_sensitive_but_hamming_is_not(self):
         qs, ts = self.conflict_instance()
-        policy_seq = make_policy(descriptor_threshold=8,
-                                 ordering=Ordering.SEQUENTIAL)
-        policy_ham = make_policy(descriptor_threshold=8,
-                                 ordering=Ordering.HAMMING_ORDERED)
+        policy_seq = make_policy(ordering=Ordering.SEQUENTIAL)
+        policy_ham = make_policy(ordering=Ordering.HAMMING_ORDERED)
+        dist = hamming_matrix(pack_descriptors(qs), pack_descriptors(ts))
+        assert dist[:, 0].tolist() == [2, 3, 4]
+        assert (dist[:, 1:] > DESCRIPTOR_THRESHOLD).all()
         outcomes_seq, outcomes_ham = set(), set()
         for perm in itertools.permutations(range(3)):
             perm = list(perm)
@@ -173,7 +185,7 @@ class TestMatch:
     def test_duplicate_descriptors_tie_break_on_ids(self):
         rng = np.random.default_rng(4)
         d = Descriptor.random(rng)
-        policy = make_policy(descriptor_threshold=5)
+        policy = make_policy()
         got = match(
             [7, 3], pack_descriptors([d, d]),
             [9, 5], pack_descriptors([d, d]),
@@ -190,7 +202,7 @@ class TestMatch:
             got = match(
                 range(20), pack_descriptors(qs),
                 range(15), pack_descriptors(ts),
-                make_policy(descriptor_threshold=80, ordering=ordering),
+                make_policy(ordering=ordering),
                 Site.PROJECTION_TRACK,
             )
             assert len(got) > 0
@@ -201,13 +213,17 @@ class TestMatch:
 class TestGatePredicate:
     def test_same_predicate_at_every_site_in_symmetric_mode(self):
         policy = make_policy(constraint_mode=ConstraintMode.SYMMETRIC)
+        T = DESCRIPTOR_THRESHOLD
         cases = [  # (hamming, depth_ok, parallax)
-            (30, None, None),
-            (70, None, None),
-            (30, None, math.radians(0.5)),
-            (30, None, math.radians(3.0)),
-            (30, False, None),
-            (30, True, None),
+            (T - 20, None, None),
+            (T, None, None),
+            (T + 1, None, None),
+            (T + 20, None, None),
+            (T - 20, None, MIN_PARALLAX / 2),
+            (T - 20, None, MIN_PARALLAX),
+            (T - 20, None, 3 * MIN_PARALLAX),
+            (T - 20, False, None),
+            (T - 20, True, None),
         ]
         for hamming, depth_ok, parallax in cases:
             verdicts = {
@@ -222,6 +238,40 @@ class TestGatePredicate:
         # between the local-map (14) and the motion-model (22) thresholds
         assert gate_mask(18, policy, Site.PROJECTION_TRACK)
         assert not gate_mask(18, policy, Site.PROJECTION_LOCAL)
+
+    @pytest.mark.parametrize("mode", list(ConstraintMode))
+    def test_thresholds_are_inclusive(self, mode):
+        """A pair at exactly a site's descriptor threshold passes and one bit
+        more fails; a parallax of exactly ``MIN_PARALLAX`` passes and the
+        next float below fails."""
+        policy = make_policy(constraint_mode=mode)
+        below = np.nextafter(MIN_PARALLAX, 0.0)
+        for site in Site:
+            T = (DESCRIPTOR_THRESHOLD if mode is ConstraintMode.SYMMETRIC
+                 else HETEROGENEOUS_THRESHOLDS[site])
+            assert policy.threshold_for(site) == T
+            assert gate_mask([T, T + 1], policy, site).tolist() == [True, False]
+            assert gate_mask(0, policy, site,
+                             parallax=[MIN_PARALLAX, below]).tolist() == [True, False]
+
+        # through ``match``: targets at T and T + 1 bits, each on both paths
+        rng = np.random.default_rng(21)
+        base = Descriptor.random(rng)
+        q = pack_descriptors([base])
+        for site in Site:
+            T = policy.threshold_for(site)
+            t = pack_descriptors(descriptors_at_distances(rng, base, [T + 1]) +
+                                 descriptors_at_distances(rng, base, [T]))
+            assert hamming_pairs(np.concatenate([q, q]), t).tolist() == [T + 1, T]
+            assert match([0], q, [5, 6], t, policy, site).tolist() == [[0, 6]]
+            pairs = (np.array([0, 0]), np.array([0, 1]))
+            got = match([0], q, [5, 6], t, policy, site, pairs=pairs,
+                        parallax=np.array([MIN_PARALLAX, MIN_PARALLAX]))
+            assert got.tolist() == [[0, 6]]
+            # the admissible target with too little parallax is refused
+            got = match([0], q, [5, 6], t, policy, site, pairs=pairs,
+                        parallax=np.array([MIN_PARALLAX, below]))
+            assert got.shape == (0, 2)
 
     def test_depth_filter_toggle(self):
         on = make_policy(use_depth_filter=True)
@@ -243,7 +293,7 @@ class TestGatePredicate:
                 use_depth_filter=bool(trial % 2), constraint_mode=mode,
             )
             pairs = np.nonzero(np.ones((n_q, n_t), dtype=bool))
-            parallax = rng.uniform(0.0, math.radians(3.0), pairs[0].size)
+            parallax = rng.uniform(0.0, 3 * MIN_PARALLAX, pairs[0].size)
             depth_ok = rng.random(n_q) < 0.7
             for site in Site:
                 got = match(range(n_q), q, range(n_t), t, policy, site,
@@ -400,8 +450,7 @@ class TestSearchForTriangulation:
     def test_low_parallax_pairs_rejected(self):
         rng = np.random.default_rng(11)
         world, kfs, landmarks, _ = build_world(rng, n_frames=2, spacing=0.01)
-        policy = make_policy(min_parallax=math.radians(1.0))
-        pairs, positions = search_for_triangulation(kfs[0], kfs[1], policy, CAM)
+        pairs, positions = search_for_triangulation(kfs[0], kfs[1], make_policy(), CAM)
         assert pairs.shape == (0, 2) and positions.shape == (0, 3)
 
     def test_midpoint_triangulation_exact_on_crossing_rays(self):
@@ -476,8 +525,6 @@ class TestFuse:
 @st.composite
 def policies(draw):
     return AssociationPolicy(
-        descriptor_threshold=draw(st.integers(0, 40)),
-        min_parallax=math.radians(draw(st.sampled_from([0.0, 1.0, 3.0]))),
         use_depth_filter=draw(st.booleans()),
         ordering=draw(st.sampled_from(list(Ordering))),
         constraint_mode=draw(st.sampled_from(list(ConstraintMode))),
@@ -497,10 +544,16 @@ def maybe(draw, value):
 @st.composite
 def match_instances(draw):
     """Query and target stacks at distances around the thresholds, distinct
-    ids in arbitrary order, and optional query, pair and depth masks."""
+    ids in arbitrary order, and optional query, pair and depth masks.
+
+    Two copies flipped at ``rate`` sit about 512 rate (1 - rate) bits
+    apart: about 10, 20, 38, 46 and 54 bits for the rates drawn here, so
+    pairs fall on both sides of the heterogeneous thresholds (12 to 22) and
+    of ``DESCRIPTOR_THRESHOLD`` (50).  Parallax straddles ``MIN_PARALLAX``.
+    """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n_q, n_t = draw(st.integers(0, 9)), draw(st.integers(0, 9))
-    rate = draw(st.sampled_from([0.01, 0.04, 0.08]))
+    rate = draw(st.sampled_from([0.02, 0.04, 0.08, 0.1, 0.12]))
     base = rng.integers(0, 256, 32, dtype=np.uint8)
     return dict(
         query_ids=rng.permutation(50)[:n_q],
@@ -509,7 +562,7 @@ def match_instances(draw):
         target_descriptors=near_copies(rng, base, n_t, rate),
         pair_mask=maybe(draw, rng.random((n_q, n_t)) < 0.6),
         query_mask=maybe(draw, rng.random(n_q) < 0.7),
-        parallax=maybe(draw, rng.uniform(0.0, math.radians(4.0), (n_q, n_t))),
+        parallax=maybe(draw, rng.uniform(0.0, 4 * MIN_PARALLAX, (n_q, n_t))),
         depth_ok=maybe(draw, rng.random(n_q) < 0.7),
     )
 
@@ -558,6 +611,9 @@ class TestDenseReferenceEquivalence:
         rng = np.random.default_rng(seed)
         n_points, n_kp = int(rng.integers(0, 30)), int(rng.integers(0, 40))
         base = rng.integers(0, 256, 32, dtype=np.uint8)
+        # pairs about 15 or 50 bits apart: around the heterogeneous
+        # thresholds, or around DESCRIPTOR_THRESHOLD
+        rate = rng.choice([0.03, 0.11])
         # points ahead of, beside and behind the camera, with depth intervals
         # that hold their depth or miss it
         positions = rng.uniform([-12, -9, -4], [12, 9, 25], (n_points, 3))
@@ -565,12 +621,12 @@ class TestDenseReferenceEquivalence:
         points = PointBatch(
             ids=rng.permutation(100)[:n_points],
             positions=positions,
-            descriptors=near_copies(rng, base, n_points, 0.06),
+            descriptors=near_copies(rng, base, n_points, rate),
             depth=DepthInterval(z * 0.8, z * 1.25),
         )
         frame = Keyframe(1, 0.0, Pose.identity(), rng.uniform(0, 640, (n_kp, 2)),
                          np.zeros(n_kp, dtype=np.int64),
-                         near_copies(rng, base, n_kp, 0.06), np.ones(n_kp))
+                         near_copies(rng, base, n_kp, rate), np.ones(n_kp))
         pose = Pose(so3_exp(rng.normal(scale=0.05, size=3)), rng.normal(size=3))
         got = search_by_projection(frame, points, pose, policy, CAM, site=site)
         with mock.patch.object(association, "match", reference_match):
@@ -629,13 +685,13 @@ class TestParallaxGate:
         pairs = (np.array([0, 0]), np.array([0, 1]))
         parallax = np.radians([0.5, 2.0])
         for ordering in Ordering:
-            policy = make_policy(min_parallax=math.radians(1.0), ordering=ordering)
+            policy = make_policy(ordering=ordering)
             got = match([4], q, [7, 8], t, policy, Site.TRIANGULATION,
                         pairs=pairs, parallax=parallax)
             assert got.tolist() == [[4, 8]]
             # the accepted pair is target row 1: three bits away, 2 degrees
             assert hamming_pairs(q, t[[1]]).tolist() == [3]
-            assert parallax[1] >= policy.min_parallax
+            assert parallax[1] >= MIN_PARALLAX
             # without the parallax clause the exact copy would win
             got = match([4], q, [7, 8], t, policy, Site.TRIANGULATION, pairs=pairs)
             assert got.tolist() == [[4, 7]]
@@ -646,15 +702,14 @@ class TestParallaxGate:
         base = rng.integers(0, 256, 32, dtype=np.uint8)
         q, t = near_copies(rng, base, 30, 0.03), near_copies(rng, base, 30, 0.03)
         pairs = np.nonzero(np.ones((30, 30), dtype=bool))
-        parallax = rng.uniform(0.0, math.radians(2.0), pairs[0].size)
-        policy = make_policy(min_parallax=math.radians(1.0))
-        got = match(range(30), q, range(30), t, policy, Site.TRIANGULATION,
+        parallax = rng.uniform(0.0, 2 * MIN_PARALLAX, pairs[0].size)
+        got = match(range(30), q, range(30), t, make_policy(), Site.TRIANGULATION,
                     pairs=pairs, parallax=parallax)
         assert len(got) > 0
         # ids are rows here: each accepted pair's own parallax, looked up
         # in the row-major pair list
         qr, tr = got.T
-        assert (parallax[30 * qr + tr] >= policy.min_parallax).all()
+        assert (parallax[30 * qr + tr] >= MIN_PARALLAX).all()
 
     def test_parallax_needs_pairs(self):
         q = np.zeros((2, 32), dtype=np.uint8)

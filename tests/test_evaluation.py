@@ -1,10 +1,11 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 from symvo import evaluation
-from symvo.errors import AssociationPairingError
+from symvo.errors import AssociationPairingError, DegenerateProblemError
 from symvo.evaluation import ABLATION_AXES, SequenceRun, ablation_grid, bias_metrics
 from symvo.geometry import Pose
 from symvo.pipeline import FrameInput, PipelineConfig, RunReport
@@ -37,9 +38,25 @@ def stub_pipeline(n_poses):
     return Stub
 
 
+def raising_pipeline(exc):
+    """A Pipeline stand-in whose forward runs end ok and whose backward runs
+    raise ``exc``."""
+    ok = stub_pipeline(N)
+
+    class Stub(ok):
+        def run(self, frames):
+            if frames[0].n_keypoints:  # only a backward pass starts on one
+                raise exc
+            return super().run(frames)
+
+    return Stub
+
+
 def sequences():
-    frames = [FrameInput(float(t), np.zeros((0, 2)), np.zeros(0, np.int64),
-                         np.zeros((0, 32), np.uint8)) for t in range(N)]
+    """One sequence whose frame t holds t keypoints, so the forward pass
+    starts on an empty frame and the backward pass does not."""
+    frames = [FrameInput(float(t), np.zeros((t, 2)), np.zeros(t, np.int64),
+                         np.zeros((t, 32), np.uint8)) for t in range(N)]
     yield "seq", frames, None, circle(range(N))
 
 
@@ -54,15 +71,29 @@ def test_generator_input_serves_every_config(monkeypatch):
 
 def test_unevaluable_run_is_a_failure_entry(monkeypatch):
     monkeypatch.setattr(evaluation, "Pipeline", stub_pipeline(2))
-    seen = []
-    grid = ablation_grid(PipelineConfig(), sequences(),
-                         progress=lambda *args: seen.append(args[3]))
+    grid = ablation_grid(PipelineConfig(), sequences())
     assert len(grid) == len(ABLATION_AXES)
     for row in grid:
         assert row.report is None
         assert row.failures == [("seq", "fwd", "unevaluable"),
                                 ("seq", "bwd", "unevaluable")]
-    assert set(seen) == {"unevaluable"}
+
+
+def test_raising_run_is_a_failure_entry(monkeypatch):
+    monkeypatch.setattr(evaluation, "Pipeline", raising_pipeline(
+        DegenerateProblemError("normal equations are singular")))
+    grid = ablation_grid(PipelineConfig(), sequences())
+    assert [row.config_name for row in grid] == [name for name, _ in ABLATION_AXES]
+    for row in grid:
+        assert row.report is None
+        assert row.failures == [("seq", "bwd", "raised")]
+
+
+def test_errors_outside_the_program_propagate(monkeypatch):
+    monkeypatch.setattr(evaluation, "Pipeline",
+                        raising_pipeline(RuntimeError("not a SymvoError")))
+    with pytest.raises(RuntimeError, match="not a SymvoError"):
+        ablation_grid(PipelineConfig(), sequences())
 
 
 # hand-made runs: biases (f - b) are -1, 1 and 3
@@ -91,6 +122,16 @@ def test_unpaired_sequences_raise(forward, backward, orphans):
         bias_metrics(forward, backward)
 
 
+@pytest.mark.parametrize("forward, backward, repeated", [
+    (FORWARD + [SequenceRun("a", 3.0)], BACKWARD, "a"),
+    (FORWARD, BACKWARD + [SequenceRun("c", 0.5), SequenceRun("b", 0.5)], "b, c"),
+])
+def test_repeated_sequences_raise(forward, backward, repeated):
+    with pytest.raises(AssociationPairingError,
+                       match=f"repeated sequences: {repeated}$"):
+        bias_metrics(forward, backward)
+
+
 def test_bias_aggregates_match_hand_values():
     report = bias_metrics(FORWARD, BACKWARD)
     # population statistics: std is sqrt(mean(x^2) - mean^2)
@@ -112,3 +153,28 @@ def test_bias_of_no_runs_is_nan():
     for values in (report.forward, report.backward, report.bias,
                    report.bias_quantiles):
         assert values and all(math.isnan(v) for v in values.values())
+
+
+def test_to_dict_holds_the_report_as_json_values():
+    out = bias_metrics(FORWARD, BACKWARD).to_dict()
+    assert out["rows"] == [
+        {"sequence": "a", "e_r_forward": 1.0, "e_r_backward": 2.0, "bias": -1.0},
+        {"sequence": "b", "e_r_forward": 2.0, "e_r_backward": 1.0, "bias": 1.0},
+        {"sequence": "c", "e_r_forward": 4.0, "e_r_backward": 1.0, "bias": 3.0},
+    ]
+    for key, (rmse, mean, std) in (
+        ("forward", (math.sqrt(7.0), 7.0 / 3.0, math.sqrt(14.0) / 3.0)),
+        ("backward", (math.sqrt(2.0), 4.0 / 3.0, math.sqrt(2.0) / 3.0)),
+        ("bias", (math.sqrt(11.0 / 3.0), 1.0, math.sqrt(8.0 / 3.0))),
+    ):
+        assert out[key] == pytest.approx({"rmse": rmse, "mean": mean, "std": std},
+                                         rel=1e-15)
+    assert out["bias_quantiles"] == {"min": -1.0, "q1": 0.0, "median": 1.0,
+                                     "q3": 2.0, "max": 3.0}
+    assert out["graph_stat_deltas"] == [
+        {"sequence": "a", "d_points": 2, "d_local_keyframes": 0, "d_inliers": -2},
+        {"sequence": "c", "d_points": 0, "d_local_keyframes": -1, "d_inliers": 7},
+    ]
+    assert set(out) == {"rows", "forward", "backward", "bias", "bias_quantiles",
+                        "graph_stat_deltas"}
+    assert json.loads(json.dumps(out)) == out

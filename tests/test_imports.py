@@ -1,4 +1,5 @@
-"""Every import in the package is used by the module that makes it, and
+"""Every import in the package is used by the module that makes it, every
+top-level function and class is named outside its own definition, and
 every installed script names a function that exists."""
 
 import ast
@@ -9,6 +10,17 @@ import pytest
 
 ROOT = pathlib.Path(__file__).parent.parent
 SOURCES = sorted((ROOT / "src" / "symvo").glob("*.py"))
+BENCHMARK = sorted((ROOT / "vobench").glob("*.py"))
+
+# top-level names that only callers outside the package and its benchmark
+# reach, each with the reason it stays
+ENTRY_POINTS = {
+    "ablation_grid": "the study's leave-one-out grid, the paper's headline table",
+    "evaluate_cost": "the per-row cost report the solver's results are checked by",
+    "export": "writes a synthetic sequence to disk for load_frames to read",
+    "load_frames": "reads a sequence directory, the input of a run from disk",
+    "load_ground_truth": "reads the ground truth that load_frames' frames pair with",
+}
 
 
 def unused_imports(tree: ast.Module) -> list:
@@ -32,6 +44,39 @@ def unused_imports(tree: ast.Module) -> list:
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(ast.parse(path.read_text())) == []
+
+
+def mentions(tree: ast.Module):
+    """(top-level statement index, name) of every name a module mentions:
+    identifiers, attribute names and the dotted parts of string constants,
+    such as the benchmark tracer's target names."""
+    for i, stmt in enumerate(tree.body):
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name):
+                yield i, node.id
+            elif isinstance(node, ast.Attribute):
+                yield i, node.attr
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                for part in node.value.split("."):
+                    yield i, part
+
+
+def test_every_top_level_name_is_used():
+    trees = {path: ast.parse(path.read_text()) for path in SOURCES + BENCHMARK}
+    where = {}
+    for path, tree in trees.items():
+        for i, name in mentions(tree):
+            where.setdefault(name, set()).add((path, i))
+    defined, dead = set(), []
+    for path in SOURCES:
+        for i, node in enumerate(trees[path].body):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+                if (node.name not in ENTRY_POINTS
+                        and not where.get(node.name, set()) - {(path, i)}):
+                    dead.append(f"{path.name}:{node.name}")
+    assert dead == []
+    assert set(ENTRY_POINTS) <= defined
 
 
 def test_declared_scripts_import():

@@ -153,10 +153,21 @@ class TestObservations:
         pid = add_point(world, landmarks[0], [(kfs[0].kf_id, 0)])
         world.add_observation(pid, kfs[3].kf_id, 0)
         world.refresh_points([pid])
-        # newest keyframe is its own closest holder
+        # a refresh picks the newest holder
         assert world.reference_kf[pid] == kfs[3].kf_id
         world.reselect_references([pid], kfs[0].pose.translation)
         assert world.reference_kf[pid] == kfs[0].kf_id
+
+    def test_refresh_picks_the_newest_holder_where_an_older_one_shares_its_place(self):
+        rng = np.random.default_rng(3)
+        world, kfs, landmarks = tiny_world(rng)
+        again = world.add_keyframe(1.0, kfs[2].pose, kfs[2].keypoints,
+                                   kfs[2].octaves, kfs[2].descriptors)
+        pid = add_point(world, landmarks[0], [(kfs[2].kf_id, 0), (again.kf_id, 0)])
+        assert world.reference_kf[pid] == again.kf_id
+        # the nearest-holder rule breaks the tie to the lower keyframe id
+        world.reselect_references([pid], again.pose.translation)
+        assert world.reference_kf[pid] == kfs[2].kf_id
 
     def test_edits_leave_the_reference_until_refresh(self):
         rng = np.random.default_rng(3)
