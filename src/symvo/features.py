@@ -3,6 +3,10 @@
 Descriptors are fixed-length bit vectors compared by Hamming distance,
 kept packed, one (N, n_bytes) uint8 row per keypoint.  ``hamming_matrix``
 scores every pair of two stacks, ``hamming_pairs`` only row-paired ones.
+Both take any byte width, so a caller can score a prefix of the bytes
+first: ``association.match`` runs ``hamming_matrix`` over 16-byte
+prefixes, whose distance bounds the full one from below, and
+``hamming_pairs`` over the other bytes of only the pairs that bound keeps.
 The pyramid is fixed: ``PYRAMID_OCTAVES`` octaves, each ``PYRAMID_SCALE``
 coarser than the last, so a keypoint's variance (``sigma2_at``) follows
 from its octave alone.  Map points summarize their descriptor sets by a

@@ -21,7 +21,9 @@ contractions.
 every (query, target) pair with ``hamming_matrix`` and takes geometric
 admissibility as an (Nq, Nt) ``pair_mask`` and parallax as an (Nq, Nt)
 matrix.  ``reference_search_for_triangulation`` is the triangulation
-search on top of it, with the parallax of every pair.  Each keeps its own
+search on top of it, with the parallax of every pair and both epipolar
+bands from ``reference_epipolar_distances``, which allocates a new
+matrix per step where the program computes in one buffer.  Each keeps its own
 walk per ``Ordering``: a global walk by ascending distance, and a
 query-by-query search for the nearest free target.  The program's forms
 score only the pairs that can still pass the gates, walk them once, and
@@ -34,7 +36,8 @@ RANSAC as one loop: each hypothesis is drawn, solved with the scalar
 program scores every hypothesis in batches and must return the same
 bytes (``initialization_bytes``) and leave the generator in the same
 state.  ``initialization_inputs`` builds the matches and deviations that
-initialization receives for two frames.
+initialization receives for two frames, and ``corridor_match_inputs`` a
+``match`` of a corridor frame's size.
 
 The rest is reference code that the program itself does not call:
 
@@ -64,7 +67,6 @@ from symvo.association import (
     AssociationPolicy,
     Ordering,
     Site,
-    _epipolar_distances,
     fundamental_from_relative,
     gate_mask,
     match,
@@ -406,6 +408,16 @@ def reference_match(query_ids, query_descriptors, target_ids, target_descriptors
     return np.array(accepted, dtype=np.int64).reshape(-1, 2)
 
 
+def reference_epipolar_distances(uv_from, uv_to, fundamental):
+    """(N_from, N_to) distances of the ``uv_to`` points to the epipolar lines
+    of the ``uv_from`` points."""
+    lines = np.hstack([uv_from, np.ones((len(uv_from), 1))]) @ fundamental.T
+    x2 = np.hstack([uv_to, np.ones((len(uv_to), 1))])
+    num = np.abs(lines @ x2.T)
+    den = np.sqrt(lines[:, 0] ** 2 + lines[:, 1] ** 2)[:, None]
+    return num / np.where(den < 1e-12, 1e-12, den)
+
+
 def reference_search_for_triangulation(kf_a, kf_b, policy, cam):
     """``search_for_triangulation`` with the dense matcher: the epipolar band
     as an (Na, Nb) mask and the parallax of every pair.  Returns (pairs,
@@ -417,9 +429,10 @@ def reference_search_for_triangulation(kf_a, kf_b, policy, cam):
     uv_a = kf_a.keypoints[idx_a]
     uv_b = kf_b.keypoints[idx_b]
     rel_ab = kf_b.pose.inverse().compose(kf_a.pose)
-    dist_in_b = _epipolar_distances(uv_a, uv_b, fundamental_from_relative(rel_ab, cam), cam)
-    dist_in_a = _epipolar_distances(
-        uv_b, uv_a, fundamental_from_relative(rel_ab.inverse(), cam), cam).T
+    dist_in_b = reference_epipolar_distances(
+        uv_a, uv_b, fundamental_from_relative(rel_ab, cam))
+    dist_in_a = reference_epipolar_distances(
+        uv_b, uv_a, fundamental_from_relative(rel_ab.inverse(), cam)).T
     epi_ok = (
         (dist_in_b <= EPIPOLAR_SIGMA_FACTOR * np.sqrt(kf_b.noise_sigma2[idx_b])[None, :])
         & (dist_in_a <= EPIPOLAR_SIGMA_FACTOR * np.sqrt(kf_a.noise_sigma2[idx_a])[:, None])
@@ -541,6 +554,20 @@ def initialization_inputs(frame_a, frame_b):
     sigma = np.sqrt(np.maximum(sigma2_at(frame_a.octaves[pairs[:, 0]]),
                                sigma2_at(frame_b.octaves[pairs[:, 1]])))
     return frame_a.keypoints[pairs[:, 0]], frame_b.keypoints[pairs[:, 1]], sigma
+
+
+def corridor_match_inputs(seed=0):
+    """A ``match`` at the size of a corridor frame's local search: 1,000
+    query and 1,500 target 32-byte descriptors, ids equal to rows.  The
+    first 900 queries are copies of distinct targets with 2% of their bits
+    flipped (about 5 bits), the rest are unrelated to every target."""
+    rng = np.random.default_rng(seed)
+    targets = rng.integers(0, 256, (1500, 32), dtype=np.uint8)
+    queries = rng.integers(0, 256, (1000, 32), dtype=np.uint8)
+    flips = np.packbits(rng.random((900, 256)) < 0.02, axis=1)
+    queries[:900] = targets[rng.permutation(1500)[:900]] ^ flips
+    return dict(query_ids=np.arange(1000), query_descriptors=queries,
+                target_ids=np.arange(1500), target_descriptors=targets)
 
 
 def initialization_bytes(result):

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -9,14 +10,17 @@ from hypothesis import strategies as st
 
 import symvo.association as association
 from symvo.association import (
+    BLOCK_PAIRS,
     DESCRIPTOR_THRESHOLD,
     HETEROGENEOUS_THRESHOLDS,
     MIN_PARALLAX,
+    PREFIX_BYTES,
     AssociationPolicy,
     ConstraintMode,
     Ordering,
     PointBatch,
     Site,
+    fundamental_from_relative,
     fuse,
     gate_mask,
     match,
@@ -24,6 +28,7 @@ from symvo.association import (
     search_for_triangulation,
     triangulate_rays,
 )
+from symvo.errors import DescriptorMismatchError
 from symvo.features import (
     DepthInterval,
     hamming_matrix,
@@ -36,9 +41,11 @@ from symvo.worldmap import Keyframe, WorldMap
 
 from oracles import (
     Descriptor,
+    corridor_match_inputs,
     hamming,
     pack_descriptors,
     project,
+    reference_epipolar_distances,
     reference_match,
     reference_search_for_triangulation,
 )
@@ -207,6 +214,16 @@ class TestMatch:
             )
             assert len(got) > 0
             assert len(set(got[:, 0].tolist())) == len(got)
+
+    @pytest.mark.parametrize("widths", [(32, 33), (17, 16), (8, 16)])
+    def test_descriptor_widths_must_agree(self, widths):
+        """Equal 16-byte prefixes do not hide differing widths, even where the
+        targets have no bytes past the prefix."""
+        rng = np.random.default_rng(6)
+        q = rng.integers(0, 256, (3, widths[0]), dtype=np.uint8)
+        t = rng.integers(0, 256, (4, widths[1]), dtype=np.uint8)
+        with pytest.raises(DescriptorMismatchError):
+            match(range(3), q, range(4), t, make_policy(), Site.PROJECTION_LOCAL)
             assert len(set(got[:, 1].tolist())) == len(got)
 
 
@@ -453,6 +470,18 @@ class TestSearchForTriangulation:
         pairs, positions = search_for_triangulation(kfs[0], kfs[1], make_policy(), CAM)
         assert pairs.shape == (0, 2) and positions.shape == (0, 3)
 
+    @pytest.mark.parametrize("n_from, n_to", [(200, 1500), (1500, 1300)])
+    def test_epipolar_distances_equal_the_reference_bytes(self, n_from, n_to):
+        rng = np.random.default_rng(n_from)
+        rel = Pose(so3_exp(rng.normal(scale=0.05, size=3)), rng.normal(size=3))
+        F = fundamental_from_relative(rel, CAM)
+        uv_from = rng.uniform(0, 640, (n_from, 2))
+        uv_to = rng.uniform(0, 640, (n_to, 2))
+        got = association._epipolar_distances(uv_from, uv_to, F)
+        want = reference_epipolar_distances(uv_from, uv_to, F)
+        assert got.shape == want.shape == (n_from, n_to)
+        assert got.tobytes() == want.tobytes()
+
     def test_midpoint_triangulation_exact_on_crossing_rays(self):
         p = np.array([1.0, 2.0, 7.0])
         c1, c2 = np.zeros(3), np.array([2.0, 0.0, 0.0])
@@ -567,6 +596,59 @@ def match_instances(draw):
     )
 
 
+def flipped_at(rng, row, n_prefix, n_tail):
+    """The packed ``row`` with ``n_prefix`` distinct bits of its first
+    ``PREFIX_BYTES`` bytes flipped and ``n_tail`` of its other bits."""
+    bits = np.unpackbits(row)
+    p = 8 * min(row.size, PREFIX_BYTES)
+    bits[rng.choice(p, n_prefix, replace=False)] ^= 1
+    bits[p + rng.choice(bits.size - p, n_tail, replace=False)] ^= 1
+    return np.packbits(bits)
+
+
+@st.composite
+def two_stage_instances(draw):
+    """A ``match`` instance whose pairs sit around a drawn threshold T in
+    both scoring stages, with T and the block budget to patch in.
+
+    Descriptors are 8, 16, 17, 32 or 33 bytes wide.  Most queries copy a
+    target with T - 1, T or T + 1 of its prefix bits flipped (as many as the
+    prefix holds) and 0, 1 or 2 of its other bits: a prefix at exactly T
+    that the remaining bytes push past T among them.  Above 128 bits the
+    prefix bound admits every pair.  All, most or none of the queries are
+    live, and a budget of 1 or 7 pairs splits even small searches into
+    blocks.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    width = draw(st.sampled_from([8, 16, 17, 32, 33]))
+    threshold = draw(st.sampled_from([0, 49, 50, 64, 127, 128, 200]))
+    n_q, n_t = draw(st.integers(0, 9)), draw(st.integers(0, 9))
+    prefix_bits = 8 * min(width, PREFIX_BYTES)
+    targets = rng.integers(0, 256, (n_t, width), dtype=np.uint8)
+    queries = rng.integers(0, 256, (n_q, width), dtype=np.uint8)
+    for q in range(n_q if n_t else 0):
+        if rng.random() < 0.8:
+            n_prefix = int(np.clip(threshold + rng.integers(-1, 2), 0, prefix_bits))
+            n_tail = min(int(rng.integers(0, 3)), 8 * width - prefix_bits)
+            queries[q] = flipped_at(rng, targets[rng.integers(n_t)], n_prefix, n_tail)
+    inst = dict(
+        query_ids=rng.permutation(50)[:n_q],
+        query_descriptors=queries,
+        target_ids=rng.permutation(50)[:n_t],
+        target_descriptors=targets,
+        query_mask=rng.random(n_q) < draw(st.sampled_from([0.0, 0.7, 1.0])),
+        depth_ok=maybe(draw, rng.random(n_q) < 0.7),
+    )
+    return inst, threshold, draw(st.sampled_from([1, 7, BLOCK_PAIRS]))
+
+
+def patched_threshold(threshold):
+    """Every site's descriptor threshold, in both modes, set to ``threshold``."""
+    return mock.patch.multiple(
+        association, DESCRIPTOR_THRESHOLD=threshold,
+        HETEROGENEOUS_THRESHOLDS=dict.fromkeys(Site, threshold))
+
+
 def per_pair_match(inst, policy, site, order=None):
     """``match`` on ``inst`` with the dense pair mask and parallax given per
     pair; ``order`` permutes queries and targets first."""
@@ -593,6 +675,48 @@ class TestDenseReferenceEquivalence:
     def test_match_returns_the_reference_candidates(self, inst, policy, site):
         want = reference_match(policy=policy, site=site, **inst)
         assert_same_rows(per_pair_match(inst, policy, site), want)
+
+    @settings(max_examples=400, deadline=None)
+    @given(drawn=two_stage_instances(), policy=policies(),
+           site=st.sampled_from(list(Site)))
+    def test_two_stage_scoring_returns_the_reference_candidates(self, drawn, policy,
+                                                                site):
+        inst, threshold, block_pairs = drawn
+        with patched_threshold(threshold), \
+                mock.patch.object(association, "BLOCK_PAIRS", block_pairs):
+            assert policy.threshold_for(site) == threshold
+            got = match(policy=policy, site=site, **inst)
+            want = reference_match(policy=policy, site=site, **inst)
+            q, t = inst["query_descriptors"], inst["target_descriptors"]
+            if len(t):
+                # the scored pairs: exactly those within T, row-major
+                scored = association._pairs_within(q, t, threshold)
+                dense = hamming_matrix(q, t)
+                within = np.nonzero(dense <= threshold)
+                assert [a.dtype for a in scored] == [np.intp, np.intp, np.int32]
+                assert all(np.array_equal(a, b) for a, b in
+                           zip(scored, (*within, dense[within])))
+        assert_same_rows(got, want)
+
+    @pytest.mark.parametrize("n_q, n_t", [
+        (BLOCK_PAIRS // 256 - 1, 256),  # one block, just under its budget
+        (BLOCK_PAIRS // 256 + 1, 256),  # one row past a full block
+        (3, BLOCK_PAIRS + 1),  # one row alone is past the budget
+    ])
+    @pytest.mark.parametrize("ordering", list(Ordering))
+    def test_two_stage_scoring_around_one_block(self, n_q, n_t, ordering):
+        rng = np.random.default_rng(n_q)
+        targets = rng.integers(0, 256, (n_t, 32), dtype=np.uint8)
+        # copies about 44 +- 6 bits off: on both sides of the threshold
+        queries = targets[rng.integers(0, n_t, n_q)] ^ np.packbits(
+            rng.random((n_q, 256)) < 0.17, axis=1)
+        inst = dict(query_ids=rng.permutation(n_q), query_descriptors=queries,
+                    target_ids=rng.permutation(n_t), target_descriptors=targets)
+        policy = make_policy(ordering=ordering)
+        got = match(policy=policy, site=Site.PROJECTION_LOCAL, **inst)
+        want = reference_match(policy=policy, site=Site.PROJECTION_LOCAL, **inst)
+        assert len(want) > 0
+        assert_same_rows(got, want)
 
     @settings(max_examples=200, deadline=None)
     @given(inst=match_instances(), policy=policies(), seed=st.integers(0, 2**32 - 1))
@@ -641,6 +765,23 @@ class TestDenseReferenceEquivalence:
         got = search_for_triangulation(kf_a, kf_b, policy, CAM)
         want = reference_search_for_triangulation(kf_a, kf_b, policy, CAM)
         assert_same_triangulation(got, want, kf_a, kf_b)
+
+
+class TestMatchMemory:
+    def test_corridor_size_match_peaks_under_4_mb(self):
+        """A whole (queries, targets) distance block of this size takes 6 MB,
+        its uint64 XOR temporary 12 MB; scored a block of rows at a time the
+        call needs a fraction of either."""
+        inputs = corridor_match_inputs()
+        policy = make_policy()
+        tracemalloc.start()
+        try:
+            got = match(policy=policy, site=Site.PROJECTION_LOCAL, **inputs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(got) == 900
+        assert peak < 4_000_000
 
 
 def triangulation_pair(rng, n_points):

@@ -8,7 +8,7 @@ that the suite stays fast.
 import numpy as np
 import pytest
 
-from symvo.association import AssociationPolicy, search_for_triangulation
+from symvo.association import AssociationPolicy, Site, match, search_for_triangulation
 from symvo.features import hamming_matrix
 from symvo.geometry import CameraIntrinsics, Pose, so3_exp
 from symvo.optimizer import (
@@ -27,6 +27,7 @@ from symvo.worldmap import WorldMap
 
 from oracles import (
     Descriptor,
+    corridor_match_inputs,
     einsum_term_jacobians,
     hamming,
     initialization_bytes,
@@ -35,6 +36,7 @@ from oracles import (
     project,
     reference_camera_points,
     reference_initialize_two_view,
+    reference_match,
     reference_normal_equations,
     reference_search_for_triangulation,
 )
@@ -53,6 +55,20 @@ def test_hamming_matrix_corridor_size(benchmark):
     assert dist.shape == (1580, 1580) and dist.dtype == np.int32
     for i in rng.choice(1580, size=12, replace=False):
         assert list(dist[i]) == [hamming(left[i], r) for r in right]
+
+
+def test_match_corridor_size(benchmark):
+    """One local-search ``match`` at the size of a corridor frame: 1,000 live
+    queries x 1,500 targets, 900 true pairs; the oracle is the dense
+    matcher, row for row."""
+    inputs = corridor_match_inputs()
+    kwargs = dict(policy=AssociationPolicy(), site=Site.PROJECTION_LOCAL, **inputs)
+    got = benchmark.pedantic(match, kwargs=kwargs, rounds=5, iterations=1,
+                             warmup_rounds=1)
+    want = reference_match(**kwargs)
+    assert len(got) == 900
+    assert got.dtype == want.dtype == np.int64
+    assert np.array_equal(got, want)
 
 
 @pytest.fixture(scope="module")
