@@ -98,9 +98,10 @@ EPIPOLAR_SIGMA_FACTOR = 2.0
 # 64 +- 5.7 bits apart, so about 1% of them pass a threshold of 50 into
 # the second stage.
 PREFIX_BYTES = 16
-# Pairs scored per block of query rows.  It bounds the distance block and
-# its uint64 XOR temporary to under 1 MB at any frame size, where the whole
-# (queries, targets) block of a corridor frame takes about 18 MB.  On a
+# Pairs scored per block of query rows.  While there are at most this many
+# targets, it bounds the distance block and its uint64 XOR temporary to
+# under 1 MB, where the whole (queries, targets) block of a corridor frame
+# takes about 18 MB; past it, a block is one row by all targets.  On a
 # corridor-size match (1,000 x 1,500, 4 MiB-L2 Xeon) 2^16 scores as fast
 # as 2^17 in half the memory; 2^15 and 2^18 are slower.
 BLOCK_PAIRS = 1 << 16
@@ -139,13 +140,6 @@ def gate_mask(hamming, policy: AssociationPolicy, site: Site,
     return ok
 
 
-def _row_major_pairs(mask):
-    """``np.nonzero`` of a C-ordered 2-D mask, rows first, taken from its flat
-    indices.  On the mostly-False masks of the association searches this is
-    3-7x faster than ``np.nonzero`` (numpy 2.4)."""
-    return np.divmod(np.flatnonzero(mask), mask.shape[1])
-
-
 def _pairs_within(queries, targets, threshold):
     """Every (query row, target row, distance) of two packed stacks at most
     ``threshold`` bits apart, in row-major order as ``np.nonzero`` gives them.
@@ -166,7 +160,9 @@ def _pairs_within(queries, targets, threshold):
     for start in range(0, len(queries), step):
         block = queries[start:start + step]
         prefix = hamming_matrix(block[:, :PREFIX_BYTES], head)
-        qi, ti = _row_major_pairs(prefix <= threshold)
+        # np.nonzero's row-major pairs, from flat indices: several times
+        # faster than np.nonzero on these mostly-False blocks
+        qi, ti = np.divmod(np.flatnonzero(prefix <= threshold), len(targets))
         dist = prefix[qi, ti]
         if tail.shape[1]:
             dist += hamming_pairs(block[qi, PREFIX_BYTES:], tail[ti])
@@ -370,7 +366,7 @@ def search_for_triangulation(kf_a, kf_b, policy: AssociationPolicy,
         EPIPOLAR_SIGMA_FACTOR * np.sqrt(kf_b.noise_sigma2[idx_b]))
     in_a = _epipolar_distances(uv_b, uv_a, F_ba) <= (
         EPIPOLAR_SIGMA_FACTOR * np.sqrt(kf_a.noise_sigma2[idx_a]))
-    qi, ti = _row_major_pairs(in_b)
+    qi, ti = np.nonzero(in_b)
     both = in_a[ti, qi]
     qi, ti = qi[both], ti[both]
 

@@ -214,6 +214,7 @@ class TestMatch:
             )
             assert len(got) > 0
             assert len(set(got[:, 0].tolist())) == len(got)
+            assert len(set(got[:, 1].tolist())) == len(got)
 
     @pytest.mark.parametrize("widths", [(32, 33), (17, 16), (8, 16)])
     def test_descriptor_widths_must_agree(self, widths):
@@ -224,7 +225,6 @@ class TestMatch:
         t = rng.integers(0, 256, (4, widths[1]), dtype=np.uint8)
         with pytest.raises(DescriptorMismatchError):
             match(range(3), q, range(4), t, make_policy(), Site.PROJECTION_LOCAL)
-            assert len(set(got[:, 1].tolist())) == len(got)
 
 
 class TestGatePredicate:
