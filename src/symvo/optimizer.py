@@ -51,7 +51,13 @@ row ``row_order[i]``), and every per-row result comes back in caller rows.
   order, forward runs first.
 - The point blocks ``H_ll``, ``H_pl`` and ``g_l`` take one product per
   term, ``[J_pose | J_pt]^T w [J_pt | r]``, summed in row order: the
-  forward terms, then the backward terms.
+  forward terms, then the backward terms.  They are built one block
+  component at a time: the component's value for every term goes into one
+  term-length vector, which one ``np.bincount`` sums into the blocks.
+  ``H_pl`` takes the observing-pose terms only from the first to the last
+  run whose observing pose is variable, and the reference-pose terms
+  whole.  A term outside that span reaches no variable block, and leaving
+  it out changes no block's sum.
 - The Schur step sums the eliminated points' share of the reduced system
   over fixed chunks of points in order, each chunk a product small enough
   that BLAS runs it on one thread, so the sum does not depend on the BLAS
@@ -348,10 +354,13 @@ def _projection_block(out, q, cam):
 
 def _cross(out, a, b):
     """Cross products ``a x b`` of component-first (3, ...) stacks that
-    broadcast, into ``out``; a row m times the skew matrix [x]x is m x x."""
-    out[0] = a[1] * b[2] - a[2] * b[1]
-    out[1] = a[2] * b[0] - a[0] * b[2]
-    out[2] = a[0] * b[1] - a[1] * b[0]
+    broadcast, into ``out``, which shares memory with neither; a row m
+    times the skew matrix [x]x is m x x."""
+    tmp = np.empty(out.shape[1:])
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        np.multiply(a[j], b[k], out=out[i])
+        np.multiply(a[k], b[j], out=tmp)
+        out[i] -= tmp
 
 
 class _Jacobians:
@@ -374,6 +383,16 @@ class _Jacobians:
     b_pt = property(lambda self: self.b[12:15].transpose(1, 2, 0))
 
 
+def _per_row(x):
+    """A per-term factor of shape (..., n) repeated across the term's two
+    residual rows: a contiguous (..., n, 2), so that its products with a
+    Jacobian stack run as one loop."""
+    out = np.empty(x.shape + (2,))
+    out[..., 0] = x
+    out[..., 1] = x
+    return out
+
+
 def _term_jacobians(problem: OptimizationProblem, state: _State,
                     ev: _Evaluation) -> _Jacobians:
     J = _Jacobians()
@@ -384,7 +403,7 @@ def _term_jacobians(problem: OptimizationProblem, state: _State,
     A = F[3:6]  # -dPi/dq; dq/d(dt) = I
     _projection_block(A, q, problem.cam)
     # dq/d(dw) = -[q - t]x ; dq/dp = R
-    _cross(F[0:3], (q - state.t[problem.f_kf[idx]]).T[:, :, None], A)
+    _cross(F[0:3], _per_row((q - state.t[problem.f_kf[idx]]).T), A)
     for (a, b), R in zip(J.f_spans, state.R[problem.f_run_kf]):
         F[6:9, a:b] = (R.T @ A[:, a:b].reshape(3, -1)).reshape(3, -1, 2)
     F[9] = ev.r_f[idx]
@@ -401,50 +420,55 @@ def _term_jacobians(problem: OptimizationProblem, state: _State,
         if a < b:
             BM[:, a:b] = (M.T @ Bm[:, a:b].reshape(3, -1)).reshape(3, -1, 2)
     kf = problem.f_kf[fwd]
-    tk = state.t[kf]
-    d = problem.b_dir[idx].T[:, :, None]  # its third component is 1
-    X_k = d * ev.q_f[fwd, 2][:, None]
-    v = (ev.q_f[fwd] - tk).T[:, :, None]  # R_k p_w
-    BMd = BM[0] * d[0] + BM[1] * d[1] + BM[2]
+    tk = state.t[kf].T
+    d = problem.b_dir[idx].T  # its third component is 1
+    X_k = d * ev.q_f[fwd, 2]
+    v = _per_row(ev.q_f[fwd, :2].T - tk[:2])  # R_k p_w
+    BMd = BM[0] * _per_row(d[0]) + BM[1] * _per_row(d[1]) + BM[2]
     # observing pose rotation: both the inverse map and z_k move,
     # BM ([X_k - t]x - d (e3 x v)^T) with e3 x v = (-v1, v0, 0)
-    _cross(B[0:3], BM, X_k - tk.T[:, :, None])
+    _cross(B[0:3], BM, _per_row(X_k - tk))
     B[0] += BMd * v[1]
     B[1] -= BMd * v[0]
     # observing pose translation: z_k shifts with e3^T dt, BM (d e3^T - I)
     np.negative(BM, out=B[3:6])
     B[5] += BMd
     # reference pose: plain projective block at q_b
-    _cross(B[6:9], (q_b - state.t[problem.b_ref[idx]]).T[:, :, None], Bm)
+    _cross(B[6:9], _per_row((q_b - state.t[problem.b_ref[idx]]).T), Bm)
     # point: the measured ray moves only through the depth,
     # d z_k with dz_k/dp = third row of R_k
-    B[12:15] = BMd * state.R[kf, 2].T[:, :, None]
+    np.multiply(BMd, _per_row(state.R[kf, 2].T), out=B[12:15])
     B[15] = ev.r_b[idx]
     return J
 
 
-def _term_products(*pairs):
+def _block_sums(index, n_blocks, pairs):
     """Per term i, ``X[:, i]^T Y[:, i]`` of each (X, Y) pair of (a, n, 2)
-    and (b, n, 2) stacks, the pairs' terms one after another: (a, b, sum n)."""
+    and (b, n, 2) stacks, the pairs' terms one after another, summed into
+    block ``index[i]`` in order of i: (n_blocks, a, b), index ``n_blocks``
+    dropped.  Each component is formed in two term-length vectors and
+    summed with one ``np.bincount``."""
     a, b = pairs[0][0].shape[0], pairs[0][1].shape[0]
-    out = np.empty((a, b, sum(X.shape[1] for X, _ in pairs)))
-    s = 0
-    for X, Y in pairs:
-        e = s + X.shape[1]
-        np.multiply(X[:, None, :, 0], Y[None, :, :, 0], out=out[:, :, s:e])
-        out[:, :, s:e] += X[:, None, :, 1] * Y[None, :, :, 1]
-        s = e
+    out = np.empty((n_blocks, a, b))
+    s1, s2 = np.empty(index.size), np.empty(index.size)
+    for i, j in np.ndindex(a, b):
+        s = 0
+        for X, Y in pairs:
+            e = s + X.shape[1]
+            np.multiply(X[i, :, 0], Y[j, :, 0], out=s1[s:e])
+            np.multiply(X[i, :, 1], Y[j, :, 1], out=s2[s:e])
+            s = e
+        s1 += s2
+        out[:, i, j] = np.bincount(index, weights=s1,
+                                   minlength=n_blocks + 1)[:n_blocks]
     return out
 
 
-def _scatter(index, n_blocks, blocks):
-    """``blocks[..., i]`` summed into block ``index[i]``, in order of i, with
-    one ``np.bincount`` per block component; index ``n_blocks`` is dropped."""
-    out = np.empty((n_blocks,) + blocks.shape[:-1])
-    for c in np.ndindex(blocks.shape[:-1]):
-        out[(slice(None), *c)] = np.bincount(index, weights=blocks[c],
-                                             minlength=n_blocks + 1)[:n_blocks]
-    return out
+def _variable_span(spans, variable):
+    """Start of the first and stop of the last run whose pose is variable;
+    (0, 0) when none is."""
+    kept = [span for span, v in zip(spans, variable) if v >= 0]
+    return (kept[0][0], kept[-1][1]) if kept else (0, 0)
 
 
 def _build_normal_equations(problem: OptimizationProblem, state: _State,
@@ -453,8 +477,10 @@ def _build_normal_equations(problem: OptimizationProblem, state: _State,
     P, L = len(problem.variable_pose_ids), len(problem.variable_point_ids)
     jac = _term_jacobians(problem, state, ev)
     F, B, f_idx, b_idx = jac.f, jac.b, jac.f_idx, jac.b_idx
-    WF = F * (huber_weight(ev.m2_f[f_idx]) * problem.f_info[f_idx])[:, None]
-    WB = B * (huber_weight(ev.m2_b[b_idx]) * problem.b_info[b_idx])[:, None]
+    w_f = huber_weight(ev.m2_f[f_idx]) * problem.f_info[f_idx]
+    w_b = huber_weight(ev.m2_b[b_idx]) * problem.b_info[b_idx]
+    WF = F * _per_row(w_f)
+    WB = B * _per_row(w_b)
 
     # pose blocks: one product per run ---------------------------------
     Hpp = np.zeros((P, P, 6, 6))
@@ -478,21 +504,26 @@ def _build_normal_equations(problem: OptimizationProblem, state: _State,
             Hpp[kv, jv] += G[:6, 6:12]
             Hpp[jv, kv] += G[6:, :6]
 
-    # point blocks: one product per term, forward terms first ----------
+    # point blocks: one bincount per component, forward terms first ----
     if L == 0:
         return Hpp, np.zeros((P, 0, 6, 3)), np.zeros((0, 3, 3)), gp, np.zeros((0, 3))
     fwd = problem.b_fwd[b_idx]
     # J_pt^T w [J_pt | r] of every term, to its point
     lv = np.concatenate([problem.f_pt_var[f_idx], problem.f_pt_var[fwd]])
-    Hll_gl = _scatter(np.where(lv >= 0, lv, L), L,
-                      _term_products((F[6:9], WF[6:10]), (B[12:15], WB[12:16])))
-    # J_pose^T w J_pt, to its (pose, point) pair: forward, observing, reference
-    kv = np.concatenate([problem.f_kf_var[f_idx], problem.f_kf_var[fwd],
+    Hll_gl = _block_sums(np.where(lv >= 0, lv, L), L,
+                         ((F[6:9], WF[6:10]), (B[12:15], WB[12:16])))
+    # J_pose^T w J_pt, to its (pose, point) pair: forward, observing, reference;
+    # an observing pose's term reaches a variable block only within the span
+    # of the variable runs, a reference pose's term anywhere
+    fs, fe = _variable_span(jac.f_spans, problem.f_run_var)
+    bs, be = _variable_span(jac.b_spans, [k for k, _ in problem.b_run_var])
+    nf = f_idx.size
+    kv = np.concatenate([problem.f_kf_var[f_idx[fs:fe]], problem.f_kf_var[fwd[bs:be]],
                          problem.b_ref_var[b_idx]])
-    lv = np.concatenate([lv, lv[f_idx.size:]])
-    Hpl = _scatter(np.where((kv >= 0) & (lv >= 0), kv * L + lv, P * L), P * L,
-                   _term_products((F[:6], WF[6:9]), (B[:6], WB[12:15]),
-                                  (B[6:12], WB[12:15])))
+    lv = np.concatenate([lv[fs:fe], lv[nf + bs:nf + be], lv[nf:]])
+    Hpl = _block_sums(np.where((kv >= 0) & (lv >= 0), kv * L + lv, P * L), P * L,
+                      ((F[:6, fs:fe], WF[6:9, fs:fe]), (B[:6, bs:be], WB[12:15, bs:be]),
+                       (B[6:12], WB[12:15])))
     return (Hpp, Hpl.reshape(P, L, 6, 3), Hll_gl[:, :, :3], gp, Hll_gl[:, :, 3])
 
 

@@ -3,11 +3,15 @@
 ``reference_normal_equations`` is the slow form of the documented
 summation order of ``_build_normal_equations``: for the pose blocks one
 boolean mask and one product per keyframe (forward) or (kf, ref_kf) pair
-(backward) group, and for the point blocks sequential ``np.add.at`` calls
-in row order, the forward terms first.  ``reference_solve_step`` damps
-each point block in a loop and reduces the Schur complement point chunk
-by point chunk.  They take the kernels' own per-group and per-term
-products, and the kernels must agree with them bit for bit.
+(backward) group, and for the point blocks every term's whole product
+block, an (n, a, b) stack from its own ``_term_products``, summed with
+sequential ``np.add.at`` calls in row order, the forward terms first.
+The kernel forms the same per-term values one block component at a time,
+and only for the terms that can reach a variable block.
+``reference_solve_step`` damps each point block in a loop and reduces the
+Schur complement point chunk by point chunk.  They take the kernels' own
+Jacobians and per-group products, and the kernels must agree with them
+bit for bit.
 
 ``per_term_normal_equations`` accumulates every term's own blocks with
 ``np.add.at``, the order the kernels used before the groups; with

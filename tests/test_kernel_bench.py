@@ -10,7 +10,7 @@ import pytest
 
 from symvo.association import AssociationPolicy, Site, match, search_for_triangulation
 from symvo.features import hamming_matrix
-from symvo.geometry import CameraIntrinsics, Pose, so3_exp
+from symvo.geometry import CameraIntrinsics, Pose, pinhole, so3_exp
 from symvo.optimizer import (
     OBSERVATION,
     CovarianceModel,
@@ -224,6 +224,67 @@ def test_build_normal_equations_ba_window(benchmark, ba_window):
     ev = _evaluate(problem, state)
     got = benchmark.pedantic(_build_normal_equations, args=(problem, state, ev),
                              rounds=5, iterations=1, warmup_rounds=1)
+    want = reference_normal_equations(problem, state, ev)
+    assert all(g.tobytes() == w.tobytes() and g.shape == w.shape
+               for g, w in zip(got, want))
+
+
+@pytest.fixture(scope="module")
+def corridor_window():
+    """A local-BA window of the largest corridor window's size: 7 views
+    advancing along +z, the 2 oldest fixed, and 1,300 points, each held by
+    4-7 consecutive views and referenced to one of them drawn at random.
+    About 7k rows, 5.5k-6k of them with a backward term; 0.5 px noise, 5%
+    gross outliers, started off the truth."""
+    rng = np.random.default_rng(3)
+    truth_poses = {
+        k: Pose(so3_exp(np.array([0.0, 0.01 * k, 0.0])),
+                np.array([0.05 * k, 0.0, 0.5 * k]))
+        for k in range(1, 8)
+    }
+    truth_points, rows = {}, []
+    while len(truth_points) < 1300:
+        p = rng.uniform([-6.0, -4.0, 8.0], [6.0, 4.0, 30.0])
+        n = int(rng.integers(4, 8))
+        start = int(rng.integers(1, 9 - n))
+        views = range(start, start + n)
+        uvs = {k: pinhole(truth_poses[k].inverse().apply(p), CAM)[0] for k in views}
+        if not all(CAM.contains(uv) for uv in uvs.values()):
+            continue
+        pid = len(truth_points) + 1
+        truth_points[pid] = p
+        uvs = {k: uv + rng.normal(scale=0.5, size=2) for k, uv in uvs.items()}
+        ref = int(rng.choice(list(views)))
+        for k in views:
+            rows.append((pid, k, uvs[k], 2.0, ref, uvs[ref], 2.0))
+    observations = np.array(rows, dtype=OBSERVATION)
+    outliers = rng.choice(len(rows), size=len(rows) // 20, replace=False)
+    observations["uv"][outliers] += rng.uniform(-30.0, 30.0, (outliers.size, 2))
+    start_poses = {
+        k: pose if k <= 2 else Pose(
+            so3_exp(rng.normal(scale=0.01, size=3)) @ pose.rotation,
+            pose.translation + rng.normal(scale=0.01, size=3))
+        for k, pose in truth_poses.items()
+    }
+    start_points = {p: x + rng.normal(scale=0.02, size=3)
+                    for p, x in truth_points.items()}
+    return OptimizationProblem(
+        cam=CAM, poses=start_poses, points=start_points, observations=observations,
+        model=CovarianceModel.SYMMETRIC, variable_pose_ids=tuple(range(3, 8)),
+        variable_point_ids=tuple(truth_points),
+    )
+
+
+def test_build_normal_equations_corridor_window(benchmark, corridor_window):
+    """One normal-equation build on a corridor-size window; the oracle is the
+    sequential ``np.add.at`` accumulation, bit for bit."""
+    problem = corridor_window
+    assert 6500 < len(problem.observations) < 7500
+    assert 5300 < problem.b_fwd.size < 6300
+    state = problem.initial_state()
+    ev = _evaluate(problem, state)
+    got = benchmark.pedantic(_build_normal_equations, args=(problem, state, ev),
+                             rounds=10, iterations=1, warmup_rounds=2)
     want = reference_normal_equations(problem, state, ev)
     assert all(g.tobytes() == w.tobytes() and g.shape == w.shape
                for g, w in zip(got, want))

@@ -639,17 +639,22 @@ def assert_bit_identical(got, want):
 
 
 # (model, variable poses, variable points?); pose 1 is every
-# observation's reference view, so (1, 2, 3, 4) varies it too
+# observation's reference view, so (1, 2, 3, 4) varies it too; under
+# (1, 3, 5) the runs of fixed poses 2 and 4 sit inside the span of
+# variable runs that H_pl is built over
 KERNEL_CASES = [
     (STANDARD, (2, 3, 4), True),
     (SYMMETRIC, (2, 3, 4), True),
     (SYMMETRIC, (1, 2, 3, 4), True),
+    (SYMMETRIC, (1, 3, 5), True),
+    (STANDARD, (1, 3, 5), True),
     (STANDARD, (2, 3), False),
     (SYMMETRIC, (1, 3), False),
     (STANDARD, (), True),
     (SYMMETRIC, (), True),
 ]
 KERNEL_IDS = ["standard", "symmetric", "symmetric-ref-varies",
+              "symmetric-interior-fixed", "standard-interior-fixed",
               "standard-no-points", "symmetric-no-points",
               "standard-no-poses", "symmetric-no-poses"]
 
