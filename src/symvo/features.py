@@ -13,7 +13,8 @@ from its octave alone.  Map points summarize their descriptor sets by a
 single reference descriptor, chosen by a ``ReferenceRule``: by appearance
 (least median distance to the rest) or by geometry (held by the keyframe
 closest to the query).  The depth-invariance interval bounds the query
-depths at which a point's appearance stays within a given octave shift.
+depths at which a point's appearance stays within ``DELTA_L`` octaves of
+every observation.
 
 The reference rules and the interval are per-point rules over the
 keyframes that observe a point; they take a point's holders as one run of
@@ -36,6 +37,7 @@ _PAST_ANY_DISTANCE = 1 << 30  # pads distance tables past any real distance
 # the image pyramid keypoints are detected on: per-octave scale, octave count
 PYRAMID_SCALE = 1.2
 PYRAMID_OCTAVES = 8
+DELTA_L = 1  # octave shift a point's depth-invariance interval allows
 
 
 class ReferenceRule(enum.Enum):
@@ -165,24 +167,22 @@ def select_reference_geometric_index(kf_ids, translations, queries,
     return np.lexsort((kf_ids, d2, group))[starts]
 
 
-def depth_invariance_interval(depths, starts, delta_l: int) -> DepthInterval:
+def depth_invariance_interval(depths, starts) -> DepthInterval:
     """Per group of observed depths, the depth range over which appearance
-    stays within ``delta_l`` octaves.
+    stays within ``DELTA_L`` octaves.
 
     A group is a run of ``depths`` beginning at one of ``starts``.  Each
     group intersects its per-observation bands
-    [z_k * s^(-dl-0.5), z_k * s^(dl+0.5)], s = ``PYRAMID_SCALE``; the
+    [z_k * s^(-DELTA_L-0.5), z_k * s^(DELTA_L+0.5)], s = ``PYRAMID_SCALE``; the
     result may be empty when observations disagree, and is the empty
     (1, 0) when any depth is not positive: a point behind a holder's
     camera is never matched.
     """
     depths = np.asarray(depths, dtype=np.float64)
     starts = _group_starts(depths.size, starts)
-    if delta_l < 0:
-        raise ValueError("delta_l must be non-negative")
     s = PYRAMID_SCALE
-    lo = np.maximum.reduceat(depths * s ** (-delta_l - 0.5), starts)
-    hi = np.minimum.reduceat(depths * s ** (delta_l + 0.5), starts)
+    lo = np.maximum.reduceat(depths * s ** (-DELTA_L - 0.5), starts)
+    hi = np.minimum.reduceat(depths * s ** (DELTA_L + 0.5), starts)
     behind = np.minimum.reduceat(depths, starts) <= 0
     lo[behind], hi[behind] = 1.0, 0.0
     return DepthInterval(lo, hi)

@@ -305,29 +305,21 @@ def _evaluate(problem: OptimizationProblem, state: _State) -> _Evaluation:
     ev.valid_f = valid
     ev.m2_f = (ev.r_f[:, 0] ** 2 + ev.r_f[:, 1] ** 2) * problem.f_info
 
-    B = problem.b_fwd.size
-    if B:
-        z_k = q[problem.b_fwd, 2]
-        X_k = problem.b_dir * z_k[:, None]
-        q_b = np.empty_like(X_k)
-        k, j = problem.b_run_kf, problem.b_run_ref
-        ev.b_M = state.R[j] @ state.R[k].transpose(0, 2, 1)  # camera k to camera j
-        offset = state.t[j] - (ev.b_M @ state.t[k][:, :, None])[:, :, 0]
-        for (s, e), M, c in zip(_spans(problem.b_bounds), ev.b_M, offset):
-            np.matmul(X_k[s:e], M.T, out=q_b[s:e])
-            q_b[s:e] += c
-        # a backward term needs its measured ray in front of both cameras
-        uv_b, in_front = pinhole(q_b, problem.cam)
-        ev.q_b = q_b
-        ev.r_b = problem.b_uv - uv_b
-        ev.valid_b = in_front & valid[problem.b_fwd]
-        ev.m2_b = (ev.r_b[:, 0] ** 2 + ev.r_b[:, 1] ** 2) * problem.b_info
-    else:
-        ev.q_b = np.zeros((0, 3))
-        ev.r_b = np.zeros((0, 2))
-        ev.valid_b = np.zeros(0, dtype=bool)
-        ev.m2_b = np.zeros(0)
-        ev.b_M = np.zeros((0, 3, 3))
+    z_k = q[problem.b_fwd, 2]
+    X_k = problem.b_dir * z_k[:, None]
+    q_b = np.empty_like(X_k)
+    k, j = problem.b_run_kf, problem.b_run_ref
+    ev.b_M = state.R[j] @ state.R[k].transpose(0, 2, 1)  # camera k to camera j
+    offset = state.t[j] - (ev.b_M @ state.t[k][:, :, None])[:, :, 0]
+    for (s, e), M, c in zip(_spans(problem.b_bounds), ev.b_M, offset):
+        np.matmul(X_k[s:e], M.T, out=q_b[s:e])
+        q_b[s:e] += c
+    # a backward term needs its measured ray in front of both cameras
+    uv_b, in_front = pinhole(q_b, problem.cam)
+    ev.q_b = q_b
+    ev.r_b = problem.b_uv - uv_b
+    ev.valid_b = in_front & valid[problem.b_fwd]
+    ev.m2_b = (ev.r_b[:, 0] ** 2 + ev.r_b[:, 1] ** 2) * problem.b_info
     return ev
 
 

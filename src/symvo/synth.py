@@ -2,9 +2,12 @@
 
 Landmark fields, camera trajectories, projected keypoints with
 octave-aware noise, per-landmark descriptor signatures with controlled
-bit flips, and decoy outlier keypoints.  Everything is a pure function of
-the spec (including its seed), so generated sequences are byte-identical
-across runs.
+bit flips, and decoy outlier keypoints.  A ``SceneSpec`` holds what a
+scene varies by: its size, trajectory kind, path length, pixel noise,
+decoy rate and seed.  The camera (``DEFAULT_CAMERA``), frame rate, depth
+range, visibility floor, orbit cloud size and descriptor flip rate are
+module constants.  Everything is a pure function of the spec, so
+generated sequences are byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 import math
 import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,11 +35,16 @@ TRAJECTORY_KINDS = ("forward-corridor", "lateral", "orbit", "random-walk")
 DEFAULT_CAMERA = CameraIntrinsics(
     fx=500.0, fy=500.0, cx=320.0, cy=240.0, width=640, height=480
 )
+FPS = 20.0
+Z_NEAR, Z_FAR = 2.0, 60.0  # depths at which a landmark is visible
+MIN_VISIBLE = 50  # landmarks every frame must observe
+ORBIT_CLOUD_SCALE = 0.3  # landmark cloud radius / orbit radius
+DESCRIPTOR_FLIP_RATE = 0.02  # per-bit flip probability of an observation
 
 
 @dataclass(frozen=True)
 class SceneSpec:
-    """Everything needed to generate one synthetic sequence."""
+    """What one synthetic sequence varies by; the rest are module constants."""
 
     n_landmarks: int = 2000
     n_frames: int = 200
@@ -44,14 +52,7 @@ class SceneSpec:
     path_length: float = 50.0
     noise_px: float = 0.0
     outlier_rate: float = 0.0
-    descriptor_flip_rate: float = 0.02
     seed: int = 7
-    fps: float = 20.0
-    z_near: float = 2.0
-    z_far: float = 60.0
-    min_visible: int = 50
-    orbit_cloud_scale: float = 0.3  # landmark cloud radius / orbit radius
-    camera: CameraIntrinsics = field(default_factory=lambda: DEFAULT_CAMERA)
 
     def __post_init__(self):
         if self.trajectory not in TRAJECTORY_KINDS:
@@ -60,13 +61,7 @@ class SceneSpec:
             raise SceneSpecError("outlier_rate must lie in [0, 1)")
         if not self.noise_px >= 0:
             raise SceneSpecError("noise_px must be non-negative")
-        if not (0 <= self.descriptor_flip_rate <= 1):
-            raise SceneSpecError("descriptor_flip_rate must lie in [0, 1]")
-        if not self.fps > 0:
-            raise SceneSpecError("fps must be positive")
-        if not self.z_near < self.z_far:
-            raise SceneSpecError("z_near must be less than z_far")
-        if self.n_frames < 2 or self.n_landmarks < self.min_visible:
+        if self.n_frames < 2 or self.n_landmarks < MIN_VISIBLE:
             raise SceneSpecError("scene is too small to be observable")
 
 
@@ -77,13 +72,8 @@ class SyntheticSequence:
     spec: SceneSpec
     frames: list  # of FrameInput
     ground_truth: Trajectory
-    landmarks: np.ndarray  # (N, 3)
-    signatures: np.ndarray  # (N, n_bytes) uint8 descriptor signatures
     frame_landmark_ids: list  # per frame: (n_keypoints,) landmark id or -1
-
-    @property
-    def cam(self) -> CameraIntrinsics:
-        return self.spec.camera
+    cam = DEFAULT_CAMERA  # not a field: every scene is seen through it
 
 
 def _look_at_rotation(forward, up=(0.0, -1.0, 0.0)) -> np.ndarray:
@@ -153,20 +143,20 @@ def _landmark_field(spec: SceneSpec, poses, rng) -> np.ndarray:
         # a central cloud small enough to stay fully inside the field of
         # view from everywhere on the orbit
         orbit_radius = 0.5 * float(max(hi[0] - lo[0], hi[2] - lo[2]))
-        radius = spec.orbit_cloud_scale * orbit_radius
+        radius = ORBIT_CLOUD_SCALE * orbit_radius
         pts = rng.uniform(-1.0, 1.0, size=(spec.n_landmarks, 3))
         return pts * np.array([radius, 0.55 * radius, radius])
     margin_side = 7.0
     box_lo = lo - margin_side
     box_hi = hi + margin_side
     if spec.trajectory == "forward-corridor":
-        box_lo[2] = lo[2] + spec.z_near
-        box_hi[2] = hi[2] + 0.6 * spec.z_far
+        box_lo[2] = lo[2] + Z_NEAR
+        box_hi[2] = hi[2] + 0.6 * Z_FAR
     elif spec.trajectory == "lateral":
-        box_lo[2] = hi[2] + spec.z_near + 2.0
-        box_hi[2] = hi[2] + 0.75 * spec.z_far
+        box_lo[2] = hi[2] + Z_NEAR + 2.0
+        box_hi[2] = hi[2] + 0.75 * Z_FAR
     else:  # random-walk: like the corridor's, the box reaches ahead of every pose
-        ahead = centers + 0.6 * spec.z_far * np.stack([p.rotation[:, 2] for p in poses])
+        ahead = centers + 0.6 * Z_FAR * np.stack([p.rotation[:, 2] for p in poses])
         box_lo = np.minimum(box_lo, ahead.min(axis=0))
         box_hi = np.maximum(box_hi, ahead.max(axis=0))
     return rng.uniform(box_lo, box_hi, size=(spec.n_landmarks, 3))
@@ -183,8 +173,8 @@ def generate(spec: SceneSpec) -> SyntheticSequence:
     n_bytes = DESCRIPTOR_BITS // 8
     signatures = rng.integers(0, 256, size=(spec.n_landmarks, n_bytes),
                               dtype=np.uint8)
-    cam = spec.camera
-    timestamps = np.arange(spec.n_frames, dtype=np.float64) / spec.fps
+    cam = DEFAULT_CAMERA
+    timestamps = np.arange(spec.n_frames, dtype=np.float64) / FPS
 
     # visibility prepass; the deepest visible depth anchors octave 0 so
     # the octave range is exercised regardless of the scene's depth span
@@ -196,15 +186,15 @@ def generate(spec: SceneSpec) -> SyntheticSequence:
         uv, in_front = pinhole(rel, cam)
         u, v = uv[:, 0], uv[:, 1]
         visible = (
-            in_front & (z > spec.z_near) & (z < spec.z_far)
+            in_front & (z > Z_NEAR) & (z < Z_FAR)
             & (u >= 1.0) & (u <= cam.width - 2.0)
             & (v >= 1.0) & (v <= cam.height - 2.0)
         )
         ids = np.nonzero(visible)[0]
-        if ids.size < spec.min_visible:
+        if ids.size < MIN_VISIBLE:
             raise SceneSpecError(
                 f"frame {k} observes only {ids.size} landmarks "
-                f"(minimum {spec.min_visible})"
+                f"(minimum {MIN_VISIBLE})"
             )
         per_frame.append((ids, uv[ids], z[ids]))
         z_ref = max(z_ref, float(z[ids].max()))
@@ -227,12 +217,11 @@ def generate(spec: SceneSpec) -> SyntheticSequence:
             uv[:, 0] = np.clip(uv[:, 0], 0.0, cam.width - 1.0)
             uv[:, 1] = np.clip(uv[:, 1], 0.0, cam.height - 1.0)
         descs = signatures[ids].copy()
-        if spec.descriptor_flip_rate > 0:
-            for lo in range(0, ids.size, _FLIP_ROWS):
-                rows = draws[:min(_FLIP_ROWS, ids.size - lo)]
-                rng.random(out=rows)
-                descs[lo:lo + rows.shape[0]] ^= np.packbits(
-                    rows < spec.descriptor_flip_rate, axis=1)
+        for lo in range(0, ids.size, _FLIP_ROWS):
+            rows = draws[:min(_FLIP_ROWS, ids.size - lo)]
+            rng.random(out=rows)
+            descs[lo:lo + rows.shape[0]] ^= np.packbits(
+                rows < DESCRIPTOR_FLIP_RATE, axis=1)
         landmark_ids = ids.astype(np.int64)
 
         n_out = int(round(spec.outlier_rate * ids.size))
@@ -264,8 +253,6 @@ def generate(spec: SceneSpec) -> SyntheticSequence:
         spec=spec,
         frames=frames,
         ground_truth=Trajectory(timestamps, tuple(poses)),
-        landmarks=landmarks,
-        signatures=signatures,
         frame_landmark_ids=frame_landmark_ids,
     )
 
@@ -275,7 +262,15 @@ def generate(spec: SceneSpec) -> SyntheticSequence:
 
 
 def export(seq: SyntheticSequence, out_dir):
-    """Write a sequence as the directory layout the runner consumes."""
+    """Write a sequence as the directory that ``load_frames`` and
+    ``load_ground_truth`` read back:
+
+    - ``intrinsics.txt``: ``camera.*`` keys, one ``key = value`` a line
+    - ``times.txt``: one frame timestamp a line, strictly increasing
+    - ``frames/frame_NNNNNN.csv``: a frame's keypoints, one
+      ``u,v,octave,descriptor_hex`` row each
+    - ``groundtruth.txt``: the ground-truth poses in TUM format
+    """
     os.makedirs(out_dir, exist_ok=True)
     frames_dir = os.path.join(out_dir, "frames")
     os.makedirs(frames_dir, exist_ok=True)
@@ -301,10 +296,6 @@ def export(seq: SyntheticSequence, out_dir):
                     f"{frame.descriptors[i].tobytes().hex()}\n"
                 )
     save_trajectory(os.path.join(out_dir, "groundtruth.txt"), seq.ground_truth)
-    with open(os.path.join(out_dir, "landmarks.csv"), "w") as f:
-        f.write("id,x,y,z\n")
-        for i, p in enumerate(seq.landmarks):
-            f.write(f"{i},{p[0]:.17g},{p[1]:.17g},{p[2]:.17g}\n")
 
 
 def load_intrinsics(path) -> CameraIntrinsics:
@@ -344,8 +335,20 @@ def load_frames(seq_dir) -> tuple:
     """(frames, cam) from an exported sequence directory."""
     cam = load_intrinsics(os.path.join(seq_dir, "intrinsics.txt"))
     times_path = os.path.join(seq_dir, "times.txt")
+    timestamps = []
     with open(times_path) as f:
-        timestamps = [float(line) for line in f if line.strip()]
+        for lineno, line in enumerate(f, start=1):
+            if not line.strip():
+                continue
+            try:
+                t = float(line)
+            except ValueError as exc:
+                raise ParseError(times_path, lineno, str(exc)) from exc
+            if not math.isfinite(t) or (timestamps and t <= timestamps[-1]):
+                raise ParseError(times_path, lineno,
+                                 f"timestamp {t!r} is not a finite time after "
+                                 "the previous line's")
+            timestamps.append(t)
     frames_dir = os.path.join(seq_dir, "frames")
     names = sorted(os.listdir(frames_dir))
     if len(names) != len(timestamps):
@@ -373,6 +376,10 @@ def load_frames(seq_dir) -> tuple:
                                                dtype=np.uint8))
                 except ValueError as exc:
                     raise ParseError(path, lineno, str(exc)) from exc
+                if descs[-1].size != descs[0].size:
+                    raise ParseError(path, lineno,
+                                     f"{descs[-1].size}-byte descriptor after "
+                                     f"{descs[0].size}-byte ones")
         frames.append(FrameInput(
             timestamp=timestamps[k],
             keypoints=np.array(uv, dtype=np.float64).reshape(len(uv), 2),
@@ -384,4 +391,4 @@ def load_frames(seq_dir) -> tuple:
 
 
 def load_ground_truth(seq_dir) -> Trajectory:
-    return load_trajectory(os.path.join(seq_dir, "groundtruth.txt"), "tum")
+    return load_trajectory(os.path.join(seq_dir, "groundtruth.txt"))

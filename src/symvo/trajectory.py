@@ -1,11 +1,9 @@
-"""Timestamped pose sequences and their on-disk formats.
+"""Timestamped pose sequences and their one on-disk format.
 
-Two formats are read and written:
-
-- tum: ``timestamp tx ty tz qx qy qz qw`` per line, unit quaternion,
-  world-from-camera.
-- kitti: 12 floats per line, the row-major 3x4 world-from-camera matrix;
-  the line index doubles as the timestamp.
+A trajectory file is TUM format: ``timestamp tx ty tz qx qy qz qw`` per
+line, the world-from-camera pose as a translation and a unit quaternion,
+timestamps strictly increasing.  Blank lines and ``#`` comments are
+skipped.
 """
 
 from __future__ import annotations
@@ -58,9 +56,10 @@ class Trajectory:
         return Trajectory(self.timestamps.copy(), tuple(reversed(self.poses)))
 
 
-def load_trajectory(path, format: str = "tum") -> Trajectory:
-    if format not in ("tum", "kitti"):
-        raise ValueError(f"unknown trajectory format {format!r}")
+def load_trajectory(path) -> Trajectory:
+    """The TUM-format trajectory in ``path``; a line that is not eight
+    finite numbers with a unit quaternion, or whose timestamp does not
+    follow the previous one's, raises ``ParseError``."""
     timestamps, poses = [], []
     with open(path) as f:
         for lineno, line in enumerate(f, start=1):
@@ -68,55 +67,35 @@ def load_trajectory(path, format: str = "tum") -> Trajectory:
             if not text or text.startswith("#"):
                 continue
             fields = text.split()
-            if format == "tum":
-                if len(fields) != 8:
-                    raise ParseError(path, lineno,
-                                     f"expected 8 fields, got {len(fields)}")
-                try:
-                    values = [float(x) for x in fields]
-                except ValueError as exc:
-                    raise ParseError(path, lineno, str(exc)) from exc
-                t, tx, ty, tz, qx, qy, qz, qw = values
-                norm = np.sqrt(qx * qx + qy * qy + qz * qz + qw * qw)
-                if abs(norm - 1.0) > 1e-3:
-                    raise ParseError(
-                        path, lineno, f"quaternion norm {norm:.6f} is not 1"
-                    )
-                timestamps.append(t)
-                poses.append(Pose(quaternion_to_rotation((qx, qy, qz, qw)),
-                                  (tx, ty, tz)))
-            else:
-                if len(fields) != 12:
-                    raise ParseError(path, lineno,
-                                     f"expected 12 fields, got {len(fields)}")
-                try:
-                    values = np.array([float(x) for x in fields])
-                except ValueError as exc:
-                    raise ParseError(path, lineno, str(exc)) from exc
-                M = values.reshape(3, 4)
-                try:
-                    pose = Pose(M[:, :3], M[:, 3])
-                except ValueError as exc:
-                    raise ParseError(path, lineno, str(exc)) from exc
-                timestamps.append(float(len(poses)))
-                poses.append(pose)
+            if len(fields) != 8:
+                raise ParseError(path, lineno, f"expected 8 fields, got {len(fields)}")
+            try:
+                values = [float(x) for x in fields]
+            except ValueError as exc:
+                raise ParseError(path, lineno, str(exc)) from exc
+            if not np.all(np.isfinite(values)):
+                raise ParseError(path, lineno, "non-finite value")
+            t, tx, ty, tz, qx, qy, qz, qw = values
+            if timestamps and t <= timestamps[-1]:
+                raise ParseError(path, lineno,
+                                 f"timestamp {t!r} does not follow {timestamps[-1]!r}")
+            norm = np.sqrt(qx * qx + qy * qy + qz * qz + qw * qw)
+            if abs(norm - 1.0) > 1e-3:
+                raise ParseError(path, lineno, f"quaternion norm {norm:.6f} is not 1")
+            timestamps.append(t)
+            poses.append(Pose(quaternion_to_rotation((qx, qy, qz, qw)), (tx, ty, tz)))
     if not poses:
         raise SymvoError(f"{path}: trajectory file holds no poses")
     return Trajectory(np.array(timestamps), tuple(poses))
 
 
-def save_trajectory(path, trajectory: Trajectory, format: str = "tum"):
-    if format not in ("tum", "kitti"):
-        raise ValueError(f"unknown trajectory format {format!r}")
+def save_trajectory(path, trajectory: Trajectory):
+    """Write ``trajectory`` in TUM format, which ``load_trajectory`` reads."""
     with open(path, "w") as f:
         for t, pose in zip(trajectory.timestamps, trajectory.poses):
-            if format == "tum":
-                q = rotation_to_quaternion(pose.rotation)
-                tx, ty, tz = pose.translation
-                f.write(
-                    f"{t:.9f} {tx:.17g} {ty:.17g} {tz:.17g} "
-                    f"{q[0]:.17g} {q[1]:.17g} {q[2]:.17g} {q[3]:.17g}\n"
-                )
-            else:
-                M = np.hstack([pose.rotation, pose.translation[:, None]])
-                f.write(" ".join(f"{x:.17g}" for x in M.ravel()) + "\n")
+            q = rotation_to_quaternion(pose.rotation)
+            tx, ty, tz = pose.translation
+            f.write(
+                f"{t:.9f} {tx:.17g} {ty:.17g} {tz:.17g} "
+                f"{q[0]:.17g} {q[1]:.17g} {q[2]:.17g} {q[3]:.17g}\n"
+            )

@@ -38,7 +38,6 @@ from .features import (
 )
 from .geometry import Pose
 
-DELTA_L = 1  # octave shift a point's depth-invariance interval allows
 RETENTION_MOD = 5  # every RETENTION_MOD-th keyframe id is retained ...
 RETENTION_LATEST = 5  # ... plus the RETENTION_LATEST most recent keyframes
 
@@ -279,7 +278,7 @@ class WorldMap:
         offset = self.positions[point] - self._pose_rows(kf, lambda p: p.translation)
         axis = self._pose_rows(kf, lambda p: p.rotation[:, 2])
         depths = (offset[:, None, :] @ axis[:, :, None])[:, 0, 0]
-        depth = depth_invariance_interval(depths, starts, DELTA_L)
+        depth = depth_invariance_interval(depths, starts)
         at = np.searchsorted(point[starts], point_ids)
         return PointBatch(
             ids=point_ids,

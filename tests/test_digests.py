@@ -4,7 +4,9 @@ Two scenes, each run forward and backward:
 
 - the benchmark's orbit (300 landmarks in view from the whole orbit, 4.5
   degrees per frame) at seed 61, cut to its first 12 frames.  ``full`` and
-  ``no_geometric_descriptor`` cover both reference-descriptor rules.
+  ``no_geometric_descriptor`` cover both reference-descriptor rules, and
+  ``no_symmetric_covariance`` the standard covariance model, whose
+  problems hold no backward terms.
 - a forward corridor (800 landmarks) at seed 61, cut to its first 10
   frames.  On the orbit prefix the depth filter and early outlier removal
   leave every digest as ``full`` has it; on this prefix
@@ -48,6 +50,10 @@ DIGESTS = {
         "a1cfd35a1fbb92df18a02d492c86af044cde35c89d29e2c01b209a62a6fb592e",
     ("orbit", "no_geometric_descriptor", "bwd"):
         "0400f7841c7a0d9726c681a7a525016cce4dde33525647ea051b8c6c2f14384e",
+    ("orbit", "no_symmetric_covariance", "fwd"):
+        "d7fc04ed1c431b5c2f27175e9339fef429915fed2ecc3296f7708dc071ec485b",
+    ("orbit", "no_symmetric_covariance", "bwd"):
+        "c0b6678436f633de888e31fbabb3757301b8c852bed525ebf7552c21849b004e",
     ("corridor", "full", "fwd"):
         "df7b01b5c1166a2fee28ac98eed15785a4a3aeef98b852e18742b2b05c6d022e",
     ("corridor", "full", "bwd"):
@@ -77,6 +83,8 @@ GRAPHS = {
     ("orbit", "full", "bwd"): ((300, 6, 1800), 0),
     ("orbit", "no_geometric_descriptor", "fwd"): ((300, 6, 1800), 0),
     ("orbit", "no_geometric_descriptor", "bwd"): ((300, 6, 1800), 0),
+    ("orbit", "no_symmetric_covariance", "fwd"): ((300, 6, 1800), 0),
+    ("orbit", "no_symmetric_covariance", "bwd"): ((300, 6, 1800), 0),
     ("corridor", "full", "fwd"): ((458, 5, 1844), 0),
     ("corridor", "full", "bwd"): ((512, 5, 1930), 0),
     ("corridor", "no_depth_filter", "fwd"): ((433, 5, 2048), 0),

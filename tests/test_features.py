@@ -5,6 +5,7 @@ import pytest
 
 from symvo.errors import DescriptorMismatchError
 from symvo.features import (
+    DELTA_L,
     PYRAMID_SCALE,
     DepthInterval,
     depth_invariance_interval,
@@ -165,9 +166,9 @@ def geometric_index(holders, query) -> int:
     return int(row)
 
 
-def interval(depths, delta_l):
+def interval(depths):
     """The depth-invariance interval of one group, as two floats."""
-    iv = depth_invariance_interval(depths, [0], delta_l)
+    iv = depth_invariance_interval(depths, [0])
     return DepthInterval(float(iv.z_min[0]), float(iv.z_max[0]))
 
 
@@ -314,57 +315,41 @@ class TestReferenceGeometric:
 
 class TestDepthInterval:
     def test_single_observation_delta_one(self):
-        iv = interval([2.0], delta_l=1)
+        iv = interval([2.0])
         assert iv.z_min == pytest.approx(2.0 * 1.2**-1.5, abs=1e-9)
         assert iv.z_max == pytest.approx(2.0 * 1.2**1.5, abs=1e-9)
         assert iv.z_min == pytest.approx(1.5214, abs=1e-3)
         assert iv.z_max == pytest.approx(2.6290, abs=1e-3)
 
-    def test_single_observation_delta_zero(self):
-        iv = interval([2.0], delta_l=0)
-        assert iv.z_min == pytest.approx(1.8257, abs=1e-3)
-        assert iv.z_max == pytest.approx(2.1909, abs=1e-3)
-
     def test_disagreeing_observations_yield_empty(self):
-        iv = interval([2.0, 4.0], delta_l=1)
+        iv = interval([2.0, 4.0])
         assert iv.z_min == pytest.approx(4.0 * 1.2**-1.5, abs=1e-9)
         assert iv.z_max == pytest.approx(2.0 * 1.2**1.5, abs=1e-9)
         assert iv.z_min > iv.z_max
-
-    def test_monotone_in_delta_l(self):
-        rng = np.random.default_rng(10)
-        for _ in range(100):
-            depths = rng.uniform(1.0, 30.0, size=rng.integers(1, 6))
-            prev = interval(depths, delta_l=0)
-            for dl in range(1, 4):
-                cur = interval(depths, delta_l=dl)
-                assert cur.z_min <= prev.z_min + 1e-12
-                assert cur.z_max >= prev.z_max - 1e-12
-                prev = cur
 
     def test_adding_observation_never_enlarges(self):
         rng = np.random.default_rng(11)
         for _ in range(100):
             depths = list(rng.uniform(1.0, 30.0, size=4))
-            iv_all = interval(depths, 1)
-            iv_sub = interval(depths[:2], 1)
+            iv_all = interval(depths)
+            iv_sub = interval(depths[:2])
             assert iv_all.z_min >= iv_sub.z_min - 1e-12
             assert iv_all.z_max <= iv_sub.z_max + 1e-12
 
     def test_permutation_invariant(self):
         depths = [3.0, 7.0, 5.0, 4.4]
-        assert interval(depths, 1) == interval(depths[::-1], 1)
+        assert interval(depths) == interval(depths[::-1])
 
     def test_nonpositive_depth_gives_the_empty_interval(self):
         # a point behind one of its holders' cameras is never matched
-        assert interval([2.0, -1.0], 1) == (1.0, 0.0)
-        assert interval([0.0], 1) == (1.0, 0.0)
+        assert interval([2.0, -1.0]) == (1.0, 0.0)
+        assert interval([0.0]) == (1.0, 0.0)
 
     def test_requires_nonempty_groups(self):
         with pytest.raises(ValueError):
-            depth_invariance_interval([], [0], 1)
+            depth_invariance_interval([], [0])
         with pytest.raises(ValueError):
-            depth_invariance_interval([2.0, 3.0], [0, 2], 1)
+            depth_invariance_interval([2.0, 3.0], [0, 2])
 
     def test_groups_in_one_call_match_one_call_per_group(self):
         rng = np.random.default_rng(13)
@@ -372,14 +357,14 @@ class TestDepthInterval:
         depths = rng.uniform(1.0, 30.0, size=sizes.sum())
         depths[rng.integers(0, depths.size, 3)] *= -1
         starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
-        got = depth_invariance_interval(depths, starts, 1)
-        want = [interval(depths[a:a + m], 1) for a, m in zip(starts, sizes)]
+        got = depth_invariance_interval(depths, starts)
+        want = [interval(depths[a:a + m]) for a, m in zip(starts, sizes)]
         assert list(zip(got.z_min.tolist(), got.z_max.tolist())) == want
 
 
 class TestDepthFilter:
     def test_example_interval_membership(self):
-        iv = interval([2.0], 1)
+        iv = interval([2.0])
         assert iv.contains(2.0)
 
     def test_empty_interval_rejects_everything(self):
@@ -388,7 +373,7 @@ class TestDepthFilter:
             assert not iv.contains(z).any()
 
     def test_boundary_is_closed(self):
-        iv = interval([2.0], 1)
+        iv = interval([2.0])
         assert iv.contains(iv.z_min)
         assert iv.contains(iv.z_max)
 
@@ -398,16 +383,15 @@ class TestDepthFilter:
 
     def test_octave_simulation_oracle(self):
         # a query depth passes iff its implied octave shift relative to
-        # every observation is at most delta_l
+        # every observation is at most DELTA_L
         rng = np.random.default_rng(12)
         s = PYRAMID_SCALE
         for _ in range(50):
             depths = rng.uniform(1.5, 20.0, size=rng.integers(1, 5))
-            dl = int(rng.integers(0, 3))
-            iv = interval(depths, dl)
+            iv = interval(depths)
             for z_q in np.geomspace(0.5, 50.0, 100):
                 shifts = np.log(depths / z_q) / np.log(s)
-                oracle = bool(np.all(np.abs(np.rint(shifts)) <= dl))
+                oracle = bool(np.all(np.abs(np.rint(shifts)) <= DELTA_L))
                 assert iv.contains(z_q) == oracle
 
 

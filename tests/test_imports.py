@@ -1,12 +1,17 @@
 """Every import in the package is used by the module that makes it, every
-top-level function and class is named outside its own definition, and
-every installed script names a function that exists."""
+top-level function and class is named outside its own definition, every
+config field is set by some program caller, and every installed script
+names a function that exists."""
 
 import ast
+import dataclasses
 import importlib
 import pathlib
 
 import pytest
+
+from symvo.pipeline import PipelineConfig
+from symvo.synth import SceneSpec
 
 ROOT = pathlib.Path(__file__).parent.parent
 SOURCES = sorted((ROOT / "src" / "symvo").glob("*.py"))
@@ -77,6 +82,36 @@ def test_every_top_level_name_is_used():
                     dead.append(f"{path.name}:{node.name}")
     assert dead == []
     assert set(ENTRY_POINTS) <= defined
+
+
+CONFIGS = (SceneSpec, PipelineConfig)
+
+
+def names_set(tree: ast.Module) -> set:
+    """Names a module sets as fields: keyword arguments of calls to a
+    config class, ``replace`` or ``dict``, and string keys of dict literals."""
+    setters = {cls.__name__ for cls in CONFIGS} | {"replace", "dict"}
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in setters:
+                out |= {kw.arg for kw in node.keywords if kw.arg}
+        elif isinstance(node, ast.Dict):
+            out |= {k.value for k in node.keys
+                    if isinstance(k, ast.Constant) and isinstance(k.value, str)}
+    return out
+
+
+def test_every_config_field_is_set_by_a_program_caller():
+    """A field that only its default sets is a constant: the program and
+    its benchmark run one value of it."""
+    set_names = set().union(*(names_set(ast.parse(path.read_text()))
+                              for path in SOURCES + BENCHMARK))
+    unset = [f"{cls.__name__}.{f.name}" for cls in CONFIGS
+             for f in dataclasses.fields(cls) if f.name not in set_names]
+    assert unset == []
 
 
 def test_declared_scripts_import():

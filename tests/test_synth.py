@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from symvo.errors import SceneSpecError
-from symvo.synth import SceneSpec, generate
+from symvo.synth import MIN_VISIBLE, SceneSpec, generate
 
 
 def frames_digest(frames) -> str:
@@ -22,13 +22,13 @@ def frames_digest(frames) -> str:
 
 @pytest.mark.parametrize("seed", [3, 4, 5, 7, 61, 62, 1009])
 def test_random_walk_generates_at_study_length(seed):
-    """The landmark box reaches 0.6 z_far ahead of every pose, so no late
+    """The landmark box reaches 0.6 Z_FAR ahead of every pose, so no late
     frame of a 100-frame walk runs out of landmarks."""
     spec = SceneSpec(trajectory="random-walk", n_frames=100, noise_px=0.5,
                      outlier_rate=0.05, seed=seed)
     seq = generate(spec)
     assert len(seq.frames) == 100
-    assert min(len(ids[ids >= 0]) for ids in seq.frame_landmark_ids) >= spec.min_visible
+    assert min(len(ids[ids >= 0]) for ids in seq.frame_landmark_ids) >= MIN_VISIBLE
 
 
 # frames_digest of each scene: the random-walk one recorded before the
@@ -64,12 +64,6 @@ def test_other_scene_kinds_keep_their_frames(kind):
 
 @pytest.mark.parametrize("field, value", [
     ("noise_px", -0.5),
-    ("descriptor_flip_rate", -0.01),
-    ("descriptor_flip_rate", 1.5),
-    ("fps", 0.0),
-    ("fps", -20.0),
-    ("z_near", 60.0),
-    ("z_far", 1.0),
 ])
 def test_spec_refuses_values_it_would_mishandle(field, value):
     with pytest.raises(SceneSpecError, match=field):
@@ -78,8 +72,6 @@ def test_spec_refuses_values_it_would_mishandle(field, value):
 
 @pytest.mark.parametrize("field, value", [
     ("noise_px", 0.0),
-    ("descriptor_flip_rate", 0.0),
-    ("descriptor_flip_rate", 1.0),
 ])
 def test_spec_accepts_boundary_values(field, value):
     assert getattr(SceneSpec(**{field: value}), field) == value

@@ -9,7 +9,7 @@ from symvo.features import (
     select_reference_appearance_index,
 )
 from symvo.geometry import CameraIntrinsics, Pose
-from symvo.worldmap import DELTA_L, GraphStats, WorldMap, keyframe_retention
+from symvo.worldmap import GraphStats, WorldMap, keyframe_retention
 
 from oracles import Descriptor, pack_descriptors, project
 
@@ -208,7 +208,7 @@ class TestObservations:
             for row, pid in enumerate(batch.ids.tolist()):
                 depths = [world.keyframes[k].pose.depth_of(world.positions[pid])
                           for k in holders(world, pid)]
-                fresh = depth_invariance_interval(depths, [0], DELTA_L)
+                fresh = depth_invariance_interval(depths, [0])
                 assert batch.depth.z_min[row] == fresh.z_min[0]
                 assert batch.depth.z_max[row] == fresh.z_max[0]
 
