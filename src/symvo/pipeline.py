@@ -420,10 +420,9 @@ class Pipeline:
             frame.timestamp, rel.inverse(), frame.keypoints, frame.octaves,
             frame.descriptors,
         )
-        world.refresh_points([
-            world.create_point(pts[row], [(kf1.kf_id, i1), (kf2.kf_id, i2)])
-            for row, (i1, i2) in enumerate(pairs[keep].tolist())
-        ])
+        i1, i2 = pairs[keep].T
+        world.refresh_points(
+            world.create_point(pts, [(kf1.kf_id, i1), (kf2.kf_id, i2)]))
         self.initialized = True
         self.init_frame = self._frame_index
         self.prev_pose_cw = Pose.identity()  # kf1 camera-from-world
@@ -553,8 +552,7 @@ class Pipeline:
             mine = kf == kf_id
             world.keyframes[kf_id].inlier[kp[mine]] = result.inlier[mine]
         removed = result.removed
-        for pid, kf_id in zip(point[removed].tolist(), kf[removed].tolist()):
-            world.remove_observation(pid, kf_id)
+        world.remove_observation(point[removed], kf[removed])
         self.n_removed += len(result.removed)
         # moved poses and points and removed observations change references
         world.refresh_points(point_ids)
@@ -565,20 +563,16 @@ class Pipeline:
 
         # triangulate new points against the recent keyframes
         neighbors = [k for k in world.latest_keyframe_ids() if k != kf_new.kf_id]
-        new_point_ids = []
+        new_point_ids = [np.zeros(0, dtype=np.int64)]
         for kf_prev_id in neighbors:
-            kf_prev = world.keyframes[kf_prev_id]
             pairs, positions = search_for_triangulation(
-                kf_prev, kf_new, self.policy, self.cam)
-            batch = [
-                world.create_point(position, [(kf_prev.kf_id, a), (kf_new.kf_id, b)])
-                for position, (a, b) in zip(positions, pairs.tolist())
-            ]
-            world.refresh_points(batch)
-            new_point_ids += batch
+                world.keyframes[kf_prev_id], kf_new, self.policy, self.cam)
+            new_point_ids.append(world.create_point(
+                positions, [(kf_prev_id, pairs[:, 0]), (kf_new.kf_id, pairs[:, 1])]))
+        new_point_ids = np.concatenate(new_point_ids)  # ascending
+        world.refresh_points(new_point_ids)
 
         # fuse the new points into the other local keyframes
-        new_point_ids = np.array(new_point_ids, dtype=np.int64)  # ascending
         local_ids = [
             k for k in world.local_keyframe_ids() if k != kf_new.kf_id
         ]
@@ -599,27 +593,18 @@ class Pipeline:
         if point_ids.size == 0:
             return
         world.reselect_references(point_ids, kf.pose.translation)
-        found = fuse(world.point_batch(point_ids), kf, self.policy, self.cam)
-        # each row's verdict is taken from the owners before any edit
-        was_free = kf.point_ids[found[:, 1]] < 0
-        edited = []
-        for (pid, kp), attach in zip(found.tolist(), was_free.tolist()):
-            if not world.live[pid]:
-                continue
-            owner = int(kf.point_ids[kp])
-            if attach:
-                # the point is not held here: ``point_ids`` excludes the held
-                # ones and each point has one row; ``add_observation``
-                # refuses it otherwise
-                if owner < 0:
-                    world.add_observation(pid, kf.kf_id, kp)
-                    edited.append(pid)
-            elif owner >= 0 and owner != pid:
-                survivor, absorbed = sorted((owner, pid))
-                world.merge_points(survivor, absorbed)
-                edited.append(survivor)
+        pid, kp = fuse(world.point_batch(point_ids), kf, self.policy, self.cam).T
+        # ``point_ids`` holds no point the keyframe holds, and ``match`` gives
+        # one row per point and one per keypoint: each merge pairs a row's
+        # point with its keypoint's owner, no two edits share a point, and
+        # the edits commute, so each kind is made in one batch
+        owner = kf.point_ids[kp]
+        attach = owner < 0
+        world.add_observation(pid[attach], kf.kf_id, kp[attach])
+        survivor = np.minimum(owner, pid)[~attach]
+        world.merge_points(survivor, np.maximum(owner, pid)[~attach])
         # points that were only reselected keep the reselected reference
-        world.refresh_points(edited)
+        world.refresh_points(np.concatenate([pid[attach], survivor]))
 
     # ------------------------------------------------------------------
 

@@ -380,6 +380,9 @@ def load_frames(seq_dir) -> tuple:
                     raise ParseError(path, lineno,
                                      f"{descs[-1].size}-byte descriptor after "
                                      f"{descs[0].size}-byte ones")
+                if not (np.isfinite(uv[-1]).all() and 0 <= octs[-1] < PYRAMID_OCTAVES):
+                    raise ParseError(path, lineno, f"keypoint {uv[-1]} at octave "
+                                     f"{octs[-1]} is not a finite point of the pyramid")
         frames.append(FrameInput(
             timestamp=timestamps[k],
             keypoints=np.array(uv, dtype=np.float64).reshape(len(uv), 2),

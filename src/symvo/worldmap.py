@@ -12,6 +12,11 @@ calls once over the points it edited (edits never refresh) and which under
 the geometric rule picks the newest holder, and ``reselect_references``,
 which picks the holder nearest the query before a projection search.
 
+Every edit takes id arrays, and an edit group makes one call per edit
+kind, which writes each keyframe's columns once.  A batch that edits one
+at a time would refuse raises before anything changes.  Merge pairs must
+share no point: only then does one batch equal merging pair by pair.
+
 ``check_integrity`` asserts what the columns leave open: every live point
 has at least one holder, no keyframe binds a point to two keypoints, a
 point's reference keyframe is a holder, and no column names a dead point.
@@ -82,11 +87,6 @@ def _runs(point: np.ndarray) -> np.ndarray:
     return np.flatnonzero(np.diff(point, prepend=-1))
 
 
-def _free(kf: Keyframe, keypoints):
-    kf.point_ids[keypoints] = -1
-    kf.inlier[keypoints] = False
-
-
 def _refuse(kf: Keyframe, point_ids: list, keypoints: list):
     """Raise the WorldIntegrityError of the first binding that one-at-a-time
     binding of ``point_ids`` to ``keypoints`` would refuse."""
@@ -149,83 +149,93 @@ class WorldMap:
     # ------------------------------------------------------------------
     # points and bindings
 
-    def create_point(self, position, observations) -> int:
-        """New point bound to (kf_id, keypoint_index) pairs; returns its id.
-        The next ``refresh_points`` over it chooses its reference."""
-        pid = self._next_point_id
-        self._next_point_id += 1
-        if pid == self.live.size:
+    def create_point(self, positions, observations) -> np.ndarray:
+        """New points at the (n, 3) ``positions``, point i bound to
+        ``keypoints[i]`` of each (kf_id, keypoints) pair in ``observations``;
+        returns their (n,) ids, ascending.  The next ``refresh_points`` over
+        them chooses their references."""
+        ids = np.arange(self._next_point_id, self._next_point_id + len(positions))
+        self._next_point_id += ids.size
+        while self._next_point_id > self.live.size:
             self.positions, self.reference_kf, self.live = (
                 np.concatenate([a, np.zeros_like(a)])
                 for a in (self.positions, self.reference_kf, self.live))
-        self.positions[pid] = position
-        self.live[pid] = True
-        for kf_id, kp_index in observations:
-            self.add_observation(pid, kf_id, kp_index)
-        return pid
+        self.positions[ids] = positions
+        self.live[ids] = True
+        for kf_id, keypoints in observations:
+            self.add_observation(ids, kf_id, keypoints)
+        return ids
 
-    def add_observation(self, point_id, kf_id: int, kp_index):
-        """Bind points to keypoints of one keyframe.
-
-        ``point_id`` and ``kp_index`` are scalars or equal-length arrays, one
-        binding per element.  A point that would observe the keyframe twice
-        or a keypoint that is bound already raises WorldIntegrityError, as
-        the first such binding of the batch would one at a time, and
-        nothing is bound.
-        """
+    def add_observation(self, point_ids, kf_id: int, keypoints):
+        """Bind ``point_ids[i]`` to ``keypoints[i]`` of one keyframe.  A point
+        that would observe the keyframe twice or a keypoint that is bound
+        already raises WorldIntegrityError, as the first such binding of the
+        batch would one at a time, and nothing is bound."""
         kf = self.keyframes[kf_id]
-        pids = np.asarray(point_id, dtype=np.int64).reshape(-1)
-        kps = np.asarray(kp_index, dtype=np.int64).reshape(-1)
-        if pids.size == 1:  # one scan costs less than a set test here
-            clash = (kf.point_ids == pids[0]).any() or kf.point_ids[kps[0]] >= 0
-        else:
-            clash = (np.isin(pids, kf.point_ids).any() or (kf.point_ids[kps] >= 0).any()
-                     or np.unique(pids).size < pids.size
-                     or np.unique(kps).size < kps.size)
-        if clash:
+        pids = np.asarray(point_ids, dtype=np.int64).reshape(-1)
+        kps = np.asarray(keypoints, dtype=np.int64).reshape(-1)
+        if (np.isin(pids, kf.point_ids).any() or (kf.point_ids[kps] >= 0).any()
+                or np.unique(pids).size < pids.size or np.unique(kps).size < kps.size):
             _refuse(kf, pids.tolist(), kps.tolist())
         kf.point_ids[kps] = pids
         kf.inlier[kps] = True
 
-    def remove_observation(self, point_id: int, kf_id: int):
-        """Unbind the point from the keyframe; a point left with no holder dies."""
-        bound = self.keyframes[kf_id].point_ids == point_id
-        if not np.any(bound):
+    def remove_observation(self, point_ids, kf_ids):
+        """Unbind ``point_ids[i]`` from keyframe ``kf_ids[i]``; a point left
+        with no holder dies.  A pair that is not bound, or that repeats an
+        earlier one, raises WorldIntegrityError, as its removal one at a
+        time would, and nothing is unbound."""
+        pids, kf_ids = (np.asarray(a, np.int64).reshape(-1) for a in (point_ids, kf_ids))
+        point, kf, kp = self.bindings(pids)
+        # bindings come sorted by point, then keyframe: so do their keys
+        held = np.append(point * self._next_kf_id + kf, -1)
+        want = pids * self._next_kf_id + kf_ids
+        at = np.searchsorted(held[:-1], want)
+        repeat = ~np.isin(np.arange(want.size), np.unique(want, return_index=True)[1])
+        bad = (held[at] != want) | repeat
+        if bad.any():
+            i = int(np.argmax(bad))
             raise WorldIntegrityError(
-                f"point {point_id} does not observe keyframe {kf_id}")
-        _free(self.keyframes[kf_id], bound)
-        if not np.any(self._stacked("point_ids")[2] == point_id):
-            self.live[point_id] = False
+                f"point {pids[i]} does not observe keyframe {kf_ids[i]}")
+        self._set(kf_ids, kp[at], np.full(at.size, -1))
+        self.live[np.setdiff1d(pids, np.delete(point, at))] = False
 
-    def merge_points(self, dst_id: int, src_id: int):
-        """Absorb ``src`` into ``dst``; on keyframe conflicts dst wins."""
-        if dst_id == src_id:
-            return
-        kfs, first, column = self._stacked("point_ids")
-        rows = np.flatnonzero((column == src_id) | (column == dst_id))
-        holder = np.searchsorted(first, rows, side="right") - 1
-        is_src = column[rows] == src_id
-        with_dst = set(holder[~is_src].tolist())
-        for row, k in zip(rows[is_src].tolist(), holder[is_src].tolist()):
-            if k in with_dst:
-                _free(kfs[k], row - first[k])
-            else:
-                kfs[k].point_ids[row - first[k]] = dst_id
-        self.live[src_id] = False
+    def merge_points(self, dst_ids, src_ids):
+        """Absorb each ``src_ids[i]`` into ``dst_ids[i]``: src's bindings move
+        to dst, except in a keyframe that binds both, where dst's wins and
+        src's is freed; src dies.  Merged one pair at a time, pairs that
+        share a point would depend on the order, so they raise
+        WorldIntegrityError and nothing changes."""
+        dst, src = (np.asarray(a, np.int64).reshape(-1) for a in (dst_ids, src_ids))
+        both = np.concatenate([dst, src])
+        if np.unique(both).size < both.size:
+            raise WorldIntegrityError("merge pairs share a point")
+        point, kf, kp = self.bindings(both)
+        to = np.arange(self.live.size)
+        to[src] = dst
+        key = to[point] * self._next_kf_id + kf  # (merged point, keyframe)
+        is_src = np.isin(point, src)
+        self._set(kf[is_src], kp[is_src],
+                  np.where(np.isin(key[is_src], key[~is_src]), -1, to[point[is_src]]))
+        self.live[src] = False
+
+    def _set(self, kf_ids, keypoints, point_ids):
+        """Bind ``keypoints[i]`` of keyframe ``kf_ids[i]`` to ``point_ids[i]``;
+        a keypoint set to -1 is freed and loses its inlier flag."""
+        for k in np.unique(kf_ids).tolist():
+            kf, mine = self.keyframes[k], kf_ids == k
+            kf.point_ids[keypoints[mine]] = point_ids[mine]
+            kf.inlier[keypoints[mine]] &= point_ids[mine] >= 0
 
     def _drop(self, point_ids):
         """Free every keypoint bound to the given points and kill them."""
-        for kf in self.keyframes.values():
-            _free(kf, np.isin(kf.point_ids, point_ids))
+        self.remove_observation(*self.bindings(point_ids)[:2])
         self.live[point_ids] = False
 
     def bindings(self, point_ids=None) -> tuple:
         """(point, kf, keypoint) arrays of every binding, sorted by point id
         then keyframe id; only the bindings of ``point_ids`` when given."""
-        kfs = [self.keyframes[k] for k in self.keyframe_ids()]
-        point = np.concatenate([np.zeros(0, np.int64)] + [kf.point_ids for kf in kfs])
-        kf_id = np.repeat([kf.kf_id for kf in kfs],
-                          [kf.n_keypoints for kf in kfs]).astype(np.int64)
+        kf_ids, first, point = self._stacked("point_ids")
         row = np.flatnonzero(point >= 0)
         if point_ids is not None:
             wanted = np.zeros(self.live.size, dtype=bool)
@@ -234,20 +244,21 @@ class WorldMap:
         # the columns are stacked in keyframe order, which a stable sort by
         # point keeps within each point
         row = row[np.argsort(point[row], kind="stable")]
-        return point[row], kf_id[row], row - np.searchsorted(kf_id, kf_id[row])
+        holder = np.searchsorted(first, row, side="right") - 1
+        return point[row], kf_ids[holder], row - first[holder]
 
     def _stacked(self, name: str) -> tuple:
-        """(keyframes in id order, each one's first row, their per-keypoint
+        """(keyframe ids ascending, each one's first row, their per-keypoint
         ``name`` arrays end to end)."""
         kfs = [self.keyframes[k] for k in self.keyframe_ids()]
-        first = np.cumsum([0] + [kf.n_keypoints for kf in kfs])
-        return kfs, first, np.concatenate([getattr(kf, name) for kf in kfs])
+        columns = [getattr(kf, name) for kf in kfs] or [np.zeros(0, np.int64)]
+        return (np.array([kf.kf_id for kf in kfs], dtype=np.int64),
+                np.cumsum([0] + [kf.n_keypoints for kf in kfs]), np.concatenate(columns))
 
     def gather(self, kf_ids, keypoints, name: str) -> np.ndarray:
         """``keyframes[kf_ids[i]].<name>[keypoints[i]]`` for every i, where
         ``name`` is a per-keypoint array such as ``descriptors``."""
-        kfs, first, table = self._stacked(name)
-        ids = [kf.kf_id for kf in kfs]
+        ids, first, table = self._stacked(name)
         return table[first[np.searchsorted(ids, kf_ids)] + keypoints]
 
     def _pose_rows(self, kf_ids, value) -> np.ndarray:
@@ -352,10 +363,8 @@ class WorldMap:
         return GraphStats(
             n_map_points=len(self.points),
             n_local_keyframes=len(self.local_keyframe_ids()),
-            n_observation_inliers=sum(
-                int(np.count_nonzero(kf.inlier[kf.point_ids >= 0]))
-                for kf in self.keyframes.values()
-            ),
+            n_observation_inliers=int(np.count_nonzero(
+                self._stacked("inlier")[2] & (self._stacked("point_ids")[2] >= 0))),
         )
 
     def check_integrity(self):

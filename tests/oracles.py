@@ -43,6 +43,16 @@ state.  ``initialization_inputs`` builds the matches and deviations that
 initialization receives for two frames, and ``corridor_match_inputs`` a
 ``match`` of a corridor frame's size.
 
+``reference_create_point``, ``reference_remove_observation``,
+``reference_merge_points`` and ``reference_apply_fuse`` are the map edits
+one point or row at a time: a point created and bound keyframe by
+keyframe, an observation unbound and its point's survival checked
+keyframe by keyframe, one merge over every keyframe, and the fuse walk
+over its rows with a guard per row.  ``WorldMap``'s edits take id arrays
+and ``Pipeline._apply_fuse`` makes one call per edit group; they must
+leave the same bytes in every ``point_ids`` / ``inlier`` column and in
+``live``, ``positions`` and ``reference_kf`` (``map_bytes``).
+
 The rest is reference code that the program itself does not call:
 
 - ``Descriptor``, ``hamming`` and ``pack_descriptors``: scalar
@@ -73,10 +83,11 @@ from symvo.association import (
     Site,
     fundamental_from_relative,
     gate_mask,
+    fuse,
     match,
     triangulate_rays,
 )
-from symvo.errors import DescriptorMismatchError, SymvoError
+from symvo.errors import DescriptorMismatchError, SymvoError, WorldIntegrityError
 from symvo.features import DESCRIPTOR_BITS, hamming_matrix, sigma2_at
 from symvo.geometry import CameraIntrinsics, Pose, parallax_angles, unit_ray
 from symvo.optimizer import _schur_columns, _term_jacobians, huber_weight
@@ -582,6 +593,105 @@ def initialization_bytes(result):
     rel, *arrays = result
     return (rel.rotation.tobytes(), rel.translation.tobytes(),
             *((a.tobytes(), a.shape) for a in arrays))
+
+
+# ----------------------------------------------------------------------
+# map edits one at a time
+
+
+def map_bytes(world):
+    """Every byte the map edits write: each keyframe's ``point_ids`` and
+    ``inlier`` columns, in id order, then ``live``, ``positions`` and
+    ``reference_kf``."""
+    columns = [(k, kf.point_ids.tobytes(), kf.inlier.tobytes())
+               for k, kf in sorted(world.keyframes.items())]
+    return (columns, world.live.tobytes(), world.positions.tobytes(),
+            world.reference_kf.tobytes())
+
+
+def _bind(world, point_id, kf_id, kp):
+    kf = world.keyframes[kf_id]
+    if (kf.point_ids == point_id).any():
+        raise WorldIntegrityError(f"point {point_id} already observes keyframe {kf_id}")
+    if kf.point_ids[kp] >= 0:
+        raise WorldIntegrityError(f"keypoint {kp} of keyframe {kf_id} already bound")
+    kf.point_ids[kp] = point_id
+    kf.inlier[kp] = True
+
+
+def _unbind(kf, at):
+    kf.point_ids[at] = -1
+    kf.inlier[at] = False
+
+
+def reference_create_point(world, position, observations) -> int:
+    """One new point bound to (kf_id, keypoint) pairs; returns its id.  The
+    id arrays double when the id reaches their size."""
+    pid = world._next_point_id
+    world._next_point_id += 1
+    if pid == world.live.size:
+        world.positions, world.reference_kf, world.live = (
+            np.concatenate([a, np.zeros_like(a)])
+            for a in (world.positions, world.reference_kf, world.live))
+    world.positions[pid] = position
+    world.live[pid] = True
+    for kf_id, kp in observations:
+        _bind(world, pid, kf_id, kp)
+    return pid
+
+
+def reference_remove_observation(world, point_id, kf_id):
+    """Unbind one point from one keyframe; the point dies when no keyframe
+    holds it any more."""
+    kf = world.keyframes[kf_id]
+    bound = kf.point_ids == point_id
+    if not bound.any():
+        raise WorldIntegrityError(f"point {point_id} does not observe keyframe {kf_id}")
+    _unbind(kf, bound)
+    if not any((k.point_ids == point_id).any() for k in world.keyframes.values()):
+        world.live[point_id] = False
+
+
+def reference_merge_points(world, dst, src):
+    """Absorb ``src`` into ``dst``, one keyframe at a time: a keyframe that
+    binds both keeps dst's binding and frees src's."""
+    if dst == src:
+        return
+    for kf in world.keyframes.values():
+        at = kf.point_ids == src
+        if (kf.point_ids == dst).any():
+            _unbind(kf, at)
+        else:
+            kf.point_ids[at] = dst
+    world.live[src] = False
+
+
+def reference_apply_fuse(world, point_ids, kf, policy, cam):
+    """``Pipeline._apply_fuse`` as a walk over the fused rows: each row
+    attaches its point to a free keypoint, or merges it with the keypoint's
+    owner (the lower id survives), behind guards against a dead point, a
+    freed keypoint and a point that already owns the keypoint."""
+    point_ids = point_ids[world.live[point_ids] & ~np.isin(point_ids, kf.point_ids)]
+    if point_ids.size == 0:
+        return
+    world.reselect_references(point_ids, kf.pose.translation)
+    found = fuse(world.point_batch(point_ids), kf, policy, cam)
+    # each row's verdict is taken from the owners before any edit
+    was_free = kf.point_ids[found[:, 1]] < 0
+    edited = []
+    for (pid, kp), attach in zip(found.tolist(), was_free.tolist()):
+        if not world.live[pid]:
+            continue
+        owner = int(kf.point_ids[kp])
+        if attach:
+            if owner < 0:
+                _bind(world, pid, kf.kf_id, kp)
+                edited.append(pid)
+        elif owner >= 0 and owner != pid:
+            survivor, absorbed = sorted((owner, pid))
+            reference_merge_points(world, survivor, absorbed)
+            edited.append(survivor)
+    world.refresh_points(edited)
 
 
 # ----------------------------------------------------------------------

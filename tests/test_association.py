@@ -358,10 +358,11 @@ def build_world(rng, n_points=40, n_frames=3, spacing=0.5, noise=0.0,
 
 
 def add_point(world, position, observations) -> int:
-    """A new point with its reference chosen, as an edit group leaves it."""
-    pid = world.create_point(position, observations)
+    """One new point, bound to the (kf_id, keypoint) pairs, with its
+    reference chosen, as an edit group leaves it."""
+    (pid,) = world.create_point([position], [(k, [kp]) for k, kp in observations])
     world.refresh_points([pid])
-    return pid
+    return int(pid)
 
 
 class TestSearchByProjection:
@@ -434,10 +435,9 @@ class TestSearchForTriangulation:
         )
         # landmarks 0-9 are mapped through keyframe 1's keypoints, 10-19
         # through keyframe 2's; only 20-39 are free in both
-        for i in range(10):
-            world.create_point(landmarks[i], [(kfs[0].kf_id, i), (kfs[2].kf_id, i)])
-        for i in range(10, 20):
-            world.create_point(landmarks[i], [(kfs[1].kf_id, i), (kfs[2].kf_id, i)])
+        first, second = np.arange(10), np.arange(10, 20)
+        world.create_point(landmarks[first], [(kfs[0].kf_id, first), (kfs[2].kf_id, first)])
+        world.create_point(landmarks[second], [(kfs[1].kf_id, second), (kfs[2].kf_id, second)])
         bound_a = set(np.flatnonzero(kfs[0].point_ids >= 0).tolist())
         bound_b = set(np.flatnonzero(kfs[1].point_ids >= 0).tolist())
         assert bound_a == set(range(10)) and bound_b == set(range(10, 20))

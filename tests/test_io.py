@@ -133,3 +133,33 @@ def test_ground_truth_lines_holding_non_finite_values_are_refused(
     seq_dir = edited_copy(exported, tmp_path, "groundtruth.txt", 1, poison)
     with pytest.raises(ParseError, match=r"groundtruth\.txt:2: non-finite"):
         load_ground_truth(seq_dir)
+
+
+@pytest.mark.parametrize("column, value, message", [
+    (0, "nan", r"keypoint \(nan, .*\) at octave"),
+    (1, "inf", r"keypoint \(.*, inf\) at octave"),
+    (2, "8", r"keypoint \(.*\) at octave 8 is not"),
+    (2, "-1", r"keypoint \(.*\) at octave -1 is not"),
+], ids=["u", "v", "octave-past-the-pyramid", "negative-octave"])
+def test_frame_rows_outside_the_image_model_are_refused(
+        exported, tmp_path, column, value, message):
+    """A keypoint with no position, or one at an octave outside the pyramid
+    (``sigma2_at(99)`` is 1.2^198), would reach the pipeline."""
+    def poison(row):
+        fields = row.rstrip("\n").split(",")
+        fields[column] = value
+        return ",".join(fields) + "\n"
+
+    seq_dir = edited_copy(exported, tmp_path, "frames/frame_000001.csv", 3, poison)
+    with pytest.raises(ParseError, match=rf"frame_000001\.csv:4: {message}"):
+        load_frames(seq_dir)
+
+
+@pytest.mark.parametrize("index, line", [(0, "camera.fx = nan\n"),
+                                         (1, "camera.fy = inf\n")], ids=["fx", "fy"])
+def test_intrinsics_with_a_non_finite_focal_length_are_refused(
+        exported, tmp_path, index, line):
+    """Both pass a bare ``fx <= 0`` test: it is false on NaN and infinity."""
+    seq_dir = edited_copy(exported, tmp_path, "intrinsics.txt", index, lambda _: line)
+    with pytest.raises(ParseError, match="focal lengths must be positive and finite"):
+        load_intrinsics(seq_dir / "intrinsics.txt")

@@ -5,10 +5,19 @@ Run alone with ``python -m pytest tests/test_kernel_bench.py``; pass
 that the suite stays fast.
 """
 
+import copy
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from symvo.association import AssociationPolicy, Site, match, search_for_triangulation
+from symvo.association import (
+    AssociationPolicy,
+    Site,
+    fuse,
+    match,
+    search_for_triangulation,
+)
 from symvo.features import hamming_matrix
 from symvo.geometry import CameraIntrinsics, Pose, pinhole, so3_exp
 from symvo.optimizer import (
@@ -21,7 +30,7 @@ from symvo.optimizer import (
     optimize_pose,
     solve_problem,
 )
-from symvo.pipeline import RNG_SEED, initialize_two_view
+from symvo.pipeline import RNG_SEED, Pipeline, PipelineConfig, initialize_two_view
 from symvo.synth import SceneSpec, generate
 from symvo.worldmap import WorldMap
 
@@ -32,8 +41,10 @@ from oracles import (
     hamming,
     initialization_bytes,
     initialization_inputs,
+    map_bytes,
     pack_descriptors,
     project,
+    reference_apply_fuse,
     reference_camera_points,
     reference_initialize_two_view,
     reference_match,
@@ -99,6 +110,61 @@ def test_search_for_triangulation_corridor_size(benchmark, corridor_keyframes):
     assert np.array_equal(pairs, want_pairs)
     assert positions.shape == want_positions.shape
     assert positions.tobytes() == want_positions.tobytes()
+
+
+@pytest.fixture(scope="module")
+def corridor_fuse():
+    """The fuse with the most fused rows in a forward pass over the
+    benchmark's corridor unit (seed 61, 12 frames): the pipeline, a copy of
+    its map just before the fuse, and the fuse's point ids and keyframe."""
+    seq = generate(SceneSpec(trajectory="forward-corridor", n_frames=30, noise_px=0.5,
+                             outlier_rate=0.05, seed=61))
+    pipeline = Pipeline(seq.cam, PipelineConfig())
+    calls = []
+    apply_fuse = Pipeline._apply_fuse
+
+    def capture(self, point_ids, kf):
+        calls.append((copy.deepcopy(self.world), point_ids.copy(), kf.kf_id))
+        apply_fuse(self, point_ids, kf)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Pipeline, "_apply_fuse", capture)
+        for frame in seq.frames[:12]:
+            pipeline.process_frame(frame)
+
+    def n_rows(call):
+        world, point_ids, kf_id = copy.deepcopy(call)
+        kf = world.keyframes[kf_id]
+        point_ids = point_ids[world.live[point_ids] & ~np.isin(point_ids, kf.point_ids)]
+        world.reselect_references(point_ids, kf.pose.translation)
+        return len(fuse(world.point_batch(point_ids), kf, pipeline.policy, pipeline.cam))
+
+    return pipeline, max(calls, key=n_rows)
+
+
+def test_apply_fuse_corridor_size(benchmark, corridor_fuse):
+    """One ``_apply_fuse`` of the corridor unit's largest fuse, about 240
+    rows, most of them merges; the oracle is the row walk, byte for byte."""
+    pipeline, call = corridor_fuse
+    worlds = []
+
+    def fresh_map():
+        world, point_ids, kf_id = copy.deepcopy(call)
+        worlds.append(world)
+        host = SimpleNamespace(world=world, policy=pipeline.policy, cam=pipeline.cam)
+        return (host, point_ids, world.keyframes[kf_id]), {}
+
+    benchmark.pedantic(Pipeline._apply_fuse, setup=fresh_map, rounds=5,
+                       iterations=1, warmup_rounds=1)
+    want, point_ids, kf_id = copy.deepcopy(call)
+    kf = want.keyframes[kf_id]
+    n_points, n_bound = want.points.size, np.count_nonzero(kf.point_ids >= 0)
+    reference_apply_fuse(want, point_ids, kf, pipeline.policy, pipeline.cam)
+    assert n_points - want.points.size > 100  # merges
+    assert np.count_nonzero(kf.point_ids >= 0) - n_bound > 50  # attaches
+    got = worlds[-1]
+    assert map_bytes(got) == map_bytes(want)
+    got.check_integrity()
 
 
 INIT_SCENES = {

@@ -1,6 +1,12 @@
+import copy
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from symvo.association import AssociationPolicy
 from symvo.errors import WorldIntegrityError
 from symvo.features import (
     ReferenceRule,
@@ -9,9 +15,19 @@ from symvo.features import (
     select_reference_appearance_index,
 )
 from symvo.geometry import CameraIntrinsics, Pose
+from symvo.pipeline import Pipeline
 from symvo.worldmap import GraphStats, WorldMap, keyframe_retention
 
-from oracles import Descriptor, pack_descriptors, project
+from oracles import (
+    Descriptor,
+    map_bytes,
+    pack_descriptors,
+    project,
+    reference_apply_fuse,
+    reference_create_point,
+    reference_merge_points,
+    reference_remove_observation,
+)
 
 CAM = CameraIntrinsics(fx=500.0, fy=500.0, cx=320.0, cy=240.0, width=640, height=480)
 
@@ -72,10 +88,11 @@ def tiny_world(rng, n_landmarks=12, n_frames=6, spacing=0.4,
 
 
 def add_point(world, position, observations) -> int:
-    """A new point with its reference chosen, as an edit group leaves it."""
-    pid = world.create_point(position, observations)
+    """One new point, bound to the (kf_id, keypoint) pairs, with its
+    reference chosen, as an edit group leaves it."""
+    (pid,) = world.create_point([position], [(k, [kp]) for k, kp in observations])
     world.refresh_points([pid])
-    return pid
+    return int(pid)
 
 
 def holders(world, pid) -> list:
@@ -184,7 +201,7 @@ class TestObservations:
         world, kfs, landmarks = tiny_world(
             rng, descriptor_selection=ReferenceRule.APPEARANCE)
         for i in range(len(landmarks)):
-            world.create_point(landmarks[i], [(kf.kf_id, i) for kf in kfs[i % 3:]])
+            world.create_point([landmarks[i]], [(kf.kf_id, [i]) for kf in kfs[i % 3:]])
         world.refresh_points(world.points)
         for pid in world.points.tolist():
             kf_ids = holders(world, pid)
@@ -221,8 +238,8 @@ class TestObservations:
     def test_bindings_sorted_by_point_then_keyframe(self):
         rng = np.random.default_rng(16)
         world, kfs, landmarks = tiny_world(rng)
-        a = world.create_point(landmarks[0], [(kfs[3].kf_id, 0), (kfs[1].kf_id, 0)])
-        b = world.create_point(landmarks[1], [(kfs[2].kf_id, 1), (kfs[0].kf_id, 1)])
+        a = add_point(world, landmarks[0], [(kfs[3].kf_id, 0), (kfs[1].kf_id, 0)])
+        b = add_point(world, landmarks[1], [(kfs[2].kf_id, 1), (kfs[0].kf_id, 1)])
         point, kf, kp = world.bindings()
         assert list(zip(point.tolist(), kf.tolist(), kp.tolist())) == [
             (a, 2, 0), (a, 4, 0), (b, 1, 1), (b, 3, 1)]
@@ -383,3 +400,136 @@ class TestIntegrity:
         world.reference_kf[pid] = kfs[3].kf_id
         with pytest.raises(WorldIntegrityError, match="reference"):
             world.check_integrity()
+
+
+def twin(world):
+    return world, copy.deepcopy(world)
+
+
+class TestBatchEditsMatchOneAtATime:
+    """Each batch edit leaves the bytes its one-at-a-time oracle leaves."""
+
+    def test_create_point_grows_capacity_as_points_one_at_a_time_do(self):
+        rng = np.random.default_rng(20)
+        world, kfs, landmarks = tiny_world(rng, n_landmarks=15)
+        world, ref = twin(world)
+        got, want = [], []
+        # the last batch fills the ids up to 15: one more would double again
+        for rows in (np.arange(1), np.arange(1, 6), np.arange(6, 6), np.arange(6, 15)):
+            observations = [(kfs[0].kf_id, rows), (kfs[3].kf_id, rows[::-1])]
+            got += world.create_point(landmarks[rows], observations).tolist()
+            want += [reference_create_point(ref, landmarks[i],
+                                            [(kfs[0].kf_id, i), (kfs[3].kf_id, j)])
+                     for i, j in zip(rows, rows[::-1])]
+        assert got == want == list(range(1, 16))
+        assert world.live.size == 16
+        assert map_bytes(world) == map_bytes(ref)
+
+    def test_remove_observation_kills_as_removals_one_at_a_time_do(self):
+        rng = np.random.default_rng(21)
+        world, kfs, landmarks = tiny_world(rng)
+        lone = add_point(world, landmarks[0], [(kfs[0].kf_id, 0)])
+        pair = add_point(world, landmarks[1], [(kfs[0].kf_id, 1), (kfs[2].kf_id, 1)])
+        many = add_point(world, landmarks[2], [(kf.kf_id, 2) for kf in kfs[:4]])
+        world, ref = twin(world)
+        # ``lone`` dies at its first removal, ``pair`` at its last;
+        # ``many`` keeps two holders
+        pids = [lone, many, pair, many, pair]
+        kf_ids = [kfs[0].kf_id, kfs[2].kf_id, kfs[2].kf_id, kfs[0].kf_id, kfs[0].kf_id]
+        world.remove_observation(pids, kf_ids)
+        for pid, kf_id in zip(pids, kf_ids):
+            reference_remove_observation(ref, pid, kf_id)
+        assert world.points.tolist() == [many]
+        assert map_bytes(world) == map_bytes(ref)
+
+    @pytest.mark.parametrize("pids, kf_ids, first_bad", [
+        ([0, 1, 1], [1, 1, 1], 2),  # a repeated pair
+        ([0, 1, 2], [1, 2, 2], 2),  # a pair never bound
+        ([1, 0, 2], [2, 99, 3], 1),  # a keyframe that does not exist
+    ])
+    def test_refused_removal_unbinds_nothing(self, pids, kf_ids, first_bad):
+        rng = np.random.default_rng(21)
+        world, kfs, landmarks = tiny_world(rng)
+        ids = [add_point(world, landmarks[0], [(kfs[0].kf_id, 0)])]
+        ids += [add_point(world, landmarks[i], [(kfs[0].kf_id, i), (kfs[i].kf_id, 5)])
+                for i in (1, 2)]
+        before = map_bytes(world)
+        with pytest.raises(WorldIntegrityError, match=(
+                f"point {ids[pids[first_bad]]} does not observe keyframe "
+                f"{kf_ids[first_bad]}")):
+            world.remove_observation([ids[i] for i in pids], kf_ids)
+        assert map_bytes(world) == before
+
+    def test_merge_frees_src_in_a_keyframe_that_binds_both(self):
+        rng = np.random.default_rng(22)
+        world, kfs, landmarks = tiny_world(rng)
+        a = add_point(world, landmarks[0], [(kfs[0].kf_id, 0), (kfs[2].kf_id, 0)])
+        b = add_point(world, landmarks[0], [(kfs[1].kf_id, 0), (kfs[2].kf_id, 7)])
+        c = add_point(world, landmarks[1], [(kfs[3].kf_id, 1), (kfs[4].kf_id, 1)])
+        d = add_point(world, landmarks[1], [(kfs[4].kf_id, 6), (kfs[5].kf_id, 1)])
+        world, ref = twin(world)
+        world.merge_points([a, d], [b, c])  # dst below and above src
+        reference_merge_points(ref, a, b)
+        reference_merge_points(ref, d, c)
+        assert kfs[2].point_ids[7] == -1 and kfs[4].point_ids[1] == -1
+        assert world.points.tolist() == [a, d]
+        assert map_bytes(world) == map_bytes(ref)
+
+    @pytest.mark.parametrize("dst, src", [([1, 3], [2, 1]), ([1, 2], [3, 2]),
+                                          ([2], [2])])
+    def test_merge_pairs_sharing_a_point_change_nothing(self, dst, src):
+        rng = np.random.default_rng(23)
+        world, kfs, landmarks = tiny_world(rng)
+        for i in range(3):
+            add_point(world, landmarks[i], [(kfs[i].kf_id, i), (kfs[i + 1].kf_id, i)])
+        before = map_bytes(world)
+        with pytest.raises(WorldIntegrityError, match="share a point"):
+            world.merge_points(dst, src)
+        assert map_bytes(world) == before
+
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 6))
+    @settings(max_examples=60, deadline=None)
+    def test_disjoint_merges_match_merges_one_at_a_time(self, seed, n_pairs):
+        rng = np.random.default_rng(seed)
+        world = WorldMap()
+        kfs = [world.add_keyframe(k, Pose.identity(), np.zeros((10, 2)),
+                                  np.zeros(10, np.int64), np.zeros((10, 32), np.uint8))
+               for k in range(5)]
+        for _ in range(14):
+            holders = rng.choice(5, size=rng.integers(1, 5), replace=False)
+            free = [np.flatnonzero(kfs[k].point_ids < 0) for k in holders]
+            if all(f.size for f in free):
+                reference_create_point(world, rng.normal(size=3),
+                                       [(kfs[k].kf_id, rng.choice(f))
+                                        for k, f in zip(holders, free)])
+        live = rng.permutation(world.points)
+        n_pairs = min(n_pairs, live.size // 2)
+        dst, src = live[:n_pairs], live[n_pairs:2 * n_pairs]
+        world, ref = twin(world)
+        world.merge_points(dst, src)
+        for d, s in zip(dst.tolist(), src.tolist()):
+            reference_merge_points(ref, d, s)
+        assert map_bytes(world) == map_bytes(ref)
+
+    def test_fuse_attaches_and_merges_as_the_row_walk_does(self):
+        rng = np.random.default_rng(24)
+        world, kfs, landmarks = tiny_world(rng)
+        at = [kf.kf_id for kf in kfs]
+        low = add_point(world, landmarks[0], [(at[0], 0), (at[1], 0), (at[3], 0)])
+        owner_low = add_point(world, landmarks[1], [(at[2], 1), (at[3], 1)])
+        owner_high = add_point(world, landmarks[0], [(at[2], 0), (at[3], 7)])
+        high = add_point(world, landmarks[1], [(at[0], 1), (at[1], 1)])
+        free = add_point(world, landmarks[2], [(at[0], 2), (at[1], 2)])
+        held = add_point(world, landmarks[3], [(at[1], 3), (at[2], 3)])
+        world, ref = twin(world)
+        fused = np.array([low, high, free, held])
+        host = SimpleNamespace(world=world, policy=AssociationPolicy(), cam=CAM)
+        Pipeline._apply_fuse(host, fused, kfs[2])
+        reference_apply_fuse(ref, fused, ref.keyframes[at[2]], AssociationPolicy(), CAM)
+        # the fused point survives below its keypoint's owner and gives way
+        # above it; the owner's binding to keyframe 4 loses to the survivor's
+        assert world.points.tolist() == [low, owner_low, free, held]
+        assert kfs[2].point_ids[:4].tolist() == [low, owner_low, free, held]
+        assert kfs[3].point_ids[7] == -1
+        assert map_bytes(world) == map_bytes(ref)
+        world.check_integrity()
