@@ -247,7 +247,7 @@ def match(query_ids, query_descriptors, target_ids, target_descriptors,
 
 class PointBatch(NamedTuple):
     """Map points as the projection searches read them, one row each; built
-    by ``WorldMap.point_batch`` from the keyframes that hold the points."""
+    by ``WorldMap.point_batch`` from each point's reference observation."""
 
     ids: np.ndarray  # (n,) point ids
     positions: np.ndarray  # (n, 3) world positions

@@ -14,11 +14,11 @@ single reference descriptor, chosen by a ``ReferenceRule``: by appearance
 (least median distance to the rest) or by geometry (held by the keyframe
 closest to the query).  The depth-invariance interval bounds the query
 depths at which a point's appearance stays within ``DELTA_L`` octaves of
-every observation.
+its reference observation, so it follows from that one depth.
 
-The reference rules and the interval are per-point rules over the
-keyframes that observe a point; they take a point's holders as one run of
-rows, the runs beginning at ``starts``, so many points cost one call.
+The reference rules are per-point rules over the keyframes that observe a
+point; they take a point's holders as one run of rows, the runs beginning
+at ``starts``, so many points cost one call.
 """
 
 from __future__ import annotations
@@ -167,22 +167,14 @@ def select_reference_geometric_index(kf_ids, translations, queries,
     return np.lexsort((kf_ids, d2, group))[starts]
 
 
-def depth_invariance_interval(depths, starts) -> DepthInterval:
-    """Per group of observed depths, the depth range over which appearance
-    stays within ``DELTA_L`` octaves.
-
-    A group is a run of ``depths`` beginning at one of ``starts``.  Each
-    group intersects its per-observation bands
-    [z_k * s^(-DELTA_L-0.5), z_k * s^(DELTA_L+0.5)], s = ``PYRAMID_SCALE``; the
-    result may be empty when observations disagree, and is the empty
-    (1, 0) when any depth is not positive: a point behind a holder's
-    camera is never matched.
+def depth_invariance_interval(depths) -> DepthInterval:
+    """Per observed depth z, the depth range over which appearance stays
+    within ``DELTA_L`` octaves: [z * s^(-DELTA_L-0.5), z * s^(DELTA_L+0.5)],
+    s = ``PYRAMID_SCALE``.  A depth that is not positive gives the empty
+    (1, 0): a point behind its reference camera is never matched.
     """
     depths = np.asarray(depths, dtype=np.float64)
-    starts = _group_starts(depths.size, starts)
     s = PYRAMID_SCALE
-    lo = np.maximum.reduceat(depths * s ** (-DELTA_L - 0.5), starts)
-    hi = np.minimum.reduceat(depths * s ** (DELTA_L + 0.5), starts)
-    behind = np.minimum.reduceat(depths, starts) <= 0
-    lo[behind], hi[behind] = 1.0, 0.0
-    return DepthInterval(lo, hi)
+    behind = depths <= 0
+    return DepthInterval(np.where(behind, 1.0, depths * s ** (-DELTA_L - 0.5)),
+                         np.where(behind, 0.0, depths * s ** (DELTA_L + 0.5)))

@@ -579,9 +579,6 @@ class Pipeline:
         for kf_id in local_ids:
             self._apply_fuse(new_point_ids, world.keyframes[kf_id])
 
-        # fuse the local map into the new keyframe
-        self._apply_fuse(self._candidate_points(local_ids), kf_new)
-
         self._local_ba()
         world.apply_retention(kf_new.kf_id)
         world.check_integrity()

@@ -34,7 +34,6 @@ import numpy as np
 from .association import PointBatch
 from .errors import WorldIntegrityError
 from .features import (
-    DepthInterval,
     ReferenceRule,
     depth_invariance_interval,
     select_reference_appearance_index,
@@ -278,25 +277,22 @@ class WorldMap:
 
     def point_batch(self, point_ids) -> PointBatch:
         """The given points, in the order given, as the projection searches
-        read them: positions, reference descriptors, and depth-invariance
-        intervals over their holders' current poses."""
+        read them: positions, and the descriptor and depth-invariance
+        interval of each point's reference observation, the interval at
+        that keyframe's current pose."""
         point_ids = np.asarray(point_ids, dtype=np.int64)
-        bindings = self.bindings(point_ids)
-        point, kf, _ = bindings
-        starts = _runs(point)
-        # each holder's depth (p - t) . R[:, 2]; a (1, 3) @ (3, 1) matmul per
-        # row rounds exactly as ``Pose.depth_of`` does, einsum would not
-        offset = self.positions[point] - self._pose_rows(kf, lambda p: p.translation)
-        axis = self._pose_rows(kf, lambda p: p.rotation[:, 2])
+        ref_kf, ref_kp = self.references(point_ids, self.bindings(point_ids))
+        positions = self.positions[point_ids]
+        # the depth (p - t) . R[:, 2]; a (1, 3) @ (3, 1) matmul per row
+        # rounds exactly as ``Pose.depth_of`` does, einsum would not
+        offset = positions - self._pose_rows(ref_kf, lambda p: p.translation)
+        axis = self._pose_rows(ref_kf, lambda p: p.rotation[:, 2])
         depths = (offset[:, None, :] @ axis[:, :, None])[:, 0, 0]
-        depth = depth_invariance_interval(depths, starts)
-        at = np.searchsorted(point[starts], point_ids)
         return PointBatch(
             ids=point_ids,
-            positions=self.positions[point_ids],
-            descriptors=self.gather(*self.references(point_ids, bindings),
-                                    "descriptors"),
-            depth=DepthInterval(depth.z_min[at], depth.z_max[at]),
+            positions=positions,
+            descriptors=self.gather(ref_kf, ref_kp, "descriptors"),
+            depth=depth_invariance_interval(depths),
         )
 
     def refresh_points(self, point_ids):

@@ -8,10 +8,10 @@ Two scenes, each run forward and backward:
   ``no_symmetric_covariance`` the standard covariance model, whose
   problems hold no backward terms.
 - a forward corridor (800 landmarks) at seed 61, cut to its first 10
-  frames.  On the orbit prefix the depth filter and early outlier removal
-  leave every digest as ``full`` has it; on this prefix
-  ``no_depth_filter`` and ``no_keep_all_outliers`` each move both, so a
-  change to either rule shows here.  The corridor also pins the other
+  frames.  On the orbit prefix the depth filter leaves both digests as
+  ``full`` has them, and early outlier removal the backward one; on this
+  prefix ``no_depth_filter`` and ``no_keep_all_outliers`` each move both,
+  so a change to either rule shows here.  The corridor also pins the other
   matching branches: ``no_depth_filter`` (no depth verdict drops a
   query), ``no_robust_matching`` (``Ordering.SEQUENTIAL``) and
   ``no_symmetric_gates`` (the per-site thresholds).  Each differs from
@@ -55,25 +55,25 @@ DIGESTS = {
     ("orbit", "no_symmetric_covariance", "bwd"):
         "c0b6678436f633de888e31fbabb3757301b8c852bed525ebf7552c21849b004e",
     ("corridor", "full", "fwd"):
-        "df7b01b5c1166a2fee28ac98eed15785a4a3aeef98b852e18742b2b05c6d022e",
+        "f433819e93f1c9f82e2af1523a46654f63489b821593a499136a4ff72b340217",
     ("corridor", "full", "bwd"):
-        "50169dcad8e0038dd7a91f68fa36574ef8f270f15d454e85849ca7bc2ec4c144",
+        "c4f9fcf4bf7f2b0f92f33721ee620b47dc91d8f84f43d377775e0c1475004731",
     ("corridor", "no_depth_filter", "fwd"):
         "d421fb19cf7e475da970256cdfe91c0ff660d8d008abe12ece0ddd4a041375c4",
     ("corridor", "no_depth_filter", "bwd"):
         "32690148b2dd8ecfb2e329a1193f6cbbba104c781c88a7b8033bf8126ff22dc2",
     ("corridor", "no_robust_matching", "fwd"):
-        "02ddfca170bd8e1d4c0b94b647e5ec58458bd47041d7dc26573c6858d6670e8b",
+        "96dea4188ebbcc04d4847b46f14fd12ec4508df6cc160321276906535a833eb9",
     ("corridor", "no_robust_matching", "bwd"):
-        "81b62c0ac0c4cbd03c33e22bc41eb3fb68cba72e428498054819a0e051127390",
+        "2a898158b166c40d148547621cdd5d10db67b954e34b61a633fbf268037f781b",
     ("corridor", "no_symmetric_gates", "fwd"):
-        "65d8ccb51cb7f248668e229b63a169a69e802ae9b1791dbd94b53f26ba901c97",
+        "a9dfa436fe1d2aa92997f9de3d3d71ce04e071d2de96379ce608819b2508d150",
     ("corridor", "no_symmetric_gates", "bwd"):
-        "7b170df7e3fe1a414658efdaa29db941207fc2651ebf0fcb2259efdebb26319d",
+        "532eecc4ab9938aa0af1a743c582ebde3b0a10c1f7c626ec7894e93e9e9c7b9b",
     ("corridor", "no_keep_all_outliers", "fwd"):
-        "291a4c5c522c6aaa29f4d621412aa15717737049c7d0c965514f26be2572e452",
+        "5968852b9f4af25bb06d9634915ddab7ea5213bc05128200301dd430f403fd7f",
     ("corridor", "no_keep_all_outliers", "bwd"):
-        "ac8ac4e228645f5f35bf954c6090a0e4a8c1f35f86c3d714be8408f6c25b4c37",
+        "d64472d359ec9dba861b7c6135c3c97f427d482b529523ccfb4faae3990fd7e5",
 }
 
 # (graph_stats: map points, local keyframes, inlier observations;
@@ -85,16 +85,16 @@ GRAPHS = {
     ("orbit", "no_geometric_descriptor", "bwd"): ((300, 6, 1800), 0),
     ("orbit", "no_symmetric_covariance", "fwd"): ((300, 6, 1800), 0),
     ("orbit", "no_symmetric_covariance", "bwd"): ((300, 6, 1800), 0),
-    ("corridor", "full", "fwd"): ((458, 5, 1844), 0),
-    ("corridor", "full", "bwd"): ((512, 5, 1930), 0),
+    ("corridor", "full", "fwd"): ((433, 5, 2047), 0),
+    ("corridor", "full", "bwd"): ((500, 5, 2346), 0),
     ("corridor", "no_depth_filter", "fwd"): ((433, 5, 2048), 0),
     ("corridor", "no_depth_filter", "bwd"): ((498, 5, 2349), 0),
-    ("corridor", "no_robust_matching", "fwd"): ((457, 5, 1834), 0),
-    ("corridor", "no_robust_matching", "bwd"): ((514, 5, 1932), 0),
-    ("corridor", "no_symmetric_gates", "fwd"): ((473, 5, 1767), 0),
-    ("corridor", "no_symmetric_gates", "bwd"): ((531, 5, 1908), 0),
-    ("corridor", "no_keep_all_outliers", "fwd"): ((457, 5, 1844), 5),
-    ("corridor", "no_keep_all_outliers", "bwd"): ((511, 5, 1931), 6),
+    ("corridor", "no_robust_matching", "fwd"): ((433, 5, 2047), 0),
+    ("corridor", "no_robust_matching", "bwd"): ((500, 5, 2346), 0),
+    ("corridor", "no_symmetric_gates", "fwd"): ((433, 5, 1909), 0),
+    ("corridor", "no_symmetric_gates", "bwd"): ((498, 5, 2189), 0),
+    ("corridor", "no_keep_all_outliers", "fwd"): ((432, 5, 2042), 9),
+    ("corridor", "no_keep_all_outliers", "bwd"): ((498, 5, 2346), 12),
 }
 
 SCENES = {

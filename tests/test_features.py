@@ -166,9 +166,9 @@ def geometric_index(holders, query) -> int:
     return int(row)
 
 
-def interval(depths):
-    """The depth-invariance interval of one group, as two floats."""
-    iv = depth_invariance_interval(depths, [0])
+def interval(depth):
+    """The depth-invariance interval of one depth, as two floats."""
+    iv = depth_invariance_interval([depth])
     return DepthInterval(float(iv.z_min[0]), float(iv.z_max[0]))
 
 
@@ -315,56 +315,39 @@ class TestReferenceGeometric:
 
 class TestDepthInterval:
     def test_single_observation_delta_one(self):
-        iv = interval([2.0])
+        iv = interval(2.0)
         assert iv.z_min == pytest.approx(2.0 * 1.2**-1.5, abs=1e-9)
         assert iv.z_max == pytest.approx(2.0 * 1.2**1.5, abs=1e-9)
         assert iv.z_min == pytest.approx(1.5214, abs=1e-3)
         assert iv.z_max == pytest.approx(2.6290, abs=1e-3)
 
-    def test_disagreeing_observations_yield_empty(self):
-        iv = interval([2.0, 4.0])
-        assert iv.z_min == pytest.approx(4.0 * 1.2**-1.5, abs=1e-9)
-        assert iv.z_max == pytest.approx(2.0 * 1.2**1.5, abs=1e-9)
-        assert iv.z_min > iv.z_max
-
-    def test_adding_observation_never_enlarges(self):
+    def test_band_scales_with_the_depth(self):
         rng = np.random.default_rng(11)
-        for _ in range(100):
-            depths = list(rng.uniform(1.0, 30.0, size=4))
-            iv_all = interval(depths)
-            iv_sub = interval(depths[:2])
-            assert iv_all.z_min >= iv_sub.z_min - 1e-12
-            assert iv_all.z_max <= iv_sub.z_max + 1e-12
-
-    def test_permutation_invariant(self):
-        depths = [3.0, 7.0, 5.0, 4.4]
-        assert interval(depths) == interval(depths[::-1])
+        for z in rng.uniform(1.0, 30.0, size=20):
+            iv, unit = interval(z), interval(1.0)
+            assert iv.z_min == pytest.approx(z * unit.z_min, rel=1e-12)
+            assert iv.z_max == pytest.approx(z * unit.z_max, rel=1e-12)
+            assert iv.z_max / iv.z_min == pytest.approx(PYRAMID_SCALE ** (2 * DELTA_L + 1))
 
     def test_nonpositive_depth_gives_the_empty_interval(self):
-        # a point behind one of its holders' cameras is never matched
-        assert interval([2.0, -1.0]) == (1.0, 0.0)
-        assert interval([0.0]) == (1.0, 0.0)
+        # a point behind its reference camera is never matched
+        assert interval(-1.0) == (1.0, 0.0)
+        assert interval(0.0) == (1.0, 0.0)
 
-    def test_requires_nonempty_groups(self):
-        with pytest.raises(ValueError):
-            depth_invariance_interval([], [0])
-        with pytest.raises(ValueError):
-            depth_invariance_interval([2.0, 3.0], [0, 2])
-
-    def test_groups_in_one_call_match_one_call_per_group(self):
+    def test_each_depth_gets_its_own_band(self):
         rng = np.random.default_rng(13)
-        sizes = rng.integers(1, 6, size=30)
-        depths = rng.uniform(1.0, 30.0, size=sizes.sum())
+        depths = rng.uniform(1.0, 30.0, size=30)
         depths[rng.integers(0, depths.size, 3)] *= -1
-        starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
-        got = depth_invariance_interval(depths, starts)
-        want = [interval(depths[a:a + m]) for a, m in zip(starts, sizes)]
-        assert list(zip(got.z_min.tolist(), got.z_max.tolist())) == want
+        got = depth_invariance_interval(depths)
+        assert list(zip(got.z_min.tolist(), got.z_max.tolist())) == \
+            [interval(z) for z in depths]
+        empty = depth_invariance_interval(np.zeros(0))
+        assert empty.z_min.shape == empty.z_max.shape == (0,)
 
 
 class TestDepthFilter:
     def test_example_interval_membership(self):
-        iv = interval([2.0])
+        iv = interval(2.0)
         assert iv.contains(2.0)
 
     def test_empty_interval_rejects_everything(self):
@@ -373,7 +356,7 @@ class TestDepthFilter:
             assert not iv.contains(z).any()
 
     def test_boundary_is_closed(self):
-        iv = interval([2.0])
+        iv = interval(2.0)
         assert iv.contains(iv.z_min)
         assert iv.contains(iv.z_max)
 
@@ -382,17 +365,15 @@ class TestDepthFilter:
         assert iv.contains(np.array([2.0, 3.0, 3.5])).tolist() == [True, False, False]
 
     def test_octave_simulation_oracle(self):
-        # a query depth passes iff its implied octave shift relative to
-        # every observation is at most DELTA_L
+        # a query depth passes iff its implied octave shift relative to the
+        # reference observation is at most DELTA_L
         rng = np.random.default_rng(12)
         s = PYRAMID_SCALE
-        for _ in range(50):
-            depths = rng.uniform(1.5, 20.0, size=rng.integers(1, 5))
-            iv = interval(depths)
+        for depth in rng.uniform(1.5, 20.0, size=50):
+            iv = interval(depth)
             for z_q in np.geomspace(0.5, 50.0, 100):
-                shifts = np.log(depths / z_q) / np.log(s)
-                oracle = bool(np.all(np.abs(np.rint(shifts)) <= DELTA_L))
-                assert iv.contains(z_q) == oracle
+                shift = np.log(depth / z_q) / np.log(s)
+                assert iv.contains(z_q) == (abs(np.rint(shift)) <= DELTA_L)
 
 
 class TestPyramid:

@@ -143,8 +143,9 @@ def corridor_fuse():
 
 
 def test_apply_fuse_corridor_size(benchmark, corridor_fuse):
-    """One ``_apply_fuse`` of the corridor unit's largest fuse, about 240
-    rows, most of them merges; the oracle is the row walk, byte for byte."""
+    """One ``_apply_fuse`` of the corridor unit's largest fuse, about 165
+    rows, all of them attaches; the oracle is the row walk, byte for byte.
+    Merges are checked against the row walk by the world-map tests."""
     pipeline, call = corridor_fuse
     worlds = []
 
@@ -158,9 +159,8 @@ def test_apply_fuse_corridor_size(benchmark, corridor_fuse):
                        iterations=1, warmup_rounds=1)
     want, point_ids, kf_id = copy.deepcopy(call)
     kf = want.keyframes[kf_id]
-    n_points, n_bound = want.points.size, np.count_nonzero(kf.point_ids >= 0)
+    n_bound = np.count_nonzero(kf.point_ids >= 0)
     reference_apply_fuse(want, point_ids, kf, pipeline.policy, pipeline.cam)
-    assert n_points - want.points.size > 100  # merges
     assert np.count_nonzero(kf.point_ids >= 0) - n_bound > 50  # attaches
     got = worlds[-1]
     assert map_bytes(got) == map_bytes(want)

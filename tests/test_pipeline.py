@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 from dataclasses import fields, replace
 
 import numpy as np
@@ -14,6 +15,7 @@ from symvo.association import (
 )
 from symvo.errors import ConfigError
 from symvo.evaluation import ABLATION_AXES, ablation_configs
+from symvo import association as association_module
 from symvo import pipeline as pipeline_module
 from symvo.features import ReferenceRule
 from symvo.geometry import CameraIntrinsics, Pose, unit_ray
@@ -405,3 +407,48 @@ def test_the_frame_that_loses_tracking_gets_a_record(corridor_prefix):
     assert lost.index == report.lost_at_frame
     assert lost.timestamp == frames[5].timestamp
     assert lost.n_matches_local < 6
+
+
+# ----------------------------------------------------------------------
+# the depth filter over a whole corridor
+
+
+def depth_filter_drops(monkeypatch) -> Counter:
+    """Per ``Site``, the queries that the depth verdict drops from ``match``:
+    in view (``query_mask``) but outside their interval (``depth_ok``)."""
+    drops = Counter()
+    inner = association_module.match
+
+    def counted(*args, **kwargs):
+        policy, depth_ok = kwargs["policy"], kwargs.get("depth_ok")
+        if policy.use_depth_filter and depth_ok is not None:
+            drops[kwargs["site"].value] += int(np.count_nonzero(
+                kwargs["query_mask"] & ~np.asarray(depth_ok, dtype=bool)))
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(association_module, "match", counted)
+    return drops
+
+
+@pytest.mark.parametrize("direction", ["fwd", "bwd"])
+def test_depth_filter_keeps_local_matches_over_the_corridor(monkeypatch, direction):
+    """On the benchmark's 30-frame corridor, the depth filter must not starve
+    the local-map search: wherever both runs track, ``full`` keeps at least
+    half of ``no_depth_filter``'s local matches.  An interval that every
+    holder of a point narrowed would empty once the camera had moved far
+    along the point's track, and would fail this in both directions."""
+    seq = generate(SceneSpec(trajectory="forward-corridor", n_frames=30, noise_px=0.5,
+                             outlier_rate=0.05, seed=61))
+    frames = seq.frames if direction == "fwd" else reverse(seq.frames)
+    _, unfiltered = Pipeline(seq.cam, PipelineConfig(use_depth_filter=False)).run(frames)
+    drops = depth_filter_drops(monkeypatch)
+    _, filtered = Pipeline(seq.cam, PipelineConfig()).run(frames)
+    print(f"{direction}: depth-filter drops per site {dict(sorted(drops.items()))}")
+    local = {r.index: r.n_matches_local for r in unfiltered.frame_records}
+    both = [(r.index, r.n_matches_local, local[r.index])
+            for r in filtered.frame_records if r.index in local]
+    assert len(both) >= 20
+    starved = [(i, kept, unfiltered_kept) for i, kept, unfiltered_kept in both
+               if 2 * kept < unfiltered_kept]
+    assert not starved, f"(frame, full, no_depth_filter) local matches: {starved}"
+    assert sum(drops.values()) > 0  # the filter is applied, and does drop

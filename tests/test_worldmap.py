@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from symvo.association import AssociationPolicy
 from symvo.errors import WorldIntegrityError
 from symvo.features import (
+    DELTA_L,
+    PYRAMID_SCALE,
     ReferenceRule,
     depth_invariance_interval,
     octave_for_depth,
@@ -151,17 +153,41 @@ class TestObservations:
             world.add_observation([ids[i] for i in pids], kfs[1].kf_id, kps)
         assert np.array_equal(kfs[1].point_ids, before)
 
-    def test_adding_observation_never_widens_interval(self):
+    def test_interval_comes_from_the_reference_holder_alone(self):
+        # two holders whose depths differ by 2x, more than the band's
+        # s^(2 DELTA_L + 1) = 1.73x: the interval is the reference's band
         rng = np.random.default_rng(2)
         world, kfs, landmarks = tiny_world(rng)
-        pid = add_point(world, landmarks[3], [(kfs[0].kf_id, 3)])
-        prev = world.point_batch([pid]).depth
-        for kf in kfs[1:]:
-            world.add_observation(pid, kf.kf_id, 3)
-            cur = world.point_batch([pid]).depth
-            assert cur.z_min[0] >= prev.z_min[0] - 1e-12
-            assert cur.z_max[0] <= prev.z_max[0] + 1e-12
-            prev = cur
+        z = landmarks[3, 2]
+        near = world.add_keyframe(1.0, Pose(np.eye(3), np.array([0.0, 0.0, z / 2])),
+                                  kfs[0].keypoints, kfs[0].octaves, kfs[0].descriptors)
+        pid = add_point(world, landmarks[3], [(kfs[0].kf_id, 3), (near.kf_id, 3)])
+        band = PYRAMID_SCALE ** (DELTA_L + 0.5)
+        for ref, depth in ((near, z / 2), (kfs[0], z)):
+            world.reselect_references([pid], ref.pose.translation)
+            assert world.reference_kf[pid] == ref.kf_id
+            got = world.point_batch([pid]).depth
+            assert got.contains(depth)[0]
+            assert (got.z_min[0], got.z_max[0]) == \
+                pytest.approx((depth / band, depth * band), rel=1e-12)
+
+    def test_appearance_rule_reads_interval_and_descriptor_from_its_choice(self):
+        rng = np.random.default_rng(21)
+        world, kfs, landmarks = tiny_world(
+            rng, descriptor_selection=ReferenceRule.APPEARANCE)
+        ids = [add_point(world, landmarks[i], [(kf.kf_id, i) for kf in kfs[i % 2:]])
+               for i in range(len(landmarks))]
+        world.reselect_references(ids, kfs[0].pose.translation)  # a no-op here
+        batch = world.point_batch(ids)
+        chosen = set()
+        for row, pid in enumerate(ids):
+            ref = world.keyframes[int(world.reference_kf[pid])]
+            chosen.add(ref.kf_id)
+            want = depth_invariance_interval([ref.pose.depth_of(world.positions[pid])])
+            assert (batch.depth.z_min[row], batch.depth.z_max[row]) == \
+                (want.z_min[0], want.z_max[0])
+            assert np.array_equal(batch.descriptors[row], ref.descriptors[pid - 1])
+        assert len(chosen) > 1  # not one holder for every point
 
     def test_geometric_reference_switches_to_closer_holder(self):
         rng = np.random.default_rng(3)
@@ -223,17 +249,23 @@ class TestObservations:
         def check():
             batch = world.point_batch(world.points)
             for row, pid in enumerate(batch.ids.tolist()):
-                depths = [world.keyframes[k].pose.depth_of(world.positions[pid])
-                          for k in holders(world, pid)]
-                fresh = depth_invariance_interval(depths, [0])
+                ref = world.keyframes[int(world.reference_kf[pid])]
+                fresh = depth_invariance_interval(
+                    [ref.pose.depth_of(world.positions[pid])])
                 assert batch.depth.z_min[row] == fresh.z_min[0]
                 assert batch.depth.z_max[row] == fresh.z_max[0]
+            return batch.depth
 
-        check()
-        # no cache to go stale: a moved holder moves the interval at once
+        before = check()
+        assert set(world.reference_kf[world.points].tolist()) == {kfs[3].kf_id}
+        # no cache to go stale: a moved reference holder or point moves the
+        # interval at once, and a moved holder that is no reference does not
         kfs[1].pose = Pose(np.eye(3), np.array([0.3, -0.1, 0.9]))
+        assert np.array_equal(check(), before)
+        kfs[3].pose = Pose(np.eye(3), np.array([0.3, -0.1, 0.9]))
         world.positions[2] += 0.5
-        check()
+        after = check()
+        assert np.all(after.z_min != before.z_min)
 
     def test_bindings_sorted_by_point_then_keyframe(self):
         rng = np.random.default_rng(16)
