@@ -11,10 +11,11 @@ The pyramid is fixed: ``PYRAMID_OCTAVES`` octaves, each ``PYRAMID_SCALE``
 coarser than the last, so a keypoint's variance (``sigma2_at``) follows
 from its octave alone.  Map points summarize their descriptor sets by a
 single reference descriptor, chosen by a ``ReferenceRule``: by appearance
-(least median distance to the rest) or by geometry (held by the keyframe
-closest to the query).  The depth-invariance interval bounds the query
-depths at which a point's appearance stays within ``DELTA_L`` octaves of
-its reference observation, so it follows from that one depth.
+(least median distance to the rest, a choice the map stores) or by
+geometry (held by the keyframe closest to each query, chosen at every
+read).  The depth-invariance interval bounds the query depths at which a
+point's appearance stays within ``DELTA_L`` octaves of its reference
+observation, so it follows from that one depth.
 
 The reference rules are per-point rules over the keyframes that observe a
 point; they take a point's holders as one run of rows, the runs beginning

@@ -171,16 +171,16 @@ def poses_digest(timestamps, poses) -> str:
     return h.hexdigest()
 
 
-def _observation_rows(world: WorldMap, point, kf, uv, sigma2, bindings):
+def _observation_rows(world: WorldMap, point, kf, uv, sigma2, query_translation):
     """``OBSERVATION`` rows of map-point observations, each with its point's
-    reference view looked up in ``bindings``, the bindings of the points
-    (``WorldMap.bindings``); every keypoint variance enters twice over.
+    reference view for a camera at ``query_translation``; every keypoint
+    variance enters twice over.
 
     The reference view is attached under every covariance model: its pose
     is the fixed gauge, and only the optimizer decides whether the backward
     term enters the cost.
     """
-    ref_kf, ref_kp = world.references(point, bindings)
+    ref_kf, ref_kp = world.reselect_references(point, query_translation)
     rows = np.zeros(len(point), dtype=OBSERVATION)
     rows["point"], rows["kf"], rows["uv"], rows["sigma2"] = point, kf, uv, 2.0 * sigma2
     rows["ref_kf"] = ref_kf
@@ -450,12 +450,11 @@ class Pipeline:
         return held[np.sort(first)]
 
     def _pose_problem(self, frame, pose_wc, matches):
-        """The pose-only problem of the frame; row i observes ``matches[i]``."""
+        """The frame's pose problem at ``pose_wc``; row i observes ``matches[i]``."""
         point, kp = matches.T
         world = self.world
         rows = _observation_rows(world, point, _FRAME_SENTINEL, frame.keypoints[kp],
-                                 sigma2_at(frame.octaves[kp]),
-                                 world.bindings(point))
+                                 sigma2_at(frame.octaves[kp]), pose_wc.translation)
         poses = {k: world.keyframes[k].pose for k in np.unique(rows["ref_kf"]).tolist()}
         return OptimizationProblem(
             cam=self.cam, poses={**poses, _FRAME_SENTINEL: pose_wc},
@@ -465,12 +464,11 @@ class Pipeline:
         )
 
     def _search(self, frame, kf_ids, pose_wc, site):
-        """Projection search of the points the keyframes hold, each
-        referenced from the holder nearest the predicted pose."""
-        point_ids = self._candidate_points(kf_ids)
-        self.world.reselect_references(point_ids, pose_wc.translation)
-        return search_by_projection(frame, self.world.point_batch(point_ids), pose_wc,
-                                    self.policy, self.cam, site=site)
+        """Projection search at ``pose_wc`` of the points the keyframes hold."""
+        batch = self.world.point_batch(self._candidate_points(kf_ids),
+                                       pose_wc.translation)
+        return search_by_projection(frame, batch, pose_wc, self.policy, self.cam,
+                                    site=site)
 
     def _track(self, frame: FrameInput):
         """Two-stage projection search plus pose refinement.
@@ -504,14 +502,15 @@ class Pipeline:
         pose_wc = result.pose
         if self.outlier_mode is OutlierMode.EARLY_REMOVAL:
             kept = matches[result.inlier]
-            record.n_dropped = len(matches) - len(kept)
             if len(kept) >= 6:
+                record.n_dropped = len(matches) - len(kept)
                 matches = kept
         return pose_wc, matches
 
     # ------------------------------------------------------------------
 
-    def _local_ba(self):
+    def _local_ba(self, kf_new):
+        """Local BA, each point referenced from its holder nearest ``kf_new``."""
         world = self.world
         window = world.latest_keyframe_ids()
         # points observed from the window, with every observing keyframe
@@ -519,8 +518,7 @@ class Pipeline:
         point_ids = np.unique(point[np.isin(kf, window)])
         if point_ids.size == 0:
             return
-        bindings = world.bindings(point_ids)
-        point, kf, kp = bindings
+        point, kf, kp = world.bindings(point_ids)
         included_kfs = set(kf.tolist())
         anchors = sorted(included_kfs - set(window))
         fixed = list(anchors)
@@ -538,7 +536,7 @@ class Pipeline:
             points=dict(zip(point_ids.tolist(), world.positions[point_ids])),
             observations=_observation_rows(
                 world, point, kf, world.gather(kf, kp, "keypoints"),
-                world.gather(kf, kp, "noise_sigma2"), bindings),
+                world.gather(kf, kp, "noise_sigma2"), kf_new.pose.translation),
             model=self.covariance_model,
             variable_pose_ids=tuple(sorted(variable)),
             variable_point_ids=variable_points,
@@ -554,7 +552,7 @@ class Pipeline:
         removed = result.removed
         world.remove_observation(point[removed], kf[removed])
         self.n_removed += len(result.removed)
-        # moved poses and points and removed observations change references
+        # removed observations change appearance references
         world.refresh_points(point_ids)
 
     def _mapping_step(self, kf_new):
@@ -579,7 +577,7 @@ class Pipeline:
         for kf_id in local_ids:
             self._apply_fuse(new_point_ids, world.keyframes[kf_id])
 
-        self._local_ba()
+        self._local_ba(kf_new)
         world.apply_retention(kf_new.kf_id)
         world.check_integrity()
 
@@ -589,8 +587,8 @@ class Pipeline:
         point_ids = point_ids[world.live[point_ids] & ~np.isin(point_ids, kf.point_ids)]
         if point_ids.size == 0:
             return
-        world.reselect_references(point_ids, kf.pose.translation)
-        pid, kp = fuse(world.point_batch(point_ids), kf, self.policy, self.cam).T
+        batch = world.point_batch(point_ids, kf.pose.translation)
+        pid, kp = fuse(batch, kf, self.policy, self.cam).T
         # ``point_ids`` holds no point the keyframe holds, and ``match`` gives
         # one row per point and one per keypoint: each merge pairs a row's
         # point with its keypoint's owner, no two edits share a point, and
@@ -600,7 +598,6 @@ class Pipeline:
         world.add_observation(pid[attach], kf.kf_id, kp[attach])
         survivor = np.minimum(owner, pid)[~attach]
         world.merge_points(survivor, np.maximum(owner, pid)[~attach])
-        # points that were only reselected keep the reselected reference
         world.refresh_points(np.concatenate([pid[attach], survivor]))
 
     # ------------------------------------------------------------------

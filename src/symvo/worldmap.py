@@ -5,12 +5,12 @@ One binding invariant: each keyframe's per-keypoint ``point_ids`` column
 which point a keypoint observes.  A point's holders (the keyframes that
 observe it), depth-invariance interval and reference descriptor are
 gathered from the columns when needed, never cached.  Per point the map
-stores only a position and a reference keyframe id, in arrays indexed by
-point id.  The id is stored because two rules write it and the last one
-to run decides what readers see: ``refresh_points``, which each edit group
-calls once over the points it edited (edits never refresh) and which under
-the geometric rule picks the newest holder, and ``reselect_references``,
-which picks the holder nearest the query before a projection search.
+stores a position and, under the appearance rule, the reference keyframe
+that ``refresh_points`` chose from the holders' descriptors, which each
+edit group calls once over the points it edited (edits never refresh).
+The geometric rule stores no reference: ``reselect_references``, the one
+read under both rules, takes the holder nearest each query, so no read
+depends on the reads that ran before it.
 
 Every edit takes id arrays, and an edit group makes one call per edit
 kind, which writes each keyframe's columns once.  A batch that edits one
@@ -18,8 +18,8 @@ at a time would refuse raises before anything changes.  Merge pairs must
 share no point: only then does one batch equal merging pair by pair.
 
 ``check_integrity`` asserts what the columns leave open: every live point
-has at least one holder, no keyframe binds a point to two keypoints, a
-point's reference keyframe is a holder, and no column names a dead point.
+has at least one holder, no keyframe binds a point to two keypoints, no
+column names a dead point, and a stored reference keyframe is a holder.
 The map is owned by a single pipeline; every traversal runs in ascending
 id order, so identical inputs replay identically.
 """
@@ -151,8 +151,8 @@ class WorldMap:
     def create_point(self, positions, observations) -> np.ndarray:
         """New points at the (n, 3) ``positions``, point i bound to
         ``keypoints[i]`` of each (kf_id, keypoints) pair in ``observations``;
-        returns their (n,) ids, ascending.  The next ``refresh_points`` over
-        them chooses their references."""
+        returns their (n,) ids, ascending.  Under the appearance rule the
+        next ``refresh_points`` over them chooses their references."""
         ids = np.arange(self._next_point_id, self._next_point_id + len(positions))
         self._next_point_id += ids.size
         while self._next_point_id > self.live.size:
@@ -266,22 +266,13 @@ class WorldMap:
         return np.array([value(self.keyframes[k].pose) for k in ids.tolist()],
                         dtype=np.float64).reshape(-1, 3)[at]
 
-    def references(self, point_ids, bindings) -> tuple:
-        """(reference keyframe id, its keypoint) of each point, in order,
-        looked up in ``bindings``: ``self.bindings(ids)`` of ids that
-        include every one of ``point_ids``."""
-        point, kf, kp = bindings
-        ref = kf == self.reference_kf[point]
-        at = np.searchsorted(point[ref], point_ids)
-        return kf[ref][at], kp[ref][at]
-
-    def point_batch(self, point_ids) -> PointBatch:
-        """The given points, in the order given, as the projection searches
-        read them: positions, and the descriptor and depth-invariance
-        interval of each point's reference observation, the interval at
-        that keyframe's current pose."""
+    def point_batch(self, point_ids, query_translation) -> PointBatch:
+        """The given points, in the order given, as a camera at
+        ``query_translation`` reads them: positions, and the descriptor and
+        depth-invariance interval of each point's reference observation
+        (``reselect_references``), the interval at that keyframe's pose."""
         point_ids = np.asarray(point_ids, dtype=np.int64)
-        ref_kf, ref_kp = self.references(point_ids, self.bindings(point_ids))
+        ref_kf, ref_kp = self.reselect_references(point_ids, query_translation)
         positions = self.positions[point_ids]
         # the depth (p - t) . R[:, 2]; a (1, 3) @ (3, 1) matmul per row
         # rounds exactly as ``Pose.depth_of`` does, einsum would not
@@ -296,28 +287,37 @@ class WorldMap:
         )
 
     def refresh_points(self, point_ids):
-        """Re-select the references of the points an edit group touched: the
-        newest holder (geometric policy) or the holder descriptor with least
-        median distance to the others (appearance policy).  Dead ids are
-        skipped."""
-        point, kf, kp = self.bindings(point_ids)
-        if self.descriptor_selection is ReferenceRule.APPEARANCE:
-            runs = _runs(point)
-            rows = select_reference_appearance_index(
-                self.gather(kf, kp, "descriptors"), runs)
-        else:  # each point's newest holder: the last row of its run
-            runs = rows = np.flatnonzero(np.diff(point, append=-1))
-        self.reference_kf[point[runs]] = kf[rows]  # one row of each run
-
-    def reselect_references(self, point_ids, query_translation):
-        """Per-query geometric re-selection: the holder nearest
-        ``query_translation`` (no-op under appearance policy)."""
+        """Re-choose the stored references of the points an edit group
+        touched: the holder descriptor with least median distance to the
+        others (appearance rule; the geometric rule stores none).  Dead ids
+        are skipped."""
         if self.descriptor_selection is ReferenceRule.GEOMETRIC:
-            point, kf, _ = self.bindings(point_ids)
-            starts = _runs(point)
+            return
+        point, kf, kp = self.bindings(point_ids)
+        runs = _runs(point)
+        rows = select_reference_appearance_index(
+            self.gather(kf, kp, "descriptors"), runs)
+        self.reference_kf[point[runs]] = kf[rows]
+
+    def reselect_references(self, point_ids, query_translation) -> tuple:
+        """(reference keyframe id, its keypoint) of each point, in the order
+        given: the holder nearest ``query_translation``, ties to the lower id
+        (geometric rule), or the stored choice (appearance rule).  Writes
+        nothing; an id lacking that holder raises WorldIntegrityError."""
+        point_ids = np.asarray(point_ids, dtype=np.int64)
+        point, kf, kp = self.bindings(point_ids)
+        if self.descriptor_selection is ReferenceRule.GEOMETRIC:
             t = self._pose_rows(kf, lambda p: p.translation)
-            rows = select_reference_geometric_index(kf, t, query_translation, starts)
-            self.reference_kf[point[starts]] = kf[rows]
+            rows = select_reference_geometric_index(kf, t, query_translation,
+                                                    _runs(point))
+        else:
+            rows = np.flatnonzero(kf == self.reference_kf[point])
+        held = np.append(point[rows], -1)  # ascending; -1 ends the search
+        at = np.searchsorted(held[:-1], point_ids)
+        if (held[at] != point_ids).any():
+            raise WorldIntegrityError(f"point {point_ids[held[at] != point_ids][0]} "
+                                      "has no reference holder")
+        return kf[rows][at], kp[rows][at]
 
     # ------------------------------------------------------------------
     # maintenance
@@ -374,13 +374,12 @@ class WorldMap:
         if twice.size:
             raise WorldIntegrityError(
                 f"keyframe {kf[twice[0]]} binds point {point[twice[0]]} twice")
-        n = self.live.size
-        for held, what in ((point, "has no holder"),
-                           (point[kf == self.reference_kf[point]],
-                            "reference keyframe is not a holder")):
-            bad = np.flatnonzero(self.live & (np.bincount(held, minlength=n) == 0))
-            if bad.size:
-                raise WorldIntegrityError(f"point {bad[0]} {what}")
+        held = np.bincount(point, minlength=self.live.size)
+        bad = np.flatnonzero(self.live & (held == 0))
+        if bad.size:
+            raise WorldIntegrityError(f"point {bad[0]} has no holder")
+        if self.descriptor_selection is ReferenceRule.APPEARANCE:  # ignores the query
+            self.reselect_references(self.points, None)
 
 
 class GraphStats(NamedTuple):

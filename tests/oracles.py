@@ -674,8 +674,7 @@ def reference_apply_fuse(world, point_ids, kf, policy, cam):
     point_ids = point_ids[world.live[point_ids] & ~np.isin(point_ids, kf.point_ids)]
     if point_ids.size == 0:
         return
-    world.reselect_references(point_ids, kf.pose.translation)
-    found = fuse(world.point_batch(point_ids), kf, policy, cam)
+    found = fuse(world.point_batch(point_ids, kf.pose.translation), kf, policy, cam)
     # each row's verdict is taken from the owners before any edit
     was_free = kf.point_ids[found[:, 1]] < 0
     edited = []

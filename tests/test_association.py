@@ -358,8 +358,8 @@ def build_world(rng, n_points=40, n_frames=3, spacing=0.5, noise=0.0,
 
 
 def add_point(world, position, observations) -> int:
-    """One new point, bound to the (kf_id, keypoint) pairs, with its
-    reference chosen, as an edit group leaves it."""
+    """One new point, bound to the (kf_id, keypoint) pairs, refreshed as an
+    edit group leaves it."""
     (pid,) = world.create_point([position], [(k, [kp]) for k, kp in observations])
     world.refresh_points([pid])
     return int(pid)
@@ -371,9 +371,8 @@ class TestSearchByProjection:
         world, kfs, landmarks, signatures = build_world(rng)
         for i in range(len(landmarks)):
             add_point(world, landmarks[i], [(kfs[0].kf_id, i), (kfs[1].kf_id, i)])
-        got = search_by_projection(
-            kfs[2], world.point_batch(world.points), kfs[2].pose, make_policy(), CAM
-        )
+        batch = world.point_batch(world.points, kfs[2].pose.translation)
+        got = search_by_projection(kfs[2], batch, kfs[2].pose, make_policy(), CAM)
         assert len(got) == len(landmarks)
         # synthetic keypoint index equals landmark index here
         assert np.array_equal(got[:, 1], got[:, 0] - 1)
@@ -384,7 +383,7 @@ class TestSearchByProjection:
         pid = add_point(world, landmarks[0], [(kfs[0].kf_id, 0), (kfs[1].kf_id, 0)])
         world.positions[pid] = [0.0, 0.0, -10.0]
         got = search_by_projection(
-            kfs[2], world.point_batch([pid]), kfs[2].pose,
+            kfs[2], world.point_batch([pid], kfs[2].pose.translation), kfs[2].pose,
             make_policy(use_depth_filter=False), CAM,
         )
         assert got.shape == (0, 2)
@@ -394,7 +393,7 @@ class TestSearchByProjection:
         world, kfs, landmarks, signatures = build_world(rng)
         pid = add_point(world, landmarks[0], [(kfs[0].kf_id, 0), (kfs[1].kf_id, 0)])
         # fake a far-away interval so the true predicted depth fails it
-        point = world.point_batch([pid])._replace(
+        point = world.point_batch([pid], kfs[2].pose.translation)._replace(
             depth=DepthInterval(np.array([100.0]), np.array([200.0])))
         with_filter = search_by_projection(
             kfs[2], point, kfs[2].pose, make_policy(use_depth_filter=True), CAM
@@ -515,7 +514,8 @@ class TestFuse:
         a = add_point(world, landmarks[0], [(kfs[0].kf_id, 0), (kfs[1].kf_id, 0)])
         add_point(world, landmarks[0] + rng.normal(scale=1e-4, size=3),
                   [(kfs[2].kf_id, 0)])
-        found = fuse(world.point_batch(world.points), kfs[2], make_policy(), CAM)
+        batch = world.point_batch(world.points, kfs[2].pose.translation)
+        found = fuse(batch, kfs[2], make_policy(), CAM)
         owner = kfs[2].point_ids[found[:, 1]]
         # a row landing on another point's keypoint is a merge, the lower
         # id surviving
@@ -528,14 +528,15 @@ class TestFuse:
         world, kfs, landmarks, signatures = build_world(rng)
         add_point(world, landmarks[0], [(kfs[0].kf_id, 0), (kfs[1].kf_id, 0)])
         add_point(world, landmarks[1], [(kfs[0].kf_id, 1), (kfs[1].kf_id, 1)])
-        found = fuse(world.point_batch(world.points), kfs[2], make_policy(), CAM)
+        batch = world.point_batch(world.points, kfs[2].pose.translation)
+        found = fuse(batch, kfs[2], make_policy(), CAM)
         assert (kfs[2].point_ids[found[:, 1]] < 0).all()
 
     def test_attach_matches_brute_force_best_candidate(self):
         rng = np.random.default_rng(14)
         world, kfs, landmarks, signatures = build_world(rng, flip=0.02)
         pid = add_point(world, landmarks[5], [(kfs[0].kf_id, 5), (kfs[1].kf_id, 5)])
-        point = world.point_batch([pid])
+        point = world.point_batch([pid], kfs[2].pose.translation)
         found = fuse(point, kfs[2], make_policy(), CAM)
         # brute force: the admissible keypoint with least hamming
         reference = Descriptor(point.descriptors[0].tobytes())

@@ -55,25 +55,25 @@ DIGESTS = {
     ("orbit", "no_symmetric_covariance", "bwd"):
         "c0b6678436f633de888e31fbabb3757301b8c852bed525ebf7552c21849b004e",
     ("corridor", "full", "fwd"):
-        "f433819e93f1c9f82e2af1523a46654f63489b821593a499136a4ff72b340217",
+        "3a18744bce74975f0a8dce2f0d1050bdf6dafadb436be5dad5282283a77bbcba",
     ("corridor", "full", "bwd"):
-        "c4f9fcf4bf7f2b0f92f33721ee620b47dc91d8f84f43d377775e0c1475004731",
+        "805d98f29963c1c13cb7cfc9e93167816b96dfa8302056514b13787034342c3a",
     ("corridor", "no_depth_filter", "fwd"):
         "d421fb19cf7e475da970256cdfe91c0ff660d8d008abe12ece0ddd4a041375c4",
     ("corridor", "no_depth_filter", "bwd"):
-        "32690148b2dd8ecfb2e329a1193f6cbbba104c781c88a7b8033bf8126ff22dc2",
+        "dd2ad8ba81f9c87904f5fa9d9ec6537b19074eb87a1a918f949914776085371f",
     ("corridor", "no_robust_matching", "fwd"):
-        "96dea4188ebbcc04d4847b46f14fd12ec4508df6cc160321276906535a833eb9",
+        "a5dcf60c6943b60e2ac29975273fb0be79fd4e1bc5b44d076b9e2a20c6809f14",
     ("corridor", "no_robust_matching", "bwd"):
-        "2a898158b166c40d148547621cdd5d10db67b954e34b61a633fbf268037f781b",
+        "1cb65f731285023f6da1114cfd655a794b7819ee2b8fa04435abd670f1188b50",
     ("corridor", "no_symmetric_gates", "fwd"):
-        "a9dfa436fe1d2aa92997f9de3d3d71ce04e071d2de96379ce608819b2508d150",
+        "dd18c01112e87c64acf14f83913fdcf54adbfc5e61fa242892759db480a37e11",
     ("corridor", "no_symmetric_gates", "bwd"):
-        "532eecc4ab9938aa0af1a743c582ebde3b0a10c1f7c626ec7894e93e9e9c7b9b",
+        "f5982f9f5f2ffd59850e71930a1e63ab6a7ee8b628c561fd1c7d3f2ce3f75c64",
     ("corridor", "no_keep_all_outliers", "fwd"):
-        "5968852b9f4af25bb06d9634915ddab7ea5213bc05128200301dd430f403fd7f",
+        "0a3edd6eb1ca530b03e5dd136794798f4326eebde58dd3f560acac3c9cb66be3",
     ("corridor", "no_keep_all_outliers", "bwd"):
-        "d64472d359ec9dba861b7c6135c3c97f427d482b529523ccfb4faae3990fd7e5",
+        "9cefa3c9391da8e36a3233f727d686e2921c9d2672a4a6b19b37d2e7206ead0e",
 }
 
 # (graph_stats: map points, local keyframes, inlier observations;
@@ -85,13 +85,13 @@ GRAPHS = {
     ("orbit", "no_geometric_descriptor", "bwd"): ((300, 6, 1800), 0),
     ("orbit", "no_symmetric_covariance", "fwd"): ((300, 6, 1800), 0),
     ("orbit", "no_symmetric_covariance", "bwd"): ((300, 6, 1800), 0),
-    ("corridor", "full", "fwd"): ((433, 5, 2047), 0),
+    ("corridor", "full", "fwd"): ((433, 5, 2042), 0),
     ("corridor", "full", "bwd"): ((500, 5, 2346), 0),
     ("corridor", "no_depth_filter", "fwd"): ((433, 5, 2048), 0),
     ("corridor", "no_depth_filter", "bwd"): ((498, 5, 2349), 0),
-    ("corridor", "no_robust_matching", "fwd"): ((433, 5, 2047), 0),
+    ("corridor", "no_robust_matching", "fwd"): ((433, 5, 2042), 0),
     ("corridor", "no_robust_matching", "bwd"): ((500, 5, 2346), 0),
-    ("corridor", "no_symmetric_gates", "fwd"): ((433, 5, 1909), 0),
+    ("corridor", "no_symmetric_gates", "fwd"): ((433, 5, 1902), 0),
     ("corridor", "no_symmetric_gates", "bwd"): ((498, 5, 2189), 0),
     ("corridor", "no_keep_all_outliers", "fwd"): ((432, 5, 2042), 9),
     ("corridor", "no_keep_all_outliers", "bwd"): ((498, 5, 2346), 12),

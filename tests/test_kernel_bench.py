@@ -136,8 +136,8 @@ def corridor_fuse():
         world, point_ids, kf_id = copy.deepcopy(call)
         kf = world.keyframes[kf_id]
         point_ids = point_ids[world.live[point_ids] & ~np.isin(point_ids, kf.point_ids)]
-        world.reselect_references(point_ids, kf.pose.translation)
-        return len(fuse(world.point_batch(point_ids), kf, pipeline.policy, pipeline.cam))
+        batch = world.point_batch(point_ids, kf.pose.translation)
+        return len(fuse(batch, kf, pipeline.policy, pipeline.cam))
 
     return pipeline, max(calls, key=n_rows)
 

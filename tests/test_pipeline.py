@@ -392,6 +392,24 @@ def test_every_frame_after_initialization_gets_a_record(corridor_prefix):
                for r in report.frame_records)
 
 
+def test_a_frame_that_keeps_every_match_records_no_drops(corridor_prefix, monkeypatch):
+    """Early removal keeps every match when fewer than six inliers remain,
+    so such a frame drops nothing."""
+    cam, frames = corridor_prefix
+    inner = pipeline_module.optimize_pose
+
+    def five_inliers(problem):
+        result = inner(problem)
+        result.inlier = np.arange(result.inlier.size) < 5
+        return result
+
+    monkeypatch.setattr(pipeline_module, "optimize_pose", five_inliers)
+    _, report = Pipeline(cam, PipelineConfig(outlier_policy="early_removal")).run(
+        frames[:6])
+    assert report.frame_records
+    assert [r.n_dropped for r in report.frame_records] == [0] * len(report.frame_records)
+
+
 def test_the_frame_that_loses_tracking_gets_a_record(corridor_prefix):
     cam, frames = corridor_prefix
     frames = list(frames[:8])
@@ -452,3 +470,39 @@ def test_depth_filter_keeps_local_matches_over_the_corridor(monkeypatch, directi
                if 2 * kept < unfiltered_kept]
     assert not starved, f"(frame, full, no_depth_filter) local matches: {starved}"
     assert sum(drops.values()) > 0  # the filter is applied, and does drop
+
+
+# ----------------------------------------------------------------------
+# the reference each local BA row reads
+
+
+@pytest.mark.parametrize("direction", ["fwd", "bwd"])
+def test_local_ba_references_the_holder_nearest_the_new_keyframe(
+        corridor_prefix, monkeypatch, direction):
+    """Every row of every local BA on the pinned corridor prefix takes its
+    reference view from its point's holder nearest the new keyframe (the
+    newest), ties to the lower keyframe id, as a brute-force walk finds."""
+    cam, frames = corridor_prefix
+    frames = frames[:10] if direction == "fwd" else reverse(frames[:10])
+    pipe = Pipeline(cam, PipelineConfig())
+    inner = pipeline_module.local_bundle_adjustment
+    checked = []
+
+    def brute_force(problem, mode):
+        world = pipe.world
+        t_new = world.keyframes[max(world.keyframes)].pose.translation
+
+        def nearest(pid):
+            _, kfs, _ = world.bindings([pid])
+            d = [world.keyframes[k].pose.translation - t_new for k in kfs.tolist()]
+            return min(zip([v @ v for v in d], kfs.tolist()))[1]
+
+        want = {pid: nearest(pid) for pid in np.unique(problem.observations["point"])}
+        assert [want[pid] for pid in problem.observations["point"].tolist()] == \
+            problem.observations["ref_kf"].tolist()
+        checked.append(len(problem.observations))
+        return inner(problem, mode)
+
+    monkeypatch.setattr(pipeline_module, "local_bundle_adjustment", brute_force)
+    _, report = pipe.run(frames)
+    assert report.health == "ok" and len(checked) >= 8

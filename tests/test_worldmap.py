@@ -90,8 +90,8 @@ def tiny_world(rng, n_landmarks=12, n_frames=6, spacing=0.4,
 
 
 def add_point(world, position, observations) -> int:
-    """One new point, bound to the (kf_id, keypoint) pairs, with its
-    reference chosen, as an edit group leaves it."""
+    """One new point, bound to the (kf_id, keypoint) pairs, refreshed as an
+    edit group leaves it."""
     (pid,) = world.create_point([position], [(k, [kp]) for k, kp in observations])
     world.refresh_points([pid])
     return int(pid)
@@ -104,11 +104,37 @@ def holders(world, pid) -> list:
 class TestObservations:
     def test_refresh_sets_reference(self):
         rng = np.random.default_rng(0)
-        world, kfs, landmarks = tiny_world(rng)
+        world, kfs, landmarks = tiny_world(
+            rng, descriptor_selection=ReferenceRule.APPEARANCE)
         pid = add_point(world, landmarks[0], [(kfs[0].kf_id, 0)])
         assert world.reference_kf[pid] == kfs[0].kf_id
-        assert np.array_equal(world.point_batch([pid]).descriptors[0],
-                              kfs[0].descriptors[0])
+        assert np.array_equal(world.point_batch([pid], kfs[3].pose.translation)
+                              .descriptors[0], kfs[0].descriptors[0])
+
+    def test_geometric_refresh_stores_nothing(self):
+        rng = np.random.default_rng(0)
+        world, kfs, landmarks = tiny_world(rng)
+        pid = add_point(world, landmarks[0], [(kfs[0].kf_id, 0), (kfs[3].kf_id, 0)])
+        assert not world.reference_kf.any()
+        for query, want in ((kfs[0], kfs[0]), (kfs[5], kfs[3])):
+            ref_kf, ref_kp = world.reselect_references([pid], query.pose.translation)
+            assert (ref_kf.tolist(), ref_kp.tolist()) == ([want.kf_id], [0])
+        assert not world.reference_kf.any()
+
+    @pytest.mark.parametrize("rule", list(ReferenceRule))
+    def test_read_of_a_point_without_holder_raises(self, rule):
+        rng = np.random.default_rng(0)
+        world, kfs, landmarks = tiny_world(rng, descriptor_selection=rule)
+        a, b, c = (add_point(world, landmarks[i], [(kfs[i].kf_id, i)]) for i in range(3))
+        world.remove_observation([b, c], [kfs[1].kf_id, kfs[2].kf_id])  # both die
+        query = kfs[0].pose.translation
+        # a dead id between live ones, and one past every held id
+        for ids in ([a, b], [c], [b, a]):
+            with pytest.raises(WorldIntegrityError, match="no reference holder"):
+                world.reselect_references(ids, query)
+            with pytest.raises(WorldIntegrityError, match="no reference holder"):
+                world.point_batch(ids, query)
+        assert world.reselect_references([a, a], query)[0].tolist() == [kfs[0].kf_id] * 2
 
     def test_duplicate_keyframe_observation_rejected(self):
         rng = np.random.default_rng(1)
@@ -164,9 +190,8 @@ class TestObservations:
         pid = add_point(world, landmarks[3], [(kfs[0].kf_id, 3), (near.kf_id, 3)])
         band = PYRAMID_SCALE ** (DELTA_L + 0.5)
         for ref, depth in ((near, z / 2), (kfs[0], z)):
-            world.reselect_references([pid], ref.pose.translation)
-            assert world.reference_kf[pid] == ref.kf_id
-            got = world.point_batch([pid]).depth
+            assert world.reselect_references([pid], ref.pose.translation)[0] == ref.kf_id
+            got = world.point_batch([pid], ref.pose.translation).depth
             assert got.contains(depth)[0]
             assert (got.z_min[0], got.z_max[0]) == \
                 pytest.approx((depth / band, depth * band), rel=1e-12)
@@ -177,8 +202,7 @@ class TestObservations:
             rng, descriptor_selection=ReferenceRule.APPEARANCE)
         ids = [add_point(world, landmarks[i], [(kf.kf_id, i) for kf in kfs[i % 2:]])
                for i in range(len(landmarks))]
-        world.reselect_references(ids, kfs[0].pose.translation)  # a no-op here
-        batch = world.point_batch(ids)
+        batch = world.point_batch(ids, kfs[0].pose.translation)  # a query it ignores
         chosen = set()
         for row, pid in enumerate(ids):
             ref = world.keyframes[int(world.reference_kf[pid])]
@@ -194,33 +218,20 @@ class TestObservations:
         world, kfs, landmarks = tiny_world(
             rng, descriptor_selection=ReferenceRule.GEOMETRIC)
         pid = add_point(world, landmarks[0], [(kfs[0].kf_id, 0)])
-        world.add_observation(pid, kfs[3].kf_id, 0)
-        world.refresh_points([pid])
-        # a refresh picks the newest holder
-        assert world.reference_kf[pid] == kfs[3].kf_id
-        world.reselect_references([pid], kfs[0].pose.translation)
-        assert world.reference_kf[pid] == kfs[0].kf_id
+        world.add_observation(pid, kfs[3].kf_id, 0)  # edits need no refresh
+        for query, want in ((kfs[4], kfs[3]), (kfs[1], kfs[0]), (kfs[3], kfs[3])):
+            assert world.reselect_references([pid], query.pose.translation)[0] == \
+                want.kf_id
 
-    def test_refresh_picks_the_newest_holder_where_an_older_one_shares_its_place(self):
+    def test_nearest_holder_tie_goes_to_the_lower_keyframe_id(self):
         rng = np.random.default_rng(3)
         world, kfs, landmarks = tiny_world(rng)
         again = world.add_keyframe(1.0, kfs[2].pose, kfs[2].keypoints,
                                    kfs[2].octaves, kfs[2].descriptors)
-        pid = add_point(world, landmarks[0], [(kfs[2].kf_id, 0), (again.kf_id, 0)])
-        assert world.reference_kf[pid] == again.kf_id
-        # the nearest-holder rule breaks the tie to the lower keyframe id
-        world.reselect_references([pid], again.pose.translation)
-        assert world.reference_kf[pid] == kfs[2].kf_id
-
-    def test_edits_leave_the_reference_until_refresh(self):
-        rng = np.random.default_rng(3)
-        world, kfs, landmarks = tiny_world(rng)
-        pid = add_point(world, landmarks[0], [(kfs[0].kf_id, 0), (kfs[1].kf_id, 0)])
-        assert world.reference_kf[pid] == kfs[1].kf_id
-        world.add_observation(pid, kfs[4].kf_id, 0)
-        assert world.reference_kf[pid] == kfs[1].kf_id
-        world.refresh_points([pid])
-        assert world.reference_kf[pid] == kfs[4].kf_id
+        pid = add_point(world, landmarks[0], [(again.kf_id, 0), (kfs[2].kf_id, 0)])
+        for query in (again, kfs[0], kfs[5]):
+            assert world.reselect_references([pid], query.pose.translation)[0] == \
+                kfs[2].kf_id
 
     def test_appearance_refresh_applies_the_appearance_rule(self):
         rng = np.random.default_rng(15)
@@ -235,10 +246,9 @@ class TestObservations:
             stack = np.stack([world.keyframes[k].descriptors[kp] for k in kf_ids])
             (row,) = select_reference_appearance_index(stack, [0])
             assert world.reference_kf[pid] == kf_ids[row]
-        # the appearance policy has no per-query rule
-        before = world.reference_kf.copy()
-        world.reselect_references(world.points, kfs[0].pose.translation)
-        assert np.array_equal(world.reference_kf, before)
+        # the appearance rule reads its stored choice, whatever the query
+        ref_kf, _ = world.reselect_references(world.points, kfs[0].pose.translation)
+        assert np.array_equal(ref_kf, world.reference_kf[world.points])
 
     def test_interval_matches_recomputation_and_follows_poses(self):
         rng = np.random.default_rng(4)
@@ -246,10 +256,14 @@ class TestObservations:
         for i in range(len(landmarks)):
             add_point(world, landmarks[i], [(kfs[k].kf_id, i) for k in range(4)])
 
+        query = kfs[3].pose.translation.copy()
+
         def check():
-            batch = world.point_batch(world.points)
+            batch = world.point_batch(world.points, query)
+            ref_kf, _ = world.reselect_references(world.points, query)
+            assert set(ref_kf.tolist()) == {kfs[3].kf_id}
             for row, pid in enumerate(batch.ids.tolist()):
-                ref = world.keyframes[int(world.reference_kf[pid])]
+                ref = world.keyframes[int(ref_kf[row])]
                 fresh = depth_invariance_interval(
                     [ref.pose.depth_of(world.positions[pid])])
                 assert batch.depth.z_min[row] == fresh.z_min[0]
@@ -257,12 +271,11 @@ class TestObservations:
             return batch.depth
 
         before = check()
-        assert set(world.reference_kf[world.points].tolist()) == {kfs[3].kf_id}
         # no cache to go stale: a moved reference holder or point moves the
         # interval at once, and a moved holder that is no reference does not
         kfs[1].pose = Pose(np.eye(3), np.array([0.3, -0.1, 0.9]))
         assert np.array_equal(check(), before)
-        kfs[3].pose = Pose(np.eye(3), np.array([0.3, -0.1, 0.9]))
+        kfs[3].pose = Pose(np.eye(3), np.array([0.05, -0.05, 1.25]))
         world.positions[2] += 0.5
         after = check()
         assert np.all(after.z_min != before.z_min)
@@ -286,14 +299,54 @@ class TestObservations:
         ids = [add_point(world, landmarks[i], [(kfs[i % 3].kf_id, i), (kfs[4].kf_id, i)])
                for i in range(5)]
         order = [ids[3], ids[0], ids[4], ids[1]]
-        batch = world.point_batch(order)
+        query = kfs[0].pose.translation
+        batch = world.point_batch(order, query)
         assert batch.ids.tolist() == order
         for row, pid in enumerate(order):
-            alone = world.point_batch([pid])
+            alone = world.point_batch([pid], query)
             assert np.array_equal(batch.positions[row], world.positions[pid])
             assert np.array_equal(batch.descriptors[row], alone.descriptors[0])
             assert (batch.depth.z_min[row], batch.depth.z_max[row]) == \
                 (alone.depth.z_min[0], alone.depth.z_max[0])
+
+
+def batch_bytes(batch) -> tuple:
+    return tuple(a.tobytes() for a in (batch.ids, batch.positions, batch.descriptors,
+                                       *batch.depth))
+
+
+@pytest.mark.parametrize("rule", list(ReferenceRule))
+@given(seed=st.integers(0, 2**32 - 1), n_reads=st.integers(1, 5))
+@settings(max_examples=40, deadline=None)
+def test_reads_write_nothing_and_depend_on_their_query_alone(rule, seed, n_reads):
+    """On a small random map, ``point_batch`` and ``reselect_references``
+    leave ``reference_kf`` byte-equal, and a read at one query gives the
+    same bytes whatever reads at other queries ran before it."""
+    rng = np.random.default_rng(seed)
+    world = WorldMap(rule)
+    kfs = [world.add_keyframe(k, Pose(np.eye(3), rng.normal(size=3)), np.zeros((8, 2)),
+                              rng.integers(0, 8, 8),
+                              rng.integers(0, 256, (8, 32), np.uint8))
+           for k in range(5)]
+    for _ in range(10):
+        holders = rng.choice(5, size=rng.integers(1, 5), replace=False)
+        free = [np.flatnonzero(kfs[k].point_ids < 0) for k in holders]
+        if all(f.size for f in free):
+            world.create_point([rng.normal(size=3) * 4], [
+                (kfs[k].kf_id, [rng.choice(f)]) for k, f in zip(holders, free)])
+    world.refresh_points(world.points)
+    ids = rng.permutation(world.points)
+    query = rng.normal(size=3)
+    first = batch_bytes(world.point_batch(ids, query))
+    refs = [a.tobytes() for a in world.reselect_references(ids, query)]
+    stored = world.reference_kf.tobytes()
+    for _ in range(n_reads):
+        other = rng.choice(world.points, size=rng.integers(1, world.points.size + 1))
+        world.point_batch(other, rng.normal(size=3) * 3)
+        world.reselect_references(other, rng.normal(size=3) * 3)
+        assert world.reference_kf.tobytes() == stored
+    assert batch_bytes(world.point_batch(ids, query)) == first
+    assert [a.tobytes() for a in world.reselect_references(ids, query)] == refs
 
 
 class TestCulling:
@@ -396,9 +449,9 @@ class TestMerge:
 
 
 class TestIntegrity:
-    def make(self):
+    def make(self, rule=ReferenceRule.GEOMETRIC):
         rng = np.random.default_rng(12)
-        world, kfs, landmarks = tiny_world(rng)
+        world, kfs, landmarks = tiny_world(rng, descriptor_selection=rule)
         pid = add_point(world, landmarks[0], [(kfs[0].kf_id, 0), (kfs[1].kf_id, 0)])
         world.check_integrity()
         return world, kfs, pid
@@ -428,7 +481,8 @@ class TestIntegrity:
             world.check_integrity()
 
     def test_reference_that_is_not_a_holder_detected(self):
-        world, kfs, pid = self.make()
+        # only the appearance rule stores a reference
+        world, kfs, pid = self.make(ReferenceRule.APPEARANCE)
         world.reference_kf[pid] = kfs[3].kf_id
         with pytest.raises(WorldIntegrityError, match="reference"):
             world.check_integrity()
