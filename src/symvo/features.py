@@ -10,12 +10,12 @@ prefixes, whose distance bounds the full one from below, and
 The pyramid is fixed: ``PYRAMID_OCTAVES`` octaves, each ``PYRAMID_SCALE``
 coarser than the last, so a keypoint's variance (``sigma2_at``) follows
 from its octave alone.  Map points summarize their descriptor sets by a
-single reference descriptor, chosen by a ``ReferenceRule``: by appearance
-(least median distance to the rest, a choice the map stores) or by
-geometry (held by the keyframe closest to each query, chosen at every
-read).  The depth-invariance interval bounds the query depths at which a
-point's appearance stays within ``DELTA_L`` octaves of its reference
-observation, so it follows from that one depth.
+single reference descriptor, chosen by a ``ReferenceRule`` from the
+point's current holders at every read: by appearance (least median
+distance to the rest, whatever the query) or by geometry (held by the
+keyframe closest to each query).  The depth-invariance interval bounds
+the query depths at which a point's appearance stays within ``DELTA_L``
+octaves of its reference observation, so it follows from that one depth.
 
 The reference rules are per-point rules over the keyframes that observe a
 point; they take a point's holders as one run of rows, the runs beginning

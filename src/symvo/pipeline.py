@@ -395,8 +395,6 @@ class Pipeline:
         if got is None:
             return give_up()
         rel, pts, keep, parallax = got
-        if keep.size < MIN_INIT_MATCHES:
-            return give_up()
         if np.median(parallax) < MIN_PARALLAX:
             return give_up()
         # the triangulation-site parallax gate applies to each created
@@ -421,8 +419,7 @@ class Pipeline:
             frame.descriptors,
         )
         i1, i2 = pairs[keep].T
-        world.refresh_points(
-            world.create_point(pts, [(kf1.kf_id, i1), (kf2.kf_id, i2)]))
+        world.create_point(pts, [(kf1.kf_id, i1), (kf2.kf_id, i2)])
         self.initialized = True
         self.init_frame = self._frame_index
         self.prev_pose_cw = Pose.identity()  # kf1 camera-from-world
@@ -510,7 +507,7 @@ class Pipeline:
     # ------------------------------------------------------------------
 
     def _local_ba(self, kf_new):
-        """Local BA, each point referenced from its holder nearest ``kf_new``."""
+        """Local BA, each point's reference read at ``kf_new``'s pose."""
         world = self.world
         window = world.latest_keyframe_ids()
         # points observed from the window, with every observing keyframe
@@ -552,8 +549,6 @@ class Pipeline:
         removed = result.removed
         world.remove_observation(point[removed], kf[removed])
         self.n_removed += len(result.removed)
-        # removed observations change appearance references
-        world.refresh_points(point_ids)
 
     def _mapping_step(self, kf_new):
         world = self.world
@@ -568,7 +563,6 @@ class Pipeline:
             new_point_ids.append(world.create_point(
                 positions, [(kf_prev_id, pairs[:, 0]), (kf_new.kf_id, pairs[:, 1])]))
         new_point_ids = np.concatenate(new_point_ids)  # ascending
-        world.refresh_points(new_point_ids)
 
         # fuse the new points into the other local keyframes
         local_ids = [
@@ -598,7 +592,6 @@ class Pipeline:
         world.add_observation(pid[attach], kf.kf_id, kp[attach])
         survivor = np.minimum(owner, pid)[~attach]
         world.merge_points(survivor, np.maximum(owner, pid)[~attach])
-        world.refresh_points(np.concatenate([pid[attach], survivor]))
 
     # ------------------------------------------------------------------
 
@@ -617,7 +610,6 @@ class Pipeline:
             frame.descriptors,
         )
         self.world.add_observation(matches[:, 0], kf.kf_id, matches[:, 1])
-        self.world.refresh_points(matches[:, 0])
         self._mapping_step(kf)
         self.velocity_cw = kf.pose.inverse().compose(self.prev_pose_cw.inverse())
         self.prev_pose_cw = kf.pose.inverse()

@@ -2,15 +2,14 @@
 
 One binding invariant: each keyframe's per-keypoint ``point_ids`` column
 (-1 = free), with its parallel ``inlier`` column, is the only record of
-which point a keypoint observes.  A point's holders (the keyframes that
-observe it), depth-invariance interval and reference descriptor are
-gathered from the columns when needed, never cached.  Per point the map
-stores a position and, under the appearance rule, the reference keyframe
-that ``refresh_points`` chose from the holders' descriptors, which each
-edit group calls once over the points it edited (edits never refresh).
-The geometric rule stores no reference: ``reselect_references``, the one
-read under both rules, takes the holder nearest each query, so no read
-depends on the reads that ran before it.
+which point a keypoint observes.  Per point the map stores a position and
+a live flag, nothing more: a point's holders (the keyframes that observe
+it), its reference observation, depth-invariance interval and reference
+descriptor are gathered from the columns when read, never cached.  A
+reference is a read under both rules: ``reselect_references`` takes the
+holder nearest each query (geometric rule) or the holder descriptor with
+least median distance to the others (appearance rule), so no read depends
+on the edits or reads that ran before it.
 
 Every edit takes id arrays, and an edit group makes one call per edit
 kind, which writes each keyframe's columns once.  A batch that edits one
@@ -18,10 +17,10 @@ at a time would refuse raises before anything changes.  Merge pairs must
 share no point: only then does one batch equal merging pair by pair.
 
 ``check_integrity`` asserts what the columns leave open: every live point
-has at least one holder, no keyframe binds a point to two keypoints, no
-column names a dead point, and a stored reference keyframe is a holder.
-The map is owned by a single pipeline; every traversal runs in ascending
-id order, so identical inputs replay identically.
+has at least one holder, no keyframe binds a point to two keypoints, and
+no column names a dead point.  The map is owned by a single pipeline;
+every traversal runs in ascending id order, so identical inputs replay
+identically.
 """
 
 from __future__ import annotations
@@ -109,10 +108,8 @@ class WorldMap:
     def __init__(self, descriptor_selection: ReferenceRule = ReferenceRule.GEOMETRIC):
         self.descriptor_selection = descriptor_selection
         self.keyframes: dict[int, Keyframe] = {}
-        # indexed by point id and doubled when full; id 0 is never handed
-        # out, so a reference of 0 means none chosen yet
+        # indexed by point id and doubled when full; id 0 is never handed out
         self.positions = np.zeros((1, 3))
-        self.reference_kf = np.zeros(1, dtype=np.int64)
         self.live = np.zeros(1, dtype=bool)
         self._next_kf_id = 1
         self._next_point_id = 1
@@ -151,14 +148,12 @@ class WorldMap:
     def create_point(self, positions, observations) -> np.ndarray:
         """New points at the (n, 3) ``positions``, point i bound to
         ``keypoints[i]`` of each (kf_id, keypoints) pair in ``observations``;
-        returns their (n,) ids, ascending.  Under the appearance rule the
-        next ``refresh_points`` over them chooses their references."""
+        returns their (n,) ids, ascending."""
         ids = np.arange(self._next_point_id, self._next_point_id + len(positions))
         self._next_point_id += ids.size
         while self._next_point_id > self.live.size:
-            self.positions, self.reference_kf, self.live = (
-                np.concatenate([a, np.zeros_like(a)])
-                for a in (self.positions, self.reference_kf, self.live))
+            self.positions, self.live = (np.concatenate([a, np.zeros_like(a)])
+                                         for a in (self.positions, self.live))
         self.positions[ids] = positions
         self.live[ids] = True
         for kf_id, keypoints in observations:
@@ -233,12 +228,17 @@ class WorldMap:
 
     def bindings(self, point_ids=None) -> tuple:
         """(point, kf, keypoint) arrays of every binding, sorted by point id
-        then keyframe id; only the bindings of ``point_ids`` when given."""
+        then keyframe id; only the bindings of ``point_ids`` when given.  An
+        id never handed out raises WorldIntegrityError."""
         kf_ids, first, point = self._stacked("point_ids")
         row = np.flatnonzero(point >= 0)
         if point_ids is not None:
+            point_ids = np.asarray(point_ids, dtype=np.int64)
+            unknown = (point_ids < 1) | (point_ids >= self._next_point_id)
+            if unknown.any():
+                raise WorldIntegrityError(f"no point {point_ids[unknown][0]}")
             wanted = np.zeros(self.live.size, dtype=bool)
-            wanted[np.asarray(point_ids, dtype=np.int64)] = True
+            wanted[point_ids] = True
             row = row[wanted[point[row]]]
         # the columns are stacked in keyframe order, which a stable sort by
         # point keeps within each point
@@ -286,24 +286,22 @@ class WorldMap:
             depth=depth_invariance_interval(depths),
         )
 
-    def refresh_points(self, point_ids):
-        """Re-choose the stored references of the points an edit group
-        touched: the holder descriptor with least median distance to the
-        others (appearance rule; the geometric rule stores none).  Dead ids
-        are skipped."""
-        if self.descriptor_selection is ReferenceRule.GEOMETRIC:
-            return
-        point, kf, kp = self.bindings(point_ids)
-        runs = _runs(point)
-        rows = select_reference_appearance_index(
-            self.gather(kf, kp, "descriptors"), runs)
-        self.reference_kf[point[runs]] = kf[rows]
+    def refresh_points(self, point, kf, kp) -> np.ndarray:
+        """The appearance rule over binding rows sorted by point, then
+        keyframe (``bindings``): per point, the index of the row whose
+        descriptor has least median distance to its other holders'.  Writes
+        nothing.  The name is fixed by the benchmark tracer, which looks the
+        method up by it."""
+        return select_reference_appearance_index(self.gather(kf, kp, "descriptors"),
+                                                 _runs(point))
 
     def reselect_references(self, point_ids, query_translation) -> tuple:
         """(reference keyframe id, its keypoint) of each point, in the order
-        given: the holder nearest ``query_translation``, ties to the lower id
-        (geometric rule), or the stored choice (appearance rule).  Writes
-        nothing; an id lacking that holder raises WorldIntegrityError."""
+        given, chosen from its current holders at every read: the holder
+        nearest ``query_translation``, ties to the lower id (geometric rule),
+        or the ``refresh_points`` choice, whatever the query (appearance
+        rule).  Writes nothing; an id without a holder raises
+        WorldIntegrityError."""
         point_ids = np.asarray(point_ids, dtype=np.int64)
         point, kf, kp = self.bindings(point_ids)
         if self.descriptor_selection is ReferenceRule.GEOMETRIC:
@@ -311,7 +309,7 @@ class WorldMap:
             rows = select_reference_geometric_index(kf, t, query_translation,
                                                     _runs(point))
         else:
-            rows = np.flatnonzero(kf == self.reference_kf[point])
+            rows = self.refresh_points(point, kf, kp)
         held = np.append(point[rows], -1)  # ascending; -1 ends the search
         at = np.searchsorted(held[:-1], point_ids)
         if (held[at] != point_ids).any():
@@ -331,7 +329,8 @@ class WorldMap:
         return culled.tolist()
 
     def apply_retention(self, new_kf_id: int) -> list:
-        """Cull keyframes outside the retention set; returns culled ids."""
+        """Cull keyframes outside the retention set, and the points they
+        leave below two holders; returns culled keyframe ids."""
         retained = keyframe_retention(new_kf_id, self.keyframes.keys())
         culled = [k for k in self.keyframe_ids() if k not in retained]
         if not culled:
@@ -342,7 +341,6 @@ class WorldMap:
         holders = np.bincount(point, minlength=self.live.size)[touched]
         # orphaned points: below the two-holder survival threshold
         self._drop(touched[holders < 2])
-        self.refresh_points(touched[holders >= 2])
         return culled
 
     # ------------------------------------------------------------------
@@ -378,8 +376,6 @@ class WorldMap:
         bad = np.flatnonzero(self.live & (held == 0))
         if bad.size:
             raise WorldIntegrityError(f"point {bad[0]} has no holder")
-        if self.descriptor_selection is ReferenceRule.APPEARANCE:  # ignores the query
-            self.reselect_references(self.points, None)
 
 
 class GraphStats(NamedTuple):

@@ -51,7 +51,7 @@ keyframe by keyframe, one merge over every keyframe, and the fuse walk
 over its rows with a guard per row.  ``WorldMap``'s edits take id arrays
 and ``Pipeline._apply_fuse`` makes one call per edit group; they must
 leave the same bytes in every ``point_ids`` / ``inlier`` column and in
-``live``, ``positions`` and ``reference_kf`` (``map_bytes``).
+``live`` and ``positions`` (``map_bytes``).
 
 The rest is reference code that the program itself does not call:
 
@@ -601,12 +601,10 @@ def initialization_bytes(result):
 
 def map_bytes(world):
     """Every byte the map edits write: each keyframe's ``point_ids`` and
-    ``inlier`` columns, in id order, then ``live``, ``positions`` and
-    ``reference_kf``."""
+    ``inlier`` columns, in id order, then ``live`` and ``positions``."""
     columns = [(k, kf.point_ids.tobytes(), kf.inlier.tobytes())
                for k, kf in sorted(world.keyframes.items())]
-    return (columns, world.live.tobytes(), world.positions.tobytes(),
-            world.reference_kf.tobytes())
+    return columns, world.live.tobytes(), world.positions.tobytes()
 
 
 def _bind(world, point_id, kf_id, kp):
@@ -630,9 +628,8 @@ def reference_create_point(world, position, observations) -> int:
     pid = world._next_point_id
     world._next_point_id += 1
     if pid == world.live.size:
-        world.positions, world.reference_kf, world.live = (
-            np.concatenate([a, np.zeros_like(a)])
-            for a in (world.positions, world.reference_kf, world.live))
+        world.positions, world.live = (np.concatenate([a, np.zeros_like(a)])
+                                       for a in (world.positions, world.live))
     world.positions[pid] = position
     world.live[pid] = True
     for kf_id, kp in observations:
@@ -677,7 +674,6 @@ def reference_apply_fuse(world, point_ids, kf, policy, cam):
     found = fuse(world.point_batch(point_ids, kf.pose.translation), kf, policy, cam)
     # each row's verdict is taken from the owners before any edit
     was_free = kf.point_ids[found[:, 1]] < 0
-    edited = []
     for (pid, kp), attach in zip(found.tolist(), was_free.tolist()):
         if not world.live[pid]:
             continue
@@ -685,12 +681,8 @@ def reference_apply_fuse(world, point_ids, kf, policy, cam):
         if attach:
             if owner < 0:
                 _bind(world, pid, kf.kf_id, kp)
-                edited.append(pid)
         elif owner >= 0 and owner != pid:
-            survivor, absorbed = sorted((owner, pid))
-            reference_merge_points(world, survivor, absorbed)
-            edited.append(survivor)
-    world.refresh_points(edited)
+            reference_merge_points(world, *sorted((owner, pid)))
 
 
 # ----------------------------------------------------------------------

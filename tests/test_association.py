@@ -358,10 +358,8 @@ def build_world(rng, n_points=40, n_frames=3, spacing=0.5, noise=0.0,
 
 
 def add_point(world, position, observations) -> int:
-    """One new point, bound to the (kf_id, keypoint) pairs, refreshed as an
-    edit group leaves it."""
+    """One new point, bound to the (kf_id, keypoint) pairs."""
     (pid,) = world.create_point([position], [(k, [kp]) for k, kp in observations])
-    world.refresh_points([pid])
     return int(pid)
 
 

@@ -11,8 +11,10 @@ Two scenes, each run forward and backward:
   frames.  On the orbit prefix the depth filter leaves both digests as
   ``full`` has them, and early outlier removal the backward one; on this
   prefix ``no_depth_filter`` and ``no_keep_all_outliers`` each move both,
-  so a change to either rule shows here.  The corridor also pins the other
-  matching branches: ``no_depth_filter`` (no depth verdict drops a
+  so a change to either rule shows here.  The corridor also pins the
+  appearance rule (``no_geometric_descriptor``) on a map whose points
+  come and go, where the orbit prefix keeps its 300 points throughout,
+  and the other matching branches: ``no_depth_filter`` (no depth verdict drops a
   query), ``no_robust_matching`` (``Ordering.SEQUENTIAL``) and
   ``no_symmetric_gates`` (the per-site thresholds).  Each differs from
   ``full`` in both directions, so none of them can fall back to the
@@ -58,6 +60,10 @@ DIGESTS = {
         "3a18744bce74975f0a8dce2f0d1050bdf6dafadb436be5dad5282283a77bbcba",
     ("corridor", "full", "bwd"):
         "805d98f29963c1c13cb7cfc9e93167816b96dfa8302056514b13787034342c3a",
+    ("corridor", "no_geometric_descriptor", "fwd"):
+        "a190d42b2feb0f585718f5fdfd587f46aa29e21d80589b59a16832bb0f5d1593",
+    ("corridor", "no_geometric_descriptor", "bwd"):
+        "da59c0caecc072d3725f3415d381346fc066431ab17e96a8dcd9bcf4840155bf",
     ("corridor", "no_depth_filter", "fwd"):
         "d421fb19cf7e475da970256cdfe91c0ff660d8d008abe12ece0ddd4a041375c4",
     ("corridor", "no_depth_filter", "bwd"):
@@ -87,6 +93,8 @@ GRAPHS = {
     ("orbit", "no_symmetric_covariance", "bwd"): ((300, 6, 1800), 0),
     ("corridor", "full", "fwd"): ((433, 5, 2042), 0),
     ("corridor", "full", "bwd"): ((500, 5, 2346), 0),
+    ("corridor", "no_geometric_descriptor", "fwd"): ((435, 5, 1923), 0),
+    ("corridor", "no_geometric_descriptor", "bwd"): ((500, 5, 2128), 0),
     ("corridor", "no_depth_filter", "fwd"): ((433, 5, 2048), 0),
     ("corridor", "no_depth_filter", "bwd"): ((498, 5, 2349), 0),
     ("corridor", "no_robust_matching", "fwd"): ((433, 5, 2042), 0),

@@ -1,8 +1,7 @@
 """Every import in the package is used by the module that makes it, every
 top-level function and class is named outside its own definition, every
-config field is set by some program caller, every installed script
-names a function that exists, and only ``refresh_points`` writes a stored
-reference."""
+config field is set by some program caller, and every installed script
+names a function that exists."""
 
 import ast
 import dataclasses
@@ -122,15 +121,3 @@ def test_declared_scripts_import():
         module, _, function = target.partition(":")
         assert callable(getattr(importlib.import_module(module), function)), name
 
-
-def test_only_refresh_points_assigns_into_reference_kf():
-    """Reads of a point's reference write nothing: in ``worldmap.py`` every
-    item or slice assignment into ``reference_kf`` is made by
-    ``refresh_points``."""
-    tree = ast.parse((ROOT / "src" / "symvo" / "worldmap.py").read_text())
-    writers = {func.name for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
-               for node in ast.walk(func)
-               if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store)
-               and isinstance(node.value, ast.Attribute)
-               and node.value.attr == "reference_kf"}
-    assert writers == {"refresh_points"}

@@ -32,10 +32,14 @@ def spans():
     return module
 
 
+def orbit():
+    return generate(SceneSpec(trajectory="orbit", n_landmarks=300, n_frames=80,
+                              path_length=20.0, noise_px=0.5, outlier_rate=0.05,
+                              seed=61))
+
+
 def test_traced_orbit_run_records_spans_and_unwinds(spans):
-    seq = generate(SceneSpec(trajectory="orbit", n_landmarks=300, n_frames=80,
-                             path_length=20.0, noise_px=0.5, outlier_rate=0.05,
-                             seed=61))
+    seq = orbit()
     tracer = spans.Tracer()
     inst = spans.Instrumentation(tracer)
     inst.install()
@@ -57,7 +61,7 @@ def test_traced_orbit_run_records_spans_and_unwinds(spans):
         inst.uninstall()
     assert report.health == "ok"
     names = {s[3] for s in tracer.spans}
-    assert {"worldmap.create_point", "worldmap.refresh_points",
+    assert {"worldmap.create_point", "worldmap.reselect_references",
             "association.search_by_projection", "association.match",
             "optimizer.local_bundle_adjustment"} <= names
     assert all(s[5] >= s[4] for s in tracer.spans)
@@ -66,4 +70,23 @@ def test_traced_orbit_run_records_spans_and_unwinds(spans):
     assert len(accepted) == sum(s[3] == "association.match" for s in tracer.spans)
     assert sum(accepted) == tracer.counts["association.accepted"] > 0
     assert tracer.counts["optimizer.lm_iterations"] > 0
+    assert inst.leftover_wrappers() == []
+
+
+def test_appearance_references_are_chosen_inside_the_read(spans):
+    """Under the appearance rule every ``refresh_points`` span is the choice
+    made inside a ``reselect_references`` read."""
+    seq = orbit()
+    tracer = spans.Tracer()
+    inst = spans.Instrumentation(tracer)
+    inst.install()
+    try:
+        _, report = Pipeline(seq.cam, PipelineConfig(descriptor_selection="appearance")
+                             ).run(seq.frames[:3])
+    finally:
+        inst.uninstall()
+    assert report.health == "ok"
+    refresh = [s for s in tracer.spans if s[3] == "worldmap.refresh_points"]
+    assert refresh
+    assert all(tracer.spans[s[1]][3] == "worldmap.reselect_references" for s in refresh)
     assert inst.leftover_wrappers() == []

@@ -30,6 +30,7 @@ from oracles import (
     reference_merge_points,
     reference_remove_observation,
 )
+from test_features import appearance_index_loop
 
 CAM = CameraIntrinsics(fx=500.0, fy=500.0, cx=320.0, cy=240.0, width=640, height=480)
 
@@ -90,10 +91,8 @@ def tiny_world(rng, n_landmarks=12, n_frames=6, spacing=0.4,
 
 
 def add_point(world, position, observations) -> int:
-    """One new point, bound to the (kf_id, keypoint) pairs, refreshed as an
-    edit group leaves it."""
+    """One new point, bound to the (kf_id, keypoint) pairs."""
     (pid,) = world.create_point([position], [(k, [kp]) for k, kp in observations])
-    world.refresh_points([pid])
     return int(pid)
 
 
@@ -107,7 +106,8 @@ class TestObservations:
         world, kfs, landmarks = tiny_world(
             rng, descriptor_selection=ReferenceRule.APPEARANCE)
         pid = add_point(world, landmarks[0], [(kfs[0].kf_id, 0)])
-        assert world.reference_kf[pid] == kfs[0].kf_id
+        ref_kf, ref_kp = world.reselect_references([pid], kfs[3].pose.translation)
+        assert (ref_kf.tolist(), ref_kp.tolist()) == ([kfs[0].kf_id], [0])
         assert np.array_equal(world.point_batch([pid], kfs[3].pose.translation)
                               .descriptors[0], kfs[0].descriptors[0])
 
@@ -115,11 +115,11 @@ class TestObservations:
         rng = np.random.default_rng(0)
         world, kfs, landmarks = tiny_world(rng)
         pid = add_point(world, landmarks[0], [(kfs[0].kf_id, 0), (kfs[3].kf_id, 0)])
-        assert not world.reference_kf.any()
+        before = map_bytes(world)
         for query, want in ((kfs[0], kfs[0]), (kfs[5], kfs[3])):
             ref_kf, ref_kp = world.reselect_references([pid], query.pose.translation)
             assert (ref_kf.tolist(), ref_kp.tolist()) == ([want.kf_id], [0])
-        assert not world.reference_kf.any()
+        assert map_bytes(world) == before
 
     @pytest.mark.parametrize("rule", list(ReferenceRule))
     def test_read_of_a_point_without_holder_raises(self, rule):
@@ -203,9 +203,10 @@ class TestObservations:
         ids = [add_point(world, landmarks[i], [(kf.kf_id, i) for kf in kfs[i % 2:]])
                for i in range(len(landmarks))]
         batch = world.point_batch(ids, kfs[0].pose.translation)  # a query it ignores
+        ref_kf, _ = world.reselect_references(ids, kfs[5].pose.translation)
         chosen = set()
         for row, pid in enumerate(ids):
-            ref = world.keyframes[int(world.reference_kf[pid])]
+            ref = world.keyframes[int(ref_kf[row])]
             chosen.add(ref.kf_id)
             want = depth_invariance_interval([ref.pose.depth_of(world.positions[pid])])
             assert (batch.depth.z_min[row], batch.depth.z_max[row]) == \
@@ -239,16 +240,19 @@ class TestObservations:
             rng, descriptor_selection=ReferenceRule.APPEARANCE)
         for i in range(len(landmarks)):
             world.create_point([landmarks[i]], [(kf.kf_id, [i]) for kf in kfs[i % 3:]])
-        world.refresh_points(world.points)
-        for pid in world.points.tolist():
+        point, kf, kp = world.bindings(world.points)
+        rows = world.refresh_points(point, kf, kp)
+        assert point[rows].tolist() == world.points.tolist()
+        # the appearance rule reads the same choice whatever the query
+        ref_kf, ref_kp = world.reselect_references(world.points, kfs[0].pose.translation)
+        assert np.array_equal(ref_kf, kf[rows]) and np.array_equal(ref_kp, kp[rows])
+        far, _ = world.reselect_references(world.points, kfs[5].pose.translation)
+        assert np.array_equal(far, ref_kf)
+        for pid, chosen in zip(world.points.tolist(), ref_kf.tolist()):
             kf_ids = holders(world, pid)
-            kp = pid - 1  # keypoint index = landmark index here
-            stack = np.stack([world.keyframes[k].descriptors[kp] for k in kf_ids])
+            stack = np.stack([world.keyframes[k].descriptors[pid - 1] for k in kf_ids])
             (row,) = select_reference_appearance_index(stack, [0])
-            assert world.reference_kf[pid] == kf_ids[row]
-        # the appearance rule reads its stored choice, whatever the query
-        ref_kf, _ = world.reselect_references(world.points, kfs[0].pose.translation)
-        assert np.array_equal(ref_kf, world.reference_kf[world.points])
+            assert chosen == kf_ids[row]
 
     def test_interval_matches_recomputation_and_follows_poses(self):
         rng = np.random.default_rng(4)
@@ -320,7 +324,7 @@ def batch_bytes(batch) -> tuple:
 @settings(max_examples=40, deadline=None)
 def test_reads_write_nothing_and_depend_on_their_query_alone(rule, seed, n_reads):
     """On a small random map, ``point_batch`` and ``reselect_references``
-    leave ``reference_kf`` byte-equal, and a read at one query gives the
+    leave every byte of the map equal, and a read at one query gives the
     same bytes whatever reads at other queries ran before it."""
     rng = np.random.default_rng(seed)
     world = WorldMap(rule)
@@ -334,19 +338,84 @@ def test_reads_write_nothing_and_depend_on_their_query_alone(rule, seed, n_reads
         if all(f.size for f in free):
             world.create_point([rng.normal(size=3) * 4], [
                 (kfs[k].kf_id, [rng.choice(f)]) for k, f in zip(holders, free)])
-    world.refresh_points(world.points)
     ids = rng.permutation(world.points)
     query = rng.normal(size=3)
     first = batch_bytes(world.point_batch(ids, query))
     refs = [a.tobytes() for a in world.reselect_references(ids, query)]
-    stored = world.reference_kf.tobytes()
+    stored = map_bytes(world)
     for _ in range(n_reads):
         other = rng.choice(world.points, size=rng.integers(1, world.points.size + 1))
         world.point_batch(other, rng.normal(size=3) * 3)
         world.reselect_references(other, rng.normal(size=3) * 3)
-        assert world.reference_kf.tobytes() == stored
+        assert map_bytes(world) == stored
     assert batch_bytes(world.point_batch(ids, query)) == first
     assert [a.tobytes() for a in world.reselect_references(ids, query)] == refs
+
+
+def appearance_choice(world, pid) -> tuple:
+    """(keyframe id, keypoint) of the appearance rule over the point's
+    current holders, scanned keyframe by keyframe."""
+    held = [(k, int(np.flatnonzero(kf.point_ids == pid)[0]))
+            for k, kf in sorted(world.keyframes.items()) if (kf.point_ids == pid).any()]
+    if len(held) == 1:
+        return held[0]
+    return held[appearance_index_loop(
+        [Descriptor(world.keyframes[k].descriptors[kp].tobytes()) for k, kp in held])]
+
+
+@given(seed=st.integers(0, 2**32 - 1), n_edits=st.integers(1, 16))
+@settings(max_examples=40, deadline=None)
+def test_appearance_read_is_the_choice_over_the_current_holders(seed, n_edits):
+    """After any sequence of creates, adds, removals, merges and retention,
+    with nothing called between the edits and the read, the appearance
+    read of every live point is the appearance rule over its holders."""
+    rng = np.random.default_rng(seed)
+    world = WorldMap(ReferenceRule.APPEARANCE)
+    signature = rng.integers(0, 256, (8, 32), np.uint8)
+
+    def new_keyframe():
+        # few flipped bits per row, so that medians tie now and then
+        flips = np.zeros((8, 256), bool)
+        flips[np.arange(8)[:, None], rng.integers(0, 256, (8, 3))] = True
+        return world.add_keyframe(0.0, Pose.identity(), np.zeros((8, 2)),
+                                  np.zeros(8, np.int64),
+                                  signature ^ np.packbits(flips, axis=1))
+
+    def free_keypoint(kf):
+        return int(rng.choice(np.flatnonzero(kf.point_ids < 0)))
+
+    for _ in range(3):
+        new_keyframe()
+    for _ in range(n_edits):
+        kfs = [kf for kf in world.keyframes.values() if (kf.point_ids < 0).any()]
+        live = world.points
+        edit = rng.integers(5) if live.size >= 2 else 0
+        if edit == 0 and kfs:
+            chosen = rng.choice(len(kfs), size=rng.integers(1, len(kfs) + 1),
+                                replace=False)
+            world.create_point([rng.normal(size=3)], [
+                (kfs[i].kf_id, [free_keypoint(kfs[i])]) for i in chosen])
+        elif edit == 1:
+            pid = int(rng.choice(live))
+            open_kfs = [kf for kf in kfs if pid not in kf.point_ids]
+            if open_kfs:
+                kf = open_kfs[rng.integers(len(open_kfs))]
+                world.add_observation([pid], kf.kf_id, [free_keypoint(kf)])
+        elif edit == 2:
+            point, kf, _ = world.bindings()
+            i = rng.integers(point.size)
+            world.remove_observation([point[i]], [kf[i]])
+        elif edit == 3:
+            dst, src = rng.choice(live, size=2, replace=False)
+            world.merge_points([dst], [src])
+        else:
+            world.apply_retention(new_keyframe().kf_id)
+    world.check_integrity()
+    if world.points.size == 0:
+        return
+    ref_kf, ref_kp = world.reselect_references(world.points, rng.normal(size=3))
+    for pid, got in zip(world.points.tolist(), zip(ref_kf.tolist(), ref_kp.tolist())):
+        assert got == appearance_choice(world, pid)
 
 
 class TestCulling:
@@ -430,7 +499,6 @@ class TestMerge:
         a = add_point(world, landmarks[0], [(kfs[0].kf_id, 0), (kfs[1].kf_id, 0)])
         b = add_point(world, landmarks[0], [(kfs[2].kf_id, 0), (kfs[3].kf_id, 0)])
         world.merge_points(a, b)
-        world.refresh_points([a])
         assert b not in world.points
         assert holders(world, a) == [k.kf_id for k in kfs[:4]]
         world.check_integrity()
@@ -441,17 +509,49 @@ class TestMerge:
         a = add_point(world, landmarks[0], [(kfs[0].kf_id, 0), (kfs[1].kf_id, 0)])
         b = add_point(world, landmarks[1], [(kfs[0].kf_id, 1), (kfs[2].kf_id, 1)])
         world.merge_points(a, b)
-        world.refresh_points([a])
         assert kfs[0].point_ids[0] == a  # survivor's own keypoint
         assert kfs[0].point_ids[1] == -1  # loser's binding released
         assert kfs[2].point_ids[1] == a
         world.check_integrity()
 
 
-class TestIntegrity:
-    def make(self, rule=ReferenceRule.GEOMETRIC):
+class TestUnknownIds:
+    """An id the map never handed out is refused before anything changes.
+    Three points leave room for four ids, so -1 would index point 3 and 4
+    would index past the arrays."""
+
+    def make(self):
         rng = np.random.default_rng(12)
-        world, kfs, landmarks = tiny_world(rng, descriptor_selection=rule)
+        world, kfs, landmarks = tiny_world(rng)
+        for i in range(3):
+            add_point(world, landmarks[i], [(kfs[0].kf_id, i), (kfs[1].kf_id, i)])
+        assert world.live.size == 4
+        return world, kfs
+
+    @pytest.mark.parametrize("ids", [[-1], [0], [4], [9], [2, -1]])
+    def test_bindings_refuses_the_id(self, ids):
+        world, _ = self.make()
+        with pytest.raises(WorldIntegrityError, match="no point"):
+            world.bindings(ids)
+
+    def test_read_refuses_an_id_past_the_arrays(self):
+        world, kfs = self.make()
+        with pytest.raises(WorldIntegrityError, match="no point 9"):
+            world.reselect_references([9], kfs[0].pose.translation)
+
+    def test_refused_merge_changes_nothing(self):
+        world, _ = self.make()
+        before = map_bytes(world)
+        with pytest.raises(WorldIntegrityError, match="no point -1"):
+            world.merge_points([1], [-1])
+        assert map_bytes(world) == before
+        world.check_integrity()
+
+
+class TestIntegrity:
+    def make(self):
+        rng = np.random.default_rng(12)
+        world, kfs, landmarks = tiny_world(rng)
         pid = add_point(world, landmarks[0], [(kfs[0].kf_id, 0), (kfs[1].kf_id, 0)])
         world.check_integrity()
         return world, kfs, pid
@@ -478,13 +578,6 @@ class TestIntegrity:
         world, kfs, pid = self.make()
         kfs[0].point_ids[0] = kfs[1].point_ids[0] = -1
         with pytest.raises(WorldIntegrityError, match="no holder"):
-            world.check_integrity()
-
-    def test_reference_that_is_not_a_holder_detected(self):
-        # only the appearance rule stores a reference
-        world, kfs, pid = self.make(ReferenceRule.APPEARANCE)
-        world.reference_kf[pid] = kfs[3].kf_id
-        with pytest.raises(WorldIntegrityError, match="reference"):
             world.check_integrity()
 
 
