@@ -25,12 +25,12 @@ an inlier when each of its directional terms projects in front of its
 cameras with a Mahalanobis^2 within the cut.
 
 The solver is deterministic: fixed term ordering, a fixed damping
-schedule, and no time- or memory-dependent state.  Behind-camera terms
-are frozen (previous cost, zero gradient) for the step instead of
-aborting, so convergence does not depend on evaluation order.  A term
-behind the camera in the initial state costs zero, both in the solver
-and in ``evaluate_cost``, which flags it.  A result reports the final
-cost and the iteration count, and nothing per iteration.
+schedule, and no time- or memory-dependent state.  A term behind its
+camera costs zero and has no gradient, in the solver and in
+``evaluate_cost``, which flags it.  A step that puts a term in front
+behind its camera is rejected like one that raises the cost (ORB-SLAM2
+drops such an edge), so the terms in front only grow during a solve.  A
+result reports the final cost, accepted steps and attempts, nothing more.
 
 The order in which terms are summed into the normal equations is part
 of that contract.  Floating-point addition is not associative, so every
@@ -323,13 +323,12 @@ def _evaluate(problem: OptimizationProblem, state: _State) -> _Evaluation:
     return ev
 
 
-def _term_costs(ev: _Evaluation, prev=None):
-    """Per-term Huber costs with freezing of behind-camera terms."""
-    costs = np.concatenate([huber_rho(ev.m2_f), huber_rho(ev.m2_b)])
+def _term_costs(ev: _Evaluation):
+    """Per-term Huber costs, zero for a term behind its camera, and the
+    terms in front, forward terms first."""
     valid = np.concatenate([ev.valid_f, ev.valid_b])
-    if prev is None:
-        prev = np.zeros_like(costs)
-    return np.where(valid, costs, prev), valid
+    costs = np.concatenate([huber_rho(ev.m2_f), huber_rho(ev.m2_b)])
+    return np.where(valid, costs, 0.0), valid
 
 
 def _projection_block(out, q, cam):
@@ -606,56 +605,55 @@ def _poses(problem: OptimizationProblem, state: _State) -> dict:
 class SolveResult:
     state: _State
     cost: float
-    iterations: int
+    iterations: int  # accepted steps
+    attempts: int  # damped steps solved, accepted or not
     evaluation: _Evaluation  # of the final state
 
 
 def solve_problem(problem: OptimizationProblem,
                   normal: tuple | None = None) -> SolveResult:
     """Run LM to convergence on the assembled problem; ``normal``, when
-    given, is the initial state's normal equations, built by the caller."""
+    given, is the initial state's normal equations, built by the caller.
+    A step that raises the cost or puts a term in front behind its camera
+    is rejected: λ grows tenfold and the same equations are solved again."""
     state = problem.initial_state()
     ev = _evaluate(problem, state)
-    term_prev, _ = _term_costs(ev)
-    cost = float(np.sum(term_prev))
+    costs, valid = _term_costs(ev)
+    cost = float(np.sum(costs))
     lam = _LAMBDA_INIT
-    iterations = 0
+    iterations = attempts = 0
     converged = False
-    for it in range(MAX_ITERATIONS):
-        if converged:
-            break
+    for _ in range(MAX_ITERATIONS):
         if normal is None:
             normal = _build_normal_equations(problem, state, ev)
-        Hpp, Hpl, Hll, gp, gl = normal
-        normal = None
+        H, normal = normal, None
         accepted = False
         while lam <= _LAMBDA_MAX:
             try:
-                dp, dl = _solve_step(Hpp, Hpl, Hll, gp, gl, lam)
+                dp, dl = _solve_step(*H, lam)
             except np.linalg.LinAlgError as exc:
                 raise DegenerateProblemError(
                     f"normal equations are singular: {exc}"
                 ) from exc
+            attempts += 1
             candidate = _retract(problem, state, dp, dl)
             ev_new = _evaluate(problem, candidate)
-            costs_new, valid_new = _term_costs(ev_new, term_prev)
+            costs_new, valid_new = _term_costs(ev_new)
             cost_new = float(np.sum(costs_new))
-            if cost_new < cost:
+            if cost_new < cost and not np.any(valid & ~valid_new):
                 rel = (cost - cost_new) / max(cost, 1e-300)
-                state, ev = candidate, ev_new
-                term_prev = np.where(valid_new, costs_new, term_prev)
-                cost = cost_new
+                state, ev, valid, cost = candidate, ev_new, valid_new, cost_new
                 lam = max(lam * 0.1, 1e-12)
-                iterations = it + 1
+                iterations += 1
                 accepted = True
                 step_norm = float(np.sqrt(np.sum(dp * dp) + np.sum(dl * dl)))
                 converged = rel < 1e-8 or step_norm < 1e-10
                 break
             lam *= 10.0
-        if not accepted:
+        if converged or not accepted:
             break
 
-    return SolveResult(state=state, cost=cost, iterations=iterations, evaluation=ev)
+    return SolveResult(state, cost, iterations, attempts, ev)
 
 
 @dataclass
@@ -669,8 +667,8 @@ class CostReport:
 def evaluate_cost(problem: OptimizationProblem) -> CostReport:
     """Pure robust-cost evaluation; no state is mutated.
 
-    ``total`` is the solver's initial cost: a term behind the camera is
-    flagged and costs zero.
+    ``total`` is the solver's initial cost: a term behind its camera is
+    flagged and costs zero, as it does at every state of a solve.
     """
     ev = _evaluate(problem, problem.initial_state())
     costs, _ = _term_costs(ev)
@@ -750,8 +748,9 @@ class BAResult:
     points: np.ndarray  # (L, 3), in ascending ``problem.pt_ids`` order
     inlier: np.ndarray  # (n,) bool per caller row; False for a removed row
     removed: np.ndarray  # ascending caller rows deleted by early removal
-    cost: float
+    cost: float  # cost, accepted steps and step attempts of the last solve
     iterations: int
+    attempts: int
 
 
 def local_bundle_adjustment(problem: OptimizationProblem,
@@ -785,5 +784,5 @@ def local_bundle_adjustment(problem: OptimizationProblem,
         poses=_poses(solved, result.state), points=result.state.pts,
         inlier=_in_caller_order(problem, inlier),
         removed=np.sort(problem.row_order[~kept]),
-        cost=result.cost, iterations=result.iterations,
+        cost=result.cost, iterations=result.iterations, attempts=result.attempts,
     )

@@ -542,10 +542,7 @@ class Pipeline:
         for kf_id in variable:
             world.keyframes[kf_id].pose = result.poses[kf_id]
         world.positions[variable_points] = result.points[n_holders >= 2]
-        # the problem's rows are the bindings, in order
-        for kf_id in np.unique(kf).tolist():
-            mine = kf == kf_id
-            world.keyframes[kf_id].inlier[kp[mine]] = result.inlier[mine]
+        world.set_inlier(kf, kp, result.inlier)  # the problem's rows are the bindings
         removed = result.removed
         world.remove_observation(point[removed], kf[removed])
         self.n_removed += len(result.removed)

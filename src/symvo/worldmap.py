@@ -161,13 +161,15 @@ class WorldMap:
         return ids
 
     def add_observation(self, point_ids, kf_id: int, keypoints):
-        """Bind ``point_ids[i]`` to ``keypoints[i]`` of one keyframe.  A point
-        that would observe the keyframe twice or a keypoint that is bound
-        already raises WorldIntegrityError, as the first such binding of the
-        batch would one at a time, and nothing is bound."""
+        """Bind ``point_ids[i]`` to ``keypoints[i]`` of one keyframe.  An id
+        never handed out, a point that would observe the keyframe twice or a
+        keypoint that is bound already raises WorldIntegrityError, as the
+        first such binding of the batch would one at a time, and nothing is
+        bound."""
         kf = self.keyframes[kf_id]
         pids = np.asarray(point_ids, dtype=np.int64).reshape(-1)
         kps = np.asarray(keypoints, dtype=np.int64).reshape(-1)
+        self._refuse_unknown(pids)
         if (np.isin(pids, kf.point_ids).any() or (kf.point_ids[kps] >= 0).any()
                 or np.unique(pids).size < pids.size or np.unique(kps).size < kps.size):
             _refuse(kf, pids.tolist(), kps.tolist())
@@ -221,6 +223,19 @@ class WorldMap:
             kf.point_ids[keypoints[mine]] = point_ids[mine]
             kf.inlier[keypoints[mine]] &= point_ids[mine] >= 0
 
+    def set_inlier(self, kf_ids, keypoints, flags):
+        """Set the inlier flag of ``keypoints[i]`` of keyframe ``kf_ids[i]``
+        to ``flags[i]``."""
+        for k in np.unique(kf_ids).tolist():
+            mine = kf_ids == k
+            self.keyframes[k].inlier[keypoints[mine]] = flags[mine]
+
+    def _refuse_unknown(self, point_ids):
+        """Raise WorldIntegrityError on the first id never handed out."""
+        unknown = (point_ids < 1) | (point_ids >= self._next_point_id)
+        if unknown.any():
+            raise WorldIntegrityError(f"no point {point_ids[unknown][0]}")
+
     def _drop(self, point_ids):
         """Free every keypoint bound to the given points and kill them."""
         self.remove_observation(*self.bindings(point_ids)[:2])
@@ -234,9 +249,7 @@ class WorldMap:
         row = np.flatnonzero(point >= 0)
         if point_ids is not None:
             point_ids = np.asarray(point_ids, dtype=np.int64)
-            unknown = (point_ids < 1) | (point_ids >= self._next_point_id)
-            if unknown.any():
-                raise WorldIntegrityError(f"no point {point_ids[unknown][0]}")
+            self._refuse_unknown(point_ids)
             wanted = np.zeros(self.live.size, dtype=bool)
             wanted[point_ids] = True
             row = row[wanted[point[row]]]

@@ -1,6 +1,6 @@
 """Pinned pose digests: a change that moves any estimated pose bit fails here.
 
-Two scenes, each run forward and backward:
+Three scenes, each run forward and backward:
 
 - the benchmark's orbit (300 landmarks in view from the whole orbit, 4.5
   degrees per frame) at seed 61, cut to its first 12 frames.  ``full`` and
@@ -10,16 +10,21 @@ Two scenes, each run forward and backward:
 - a forward corridor (800 landmarks) at seed 61, cut to its first 10
   frames.  On the orbit prefix the depth filter leaves both digests as
   ``full`` has them, and early outlier removal the backward one; on this
-  prefix ``no_depth_filter`` and ``no_keep_all_outliers`` each move both,
-  so a change to either rule shows here.  The corridor also pins the
+  prefix ``no_depth_filter`` moves both, so a change to it shows here.
+  The corridor also pins the
   appearance rule (``no_geometric_descriptor``) on a map whose points
   come and go, where the orbit prefix keeps its 300 points throughout,
   and the other matching branches: ``no_depth_filter`` (no depth verdict drops a
   query), ``no_robust_matching`` (``Ordering.SEQUENTIAL``) and
   ``no_symmetric_gates`` (the per-site thresholds).  Each differs from
   ``full`` in both directions, so none of them can fall back to the
-  default path unseen.  ``no_keep_all_outliers`` is the one pinned case
-  in which local BA removes observations.
+  default path unseen.  ``no_keep_all_outliers`` is pinned forward only,
+  where local BA removes observations; backward it removes none, and
+  that pass equals ``full``'s.
+- the same corridor at seed 63, cut to its first 10 frames, under
+  ``full`` and ``no_keep_all_outliers``.  Early removal moves both
+  digests: forward local BA removes an observation, and backward pose
+  refinement drops outlier matches.
 
 Each case also pins the run's ``graph_stats`` and its count of removed
 observations.  Only ``graph_stats`` reads the inlier flags that local BA
@@ -57,29 +62,35 @@ DIGESTS = {
     ("orbit", "no_symmetric_covariance", "bwd"):
         "c0b6678436f633de888e31fbabb3757301b8c852bed525ebf7552c21849b004e",
     ("corridor", "full", "fwd"):
-        "3a18744bce74975f0a8dce2f0d1050bdf6dafadb436be5dad5282283a77bbcba",
+        "ba9f70bd22bec026891c84a05847744d942ad1b0857840a9ad15da348d85e2f0",
     ("corridor", "full", "bwd"):
-        "805d98f29963c1c13cb7cfc9e93167816b96dfa8302056514b13787034342c3a",
+        "f2b1411278f5a38e0e31fec41a3e89f46f1d7955ab49b80ea5935c73064be16c",
     ("corridor", "no_geometric_descriptor", "fwd"):
         "a190d42b2feb0f585718f5fdfd587f46aa29e21d80589b59a16832bb0f5d1593",
     ("corridor", "no_geometric_descriptor", "bwd"):
         "da59c0caecc072d3725f3415d381346fc066431ab17e96a8dcd9bcf4840155bf",
     ("corridor", "no_depth_filter", "fwd"):
-        "d421fb19cf7e475da970256cdfe91c0ff660d8d008abe12ece0ddd4a041375c4",
+        "3969c31897b49ba0302a8494fe053d6276027202693ad19fa2171af1bc510945",
     ("corridor", "no_depth_filter", "bwd"):
-        "dd2ad8ba81f9c87904f5fa9d9ec6537b19074eb87a1a918f949914776085371f",
+        "e7239c7785d07bc036b52fc7d1b188d2aff903af5a24d6ed077f9d367c4b18fe",
     ("corridor", "no_robust_matching", "fwd"):
-        "a5dcf60c6943b60e2ac29975273fb0be79fd4e1bc5b44d076b9e2a20c6809f14",
+        "909adaa7cf27a76b5e5fdb861ce17551a347de83de9d4b669a92a9a589dd2640",
     ("corridor", "no_robust_matching", "bwd"):
-        "1cb65f731285023f6da1114cfd655a794b7819ee2b8fa04435abd670f1188b50",
+        "20f5b7bb07d1b5b0ce37893bad67be1ee4b4cdde1f3782cbf876186ace43b939",
     ("corridor", "no_symmetric_gates", "fwd"):
-        "dd18c01112e87c64acf14f83913fdcf54adbfc5e61fa242892759db480a37e11",
+        "d2f3e01b4b3a5bcda46e651b0dfee87cb255b6c45acdb48f74bea03c07684c30",
     ("corridor", "no_symmetric_gates", "bwd"):
-        "f5982f9f5f2ffd59850e71930a1e63ab6a7ee8b628c561fd1c7d3f2ce3f75c64",
+        "4db95ebd174eaf5d25b09971d771876cdfdeac55a650de644d6bf064c4ab4c3a",
     ("corridor", "no_keep_all_outliers", "fwd"):
-        "0a3edd6eb1ca530b03e5dd136794798f4326eebde58dd3f560acac3c9cb66be3",
-    ("corridor", "no_keep_all_outliers", "bwd"):
-        "9cefa3c9391da8e36a3233f727d686e2921c9d2672a4a6b19b37d2e7206ead0e",
+        "7ff5f26f224ad3c441f401d6ffc958ba6b793165fcc0c4246893d136cc5be0ee",
+    ("corridor-63", "full", "fwd"):
+        "b39feac0249987e1e415b5e59359e5203d822cc943432ba8c057e0f5a147cbad",
+    ("corridor-63", "full", "bwd"):
+        "85843b2e5a2b0093071c332b84830345237cbc459eb806b4eb5378bcca6f9216",
+    ("corridor-63", "no_keep_all_outliers", "fwd"):
+        "75fb0b2625df9d3c493619169ebc9f427c5d1872aa36aa632e14cedb2b2894f9",
+    ("corridor-63", "no_keep_all_outliers", "bwd"):
+        "7fcce864529eabe40da5539c1e80a1600789207dcff53bc273b39a1bd500b3c9",
 }
 
 # (graph_stats: map points, local keyframes, inlier observations;
@@ -91,18 +102,21 @@ GRAPHS = {
     ("orbit", "no_geometric_descriptor", "bwd"): ((300, 6, 1800), 0),
     ("orbit", "no_symmetric_covariance", "fwd"): ((300, 6, 1800), 0),
     ("orbit", "no_symmetric_covariance", "bwd"): ((300, 6, 1800), 0),
-    ("corridor", "full", "fwd"): ((433, 5, 2042), 0),
-    ("corridor", "full", "bwd"): ((500, 5, 2346), 0),
+    ("corridor", "full", "fwd"): ((433, 5, 2047), 0),
+    ("corridor", "full", "bwd"): ((500, 5, 2356), 0),
     ("corridor", "no_geometric_descriptor", "fwd"): ((435, 5, 1923), 0),
     ("corridor", "no_geometric_descriptor", "bwd"): ((500, 5, 2128), 0),
-    ("corridor", "no_depth_filter", "fwd"): ((433, 5, 2048), 0),
-    ("corridor", "no_depth_filter", "bwd"): ((498, 5, 2349), 0),
-    ("corridor", "no_robust_matching", "fwd"): ((433, 5, 2042), 0),
-    ("corridor", "no_robust_matching", "bwd"): ((500, 5, 2346), 0),
-    ("corridor", "no_symmetric_gates", "fwd"): ((433, 5, 1902), 0),
-    ("corridor", "no_symmetric_gates", "bwd"): ((498, 5, 2189), 0),
-    ("corridor", "no_keep_all_outliers", "fwd"): ((432, 5, 2042), 9),
-    ("corridor", "no_keep_all_outliers", "bwd"): ((498, 5, 2346), 12),
+    ("corridor", "no_depth_filter", "fwd"): ((433, 5, 2058), 0),
+    ("corridor", "no_depth_filter", "bwd"): ((498, 5, 2359), 0),
+    ("corridor", "no_robust_matching", "fwd"): ((433, 5, 2047), 0),
+    ("corridor", "no_robust_matching", "bwd"): ((500, 5, 2356), 0),
+    ("corridor", "no_symmetric_gates", "fwd"): ((433, 5, 1907), 0),
+    ("corridor", "no_symmetric_gates", "bwd"): ((498, 5, 2194), 0),
+    ("corridor", "no_keep_all_outliers", "fwd"): ((433, 5, 2047), 3),
+    ("corridor-63", "full", "fwd"): ((409, 5, 1939), 0),
+    ("corridor-63", "full", "bwd"): ((493, 5, 2254), 0),
+    ("corridor-63", "no_keep_all_outliers", "fwd"): ((408, 5, 1933), 1),
+    ("corridor-63", "no_keep_all_outliers", "bwd"): ((493, 5, 2254), 0),
 }
 
 SCENES = {
@@ -112,6 +126,9 @@ SCENES = {
     "corridor": (SceneSpec(trajectory="forward-corridor", n_landmarks=800,
                            n_frames=30, noise_px=0.5, outlier_rate=0.05,
                            seed=61), 10),
+    "corridor-63": (SceneSpec(trajectory="forward-corridor", n_landmarks=800,
+                              n_frames=30, noise_px=0.5, outlier_rate=0.05,
+                              seed=63), 10),
 }
 
 

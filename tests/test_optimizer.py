@@ -679,6 +679,59 @@ def kernel_state(model, variable_pose_ids, variable_points, seed):
     return problem, state, ev
 
 
+def in_front(ev):
+    """Per term, forward terms first: in front of its cameras."""
+    return np.concatenate([ev.valid_f, ev.valid_b])
+
+
+class TestStepsKeepTermsInFront:
+    """A step that would put a term in front behind its camera is rejected,
+    like a step that raises the cost, so the terms in front only grow."""
+
+    def test_step_through_a_camera_is_rejected(self):
+        # views 1 and 3 place the point at z = 5; view 2, at z = 8, sees it
+        # where it starts, at z = 12, with a variance that Huber-weights it
+        # down.  The steps toward z = 5 cross view 2's image plane, behind
+        # which that term would cost nothing.
+        poses = {1: Pose.identity(), 2: Pose(np.eye(3), np.array([0.0, 0.0, 8.0])),
+                 3: Pose(np.eye(3), np.array([1.0, 0.0, 0.0]))}
+        start, target = np.array([0.5, 0.0, 12.0]), np.array([0.5, 0.0, 5.0])
+        terms = np.array([
+            reference_row(1, k, project(poses[k].inverse().apply(p), CAM), sigma2)
+            for k, p, sigma2 in ((1, target, 1.0), (2, start, 100.0), (3, target, 1.0))
+        ], dtype=OBSERVATION)
+        problem = OptimizationProblem(
+            cam=CAM, poses=poses, points={1: start}, observations=terms,
+            model=STANDARD, variable_point_ids=(1,),
+        )
+        assert not evaluate_cost(problem).behind_camera.any()
+        result = solve_problem(problem)
+        assert result.evaluation.valid_f.all()
+        assert result.state.pts[0, 2] > 8.0
+        assert result.attempts > result.iterations > 0
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(case=st.sampled_from(KERNEL_CASES), seed=st.integers(0, 2**16))
+    def test_terms_in_front_stay_in_front(self, case, seed):
+        problem, _, ev = kernel_state(*case, seed)
+        result = solve_problem(problem)
+        assert not np.any(in_front(ev) & ~in_front(result.evaluation))
+        assert result.attempts >= result.iterations
+
+    def test_attempts_equal_iterations_when_every_step_is_accepted(self):
+        rng = np.random.default_rng(10)
+        poses, points = make_scene(rng, n_poses=3, n_points=25)
+        terms = make_observations(poses, points, SYMMETRIC, noise=1.0, rng=rng)
+        start_poses, start_points = perturbed(poses, points, rng, skip=(1,))
+        problem = OptimizationProblem(
+            cam=CAM, poses=start_poses, points=start_points,
+            observations=terms, model=SYMMETRIC, variable_pose_ids=(2, 3),
+            variable_point_ids=tuple(sorted(points)),
+        )
+        result = local_bundle_adjustment(problem)
+        assert result.attempts == result.iterations > 0
+
+
 class TestKernelBitIdentity:
     @pytest.mark.parametrize("case", KERNEL_CASES, ids=KERNEL_IDS)
     @pytest.mark.parametrize("seed", [0, 1, 2])

@@ -506,3 +506,27 @@ def test_local_ba_references_the_holder_nearest_the_new_keyframe(
     monkeypatch.setattr(pipeline_module, "local_bundle_adjustment", brute_force)
     _, report = pipe.run(frames)
     assert report.health == "ok" and len(checked) >= 8
+
+
+def test_local_ba_solves_stay_short_on_the_benchmark_corridor(monkeypatch):
+    """The benchmark's corridor (30 frames, seed 61) cut to its first 12
+    frames, forward: no local-BA solve takes more than 15 LM iterations.
+    A solver that let a step move a term behind its camera, keeping that
+    term at its last cost, alternated rejected and accepted steps here for
+    25 and 41 iterations."""
+    seq = generate(SceneSpec(trajectory="forward-corridor", n_frames=30, noise_px=0.5,
+                             outlier_rate=0.05, seed=61))
+    iterations = []
+    inner = pipeline_module.local_bundle_adjustment
+
+    def counted(*args):
+        result = inner(*args)
+        iterations.append(result.iterations)
+        return result
+
+    monkeypatch.setattr(pipeline_module, "local_bundle_adjustment", counted)
+    _, report = Pipeline(seq.cam, PipelineConfig()).run(seq.frames[:12])
+    print(f"local-BA iterations per solve: {iterations}")
+    assert report.health == "ok"
+    assert len(iterations) >= 3
+    assert max(iterations) <= 15

@@ -539,6 +539,15 @@ class TestUnknownIds:
         with pytest.raises(WorldIntegrityError, match="no point 9"):
             world.reselect_references([9], kfs[0].pose.translation)
 
+    @pytest.mark.parametrize("ids", [[7], [-1], [0], [4], [2, 4]])
+    def test_refused_binding_changes_nothing(self, ids):
+        world, kfs = self.make()
+        before = map_bytes(world)
+        with pytest.raises(WorldIntegrityError, match=f"no point {ids[-1]}"):
+            world.add_observation(ids, kfs[2].kf_id, np.arange(len(ids)) + 5)
+        assert map_bytes(world) == before
+        world.check_integrity()
+
     def test_refused_merge_changes_nothing(self):
         world, _ = self.make()
         before = map_bytes(world)
@@ -638,6 +647,21 @@ class TestBatchEditsMatchOneAtATime:
                 f"{kf_ids[first_bad]}")):
             world.remove_observation([ids[i] for i in pids], kf_ids)
         assert map_bytes(world) == before
+
+    def test_set_inlier_writes_as_flags_one_at_a_time_do(self):
+        rng = np.random.default_rng(25)
+        world, kfs, landmarks = tiny_world(rng)
+        for i in range(4):
+            add_point(world, landmarks[i], [(kfs[i].kf_id, i), (kfs[i + 1].kf_id, i)])
+        world, ref = twin(world)
+        before = map_bytes(world)
+        _, kf, kp = world.bindings()
+        flags = np.arange(kf.size) % 3 != 1
+        order = rng.permutation(kf.size)  # the rows need not group by keyframe
+        world.set_inlier(kf[order], kp[order], flags[order])
+        for k, i, flag in zip(kf.tolist(), kp.tolist(), flags.tolist()):
+            ref.keyframes[k].inlier[i] = flag
+        assert map_bytes(world) == map_bytes(ref) != before
 
     def test_merge_frees_src_in_a_keyframe_that_binds_both(self):
         rng = np.random.default_rng(22)
