@@ -13,12 +13,13 @@ from its octave alone.  Map points summarize their descriptor sets by a
 single reference descriptor, chosen by a ``ReferenceRule`` from the
 point's current holders at every read: by appearance (least median
 distance to the rest, whatever the query) or by geometry (held by the
-keyframe closest to each query).  The depth-invariance interval bounds
-the query depths at which a point's appearance stays within ``DELTA_L``
-octaves of its reference observation, so it follows from that one depth.
+keyframe closest to each query; the map reads that one from its binding
+table).  The depth-invariance interval bounds the query depths at which a
+point's appearance stays within ``DELTA_L`` octaves of its reference
+observation, so it follows from that one depth.
 
-The reference rules are per-point rules over the keyframes that observe a
-point; they take a point's holders as one run of rows, the runs beginning
+The appearance rule is a per-point rule over the keyframes that observe a
+point; it takes a point's holders as one run of rows, the runs beginning
 at ``starts``, so many points cost one call.
 """
 
@@ -149,23 +150,6 @@ def select_reference_appearance_index(packed: np.ndarray, starts) -> np.ndarray:
     score = dist[every, size // 2] + dist[every, (size + 1) // 2]
     best = np.minimum.reduceat(score * width + (every - first), starts)
     return starts + best % width
-
-
-def select_reference_geometric_index(kf_ids, translations, queries,
-                                     starts) -> np.ndarray:
-    """Per group of holders, the row whose keyframe translation is nearest
-    the query; ties break to the lowest keyframe id.
-
-    Row i is the holder keyframe ``kf_ids[i]`` at ``translations[i]``, and a
-    group is a run of rows beginning at one of ``starts``.  ``queries`` is
-    one translation for all rows, or one per row, equal within a group.
-    """
-    translations = np.asarray(translations, dtype=np.float64)
-    starts = _group_starts(len(translations), starts)
-    d = translations - np.asarray(queries, dtype=np.float64)
-    d2 = (d[:, None, :] @ d[:, :, None])[:, 0, 0]  # rounds as a 1-D d @ d
-    group = np.repeat(np.arange(starts.size), np.diff(starts, append=len(d)))
-    return np.lexsort((kf_ids, d2, group))[starts]
 
 
 def depth_invariance_interval(depths) -> DepthInterval:

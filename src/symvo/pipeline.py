@@ -511,8 +511,7 @@ class Pipeline:
         world = self.world
         window = world.latest_keyframe_ids()
         # points observed from the window, with every observing keyframe
-        point, kf, kp = world.bindings()
-        point_ids = np.unique(point[np.isin(kf, window)])
+        point_ids = world.window_point_ids()
         if point_ids.size == 0:
             return
         point, kf, kp = world.bindings(point_ids)

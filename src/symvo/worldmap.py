@@ -1,26 +1,33 @@
-"""Keyframes, map points, the one table that binds them, and retention.
+"""Keyframes, map points, the table that binds them, and retention.
 
-One binding invariant: each keyframe's per-keypoint ``point_ids`` column
-(-1 = free), with its parallel ``inlier`` column, is the only record of
-which point a keypoint observes.  Per point the map stores a position and
-a live flag, nothing more: a point's holders (the keyframes that observe
-it), its reference observation, depth-invariance interval and reference
-descriptor are gathered from the columns when read, never cached.  A
-reference is a read under both rules: ``reselect_references`` takes the
-holder nearest each query (geometric rule) or the holder descriptor with
-least median distance to the others (appearance rule), so no read depends
-on the edits or reads that ran before it.
+One binding record: each keyframe's per-keypoint ``point_ids`` column
+(-1 = free), with its parallel ``inlier`` column, says which point a
+keypoint observes.  Per point the map stores a position and a live flag,
+nothing more: a point's holders (the keyframes that observe it), its
+reference observation, depth-invariance interval and reference descriptor
+are read from the bindings, never cached.  A reference is a read under
+both rules: ``reselect_references`` takes the holder nearest each query
+(geometric rule) or the holder descriptor with least median distance to
+the others (appearance rule), so no read depends on the edits or reads
+that ran before it.
+
+The map reads the bindings point by point through a point-major table
+derived from the columns: ``_held[point, slot]`` is the keypoint of that
+point in keyframe ``_slots[slot]``, or -1, the slots ascending by keyframe
+id.  Each edit writes the columns and the table in the same call, so no
+read stacks or sorts the columns, and ``check_integrity`` asserts that
+the table is the one the columns give.
 
 Every edit takes id arrays, and an edit group makes one call per edit
 kind, which writes each keyframe's columns once.  A batch that edits one
 at a time would refuse raises before anything changes.  Merge pairs must
 share no point: only then does one batch equal merging pair by pair.
 
-``check_integrity`` asserts what the columns leave open: every live point
-has at least one holder, no keyframe binds a point to two keypoints, and
-no column names a dead point.  The map is owned by a single pipeline;
-every traversal runs in ascending id order, so identical inputs replay
-identically.
+``check_integrity`` also asserts what the columns leave open: every live
+point has at least one holder, no keyframe binds a point to two
+keypoints, and no column names a dead point.  The map is owned by a
+single pipeline; every traversal runs in ascending id order, so identical
+inputs replay identically.
 """
 
 from __future__ import annotations
@@ -36,7 +43,6 @@ from .features import (
     ReferenceRule,
     depth_invariance_interval,
     select_reference_appearance_index,
-    select_reference_geometric_index,
     sigma2_at,
 )
 from .geometry import Pose
@@ -111,6 +117,10 @@ class WorldMap:
         # indexed by point id and doubled when full; id 0 is never handed out
         self.positions = np.zeros((1, 3))
         self.live = np.zeros(1, dtype=bool)
+        # the point-major table: a row per point id, a slot per keyframe
+        self._slots = np.zeros(0, dtype=np.int64)
+        self._held = np.full((1, 0), -1, dtype=np.int64)
+        self._stacks: dict = {}  # ``_stack``'s arrays for this keyframe set
         self._next_kf_id = 1
         self._next_point_id = 1
 
@@ -134,6 +144,10 @@ class WorldMap:
         )
         self.keyframes[kf.kf_id] = kf
         self._next_kf_id += 1
+        self._slots = np.append(self._slots, kf.kf_id)
+        self._held = np.concatenate(
+            [self._held, np.full((len(self._held), 1), -1, self._held.dtype)], axis=1)
+        self._stacks = {}
         return kf
 
     def keyframe_ids(self) -> list:
@@ -141,6 +155,12 @@ class WorldMap:
 
     def latest_keyframe_ids(self) -> list:
         return self.keyframe_ids()[-RETENTION_LATEST:]
+
+    def _slot_of(self, kf_ids) -> tuple:
+        """(slot of each keyframe id, whether the map holds that keyframe);
+        an id it does not hold gets some other keyframe's slot, or none."""
+        slot = np.searchsorted(self._slots, kf_ids)
+        return slot, np.append(self._slots, -1)[slot] == kf_ids
 
     # ------------------------------------------------------------------
     # points and bindings
@@ -154,6 +174,7 @@ class WorldMap:
         while self._next_point_id > self.live.size:
             self.positions, self.live = (np.concatenate([a, np.zeros_like(a)])
                                          for a in (self.positions, self.live))
+            self._held = np.concatenate([self._held, np.full_like(self._held, -1)])
         self.positions[ids] = positions
         self.live[ids] = True
         for kf_id, keypoints in observations:
@@ -165,16 +186,21 @@ class WorldMap:
         never handed out, a point that would observe the keyframe twice or a
         keypoint that is bound already raises WorldIntegrityError, as the
         first such binding of the batch would one at a time, and nothing is
-        bound."""
+        bound; so does a keypoint index outside the keyframe."""
         kf = self.keyframes[kf_id]
+        slot = int(np.searchsorted(self._slots, kf_id))
         pids = np.asarray(point_ids, dtype=np.int64).reshape(-1)
         kps = np.asarray(keypoints, dtype=np.int64).reshape(-1)
         self._refuse_unknown(pids)
-        if (np.isin(pids, kf.point_ids).any() or (kf.point_ids[kps] >= 0).any()
+        outside = (kps < 0) | (kps >= kf.n_keypoints)
+        if outside.any():
+            raise WorldIntegrityError(f"no keypoint {kps[outside][0]} in keyframe {kf_id}")
+        if ((self._held[pids, slot] >= 0).any() or (kf.point_ids[kps] >= 0).any()
                 or np.unique(pids).size < pids.size or np.unique(kps).size < kps.size):
             _refuse(kf, pids.tolist(), kps.tolist())
         kf.point_ids[kps] = pids
         kf.inlier[kps] = True
+        self._held[pids, slot] = kps
 
     def remove_observation(self, point_ids, kf_ids):
         """Unbind ``point_ids[i]`` from keyframe ``kf_ids[i]``; a point left
@@ -182,19 +208,19 @@ class WorldMap:
         earlier one, raises WorldIntegrityError, as its removal one at a
         time would, and nothing is unbound."""
         pids, kf_ids = (np.asarray(a, np.int64).reshape(-1) for a in (point_ids, kf_ids))
-        point, kf, kp = self.bindings(pids)
-        # bindings come sorted by point, then keyframe: so do their keys
-        held = np.append(point * self._next_kf_id + kf, -1)
-        want = pids * self._next_kf_id + kf_ids
-        at = np.searchsorted(held[:-1], want)
-        repeat = ~np.isin(np.arange(want.size), np.unique(want, return_index=True)[1])
-        bad = (held[at] != want) | repeat
+        self._refuse_unknown(pids)
+        slot, known = self._slot_of(kf_ids)
+        kp = np.full(pids.size, -1)
+        kp[known] = self._held[pids[known], slot[known]]
+        key = pids * self._next_kf_id + kf_ids
+        repeat = ~np.isin(np.arange(key.size), np.unique(key, return_index=True)[1])
+        bad = (kp < 0) | repeat
         if bad.any():
             i = int(np.argmax(bad))
             raise WorldIntegrityError(
                 f"point {pids[i]} does not observe keyframe {kf_ids[i]}")
-        self._set(kf_ids, kp[at], np.full(at.size, -1))
-        self.live[np.setdiff1d(pids, np.delete(point, at))] = False
+        self._set(kf_ids, kp, np.full(kp.size, -1))
+        self.live[pids[(self._held[pids] < 0).all(axis=1)]] = False
 
     def merge_points(self, dst_ids, src_ids):
         """Absorb each ``src_ids[i]`` into ``dst_ids[i]``: src's bindings move
@@ -206,22 +232,26 @@ class WorldMap:
         both = np.concatenate([dst, src])
         if np.unique(both).size < both.size:
             raise WorldIntegrityError("merge pairs share a point")
-        point, kf, kp = self.bindings(both)
-        to = np.arange(self.live.size)
-        to[src] = dst
-        key = to[point] * self._next_kf_id + kf  # (merged point, keyframe)
-        is_src = np.isin(point, src)
-        self._set(kf[is_src], kp[is_src],
-                  np.where(np.isin(key[is_src], key[~is_src]), -1, to[point[is_src]]))
+        self._refuse_unknown(both)
+        held = self._held[src]
+        pair, slot = np.nonzero(held >= 0)
+        self._set(self._slots[slot], held[pair, slot],
+                  np.where(self._held[dst[pair], slot] >= 0, -1, dst[pair]))
         self.live[src] = False
 
     def _set(self, kf_ids, keypoints, point_ids):
         """Bind ``keypoints[i]`` of keyframe ``kf_ids[i]`` to ``point_ids[i]``;
-        a keypoint set to -1 is freed and loses its inlier flag."""
+        a keypoint set to -1 is freed and loses its inlier flag.  The table
+        loses each keypoint's old owner before it gains the new ones."""
         for k in np.unique(kf_ids).tolist():
             kf, mine = self.keyframes[k], kf_ids == k
-            kf.point_ids[keypoints[mine]] = point_ids[mine]
-            kf.inlier[keypoints[mine]] &= point_ids[mine] >= 0
+            kps, new = keypoints[mine], point_ids[mine]
+            slot = int(np.searchsorted(self._slots, k))
+            old = kf.point_ids[kps]
+            self._held[old[old >= 0], slot] = -1
+            self._held[new[new >= 0], slot] = kps[new >= 0]
+            kf.point_ids[kps] = new
+            kf.inlier[kps] &= new >= 0
 
     def set_inlier(self, kf_ids, keypoints, flags):
         """Set the inlier flag of ``keypoints[i]`` of keyframe ``kf_ids[i]``
@@ -245,39 +275,54 @@ class WorldMap:
         """(point, kf, keypoint) arrays of every binding, sorted by point id
         then keyframe id; only the bindings of ``point_ids`` when given.  An
         id never handed out raises WorldIntegrityError."""
-        kf_ids, first, point = self._stacked("point_ids")
-        row = np.flatnonzero(point >= 0)
-        if point_ids is not None:
+        if point_ids is None:
+            ids = np.arange(self.live.size)
+        else:
             point_ids = np.asarray(point_ids, dtype=np.int64)
             self._refuse_unknown(point_ids)
-            wanted = np.zeros(self.live.size, dtype=bool)
-            wanted[point_ids] = True
-            row = row[wanted[point[row]]]
-        # the columns are stacked in keyframe order, which a stable sort by
-        # point keeps within each point
-        row = row[np.argsort(point[row], kind="stable")]
-        holder = np.searchsorted(first, row, side="right") - 1
-        return point[row], kf_ids[holder], row - first[holder]
+            ids = np.unique(point_ids)
+        held = self._held[ids]
+        row, slot = np.nonzero(held >= 0)  # row-major: by point, then slot
+        return ids[row], self._slots[slot], held[row, slot]
 
-    def _stacked(self, name: str) -> tuple:
-        """(keyframe ids ascending, each one's first row, their per-keypoint
-        ``name`` arrays end to end)."""
-        kfs = [self.keyframes[k] for k in self.keyframe_ids()]
-        columns = [getattr(kf, name) for kf in kfs] or [np.zeros(0, np.int64)]
-        return (np.array([kf.kf_id for kf in kfs], dtype=np.int64),
-                np.cumsum([0] + [kf.n_keypoints for kf in kfs]), np.concatenate(columns))
+    def window_point_ids(self) -> np.ndarray:
+        """Ids of the points the latest keyframes hold, ascending."""
+        return np.flatnonzero((self._held[:, -RETENTION_LATEST:] >= 0).any(axis=1))
+
+    def _stack(self, name: str) -> np.ndarray:
+        """The keyframes' per-keypoint ``name`` arrays end to end, in slot
+        order; ``"first"`` gives each slot's first row and, last, the row
+        count.  Kept until the keyframe set changes, since a keyframe's
+        keypoint arrays never do."""
+        if name not in self._stacks:
+            kfs = [self.keyframes[k] for k in self._slots.tolist()]
+            self._stacks[name] = (
+                np.cumsum([0] + [kf.n_keypoints for kf in kfs]) if name == "first"
+                else np.concatenate([getattr(kf, name) for kf in kfs]
+                                    or [np.zeros(0, np.int64)]))
+        return self._stacks[name]
 
     def gather(self, kf_ids, keypoints, name: str) -> np.ndarray:
         """``keyframes[kf_ids[i]].<name>[keypoints[i]]`` for every i, where
-        ``name`` is a per-keypoint array such as ``descriptors``."""
-        ids, first, table = self._stacked(name)
-        return table[first[np.searchsorted(ids, kf_ids)] + keypoints]
+        ``name`` is a per-keypoint array such as ``descriptors``.  A
+        keyframe the map does not hold, or a keypoint index outside its
+        keyframe, raises WorldIntegrityError before anything is read."""
+        kf_ids, keypoints = (np.asarray(a, dtype=np.int64) for a in (kf_ids, keypoints))
+        slot, known = self._slot_of(kf_ids)
+        if not known.all():
+            raise WorldIntegrityError(f"no keyframe {kf_ids[~known][0]}")
+        first = self._stack("first")
+        outside = (keypoints < 0) | (keypoints >= first[slot + 1] - first[slot])
+        if outside.any():
+            i = int(np.argmax(outside))
+            raise WorldIntegrityError(
+                f"no keypoint {keypoints[i]} in keyframe {kf_ids[i]}")
+        return self._stack(name)[first[slot] + keypoints]
 
-    def _pose_rows(self, kf_ids, value) -> np.ndarray:
-        """The 3-vector ``value(pose)`` of each keyframe in ``kf_ids``."""
-        ids, at = np.unique(kf_ids, return_inverse=True)
-        return np.array([value(self.keyframes[k].pose) for k in ids.tolist()],
-                        dtype=np.float64).reshape(-1, 3)[at]
+    def _slot_rows(self, value) -> np.ndarray:
+        """The 3-vector ``value(pose)`` of each slot's keyframe, (slots, 3)."""
+        return np.array([value(self.keyframes[k].pose) for k in self._slots.tolist()],
+                        dtype=np.float64).reshape(-1, 3)
 
     def point_batch(self, point_ids, query_translation) -> PointBatch:
         """The given points, in the order given, as a camera at
@@ -286,11 +331,12 @@ class WorldMap:
         (``reselect_references``), the interval at that keyframe's pose."""
         point_ids = np.asarray(point_ids, dtype=np.int64)
         ref_kf, ref_kp = self.reselect_references(point_ids, query_translation)
+        slot, _ = self._slot_of(ref_kf)
         positions = self.positions[point_ids]
         # the depth (p - t) . R[:, 2]; a (1, 3) @ (3, 1) matmul per row
         # rounds exactly as ``Pose.depth_of`` does, einsum would not
-        offset = positions - self._pose_rows(ref_kf, lambda p: p.translation)
-        axis = self._pose_rows(ref_kf, lambda p: p.rotation[:, 2])
+        offset = positions - self._slot_rows(lambda p: p.translation)[slot]
+        axis = self._slot_rows(lambda p: p.rotation[:, 2])[slot]
         depths = (offset[:, None, :] @ axis[:, :, None])[:, 0, 0]
         return PointBatch(
             ids=point_ids,
@@ -316,27 +362,31 @@ class WorldMap:
         rule).  Writes nothing; an id without a holder raises
         WorldIntegrityError."""
         point_ids = np.asarray(point_ids, dtype=np.int64)
-        point, kf, kp = self.bindings(point_ids)
-        if self.descriptor_selection is ReferenceRule.GEOMETRIC:
-            t = self._pose_rows(kf, lambda p: p.translation)
-            rows = select_reference_geometric_index(kf, t, query_translation,
-                                                    _runs(point))
-        else:
-            rows = self.refresh_points(point, kf, kp)
-        held = np.append(point[rows], -1)  # ascending; -1 ends the search
-        at = np.searchsorted(held[:-1], point_ids)
-        if (held[at] != point_ids).any():
-            raise WorldIntegrityError(f"point {point_ids[held[at] != point_ids][0]} "
+        self._refuse_unknown(point_ids)
+        held = self._held[point_ids]
+        holder = held >= 0
+        lacking = ~holder.any(axis=1)
+        if lacking.any():
+            raise WorldIntegrityError(f"point {point_ids[lacking][0]} "
                                       "has no reference holder")
-        return kf[rows][at], kp[rows][at]
+        if self.descriptor_selection is ReferenceRule.APPEARANCE:
+            ids, at = np.unique(point_ids, return_inverse=True)
+            point, kf, kp = self.bindings(ids)
+            rows = self.refresh_points(point, kf, kp)[at]
+            return kf[rows], kp[rows]
+        d = self._slot_rows(lambda p: p.translation) - np.asarray(query_translation,
+                                                                   dtype=np.float64)
+        d2 = (d[:, None, :] @ d[:, :, None])[:, 0, 0]  # rounds as a 1-D d @ d
+        # the first least distance of a row is its lowest keyframe id's
+        slot = np.where(holder, d2, np.inf).argmin(axis=1)
+        return self._slots[slot], held[np.arange(point_ids.size), slot]
 
     # ------------------------------------------------------------------
     # maintenance
 
     def cull_points(self) -> list:
         """Remove points with fewer than two holders; returns culled ids."""
-        point, _, _ = self.bindings()
-        holders = np.bincount(point, minlength=self.live.size)
+        holders = np.count_nonzero(self._held >= 0, axis=1)
         culled = np.flatnonzero(self.live & (holders < 2))
         self._drop(culled)
         return culled.tolist()
@@ -348,10 +398,12 @@ class WorldMap:
         culled = [k for k in self.keyframe_ids() if k not in retained]
         if not culled:
             return culled
-        held = np.concatenate([self.keyframes.pop(k).point_ids for k in culled])
-        touched = np.unique(held[held >= 0])
-        point, _, _ = self.bindings(touched)
-        holders = np.bincount(point, minlength=self.live.size)[touched]
+        for k in culled:
+            del self.keyframes[k]
+        gone = np.isin(self._slots, culled)
+        touched = np.flatnonzero((self._held[:, gone] >= 0).any(axis=1))
+        self._slots, self._held, self._stacks = self._slots[~gone], self._held[:, ~gone], {}
+        holders = np.count_nonzero(self._held[touched] >= 0, axis=1)
         # orphaned points: below the two-holder survival threshold
         self._drop(touched[holders < 2])
         return culled
@@ -361,34 +413,50 @@ class WorldMap:
 
     def local_keyframe_ids(self) -> list:
         """Latest keyframes plus retained ones sharing at least one point."""
-        latest = self.latest_keyframe_ids()
-        point, kf, _ = self.bindings()
-        shared = np.isin(point, point[np.isin(kf, latest)])
-        return sorted(set(latest) | set(kf[shared].tolist()))
+        shared = (self._held[self.window_point_ids()] >= 0).any(axis=0)
+        return sorted(set(self.latest_keyframe_ids()) | set(self._slots[shared].tolist()))
 
     def graph_stats(self) -> "GraphStats":
         return GraphStats(
             n_map_points=len(self.points),
             n_local_keyframes=len(self.local_keyframe_ids()),
-            n_observation_inliers=int(np.count_nonzero(
-                self._stacked("inlier")[2] & (self._stacked("point_ids")[2] >= 0))),
+            n_observation_inliers=sum(int(np.count_nonzero(kf.inlier & (kf.point_ids >= 0)))
+                                      for kf in self.keyframes.values()),
         )
 
     def check_integrity(self):
-        """Assert the binding invariants; raises on violation."""
-        point, kf, _ = self.bindings()
-        dead = np.flatnonzero(~np.isin(point, self.points))
-        if dead.size:
+        """Assert the binding invariants of the columns, then that the
+        point-major table is the one they give; raises on violation."""
+        if self._slots.tolist() != self.keyframe_ids():
+            raise WorldIntegrityError("binding index slots are not the keyframes")
+        columns = [self.keyframes[k].point_ids for k in self._slots.tolist()]
+        sizes, n_slots = [c.size for c in columns], len(columns)
+        point = np.concatenate(columns or [np.zeros(0, np.int64)])
+        slot = np.repeat(np.arange(n_slots), sizes)
+        kp = np.arange(point.size) - np.repeat(np.cumsum([0] + sizes)[:-1], sizes)
+        bound = point >= 0
+        point, slot, kp = point[bound], slot[bound], kp[bound]
+        dead = (point >= self.live.size) | ~self.live[np.minimum(point, self.live.size - 1)]
+        if dead.any():
+            i = int(np.argmax(dead))
             raise WorldIntegrityError(
-                f"keyframe {kf[dead[0]]} binds dead point {point[dead[0]]}")
-        twice = np.flatnonzero((np.diff(point) == 0) & (np.diff(kf) == 0))
+                f"keyframe {self._slots[slot[i]]} binds dead point {point[i]}")
+        cell = point * n_slots + slot
+        twice = np.flatnonzero(np.bincount(cell, minlength=self.live.size * n_slots) > 1)
         if twice.size:
-            raise WorldIntegrityError(
-                f"keyframe {kf[twice[0]]} binds point {point[twice[0]]} twice")
-        held = np.bincount(point, minlength=self.live.size)
-        bad = np.flatnonzero(self.live & (held == 0))
+            p, s = divmod(int(twice[0]), n_slots)
+            raise WorldIntegrityError(f"keyframe {self._slots[s]} binds point {p} twice")
+        held = np.full((self.live.size, n_slots), -1, dtype=self._held.dtype)
+        held[point, slot] = kp
+        bad = np.flatnonzero(self.live & (held < 0).all(axis=1))
         if bad.size:
             raise WorldIntegrityError(f"point {bad[0]} has no holder")
+        if held.shape != self._held.shape:
+            raise WorldIntegrityError("binding index has the wrong shape")
+        stale = np.flatnonzero((held != self._held).any(axis=1))
+        if stale.size:
+            raise WorldIntegrityError(
+                f"binding index row of point {stale[0]} differs from the columns")
 
 
 class GraphStats(NamedTuple):

@@ -48,10 +48,20 @@ initialization receives for two frames, and ``corridor_match_inputs`` a
 one point or row at a time: a point created and bound keyframe by
 keyframe, an observation unbound and its point's survival checked
 keyframe by keyframe, one merge over every keyframe, and the fuse walk
-over its rows with a guard per row.  ``WorldMap``'s edits take id arrays
-and ``Pipeline._apply_fuse`` makes one call per edit group; they must
-leave the same bytes in every ``point_ids`` / ``inlier`` column and in
-``live`` and ``positions`` (``map_bytes``).
+over its rows with a guard per row.  They write the keyframe columns
+alone and then rebuild the map's point-major table from the columns
+(``reference_index``), so the table they leave owes nothing to the
+map's own upkeep of it.  ``WorldMap``'s edits take id arrays and
+``Pipeline._apply_fuse`` makes one call per edit group; they must leave
+the same bytes in every ``point_ids`` / ``inlier`` column, in ``live``
+and ``positions``, and in the table (``map_bytes``).
+
+``reference_bindings`` and ``reference_reselect_references`` are the
+map's reads as scans of the columns: every column stacked in keyframe
+order and the bound rows stable-sorted by point, then the geometric rule
+as a lexsort of every binding row (``select_reference_geometric_index``)
+or the appearance rule over each point's run.  The map reads both from
+its table without a sort and must return the same bytes.
 
 The rest is reference code that the program itself does not call:
 
@@ -88,7 +98,14 @@ from symvo.association import (
     triangulate_rays,
 )
 from symvo.errors import DescriptorMismatchError, SymvoError, WorldIntegrityError
-from symvo.features import DESCRIPTOR_BITS, hamming_matrix, sigma2_at
+from symvo.features import (
+    DESCRIPTOR_BITS,
+    ReferenceRule,
+    _group_starts,
+    hamming_matrix,
+    select_reference_appearance_index,
+    sigma2_at,
+)
 from symvo.geometry import CameraIntrinsics, Pose, parallax_angles, unit_ray
 from symvo.optimizer import _schur_columns, _term_jacobians, huber_weight
 from symvo.pipeline import (
@@ -601,10 +618,85 @@ def initialization_bytes(result):
 
 def map_bytes(world):
     """Every byte the map edits write: each keyframe's ``point_ids`` and
-    ``inlier`` columns, in id order, then ``live`` and ``positions``."""
+    ``inlier`` columns, in id order, then ``live`` and ``positions``, then
+    the point-major table's slots and entries."""
     columns = [(k, kf.point_ids.tobytes(), kf.inlier.tobytes())
                for k, kf in sorted(world.keyframes.items())]
-    return columns, world.live.tobytes(), world.positions.tobytes()
+    return (columns, world.live.tobytes(), world.positions.tobytes(),
+            world._slots.tobytes(), world._held.astype(np.int64).tobytes())
+
+
+def reference_index(world) -> tuple:
+    """(keyframe ids ascending, the point-major table) as the columns give
+    them, one keypoint at a time: ``held[point, slot]`` is the keypoint of
+    ``point`` in keyframe ``kf_ids[slot]``, or -1, a row per id of
+    ``world.live``."""
+    kf_ids = sorted(world.keyframes)
+    held = np.full((world.live.size, len(kf_ids)), -1, dtype=np.int64)
+    for slot, k in enumerate(kf_ids):
+        for kp, pid in enumerate(world.keyframes[k].point_ids.tolist()):
+            if pid >= 0:
+                held[pid, slot] = kp
+    return np.array(kf_ids, dtype=np.int64), held
+
+
+def _reindex(world):
+    """Rebuild the map's table from its columns, after an oracle edit."""
+    world._slots, held = reference_index(world)
+    world._held = held.astype(world._held.dtype)
+
+
+def reference_bindings(world, point_ids=None) -> tuple:
+    """``WorldMap.bindings`` as a scan of the columns: every keyframe's
+    column end to end in id order, the bound rows (of ``point_ids`` alone
+    when given) stable-sorted by point, so keyframe order holds within a
+    point."""
+    kf_ids = np.array(sorted(world.keyframes), dtype=np.int64)
+    columns = [world.keyframes[k].point_ids for k in kf_ids.tolist()]
+    first = np.cumsum([0] + [c.size for c in columns])
+    point = np.concatenate(columns or [np.zeros(0, np.int64)])
+    row = np.flatnonzero(point >= 0)
+    if point_ids is not None:
+        row = row[np.isin(point[row], np.asarray(point_ids, dtype=np.int64))]
+    row = row[np.argsort(point[row], kind="stable")]
+    holder = np.searchsorted(first, row, side="right") - 1
+    return point[row], kf_ids[holder], row - first[holder]
+
+
+def select_reference_geometric_index(kf_ids, translations, queries,
+                                     starts) -> np.ndarray:
+    """Per group of holders, the row whose keyframe translation is nearest
+    the query; ties break to the lowest keyframe id.
+
+    Row i is the holder keyframe ``kf_ids[i]`` at ``translations[i]``, and a
+    group is a run of rows beginning at one of ``starts``.  ``queries`` is
+    one translation for all rows, or one per row, equal within a group.
+    """
+    translations = np.asarray(translations, dtype=np.float64)
+    starts = _group_starts(len(translations), starts)
+    d = translations - np.asarray(queries, dtype=np.float64)
+    d2 = (d[:, None, :] @ d[:, :, None])[:, 0, 0]  # rounds as a 1-D d @ d
+    group = np.repeat(np.arange(starts.size), np.diff(starts, append=len(d)))
+    return np.lexsort((kf_ids, d2, group))[starts]
+
+
+def reference_reselect_references(world, point_ids, query_translation) -> tuple:
+    """``WorldMap.reselect_references`` over ``reference_bindings``: the
+    rule of ``world.descriptor_selection`` over each point's run of
+    binding rows, every point given holding at least one."""
+    point_ids = np.asarray(point_ids, dtype=np.int64)
+    point, kf, kp = reference_bindings(world, point_ids)
+    starts = np.flatnonzero(np.diff(point, prepend=-1))
+    if world.descriptor_selection is ReferenceRule.GEOMETRIC:
+        t = np.array([world.keyframes[k].pose.translation for k in kf.tolist()],
+                     dtype=np.float64).reshape(-1, 3)
+        rows = select_reference_geometric_index(kf, t, query_translation, starts)
+    else:
+        descriptors = np.stack([world.keyframes[k].descriptors[i]
+                                for k, i in zip(kf.tolist(), kp.tolist())])
+        rows = select_reference_appearance_index(descriptors, starts)
+    at = np.searchsorted(point[rows], point_ids)
+    return kf[rows][at], kp[rows][at]
 
 
 def _bind(world, point_id, kf_id, kp):
@@ -634,6 +726,7 @@ def reference_create_point(world, position, observations) -> int:
     world.live[pid] = True
     for kf_id, kp in observations:
         _bind(world, pid, kf_id, kp)
+    _reindex(world)
     return pid
 
 
@@ -647,6 +740,7 @@ def reference_remove_observation(world, point_id, kf_id):
     _unbind(kf, bound)
     if not any((k.point_ids == point_id).any() for k in world.keyframes.values()):
         world.live[point_id] = False
+    _reindex(world)
 
 
 def reference_merge_points(world, dst, src):
@@ -661,6 +755,7 @@ def reference_merge_points(world, dst, src):
         else:
             kf.point_ids[at] = dst
     world.live[src] = False
+    _reindex(world)
 
 
 def reference_apply_fuse(world, point_ids, kf, policy, cam):
@@ -683,6 +778,7 @@ def reference_apply_fuse(world, point_ids, kf, policy, cam):
                 _bind(world, pid, kf.kf_id, kp)
         elif owner >= 0 and owner != pid:
             reference_merge_points(world, *sorted((owner, pid)))
+    _reindex(world)
 
 
 # ----------------------------------------------------------------------

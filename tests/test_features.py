@@ -13,7 +13,6 @@ from symvo.features import (
     hamming_pairs,
     octave_for_depth,
     select_reference_appearance_index,
-    select_reference_geometric_index,
     sigma2_at,
 )
 
@@ -158,14 +157,6 @@ def appearance_index(descriptors) -> int:
     return int(row)
 
 
-def geometric_index(holders, query) -> int:
-    """The geometric rule on one group of (kf_id, translation) holders."""
-    kf_ids = [kf_id for kf_id, _ in holders]
-    translations = np.array([t for _, t in holders], dtype=np.float64).reshape(-1, 3)
-    (row,) = select_reference_geometric_index(kf_ids, translations, query, [0])
-    return int(row)
-
-
 def interval(depth):
     """The depth-invariance interval of one depth, as two floats."""
     iv = depth_invariance_interval([depth])
@@ -272,45 +263,6 @@ class TestReferenceAppearance:
         packed = pack_descriptors([Descriptor.random(rng) for _ in range(4)])
         with pytest.raises(ValueError):
             select_reference_appearance_index(packed, starts)
-
-
-class TestReferenceGeometric:
-    def test_nearest_holder_wins(self):
-        holders = [
-            (1, np.array([0.0, 0.0, 0.0])),
-            (2, np.array([1.0, 0.0, 0.0])),
-            (3, np.array([5.0, 0.0, 0.0])),
-        ]
-        assert geometric_index(holders, (1.1, 0, 0)) == 1
-
-    def test_coincident_query(self):
-        holders = [(4, np.array([2.0, 1.0, 0.0])),
-                   (9, np.array([-3.0, 0.0, 1.0]))]
-        assert geometric_index(holders, (-3, 0, 1)) == 1
-
-    def test_equidistant_tie_breaks_to_lower_id(self):
-        holders = [(7, np.array([1.0, 0.0, 0.0])),
-                   (3, np.array([-1.0, 0.0, 0.0]))]
-        assert geometric_index(holders, (0, 0, 0)) == 1
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            geometric_index([], (0, 0, 0))
-
-    def test_groups_in_one_call_match_one_call_per_group(self):
-        rng = np.random.default_rng(9)
-        for _ in range(40):
-            sizes = rng.integers(1, 7, size=rng.integers(1, 6))
-            groups = [[(int(k), np.round(rng.normal(size=3)))
-                       for k in rng.choice(40, m, replace=False)] for m in sizes]
-            starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
-            kf_ids = [k for g in groups for k, _ in g]
-            translations = np.array([t for g in groups for _, t in g])
-            # per-row queries: each group asks for its own last holder's place
-            queries = np.repeat([g[-1][1] for g in groups], sizes, axis=0)
-            got = select_reference_geometric_index(kf_ids, translations, queries, starts)
-            assert (got - starts).tolist() == \
-                [geometric_index(g, g[-1][1]) for g in groups]
 
 
 class TestDepthInterval:

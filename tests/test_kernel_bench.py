@@ -49,6 +49,7 @@ from oracles import (
     reference_initialize_two_view,
     reference_match,
     reference_normal_equations,
+    reference_reselect_references,
     reference_search_for_triangulation,
 )
 
@@ -395,3 +396,33 @@ def test_optimize_pose_tracking_size(benchmark, tracking_problem):
     assert result.inlier.shape == (300,)
     # row r observes point r + 1
     assert set((np.flatnonzero(~result.inlier) + 1).tolist()) == outliers
+
+
+@pytest.fixture(scope="module")
+def orbit_map():
+    """The map after a forward pass over the benchmark's orbit unit (seed
+    61, 48 frames), and its last keyframe."""
+    seq = generate(SceneSpec(trajectory="orbit", n_landmarks=300, n_frames=80,
+                             path_length=20.0, noise_px=0.5, outlier_rate=0.05,
+                             seed=61))
+    pipeline = Pipeline(seq.cam, PipelineConfig())
+    for frame in seq.frames[:48]:
+        pipeline.process_frame(frame)
+    world = pipeline.world
+    return world, world.keyframes[world.keyframe_ids()[-1]]
+
+
+def test_reselect_references_orbit_size(benchmark, orbit_map):
+    """Local BA's geometric read at the orbit's last keyframe: one id per
+    binding row of the window's points, each repeated once per holder;
+    the oracle is the column scan with a lexsort of every row, byte for
+    byte."""
+    world, kf = orbit_map
+    point, _, _ = world.bindings(world.window_point_ids())
+    assert point.size > 1000
+    got = benchmark.pedantic(world.reselect_references,
+                             args=(point, kf.pose.translation), rounds=5,
+                             iterations=1, warmup_rounds=1)
+    want = reference_reselect_references(world, point, kf.pose.translation)
+    assert all(g.dtype == w.dtype and g.tobytes() == w.tobytes()
+               for g, w in zip(got, want))

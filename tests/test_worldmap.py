@@ -26,9 +26,12 @@ from oracles import (
     pack_descriptors,
     project,
     reference_apply_fuse,
+    reference_bindings,
     reference_create_point,
     reference_merge_points,
     reference_remove_observation,
+    reference_reselect_references,
+    select_reference_geometric_index,
 )
 from test_features import appearance_index_loop
 
@@ -168,16 +171,18 @@ class TestObservations:
         ([0, 1, 2], [5, 6, 5], "keypoint 5 .* already bound"),  # a repeated keypoint
         ([0, 1, 3], [5, 6, 7], "point .* already observes"),  # a held point
         ([0, 1, 2], [5, 3, 7], "keypoint 3 .* already bound"),  # a bound keypoint
+        ([0, 1, 2], [5, -1, 7], "no keypoint -1 in keyframe 2"),  # outside it
+        ([0, 1, 2], [5, 6, 12], "no keypoint 12 in keyframe 2"),
     ])
     def test_refused_batch_binds_nothing(self, pids, kps, message):
         rng = np.random.default_rng(4)
         world, kfs, landmarks = tiny_world(rng)
         ids = [add_point(world, landmarks[i], [(kfs[0].kf_id, i)]) for i in range(4)]
         world.add_observation(ids[3], kfs[1].kf_id, 3)
-        before = kfs[1].point_ids.copy()
+        before = map_bytes(world)
         with pytest.raises(WorldIntegrityError, match=message):
             world.add_observation([ids[i] for i in pids], kfs[1].kf_id, kps)
-        assert np.array_equal(kfs[1].point_ids, before)
+        assert map_bytes(world) == before
 
     def test_interval_comes_from_the_reference_holder_alone(self):
         # two holders whose depths differ by 2x, more than the band's
@@ -314,6 +319,68 @@ class TestObservations:
                 (alone.depth.z_min[0], alone.depth.z_max[0])
 
 
+def geometric_choice(holders, query) -> int:
+    """The map's geometric read, at ``query``, of one point held by the
+    (kf_id, translation) ``holders``: the index of the holder it chooses.
+    Keyframes that hold nothing fill the ids between."""
+    world = WorldMap(ReferenceRule.GEOMETRIC)
+    at = {k: np.asarray(t, dtype=np.float64) for k, t in holders}
+    for k in range(1, max(at, default=0) + 1):
+        world.add_keyframe(k, Pose(np.eye(3), at.get(k, np.zeros(3))), np.zeros((1, 2)),
+                           np.zeros(1, np.int64), np.zeros((1, 32), np.uint8))
+    (pid,) = world.create_point([np.zeros(3)], [(k, [0]) for k in sorted(at)])
+    (kf,), _ = world.reselect_references([pid], np.asarray(query, dtype=np.float64))
+    return [k for k, _ in holders].index(kf)
+
+
+class TestReferenceGeometric:
+    def test_nearest_holder_wins(self):
+        holders = [
+            (1, np.array([0.0, 0.0, 0.0])),
+            (2, np.array([1.0, 0.0, 0.0])),
+            (3, np.array([5.0, 0.0, 0.0])),
+        ]
+        assert geometric_choice(holders, (1.1, 0, 0)) == 1
+
+    def test_coincident_query(self):
+        holders = [(4, np.array([2.0, 1.0, 0.0])),
+                   (9, np.array([-3.0, 0.0, 1.0]))]
+        assert geometric_choice(holders, (-3, 0, 1)) == 1
+
+    def test_equidistant_tie_breaks_to_lower_id(self):
+        holders = [(7, np.array([1.0, 0.0, 0.0])),
+                   (3, np.array([-1.0, 0.0, 0.0]))]
+        assert geometric_choice(holders, (0, 0, 0)) == 1
+
+    def test_empty_raises(self):
+        with pytest.raises(WorldIntegrityError, match="no reference holder"):
+            geometric_choice([], (0, 0, 0))
+
+    def test_points_in_one_read_match_one_read_per_point(self):
+        # rounded translations put holders at equal distances now and then
+        rng = np.random.default_rng(9)
+        for _ in range(40):
+            world = WorldMap(ReferenceRule.GEOMETRIC)
+            for k in range(12):
+                world.add_keyframe(k, Pose(np.eye(3), np.round(rng.normal(size=3))),
+                                   np.zeros((6, 2)), np.zeros(6, np.int64),
+                                   np.zeros((6, 32), np.uint8))
+            for i in range(rng.integers(1, 6)):
+                chosen = rng.choice(12, size=rng.integers(1, 7), replace=False) + 1
+                world.create_point([np.zeros(3)], [(int(k), [i]) for k in chosen])
+            ids = rng.choice(world.points, size=rng.integers(1, 9))  # repeats
+            query = np.round(rng.normal(size=3))
+            ref_kf, ref_kp = world.reselect_references(ids, query)
+            for pid, kf, kp in zip(ids.tolist(), ref_kf.tolist(), ref_kp.tolist()):
+                alone = world.reselect_references([pid], query)
+                assert (alone[0].tolist(), alone[1].tolist()) == ([kf], [kp])
+                point, kf_ids, _ = world.bindings([pid])
+                t = np.stack([world.keyframes[k].pose.translation
+                              for k in kf_ids.tolist()])
+                (row,) = select_reference_geometric_index(kf_ids, t, query, [0])
+                assert kf == kf_ids[row]
+
+
 def batch_bytes(batch) -> tuple:
     return tuple(a.tobytes() for a in (batch.ids, batch.positions, batch.descriptors,
                                        *batch.depth))
@@ -350,6 +417,93 @@ def test_reads_write_nothing_and_depend_on_their_query_alone(rule, seed, n_reads
         assert map_bytes(world) == stored
     assert batch_bytes(world.point_batch(ids, query)) == first
     assert [a.tobytes() for a in world.reselect_references(ids, query)] == refs
+
+
+def read_bytes(arrays) -> list:
+    return [(a.dtype.str, a.shape, a.tobytes()) for a in arrays]
+
+
+@pytest.mark.parametrize("rule", list(ReferenceRule))
+@given(seed=st.integers(0, 2**32 - 1), n_edits=st.integers(1, 24))
+@settings(max_examples=40, deadline=None)
+def test_table_reads_equal_the_column_scan_after_every_edit(rule, seed, n_edits):
+    """After each edit of every kind, ``bindings()``, ``bindings(ids)`` and
+    ``reselect_references(ids, q)`` read from the point-major table return
+    the bytes of the column scan in ``oracles``.  The ids repeat and may
+    name dead points; keyframes and queries sit on a unit grid, so that
+    holders tie on distance, and descriptors differ by few bits, so that
+    medians tie."""
+    rng = np.random.default_rng(seed)
+    world = WorldMap(rule)
+    signature = rng.integers(0, 256, (8, 32), np.uint8)
+    handed_out = 0  # the highest point id so far
+
+    def new_keyframe():
+        flips = np.zeros((8, 256), bool)
+        flips[np.arange(8)[:, None], rng.integers(0, 256, (8, 3))] = True
+        pose = Pose(np.eye(3), rng.integers(-1, 2, 3).astype(np.float64))
+        return world.add_keyframe(0.0, pose, np.zeros((8, 2)), np.zeros(8, np.int64),
+                                  signature ^ np.packbits(flips, axis=1))
+
+    def free(kf):
+        return np.flatnonzero(kf.point_ids < 0)
+
+    def create():
+        nonlocal handed_out
+        n = int(rng.integers(1, 4))
+        open_kfs = [kf for kf in world.keyframes.values() if free(kf).size >= n]
+        if open_kfs:
+            chosen = rng.choice(len(open_kfs), size=rng.integers(1, len(open_kfs) + 1),
+                                replace=False)
+            ids = world.create_point(rng.normal(size=(n, 3)), [
+                (open_kfs[i].kf_id, rng.choice(free(open_kfs[i]), n, replace=False))
+                for i in chosen])
+            handed_out = int(ids[-1])
+
+    def observe():
+        kf = list(world.keyframes.values())[rng.integers(len(world.keyframes))]
+        pids = world.points[~np.isin(world.points, kf.point_ids)]
+        n = min(pids.size, free(kf).size, int(rng.integers(1, 4)))
+        world.add_observation(rng.choice(pids, n, replace=False), kf.kf_id,
+                              rng.choice(free(kf), n, replace=False))
+
+    def remove():
+        point, kf, _ = world.bindings()
+        rows = rng.choice(point.size, size=rng.integers(1, min(point.size, 3) + 1),
+                          replace=False)
+        world.remove_observation(point[rows], kf[rows])
+
+    def merge():
+        n = int(rng.integers(1, world.points.size // 2 + 1))
+        pair = rng.choice(world.points, size=2 * n, replace=False)
+        world.merge_points(pair[:n], pair[n:])
+
+    edits = {
+        "add_keyframe": new_keyframe, "create_point": create,
+        "add_observation": observe, "remove_observation": remove,
+        "merge_points": merge, "cull_points": world.cull_points,
+        "apply_retention": lambda: world.apply_retention(new_keyframe().kf_id),
+    }
+    for _ in range(3):
+        new_keyframe()
+    create()
+    for _ in range(n_edits):
+        kind = list(edits)[rng.integers(len(edits))]
+        if kind in ("add_observation", "remove_observation") and world.points.size == 0:
+            kind = "create_point"
+        if kind == "merge_points" and world.points.size < 2:
+            kind = "create_point"
+        edits[kind]()
+        world.check_integrity()
+        assert read_bytes(world.bindings()) == read_bytes(reference_bindings(world)), kind
+        ids = rng.integers(1, handed_out + 1, size=rng.integers(0, 8))
+        assert read_bytes(world.bindings(ids)) == \
+            read_bytes(reference_bindings(world, ids)), kind
+        if world.points.size:
+            ids = rng.choice(world.points, size=rng.integers(1, 8))
+            query = rng.integers(-1, 2, 3).astype(np.float64)
+            assert read_bytes(world.reselect_references(ids, query)) == read_bytes(
+                reference_reselect_references(world, ids, query)), kind
 
 
 def appearance_choice(world, pid) -> tuple:
@@ -588,6 +742,50 @@ class TestIntegrity:
         kfs[0].point_ids[0] = kfs[1].point_ids[0] = -1
         with pytest.raises(WorldIntegrityError, match="no holder"):
             world.check_integrity()
+
+    @pytest.mark.parametrize("slot, keypoint", [(0, 3), (0, -1), (2, 0)])
+    def test_binding_index_that_differs_from_the_columns_detected(self, slot, keypoint):
+        # another keypoint, a lost binding and a binding no column holds
+        world, kfs, pid = self.make()
+        world._held[pid, slot] = keypoint
+        with pytest.raises(WorldIntegrityError,
+                           match=f"index row of point {pid} differs"):
+            world.check_integrity()
+
+
+class TestGather:
+    """``gather`` reads only the keyframes the map holds, and only keypoints
+    they have: retention of twelve keyframes keeps 5 and 8-12, 12
+    keypoints each."""
+
+    def make(self):
+        rng = np.random.default_rng(8)
+        world, kfs, _ = tiny_world(rng, n_frames=12, spacing=0.2)
+        world.apply_retention(12)
+        assert world.keyframe_ids() == [5, 8, 9, 10, 11, 12]
+        return world, kfs
+
+    @pytest.mark.parametrize("kf_ids, keypoints, message", [
+        ([6], [1], "no keyframe 6"),  # culled, between two held ids
+        ([8, 2], [0, 1], "no keyframe 2"),  # culled, below every held id
+        ([0], [1], "no keyframe 0"),  # never handed out
+        ([13], [1], "no keyframe 13"),  # past the last keyframe
+        ([5], [12], "no keypoint 12 in keyframe 5"),  # past its keypoints
+        ([8, 9], [0, -1], "no keypoint -1 in keyframe 9"),
+    ])
+    def test_refuses_what_the_map_does_not_hold(self, kf_ids, keypoints, message):
+        world, _ = self.make()
+        for name in ("keypoints", "descriptors", "noise_sigma2"):
+            with pytest.raises(WorldIntegrityError, match=message):
+                world.gather(kf_ids, keypoints, name)
+
+    def test_reads_each_keyframes_own_rows(self):
+        world, kfs = self.make()
+        kf_ids, keypoints = np.array([12, 5, 8, 5]), np.array([11, 0, 3, 11])
+        for name in ("keypoints", "descriptors", "noise_sigma2"):
+            want = np.stack([getattr(kfs[k - 1], name)[i]
+                             for k, i in zip(kf_ids.tolist(), keypoints.tolist())])
+            assert np.array_equal(world.gather(kf_ids, keypoints, name), want)
 
 
 def twin(world):
