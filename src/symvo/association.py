@@ -335,22 +335,23 @@ def triangulate_rays(c1, d1, c2, d2):
     return (p1 + p2) / 2.0, ok
 
 
-def search_for_triangulation(kf_a, kf_b, policy: AssociationPolicy,
-                             cam: CameraIntrinsics):
+def search_for_triangulation(kf_a, kf_b, owners_a, owners_b,
+                             policy: AssociationPolicy, cam: CameraIntrinsics):
     """Epipolar-gated matching plus midpoint triangulation of a keyframe pair.
 
-    Only free keypoints take part: those whose entry in the keyframe's
-    ``point_ids`` column is -1.  The epipolar band is the one dense test;
-    descriptor distances and parallax are computed only for the pairs
-    inside it.  Returns ``(pairs, positions)``: ``pairs`` holds ``match``'s
-    (n, 2) rows of (``kf_a`` keypoint, ``kf_b`` keypoint), in acceptance
-    order, without the rows whose rays do not meet in front of both
-    keyframes; ``positions`` holds their (n, 3) triangulated world points.
-    Keyframes with (numerically) no baseline between them triangulate
-    nothing: both arrays are then empty.
+    ``owners_a`` and ``owners_b`` are the keyframes' (N,) owner columns
+    (``WorldMap.owners``): the point each keypoint observes, or -1.  Only
+    free keypoints, those whose owner is -1, take part.  The epipolar band
+    is the one dense test; descriptor distances and parallax are computed
+    only for the pairs inside it.  Returns ``(pairs, positions)``:
+    ``pairs`` holds ``match``'s (n, 2) rows of (``kf_a`` keypoint, ``kf_b``
+    keypoint), in acceptance order, without the rows whose rays do not
+    meet in front of both keyframes; ``positions`` holds their (n, 3)
+    triangulated world points.  Keyframes with (numerically) no baseline
+    between them triangulate nothing: both arrays are then empty.
     """
-    idx_a = np.flatnonzero(kf_a.point_ids < 0)
-    idx_b = np.flatnonzero(kf_b.point_ids < 0)
+    idx_a = np.flatnonzero(owners_a < 0)
+    idx_b = np.flatnonzero(owners_b < 0)
     baseline = kf_b.pose.translation - kf_a.pose.translation
     if idx_a.size == 0 or idx_b.size == 0 or np.linalg.norm(baseline) < 1e-6:
         return _NO_MATCHES, np.zeros((0, 3))
@@ -394,17 +395,16 @@ def fuse(points: PointBatch, keyframe, policy: AssociationPolicy,
          cam: CameraIntrinsics) -> np.ndarray:
     """Project points into a keyframe to attach or merge them.
 
-    ``points`` (a ``PointBatch``) are projected at the keyframe's pose.
-    Returns the (n, 2) rows of (point id, keypoint index) that
-    ``search_by_projection`` accepts, sorted by point id (a point has at
-    most one row), without the rows that land on the point's own keypoint.
-    The keyframe's ``point_ids`` column tells the caller each landing
-    keypoint's owner: a free keypoint (-1) takes a new observation, one
-    bound to a different point is a duplicate to merge.  Nothing is
-    mutated.
+    ``points`` (a ``PointBatch``) are projected at the keyframe's pose; they
+    must hold no point that the keyframe holds, so no row can land on its
+    point's own keypoint.  Returns the (n, 2) rows of (point id, keypoint
+    index) that ``search_by_projection`` accepts, sorted by point id (a
+    point has at most one row).  The caller reads each landing keypoint's
+    owner (``WorldMap.owners``): a free keypoint (-1) takes a new
+    observation, one bound to another point is a duplicate to merge.
+    Nothing is read from the map and nothing is mutated.
     """
     found = search_by_projection(
         keyframe, points, keyframe.pose, policy, cam, site=Site.FUSE
     )
-    found = found[np.argsort(found[:, 0], kind="stable")]
-    return found[keyframe.point_ids[found[:, 1]] != found[:, 0]]
+    return found[np.argsort(found[:, 0], kind="stable")]

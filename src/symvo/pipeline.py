@@ -441,7 +441,7 @@ class Pipeline:
     def _candidate_points(self, kf_ids) -> np.ndarray:
         """Ids of the points the keyframes hold, in order of first appearance
         (keyframes in the order given, keypoints ascending)."""
-        held = np.concatenate([self.world.keyframes[k].point_ids for k in kf_ids])
+        held = np.concatenate([self.world.owners(k) for k in kf_ids])
         held = held[held >= 0]
         _, first = np.unique(held, return_index=True)
         return held[np.sort(first)]
@@ -541,7 +541,7 @@ class Pipeline:
         for kf_id in variable:
             world.keyframes[kf_id].pose = result.poses[kf_id]
         world.positions[variable_points] = result.points[n_holders >= 2]
-        world.set_inlier(kf, kp, result.inlier)  # the problem's rows are the bindings
+        world.set_inlier(point, kf, result.inlier)  # the problem's rows are the bindings
         removed = result.removed
         world.remove_observation(point[removed], kf[removed])
         self.n_removed += len(result.removed)
@@ -555,7 +555,8 @@ class Pipeline:
         new_point_ids = [np.zeros(0, dtype=np.int64)]
         for kf_prev_id in neighbors:
             pairs, positions = search_for_triangulation(
-                world.keyframes[kf_prev_id], kf_new, self.policy, self.cam)
+                world.keyframes[kf_prev_id], kf_new, world.owners(kf_prev_id),
+                world.owners(kf_new.kf_id), self.policy, self.cam)
             new_point_ids.append(world.create_point(
                 positions, [(kf_prev_id, pairs[:, 0]), (kf_new.kf_id, pairs[:, 1])]))
         new_point_ids = np.concatenate(new_point_ids)  # ascending
@@ -574,7 +575,8 @@ class Pipeline:
     def _apply_fuse(self, point_ids, kf):
         """Fuse the live points that ``kf`` does not hold yet into it."""
         world = self.world
-        point_ids = point_ids[world.live[point_ids] & ~np.isin(point_ids, kf.point_ids)]
+        owner = world.owners(kf.kf_id)
+        point_ids = point_ids[world.live[point_ids] & ~np.isin(point_ids, owner)]
         if point_ids.size == 0:
             return
         batch = world.point_batch(point_ids, kf.pose.translation)
@@ -583,7 +585,7 @@ class Pipeline:
         # one row per point and one per keypoint: each merge pairs a row's
         # point with its keypoint's owner, no two edits share a point, and
         # the edits commute, so each kind is made in one batch
-        owner = kf.point_ids[kp]
+        owner = owner[kp]
         attach = owner < 0
         world.add_observation(pid[attach], kf.kf_id, kp[attach])
         survivor = np.minimum(owner, pid)[~attach]

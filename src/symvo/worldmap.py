@@ -1,38 +1,35 @@
 """Keyframes, map points, the table that binds them, and retention.
 
-One binding record: each keyframe's per-keypoint ``point_ids`` column
-(-1 = free), with its parallel ``inlier`` column, says which point a
-keypoint observes.  Per point the map stores a position and a live flag,
-nothing more: a point's holders (the keyframes that observe it), its
-reference observation, depth-invariance interval and reference descriptor
-are read from the bindings, never cached.  A reference is a read under
-both rules: ``reselect_references`` takes the holder nearest each query
-(geometric rule) or the holder descriptor with least median distance to
-the others (appearance rule), so no read depends on the edits or reads
-that ran before it.
-
-The map reads the bindings point by point through a point-major table
-derived from the columns: ``_held[point, slot]`` is the keypoint of that
-point in keyframe ``_slots[slot]``, or -1, the slots ascending by keyframe
-id.  Each edit writes the columns and the table in the same call, so no
-read stacks or sorts the columns, and ``check_integrity`` asserts that
-the table is the one the columns give.
+One binding record: the point-major table ``_held[point, slot]``, the
+keypoint that point observes in keyframe ``_slots[slot]`` or -1, with the
+same-shape ``_inlier`` flag of each binding; the slots ascend by keyframe
+id.  A keyframe's per-keypoint view of it, the point each keypoint
+observes, is a read (``owners``), not a second record.  Per point the map
+stores a position and a live flag, nothing more: a point's holders (the
+keyframes that observe it), its reference observation, depth-invariance
+interval and reference descriptor are read from the table, never cached.
+A reference is a read under both rules: ``reselect_references`` takes
+the holder nearest each query (geometric rule) or the holder descriptor
+with least median distance to the others (appearance rule), so no read
+depends on the edits or reads that ran before it.
 
 Every edit takes id arrays, and an edit group makes one call per edit
-kind, which writes each keyframe's columns once.  A batch that edits one
-at a time would refuse raises before anything changes.  Merge pairs must
-share no point: only then does one batch equal merging pair by pair.
+kind, which writes the table's cells in one indexed write.  A batch that
+edits one at a time would refuse raises before anything changes.  Merge
+pairs must share no point: only then does one batch equal merging pair by
+pair.
 
-``check_integrity`` also asserts what the columns leave open: every live
-point has at least one holder, no keyframe binds a point to two
-keypoints, and no column names a dead point.  The map is owned by a
-single pipeline; every traversal runs in ascending id order, so identical
-inputs replay identically.
+``check_integrity`` asserts what the table leaves open: its slots are the
+keyframes, it has a row per point id, no dead point holds a cell, no
+inlier flag sits on an empty cell, every live point has a holder, and no
+keyframe binds one keypoint twice or binds a keypoint it lacks.  The map
+is owned by a single pipeline; every traversal runs in ascending id
+order, so identical inputs replay identically.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -62,16 +59,11 @@ class Keyframe:
     octaves: np.ndarray  # (N,)
     descriptors: np.ndarray  # (N, n_bytes) packed
     noise_sigma2: np.ndarray  # (N,)
-    point_ids: np.ndarray = field(init=False)  # (N,) observed point; -1 = free
-    inlier: np.ndarray = field(init=False)  # (N,) inlier flag of that binding
 
     def __post_init__(self):
-        n = self.keypoints.shape[0]
         if not (self.octaves.shape[0] == self.descriptors.shape[0]
-                == self.noise_sigma2.shape[0] == n):
+                == self.noise_sigma2.shape[0] == self.keypoints.shape[0]):
             raise ValueError("keyframe keypoint arrays must have equal length")
-        self.point_ids = np.full(n, -1, dtype=np.int64)
-        self.inlier = np.zeros(n, dtype=bool)
 
     @property
     def n_keypoints(self) -> int:
@@ -91,19 +83,17 @@ def _runs(point: np.ndarray) -> np.ndarray:
     return np.flatnonzero(np.diff(point, prepend=-1))
 
 
-def _refuse(kf: Keyframe, point_ids: list, keypoints: list):
+def _refuse(kf_id: int, column: list, point_ids: list, keypoints: list):
     """Raise the WorldIntegrityError of the first binding that one-at-a-time
-    binding of ``point_ids`` to ``keypoints`` would refuse."""
-    column = kf.point_ids.tolist()
+    binding of ``point_ids`` to ``keypoints`` would refuse, ``column`` being
+    the keyframe's ``owners``."""
     held = set(column)
     for pid, kp in zip(point_ids, keypoints):
         if pid in held:
-            raise WorldIntegrityError(
-                f"point {pid} already observes keyframe {kf.kf_id}")
+            raise WorldIntegrityError(f"point {pid} already observes keyframe {kf_id}")
         if column[kp] >= 0:
             raise WorldIntegrityError(
-                f"keypoint {kp} of keyframe {kf.kf_id} already bound to point "
-                f"{column[kp]}")
+                f"keypoint {kp} of keyframe {kf_id} already bound to point {column[kp]}")
         column[kp] = pid
         held.add(pid)
 
@@ -117,9 +107,10 @@ class WorldMap:
         # indexed by point id and doubled when full; id 0 is never handed out
         self.positions = np.zeros((1, 3))
         self.live = np.zeros(1, dtype=bool)
-        # the point-major table: a row per point id, a slot per keyframe
+        # the binding table: a row per point id, a slot per keyframe
         self._slots = np.zeros(0, dtype=np.int64)
         self._held = np.full((1, 0), -1, dtype=np.int64)
+        self._inlier = np.zeros((1, 0), dtype=bool)
         self._stacks: dict = {}  # ``_stack``'s arrays for this keyframe set
         self._next_kf_id = 1
         self._next_point_id = 1
@@ -147,6 +138,8 @@ class WorldMap:
         self._slots = np.append(self._slots, kf.kf_id)
         self._held = np.concatenate(
             [self._held, np.full((len(self._held), 1), -1, self._held.dtype)], axis=1)
+        self._inlier = np.concatenate(
+            [self._inlier, np.zeros((len(self._inlier), 1), bool)], axis=1)
         self._stacks = {}
         return kf
 
@@ -175,6 +168,7 @@ class WorldMap:
             self.positions, self.live = (np.concatenate([a, np.zeros_like(a)])
                                          for a in (self.positions, self.live))
             self._held = np.concatenate([self._held, np.full_like(self._held, -1)])
+            self._inlier = np.concatenate([self._inlier, np.zeros_like(self._inlier)])
         self.positions[ids] = positions
         self.live[ids] = True
         for kf_id, keypoints in observations:
@@ -182,25 +176,25 @@ class WorldMap:
         return ids
 
     def add_observation(self, point_ids, kf_id: int, keypoints):
-        """Bind ``point_ids[i]`` to ``keypoints[i]`` of one keyframe.  An id
-        never handed out, a point that would observe the keyframe twice or a
-        keypoint that is bound already raises WorldIntegrityError, as the
-        first such binding of the batch would one at a time, and nothing is
-        bound; so does a keypoint index outside the keyframe."""
-        kf = self.keyframes[kf_id]
+        """Bind ``point_ids[i]`` to ``keypoints[i]`` of one keyframe.  A
+        keyframe the map does not hold, an id never handed out, a point that
+        would observe the keyframe twice or a keypoint that is bound already
+        raises WorldIntegrityError, as the first such binding of the batch
+        would one at a time, and nothing is bound; so does a keypoint index
+        outside the keyframe."""
+        column = self.owners(kf_id)
         slot = int(np.searchsorted(self._slots, kf_id))
         pids = np.asarray(point_ids, dtype=np.int64).reshape(-1)
         kps = np.asarray(keypoints, dtype=np.int64).reshape(-1)
         self._refuse_unknown(pids)
-        outside = (kps < 0) | (kps >= kf.n_keypoints)
+        outside = (kps < 0) | (kps >= column.size)
         if outside.any():
             raise WorldIntegrityError(f"no keypoint {kps[outside][0]} in keyframe {kf_id}")
-        if ((self._held[pids, slot] >= 0).any() or (kf.point_ids[kps] >= 0).any()
+        if ((self._held[pids, slot] >= 0).any() or (column[kps] >= 0).any()
                 or np.unique(pids).size < pids.size or np.unique(kps).size < kps.size):
-            _refuse(kf, pids.tolist(), kps.tolist())
-        kf.point_ids[kps] = pids
-        kf.inlier[kps] = True
+            _refuse(kf_id, column.tolist(), pids.tolist(), kps.tolist())
         self._held[pids, slot] = kps
+        self._inlier[pids, slot] = True
 
     def remove_observation(self, point_ids, kf_ids):
         """Unbind ``point_ids[i]`` from keyframe ``kf_ids[i]``; a point left
@@ -219,46 +213,31 @@ class WorldMap:
             i = int(np.argmax(bad))
             raise WorldIntegrityError(
                 f"point {pids[i]} does not observe keyframe {kf_ids[i]}")
-        self._set(kf_ids, kp, np.full(kp.size, -1))
+        self._held[pids, slot] = -1
+        self._inlier[pids, slot] = False
         self.live[pids[(self._held[pids] < 0).all(axis=1)]] = False
 
     def merge_points(self, dst_ids, src_ids):
         """Absorb each ``src_ids[i]`` into ``dst_ids[i]``: src's bindings move
-        to dst, except in a keyframe that binds both, where dst's wins and
-        src's is freed; src dies.  Merged one pair at a time, pairs that
-        share a point would depend on the order, so they raise
-        WorldIntegrityError and nothing changes."""
+        to dst with their inlier flags, except in a keyframe that binds
+        both, where dst's wins and src's is freed; src dies.  Merged one
+        pair at a time, pairs that share a point would depend on the order,
+        so they raise WorldIntegrityError and nothing changes."""
         dst, src = (np.asarray(a, np.int64).reshape(-1) for a in (dst_ids, src_ids))
         both = np.concatenate([dst, src])
         if np.unique(both).size < both.size:
             raise WorldIntegrityError("merge pairs share a point")
         self._refuse_unknown(both)
-        held = self._held[src]
-        pair, slot = np.nonzero(held >= 0)
-        self._set(self._slots[slot], held[pair, slot],
-                  np.where(self._held[dst[pair], slot] >= 0, -1, dst[pair]))
+        move = (self._held[src] >= 0) & (self._held[dst] < 0)
+        for table, empty in ((self._held, -1), (self._inlier, False)):
+            table[dst] = np.where(move, table[src], table[dst])
+            table[src] = empty
         self.live[src] = False
 
-    def _set(self, kf_ids, keypoints, point_ids):
-        """Bind ``keypoints[i]`` of keyframe ``kf_ids[i]`` to ``point_ids[i]``;
-        a keypoint set to -1 is freed and loses its inlier flag.  The table
-        loses each keypoint's old owner before it gains the new ones."""
-        for k in np.unique(kf_ids).tolist():
-            kf, mine = self.keyframes[k], kf_ids == k
-            kps, new = keypoints[mine], point_ids[mine]
-            slot = int(np.searchsorted(self._slots, k))
-            old = kf.point_ids[kps]
-            self._held[old[old >= 0], slot] = -1
-            self._held[new[new >= 0], slot] = kps[new >= 0]
-            kf.point_ids[kps] = new
-            kf.inlier[kps] &= new >= 0
-
-    def set_inlier(self, kf_ids, keypoints, flags):
-        """Set the inlier flag of ``keypoints[i]`` of keyframe ``kf_ids[i]``
-        to ``flags[i]``."""
-        for k in np.unique(kf_ids).tolist():
-            mine = kf_ids == k
-            self.keyframes[k].inlier[keypoints[mine]] = flags[mine]
+    def set_inlier(self, point_ids, kf_ids, flags):
+        """Set the inlier flag of the binding of ``point_ids[i]`` in keyframe
+        ``kf_ids[i]`` to ``flags[i]``."""
+        self._inlier[point_ids, np.searchsorted(self._slots, kf_ids)] = flags
 
     def _refuse_unknown(self, point_ids):
         """Raise WorldIntegrityError on the first id never handed out."""
@@ -270,6 +249,17 @@ class WorldMap:
         """Free every keypoint bound to the given points and kill them."""
         self.remove_observation(*self.bindings(point_ids)[:2])
         self.live[point_ids] = False
+
+    def owners(self, kf_id: int) -> np.ndarray:
+        """The (N,) point each keypoint of keyframe ``kf_id`` observes, or -1.
+        A keyframe the map does not hold raises WorldIntegrityError."""
+        kf = self.keyframes.get(kf_id)
+        if kf is None:
+            raise WorldIntegrityError(f"no keyframe {kf_id}")
+        held = self._held[:, np.searchsorted(self._slots, kf_id)]
+        column = np.full(kf.n_keypoints + 1, -1, dtype=np.int64)
+        column[held] = np.arange(held.size)  # the -1 entries land in the last cell
+        return column[:-1]
 
     def bindings(self, point_ids=None) -> tuple:
         """(point, kf, keypoint) arrays of every binding, sorted by point id
@@ -402,7 +392,8 @@ class WorldMap:
             del self.keyframes[k]
         gone = np.isin(self._slots, culled)
         touched = np.flatnonzero((self._held[:, gone] >= 0).any(axis=1))
-        self._slots, self._held, self._stacks = self._slots[~gone], self._held[:, ~gone], {}
+        self._slots, self._stacks = self._slots[~gone], {}
+        self._held, self._inlier = self._held[:, ~gone], self._inlier[:, ~gone]
         holders = np.count_nonzero(self._held[touched] >= 0, axis=1)
         # orphaned points: below the two-holder survival threshold
         self._drop(touched[holders < 2])
@@ -420,43 +411,45 @@ class WorldMap:
         return GraphStats(
             n_map_points=len(self.points),
             n_local_keyframes=len(self.local_keyframe_ids()),
-            n_observation_inliers=sum(int(np.count_nonzero(kf.inlier & (kf.point_ids >= 0)))
-                                      for kf in self.keyframes.values()),
+            n_observation_inliers=int(np.count_nonzero(self._inlier)),
         )
 
     def check_integrity(self):
-        """Assert the binding invariants of the columns, then that the
-        point-major table is the one they give; raises on violation."""
+        """Assert the invariants the binding table leaves open; raises on
+        violation."""
         if self._slots.tolist() != self.keyframe_ids():
-            raise WorldIntegrityError("binding index slots are not the keyframes")
-        columns = [self.keyframes[k].point_ids for k in self._slots.tolist()]
-        sizes, n_slots = [c.size for c in columns], len(columns)
-        point = np.concatenate(columns or [np.zeros(0, np.int64)])
-        slot = np.repeat(np.arange(n_slots), sizes)
-        kp = np.arange(point.size) - np.repeat(np.cumsum([0] + sizes)[:-1], sizes)
-        bound = point >= 0
-        point, slot, kp = point[bound], slot[bound], kp[bound]
-        dead = (point >= self.live.size) | ~self.live[np.minimum(point, self.live.size - 1)]
-        if dead.any():
-            i = int(np.argmax(dead))
+            raise WorldIntegrityError("binding table slots are not the keyframes")
+        if not self._held.shape == self._inlier.shape == (self.live.size, self._slots.size):
+            raise WorldIntegrityError("binding table has the wrong shape")
+        bound = self._held >= 0
+        stray = np.argwhere(self._inlier & ~bound)
+        if stray.size:
+            p, s = stray[0]
             raise WorldIntegrityError(
-                f"keyframe {self._slots[slot[i]]} binds dead point {point[i]}")
-        cell = point * n_slots + slot
-        twice = np.flatnonzero(np.bincount(cell, minlength=self.live.size * n_slots) > 1)
+                f"keyframe {self._slots[s]} flags an inlier of point {p} it does not bind")
+        holds = bound.any(axis=1)
+        dead = np.flatnonzero(holds & ~self.live)
+        if dead.size:
+            s = int(np.argmax(bound[dead[0]]))
+            raise WorldIntegrityError(
+                f"keyframe {self._slots[s]} binds dead point {dead[0]}")
+        lacking = np.flatnonzero(self.live & ~holds)
+        if lacking.size:
+            raise WorldIntegrityError(f"point {lacking[0]} has no holder")
+        # each binding as a keypoint of the keyframes' stacked keypoints
+        first = self._stack("first")
+        point, slot = np.nonzero(bound)
+        kp = self._held[point, slot]
+        outside = np.flatnonzero(kp >= np.diff(first)[slot])
+        if outside.size:
+            i = outside[0]
+            raise WorldIntegrityError(
+                f"keyframe {self._slots[slot[i]]} binds keypoint {kp[i]} it lacks")
+        twice = np.flatnonzero(np.bincount(first[slot] + kp, minlength=first[-1]) > 1)
         if twice.size:
-            p, s = divmod(int(twice[0]), n_slots)
-            raise WorldIntegrityError(f"keyframe {self._slots[s]} binds point {p} twice")
-        held = np.full((self.live.size, n_slots), -1, dtype=self._held.dtype)
-        held[point, slot] = kp
-        bad = np.flatnonzero(self.live & (held < 0).all(axis=1))
-        if bad.size:
-            raise WorldIntegrityError(f"point {bad[0]} has no holder")
-        if held.shape != self._held.shape:
-            raise WorldIntegrityError("binding index has the wrong shape")
-        stale = np.flatnonzero((held != self._held).any(axis=1))
-        if stale.size:
+            s = int(np.searchsorted(first, twice[0], side="right")) - 1
             raise WorldIntegrityError(
-                f"binding index row of point {stale[0]} differs from the columns")
+                f"keyframe {self._slots[s]} binds keypoint {twice[0] - first[s]} twice")
 
 
 class GraphStats(NamedTuple):

@@ -46,22 +46,21 @@ initialization receives for two frames, and ``corridor_match_inputs`` a
 ``reference_create_point``, ``reference_remove_observation``,
 ``reference_merge_points`` and ``reference_apply_fuse`` are the map edits
 one point or row at a time: a point created and bound keyframe by
-keyframe, an observation unbound and its point's survival checked
-keyframe by keyframe, one merge over every keyframe, and the fuse walk
-over its rows with a guard per row.  They write the keyframe columns
-alone and then rebuild the map's point-major table from the columns
-(``reference_index``), so the table they leave owes nothing to the
-map's own upkeep of it.  ``WorldMap``'s edits take id arrays and
+keyframe, an observation unbound and its point's survival checked slot by
+slot, one merge over every slot, and the fuse walk over its rows with a
+guard per row.  They write the map's binding table (``_held`` and
+``_inlier``) one cell at a time.  ``WorldMap``'s edits take id arrays and
 ``Pipeline._apply_fuse`` makes one call per edit group; they must leave
-the same bytes in every ``point_ids`` / ``inlier`` column, in ``live``
-and ``positions``, and in the table (``map_bytes``).
+the same bytes in the table, in ``live`` and in ``positions``
+(``map_bytes``).
 
-``reference_bindings`` and ``reference_reselect_references`` are the
-map's reads as scans of the columns: every column stacked in keyframe
-order and the bound rows stable-sorted by point, then the geometric rule
-as a lexsort of every binding row (``select_reference_geometric_index``)
-or the appearance rule over each point's run.  The map reads both from
-its table without a sort and must return the same bytes.
+``reference_bindings``, ``reference_owners`` and
+``reference_reselect_references`` are the map's reads as plain loops over
+the table: its cells point by point, then slot by slot, then the
+geometric rule as a lexsort of every binding row
+(``select_reference_geometric_index``) or the appearance rule over each
+point's run.  The map reads them with whole-table operations and must
+return the same bytes.
 
 The rest is reference code that the program itself does not call:
 
@@ -450,12 +449,12 @@ def reference_epipolar_distances(uv_from, uv_to, fundamental):
     return num / np.where(den < 1e-12, 1e-12, den)
 
 
-def reference_search_for_triangulation(kf_a, kf_b, policy, cam):
+def reference_search_for_triangulation(kf_a, kf_b, owners_a, owners_b, policy, cam):
     """``search_for_triangulation`` with the dense matcher: the epipolar band
     as an (Na, Nb) mask and the parallax of every pair.  Returns (pairs,
     positions)."""
-    idx_a = np.flatnonzero(kf_a.point_ids < 0)
-    idx_b = np.flatnonzero(kf_b.point_ids < 0)
+    idx_a = np.flatnonzero(owners_a < 0)
+    idx_b = np.flatnonzero(owners_b < 0)
     if idx_a.size == 0 or idx_b.size == 0:
         return np.zeros((0, 2), dtype=np.int64), np.zeros((0, 3))
     uv_a = kf_a.keypoints[idx_a]
@@ -617,50 +616,31 @@ def initialization_bytes(result):
 
 
 def map_bytes(world):
-    """Every byte the map edits write: each keyframe's ``point_ids`` and
-    ``inlier`` columns, in id order, then ``live`` and ``positions``, then
-    the point-major table's slots and entries."""
-    columns = [(k, kf.point_ids.tobytes(), kf.inlier.tobytes())
-               for k, kf in sorted(world.keyframes.items())]
-    return (columns, world.live.tobytes(), world.positions.tobytes(),
-            world._slots.tobytes(), world._held.astype(np.int64).tobytes())
-
-
-def reference_index(world) -> tuple:
-    """(keyframe ids ascending, the point-major table) as the columns give
-    them, one keypoint at a time: ``held[point, slot]`` is the keypoint of
-    ``point`` in keyframe ``kf_ids[slot]``, or -1, a row per id of
-    ``world.live``."""
-    kf_ids = sorted(world.keyframes)
-    held = np.full((world.live.size, len(kf_ids)), -1, dtype=np.int64)
-    for slot, k in enumerate(kf_ids):
-        for kp, pid in enumerate(world.keyframes[k].point_ids.tolist()):
-            if pid >= 0:
-                held[pid, slot] = kp
-    return np.array(kf_ids, dtype=np.int64), held
-
-
-def _reindex(world):
-    """Rebuild the map's table from its columns, after an oracle edit."""
-    world._slots, held = reference_index(world)
-    world._held = held.astype(world._held.dtype)
+    """Every byte the map edits write: the binding table's slots, cells and
+    inlier flags, then ``live`` and ``positions``."""
+    return (world._slots.tobytes(), world._held.tobytes(), world._inlier.tobytes(),
+            world.live.tobytes(), world.positions.tobytes())
 
 
 def reference_bindings(world, point_ids=None) -> tuple:
-    """``WorldMap.bindings`` as a scan of the columns: every keyframe's
-    column end to end in id order, the bound rows (of ``point_ids`` alone
-    when given) stable-sorted by point, so keyframe order holds within a
-    point."""
-    kf_ids = np.array(sorted(world.keyframes), dtype=np.int64)
-    columns = [world.keyframes[k].point_ids for k in kf_ids.tolist()]
-    first = np.cumsum([0] + [c.size for c in columns])
-    point = np.concatenate(columns or [np.zeros(0, np.int64)])
-    row = np.flatnonzero(point >= 0)
-    if point_ids is not None:
-        row = row[np.isin(point[row], np.asarray(point_ids, dtype=np.int64))]
-    row = row[np.argsort(point[row], kind="stable")]
-    holder = np.searchsorted(first, row, side="right") - 1
-    return point[row], kf_ids[holder], row - first[holder]
+    """``WorldMap.bindings`` as a loop over the table's cells: every point
+    id (of ``point_ids`` alone when given), then every slot."""
+    ids = range(world.live.size) if point_ids is None else sorted(set(
+        np.asarray(point_ids, dtype=np.int64).tolist()))
+    rows = [(p, k, int(world._held[p, slot])) for p in ids
+            for slot, k in enumerate(world._slots.tolist()) if world._held[p, slot] >= 0]
+    return tuple(np.array(c, dtype=np.int64) for c in zip(*rows)) or (
+        np.zeros(0, np.int64),) * 3
+
+
+def reference_owners(world, kf_id) -> np.ndarray:
+    """``WorldMap.owners`` as a loop over one slot's cells, point by point."""
+    slot = world._slots.tolist().index(kf_id)
+    column = np.full(world.keyframes[kf_id].n_keypoints, -1, dtype=np.int64)
+    for p in range(world.live.size):
+        if world._held[p, slot] >= 0:
+            column[world._held[p, slot]] = p
+    return column
 
 
 def select_reference_geometric_index(kf_ids, translations, queries,
@@ -699,63 +679,72 @@ def reference_reselect_references(world, point_ids, query_translation) -> tuple:
     return kf[rows][at], kp[rows][at]
 
 
+def _slot(world, kf_id) -> int:
+    return world._slots.tolist().index(kf_id)
+
+
+def _owner(world, slot, kp) -> int:
+    """The point that binds keypoint ``kp`` in ``slot``, or -1, cell by cell."""
+    for p in range(world.live.size):
+        if world._held[p, slot] == kp:
+            return p
+    return -1
+
+
 def _bind(world, point_id, kf_id, kp):
-    kf = world.keyframes[kf_id]
-    if (kf.point_ids == point_id).any():
+    slot = _slot(world, kf_id)
+    if world._held[point_id, slot] >= 0:
         raise WorldIntegrityError(f"point {point_id} already observes keyframe {kf_id}")
-    if kf.point_ids[kp] >= 0:
+    if _owner(world, slot, kp) >= 0:
         raise WorldIntegrityError(f"keypoint {kp} of keyframe {kf_id} already bound")
-    kf.point_ids[kp] = point_id
-    kf.inlier[kp] = True
+    world._held[point_id, slot] = kp
+    world._inlier[point_id, slot] = True
 
 
-def _unbind(kf, at):
-    kf.point_ids[at] = -1
-    kf.inlier[at] = False
+def _unbind(world, point_id, slot):
+    world._held[point_id, slot] = -1
+    world._inlier[point_id, slot] = False
 
 
 def reference_create_point(world, position, observations) -> int:
     """One new point bound to (kf_id, keypoint) pairs; returns its id.  The
-    id arrays double when the id reaches their size."""
+    id arrays and the table's rows double when the id reaches their size."""
     pid = world._next_point_id
     world._next_point_id += 1
     if pid == world.live.size:
         world.positions, world.live = (np.concatenate([a, np.zeros_like(a)])
                                        for a in (world.positions, world.live))
+        world._held = np.concatenate([world._held, np.full_like(world._held, -1)])
+        world._inlier = np.concatenate([world._inlier, np.zeros_like(world._inlier)])
     world.positions[pid] = position
     world.live[pid] = True
     for kf_id, kp in observations:
         _bind(world, pid, kf_id, kp)
-    _reindex(world)
     return pid
 
 
 def reference_remove_observation(world, point_id, kf_id):
-    """Unbind one point from one keyframe; the point dies when no keyframe
-    holds it any more."""
-    kf = world.keyframes[kf_id]
-    bound = kf.point_ids == point_id
-    if not bound.any():
+    """Unbind one point from one keyframe; the point dies when no slot holds
+    it any more."""
+    slot = _slot(world, kf_id)
+    if world._held[point_id, slot] < 0:
         raise WorldIntegrityError(f"point {point_id} does not observe keyframe {kf_id}")
-    _unbind(kf, bound)
-    if not any((k.point_ids == point_id).any() for k in world.keyframes.values()):
+    _unbind(world, point_id, slot)
+    if all(world._held[point_id, s] < 0 for s in range(world._slots.size)):
         world.live[point_id] = False
-    _reindex(world)
 
 
 def reference_merge_points(world, dst, src):
-    """Absorb ``src`` into ``dst``, one keyframe at a time: a keyframe that
-    binds both keeps dst's binding and frees src's."""
+    """Absorb ``src`` into ``dst``, one slot at a time: src's cell and its
+    inlier flag move to dst where dst has no cell, and src's is cleared."""
     if dst == src:
         return
-    for kf in world.keyframes.values():
-        at = kf.point_ids == src
-        if (kf.point_ids == dst).any():
-            _unbind(kf, at)
-        else:
-            kf.point_ids[at] = dst
+    for slot in range(world._slots.size):
+        if world._held[src, slot] >= 0 and world._held[dst, slot] < 0:
+            world._held[dst, slot] = world._held[src, slot]
+            world._inlier[dst, slot] = world._inlier[src, slot]
+        _unbind(world, src, slot)
     world.live[src] = False
-    _reindex(world)
 
 
 def reference_apply_fuse(world, point_ids, kf, policy, cam):
@@ -763,22 +752,23 @@ def reference_apply_fuse(world, point_ids, kf, policy, cam):
     attaches its point to a free keypoint, or merges it with the keypoint's
     owner (the lower id survives), behind guards against a dead point, a
     freed keypoint and a point that already owns the keypoint."""
-    point_ids = point_ids[world.live[point_ids] & ~np.isin(point_ids, kf.point_ids)]
+    slot = _slot(world, kf.kf_id)
+    point_ids = np.array([p for p in point_ids.tolist()
+                          if world.live[p] and world._held[p, slot] < 0], dtype=np.int64)
     if point_ids.size == 0:
         return
     found = fuse(world.point_batch(point_ids, kf.pose.translation), kf, policy, cam)
     # each row's verdict is taken from the owners before any edit
-    was_free = kf.point_ids[found[:, 1]] < 0
-    for (pid, kp), attach in zip(found.tolist(), was_free.tolist()):
+    was_free = [_owner(world, slot, kp) < 0 for kp in found[:, 1].tolist()]
+    for (pid, kp), attach in zip(found.tolist(), was_free):
         if not world.live[pid]:
             continue
-        owner = int(kf.point_ids[kp])
+        owner = _owner(world, slot, kp)
         if attach:
             if owner < 0:
                 _bind(world, pid, kf.kf_id, kp)
         elif owner >= 0 and owner != pid:
             reference_merge_points(world, *sorted((owner, pid)))
-    _reindex(world)
 
 
 # ----------------------------------------------------------------------

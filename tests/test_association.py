@@ -363,6 +363,16 @@ def add_point(world, position, observations) -> int:
     return int(pid)
 
 
+def owners(world, kfs) -> list:
+    """The owner columns of the first two keyframes."""
+    return [world.owners(kf.kf_id) for kf in kfs[:2]]
+
+
+def unheld(world, kf) -> np.ndarray:
+    """The live points the keyframe does not hold: what ``fuse`` may be given."""
+    return world.points[~np.isin(world.points, world.owners(kf.kf_id))]
+
+
 class TestSearchByProjection:
     def test_noiseless_frame_matches_every_visible_landmark(self):
         rng = np.random.default_rng(6)
@@ -410,7 +420,9 @@ class TestSearchForTriangulation:
             0.3, Pose(so3_exp((0, 0.1, 0)), kfs[0].pose.translation),
             kfs[0].keypoints, kfs[0].octaves, kfs[0].descriptors,
         )
-        pairs, positions = search_for_triangulation(kfs[0], spun, make_policy(), CAM)
+        pairs, positions = search_for_triangulation(
+            kfs[0], spun, world.owners(kfs[0].kf_id), world.owners(spun.kf_id),
+            make_policy(), CAM)
         assert pairs.shape == (0, 2) and pairs.dtype == np.int64
         assert positions.shape == (0, 3)
 
@@ -420,7 +432,8 @@ class TestSearchForTriangulation:
         world, kfs, landmarks, _ = build_world(
             rng, n_frames=2, spacing=1.0, axis=(1.0, 0.0, 0.0)
         )
-        pairs, positions = search_for_triangulation(kfs[0], kfs[1], make_policy(), CAM)
+        pairs, positions = search_for_triangulation(kfs[0], kfs[1], *owners(world, kfs),
+                                                    make_policy(), CAM)
         assert len(pairs) == len(landmarks)
         assert np.array_equal(pairs[:, 0], pairs[:, 1])
         assert np.allclose(positions, landmarks[pairs[:, 0]], atol=1e-6)
@@ -435,10 +448,12 @@ class TestSearchForTriangulation:
         first, second = np.arange(10), np.arange(10, 20)
         world.create_point(landmarks[first], [(kfs[0].kf_id, first), (kfs[2].kf_id, first)])
         world.create_point(landmarks[second], [(kfs[1].kf_id, second), (kfs[2].kf_id, second)])
-        bound_a = set(np.flatnonzero(kfs[0].point_ids >= 0).tolist())
-        bound_b = set(np.flatnonzero(kfs[1].point_ids >= 0).tolist())
+        owners_a, owners_b = owners(world, kfs)
+        bound_a = set(np.flatnonzero(owners_a >= 0).tolist())
+        bound_b = set(np.flatnonzero(owners_b >= 0).tolist())
         assert bound_a == set(range(10)) and bound_b == set(range(10, 20))
-        got = search_for_triangulation(kfs[0], kfs[1], make_policy(), CAM)
+        got = search_for_triangulation(kfs[0], kfs[1], owners_a, owners_b,
+                                       make_policy(), CAM)
         pairs = got[0]
         assert not set(pairs[:, 0].tolist()) & bound_a
         assert not set(pairs[:, 1].tolist()) & bound_b
@@ -446,17 +461,18 @@ class TestSearchForTriangulation:
 
         # oracle: the same search on keyframes cut down to their free
         # keypoints, with the cut-down indices mapped back
-        def free_only(kf):
-            keep = np.flatnonzero(kf.point_ids < 0)
+        def free_only(kf, column):
+            keep = np.flatnonzero(column < 0)
             sub = Keyframe(kf.kf_id, kf.timestamp, kf.pose, kf.keypoints[keep],
                            kf.octaves[keep], kf.descriptors[keep],
                            kf.noise_sigma2[keep])
             return sub, keep
 
-        sub_a, keep_a = free_only(kfs[0])
-        sub_b, keep_b = free_only(kfs[1])
+        sub_a, keep_a = free_only(kfs[0], owners_a)
+        sub_b, keep_b = free_only(kfs[1], owners_b)
         want_pairs, want_positions = search_for_triangulation(
-            sub_a, sub_b, make_policy(), CAM)
+            sub_a, sub_b, np.full(keep_a.size, -1), np.full(keep_b.size, -1),
+            make_policy(), CAM)
         want_pairs = np.stack([keep_a[want_pairs[:, 0]], keep_b[want_pairs[:, 1]]],
                               axis=1)
         assert_same_triangulation(got, (want_pairs, want_positions), kfs[0], kfs[1])
@@ -464,7 +480,8 @@ class TestSearchForTriangulation:
     def test_low_parallax_pairs_rejected(self):
         rng = np.random.default_rng(11)
         world, kfs, landmarks, _ = build_world(rng, n_frames=2, spacing=0.01)
-        pairs, positions = search_for_triangulation(kfs[0], kfs[1], make_policy(), CAM)
+        pairs, positions = search_for_triangulation(kfs[0], kfs[1], *owners(world, kfs),
+                                                    make_policy(), CAM)
         assert pairs.shape == (0, 2) and positions.shape == (0, 3)
 
     @pytest.mark.parametrize("n_from, n_to", [(200, 1500), (1500, 1300)])
@@ -512,9 +529,9 @@ class TestFuse:
         a = add_point(world, landmarks[0], [(kfs[0].kf_id, 0), (kfs[1].kf_id, 0)])
         add_point(world, landmarks[0] + rng.normal(scale=1e-4, size=3),
                   [(kfs[2].kf_id, 0)])
-        batch = world.point_batch(world.points, kfs[2].pose.translation)
+        batch = world.point_batch(unheld(world, kfs[2]), kfs[2].pose.translation)
         found = fuse(batch, kfs[2], make_policy(), CAM)
-        owner = kfs[2].point_ids[found[:, 1]]
+        owner = world.owners(kfs[2].kf_id)[found[:, 1]]
         # a row landing on another point's keypoint is a merge, the lower
         # id surviving
         merges = np.flatnonzero(owner >= 0)
@@ -526,9 +543,9 @@ class TestFuse:
         world, kfs, landmarks, signatures = build_world(rng)
         add_point(world, landmarks[0], [(kfs[0].kf_id, 0), (kfs[1].kf_id, 0)])
         add_point(world, landmarks[1], [(kfs[0].kf_id, 1), (kfs[1].kf_id, 1)])
-        batch = world.point_batch(world.points, kfs[2].pose.translation)
+        batch = world.point_batch(unheld(world, kfs[2]), kfs[2].pose.translation)
         found = fuse(batch, kfs[2], make_policy(), CAM)
-        assert (kfs[2].point_ids[found[:, 1]] < 0).all()
+        assert (world.owners(kfs[2].kf_id)[found[:, 1]] < 0).all()
 
     def test_attach_matches_brute_force_best_candidate(self):
         rng = np.random.default_rng(14)
@@ -760,9 +777,9 @@ class TestDenseReferenceEquivalence:
     @given(seed=st.integers(0, 2**32 - 1), policy=policies())
     def test_search_for_triangulation_returns_the_reference_matches(self, seed, policy):
         rng = np.random.default_rng(seed)
-        kf_a, kf_b = triangulation_pair(rng, n_points=int(rng.integers(0, 60)))
-        got = search_for_triangulation(kf_a, kf_b, policy, CAM)
-        want = reference_search_for_triangulation(kf_a, kf_b, policy, CAM)
+        (kf_a, kf_b), columns = triangulation_pair(rng, n_points=int(rng.integers(0, 60)))
+        got = search_for_triangulation(kf_a, kf_b, *columns, policy, CAM)
+        want = reference_search_for_triangulation(kf_a, kf_b, *columns, policy, CAM)
         assert_same_triangulation(got, want, kf_a, kf_b)
 
 
@@ -786,7 +803,8 @@ class TestMatchMemory:
 def triangulation_pair(rng, n_points):
     """Two keyframes on a lateral-and-forward baseline that see the same
     landmarks, in shuffled keypoint order, plus decoy keypoints that carry
-    landmark signatures; some keypoints of each are bound to points already."""
+    landmark signatures; and their owner columns, in which some keypoints of
+    each are bound to points already."""
     n_decoys = n_points // 3
     landmarks = rng.uniform([-6, -4, 4], [6, 4, 30], (n_points, 3))
     signatures = rng.integers(0, 256, (n_points, 32), dtype=np.uint8)
@@ -794,7 +812,7 @@ def triangulation_pair(rng, n_points):
              Pose(so3_exp(rng.normal(scale=0.02, size=3)),
                   np.array([rng.uniform(0.2, 1.5), rng.normal(scale=0.1),
                             rng.uniform(0.0, 1.0)]))]
-    kfs = []
+    kfs, columns = [], []
     for k, pose in enumerate(poses):
         cam_pts = pose.inverse().apply(landmarks)
         uv = np.stack([CAM.fx * cam_pts[:, 0] / cam_pts[:, 2] + CAM.cx,
@@ -809,9 +827,11 @@ def triangulation_pair(rng, n_points):
         kf = Keyframe(k + 1, 0.1 * k, pose, uv[order], octaves, descs[order],
                       sigma2_at(octaves))
         bound = rng.random(len(uv)) < 0.2
-        kf.point_ids[bound] = np.arange(np.count_nonzero(bound))
+        column = np.full(len(uv), -1, dtype=np.int64)
+        column[bound] = np.arange(np.count_nonzero(bound))
         kfs.append(kf)
-    return kfs
+        columns.append(column)
+    return kfs, columns
 
 
 class TestParallaxGate:

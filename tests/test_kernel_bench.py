@@ -49,6 +49,7 @@ from oracles import (
     reference_initialize_two_view,
     reference_match,
     reference_normal_equations,
+    reference_owners,
     reference_reselect_references,
     reference_search_for_triangulation,
 )
@@ -102,9 +103,11 @@ def test_search_for_triangulation_corridor_size(benchmark, corridor_keyframes):
     matcher over every pair, match for match."""
     cam, (kf_a, kf_b) = corridor_keyframes
     policy = AssociationPolicy()
-    got = benchmark.pedantic(search_for_triangulation, args=(kf_a, kf_b, policy, cam),
+    free = np.full(kf_a.n_keypoints, -1), np.full(kf_b.n_keypoints, -1)
+    args = (kf_a, kf_b, *free, policy, cam)
+    got = benchmark.pedantic(search_for_triangulation, args=args,
                              rounds=3, iterations=1, warmup_rounds=1)
-    want = reference_search_for_triangulation(kf_a, kf_b, policy, cam)
+    want = reference_search_for_triangulation(*args)
     (pairs, positions), (want_pairs, want_positions) = got, want
     assert len(pairs) > 100
     assert pairs.dtype == want_pairs.dtype == np.int64
@@ -136,7 +139,8 @@ def corridor_fuse():
     def n_rows(call):
         world, point_ids, kf_id = copy.deepcopy(call)
         kf = world.keyframes[kf_id]
-        point_ids = point_ids[world.live[point_ids] & ~np.isin(point_ids, kf.point_ids)]
+        point_ids = point_ids[world.live[point_ids]
+                              & ~np.isin(point_ids, world.owners(kf_id))]
         batch = world.point_batch(point_ids, kf.pose.translation)
         return len(fuse(batch, kf, pipeline.policy, pipeline.cam))
 
@@ -160,12 +164,26 @@ def test_apply_fuse_corridor_size(benchmark, corridor_fuse):
                        iterations=1, warmup_rounds=1)
     want, point_ids, kf_id = copy.deepcopy(call)
     kf = want.keyframes[kf_id]
-    n_bound = np.count_nonzero(kf.point_ids >= 0)
+    n_bound = np.count_nonzero(want.owners(kf_id) >= 0)
     reference_apply_fuse(want, point_ids, kf, pipeline.policy, pipeline.cam)
-    assert np.count_nonzero(kf.point_ids >= 0) - n_bound > 50  # attaches
+    assert np.count_nonzero(want.owners(kf_id) >= 0) - n_bound > 50  # attaches
     got = worlds[-1]
     assert map_bytes(got) == map_bytes(want)
     got.check_integrity()
+
+
+def test_owners_corridor_size(benchmark, corridor_fuse):
+    """``owners`` of the newest keyframe at the end of the corridor unit's
+    12 frames: a 2,048 x 6 table, about 1,300 keypoints; the oracle is the
+    loop over the slot's cells, byte for byte."""
+    world = corridor_fuse[0].world
+    kf_id = world.keyframe_ids()[-1]
+    assert world._held.shape == (2048, 6)
+    got = benchmark.pedantic(world.owners, args=(kf_id,), rounds=20, iterations=10,
+                             warmup_rounds=1)
+    want = reference_owners(world, kf_id)
+    assert np.count_nonzero(got >= 0) > 100
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 INIT_SCENES = {
@@ -415,8 +433,8 @@ def orbit_map():
 def test_reselect_references_orbit_size(benchmark, orbit_map):
     """Local BA's geometric read at the orbit's last keyframe: one id per
     binding row of the window's points, each repeated once per holder;
-    the oracle is the column scan with a lexsort of every row, byte for
-    byte."""
+    the oracle is the loop over the table's cells with a lexsort of every
+    row, byte for byte."""
     world, kf = orbit_map
     point, _, _ = world.bindings(world.window_point_ids())
     assert point.size > 1000

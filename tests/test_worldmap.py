@@ -29,6 +29,7 @@ from oracles import (
     reference_bindings,
     reference_create_point,
     reference_merge_points,
+    reference_owners,
     reference_remove_observation,
     reference_reselect_references,
     select_reference_geometric_index,
@@ -161,9 +162,9 @@ class TestObservations:
         world.add_observation(pids[:3], kfs[1].kf_id, [5, 0, 3])
         for pid, kp in zip(pids[3:], [1, 2, 4]):
             world.add_observation(pid, kfs[1].kf_id, kp)
-        assert kfs[1].point_ids[:6].tolist() == [pids[1], pids[3], pids[4],
-                                                 pids[2], pids[5], pids[0]]
-        assert kfs[1].inlier[:6].all() and not kfs[1].inlier[6:].any()
+        assert world.owners(kfs[1].kf_id)[:6].tolist() == [pids[1], pids[3], pids[4],
+                                                           pids[2], pids[5], pids[0]]
+        assert world._inlier[pids, 1].all() and np.count_nonzero(world._inlier[:, 1]) == 6
         world.check_integrity()
 
     @pytest.mark.parametrize("pids, kps, message", [
@@ -401,7 +402,7 @@ def test_reads_write_nothing_and_depend_on_their_query_alone(rule, seed, n_reads
            for k in range(5)]
     for _ in range(10):
         holders = rng.choice(5, size=rng.integers(1, 5), replace=False)
-        free = [np.flatnonzero(kfs[k].point_ids < 0) for k in holders]
+        free = [np.flatnonzero(world.owners(kfs[k].kf_id) < 0) for k in holders]
         if all(f.size for f in free):
             world.create_point([rng.normal(size=3) * 4], [
                 (kfs[k].kf_id, [rng.choice(f)]) for k, f in zip(holders, free)])
@@ -427,9 +428,9 @@ def read_bytes(arrays) -> list:
 @given(seed=st.integers(0, 2**32 - 1), n_edits=st.integers(1, 24))
 @settings(max_examples=40, deadline=None)
 def test_table_reads_equal_the_column_scan_after_every_edit(rule, seed, n_edits):
-    """After each edit of every kind, ``bindings()``, ``bindings(ids)`` and
-    ``reselect_references(ids, q)`` read from the point-major table return
-    the bytes of the column scan in ``oracles``.  The ids repeat and may
+    """After each edit of every kind, ``bindings()``, ``bindings(ids)``,
+    ``reselect_references(ids, q)`` and every keyframe's ``owners`` return
+    the bytes of the cell-by-cell loops in ``oracles``.  The ids repeat and may
     name dead points; keyframes and queries sit on a unit grid, so that
     holders tie on distance, and descriptors differ by few bits, so that
     medians tie."""
@@ -446,7 +447,7 @@ def test_table_reads_equal_the_column_scan_after_every_edit(rule, seed, n_edits)
                                   signature ^ np.packbits(flips, axis=1))
 
     def free(kf):
-        return np.flatnonzero(kf.point_ids < 0)
+        return np.flatnonzero(world.owners(kf.kf_id) < 0)
 
     def create():
         nonlocal handed_out
@@ -462,7 +463,7 @@ def test_table_reads_equal_the_column_scan_after_every_edit(rule, seed, n_edits)
 
     def observe():
         kf = list(world.keyframes.values())[rng.integers(len(world.keyframes))]
-        pids = world.points[~np.isin(world.points, kf.point_ids)]
+        pids = world.points[~np.isin(world.points, world.owners(kf.kf_id))]
         n = min(pids.size, free(kf).size, int(rng.integers(1, 4)))
         world.add_observation(rng.choice(pids, n, replace=False), kf.kf_id,
                               rng.choice(free(kf), n, replace=False))
@@ -499,6 +500,8 @@ def test_table_reads_equal_the_column_scan_after_every_edit(rule, seed, n_edits)
         ids = rng.integers(1, handed_out + 1, size=rng.integers(0, 8))
         assert read_bytes(world.bindings(ids)) == \
             read_bytes(reference_bindings(world, ids)), kind
+        assert read_bytes(world.owners(k) for k in world.keyframe_ids()) == read_bytes(
+            reference_owners(world, k) for k in world.keyframe_ids()), kind
         if world.points.size:
             ids = rng.choice(world.points, size=rng.integers(1, 8))
             query = rng.integers(-1, 2, 3).astype(np.float64)
@@ -509,8 +512,8 @@ def test_table_reads_equal_the_column_scan_after_every_edit(rule, seed, n_edits)
 def appearance_choice(world, pid) -> tuple:
     """(keyframe id, keypoint) of the appearance rule over the point's
     current holders, scanned keyframe by keyframe."""
-    held = [(k, int(np.flatnonzero(kf.point_ids == pid)[0]))
-            for k, kf in sorted(world.keyframes.items()) if (kf.point_ids == pid).any()]
+    columns = [(k, world.owners(k)) for k in world.keyframe_ids()]
+    held = [(k, int(np.flatnonzero(c == pid)[0])) for k, c in columns if (c == pid).any()]
     if len(held) == 1:
         return held[0]
     return held[appearance_index_loop(
@@ -536,12 +539,12 @@ def test_appearance_read_is_the_choice_over_the_current_holders(seed, n_edits):
                                   signature ^ np.packbits(flips, axis=1))
 
     def free_keypoint(kf):
-        return int(rng.choice(np.flatnonzero(kf.point_ids < 0)))
+        return int(rng.choice(np.flatnonzero(world.owners(kf.kf_id) < 0)))
 
     for _ in range(3):
         new_keyframe()
     for _ in range(n_edits):
-        kfs = [kf for kf in world.keyframes.values() if (kf.point_ids < 0).any()]
+        kfs = [kf for kf in world.keyframes.values() if (world.owners(kf.kf_id) < 0).any()]
         live = world.points
         edit = rng.integers(5) if live.size >= 2 else 0
         if edit == 0 and kfs:
@@ -551,7 +554,7 @@ def test_appearance_read_is_the_choice_over_the_current_holders(seed, n_edits):
                 (kfs[i].kf_id, [free_keypoint(kfs[i])]) for i in chosen])
         elif edit == 1:
             pid = int(rng.choice(live))
-            open_kfs = [kf for kf in kfs if pid not in kf.point_ids]
+            open_kfs = [kf for kf in kfs if pid not in world.owners(kf.kf_id)]
             if open_kfs:
                 kf = open_kfs[rng.integers(len(open_kfs))]
                 world.add_observation([pid], kf.kf_id, [free_keypoint(kf)])
@@ -578,10 +581,10 @@ class TestCulling:
         world, kfs, landmarks = tiny_world(rng)
         p1 = add_point(world, landmarks[0], [(kfs[0].kf_id, 0), (kfs[1].kf_id, 0)])
         world.remove_observation(p1, kfs[1].kf_id)
-        assert kfs[1].point_ids[0] == -1
+        assert world.owners(kfs[1].kf_id)[0] == -1
         assert world.cull_points() == [p1]
         assert p1 not in world.points
-        assert kfs[0].point_ids[0] == -1
+        assert world.owners(kfs[0].kf_id)[0] == -1
 
     def test_removing_the_last_observation_kills_the_point(self):
         rng = np.random.default_rng(5)
@@ -635,14 +638,14 @@ class TestGraphStats:
         world, kfs, landmarks = tiny_world(rng)
         total = 0
         for i in range(len(landmarks)):
-            add_point(world, landmarks[i], [(kfs[k].kf_id, i) for k in range(3)])
+            pid = add_point(world, landmarks[i], [(kfs[k].kf_id, i) for k in range(3)])
             total += 3
         stats = world.graph_stats()
         assert stats.n_map_points == len(landmarks)
         assert stats.n_observation_inliers == total
         # latest five keyframes plus keyframe 1, covisible through the points
         assert stats.n_local_keyframes == 6
-        kfs[0].inlier[0] = False
+        world.set_inlier([pid], [kfs[0].kf_id], [False])
         assert world.graph_stats().n_observation_inliers == total - 1
 
 
@@ -663,9 +666,9 @@ class TestMerge:
         a = add_point(world, landmarks[0], [(kfs[0].kf_id, 0), (kfs[1].kf_id, 0)])
         b = add_point(world, landmarks[1], [(kfs[0].kf_id, 1), (kfs[2].kf_id, 1)])
         world.merge_points(a, b)
-        assert kfs[0].point_ids[0] == a  # survivor's own keypoint
-        assert kfs[0].point_ids[1] == -1  # loser's binding released
-        assert kfs[2].point_ids[1] == a
+        assert world.owners(kfs[0].kf_id)[0] == a  # survivor's own keypoint
+        assert world.owners(kfs[0].kf_id)[1] == -1  # loser's binding released
+        assert world.owners(kfs[2].kf_id)[1] == a
         world.check_integrity()
 
 
@@ -702,6 +705,21 @@ class TestUnknownIds:
         assert map_bytes(world) == before
         world.check_integrity()
 
+    @pytest.mark.parametrize("kf_id", [6, 0, 13])
+    def test_binding_to_a_keyframe_the_map_does_not_hold_changes_nothing(self, kf_id):
+        # retention of twelve keyframes keeps 5 and 8-12: 6 was culled
+        world, _, landmarks = tiny_world(np.random.default_rng(8), n_frames=12,
+                                         spacing=0.2)
+        pid = add_point(world, landmarks[0], [(5, 0), (8, 0)])
+        world.apply_retention(12)
+        before = map_bytes(world)
+        with pytest.raises(WorldIntegrityError, match=f"no keyframe {kf_id}"):
+            world.add_observation([pid], kf_id, [1])
+        with pytest.raises(WorldIntegrityError, match=f"no keyframe {kf_id}"):
+            world.owners(kf_id)
+        assert map_bytes(world) == before
+        world.check_integrity()
+
     def test_refused_merge_changes_nothing(self):
         world, _ = self.make()
         before = map_bytes(world)
@@ -716,40 +734,60 @@ class TestIntegrity:
         rng = np.random.default_rng(12)
         world, kfs, landmarks = tiny_world(rng)
         pid = add_point(world, landmarks[0], [(kfs[0].kf_id, 0), (kfs[1].kf_id, 0)])
+        other = add_point(world, landmarks[1], [(kfs[0].kf_id, 1), (kfs[1].kf_id, 1)])
         world.check_integrity()
-        return world, kfs, pid
+        return world, pid, other
 
-    def test_column_naming_an_unknown_point_detected(self):
-        world, kfs, _ = self.make()
-        kfs[0].point_ids[7] = 999
-        with pytest.raises(WorldIntegrityError, match="dead point"):
+    def test_cell_of_an_unknown_point_detected(self):
+        world, _, other = self.make()
+        world._held[other + 1, 0] = 7  # an id never handed out
+        with pytest.raises(WorldIntegrityError, match=f"binds dead point {other + 1}"):
             world.check_integrity()
 
-    def test_column_naming_a_dead_point_detected(self):
-        world, kfs, pid = self.make()
+    def test_cell_of_a_dead_point_detected(self):
+        world, pid, _ = self.make()
         world.live[pid] = False
-        with pytest.raises(WorldIntegrityError, match="dead point"):
+        with pytest.raises(WorldIntegrityError, match=f"binds dead point {pid}"):
             world.check_integrity()
 
-    def test_point_bound_twice_in_one_keyframe_detected(self):
-        world, kfs, pid = self.make()
-        kfs[0].point_ids[5] = pid
-        with pytest.raises(WorldIntegrityError, match="twice"):
+    def test_keyframe_binding_a_keypoint_twice_detected(self):
+        world, pid, other = self.make()
+        world._held[other, 1] = 0  # keyframe 2's keypoint 0 is pid's
+        with pytest.raises(WorldIntegrityError, match="keyframe 2 binds keypoint 0 twice"):
+            world.check_integrity()
+
+    @pytest.mark.parametrize("keypoint", [12, 40])
+    def test_keyframe_binding_a_keypoint_it_lacks_detected(self, keypoint):
+        # the keyframes have 12 keypoints; 12 would alias keyframe 2's first
+        world, pid, _ = self.make()
+        world._held[pid, 0] = keypoint
+        with pytest.raises(WorldIntegrityError,
+                           match=f"keyframe 1 binds keypoint {keypoint} it lacks"):
             world.check_integrity()
 
     def test_live_point_without_holder_detected(self):
-        world, kfs, pid = self.make()
-        kfs[0].point_ids[0] = kfs[1].point_ids[0] = -1
+        world, pid, _ = self.make()
+        world._held[pid], world._inlier[pid] = -1, False
         with pytest.raises(WorldIntegrityError, match="no holder"):
             world.check_integrity()
 
-    @pytest.mark.parametrize("slot, keypoint", [(0, 3), (0, -1), (2, 0)])
-    def test_binding_index_that_differs_from_the_columns_detected(self, slot, keypoint):
-        # another keypoint, a lost binding and a binding no column holds
-        world, kfs, pid = self.make()
-        world._held[pid, slot] = keypoint
-        with pytest.raises(WorldIntegrityError,
-                           match=f"index row of point {pid} differs"):
+    def test_inlier_flag_on_an_empty_cell_detected(self):
+        world, pid, _ = self.make()
+        world._inlier[pid, 2] = True
+        with pytest.raises(WorldIntegrityError, match="inlier of point .* not bind"):
+            world.check_integrity()
+
+    @pytest.mark.parametrize("table", ["_held", "_inlier"])
+    def test_table_of_the_wrong_shape_detected(self, table):
+        world, _, _ = self.make()
+        setattr(world, table, getattr(world, table)[:, 1:])
+        with pytest.raises(WorldIntegrityError, match="wrong shape"):
+            world.check_integrity()
+
+    def test_slots_that_are_not_the_keyframes_detected(self):
+        world, _, _ = self.make()
+        world._slots = world._slots[::-1].copy()
+        with pytest.raises(WorldIntegrityError, match="slots are not the keyframes"):
             world.check_integrity()
 
 
@@ -853,12 +891,12 @@ class TestBatchEditsMatchOneAtATime:
             add_point(world, landmarks[i], [(kfs[i].kf_id, i), (kfs[i + 1].kf_id, i)])
         world, ref = twin(world)
         before = map_bytes(world)
-        _, kf, kp = world.bindings()
+        point, kf, _ = world.bindings()
         flags = np.arange(kf.size) % 3 != 1
         order = rng.permutation(kf.size)  # the rows need not group by keyframe
-        world.set_inlier(kf[order], kp[order], flags[order])
-        for k, i, flag in zip(kf.tolist(), kp.tolist(), flags.tolist()):
-            ref.keyframes[k].inlier[i] = flag
+        world.set_inlier(point[order], kf[order], flags[order])
+        for p, k, flag in zip(point.tolist(), kf.tolist(), flags.tolist()):
+            ref._inlier[p, ref._slots.tolist().index(k)] = flag
         assert map_bytes(world) == map_bytes(ref) != before
 
     def test_merge_frees_src_in_a_keyframe_that_binds_both(self):
@@ -872,7 +910,7 @@ class TestBatchEditsMatchOneAtATime:
         world.merge_points([a, d], [b, c])  # dst below and above src
         reference_merge_points(ref, a, b)
         reference_merge_points(ref, d, c)
-        assert kfs[2].point_ids[7] == -1 and kfs[4].point_ids[1] == -1
+        assert world.owners(kfs[2].kf_id)[7] == -1 and world.owners(kfs[4].kf_id)[1] == -1
         assert world.points.tolist() == [a, d]
         assert map_bytes(world) == map_bytes(ref)
 
@@ -898,7 +936,7 @@ class TestBatchEditsMatchOneAtATime:
                for k in range(5)]
         for _ in range(14):
             holders = rng.choice(5, size=rng.integers(1, 5), replace=False)
-            free = [np.flatnonzero(kfs[k].point_ids < 0) for k in holders]
+            free = [np.flatnonzero(world.owners(kfs[k].kf_id) < 0) for k in holders]
             if all(f.size for f in free):
                 reference_create_point(world, rng.normal(size=3),
                                        [(kfs[k].kf_id, rng.choice(f))
@@ -930,7 +968,7 @@ class TestBatchEditsMatchOneAtATime:
         # the fused point survives below its keypoint's owner and gives way
         # above it; the owner's binding to keyframe 4 loses to the survivor's
         assert world.points.tolist() == [low, owner_low, free, held]
-        assert kfs[2].point_ids[:4].tolist() == [low, owner_low, free, held]
-        assert kfs[3].point_ids[7] == -1
+        assert world.owners(kfs[2].kf_id)[:4].tolist() == [low, owner_low, free, held]
+        assert world.owners(kfs[3].kf_id)[7] == -1
         assert map_bytes(world) == map_bytes(ref)
         world.check_integrity()
