@@ -548,9 +548,6 @@ def _solve_step(Hpp, Hpl, Hll, gp, gl, lam):
     diag = np.where(diag > 1e-12, diag, 1e-12)
     Hpp_m += lam * np.diag(diag)
     gp_v = gp.reshape(6 * P)
-    if L == 0:
-        dp = -np.linalg.solve(Hpp_m, gp_v)
-        return dp.reshape(P, 6), np.zeros((0, 3))
     Hll_inv = np.linalg.inv(Hll_d)
     W_m = (Hpl @ Hll_inv).transpose(0, 2, 1, 3).reshape(6 * P, 3 * L)
     # [Hpl^T | gl]: one product gives the Schur complement and its

@@ -351,7 +351,6 @@ class Pipeline:
         self.outlier_mode = OutlierMode(config.outlier_policy)
         self.world = WorldMap(ReferenceRule(config.descriptor_selection))
         self.rng = np.random.default_rng(RNG_SEED)
-        self.initialized = False
         self.init_ref: FrameInput | None = None
         self.init_attempts = 0
         self.init_frame: int | None = None
@@ -362,6 +361,10 @@ class Pipeline:
         self.frame_records: list = []
         self.n_removed = 0
         self._frame_index = 0
+
+    @property
+    def initialized(self) -> bool:
+        return self.init_frame is not None
 
     # ------------------------------------------------------------------
 
@@ -420,7 +423,6 @@ class Pipeline:
         )
         i1, i2 = pairs[keep].T
         world.create_point(pts, [(kf1.kf_id, i1), (kf2.kf_id, i2)])
-        self.initialized = True
         self.init_frame = self._frame_index
         self.prev_pose_cw = Pose.identity()  # kf1 camera-from-world
         pose2_cw = kf2.pose.inverse()
@@ -507,7 +509,8 @@ class Pipeline:
     # ------------------------------------------------------------------
 
     def _local_ba(self, kf_new):
-        """Local BA, each point's reference read at ``kf_new``'s pose."""
+        """Local BA with every window point variable (``cull_points`` ran first,
+        so each has two holders), references read at ``kf_new``'s pose."""
         world = self.world
         window = world.latest_keyframe_ids()
         # points observed from the window, with every observing keyframe
@@ -516,8 +519,7 @@ class Pipeline:
             return
         point, kf, kp = world.bindings(point_ids)
         included_kfs = set(kf.tolist())
-        anchors = sorted(included_kfs - set(window))
-        fixed = list(anchors)
+        fixed = sorted(included_kfs - set(window))
         variable = list(window)
         while len(fixed) < 2 and len(variable) > 1:
             fixed.append(variable.pop(0))
@@ -525,8 +527,6 @@ class Pipeline:
             fixed.append(variable.pop(0))
 
         poses = {k: world.keyframes[k].pose for k in sorted(included_kfs | set(window))}
-        _, n_holders = np.unique(point, return_counts=True)  # per entry of point_ids
-        variable_points = point_ids[n_holders >= 2]
         problem = OptimizationProblem(
             cam=self.cam, poses=poses,
             points=dict(zip(point_ids.tolist(), world.positions[point_ids])),
@@ -535,15 +535,14 @@ class Pipeline:
                 world.gather(kf, kp, "noise_sigma2"), kf_new.pose.translation),
             model=self.covariance_model,
             variable_pose_ids=tuple(sorted(variable)),
-            variable_point_ids=variable_points,
+            variable_point_ids=point_ids,
         )
         result = local_bundle_adjustment(problem, self.outlier_mode)
         for kf_id in variable:
             world.keyframes[kf_id].pose = result.poses[kf_id]
-        world.positions[variable_points] = result.points[n_holders >= 2]
+        world.positions[point_ids] = result.points
         world.set_inlier(point, kf, result.inlier)  # the problem's rows are the bindings
-        removed = result.removed
-        world.remove_observation(point[removed], kf[removed])
+        world.remove_observation(point[result.removed], kf[result.removed])
         self.n_removed += len(result.removed)
 
     def _mapping_step(self, kf_new):
@@ -576,7 +575,7 @@ class Pipeline:
         """Fuse the live points that ``kf`` does not hold yet into it."""
         world = self.world
         owner = world.owners(kf.kf_id)
-        point_ids = point_ids[world.live[point_ids] & ~np.isin(point_ids, owner)]
+        point_ids = point_ids[np.isin(point_ids, world.points) & ~np.isin(point_ids, owner)]
         if point_ids.size == 0:
             return
         batch = world.point_batch(point_ids, kf.pose.translation)

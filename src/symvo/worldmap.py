@@ -1,17 +1,16 @@
 """Keyframes, map points, the table that binds them, and retention.
 
-One binding record: the point-major table ``_held[point, slot]``, the
-keypoint that point observes in keyframe ``_slots[slot]`` or -1, with the
-same-shape ``_inlier`` flag of each binding; the slots ascend by keyframe
-id.  A keyframe's per-keypoint view of it, the point each keypoint
-observes, is a read (``owners``), not a second record.  Per point the map
-stores a position and a live flag, nothing more: a point's holders (the
-keyframes that observe it), its reference observation, depth-invariance
-interval and reference descriptor are read from the table, never cached.
-A reference is a read under both rules: ``reselect_references`` takes
-the holder nearest each query (geometric rule) or the holder descriptor
-with least median distance to the others (appearance rule), so no read
-depends on the edits or reads that ran before it.
+The map stores point positions and the binding table, nothing else:
+``_held[point, slot]``, the keypoint that point observes in the slot's
+keyframe or -1, and the same-shape ``_inlier`` flags.  The slots are the
+keyframes in id order, as ``keyframes`` admits them.  Everything else is a
+read: a point is live while its row holds a cell, and its holders,
+reference observation, depth-invariance interval and reference descriptor
+come from that row; ``owners`` is a keyframe's per-keypoint view, and
+keypoint variances are read from the octaves.  ``reselect_references``
+takes the holder nearest each query (geometric rule) or the holder
+descriptor with least median distance to the others (appearance rule), so
+no read depends on the edits or reads that ran before it.
 
 Every edit takes id arrays, and an edit group makes one call per edit
 kind, which writes the table's cells in one indexed write.  A batch that
@@ -19,12 +18,12 @@ edits one at a time would refuse raises before anything changes.  Merge
 pairs must share no point: only then does one batch equal merging pair by
 pair.
 
-``check_integrity`` asserts what the table leaves open: its slots are the
-keyframes, it has a row per point id, no dead point holds a cell, no
-inlier flag sits on an empty cell, every live point has a holder, and no
-keyframe binds one keypoint twice or binds a keypoint it lacks.  The map
-is owned by a single pipeline; every traversal runs in ascending id
-order, so identical inputs replay identically.
+``check_integrity`` asserts what the table leaves open: it has a row per
+point id and a slot per keyframe, no row that was never handed out holds
+a cell, no inlier flag sits on an empty cell, and no keyframe binds one
+keypoint twice or binds a keypoint it lacks.  The map is owned by a
+single pipeline; every traversal runs in ascending id order, so identical
+inputs replay identically.
 """
 
 from __future__ import annotations
@@ -58,16 +57,21 @@ class Keyframe:
     keypoints: np.ndarray  # (N, 2) octave-0 pixel coordinates
     octaves: np.ndarray  # (N,)
     descriptors: np.ndarray  # (N, n_bytes) packed
-    noise_sigma2: np.ndarray  # (N,)
 
     def __post_init__(self):
         if not (self.octaves.shape[0] == self.descriptors.shape[0]
-                == self.noise_sigma2.shape[0] == self.keypoints.shape[0]):
+                == self.keypoints.shape[0]):
             raise ValueError("keyframe keypoint arrays must have equal length")
 
     @property
     def n_keypoints(self) -> int:
         return self.keypoints.shape[0]
+
+    @property
+    def noise_sigma2(self) -> np.ndarray:
+        """(N,) keypoint variances, read from the whole octave array: numpy's
+        SIMD power may round an array element apart from the same scalar."""
+        return sigma2_at(self.octaves)
 
 
 def keyframe_retention(new_frame_id: int, retained) -> set:
@@ -83,21 +87,6 @@ def _runs(point: np.ndarray) -> np.ndarray:
     return np.flatnonzero(np.diff(point, prepend=-1))
 
 
-def _refuse(kf_id: int, column: list, point_ids: list, keypoints: list):
-    """Raise the WorldIntegrityError of the first binding that one-at-a-time
-    binding of ``point_ids`` to ``keypoints`` would refuse, ``column`` being
-    the keyframe's ``owners``."""
-    held = set(column)
-    for pid, kp in zip(point_ids, keypoints):
-        if pid in held:
-            raise WorldIntegrityError(f"point {pid} already observes keyframe {kf_id}")
-        if column[kp] >= 0:
-            raise WorldIntegrityError(
-                f"keypoint {kp} of keyframe {kf_id} already bound to point {column[kp]}")
-        column[kp] = pid
-        held.add(pid)
-
-
 class WorldMap:
     """The observation graph plus its maintenance policies."""
 
@@ -106,9 +95,7 @@ class WorldMap:
         self.keyframes: dict[int, Keyframe] = {}
         # indexed by point id and doubled when full; id 0 is never handed out
         self.positions = np.zeros((1, 3))
-        self.live = np.zeros(1, dtype=bool)
         # the binding table: a row per point id, a slot per keyframe
-        self._slots = np.zeros(0, dtype=np.int64)
         self._held = np.full((1, 0), -1, dtype=np.int64)
         self._inlier = np.zeros((1, 0), dtype=bool)
         self._stacks: dict = {}  # ``_stack``'s arrays for this keyframe set
@@ -117,8 +104,13 @@ class WorldMap:
 
     @property
     def points(self) -> np.ndarray:
-        """Ids of the live points, ascending."""
-        return np.flatnonzero(self.live)
+        """Ids of the live points, those whose row holds a cell, ascending."""
+        return np.flatnonzero((self._held >= 0).any(axis=1))
+
+    @property
+    def _slots(self) -> np.ndarray:
+        """The keyframe id of each slot: ``keyframes`` in insertion order."""
+        return np.fromiter(self.keyframes, dtype=np.int64, count=len(self.keyframes))
 
     # ------------------------------------------------------------------
     # keyframes
@@ -131,15 +123,11 @@ class WorldMap:
             keypoints=np.asarray(keypoints, dtype=np.float64),
             octaves=np.asarray(octaves, dtype=np.int64),
             descriptors=np.asarray(descriptors, dtype=np.uint8),
-            noise_sigma2=sigma2_at(octaves),
         )
         self.keyframes[kf.kf_id] = kf
         self._next_kf_id += 1
-        self._slots = np.append(self._slots, kf.kf_id)
-        self._held = np.concatenate(
-            [self._held, np.full((len(self._held), 1), -1, self._held.dtype)], axis=1)
-        self._inlier = np.concatenate(
-            [self._inlier, np.zeros((len(self._inlier), 1), bool)], axis=1)
+        self._held = np.pad(self._held, ((0, 0), (0, 1)), constant_values=-1)
+        self._inlier = np.pad(self._inlier, ((0, 0), (0, 1)))
         self._stacks = {}
         return kf
 
@@ -161,40 +149,65 @@ class WorldMap:
     def create_point(self, positions, observations) -> np.ndarray:
         """New points at the (n, 3) ``positions``, point i bound to
         ``keypoints[i]`` of each (kf_id, keypoints) pair in ``observations``;
-        returns their (n,) ids, ascending."""
+        returns their (n,) ids, ascending.  What binding them one by one
+        would refuse raises before anything is written or any id is used."""
         ids = np.arange(self._next_point_id, self._next_point_id + len(positions))
+        rows = np.full((ids.size, len(self.keyframes)), -1, dtype=np.int64)
+        for kf_id, keypoints in observations:
+            slot, kps = self._check_binding(ids, kf_id, keypoints, rows)
+            rows[:, slot] = kps
         self._next_point_id += ids.size
-        while self._next_point_id > self.live.size:
-            self.positions, self.live = (np.concatenate([a, np.zeros_like(a)])
-                                         for a in (self.positions, self.live))
+        while self._next_point_id > len(self.positions):
+            self.positions = np.concatenate([self.positions, np.zeros_like(self.positions)])
             self._held = np.concatenate([self._held, np.full_like(self._held, -1)])
             self._inlier = np.concatenate([self._inlier, np.zeros_like(self._inlier)])
         self.positions[ids] = positions
-        self.live[ids] = True
-        for kf_id, keypoints in observations:
-            self.add_observation(ids, kf_id, keypoints)
+        self._held[ids], self._inlier[ids] = rows, rows >= 0
         return ids
 
     def add_observation(self, point_ids, kf_id: int, keypoints):
-        """Bind ``point_ids[i]`` to ``keypoints[i]`` of one keyframe.  A
-        keyframe the map does not hold, an id never handed out, a point that
-        would observe the keyframe twice or a keypoint that is bound already
-        raises WorldIntegrityError, as the first such binding of the batch
-        would one at a time, and nothing is bound; so does a keypoint index
-        outside the keyframe."""
-        column = self.owners(kf_id)
-        slot = int(np.searchsorted(self._slots, kf_id))
+        """Bind ``point_ids[i]`` to ``keypoints[i]`` of one keyframe.  An id
+        never handed out, a dead point, a keyframe the map does not hold, a
+        keypoint index outside it, a point that would observe it twice or a
+        keypoint that is bound already raises WorldIntegrityError, as the
+        first such binding of the batch would one at a time, and nothing is
+        bound; so do keypoints that do not pair up with the ids."""
         pids = np.asarray(point_ids, dtype=np.int64).reshape(-1)
-        kps = np.asarray(keypoints, dtype=np.int64).reshape(-1)
         self._refuse_unknown(pids)
+        rows = self._held[pids]
+        dead = (rows < 0).all(axis=1)
+        if dead.any():
+            raise WorldIntegrityError(f"point {pids[dead][0]} is dead")
+        slot, kps = self._check_binding(pids, kf_id, keypoints, rows)
+        self._held[pids, slot], self._inlier[pids, slot] = kps, True
+
+    def _check_binding(self, pids, kf_id: int, keypoints, rows) -> tuple:
+        """(slot of keyframe ``kf_id``, ``keypoints`` as ids) if binding
+        ``pids[i]``, whose table row is ``rows[i]``, to ``keypoints[i]`` is
+        allowed; else the WorldIntegrityError of the first binding that one
+        at a time would refuse.  Writes nothing."""
+        kps = np.asarray(keypoints, dtype=np.int64).reshape(-1)
+        if kps.size != pids.size:
+            raise WorldIntegrityError(f"{kps.size} keypoints for {pids.size} points")
+        column = self.owners(kf_id)
         outside = (kps < 0) | (kps >= column.size)
         if outside.any():
             raise WorldIntegrityError(f"no keypoint {kps[outside][0]} in keyframe {kf_id}")
-        if ((self._held[pids, slot] >= 0).any() or (column[kps] >= 0).any()
+        slot = int(np.searchsorted(self._slots, kf_id))
+        held = set(pids[rows[:, slot] >= 0].tolist())
+        if (held or (column[kps] >= 0).any()
                 or np.unique(pids).size < pids.size or np.unique(kps).size < kps.size):
-            _refuse(kf_id, column.tolist(), pids.tolist(), kps.tolist())
-        self._held[pids, slot] = kps
-        self._inlier[pids, slot] = True
+            column = column.tolist()
+            for pid, kp in zip(pids.tolist(), kps.tolist()):
+                if pid in held:
+                    raise WorldIntegrityError(
+                        f"point {pid} already observes keyframe {kf_id}")
+                if column[kp] >= 0:
+                    raise WorldIntegrityError(f"keypoint {kp} of keyframe {kf_id} "
+                                              f"already bound to point {column[kp]}")
+                column[kp] = pid
+                held.add(pid)
+        return slot, kps
 
     def remove_observation(self, point_ids, kf_ids):
         """Unbind ``point_ids[i]`` from keyframe ``kf_ids[i]``; a point left
@@ -215,7 +228,6 @@ class WorldMap:
                 f"point {pids[i]} does not observe keyframe {kf_ids[i]}")
         self._held[pids, slot] = -1
         self._inlier[pids, slot] = False
-        self.live[pids[(self._held[pids] < 0).all(axis=1)]] = False
 
     def merge_points(self, dst_ids, src_ids):
         """Absorb each ``src_ids[i]`` into ``dst_ids[i]``: src's bindings move
@@ -232,7 +244,6 @@ class WorldMap:
         for table, empty in ((self._held, -1), (self._inlier, False)):
             table[dst] = np.where(move, table[src], table[dst])
             table[src] = empty
-        self.live[src] = False
 
     def set_inlier(self, point_ids, kf_ids, flags):
         """Set the inlier flag of the binding of ``point_ids[i]`` in keyframe
@@ -244,11 +255,6 @@ class WorldMap:
         unknown = (point_ids < 1) | (point_ids >= self._next_point_id)
         if unknown.any():
             raise WorldIntegrityError(f"no point {point_ids[unknown][0]}")
-
-    def _drop(self, point_ids):
-        """Free every keypoint bound to the given points and kill them."""
-        self.remove_observation(*self.bindings(point_ids)[:2])
-        self.live[point_ids] = False
 
     def owners(self, kf_id: int) -> np.ndarray:
         """The (N,) point each keypoint of keyframe ``kf_id`` observes, or -1.
@@ -266,7 +272,7 @@ class WorldMap:
         then keyframe id; only the bindings of ``point_ids`` when given.  An
         id never handed out raises WorldIntegrityError."""
         if point_ids is None:
-            ids = np.arange(self.live.size)
+            ids = np.arange(len(self._held))
         else:
             point_ids = np.asarray(point_ids, dtype=np.int64)
             self._refuse_unknown(point_ids)
@@ -285,7 +291,7 @@ class WorldMap:
         count.  Kept until the keyframe set changes, since a keyframe's
         keypoint arrays never do."""
         if name not in self._stacks:
-            kfs = [self.keyframes[k] for k in self._slots.tolist()]
+            kfs = self.keyframes.values()
             self._stacks[name] = (
                 np.cumsum([0] + [kf.n_keypoints for kf in kfs]) if name == "first"
                 else np.concatenate([getattr(kf, name) for kf in kfs]
@@ -311,7 +317,7 @@ class WorldMap:
 
     def _slot_rows(self, value) -> np.ndarray:
         """The 3-vector ``value(pose)`` of each slot's keyframe, (slots, 3)."""
-        return np.array([value(self.keyframes[k].pose) for k in self._slots.tolist()],
+        return np.array([value(kf.pose) for kf in self.keyframes.values()],
                         dtype=np.float64).reshape(-1, 3)
 
     def point_batch(self, point_ids, query_translation) -> PointBatch:
@@ -376,9 +382,8 @@ class WorldMap:
 
     def cull_points(self) -> list:
         """Remove points with fewer than two holders; returns culled ids."""
-        holders = np.count_nonzero(self._held >= 0, axis=1)
-        culled = np.flatnonzero(self.live & (holders < 2))
-        self._drop(culled)
+        culled = np.flatnonzero(np.count_nonzero(self._held >= 0, axis=1) == 1)
+        self._held[culled], self._inlier[culled] = -1, False
         return culled.tolist()
 
     def apply_retention(self, new_kf_id: int) -> list:
@@ -388,15 +393,16 @@ class WorldMap:
         culled = [k for k in self.keyframe_ids() if k not in retained]
         if not culled:
             return culled
-        for k in culled:
-            del self.keyframes[k]
         gone = np.isin(self._slots, culled)
         touched = np.flatnonzero((self._held[:, gone] >= 0).any(axis=1))
-        self._slots, self._stacks = self._slots[~gone], {}
+        for k in culled:
+            del self.keyframes[k]
+        self._stacks = {}
         self._held, self._inlier = self._held[:, ~gone], self._inlier[:, ~gone]
         holders = np.count_nonzero(self._held[touched] >= 0, axis=1)
         # orphaned points: below the two-holder survival threshold
-        self._drop(touched[holders < 2])
+        orphans = touched[holders < 2]
+        self._held[orphans], self._inlier[orphans] = -1, False
         return culled
 
     # ------------------------------------------------------------------
@@ -417,9 +423,8 @@ class WorldMap:
     def check_integrity(self):
         """Assert the invariants the binding table leaves open; raises on
         violation."""
-        if self._slots.tolist() != self.keyframe_ids():
-            raise WorldIntegrityError("binding table slots are not the keyframes")
-        if not self._held.shape == self._inlier.shape == (self.live.size, self._slots.size):
+        shape = (len(self.positions), len(self.keyframes))
+        if not self._held.shape == self._inlier.shape == shape:
             raise WorldIntegrityError("binding table has the wrong shape")
         bound = self._held >= 0
         stray = np.argwhere(self._inlier & ~bound)
@@ -427,15 +432,12 @@ class WorldMap:
             p, s = stray[0]
             raise WorldIntegrityError(
                 f"keyframe {self._slots[s]} flags an inlier of point {p} it does not bind")
-        holds = bound.any(axis=1)
-        dead = np.flatnonzero(holds & ~self.live)
-        if dead.size:
-            s = int(np.argmax(bound[dead[0]]))
+        unissued = np.r_[0, self._next_point_id:shape[0]]
+        stray = unissued[bound[unissued].any(axis=1)]
+        if stray.size:
+            s = int(np.argmax(bound[stray[0]]))
             raise WorldIntegrityError(
-                f"keyframe {self._slots[s]} binds dead point {dead[0]}")
-        lacking = np.flatnonzero(self.live & ~holds)
-        if lacking.size:
-            raise WorldIntegrityError(f"point {lacking[0]} has no holder")
+                f"keyframe {self._slots[s]} binds point {stray[0]}, never handed out")
         # each binding as a keypoint of the keyframes' stacked keypoints
         first = self._stack("first")
         point, slot = np.nonzero(bound)

@@ -43,16 +43,21 @@ state.  ``initialization_inputs`` builds the matches and deviations that
 initialization receives for two frames, and ``corridor_match_inputs`` a
 ``match`` of a corridor frame's size.
 
-``reference_create_point``, ``reference_remove_observation``,
-``reference_merge_points`` and ``reference_apply_fuse`` are the map edits
-one point or row at a time: a point created and bound keyframe by
-keyframe, an observation unbound and its point's survival checked slot by
-slot, one merge over every slot, and the fuse walk over its rows with a
-guard per row.  They write the map's binding table (``_held`` and
-``_inlier``) one cell at a time.  ``WorldMap``'s edits take id arrays and
-``Pipeline._apply_fuse`` makes one call per edit group; they must leave
-the same bytes in the table, in ``live`` and in ``positions``
-(``map_bytes``).
+``reference_create_point``, ``reference_add_observation``,
+``reference_remove_observation``, ``reference_merge_points``,
+``reference_cull_points``, ``reference_apply_retention`` and
+``reference_apply_fuse`` are the map edits one point, row or keyframe at a
+time: a point created and bound keyframe by keyframe, an observation
+bound, or unbound and its point's survival checked slot by slot, one merge
+over every slot, a cull point by point, retention keyframe by keyframe,
+and the fuse walk over its rows with a guard per row.  They write the
+map's binding table (``_held`` and ``_inlier``) one cell at a time.
+``WorldMap``'s edits take id arrays and ``Pipeline._apply_fuse`` makes one
+call per edit group; they must leave the same bytes in the table and in
+``positions`` (``map_bytes``).  The map keeps no liveness of its own, so
+the oracle editors keep a record beside the table (``reference_points``):
+a point enters it when created and leaves it when an edit kills it, and
+``WorldMap.points``, read from the table, must equal it.
 
 ``reference_bindings``, ``reference_owners`` and
 ``reference_reselect_references`` are the map's reads as plain loops over
@@ -112,6 +117,7 @@ from symvo.pipeline import (
     RANSAC_THRESHOLD_PX,
     _decompose_essential,
 )
+from symvo.worldmap import keyframe_retention
 
 
 def _hat_batch(v):
@@ -616,16 +622,29 @@ def initialization_bytes(result):
 
 
 def map_bytes(world):
-    """Every byte the map edits write: the binding table's slots, cells and
-    inlier flags, then ``live`` and ``positions``."""
+    """Every byte the map edits write: the keyframe id of each slot, the
+    binding table's cells and inlier flags, and ``positions``."""
     return (world._slots.tobytes(), world._held.tobytes(), world._inlier.tobytes(),
-            world.live.tobytes(), world.positions.tobytes())
+            world.positions.tobytes())
+
+
+def _live(world) -> set:
+    """The liveness record the oracle editors keep on a map they edit; it
+    starts as the map's points when an oracle editor first edits it."""
+    if not hasattr(world, "reference_live"):
+        world.reference_live = set(world.points.tolist())
+    return world.reference_live
+
+
+def reference_points(world) -> np.ndarray:
+    """``WorldMap.points`` as the oracle editors' liveness record."""
+    return np.array(sorted(_live(world)), dtype=np.int64)
 
 
 def reference_bindings(world, point_ids=None) -> tuple:
     """``WorldMap.bindings`` as a loop over the table's cells: every point
     id (of ``point_ids`` alone when given), then every slot."""
-    ids = range(world.live.size) if point_ids is None else sorted(set(
+    ids = range(len(world._held)) if point_ids is None else sorted(set(
         np.asarray(point_ids, dtype=np.int64).tolist()))
     rows = [(p, k, int(world._held[p, slot])) for p in ids
             for slot, k in enumerate(world._slots.tolist()) if world._held[p, slot] >= 0]
@@ -637,7 +656,7 @@ def reference_owners(world, kf_id) -> np.ndarray:
     """``WorldMap.owners`` as a loop over one slot's cells, point by point."""
     slot = world._slots.tolist().index(kf_id)
     column = np.full(world.keyframes[kf_id].n_keypoints, -1, dtype=np.int64)
-    for p in range(world.live.size):
+    for p in range(len(world._held)):
         if world._held[p, slot] >= 0:
             column[world._held[p, slot]] = p
     return column
@@ -685,10 +704,14 @@ def _slot(world, kf_id) -> int:
 
 def _owner(world, slot, kp) -> int:
     """The point that binds keypoint ``kp`` in ``slot``, or -1, cell by cell."""
-    for p in range(world.live.size):
+    for p in range(len(world._held)):
         if world._held[p, slot] == kp:
             return p
     return -1
+
+
+def _n_holders(world, point_id) -> int:
+    return sum(world._held[point_id, s] >= 0 for s in range(world._held.shape[1]))
 
 
 def _bind(world, point_id, kf_id, kp):
@@ -706,21 +729,34 @@ def _unbind(world, point_id, slot):
     world._inlier[point_id, slot] = False
 
 
+def _kill(world, point_id):
+    """Unbind the point from every slot and strike it from the record."""
+    for slot in range(world._held.shape[1]):
+        _unbind(world, point_id, slot)
+    _live(world).discard(point_id)
+
+
 def reference_create_point(world, position, observations) -> int:
     """One new point bound to (kf_id, keypoint) pairs; returns its id.  The
-    id arrays and the table's rows double when the id reaches their size."""
+    positions and the table's rows double when the id reaches their size."""
     pid = world._next_point_id
     world._next_point_id += 1
-    if pid == world.live.size:
-        world.positions, world.live = (np.concatenate([a, np.zeros_like(a)])
-                                       for a in (world.positions, world.live))
+    if pid == len(world.positions):
+        world.positions = np.concatenate([world.positions, np.zeros_like(world.positions)])
         world._held = np.concatenate([world._held, np.full_like(world._held, -1)])
         world._inlier = np.concatenate([world._inlier, np.zeros_like(world._inlier)])
     world.positions[pid] = position
-    world.live[pid] = True
+    _live(world).add(pid)
     for kf_id, kp in observations:
         _bind(world, pid, kf_id, kp)
     return pid
+
+
+def reference_add_observation(world, point_id, kf_id, kp):
+    """Bind one live point to one keypoint."""
+    if point_id not in _live(world):
+        raise WorldIntegrityError(f"point {point_id} is dead")
+    _bind(world, point_id, kf_id, kp)
 
 
 def reference_remove_observation(world, point_id, kf_id):
@@ -730,8 +766,8 @@ def reference_remove_observation(world, point_id, kf_id):
     if world._held[point_id, slot] < 0:
         raise WorldIntegrityError(f"point {point_id} does not observe keyframe {kf_id}")
     _unbind(world, point_id, slot)
-    if all(world._held[point_id, s] < 0 for s in range(world._slots.size)):
-        world.live[point_id] = False
+    if _n_holders(world, point_id) == 0:
+        _live(world).discard(point_id)
 
 
 def reference_merge_points(world, dst, src):
@@ -739,12 +775,39 @@ def reference_merge_points(world, dst, src):
     inlier flag move to dst where dst has no cell, and src's is cleared."""
     if dst == src:
         return
-    for slot in range(world._slots.size):
+    for slot in range(world._held.shape[1]):
         if world._held[src, slot] >= 0 and world._held[dst, slot] < 0:
             world._held[dst, slot] = world._held[src, slot]
             world._inlier[dst, slot] = world._inlier[src, slot]
-        _unbind(world, src, slot)
-    world.live[src] = False
+    _kill(world, src)
+
+
+def reference_cull_points(world) -> list:
+    """Kill the recorded points with fewer than two holders, one by one;
+    returns their ids."""
+    culled = [p for p in sorted(_live(world)) if _n_holders(world, p) < 2]
+    for p in culled:
+        _kill(world, p)
+    return culled
+
+
+def reference_apply_retention(world, new_kf_id) -> list:
+    """Retention one culled keyframe at a time: its slot goes, then each
+    point it held dies if fewer than two holders are left; returns the
+    culled keyframe ids."""
+    retained = keyframe_retention(new_kf_id, world.keyframes)
+    culled = [k for k in sorted(world.keyframes) if k not in retained]
+    for kf_id in culled:
+        slot = _slot(world, kf_id)
+        touched = [p for p in sorted(_live(world)) if world._held[p, slot] >= 0]
+        del world.keyframes[kf_id]
+        world._held = np.delete(world._held, slot, axis=1)
+        world._inlier = np.delete(world._inlier, slot, axis=1)
+        world._stacks = {}
+        for p in touched:
+            if _n_holders(world, p) < 2:
+                _kill(world, p)
+    return culled
 
 
 def reference_apply_fuse(world, point_ids, kf, policy, cam):
@@ -754,14 +817,15 @@ def reference_apply_fuse(world, point_ids, kf, policy, cam):
     freed keypoint and a point that already owns the keypoint."""
     slot = _slot(world, kf.kf_id)
     point_ids = np.array([p for p in point_ids.tolist()
-                          if world.live[p] and world._held[p, slot] < 0], dtype=np.int64)
+                          if p in _live(world) and world._held[p, slot] < 0],
+                         dtype=np.int64)
     if point_ids.size == 0:
         return
     found = fuse(world.point_batch(point_ids, kf.pose.translation), kf, policy, cam)
     # each row's verdict is taken from the owners before any edit
     was_free = [_owner(world, slot, kp) < 0 for kp in found[:, 1].tolist()]
     for (pid, kp), attach in zip(found.tolist(), was_free):
-        if not world.live[pid]:
+        if pid not in _live(world):
             continue
         owner = _owner(world, slot, kp)
         if attach:

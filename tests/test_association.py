@@ -34,7 +34,6 @@ from symvo.features import (
     hamming_matrix,
     hamming_pairs,
     octave_for_depth,
-    sigma2_at,
 )
 from symvo.geometry import CameraIntrinsics, Pose, so3_exp
 from symvo.worldmap import Keyframe, WorldMap
@@ -464,8 +463,7 @@ class TestSearchForTriangulation:
         def free_only(kf, column):
             keep = np.flatnonzero(column < 0)
             sub = Keyframe(kf.kf_id, kf.timestamp, kf.pose, kf.keypoints[keep],
-                           kf.octaves[keep], kf.descriptors[keep],
-                           kf.noise_sigma2[keep])
+                           kf.octaves[keep], kf.descriptors[keep])
             return sub, keep
 
         sub_a, keep_a = free_only(kfs[0], owners_a)
@@ -766,7 +764,7 @@ class TestDenseReferenceEquivalence:
         )
         frame = Keyframe(1, 0.0, Pose.identity(), rng.uniform(0, 640, (n_kp, 2)),
                          np.zeros(n_kp, dtype=np.int64),
-                         near_copies(rng, base, n_kp, rate), np.ones(n_kp))
+                         near_copies(rng, base, n_kp, rate))
         pose = Pose(so3_exp(rng.normal(scale=0.05, size=3)), rng.normal(size=3))
         got = search_by_projection(frame, points, pose, policy, CAM, site=site)
         with mock.patch.object(association, "match", reference_match):
@@ -824,8 +822,7 @@ def triangulation_pair(rng, n_points):
             [descs, signatures[rng.integers(0, max(n_points, 1), n_decoys)]])
         order = rng.permutation(len(uv))
         octaves = rng.integers(0, 3, len(uv))
-        kf = Keyframe(k + 1, 0.1 * k, pose, uv[order], octaves, descs[order],
-                      sigma2_at(octaves))
+        kf = Keyframe(k + 1, 0.1 * k, pose, uv[order], octaves, descs[order])
         bound = rng.random(len(uv)) < 0.2
         column = np.full(len(uv), -1, dtype=np.int64)
         column[bound] = np.arange(np.count_nonzero(bound))

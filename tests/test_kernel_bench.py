@@ -45,6 +45,7 @@ from oracles import (
     pack_descriptors,
     project,
     reference_apply_fuse,
+    reference_bindings,
     reference_camera_points,
     reference_initialize_two_view,
     reference_match,
@@ -139,7 +140,7 @@ def corridor_fuse():
     def n_rows(call):
         world, point_ids, kf_id = copy.deepcopy(call)
         kf = world.keyframes[kf_id]
-        point_ids = point_ids[world.live[point_ids]
+        point_ids = point_ids[np.isin(point_ids, world.points)
                               & ~np.isin(point_ids, world.owners(kf_id))]
         batch = world.point_batch(point_ids, kf.pose.translation)
         return len(fuse(batch, kf, pipeline.policy, pipeline.cam))
@@ -183,6 +184,18 @@ def test_owners_corridor_size(benchmark, corridor_fuse):
                              warmup_rounds=1)
     want = reference_owners(world, kf_id)
     assert np.count_nonzero(got >= 0) > 100
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_points_corridor_size(benchmark, corridor_fuse):
+    """``points`` at the end of the corridor unit's 12 frames: a scan of the
+    2,048 x 6 table; the oracle is the loop over its cells."""
+    world = corridor_fuse[0].world
+    assert world._held.shape == (2048, 6)
+    got = benchmark.pedantic(lambda: world.points, rounds=20, iterations=10,
+                             warmup_rounds=1)
+    want = np.unique(reference_bindings(world)[0])
+    assert got.size > 1000
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 

@@ -25,11 +25,15 @@ from oracles import (
     map_bytes,
     pack_descriptors,
     project,
+    reference_add_observation,
     reference_apply_fuse,
+    reference_apply_retention,
     reference_bindings,
     reference_create_point,
+    reference_cull_points,
     reference_merge_points,
     reference_owners,
+    reference_points,
     reference_remove_observation,
     reference_reselect_references,
     select_reference_geometric_index,
@@ -430,12 +434,15 @@ def read_bytes(arrays) -> list:
 def test_table_reads_equal_the_column_scan_after_every_edit(rule, seed, n_edits):
     """After each edit of every kind, ``bindings()``, ``bindings(ids)``,
     ``reselect_references(ids, q)`` and every keyframe's ``owners`` return
-    the bytes of the cell-by-cell loops in ``oracles``.  The ids repeat and may
-    name dead points; keyframes and queries sit on a unit grid, so that
-    holders tie on distance, and descriptors differ by few bits, so that
-    medians tie."""
+    the bytes of the cell-by-cell loops in ``oracles``.  A twin map takes
+    every edit from the oracle editors: the two tables stay equal byte for
+    byte, and ``points`` equals the oracle editors' liveness record.  The
+    ids repeat and may name dead points; keyframes and queries sit on a unit
+    grid, so that holders tie on distance, and descriptors differ by few
+    bits, so that medians tie."""
     rng = np.random.default_rng(seed)
     world = WorldMap(rule)
+    ref = copy.deepcopy(world)  # edited by the oracle editors
     signature = rng.integers(0, 256, (8, 32), np.uint8)
     handed_out = 0  # the highest point id so far
 
@@ -443,8 +450,10 @@ def test_table_reads_equal_the_column_scan_after_every_edit(rule, seed, n_edits)
         flips = np.zeros((8, 256), bool)
         flips[np.arange(8)[:, None], rng.integers(0, 256, (8, 3))] = True
         pose = Pose(np.eye(3), rng.integers(-1, 2, 3).astype(np.float64))
-        return world.add_keyframe(0.0, pose, np.zeros((8, 2)), np.zeros(8, np.int64),
-                                  signature ^ np.packbits(flips, axis=1))
+        args = (0.0, pose, np.zeros((8, 2)), np.zeros(8, np.int64),
+                signature ^ np.packbits(flips, axis=1))
+        ref.add_keyframe(*args)
+        return world.add_keyframe(*args)
 
     def free(kf):
         return np.flatnonzero(world.owners(kf.kf_id) < 0)
@@ -456,34 +465,53 @@ def test_table_reads_equal_the_column_scan_after_every_edit(rule, seed, n_edits)
         if open_kfs:
             chosen = rng.choice(len(open_kfs), size=rng.integers(1, len(open_kfs) + 1),
                                 replace=False)
-            ids = world.create_point(rng.normal(size=(n, 3)), [
-                (open_kfs[i].kf_id, rng.choice(free(open_kfs[i]), n, replace=False))
-                for i in chosen])
+            positions = rng.normal(size=(n, 3))
+            observations = [(open_kfs[i].kf_id, rng.choice(free(open_kfs[i]), n,
+                                                           replace=False))
+                            for i in chosen]
+            ids = world.create_point(positions, observations)
+            assert ids.tolist() == [
+                reference_create_point(ref, positions[i], [(k, kps[i])
+                                                           for k, kps in observations])
+                for i in range(n)]
             handed_out = int(ids[-1])
 
     def observe():
         kf = list(world.keyframes.values())[rng.integers(len(world.keyframes))]
         pids = world.points[~np.isin(world.points, world.owners(kf.kf_id))]
         n = min(pids.size, free(kf).size, int(rng.integers(1, 4)))
-        world.add_observation(rng.choice(pids, n, replace=False), kf.kf_id,
-                              rng.choice(free(kf), n, replace=False))
+        pids = rng.choice(pids, n, replace=False)
+        kps = rng.choice(free(kf), n, replace=False)
+        world.add_observation(pids, kf.kf_id, kps)
+        for pid, kp in zip(pids.tolist(), kps.tolist()):
+            reference_add_observation(ref, pid, kf.kf_id, kp)
 
     def remove():
         point, kf, _ = world.bindings()
         rows = rng.choice(point.size, size=rng.integers(1, min(point.size, 3) + 1),
                           replace=False)
         world.remove_observation(point[rows], kf[rows])
+        for pid, kf_id in zip(point[rows].tolist(), kf[rows].tolist()):
+            reference_remove_observation(ref, pid, kf_id)
 
     def merge():
         n = int(rng.integers(1, world.points.size // 2 + 1))
         pair = rng.choice(world.points, size=2 * n, replace=False)
         world.merge_points(pair[:n], pair[n:])
+        for dst, src in zip(pair[:n].tolist(), pair[n:].tolist()):
+            reference_merge_points(ref, dst, src)
+
+    def cull():
+        assert world.cull_points() == reference_cull_points(ref)
+
+    def retain():
+        kf_id = new_keyframe().kf_id
+        assert world.apply_retention(kf_id) == reference_apply_retention(ref, kf_id)
 
     edits = {
         "add_keyframe": new_keyframe, "create_point": create,
         "add_observation": observe, "remove_observation": remove,
-        "merge_points": merge, "cull_points": world.cull_points,
-        "apply_retention": lambda: world.apply_retention(new_keyframe().kf_id),
+        "merge_points": merge, "cull_points": cull, "apply_retention": retain,
     }
     for _ in range(3):
         new_keyframe()
@@ -496,6 +524,8 @@ def test_table_reads_equal_the_column_scan_after_every_edit(rule, seed, n_edits)
             kind = "create_point"
         edits[kind]()
         world.check_integrity()
+        assert map_bytes(world) == map_bytes(ref), kind
+        assert world.points.tolist() == reference_points(ref).tolist(), kind
         assert read_bytes(world.bindings()) == read_bytes(reference_bindings(world)), kind
         ids = rng.integers(1, handed_out + 1, size=rng.integers(0, 8))
         assert read_bytes(world.bindings(ids)) == \
@@ -682,7 +712,7 @@ class TestUnknownIds:
         world, kfs, landmarks = tiny_world(rng)
         for i in range(3):
             add_point(world, landmarks[i], [(kfs[0].kf_id, i), (kfs[1].kf_id, i)])
-        assert world.live.size == 4
+        assert len(world.positions) == 4
         return world, kfs
 
     @pytest.mark.parametrize("ids", [[-1], [0], [4], [9], [2, -1]])
@@ -695,6 +725,13 @@ class TestUnknownIds:
         world, kfs = self.make()
         with pytest.raises(WorldIntegrityError, match="no point 9"):
             world.reselect_references([9], kfs[0].pose.translation)
+
+    def test_binding_fewer_keypoints_than_points_changes_nothing(self):
+        world, kfs = self.make()
+        before = map_bytes(world)
+        with pytest.raises(WorldIntegrityError, match="1 keypoints for 2 points"):
+            world.add_observation([1, 2], kfs[2].kf_id, [5])
+        assert map_bytes(world) == before
 
     @pytest.mark.parametrize("ids", [[7], [-1], [0], [4], [2, 4]])
     def test_refused_binding_changes_nothing(self, ids):
@@ -720,6 +757,34 @@ class TestUnknownIds:
         assert map_bytes(world) == before
         world.check_integrity()
 
+    def test_binding_a_dead_point_changes_nothing(self):
+        world, kfs = self.make()
+        world.remove_observation([2, 2], [kfs[0].kf_id, kfs[1].kf_id])  # 2 dies
+        before = map_bytes(world)
+        with pytest.raises(WorldIntegrityError, match="point 2 is dead"):
+            world.add_observation([1, 2], kfs[2].kf_id, [5, 6])
+        assert map_bytes(world) == before
+        world.check_integrity()
+
+    @pytest.mark.parametrize("observations, message", [
+        ([(1, [0]), (9, [0])], "no keyframe 9"),
+        ([(1, [0]), (2, [12])], "no keypoint 12 in keyframe 2"),
+        ([(1, [0]), (2, [3])], "keypoint 3 of keyframe 2 already bound to point 1"),
+        ([(1, [0, 0])], "keypoint 0 of keyframe 1 already bound to point 2"),
+        ([(1, [0]), (1, [1])], "point 2 already observes keyframe 1"),
+        ([(1, [0, 1]), (2, [0])], "1 keypoints for 2 points"),
+    ])
+    def test_refused_create_point_writes_nothing(self, observations, message):
+        # point 1 holds keypoint 3 of keyframes 1 and 2; a second id would
+        # double the arrays
+        world, _, landmarks = tiny_world(np.random.default_rng(13))
+        add_point(world, landmarks[3], [(1, 3), (2, 3)])
+        before, next_id = map_bytes(world), world._next_point_id
+        with pytest.raises(WorldIntegrityError, match=message):
+            world.create_point(landmarks[:len(observations[0][1])], observations)
+        assert map_bytes(world) == before and world._next_point_id == next_id
+        world.check_integrity()
+
     def test_refused_merge_changes_nothing(self):
         world, _ = self.make()
         before = map_bytes(world)
@@ -738,16 +803,13 @@ class TestIntegrity:
         world.check_integrity()
         return world, pid, other
 
-    def test_cell_of_an_unknown_point_detected(self):
+    @pytest.mark.parametrize("row", ["zero", "next"])
+    def test_cell_in_a_row_never_handed_out_detected(self, row):
         world, _, other = self.make()
-        world._held[other + 1, 0] = 7  # an id never handed out
-        with pytest.raises(WorldIntegrityError, match=f"binds dead point {other + 1}"):
-            world.check_integrity()
-
-    def test_cell_of_a_dead_point_detected(self):
-        world, pid, _ = self.make()
-        world.live[pid] = False
-        with pytest.raises(WorldIntegrityError, match=f"binds dead point {pid}"):
+        row = 0 if row == "zero" else other + 1  # id 0, or the next id
+        world._held[row, 0] = 7
+        with pytest.raises(WorldIntegrityError,
+                           match=f"keyframe 1 binds point {row}, never handed out"):
             world.check_integrity()
 
     def test_keyframe_binding_a_keypoint_twice_detected(self):
@@ -765,11 +827,12 @@ class TestIntegrity:
                            match=f"keyframe 1 binds keypoint {keypoint} it lacks"):
             world.check_integrity()
 
-    def test_live_point_without_holder_detected(self):
-        world, pid, _ = self.make()
+    def test_clearing_a_row_kills_its_point(self):
+        # liveness is a read of the row: no live point lacks a holder
+        world, pid, other = self.make()
         world._held[pid], world._inlier[pid] = -1, False
-        with pytest.raises(WorldIntegrityError, match="no holder"):
-            world.check_integrity()
+        world.check_integrity()
+        assert world.points.tolist() == [other]
 
     def test_inlier_flag_on_an_empty_cell_detected(self):
         world, pid, _ = self.make()
@@ -782,12 +845,6 @@ class TestIntegrity:
         world, _, _ = self.make()
         setattr(world, table, getattr(world, table)[:, 1:])
         with pytest.raises(WorldIntegrityError, match="wrong shape"):
-            world.check_integrity()
-
-    def test_slots_that_are_not_the_keyframes_detected(self):
-        world, _, _ = self.make()
-        world._slots = world._slots[::-1].copy()
-        with pytest.raises(WorldIntegrityError, match="slots are not the keyframes"):
             world.check_integrity()
 
 
@@ -846,8 +903,9 @@ class TestBatchEditsMatchOneAtATime:
                                             [(kfs[0].kf_id, i), (kfs[3].kf_id, j)])
                      for i, j in zip(rows, rows[::-1])]
         assert got == want == list(range(1, 16))
-        assert world.live.size == 16
+        assert len(world.positions) == 16
         assert map_bytes(world) == map_bytes(ref)
+        assert world.points.tolist() == reference_points(ref).tolist() == got
 
     def test_remove_observation_kills_as_removals_one_at_a_time_do(self):
         rng = np.random.default_rng(21)
@@ -863,7 +921,7 @@ class TestBatchEditsMatchOneAtATime:
         world.remove_observation(pids, kf_ids)
         for pid, kf_id in zip(pids, kf_ids):
             reference_remove_observation(ref, pid, kf_id)
-        assert world.points.tolist() == [many]
+        assert world.points.tolist() == reference_points(ref).tolist() == [many]
         assert map_bytes(world) == map_bytes(ref)
 
     @pytest.mark.parametrize("pids, kf_ids, first_bad", [
@@ -911,7 +969,7 @@ class TestBatchEditsMatchOneAtATime:
         reference_merge_points(ref, a, b)
         reference_merge_points(ref, d, c)
         assert world.owners(kfs[2].kf_id)[7] == -1 and world.owners(kfs[4].kf_id)[1] == -1
-        assert world.points.tolist() == [a, d]
+        assert world.points.tolist() == reference_points(ref).tolist() == [a, d]
         assert map_bytes(world) == map_bytes(ref)
 
     @pytest.mark.parametrize("dst, src", [([1, 3], [2, 1]), ([1, 2], [3, 2]),
@@ -949,6 +1007,7 @@ class TestBatchEditsMatchOneAtATime:
         for d, s in zip(dst.tolist(), src.tolist()):
             reference_merge_points(ref, d, s)
         assert map_bytes(world) == map_bytes(ref)
+        assert world.points.tolist() == reference_points(ref).tolist()
 
     def test_fuse_attaches_and_merges_as_the_row_walk_does(self):
         rng = np.random.default_rng(24)
@@ -967,7 +1026,8 @@ class TestBatchEditsMatchOneAtATime:
         reference_apply_fuse(ref, fused, ref.keyframes[at[2]], AssociationPolicy(), CAM)
         # the fused point survives below its keypoint's owner and gives way
         # above it; the owner's binding to keyframe 4 loses to the survivor's
-        assert world.points.tolist() == [low, owner_low, free, held]
+        assert world.points.tolist() == reference_points(ref).tolist() == [
+            low, owner_low, free, held]
         assert world.owners(kfs[2].kf_id)[:4].tolist() == [low, owner_low, free, held]
         assert world.owners(kfs[3].kf_id)[7] == -1
         assert map_bytes(world) == map_bytes(ref)
