@@ -8,34 +8,33 @@ Two axes are selectable independently:
   greedily grabs the best remaining target, which is order-sensitive by
   design (the bias witness).
 - constraint mode: ``SYMMETRIC`` applies the one shared descriptor
-  threshold ``DESCRIPTOR_THRESHOLD`` and one shared gate set at every call
-  site; ``HETEROGENEOUS`` applies the fixed per-site table
-  ``HETEROGENEOUS_THRESHOLDS``, mimicking pipelines whose matching stages
-  were tuned independently.
+  threshold ``DESCRIPTOR_THRESHOLD`` at every call site; ``HETEROGENEOUS``
+  applies the fixed per-site table ``HETEROGENEOUS_THRESHOLDS``, mimicking
+  pipelines whose matching stages were tuned independently.
 
-Every site filters its pairs through ``gate_mask``, the one gate predicate
-(descriptor threshold, depth filter, and the ``MIN_PARALLAX`` floor).
+Each gate is tested once, at the site that holds its inputs.  ``match``
+applies the descriptor threshold of its site (``threshold_for``), the one
+gate every site shares.  ``search_by_projection`` keeps the points in front
+of the camera and inside the image and, when the policy's depth filter is
+on, those whose predicted depth lies in their depth-invariance interval;
+only those rows reach ``match``.  ``search_for_triangulation`` keeps the
+pairs inside both epipolar bands that clear the ``MIN_PARALLAX`` floor.
 ``AssociationPolicy`` carries only the three toggles a run varies; both
-thresholds are module constants.  Call sites add only
-geometric admissibility of their own: image bounds and positive depth for
-projection searches, the epipolar band for triangulation.
-``triangulate_rays`` is the one midpoint triangulation, used here for new
-points and by the pipeline's two-view initialization.
+thresholds are module constants.  ``triangulate_rays`` is the one midpoint
+triangulation, used here for new points and by the pipeline's two-view
+initialization.
 
-``match`` scores only pairs that can still pass the gates.  A query that
-the site's mask or the depth filter drops gets no descriptor distance at
-all.  The projection searches, fuse and the two-view initialization admit
-every target of a live query.  Their live rows are scored in blocks of
-``BLOCK_PAIRS`` pairs: ``hamming_matrix`` over the first ``PREFIX_BYTES``
-bytes, whose distance bounds the full one from below, then
-``hamming_pairs`` over the remaining bytes of the pairs that the prefix
-keeps within the site threshold.  Triangulation hands over the
-epipolar-band pairs as index arrays, with one parallax per pair, and they
-are scored by ``hamming_pairs``.  Either way the scored pairs become flat
-(query row, target row, distance[, parallax]) arrays that one
-``gate_mask`` call filters.  One acceptance walk then takes the
-gated pairs in a sort order that ``Ordering`` picks and accepts each pair
-whose query and target are both still free.
+``match`` scores only pairs that can still pass the threshold.  The
+projection searches, fuse and the two-view initialization admit every
+target of a query.  Their queries are scored in blocks of ``BLOCK_PAIRS``
+pairs: ``hamming_matrix`` over the first ``PREFIX_BYTES`` bytes, whose
+distance bounds the full one from below, then ``hamming_pairs`` over the
+remaining bytes of the pairs that the prefix keeps within the site
+threshold.  Triangulation hands over its admitted pairs as index arrays,
+and they are scored by ``hamming_pairs``.  Either way the pairs within the
+threshold become flat (query row, target row, distance) arrays.  One
+acceptance walk then takes them in a sort order that ``Ordering`` picks and
+accepts each pair whose query and target are both still free.
 
 Every search returns its matches as an (n, 2) int64 array of id rows,
 with an empty result of shape (0, 2).
@@ -123,23 +122,6 @@ class AssociationPolicy:
         return HETEROGENEOUS_THRESHOLDS[site]
 
 
-def gate_mask(hamming, policy: AssociationPolicy, site: Site,
-              depth_ok=None, parallax=None):
-    """The one gate predicate shared by every association site.
-
-    Elementwise over broadcastable ``hamming``, ``depth_ok`` and
-    ``parallax`` arrays.  A clause whose input is None (parallax for an
-    already-triangulated point, the depth filter where no interval exists)
-    is vacuous at every site alike.
-    """
-    ok = np.asarray(hamming) <= policy.threshold_for(site)
-    if policy.use_depth_filter and depth_ok is not None:
-        ok = ok & np.asarray(depth_ok, dtype=bool)
-    if parallax is not None:
-        ok = ok & (np.asarray(parallax) >= MIN_PARALLAX)
-    return ok
-
-
 def _pairs_within(queries, targets, threshold):
     """Every (query row, target row, distance) of two packed stacks at most
     ``threshold`` bits apart, in row-major order as ``np.nonzero`` gives them.
@@ -173,27 +155,23 @@ def _pairs_within(queries, targets, threshold):
 
 
 def match(query_ids, query_descriptors, target_ids, target_descriptors,
-          policy: AssociationPolicy, site: Site,
-          pairs=None, query_mask=None, parallax=None, depth_ok=None):
+          policy: AssociationPolicy, site: Site, pairs=None):
     """One-to-one matching between two descriptor stacks.
 
-    Per query, (Nq,): ``query_mask`` drops queries outright and
-    ``depth_ok`` is the depth-filter verdict.  Per pair: ``pairs`` is a
-    ``(qi, ti)`` pair of row-index arrays, in row-major order as
-    ``np.nonzero`` gives them, holding the pairs the call site admits
-    geometrically; ``parallax`` is one angle per pair where triangulation
-    applies.  Without ``pairs`` every target is admissible.
+    ``pairs`` is a ``(qi, ti)`` pair of row-index arrays, in row-major order
+    as ``np.nonzero`` gives them, holding the pairs the call site admits;
+    without it every target of every query is admissible.  The caller
+    passes only the queries its own gates keep, so the one gate here is
+    the site's descriptor threshold, ``policy.threshold_for(site)``.
 
-    Distances are computed only for queries that ``query_mask`` and an
-    applied depth filter keep.  Without ``pairs``, their rows are scored by
-    ``_pairs_within``: a block of rows at a time, over the first
-    ``PREFIX_BYTES`` bytes and then, for only the pairs that bound keeps
-    within the site threshold, over the rest.  With ``pairs``, their pairs
-    are scored by ``hamming_pairs``.
+    Without ``pairs``, the queries are scored by ``_pairs_within``: a block
+    of rows at a time, over the first ``PREFIX_BYTES`` bytes and then, for
+    only the pairs that bound keeps within the threshold, over the rest.
+    With ``pairs``, the pairs are scored by ``hamming_pairs``.
 
-    One walk accepts the pairs that pass ``gate_mask``: it takes them in
-    sort order and accepts a pair when neither its query row nor its
-    target row is taken yet.  ``Ordering`` picks only the sort key:
+    One walk accepts the pairs within the threshold: it takes them in sort
+    order and accepts a pair when neither its query row nor its target row
+    is taken yet.  ``Ordering`` picks only the sort key:
     ``HAMMING_ORDERED`` sorts by distance, then query id, then target id;
     ``SEQUENTIAL`` by query row, then distance, then target row, which
     gives each query in turn its nearest free target, the lowest target
@@ -204,31 +182,14 @@ def match(query_ids, query_descriptors, target_ids, target_descriptors,
     target_ids = np.asarray(target_ids, dtype=np.int64)
     if query_ids.size == 0 or target_ids.size == 0:
         return _NO_MATCHES
-    live = np.ones(query_ids.size, dtype=bool)
-    if query_mask is not None:
-        live &= np.asarray(query_mask, dtype=bool)
-    if policy.use_depth_filter and depth_ok is not None:
-        live &= np.asarray(depth_ok, dtype=bool)
+    threshold = policy.threshold_for(site)
     if pairs is None:
-        if parallax is not None:
-            raise ValueError("parallax is given per pair, so it needs pairs")
-        rows = np.flatnonzero(live)
-        qi, ti, dist = _pairs_within(query_descriptors[rows], target_descriptors,
-                                     policy.threshold_for(site))
-        qi = rows[qi]
+        qi, ti, dist = _pairs_within(query_descriptors, target_descriptors, threshold)
     else:
         qi, ti = (np.asarray(a, dtype=np.intp) for a in pairs)
-        keep = live[qi]
-        qi, ti = qi[keep], ti[keep]
-        if parallax is not None:
-            parallax = np.asarray(parallax)[keep]
         dist = hamming_pairs(query_descriptors[qi], target_descriptors[ti])
-    ok = np.flatnonzero(gate_mask(
-        dist, policy, site,
-        depth_ok=None if depth_ok is None else np.asarray(depth_ok)[qi],
-        parallax=parallax,
-    ))
-    qi, ti, dist = qi[ok], ti[ok], dist[ok]
+        ok = dist <= threshold
+        qi, ti, dist = qi[ok], ti[ok], dist[ok]
     if policy.ordering is Ordering.HAMMING_ORDERED:
         order = np.lexsort((target_ids[ti], query_ids[qi], dist))
     else:
@@ -263,27 +224,28 @@ def search_by_projection(frame, points: PointBatch, predicted_pose_wc: Pose,
     ``frame`` needs only ``n_keypoints`` and ``descriptors``, so a
     ``Keyframe`` and a pipeline ``FrameInput`` both serve.  ``points`` is a
     ``PointBatch``; its row order is the query order that
-    ``Ordering.SEQUENTIAL`` walks.  Candidate gating: in front of the
-    camera (``pinhole``), projection inside the image, the depth-invariance
-    filter, then the descriptor threshold.  Returns ``match``'s (n, 2) rows
-    of (point id, keypoint index), in acceptance order.
+    ``Ordering.SEQUENTIAL`` walks.  The geometric gates are tested here, on
+    each point's predicted camera-frame position: in front of the camera
+    (``pinhole``), projection inside the image and, when the policy's
+    depth filter is on, depth inside the point's depth-invariance
+    interval.  Only the points that pass reach ``match``, which applies the
+    descriptor threshold.  Returns ``match``'s (n, 2) rows of (point id,
+    keypoint index), in acceptance order.
     """
     if points.ids.size == 0 or frame.n_keypoints == 0:
         return _NO_MATCHES
     in_cam = predicted_pose_wc.inverse().apply(points.positions)
     uv, in_front = pinhole(in_cam, cam)
-    visible = in_front & cam.contains(uv)
-    if not np.any(visible):
-        return _NO_MATCHES
+    live = in_front & cam.contains(uv)
+    if policy.use_depth_filter:
+        live &= points.depth.contains(in_cam[:, 2])
     return match(
-        query_ids=points.ids,
-        query_descriptors=points.descriptors,
+        query_ids=points.ids[live],
+        query_descriptors=points.descriptors[live],
         target_ids=np.arange(frame.n_keypoints),
         target_descriptors=frame.descriptors,
         policy=policy,
         site=site,
-        query_mask=visible,
-        depth_ok=visible & points.depth.contains(in_cam[:, 2]),
     )
 
 
@@ -342,9 +304,10 @@ def search_for_triangulation(kf_a, kf_b, owners_a, owners_b,
     ``owners_a`` and ``owners_b`` are the keyframes' (N,) owner columns
     (``WorldMap.owners``): the point each keypoint observes, or -1.  Only
     free keypoints, those whose owner is -1, take part.  The epipolar band
-    is the one dense test; descriptor distances and parallax are computed
-    only for the pairs inside it.  Returns ``(pairs, positions)``:
-    ``pairs`` holds ``match``'s (n, 2) rows of (``kf_a`` keypoint, ``kf_b``
+    is the one dense test; parallax is computed only for the pairs inside
+    both bands, and the pairs below ``MIN_PARALLAX`` are dropped before
+    ``match`` scores the rest.  Returns ``(pairs, positions)``: ``pairs``
+    holds ``match``'s (n, 2) rows of (``kf_a`` keypoint, ``kf_b``
     keypoint), in acceptance order, without the rows whose rays do not
     meet in front of both keyframes; ``positions`` holds their (n, 3)
     triangulated world points.  Keyframes with (numerically) no baseline
@@ -373,6 +336,8 @@ def search_for_triangulation(kf_a, kf_b, owners_a, owners_b,
 
     rays_a = unit_ray(uv_a, cam) @ kf_a.pose.rotation.T
     rays_b = unit_ray(uv_b, cam) @ kf_b.pose.rotation.T
+    solid = parallax_angles(rays_a[qi], rays_b[ti]) >= MIN_PARALLAX
+    qi, ti = qi[solid], ti[solid]
 
     found = match(
         query_ids=idx_a,
@@ -382,7 +347,6 @@ def search_for_triangulation(kf_a, kf_b, owners_a, owners_b,
         policy=policy,
         site=Site.TRIANGULATION,
         pairs=(qi, ti),
-        parallax=parallax_angles(rays_a[qi], rays_b[ti]),
     )
     pts, ok = triangulate_rays(
         kf_a.pose.translation, rays_a[np.searchsorted(idx_a, found[:, 0])],

@@ -123,10 +123,6 @@ class Pose:
     def identity(cls) -> "Pose":
         return cls(np.eye(3), np.zeros(3))
 
-    @classmethod
-    def from_axis_angle(cls, w, t=(0.0, 0.0, 0.0)) -> "Pose":
-        return cls(so3_exp(w), np.asarray(t, dtype=np.float64))
-
     def apply(self, points) -> np.ndarray:
         """Transform one (3,) point or a stack (..., 3) of points."""
         p = np.asarray(points, dtype=np.float64)
@@ -142,12 +138,6 @@ class Pose:
     def inverse(self) -> "Pose":
         Rt = self.rotation.T
         return Pose(Rt, -Rt @ self.translation)
-
-    def almost_equal(self, other: "Pose", tol: float = 1e-9) -> bool:
-        return bool(
-            np.allclose(self.rotation, other.rotation, atol=tol)
-            and np.allclose(self.translation, other.translation, atol=tol)
-        )
 
     def depth_of(self, points) -> np.ndarray:
         """Camera-frame depth of world point(s) under this world-from-camera

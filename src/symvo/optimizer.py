@@ -711,11 +711,9 @@ def optimize_pose(problem: OptimizationProblem) -> PoseResult:
         )
     state0 = problem.initial_state()
     normal = _build_normal_equations(problem, state0, _evaluate(problem, state0))
-    Hpp = normal[0]
-    if Hpp.shape[0]:
-        eigvals = np.linalg.eigvalsh(Hpp[0, 0])
-        if eigvals[-1] <= 0 or eigvals[0] < 1e-12 * eigvals[-1]:
-            raise DegenerateProblemError("pose normal equations are rank-deficient")
+    eigvals = np.linalg.eigvalsh(normal[0][0, 0])
+    if eigvals[-1] <= 0 or eigvals[0] < 1e-12 * eigvals[-1]:
+        raise DegenerateProblemError("pose normal equations are rank-deficient")
 
     row = problem.var_pose_rows[0]
     active = np.ones(len(problem.observations), dtype=bool)

@@ -13,7 +13,6 @@ reproduce bit-identical outputs.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -156,9 +155,6 @@ class RunReport:
             "init_attempts": self.init_attempts,
             "init_frame": self.init_frame,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
 def poses_digest(timestamps, poses) -> str:
@@ -627,10 +623,7 @@ class Pipeline:
                 break
         if not self.initialized:
             health = "init_failed"
-        trajectory = (
-            Trajectory(np.array(self.traj_timestamps), tuple(self.traj_poses))
-            if self.traj_poses else Trajectory(np.zeros(0), ())
-        )
+        trajectory = Trajectory(self.traj_timestamps, self.traj_poses)
         report = RunReport(
             health=health,
             n_frames=len(frames),

@@ -76,16 +76,15 @@ class SyntheticSequence:
     cam = DEFAULT_CAMERA  # not a field: every scene is seen through it
 
 
-def _look_at_rotation(forward, up=(0.0, -1.0, 0.0)) -> np.ndarray:
-    """World-from-camera rotation with the camera +z along ``forward``."""
+def _look_at_rotation(forward) -> np.ndarray:
+    """World-from-camera rotation with the camera +z along ``forward`` and
+    its +y as near world -y as ``forward`` allows."""
     f = np.asarray(forward, dtype=np.float64)
     f = f / np.linalg.norm(f)
-    u = np.asarray(up, dtype=np.float64)
-    r = np.cross(u, f)
+    r = np.cross((0.0, -1.0, 0.0), f)
     norm = np.linalg.norm(r)
     if norm < 1e-12:
-        u = np.array([0.0, 0.0, 1.0])
-        r = np.cross(u, f)
+        r = np.cross((0.0, 0.0, 1.0), f)
         norm = np.linalg.norm(r)
     r = r / norm
     d = np.cross(f, r)

@@ -214,6 +214,15 @@ class WorldMap:
         with no holder dies.  A pair that is not bound, or that repeats an
         earlier one, raises WorldIntegrityError, as its removal one at a
         time would, and nothing is unbound."""
+        pids, slot = self._bound_cells(point_ids, kf_ids)
+        self._held[pids, slot] = -1
+        self._inlier[pids, slot] = False
+
+    def _bound_cells(self, point_ids, kf_ids) -> tuple:
+        """(point ids, slots): the table cells of the bindings of
+        ``point_ids[i]`` in keyframe ``kf_ids[i]``.  An id never handed out,
+        a keyframe the map does not hold, a pair that is not bound or one
+        that repeats an earlier pair raises WorldIntegrityError."""
         pids, kf_ids = (np.asarray(a, np.int64).reshape(-1) for a in (point_ids, kf_ids))
         self._refuse_unknown(pids)
         slot, known = self._slot_of(kf_ids)
@@ -226,8 +235,7 @@ class WorldMap:
             i = int(np.argmax(bad))
             raise WorldIntegrityError(
                 f"point {pids[i]} does not observe keyframe {kf_ids[i]}")
-        self._held[pids, slot] = -1
-        self._inlier[pids, slot] = False
+        return pids, slot
 
     def merge_points(self, dst_ids, src_ids):
         """Absorb each ``src_ids[i]`` into ``dst_ids[i]``: src's bindings move
@@ -247,8 +255,9 @@ class WorldMap:
 
     def set_inlier(self, point_ids, kf_ids, flags):
         """Set the inlier flag of the binding of ``point_ids[i]`` in keyframe
-        ``kf_ids[i]`` to ``flags[i]``."""
-        self._inlier[point_ids, np.searchsorted(self._slots, kf_ids)] = flags
+        ``kf_ids[i]`` to ``flags[i]``.  What ``remove_observation`` would
+        refuse of these pairs raises WorldIntegrityError, and nothing is set."""
+        self._inlier[self._bound_cells(point_ids, kf_ids)] = flags
 
     def _refuse_unknown(self, point_ids):
         """Raise WorldIntegrityError on the first id never handed out."""

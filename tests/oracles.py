@@ -22,16 +22,22 @@ share neither the kernels' grouping nor, with ``einsum``, their
 contractions.
 
 ``reference_match`` is the dense form of ``association.match``: it scores
-every (query, target) pair with ``hamming_matrix`` and takes geometric
-admissibility as an (Nq, Nt) ``pair_mask`` and parallax as an (Nq, Nt)
-matrix.  ``reference_search_for_triangulation`` is the triangulation
-search on top of it, with the parallax of every pair and both epipolar
-bands from ``reference_epipolar_distances``, which allocates a new
-matrix per step where the program computes in one buffer.  Each keeps its own
+every (query, target) pair with ``hamming_matrix`` and tests every gate
+itself, in one mask: the site threshold, a per-query ``query_mask`` and
+depth verdict ``depth_ok``, geometric admissibility as an (Nq, Nt)
+``pair_mask`` and parallax as an (Nq, Nt) matrix.
+``reference_search_by_projection`` hands it every point of the batch,
+with visibility as the query mask and the depth-interval test as the
+depth verdict.  ``reference_search_for_triangulation`` is the
+triangulation search on top of it, with the parallax of every pair and
+both epipolar bands from ``reference_epipolar_distances``, which
+allocates a new matrix per step where the program computes in one
+buffer.  Each keeps its own
 walk per ``Ordering``: a global walk by ascending distance, and a
 query-by-query search for the nearest free target.  The program's forms
-score only the pairs that can still pass the gates, walk them once, and
-must return the same (n, 2) rows in the same order.
+test each gate at its site, score only the pairs that can still pass the
+threshold, walk them once, and must return the same (n, 2) rows in the
+same order.
 
 ``reference_initialize_two_view`` is two-view initialization with its
 RANSAC as one loop: each hypothesis is drawn, solved with the scalar
@@ -92,11 +98,11 @@ import numpy as np
 
 from symvo.association import (
     EPIPOLAR_SIGMA_FACTOR,
+    MIN_PARALLAX,
     AssociationPolicy,
     Ordering,
     Site,
     fundamental_from_relative,
-    gate_mask,
     fuse,
     match,
     triangulate_rays,
@@ -110,7 +116,7 @@ from symvo.features import (
     select_reference_appearance_index,
     sigma2_at,
 )
-from symvo.geometry import CameraIntrinsics, Pose, parallax_angles, unit_ray
+from symvo.geometry import CameraIntrinsics, Pose, parallax_angles, pinhole, unit_ray
 from symvo.optimizer import _schur_columns, _term_jacobians, huber_weight
 from symvo.pipeline import (
     RANSAC_ITERATIONS,
@@ -399,11 +405,11 @@ def reference_match(query_ids, query_descriptors, target_ids, target_descriptors
     if query_ids.size == 0 or target_ids.size == 0:
         return none
     dist = hamming_matrix(query_descriptors, target_descriptors)
-    ok = gate_mask(
-        dist, policy, site,
-        depth_ok=None if depth_ok is None else np.asarray(depth_ok)[:, None],
-        parallax=parallax,
-    )
+    ok = dist <= policy.threshold_for(site)
+    if policy.use_depth_filter and depth_ok is not None:
+        ok &= np.asarray(depth_ok, dtype=bool)[:, None]
+    if parallax is not None:
+        ok &= np.asarray(parallax) >= MIN_PARALLAX
     if pair_mask is not None:
         ok &= np.asarray(pair_mask, dtype=bool)
     if query_mask is not None:
@@ -443,6 +449,18 @@ def reference_match(query_ids, query_descriptors, target_ids, target_descriptors
                 used_t.add(best_t)
                 accepted.append(candidate(q, best_t))
     return np.array(accepted, dtype=np.int64).reshape(-1, 2)
+
+
+def reference_search_by_projection(frame, points, predicted_pose_wc, policy, cam, site):
+    """``search_by_projection`` with the dense matcher: every point of the
+    batch is a query, visibility its query mask and the depth-interval test
+    its depth verdict."""
+    in_cam = predicted_pose_wc.inverse().apply(points.positions)
+    uv, in_front = pinhole(in_cam, cam)
+    return reference_match(
+        points.ids, points.descriptors, np.arange(frame.n_keypoints),
+        frame.descriptors, policy, site, query_mask=in_front & cam.contains(uv),
+        depth_ok=points.depth.contains(in_cam[:, 2]))
 
 
 def reference_epipolar_distances(uv_from, uv_to, fundamental):

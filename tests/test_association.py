@@ -22,7 +22,6 @@ from symvo.association import (
     Site,
     fundamental_from_relative,
     fuse,
-    gate_mask,
     match,
     search_by_projection,
     search_for_triangulation,
@@ -35,7 +34,7 @@ from symvo.features import (
     hamming_pairs,
     octave_for_depth,
 )
-from symvo.geometry import CameraIntrinsics, Pose, so3_exp
+from symvo.geometry import CameraIntrinsics, Pose, parallax_angles, so3_exp, unit_ray
 from symvo.worldmap import Keyframe, WorldMap
 
 from oracles import (
@@ -46,6 +45,7 @@ from oracles import (
     project,
     reference_epipolar_distances,
     reference_match,
+    reference_search_by_projection,
     reference_search_for_triangulation,
 )
 
@@ -226,77 +226,55 @@ class TestMatch:
             match(range(3), q, range(4), t, make_policy(), Site.PROJECTION_LOCAL)
 
 
-class TestGatePredicate:
-    def test_same_predicate_at_every_site_in_symmetric_mode(self):
+class TestSiteThresholds:
+    """The descriptor threshold, the one gate ``match`` tests, at each site."""
+
+    def one_pair(self, rng, distance):
+        """A query and a target ``distance`` bits apart."""
+        base = Descriptor.random(rng)
+        return (pack_descriptors([base]),
+                pack_descriptors(descriptors_at_distances(rng, base, [distance])))
+
+    def test_same_threshold_at_every_site_in_symmetric_mode(self):
         policy = make_policy(constraint_mode=ConstraintMode.SYMMETRIC)
         T = DESCRIPTOR_THRESHOLD
-        cases = [  # (hamming, depth_ok, parallax)
-            (T - 20, None, None),
-            (T, None, None),
-            (T + 1, None, None),
-            (T + 20, None, None),
-            (T - 20, None, MIN_PARALLAX / 2),
-            (T - 20, None, MIN_PARALLAX),
-            (T - 20, None, 3 * MIN_PARALLAX),
-            (T - 20, False, None),
-            (T - 20, True, None),
-        ]
-        for hamming, depth_ok, parallax in cases:
-            verdicts = {
-                bool(gate_mask(hamming, policy, site, depth_ok=depth_ok,
-                               parallax=parallax))
-                for site in Site
-            }
-            assert len(verdicts) == 1
+        rng = np.random.default_rng(22)
+        for distance, accepted in ((T - 20, True), (T, True), (T + 1, False),
+                                   (T + 20, False)):
+            q, t = self.one_pair(rng, distance)
+            pairs = (np.array([0]), np.array([0]))
+            for site in Site:
+                assert len(match([0], q, [0], t, policy, site)) == accepted
+                assert len(match([0], q, [0], t, policy, site, pairs=pairs)) == accepted
 
     def test_heterogeneous_mode_varies_by_site(self):
         policy = make_policy(constraint_mode=ConstraintMode.HETEROGENEOUS)
         # between the local-map (14) and the motion-model (22) thresholds
-        assert gate_mask(18, policy, Site.PROJECTION_TRACK)
-        assert not gate_mask(18, policy, Site.PROJECTION_LOCAL)
+        q, t = self.one_pair(np.random.default_rng(23), 18)
+        assert match([0], q, [0], t, policy, Site.PROJECTION_TRACK).tolist() == [[0, 0]]
+        assert match([0], q, [0], t, policy, Site.PROJECTION_LOCAL).shape == (0, 2)
 
     @pytest.mark.parametrize("mode", list(ConstraintMode))
     def test_thresholds_are_inclusive(self, mode):
         """A pair at exactly a site's descriptor threshold passes and one bit
-        more fails; a parallax of exactly ``MIN_PARALLAX`` passes and the
-        next float below fails."""
+        more fails, on both scoring paths."""
         policy = make_policy(constraint_mode=mode)
-        below = np.nextafter(MIN_PARALLAX, 0.0)
-        for site in Site:
-            T = (DESCRIPTOR_THRESHOLD if mode is ConstraintMode.SYMMETRIC
-                 else HETEROGENEOUS_THRESHOLDS[site])
-            assert policy.threshold_for(site) == T
-            assert gate_mask([T, T + 1], policy, site).tolist() == [True, False]
-            assert gate_mask(0, policy, site,
-                             parallax=[MIN_PARALLAX, below]).tolist() == [True, False]
-
-        # through ``match``: targets at T and T + 1 bits, each on both paths
         rng = np.random.default_rng(21)
         base = Descriptor.random(rng)
         q = pack_descriptors([base])
         for site in Site:
-            T = policy.threshold_for(site)
+            T = (DESCRIPTOR_THRESHOLD if mode is ConstraintMode.SYMMETRIC
+                 else HETEROGENEOUS_THRESHOLDS[site])
+            assert policy.threshold_for(site) == T
             t = pack_descriptors(descriptors_at_distances(rng, base, [T + 1]) +
                                  descriptors_at_distances(rng, base, [T]))
             assert hamming_pairs(np.concatenate([q, q]), t).tolist() == [T + 1, T]
             assert match([0], q, [5, 6], t, policy, site).tolist() == [[0, 6]]
             pairs = (np.array([0, 0]), np.array([0, 1]))
-            got = match([0], q, [5, 6], t, policy, site, pairs=pairs,
-                        parallax=np.array([MIN_PARALLAX, MIN_PARALLAX]))
-            assert got.tolist() == [[0, 6]]
-            # the admissible target with too little parallax is refused
-            got = match([0], q, [5, 6], t, policy, site, pairs=pairs,
-                        parallax=np.array([MIN_PARALLAX, below]))
-            assert got.shape == (0, 2)
-
-    def test_depth_filter_toggle(self):
-        on = make_policy(use_depth_filter=True)
-        off = make_policy(use_depth_filter=False)
-        assert not gate_mask(10, on, Site.FUSE, depth_ok=False)
-        assert gate_mask(10, off, Site.FUSE, depth_ok=False)
+            assert match([0], q, [5, 6], t, policy, site, pairs=pairs).tolist() == [[0, 6]]
 
     @pytest.mark.parametrize("mode", list(ConstraintMode))
-    def test_every_accepted_match_passes_the_predicate(self, mode):
+    def test_every_accepted_match_is_an_admitted_pair_within_the_threshold(self, mode):
         rng = np.random.default_rng(5)
         n_accepted = dict.fromkeys(Site, 0)
         for trial in range(40):
@@ -305,20 +283,15 @@ class TestGatePredicate:
             # pair distances ~ 15 bits: around the heterogeneous thresholds
             q = pack_descriptors([base.flipped(rng, 0.03) for _ in range(n_q)])
             t = pack_descriptors([base.flipped(rng, 0.03) for _ in range(n_t)])
-            policy = make_policy(
-                use_depth_filter=bool(trial % 2), constraint_mode=mode,
-            )
-            pairs = np.nonzero(np.ones((n_q, n_t), dtype=bool))
-            parallax = rng.uniform(0.0, 3 * MIN_PARALLAX, pairs[0].size)
-            depth_ok = rng.random(n_q) < 0.7
+            policy = make_policy(constraint_mode=mode)
+            admitted = rng.random((n_q, n_t)) < 0.7
             for site in Site:
                 got = match(range(n_q), q, range(n_t), t, policy, site,
-                            pairs=pairs, parallax=parallax, depth_ok=depth_ok)
-                # ids are rows here, and the pairs are every (q, t) row-major
+                            pairs=np.nonzero(admitted))
+                # ids are rows here
                 qr, tr = got.T
-                assert gate_mask(hamming_pairs(q[qr], t[tr]), policy, site,
-                                 depth_ok=depth_ok[qr],
-                                 parallax=parallax[n_t * qr + tr]).all()
+                assert admitted[qr, tr].all()
+                assert (hamming_pairs(q[qr], t[tr]) <= policy.threshold_for(site)).all()
                 n_accepted[site] += len(got)
         assert all(n > 0 for n in n_accepted.values())
 
@@ -409,6 +382,23 @@ class TestSearchByProjection:
             kfs[2], point, kfs[2].pose, make_policy(use_depth_filter=False), CAM
         )
         assert with_filter.shape == (0, 2) and len(without) == 1
+
+    def test_depth_interval_is_closed(self):
+        """A point at exactly either end of its depth interval passes the
+        filter, and one a float outside either end fails it."""
+        rng = np.random.default_rng(8)
+        world, kfs, landmarks, signatures = build_world(rng)
+        pid = add_point(world, landmarks[0], [(kfs[0].kf_id, 0), (kfs[1].kf_id, 0)])
+        point = world.point_batch([pid], kfs[2].pose.translation)
+        z = kfs[2].pose.inverse().apply(point.positions)[:, 2]
+        policy = make_policy(use_depth_filter=True)
+        for z_min, z_max, accepted in (
+                (z, z + 1.0, True), (z - 1.0, z, True),
+                (np.nextafter(z, np.inf), z + 1.0, False),
+                (z - 1.0, np.nextafter(z, 0.0), False)):
+            bounded = point._replace(depth=DepthInterval(z_min, z_max))
+            got = search_by_projection(kfs[2], bounded, kfs[2].pose, policy, CAM)
+            assert len(got) == accepted
 
 
 class TestSearchForTriangulation:
@@ -664,22 +654,29 @@ def patched_threshold(threshold):
 
 
 def per_pair_match(inst, policy, site, order=None):
-    """``match`` on ``inst`` with the dense pair mask and parallax given per
-    pair; ``order`` permutes queries and targets first."""
+    """``match`` on ``inst`` as a site calls it: only the queries that the
+    query mask and, when the policy applies it, the depth verdict keep, and
+    only the pairs of the dense pair mask that clear ``MIN_PARALLAX``,
+    given per pair; ``order`` permutes queries and targets first."""
     n_q, n_t = inst["query_ids"].size, inst["target_ids"].size
     pq, pt = order if order is not None else (np.arange(n_q), np.arange(n_t))
-    mask, parallax = inst["pair_mask"], inst["parallax"]
+    live = np.ones(n_q, dtype=bool)
+    if inst["query_mask"] is not None:
+        live &= inst["query_mask"]
+    if policy.use_depth_filter and inst["depth_ok"] is not None:
+        live &= inst["depth_ok"]
+    pq = pq[live[pq]]
+    mask, parallax = inst.get("pair_mask"), inst.get("parallax")
     pairs = None
     if mask is not None or parallax is not None:
-        full = np.ones((n_q, n_t), dtype=bool) if mask is None else mask
-        pairs = np.nonzero(full[pq][:, pt])
+        admitted = np.ones((n_q, n_t), dtype=bool) if mask is None else mask.copy()
+        if parallax is not None:
+            admitted &= parallax >= MIN_PARALLAX
+        pairs = np.nonzero(admitted[pq][:, pt])
     return match(
         inst["query_ids"][pq], inst["query_descriptors"][pq],
         inst["target_ids"][pt], inst["target_descriptors"][pt], policy, site,
         pairs=pairs,
-        query_mask=None if inst["query_mask"] is None else inst["query_mask"][pq],
-        parallax=None if parallax is None else parallax[pq][:, pt][pairs],
-        depth_ok=None if inst["depth_ok"] is None else inst["depth_ok"][pq],
     )
 
 
@@ -699,7 +696,7 @@ class TestDenseReferenceEquivalence:
         with patched_threshold(threshold), \
                 mock.patch.object(association, "BLOCK_PAIRS", block_pairs):
             assert policy.threshold_for(site) == threshold
-            got = match(policy=policy, site=site, **inst)
+            got = per_pair_match(inst, policy, site)
             want = reference_match(policy=policy, site=site, **inst)
             q, t = inst["query_descriptors"], inst["target_descriptors"]
             if len(t):
@@ -767,8 +764,7 @@ class TestDenseReferenceEquivalence:
                          near_copies(rng, base, n_kp, rate))
         pose = Pose(so3_exp(rng.normal(scale=0.05, size=3)), rng.normal(size=3))
         got = search_by_projection(frame, points, pose, policy, CAM, site=site)
-        with mock.patch.object(association, "match", reference_match):
-            want = search_by_projection(frame, points, pose, policy, CAM, site=site)
+        want = reference_search_by_projection(frame, points, pose, policy, CAM, site)
         assert_same_rows(got, want)
 
     @settings(max_examples=60, deadline=None)
@@ -831,45 +827,63 @@ def triangulation_pair(rng, n_points):
     return kfs, columns
 
 
+def ray_pair_keyframes(keypoints_b, descriptors_b, descriptor_a):
+    """Keyframe a at the origin with one keypoint at the image centre, and
+    keyframe b one unit to its right with the given keypoints; all free."""
+    a = Keyframe(1, 0.0, Pose.identity(), np.array([[CAM.cx, CAM.cy]]),
+                 np.zeros(1, dtype=np.int64), descriptor_a)
+    b = Keyframe(2, 0.1, Pose(np.eye(3), np.array([1.0, 0.0, 0.0])),
+                 np.asarray(keypoints_b, dtype=np.float64),
+                 np.zeros(len(keypoints_b), dtype=np.int64), descriptors_b)
+    return a, b, np.full(1, -1), np.full(len(keypoints_b), -1)
+
+
 class TestParallaxGate:
     def test_pair_below_min_parallax_is_never_accepted(self):
-        # target 0 is the exact copy but seen at 0.5 degrees of parallax;
-        # target 1 is three bits away at 2 degrees
+        """Keyframe a's one keypoint looks along the optical axis.  In b, the
+        exact copy of its descriptor sits where a point 1,000 units deep
+        projects (about 0.06 degrees of parallax), and a copy three bits
+        away where a point 10 units deep projects (about 5.7 degrees).  Both
+        lie on the epipolar line; the floor leaves only the second."""
         rng = np.random.default_rng(17)
         base = Descriptor.random(rng)
         near = descriptors_at_distances(rng, base, [3])[0]
-        q, t = pack_descriptors([base]), pack_descriptors([base, near])
-        pairs = (np.array([0, 0]), np.array([0, 1]))
-        parallax = np.radians([0.5, 2.0])
+        far_uv = CAM.cx - CAM.fx / 1000.0
+        near_uv = CAM.cx - CAM.fx / 10.0
+        kf_a, kf_b, *free = ray_pair_keyframes(
+            [[far_uv, CAM.cy], [near_uv, CAM.cy]], pack_descriptors([base, near]),
+            pack_descriptors([base]))
         for ordering in Ordering:
             policy = make_policy(ordering=ordering)
-            got = match([4], q, [7, 8], t, policy, Site.TRIANGULATION,
-                        pairs=pairs, parallax=parallax)
-            assert got.tolist() == [[4, 8]]
-            # the accepted pair is target row 1: three bits away, 2 degrees
-            assert hamming_pairs(q, t[[1]]).tolist() == [3]
-            assert parallax[1] >= MIN_PARALLAX
-            # without the parallax clause the exact copy would win
-            got = match([4], q, [7, 8], t, policy, Site.TRIANGULATION, pairs=pairs)
-            assert got.tolist() == [[4, 7]]
-            assert hamming_pairs(q, t[[0]]).tolist() == [0]
+            pairs, positions = search_for_triangulation(kf_a, kf_b, *free, policy, CAM)
+            assert pairs.tolist() == [[0, 1]]
+            assert np.allclose(positions, [[0.0, 0.0, 10.0]])
+            # without the parallax floor the exact copy would win
+            with mock.patch.object(association, "MIN_PARALLAX", 0.0):
+                pairs, _ = search_for_triangulation(kf_a, kf_b, *free, policy, CAM)
+            assert pairs.tolist() == [[0, 0]]
+
+    def test_floor_is_inclusive(self):
+        """A pair whose parallax is exactly ``MIN_PARALLAX`` passes, and one
+        the next float below it fails: the floor is set to the pair's own
+        parallax, then one float above it."""
+        rng = np.random.default_rng(24)
+        base = Descriptor.random(rng)
+        kf_a, kf_b, *free = ray_pair_keyframes(
+            [[CAM.cx - CAM.fx / 20.0, CAM.cy]], pack_descriptors([base]),
+            pack_descriptors([base]))
+        rays = [unit_ray(kf.keypoints, CAM) @ kf.pose.rotation.T for kf in (kf_a, kf_b)]
+        angle = parallax_angles(*rays)[0]
+        for floor, accepted in ((angle, True), (np.nextafter(angle, np.inf), False)):
+            with mock.patch.object(association, "MIN_PARALLAX", floor):
+                pairs, _ = search_for_triangulation(kf_a, kf_b, *free, make_policy(), CAM)
+            assert len(pairs) == accepted
 
     def test_accepted_pairs_clear_min_parallax(self):
         rng = np.random.default_rng(18)
-        base = rng.integers(0, 256, 32, dtype=np.uint8)
-        q, t = near_copies(rng, base, 30, 0.03), near_copies(rng, base, 30, 0.03)
-        pairs = np.nonzero(np.ones((30, 30), dtype=bool))
-        parallax = rng.uniform(0.0, 2 * MIN_PARALLAX, pairs[0].size)
-        got = match(range(30), q, range(30), t, make_policy(), Site.TRIANGULATION,
-                    pairs=pairs, parallax=parallax)
-        assert len(got) > 0
-        # ids are rows here: each accepted pair's own parallax, looked up
-        # in the row-major pair list
-        qr, tr = got.T
-        assert (parallax[30 * qr + tr] >= MIN_PARALLAX).all()
-
-    def test_parallax_needs_pairs(self):
-        q = np.zeros((2, 32), dtype=np.uint8)
-        with pytest.raises(ValueError):
-            match(range(2), q, range(2), q, make_policy(), Site.TRIANGULATION,
-                  parallax=np.zeros((2, 2)))
+        (kf_a, kf_b), columns = triangulation_pair(rng, n_points=60)
+        pairs, _ = search_for_triangulation(kf_a, kf_b, *columns, make_policy(), CAM)
+        assert len(pairs) > 0
+        rays_a = unit_ray(kf_a.keypoints[pairs[:, 0]], CAM) @ kf_a.pose.rotation.T
+        rays_b = unit_ray(kf_b.keypoints[pairs[:, 1]], CAM) @ kf_b.pose.rotation.T
+        assert (parallax_angles(rays_a, rays_b) >= MIN_PARALLAX).all()

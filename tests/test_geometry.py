@@ -98,7 +98,7 @@ class TestRays:
         assert np.allclose(r, (0, 0, 1))
 
     def test_rotated_pose(self):
-        pose = Pose.from_axis_angle((0, math.pi / 2, 0))
+        pose = Pose(so3_exp((0, math.pi / 2, 0)), np.zeros(3))
         r = self.ray((320, 240), pose)
         assert np.allclose(r, (1, 0, 0), atol=1e-9)
 

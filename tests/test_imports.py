@@ -1,5 +1,6 @@
 """Every import in the package is used by the module that makes it, every
-top-level function and class is named outside its own definition, every
+top-level function and class and every method is named outside its own
+definition, every parameter default is overridden by some call, every
 config field is set by some program caller, and every installed script
 names a function that exists."""
 
@@ -25,6 +26,10 @@ ENTRY_POINTS = {
     "export": "writes a synthetic sequence to disk for load_frames to read",
     "load_frames": "reads a sequence directory, the input of a run from disk",
     "load_ground_truth": "reads the ground truth that load_frames' frames pair with",
+}
+# methods that only callers outside the package and its benchmark reach
+ENTRY_METHODS = {
+    "to_dict": "a run's or a study's report as JSON-ready values, for its writer",
 }
 
 
@@ -52,29 +57,31 @@ def test_no_unused_imports(path):
 
 
 def mentions(tree: ast.Module):
-    """(top-level statement index, name) of every name a module mentions:
-    identifiers, attribute names and the dotted parts of string constants,
-    such as the benchmark tracer's target names."""
+    """(top-level statement index, line, name) of every name a module
+    mentions: identifiers, attribute names and the dotted parts of string
+    constants, such as the benchmark tracer's target names."""
     for i, stmt in enumerate(tree.body):
         for node in ast.walk(stmt):
             if isinstance(node, ast.Name):
-                yield i, node.id
+                yield i, node.lineno, node.id
             elif isinstance(node, ast.Attribute):
-                yield i, node.attr
+                yield i, node.lineno, node.attr
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
                 for part in node.value.split("."):
-                    yield i, part
+                    yield i, node.lineno, part
+
+
+TREES = {path: ast.parse(path.read_text()) for path in SOURCES + BENCHMARK}
 
 
 def test_every_top_level_name_is_used():
-    trees = {path: ast.parse(path.read_text()) for path in SOURCES + BENCHMARK}
     where = {}
-    for path, tree in trees.items():
-        for i, name in mentions(tree):
+    for path, tree in TREES.items():
+        for i, _, name in mentions(tree):
             where.setdefault(name, set()).add((path, i))
     defined, dead = set(), []
     for path in SOURCES:
-        for i, node in enumerate(trees[path].body):
+        for i, node in enumerate(TREES[path].body):
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 defined.add(node.name)
                 if (node.name not in ENTRY_POINTS
@@ -82,6 +89,81 @@ def test_every_top_level_name_is_used():
                     dead.append(f"{path.name}:{node.name}")
     assert dead == []
     assert set(ENTRY_POINTS) <= defined
+
+
+def package_defs():
+    """(path, class name or None, def) of every top-level function and
+    every method of a top-level class in the package."""
+    for path in SOURCES:
+        for node in TREES[path].body:
+            if isinstance(node, ast.FunctionDef):
+                yield path, None, node
+            elif isinstance(node, ast.ClassDef):
+                for member in node.body:
+                    if isinstance(member, ast.FunctionDef):
+                        yield path, node.name, member
+
+
+def test_every_method_is_named_outside_its_definition():
+    """A method or property that no code of the package or its benchmark
+    names (dunder methods aside, which Python calls) is reached only by
+    tests."""
+    where = {}
+    for path, tree in TREES.items():
+        for _, line, name in mentions(tree):
+            where.setdefault(name, []).append((path, line))
+    methods, dead = set(), []
+    for path, cls, fn in package_defs():
+        if cls is None or fn.name.startswith("__"):
+            continue
+        methods.add(fn.name)
+        first = min([fn.lineno] + [d.lineno for d in fn.decorator_list])
+        if fn.name not in ENTRY_METHODS and all(
+                p == path and first <= line <= fn.end_lineno
+                for p, line in where.get(fn.name, [])):
+            dead.append(f"{path.name}:{cls}.{fn.name}")
+    assert dead == []
+    assert set(ENTRY_METHODS) <= methods
+
+
+def passes(call: ast.Call, position, name: str) -> bool:
+    """Whether ``call`` passes the parameter ``name``, at ``position`` among
+    the call's positional arguments (None for keyword-only); a starred
+    argument may pass any parameter of its kind."""
+    if any(kw.arg in (name, None) for kw in call.keywords):
+        return True
+    if position is None:
+        return False
+    return (position < len(call.args)
+            or any(isinstance(a, ast.Starred) for a in call.args))
+
+
+def test_every_parameter_default_is_overridden_by_a_call():
+    """A parameter that every call leaves at its default is a constant."""
+    calls = {}
+    for tree in TREES.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    constant = []
+    for path, cls, fn in package_defs():
+        args = fn.args
+        positional = args.posonlyargs + args.args
+        # a call to a method or class passes no ``self`` or ``cls``
+        shift = int(cls is not None and not any(
+            isinstance(d, ast.Name) and d.id == "staticmethod" for d in fn.decorator_list))
+        defaulted = [(i - shift, a.arg) for i, a in enumerate(positional)
+                     if i >= len(positional) - len(args.defaults)]
+        defaulted += [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                      if d is not None]
+        callee = cls if fn.name == "__init__" else fn.name
+        for position, name in defaulted:
+            if not any(passes(c, position, name) for c in calls.get(callee, [])):
+                owner = f"{cls}." if cls else ""
+                constant.append(f"{path.name}:{owner}{fn.name}({name})")
+    assert constant == []
 
 
 CONFIGS = (SceneSpec, PipelineConfig)

@@ -205,7 +205,8 @@ class TestOptimizePose:
         )
         result = optimize_pose(problem)
         assert result.cost == pytest.approx(0.0, abs=1e-18)
-        assert result.pose.almost_equal(poses[3], tol=1e-12)
+        assert np.allclose(result.pose.rotation, poses[3].rotation, atol=1e-12)
+        assert np.allclose(result.pose.translation, poses[3].translation, atol=1e-12)
 
     def test_robust_to_gross_outliers(self):
         rng = np.random.default_rng(3)

@@ -18,7 +18,7 @@ from symvo.evaluation import ABLATION_AXES, ablation_configs
 from symvo import association as association_module
 from symvo import pipeline as pipeline_module
 from symvo.features import ReferenceRule
-from symvo.geometry import CameraIntrinsics, Pose, unit_ray
+from symvo.geometry import CameraIntrinsics, Pose, pinhole, unit_ray
 from symvo.optimizer import CovarianceModel, OutlierMode
 from symvo.pipeline import (
     RANSAC_ITERATIONS,
@@ -95,7 +95,7 @@ def test_run_report_serializes(orbit):
     assert out["config"] == PipelineConfig().snapshot()
     assert (out["health"], out["n_frames"], out["digest"]) == \
         ("ok", N_FRAMES, report.digest)
-    assert json.loads(report.to_json()) == out
+    assert json.loads(json.dumps(report.to_dict())) == out
 
 
 def test_reverse_round_trip_and_ground_truth_timestamps(orbit):
@@ -432,19 +432,22 @@ def test_the_frame_that_loses_tracking_gets_a_record(corridor_prefix):
 
 
 def depth_filter_drops(monkeypatch) -> Counter:
-    """Per ``Site``, the queries that the depth verdict drops from ``match``:
-    in view (``query_mask``) but outside their interval (``depth_ok``)."""
+    """Per ``Site``, the points that the depth filter drops in
+    ``search_by_projection``: in view but outside their depth interval."""
     drops = Counter()
-    inner = association_module.match
+    inner = association_module.search_by_projection
 
-    def counted(*args, **kwargs):
-        policy, depth_ok = kwargs["policy"], kwargs.get("depth_ok")
-        if policy.use_depth_filter and depth_ok is not None:
-            drops[kwargs["site"].value] += int(np.count_nonzero(
-                kwargs["query_mask"] & ~np.asarray(depth_ok, dtype=bool)))
-        return inner(*args, **kwargs)
+    def counted(frame, points, predicted_pose_wc, policy, cam, site):
+        if policy.use_depth_filter:
+            in_cam = predicted_pose_wc.inverse().apply(points.positions)
+            uv, in_front = pinhole(in_cam, cam)
+            drops[site.value] += int(np.count_nonzero(
+                in_front & cam.contains(uv) & ~points.depth.contains(in_cam[:, 2])))
+        return inner(frame, points, predicted_pose_wc, policy, cam, site)
 
-    monkeypatch.setattr(association_module, "match", counted)
+    # the pipeline's tracking searches and fuse each look the search up
+    for module in (pipeline_module, association_module):
+        monkeypatch.setattr(module, "search_by_projection", counted)
     return drops
 
 

@@ -757,6 +757,36 @@ class TestUnknownIds:
         assert map_bytes(world) == before
         world.check_integrity()
 
+    @pytest.mark.parametrize("point_ids, kf_ids, message", [
+        ([1], [0], "point 1 does not observe keyframe 0"),  # never handed out
+        ([1], [7], "point 1 does not observe keyframe 7"),  # past the last one
+        ([1], [2], "point 1 does not observe keyframe 2"),  # held, not bound
+        ([1, 1], [3, 3], "point 1 does not observe keyframe 3"),  # repeated
+        ([1, 4], [1, 1], "no point 4"),
+    ])
+    def test_refused_set_inlier_changes_nothing(self, point_ids, kf_ids, message):
+        # point 1 is bound in keyframes 1 and 3, so keyframe 0 would land on
+        # keyframe 1's slot and 7 past the last
+        world, _, landmarks = tiny_world(np.random.default_rng(14))
+        add_point(world, landmarks[0], [(1, 0), (3, 0)])
+        before = map_bytes(world)
+        with pytest.raises(WorldIntegrityError, match=message):
+            world.set_inlier(point_ids, kf_ids, [False] * len(kf_ids))
+        assert map_bytes(world) == before
+        world.check_integrity()
+
+    def test_set_inlier_in_a_culled_keyframe_changes_nothing(self):
+        # retention of twelve keyframes keeps 5 and 8-12: 6 was culled, and
+        # its id would land on keyframe 8's slot
+        world, _, landmarks = tiny_world(np.random.default_rng(8), n_frames=12,
+                                         spacing=0.2)
+        pid = add_point(world, landmarks[0], [(5, 0), (8, 0)])
+        world.apply_retention(12)
+        before = map_bytes(world)
+        with pytest.raises(WorldIntegrityError, match=f"point {pid} does not observe"):
+            world.set_inlier([pid], [6], [False])
+        assert map_bytes(world) == before
+
     def test_binding_a_dead_point_changes_nothing(self):
         world, kfs = self.make()
         world.remove_observation([2, 2], [kfs[0].kf_id, kfs[1].kf_id])  # 2 dies
