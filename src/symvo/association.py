@@ -30,11 +30,18 @@ target of a query.  Their queries are scored in blocks of ``BLOCK_PAIRS``
 pairs: ``hamming_matrix`` over the first ``PREFIX_BYTES`` bytes, whose
 distance bounds the full one from below, then ``hamming_pairs`` over the
 remaining bytes of the pairs that the prefix keeps within the site
-threshold.  Triangulation hands over its admitted pairs as index arrays,
-and they are scored by ``hamming_pairs``.  Either way the pairs within the
-threshold become flat (query row, target row, distance) arrays.  One
-acceptance walk then takes them in a sort order that ``Ordering`` picks and
-accepts each pair whose query and target are both still free.
+threshold.  The prefix distance is at most 128 bits, so it adds up in
+uint8, in buffers that every block of a call reuses.  A tracked frame's
+two projection searches score the same targets, the frame's keypoints,
+and share a ``FrameScores``: the local search takes the track search's
+pairs of every query whose point id and descriptor bytes the track search
+scored at a threshold no lower, keeps those within its own threshold, and
+scores only the other queries.  Triangulation hands over its admitted
+pairs as index arrays, and they are scored by ``hamming_pairs``.  Either
+way the pairs within the threshold become flat (query row, target row,
+distance) arrays.  One acceptance walk then takes them in a sort order
+that ``Ordering`` picks and accepts each pair whose query and target are
+both still free.
 
 Every search returns its matches as an (n, 2) int64 array of id rows,
 with an empty result of shape (0, 2).
@@ -130,22 +137,29 @@ def _pairs_within(queries, targets, threshold):
     stages: ``hamming_matrix`` over the first ``PREFIX_BYTES`` bytes, then
     ``hamming_pairs`` over the remaining bytes of only the pairs whose
     prefix distance is within the threshold.  The prefix distance never
-    exceeds the full one, so no pair within the threshold is lost.
+    exceeds the full one, so no pair within the threshold is lost.  It is
+    at most 128 bits, so it adds up in uint8, in one set of block buffers
+    that every block of the call reuses.
     """
     # the prefix slices would hide a width mismatch from hamming_matrix
     if queries.shape[-1] != targets.shape[-1]:
         raise DescriptorMismatchError("packed descriptor widths differ")
     head, tail = targets[:, :PREFIX_BYTES], targets[:, PREFIX_BYTES:]
     step = max(1, BLOCK_PAIRS // len(targets))
+    shape = (min(step, len(queries)), len(targets))
+    buffers = (np.empty(shape, np.uint8), np.empty(shape, np.uint64),
+               np.empty(shape, np.uint8))
     found = [(np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp),
               np.zeros(0, dtype=np.int32))]
     for start in range(0, len(queries), step):
         block = queries[start:start + step]
-        prefix = hamming_matrix(block[:, :PREFIX_BYTES], head)
+        out, xor, count = (buf[:len(block)] for buf in buffers)
+        prefix = hamming_matrix(block[:, :PREFIX_BYTES], head, out=out,
+                                scratch=(xor, count))
         # np.nonzero's row-major pairs, from flat indices: several times
         # faster than np.nonzero on these mostly-False blocks
         qi, ti = np.divmod(np.flatnonzero(prefix <= threshold), len(targets))
-        dist = prefix[qi, ti]
+        dist = prefix[qi, ti].astype(np.int32)
         if tail.shape[1]:
             dist += hamming_pairs(block[qi, PREFIX_BYTES:], tail[ti])
             keep = dist <= threshold
@@ -154,8 +168,73 @@ def _pairs_within(queries, targets, threshold):
     return tuple(np.concatenate(parts) for parts in zip(*found))
 
 
+class _Scored(NamedTuple):
+    """One search's queries and its (query row, target row, distance)
+    triples within ``threshold``."""
+
+    ids: np.ndarray
+    descriptors: np.ndarray
+    threshold: int
+    qi: np.ndarray
+    ti: np.ndarray
+    dist: np.ndarray
+
+
+class FrameScores:
+    """The scored pairs of a frame's latest projection search, for its next
+    search to reuse.
+
+    The pipeline makes one per tracked frame and hands it to both of the
+    frame's searches, so nothing outlives the frame.  Every search scores
+    the same targets, the frame's keypoint descriptors.
+    """
+
+    def __init__(self, targets):
+        self.targets = targets
+        self.latest = None
+
+    def pairs_within(self, query_ids, queries, targets, threshold):
+        """``_pairs_within`` of the queries against the frame's targets.
+
+        A query whose id and descriptor bytes the latest search also
+        scored, at a threshold no lower, takes that search's triples
+        within ``threshold``; only the other queries are scored.  The
+        triples come out in row-major order, as one ``_pairs_within``
+        call gives them, and become the latest search's.
+        """
+        if targets is not self.targets:
+            raise ValueError("a FrameScores scores one frame's targets")
+        reused = np.zeros(len(query_ids), dtype=bool)
+        qi = ti = np.zeros(0, dtype=np.intp)
+        dist = np.zeros(0, dtype=np.int32)
+        latest = self.latest
+        if latest is not None and latest.threshold >= threshold and len(latest.ids):
+            order = np.argsort(latest.ids, kind="stable")
+            at = np.searchsorted(latest.ids, query_ids, sorter=order)
+            source = order[np.minimum(at, len(order) - 1)]
+            reused = ((latest.ids[source] == query_ids)
+                      & (latest.descriptors[source] == queries).all(axis=1))
+            # each earlier query feeds one row: a repeated id is scored anew
+            rows = np.flatnonzero(reused)
+            row_of = np.full(len(latest.ids), -1)
+            row_of[source[rows]] = rows
+            reused[rows] = row_of[source[rows]] == rows
+            row = row_of[latest.qi]
+            take = (row >= 0) & (latest.dist <= threshold)
+            qi, ti, dist = row[take], latest.ti[take], latest.dist[take]
+        fresh = np.flatnonzero(~reused)
+        fresh_qi, fresh_ti, fresh_dist = _pairs_within(queries[fresh], targets, threshold)
+        qi = np.concatenate([qi, fresh[fresh_qi]])
+        ti = np.concatenate([ti, fresh_ti])
+        dist = np.concatenate([dist, fresh_dist])
+        order = np.lexsort((ti, qi))
+        qi, ti, dist = qi[order], ti[order], dist[order]
+        self.latest = _Scored(query_ids, queries, threshold, qi, ti, dist)
+        return qi, ti, dist
+
+
 def match(query_ids, query_descriptors, target_ids, target_descriptors,
-          policy: AssociationPolicy, site: Site, pairs=None):
+          policy: AssociationPolicy, site: Site, pairs=None, scores=None):
     """One-to-one matching between two descriptor stacks.
 
     ``pairs`` is a ``(qi, ti)`` pair of row-index arrays, in row-major order
@@ -165,9 +244,13 @@ def match(query_ids, query_descriptors, target_ids, target_descriptors,
     the site's descriptor threshold, ``policy.threshold_for(site)``.
 
     Without ``pairs``, the queries are scored by ``_pairs_within``: a block
-    of rows at a time, over the first ``PREFIX_BYTES`` bytes and then, for
-    only the pairs that bound keeps within the threshold, over the rest.
-    With ``pairs``, the pairs are scored by ``hamming_pairs``.
+    of rows at a time, over the first ``PREFIX_BYTES`` bytes, added up in
+    uint8, and then, for only the pairs that bound keeps within the
+    threshold, over the rest.  ``scores``, a ``FrameScores`` of the frame
+    whose descriptors are the targets, lets a query that the frame's
+    latest search scored take that search's pairs instead
+    (``FrameScores.pairs_within``).  With ``pairs``, the pairs are scored
+    by ``hamming_pairs``.
 
     One walk accepts the pairs within the threshold: it takes them in sort
     order and accepts a pair when neither its query row nor its target row
@@ -183,13 +266,16 @@ def match(query_ids, query_descriptors, target_ids, target_descriptors,
     if query_ids.size == 0 or target_ids.size == 0:
         return _NO_MATCHES
     threshold = policy.threshold_for(site)
-    if pairs is None:
-        qi, ti, dist = _pairs_within(query_descriptors, target_descriptors, threshold)
-    else:
+    if pairs is not None:
         qi, ti = (np.asarray(a, dtype=np.intp) for a in pairs)
         dist = hamming_pairs(query_descriptors[qi], target_descriptors[ti])
         ok = dist <= threshold
         qi, ti, dist = qi[ok], ti[ok], dist[ok]
+    elif scores is not None:
+        qi, ti, dist = scores.pairs_within(query_ids, query_descriptors,
+                                           target_descriptors, threshold)
+    else:
+        qi, ti, dist = _pairs_within(query_descriptors, target_descriptors, threshold)
     if policy.ordering is Ordering.HAMMING_ORDERED:
         order = np.lexsort((target_ids[ti], query_ids[qi], dist))
     else:
@@ -218,7 +304,7 @@ class PointBatch(NamedTuple):
 
 def search_by_projection(frame, points: PointBatch, predicted_pose_wc: Pose,
                          policy: AssociationPolicy, cam: CameraIntrinsics,
-                         site: Site = Site.PROJECTION_TRACK):
+                         site: Site = Site.PROJECTION_TRACK, scores=None):
     """Match map points against a frame's keypoints under a predicted pose.
 
     ``frame`` needs only ``n_keypoints`` and ``descriptors``, so a
@@ -229,7 +315,9 @@ def search_by_projection(frame, points: PointBatch, predicted_pose_wc: Pose,
     (``pinhole``), projection inside the image and, when the policy's
     depth filter is on, depth inside the point's depth-invariance
     interval.  Only the points that pass reach ``match``, which applies the
-    descriptor threshold.  Returns ``match``'s (n, 2) rows of (point id,
+    descriptor threshold, taking from ``scores`` (a ``FrameScores`` of
+    ``frame``), when given, the pairs of the queries that the frame's
+    latest search scored.  Returns ``match``'s (n, 2) rows of (point id,
     keypoint index), in acceptance order.
     """
     if points.ids.size == 0 or frame.n_keypoints == 0:
@@ -246,6 +334,7 @@ def search_by_projection(frame, points: PointBatch, predicted_pose_wc: Pose,
         target_descriptors=frame.descriptors,
         policy=policy,
         site=site,
+        scores=scores,
     )
 
 

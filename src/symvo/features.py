@@ -7,7 +7,10 @@ Both take any byte width, so a caller can score a prefix of the bytes
 first: ``association.match`` runs ``hamming_matrix`` over 16-byte
 prefixes, whose distance bounds the full one from below, and
 ``hamming_pairs`` over the other bytes of only the pairs that bound keeps.
-The pyramid is fixed: ``PYRAMID_OCTAVES`` octaves, each ``PYRAMID_SCALE``
+``hamming_matrix`` returns int32 distances; a caller scoring block after
+block hands it one set of buffers instead, and a 128-bit prefix distance
+then adds up in uint8, which moves a quarter of the int32 bytes.  The
+pyramid is fixed: ``PYRAMID_OCTAVES`` octaves, each ``PYRAMID_SCALE``
 coarser than the last, so a keypoint's variance (``sigma2_at``) follows
 from its octave alone.  Map points summarize their descriptor sets by a
 single reference descriptor, chosen by a ``ReferenceRule`` from the
@@ -61,21 +64,33 @@ def _as_words(packed: np.ndarray) -> np.ndarray:
     return words.view(np.uint64)
 
 
-def hamming_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def hamming_matrix(a: np.ndarray, b: np.ndarray, out=None, scratch=None) -> np.ndarray:
     """All-pairs Hamming distances between two packed descriptor stacks.
 
     Returns an (Na, Nb) int32 matrix, accumulated one uint64 word at a
-    time with a native popcount.
+    time with a native popcount.  A caller that scores many blocks of one
+    shape can hand in the block's buffers: ``out``, an (Na, Nb) integer
+    matrix that the distances add up in and that is returned, and
+    ``scratch``, an (Na, Nb) uint64 matrix for each word's XOR and an
+    (Na, Nb) uint8 one for its popcount.  ``out`` may be as narrow as the
+    widest distance allows: a uint8 one holds up to 31 bytes (248 bits).
     """
     if a.shape[-1] != b.shape[-1]:
         raise DescriptorMismatchError("packed descriptor widths differ")
-    if a.shape[0] == 0 or b.shape[0] == 0:
-        return np.zeros((a.shape[0], b.shape[0]), dtype=np.int32)
-    wa, wb = _as_words(a), _as_words(b)
-    dist = np.zeros((wa.shape[0], wb.shape[0]), dtype=np.int32)
-    for w in range(wa.shape[1]):
-        dist += np.bitwise_count(wa[:, w, None] ^ wb[None, :, w])
-    return dist
+    if out is None:
+        out = np.zeros((a.shape[0], b.shape[0]), dtype=np.int32)
+    elif np.iinfo(out.dtype).max < 8 * a.shape[-1]:
+        raise ValueError(f"{out.dtype} cannot hold a {8 * a.shape[-1]}-bit distance")
+    else:
+        out[...] = 0
+    xor, count = (None, None) if scratch is None else scratch
+    # word-major: each word of ``b`` is one contiguous row
+    wa, wb = _as_words(a).T, np.ascontiguousarray(_as_words(b).T)
+    for w in range(len(wa)):
+        # one expression, so that a temporary XOR is freed before the next
+        out += np.bitwise_count(np.bitwise_xor(wa[w, :, None], wb[w, None, :], out=xor),
+                                out=count)
+    return out
 
 
 def hamming_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:

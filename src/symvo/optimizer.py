@@ -159,7 +159,8 @@ class OptimizationProblem:
 
     ``__post_init__`` validates the problem and assembles it, once: it
     sorts ``observations`` by (kf, ref_kf, point), keeping the permutation
-    as ``row_order``, and derives the index arrays the solver reads.
+    as ``row_order``, derives the index arrays the solver reads and
+    builds the initial state, which ``initial_state`` copies.
     Forward term i is sorted row i.  Backward term b belongs to row
     ``b_fwd[b]`` and projects into keyframe row ``b_ref[b]``.
     ``f_kf``/``f_pt`` index ``kf_ids``/``pt_ids``; the ``*_var`` arrays
@@ -240,15 +241,20 @@ class OptimizationProblem:
         self.b_run_var = list(zip(self.f_kf_var[self.b_fwd][first].tolist(),
                                   self.b_ref_var[first].tolist()))
 
-    def initial_state(self) -> _State:
-        """Camera-from-world rows in ``kf_ids`` order, points in ``pt_ids`` order."""
-        inverses = [self.poses[k].inverse() for k in self.kf_ids]
-        return _State(
-            np.array([p.rotation for p in inverses], dtype=np.float64).reshape(-1, 3, 3),
-            np.array([p.translation for p in inverses], dtype=np.float64).reshape(-1, 3),
+        # camera-from-world rows, each formed as ``Pose.inverse`` forms it
+        Rt = [self.poses[k].rotation.T for k in self.kf_ids]
+        t = [-R @ self.poses[k].translation for R, k in zip(Rt, self.kf_ids)]
+        self._initial = _State(
+            np.array(Rt, dtype=np.float64).reshape(-1, 3, 3),
+            np.array(t, dtype=np.float64).reshape(-1, 3),
             np.array([self.points[p] for p in self.pt_ids],
                      dtype=np.float64).reshape(-1, 3),
         )
+
+    def initial_state(self) -> _State:
+        """Camera-from-world rows in ``kf_ids`` order, points in ``pt_ids``
+        order: a copy of the state ``__post_init__`` built."""
+        return self._initial.copy()
 
 
 def _run_bounds(*keys) -> np.ndarray:

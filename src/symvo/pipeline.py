@@ -21,6 +21,7 @@ from .association import (
     MIN_PARALLAX,
     AssociationPolicy,
     ConstraintMode,
+    FrameScores,
     Ordering,
     Site,
     fuse,
@@ -458,12 +459,13 @@ class Pipeline:
             variable_pose_ids=(_FRAME_SENTINEL,),
         )
 
-    def _search(self, frame, kf_ids, pose_wc, site):
-        """Projection search at ``pose_wc`` of the points the keyframes hold."""
+    def _search(self, frame, kf_ids, pose_wc, site, scores):
+        """Projection search at ``pose_wc`` of the points the keyframes hold,
+        sharing the frame's ``scores`` with its other search."""
         batch = self.world.point_batch(self._candidate_points(kf_ids),
                                        pose_wc.translation)
         return search_by_projection(frame, batch, pose_wc, self.policy, self.cam,
-                                    site=site)
+                                    site=site, scores=scores)
 
     def _track(self, frame: FrameInput):
         """Two-stage projection search plus pose refinement.
@@ -476,7 +478,10 @@ class Pipeline:
         pose_wc = pred_cw.inverse()
 
         last_kf_id = self.world.keyframe_ids()[-1]
-        matches = self._search(frame, [last_kf_id], pose_wc, Site.PROJECTION_TRACK)
+        # the local search reuses the pairs this search scores
+        scores = FrameScores(frame.descriptors)
+        matches = self._search(frame, [last_kf_id], pose_wc, Site.PROJECTION_TRACK,
+                               scores)
         n_track = len(matches)
         if n_track >= 6:
             try:
@@ -487,7 +492,7 @@ class Pipeline:
                 pass
 
         matches = self._search(frame, self.world.local_keyframe_ids(), pose_wc,
-                               Site.PROJECTION_LOCAL)
+                               Site.PROJECTION_LOCAL, scores)
         record = FrameRecord(self._frame_index, frame.timestamp, n_track,
                              len(matches), n_dropped=0)
         self.frame_records.append(record)

@@ -17,6 +17,7 @@ from symvo.association import (
     PREFIX_BYTES,
     AssociationPolicy,
     ConstraintMode,
+    FrameScores,
     Ordering,
     PointBatch,
     Site,
@@ -401,6 +402,134 @@ class TestSearchByProjection:
             assert len(got) == accepted
 
 
+def reuse_scene(rng, n_points=30):
+    """A frame at the identity pose and ``n_points`` points in view of it,
+    as a ``PointBatch`` whose depth intervals hold every depth.  Points come
+    in twins about 10 bits apart, and each point has two keypoints, about 8
+    and about 18 bits off: between the heterogeneous thresholds of the two
+    projection sites (14 and 22), and on both twins' lists.  Ten decoys sit
+    about 128 bits from everything."""
+    bases = rng.integers(0, 256, (n_points // 2, 32), dtype=np.uint8)
+    signatures = np.concatenate([near_copies(rng, base, 2, 0.01) for base in bases])
+    keypoint_descriptors = np.concatenate([
+        near_copies(rng, signatures[i], 1, rate)
+        for i in range(n_points) for rate in (0.03, 0.07)])
+    decoys = rng.integers(0, 256, (10, 32), dtype=np.uint8)
+    descriptors = np.concatenate([keypoint_descriptors, decoys])
+    order = rng.permutation(len(descriptors))
+    n_kp = len(descriptors)
+    frame = Keyframe(1, 0.0, Pose.identity(), rng.uniform(0, 480, (n_kp, 2)),
+                     np.zeros(n_kp, dtype=np.int64), descriptors[order])
+    positions = rng.uniform([-2, -2, 5], [2, 2, 15], (n_points, 3))
+    points = PointBatch(
+        ids=rng.permutation(1000)[:n_points], positions=positions,
+        descriptors=signatures,
+        depth=DepthInterval(np.full(n_points, 1.0), np.full(n_points, 100.0)))
+    return frame, points
+
+
+def batch_rows(points, rows):
+    """The ``PointBatch`` of the given rows, in that order."""
+    return PointBatch(points.ids[rows], points.positions[rows],
+                      points.descriptors[rows],
+                      DepthInterval(points.depth.z_min[rows], points.depth.z_max[rows]))
+
+
+class TestFrameScores:
+    """A projection search that reuses the frame's earlier scores matches
+    byte for byte as a fresh search, and scores exactly the queries whose
+    id and descriptor the earlier search did not score at a threshold no
+    lower."""
+
+    @pytest.mark.parametrize("case", ["changed_reference", "second_only",
+                                      "lower_earlier_threshold", "empty_first"])
+    @pytest.mark.parametrize("mode", list(ConstraintMode))
+    @pytest.mark.parametrize("ordering", list(Ordering))
+    def test_reused_search_equals_a_fresh_one(self, case, mode, ordering):
+        rng = np.random.default_rng(31)
+        frame, points = reuse_scene(rng)
+        n = len(points.ids)
+        policy = make_policy(ordering=ordering, constraint_mode=mode)
+        sites = [Site.PROJECTION_TRACK, Site.PROJECTION_LOCAL]
+        first = batch_rows(points, np.arange(n))
+        second = batch_rows(points, rng.permutation(n))
+        if case == "changed_reference":  # 5 points read another holder's descriptor
+            changed = second.descriptors.copy()
+            changed[:5] = near_copies(rng, changed[0], 5, 0.01)
+            second = second._replace(descriptors=changed)
+            rescored = 5
+        elif case == "second_only":
+            first = batch_rows(points, np.arange(n - 10))
+            rescored = 10
+        elif case == "lower_earlier_threshold":
+            sites.reverse()
+            lower = policy.threshold_for(sites[0]) < policy.threshold_for(sites[1])
+            assert lower == (mode is ConstraintMode.HETEROGENEOUS)
+            rescored = n if lower else 0
+        else:
+            first = batch_rows(points, np.arange(0))
+            rescored = n
+
+        scores = FrameScores(frame.descriptors)
+        scored_rows = []
+        inner = association._pairs_within
+
+        def counted(queries, targets, threshold):
+            scored_rows.append(len(queries))
+            return inner(queries, targets, threshold)
+
+        pose = Pose.identity()
+        with mock.patch.object(association, "_pairs_within", counted):
+            search_by_projection(frame, first, pose, policy, CAM, site=sites[0],
+                                 scores=scores)
+            scored_rows.clear()
+            got = search_by_projection(frame, second, pose, policy, CAM, site=sites[1],
+                                       scores=scores)
+        fresh = search_by_projection(frame, second, pose, policy, CAM, site=sites[1])
+        want = reference_search_by_projection(frame, second, pose, policy, CAM, sites[1])
+        assert len(want) > 0
+        assert_same_rows(fresh, want)
+        assert_same_rows(got, want)
+        assert scored_rows == [rescored]
+
+    def test_reused_pairs_are_filtered_by_the_later_threshold(self):
+        """Under the heterogeneous table the local search (14) takes the
+        track search's (22) pairs: exactly those within 14 remain, in the
+        row-major order one ``_pairs_within`` call gives."""
+        rng = np.random.default_rng(32)
+        frame, points = reuse_scene(rng)
+        scores = FrameScores(frame.descriptors)
+        queries = points.descriptors
+        track = scores.pairs_within(points.ids, queries, frame.descriptors, 22)
+        assert np.any((track[2] > 14) & (track[2] <= 22))
+        local = scores.pairs_within(points.ids, queries, frame.descriptors, 14)
+        want = association._pairs_within(queries, frame.descriptors, 14)
+        assert all(a.tobytes() == b.tobytes() and a.dtype == b.dtype
+                   for a, b in zip(local, want))
+
+    def test_a_repeated_id_is_scored_anew(self):
+        """Two queries of one id may take one earlier query's pairs only
+        once; the other is scored, and both get their own pairs."""
+        rng = np.random.default_rng(33)
+        frame, points = reuse_scene(rng, n_points=4)
+        scores = FrameScores(frame.descriptors)
+        scores.pairs_within(points.ids, points.descriptors, frame.descriptors, 50)
+        ids = points.ids[[0, 0, 1]]
+        queries = points.descriptors[[0, 0, 1]]
+        got = scores.pairs_within(ids, queries, frame.descriptors, 50)
+        want = association._pairs_within(queries, frame.descriptors, 50)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        assert set(got[0].tolist()) == {0, 1, 2}
+
+    def test_other_targets_are_refused(self):
+        rng = np.random.default_rng(34)
+        frame, points = reuse_scene(rng, n_points=4)
+        scores = FrameScores(frame.descriptors)
+        with pytest.raises(ValueError):
+            scores.pairs_within(points.ids, points.descriptors,
+                                frame.descriptors.copy(), 50)
+
+
 class TestSearchForTriangulation:
     def test_pure_rotation_pair_triangulates_nothing(self):
         rng = np.random.default_rng(9)
@@ -728,6 +857,44 @@ class TestDenseReferenceEquivalence:
         want = reference_match(policy=policy, site=Site.PROJECTION_LOCAL, **inst)
         assert len(want) > 0
         assert_same_rows(got, want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(inst=match_instances(), policy=policies(), site=st.sampled_from(list(Site)),
+           seed=st.integers(0, 2**32 - 1))
+    def test_walk_does_not_depend_on_candidate_order(self, inst, policy, site, seed):
+        """Permuting the scored (query row, target row, distance) arrays
+        before the walk leaves the accepted rows as they were: with distinct
+        ids, both sort keys order every pair.  So the walk does not depend
+        on the order in which scored and reused pairs are handed to it."""
+        rng = np.random.default_rng(seed)
+        inner = association._pairs_within
+
+        def shuffled(queries, targets, threshold):
+            found = inner(queries, targets, threshold)
+            order = rng.permutation(len(found[0]))
+            return tuple(a[order] for a in found)
+
+        args = {key: inst[key] for key in ("query_ids", "query_descriptors",
+                                           "target_ids", "target_descriptors")}
+        want = match(policy=policy, site=site, **args)
+        with mock.patch.object(association, "_pairs_within", shuffled):
+            got = match(policy=policy, site=site, **args)
+        assert_same_rows(got, want)
+
+    @pytest.mark.parametrize("n_bytes", [16, 31, 32])
+    def test_complementary_rows_through_the_narrow_prefix(self, n_bytes):
+        """Every pair of rows and complements, at a threshold of 256: the
+        uint8 prefix sum reads 128 at most, and the pairs' full distances
+        128, 248 and 256 come back as the dense matrix gives them."""
+        rng = np.random.default_rng(400 + n_bytes)
+        q = rng.integers(0, 256, (4, n_bytes), dtype=np.uint8)
+        t = np.concatenate([~q, q])
+        qi, ti, dist = association._pairs_within(q, t, 256)
+        dense = hamming_matrix(q, t)
+        assert qi.tolist() == np.repeat(np.arange(4), 8).tolist()
+        assert ti.tolist() == np.tile(np.arange(8), 4).tolist()
+        assert dist.dtype == np.int32 and np.array_equal(dist, dense.ravel())
+        assert dense[np.arange(4), np.arange(4)].tolist() == [8 * n_bytes] * 4
 
     @settings(max_examples=200, deadline=None)
     @given(inst=match_instances(), policy=policies(), seed=st.integers(0, 2**32 - 1))

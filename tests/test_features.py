@@ -57,6 +57,31 @@ class TestHammingMatrixOracle:
         assert np.array_equal(mat, scalar_hamming_matrix(left, right))
         assert mat[-1, 0] == 8 * n_bytes
 
+    @pytest.mark.parametrize("n_bytes", [16, 31, 32])
+    def test_complementary_rows_read_every_bit(self, n_bytes):
+        """A row against its complement differs in all 128, 248 or 256 bits.
+        A uint8 ``out``, handed in holding stale values, adds up the first
+        two exactly and refuses the third, which is one past its range."""
+        rng = np.random.default_rng(300 + n_bytes)
+        a = rng.integers(0, 256, (3, n_bytes), dtype=np.uint8)
+        b = ~a[::-1]
+        want = hamming_matrix(a, b)
+        assert want.dtype == np.int32
+        assert np.fliplr(want).diagonal().tolist() == [8 * n_bytes] * 3
+        assert np.array_equal(want, scalar_hamming_matrix(
+            [Descriptor(r.tobytes()) for r in a], [Descriptor(r.tobytes()) for r in b]))
+        out = np.full((3, 3), 255, dtype=np.uint8)
+        scratch = (np.full((3, 3), 7, dtype=np.uint64), np.full((3, 3), 9, dtype=np.uint8))
+        if 8 * n_bytes <= 255:
+            got = hamming_matrix(a, b, out=out, scratch=scratch)
+            assert got is out
+            assert np.array_equal(got, want)
+        else:
+            with pytest.raises(ValueError, match="256-bit"):
+                hamming_matrix(a, b, out=out, scratch=scratch)
+        wide = hamming_matrix(a, b, out=np.full((3, 3), 1, dtype=np.uint16))
+        assert wide.dtype == np.uint16 and np.array_equal(wide, want)
+
     @pytest.mark.parametrize("shape", [(0, 5), (5, 0), (0, 0)])
     def test_empty_inputs(self, shape):
         rng = np.random.default_rng(12)

@@ -11,7 +11,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import symvo.association as association
 from symvo.association import (
+    DESCRIPTOR_THRESHOLD,
     AssociationPolicy,
     Site,
     fuse,
@@ -69,6 +71,28 @@ def test_hamming_matrix_corridor_size(benchmark):
     assert dist.shape == (1580, 1580) and dist.dtype == np.int32
     for i in rng.choice(1580, size=12, replace=False):
         assert list(dist[i]) == [hamming(left[i], r) for r in right]
+
+
+def test_pairs_within_corridor_size(benchmark):
+    """The scoring of one projection search at the size of a corridor frame:
+    1,300 queries x 1,300 targets, 1,100 of the queries copies of distinct
+    targets with 2% of their bits flipped.  The oracle is the dense
+    ``hamming_matrix``: every pair within the threshold, row-major, byte
+    for byte."""
+    rng = np.random.default_rng(1)
+    targets = rng.integers(0, 256, (1300, 32), dtype=np.uint8)
+    queries = rng.integers(0, 256, (1300, 32), dtype=np.uint8)
+    flips = np.packbits(rng.random((1100, 256)) < 0.02, axis=1)
+    queries[:1100] = targets[rng.permutation(1300)[:1100]] ^ flips
+    got = benchmark.pedantic(association._pairs_within,
+                             args=(queries, targets, DESCRIPTOR_THRESHOLD),
+                             rounds=5, iterations=1, warmup_rounds=1)
+    dense = hamming_matrix(queries, targets)
+    within = np.nonzero(dense <= DESCRIPTOR_THRESHOLD)
+    want = (*within, dense[within])
+    assert len(got[0]) >= 1100
+    assert [a.dtype for a in got] == [a.dtype for a in want]
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
 
 
 def test_match_corridor_size(benchmark):

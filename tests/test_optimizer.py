@@ -388,6 +388,29 @@ class TestProblemValidation:
             OptimizationProblem(**args)
 
 
+class TestInitialState:
+    def test_rows_are_the_inverse_poses_and_each_call_gets_a_copy(self):
+        """Camera rows are bit for bit ``Pose.inverse``'s, in ``kf_ids``
+        order, and points come in ``pt_ids`` order.  Each call returns its
+        own copy, so editing one state leaves the next call's as built."""
+        rng = np.random.default_rng(16)
+        poses, points = perturbed(*make_scene(rng, n_poses=3, n_points=6), rng,
+                                  rot=0.3, trans=2.0)
+        problem = OptimizationProblem(
+            cam=CAM, poses=poses, points=points,
+            observations=make_observations(poses, points, SYMMETRIC),
+            model=SYMMETRIC, variable_pose_ids=(3,))
+        inverses = [poses[k].inverse() for k in problem.kf_ids]
+        want = (np.array([p.rotation for p in inverses]).tobytes(),
+                np.array([p.translation for p in inverses]).tobytes(),
+                np.array([points[p] for p in problem.pt_ids]).tobytes())
+        state = problem.initial_state()
+        assert (state.R.tobytes(), state.t.tobytes(), state.pts.tobytes()) == want
+        state.R[0], state.t[0], state.pts[0] = 0.0, 0.0, 0.0
+        again = problem.initial_state()
+        assert (again.R.tobytes(), again.t.tobytes(), again.pts.tobytes()) == want
+
+
 def permutation_case():
     """A noisy 3-view, 12-point symmetric window with Huber-region outliers."""
     rng = np.random.default_rng(16)

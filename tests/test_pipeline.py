@@ -437,13 +437,13 @@ def depth_filter_drops(monkeypatch) -> Counter:
     drops = Counter()
     inner = association_module.search_by_projection
 
-    def counted(frame, points, predicted_pose_wc, policy, cam, site):
+    def counted(frame, points, predicted_pose_wc, policy, cam, site, scores=None):
         if policy.use_depth_filter:
             in_cam = predicted_pose_wc.inverse().apply(points.positions)
             uv, in_front = pinhole(in_cam, cam)
             drops[site.value] += int(np.count_nonzero(
                 in_front & cam.contains(uv) & ~points.depth.contains(in_cam[:, 2])))
-        return inner(frame, points, predicted_pose_wc, policy, cam, site)
+        return inner(frame, points, predicted_pose_wc, policy, cam, site, scores)
 
     # the pipeline's tracking searches and fuse each look the search up
     for module in (pipeline_module, association_module):
