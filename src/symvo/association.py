@@ -57,7 +57,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DescriptorMismatchError
-from .features import DepthInterval, hamming_matrix, hamming_pairs
+from .features import DepthInterval, as_words, hamming_matrix, hamming_pairs
 from .geometry import CameraIntrinsics, Pose, parallax_angles, pinhole, unit_ray
 
 
@@ -139,12 +139,16 @@ def _pairs_within(queries, targets, threshold):
     prefix distance is within the threshold.  The prefix distance never
     exceeds the full one, so no pair within the threshold is lost.  It is
     at most 128 bits, so it adds up in uint8, in one set of block buffers
-    that every block of the call reuses.
+    that every block of the call reuses.  Both prefixes are packed into
+    words once per call, the targets' word-major, as ``hamming_matrix``
+    reads them.
     """
     # the prefix slices would hide a width mismatch from hamming_matrix
     if queries.shape[-1] != targets.shape[-1]:
         raise DescriptorMismatchError("packed descriptor widths differ")
-    head, tail = targets[:, :PREFIX_BYTES], targets[:, PREFIX_BYTES:]
+    query_words = as_words(queries[:, :PREFIX_BYTES])
+    head = np.ascontiguousarray(as_words(targets[:, :PREFIX_BYTES]).T).T
+    tail = targets[:, PREFIX_BYTES:]
     step = max(1, BLOCK_PAIRS // len(targets))
     shape = (min(step, len(queries)), len(targets))
     buffers = (np.empty(shape, np.uint8), np.empty(shape, np.uint64),
@@ -154,7 +158,7 @@ def _pairs_within(queries, targets, threshold):
     for start in range(0, len(queries), step):
         block = queries[start:start + step]
         out, xor, count = (buf[:len(block)] for buf in buffers)
-        prefix = hamming_matrix(block[:, :PREFIX_BYTES], head, out=out,
+        prefix = hamming_matrix(query_words[start:start + step], head, out=out,
                                 scratch=(xor, count))
         # np.nonzero's row-major pairs, from flat indices: several times
         # faster than np.nonzero on these mostly-False blocks

@@ -52,12 +52,15 @@ class ReferenceRule(enum.Enum):
     APPEARANCE = "appearance"  # least median distance to the other holders
 
 
-def _as_words(packed: np.ndarray) -> np.ndarray:
-    """(N, n_bytes) uint8 stack as (N, ceil(n_bytes / 8)) uint64 words.
+def as_words(packed: np.ndarray) -> np.ndarray:
+    """(N, n_bytes) uint8 stack as (N, ceil(n_bytes / 8)) uint64 words; a
+    uint64 stack already is its words and comes back as it is.
 
     The byte width is zero-padded, which leaves every distance unchanged
     because 0 XOR 0 = 0.
     """
+    if packed.dtype == np.uint64:
+        return packed
     n, width = packed.shape
     words = np.zeros((n, -(-width // 8) * 8), dtype=np.uint8)
     words[:, :width] = packed
@@ -68,7 +71,11 @@ def hamming_matrix(a: np.ndarray, b: np.ndarray, out=None, scratch=None) -> np.n
     """All-pairs Hamming distances between two packed descriptor stacks.
 
     Returns an (Na, Nb) int32 matrix, accumulated one uint64 word at a
-    time with a native popcount.  A caller that scores many blocks of one
+    time with a native popcount.  Either stack may come as its words
+    (``as_words``), its width then counted in words; the words of ``b`` are
+    read word-major, so a caller that scores many blocks against one ``b``
+    packs it once, as the transpose of a C-contiguous (n_words, Nb) array,
+    which is read without a copy.  A caller that scores many blocks of one
     shape can hand in the block's buffers: ``out``, an (Na, Nb) integer
     matrix that the distances add up in and that is returned, and
     ``scratch``, an (Na, Nb) uint64 matrix for each word's XOR and an
@@ -79,13 +86,14 @@ def hamming_matrix(a: np.ndarray, b: np.ndarray, out=None, scratch=None) -> np.n
         raise DescriptorMismatchError("packed descriptor widths differ")
     if out is None:
         out = np.zeros((a.shape[0], b.shape[0]), dtype=np.int32)
-    elif np.iinfo(out.dtype).max < 8 * a.shape[-1]:
-        raise ValueError(f"{out.dtype} cannot hold a {8 * a.shape[-1]}-bit distance")
+    elif np.iinfo(out.dtype).max < 8 * a.shape[-1] * a.itemsize:
+        raise ValueError(f"{out.dtype} cannot hold a {8 * a.shape[-1] * a.itemsize}-bit "
+                         "distance")
     else:
         out[...] = 0
     xor, count = (None, None) if scratch is None else scratch
     # word-major: each word of ``b`` is one contiguous row
-    wa, wb = _as_words(a).T, np.ascontiguousarray(_as_words(b).T)
+    wa, wb = as_words(a).T, np.ascontiguousarray(as_words(b).T)
     for w in range(len(wa)):
         # one expression, so that a temporary XOR is freed before the next
         out += np.bitwise_count(np.bitwise_xor(wa[w, :, None], wb[w, None, :], out=xor),
@@ -103,7 +111,7 @@ def hamming_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise DescriptorMismatchError("packed descriptor widths differ")
     if a.shape[0] != b.shape[0]:
         raise ValueError("row-paired stacks need equal row counts")
-    return np.bitwise_count(_as_words(a) ^ _as_words(b)).sum(axis=1, dtype=np.int32)
+    return np.bitwise_count(as_words(a) ^ as_words(b)).sum(axis=1, dtype=np.int32)
 
 
 def sigma2_at(octave) -> np.ndarray:
@@ -152,7 +160,7 @@ def select_reference_appearance_index(packed: np.ndarray, starts) -> np.ndarray:
     size, first = np.repeat(sizes, sizes), np.repeat(starts, sizes)  # per row
     width = int(sizes.max(initial=1))
     member = np.arange(width + 1)  # a spare column: a singleton's second median
-    words = _as_words(packed)
+    words = as_words(packed)
     mates = words[np.minimum(first[:, None] + member, n - 1)]
     dist = np.bitwise_count(words[:, None, :] ^ mates)
     dist = np.where(member < size[:, None], dist.sum(axis=-1, dtype=np.int64),

@@ -91,10 +91,11 @@ def so3_exp(w) -> np.ndarray:
 
 
 def orthonormalize_rotation(R) -> np.ndarray:
-    """Project a near-rotation matrix back onto SO(3) via SVD."""
+    """Project a near-rotation matrix, or each of a (..., 3, 3) stack of
+    them, back onto SO(3) via SVD."""
     U, _, Vt = np.linalg.svd(np.asarray(R, dtype=np.float64))
-    D = np.eye(3)
-    D[2, 2] = np.sign(np.linalg.det(U @ Vt))
+    D = np.broadcast_to(np.eye(3), U.shape).copy()
+    D[..., 2, 2] = np.sign(np.linalg.det(U @ Vt))
     return U @ D @ Vt
 
 

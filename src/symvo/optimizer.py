@@ -32,6 +32,13 @@ behind its camera is rejected like one that raises the cost (ORB-SLAM2
 drops such an edge), so the terms in front only grow during a solve.  A
 result reports the final cost, accepted steps and attempts, nothing more.
 
+A solve keeps the structure of its valid terms (``_Structure``): their
+indices and runs, the gathers of their per-term constants and the block
+indices of the point sums.  Each is a function of the valid set alone, so
+the solve builds it once and again only when an accepted step brings a
+term in front; reusing it changes no value.  A problem without variable
+points leaves the point Jacobians zero, since no block reads them.
+
 The order in which terms are summed into the normal equations is part
 of that contract.  Floating-point addition is not associative, so every
 element of H and g must receive its terms in the same sequence, each sum
@@ -143,10 +150,8 @@ OBSERVATION = np.dtype([
 ])
 
 
-def _rows_of(ids, keys) -> np.ndarray:
-    """Position of each key in the ascending ``ids``; -1 where it is absent."""
-    ids = np.asarray(ids, dtype=np.int64)
-    keys = np.asarray(keys, dtype=np.int64)
+def _rows_of(ids: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Position of each key in the ascending int64 ``ids``; -1 where it is absent."""
     pos = np.searchsorted(ids, keys)
     hit = pos < ids.size
     hit[hit] = ids[pos[hit]] == keys[hit]
@@ -187,17 +192,20 @@ class OptimizationProblem:
             raise DegenerateProblemError("problem has no fixed pose (gauge free)")
         self.kf_ids = sorted(self.poses)
         self.pt_ids = sorted(self.points)
-        self.var_pose_rows = _rows_of(self.kf_ids, self.variable_pose_ids)
+        kf_ids = np.array(self.kf_ids, dtype=np.int64)
+        pt_ids = np.array(self.pt_ids, dtype=np.int64)
+        self.var_pose_rows = _rows_of(kf_ids, np.array(self.variable_pose_ids, np.int64))
         if np.any(self.var_pose_rows < 0):
             kf_id = self.variable_pose_ids[np.argmin(self.var_pose_rows)]
             raise DegenerateProblemError(f"variable pose {kf_id} has no state")
-        self.row_order = np.lexsort((self.observations["point"],
-                                     self.observations["ref_kf"],
-                                     self.observations["kf"]))
-        obs = self.observations = self.observations[self.row_order]
-        self.f_kf = _rows_of(self.kf_ids, obs["kf"])
-        ref = _rows_of(self.kf_ids, obs["ref_kf"])
-        self.f_pt = _rows_of(self.pt_ids, obs["point"])
+        obs = np.ascontiguousarray(self.observations)
+        self.row_order = np.lexsort((obs["point"], obs["ref_kf"], obs["kf"]))
+        # a gather of the rows' bytes: several times faster than of the records
+        rows = obs.view(np.uint8).reshape(len(obs), obs.dtype.itemsize)
+        obs = self.observations = np.take(rows, self.row_order, axis=0).view(obs.dtype)[:, 0]
+        self.f_kf = _rows_of(kf_ids, obs["kf"])
+        ref = _rows_of(kf_ids, obs["ref_kf"])
+        self.f_pt = _rows_of(pt_ids, obs["point"])
         for rows, name, what in ((self.f_kf, "kf", "keyframe"),
                                  (ref, "ref_kf", "reference keyframe"),
                                  (self.f_pt, "point", "point")):
@@ -206,8 +214,11 @@ class OptimizationProblem:
                 raise DegenerateProblemError(
                     f"observation references unknown {what} {missing}"
                 )
-        self.f_kf_var = _rows_of(self.variable_pose_ids, obs["kf"])
-        self.f_pt_var = _rows_of(self.variable_point_ids, obs["point"])
+        self.var_pt_rows = _rows_of(pt_ids, self.variable_point_ids)
+        # variable index of each keyframe row and each point row, or -1
+        pose_var = _variable_index(len(kf_ids), self.var_pose_rows)
+        self.f_kf_var = pose_var[self.f_kf]
+        self.f_pt_var = _variable_index(len(pt_ids), self.var_pt_rows)[self.f_pt]
         counts = np.bincount(self.f_pt_var[self.f_pt_var >= 0],
                              minlength=len(self.variable_point_ids))
         if np.any(counts < 2):
@@ -215,7 +226,6 @@ class OptimizationProblem:
             raise DegenerateProblemError(
                 f"variable point {pid} is observed fewer than twice"
             )
-        self.var_pt_rows = _rows_of(self.pt_ids, self.variable_point_ids)
         self.f_uv = obs["uv"].copy()
         self.f_info = 1.0 / obs["sigma2"]
 
@@ -227,7 +237,7 @@ class OptimizationProblem:
         self.b_uv = obs["ref_uv"][self.b_fwd]
         self.b_info = 1.0 / obs["ref_sigma2"][self.b_fwd]
         self.b_ref = ref[self.b_fwd]
-        self.b_ref_var = _rows_of(self.variable_pose_ids, obs["ref_kf"][self.b_fwd])
+        self.b_ref_var = pose_var[self.b_ref]
         # measured-ray directions in the observing camera
         self.b_dir = unit_ray(self.f_uv[self.b_fwd], self.cam)
 
@@ -255,6 +265,15 @@ class OptimizationProblem:
         """Camera-from-world rows in ``kf_ids`` order, points in ``pt_ids``
         order: a copy of the state ``__post_init__`` built."""
         return self._initial.copy()
+
+
+def _variable_index(n_rows: int, variable_rows: np.ndarray) -> np.ndarray:
+    """Per row, its position in ``variable_rows``, or -1 when it is fixed; a
+    position whose row is -1 (a variable id without state) is no row's."""
+    index = np.full(n_rows, -1, dtype=np.int64)
+    held = variable_rows >= 0
+    index[variable_rows[held]] = np.flatnonzero(held)
+    return index
 
 
 def _run_bounds(*keys) -> np.ndarray:
@@ -360,6 +379,52 @@ def _cross(out, a, b):
         out[i] -= tmp
 
 
+class _Structure:
+    """What the normal equations read of a solve's set of valid terms, built
+    once per set: ``valid`` (forward terms first), the valid terms' indices
+    ``f_idx``/``b_idx`` and their runs' (start, stop) ``f_spans``/``b_spans``,
+    gathers of the problem's per-term arrays, and the block indices of both
+    ``_block_sums`` calls with the span of observing-pose terms that
+    ``H_pl`` sums over.  A solve rebuilds it only when the set changes."""
+
+    __slots__ = ("valid", "f_idx", "b_idx", "f_spans", "b_spans", "f_kf", "f_info",
+                 "b_fwd", "b_kf", "b_ref", "b_info", "b_dir", "b_dir0", "b_dir1",
+                 "ll_index", "pl_index", "pl_spans")
+
+    def __init__(self, problem: OptimizationProblem, ev: _Evaluation):
+        self.valid = np.concatenate([ev.valid_f, ev.valid_b])
+        self.f_idx = idx = np.flatnonzero(ev.valid_f)
+        self.f_spans = list(_spans(problem.f_bounds, ev.valid_f))
+        self.f_kf = problem.f_kf[idx]
+        self.f_info = problem.f_info[idx]
+        self.b_idx = idx = np.flatnonzero(ev.valid_b)
+        self.b_spans = list(_spans(problem.b_bounds, ev.valid_b))
+        self.b_fwd = fwd = problem.b_fwd[idx]
+        self.b_kf = problem.f_kf[fwd]
+        self.b_ref = problem.b_ref[idx]
+        self.b_info = problem.b_info[idx]
+        self.b_dir = d = problem.b_dir[idx].T  # its third component is 1
+        self.b_dir0, self.b_dir1 = _per_row(d[0]), _per_row(d[1])
+
+        P, L = len(problem.variable_pose_ids), len(problem.variable_point_ids)
+        if L == 0:
+            return
+        # J_pt^T w [J_pt | r] of every term, to its point
+        lv = np.concatenate([problem.f_pt_var[self.f_idx], problem.f_pt_var[fwd]])
+        self.ll_index = np.where(lv >= 0, lv, L)
+        # J_pose^T w J_pt, to its (pose, point) pair: forward, observing,
+        # reference; an observing pose's term reaches a variable block only
+        # within the span of the variable runs, a reference pose's term anywhere
+        fs, fe = _variable_span(self.f_spans, problem.f_run_var)
+        bs, be = _variable_span(self.b_spans, [k for k, _ in problem.b_run_var])
+        nf = self.f_idx.size
+        kv = np.concatenate([problem.f_kf_var[self.f_idx[fs:fe]],
+                             problem.f_kf_var[fwd[bs:be]], problem.b_ref_var[idx]])
+        lv = np.concatenate([lv[fs:fe], lv[nf + bs:nf + be], lv[nf:]])
+        self.pl_index = np.where((kv >= 0) & (lv >= 0), kv * L + lv, P * L)
+        self.pl_spans = (fs, fe), (bs, be)
+
+
 class _Jacobians:
     """The two residual rows of every valid (in-front-of-camera) term:
     its Jacobians w.r.t. the retraction increments, then its residual.
@@ -367,11 +432,11 @@ class _Jacobians:
     (forward) or ``b[c, i, r]`` (backward).  The components of ``f`` are
     [d/d pose (6) | d/d point (3) | r]; those of ``b`` are [d/d observing
     pose (6) | d/d reference pose (6) | d/d point (3) | r].  Valid terms
-    keep their row order, so each run of the problem is a slice of them:
-    ``f_spans``/``b_spans`` hold its (start, stop), and ``f_idx``/``b_idx``
-    the terms' indices."""
+    keep their row order, so each run of the problem is a slice of them,
+    spanned as the ``_Structure`` says.  A problem without variable points
+    leaves the point components zero: nothing reads them."""
 
-    __slots__ = ("f", "b", "f_idx", "b_idx", "f_spans", "b_spans")
+    __slots__ = ("f", "b")
 
     f_pose = property(lambda self: self.f[:6].transpose(1, 2, 0))
     f_pt = property(lambda self: self.f[6:9].transpose(1, 2, 0))
@@ -390,38 +455,39 @@ def _per_row(x):
     return out
 
 
-def _term_jacobians(problem: OptimizationProblem, state: _State,
-                    ev: _Evaluation) -> _Jacobians:
+def _term_jacobians(problem: OptimizationProblem, state: _State, ev: _Evaluation,
+                    s: _Structure | None = None) -> _Jacobians:
+    """Jacobians of the valid terms of ``ev``; ``s`` is their structure,
+    built here when not given."""
+    if s is None:
+        s = _Structure(problem, ev)
+    points = len(problem.variable_point_ids) > 0
     J = _Jacobians()
-    J.f_idx = idx = np.flatnonzero(ev.valid_f)
-    J.f_spans = list(_spans(problem.f_bounds, ev.valid_f))
-    q = ev.q_f[idx]
-    J.f = F = np.empty((10, idx.size, 2))
+    q = ev.q_f[s.f_idx]
+    J.f = F = np.empty((10, s.f_idx.size, 2))
     A = F[3:6]  # -dPi/dq; dq/d(dt) = I
     _projection_block(A, q, problem.cam)
     # dq/d(dw) = -[q - t]x ; dq/dp = R
-    _cross(F[0:3], _per_row((q - state.t[problem.f_kf[idx]]).T), A)
-    for (a, b), R in zip(J.f_spans, state.R[problem.f_run_kf]):
-        F[6:9, a:b] = (R.T @ A[:, a:b].reshape(3, -1)).reshape(3, -1, 2)
-    F[9] = ev.r_f[idx]
+    _cross(F[0:3], _per_row((q - state.t[s.f_kf]).T), A)
+    if points:
+        for (a, b), R in zip(s.f_spans, state.R[problem.f_run_kf]):
+            F[6:9, a:b] = (R.T @ A[:, a:b].reshape(3, -1)).reshape(3, -1, 2)
+    else:
+        F[6:9] = 0.0
+    F[9] = ev.r_f[s.f_idx]
 
-    J.b_idx = idx = np.flatnonzero(ev.valid_b)
-    J.b_spans = list(_spans(problem.b_bounds, ev.valid_b))
-    fwd = problem.b_fwd[idx]
-    q_b = ev.q_b[idx]
-    J.b = B = np.empty((16, idx.size, 2))
+    q_b = ev.q_b[s.b_idx]
+    J.b = B = np.empty((16, s.b_idx.size, 2))
     Bm = B[9:12]  # -dPi/dq_b
     _projection_block(Bm, q_b, problem.cam)
     BM = np.empty_like(Bm)  # -dPi/dq_b R_j R_k^T
-    for (a, b), M in zip(J.b_spans, ev.b_M):
+    for (a, b), M in zip(s.b_spans, ev.b_M):
         if a < b:
             BM[:, a:b] = (M.T @ Bm[:, a:b].reshape(3, -1)).reshape(3, -1, 2)
-    kf = problem.f_kf[fwd]
-    tk = state.t[kf].T
-    d = problem.b_dir[idx].T  # its third component is 1
-    X_k = d * ev.q_f[fwd, 2]
-    v = _per_row(ev.q_f[fwd, :2].T - tk[:2])  # R_k p_w
-    BMd = BM[0] * _per_row(d[0]) + BM[1] * _per_row(d[1]) + BM[2]
+    tk = state.t[s.b_kf].T
+    X_k = s.b_dir * ev.q_f[s.b_fwd, 2]
+    v = _per_row(ev.q_f[s.b_fwd, :2].T - tk[:2])  # R_k p_w
+    BMd = BM[0] * s.b_dir0 + BM[1] * s.b_dir1 + BM[2]
     # observing pose rotation: both the inverse map and z_k move,
     # BM ([X_k - t]x - d (e3 x v)^T) with e3 x v = (-v1, v0, 0)
     _cross(B[0:3], BM, _per_row(X_k - tk))
@@ -431,11 +497,14 @@ def _term_jacobians(problem: OptimizationProblem, state: _State,
     np.negative(BM, out=B[3:6])
     B[5] += BMd
     # reference pose: plain projective block at q_b
-    _cross(B[6:9], _per_row((q_b - state.t[problem.b_ref[idx]]).T), Bm)
+    _cross(B[6:9], _per_row((q_b - state.t[s.b_ref]).T), Bm)
     # point: the measured ray moves only through the depth,
     # d z_k with dz_k/dp = third row of R_k
-    np.multiply(BMd, _per_row(state.R[kf, 2].T), out=B[12:15])
-    B[15] = ev.r_b[idx]
+    if points:
+        np.multiply(BMd, _per_row(state.R[s.b_kf, 2].T), out=B[12:15])
+    else:
+        B[12:15] = 0.0
+    B[15] = ev.r_b[s.b_idx]
     return J
 
 
@@ -469,25 +538,28 @@ def _variable_span(spans, variable):
 
 
 def _build_normal_equations(problem: OptimizationProblem, state: _State,
-                            ev: _Evaluation):
-    """Accumulate the damped-ready H blocks and gradient."""
+                            ev: _Evaluation, s: _Structure | None = None):
+    """Accumulate the damped-ready H blocks and gradient; ``s`` is the
+    structure of the valid terms of ``ev``, built here when not given."""
+    if s is None:
+        s = _Structure(problem, ev)
     P, L = len(problem.variable_pose_ids), len(problem.variable_point_ids)
-    jac = _term_jacobians(problem, state, ev)
-    F, B, f_idx, b_idx = jac.f, jac.b, jac.f_idx, jac.b_idx
-    w_f = huber_weight(ev.m2_f[f_idx]) * problem.f_info[f_idx]
-    w_b = huber_weight(ev.m2_b[b_idx]) * problem.b_info[b_idx]
+    jac = _term_jacobians(problem, state, ev, s)
+    F, B = jac.f, jac.b
+    w_f = huber_weight(ev.m2_f[s.f_idx]) * s.f_info
+    w_b = huber_weight(ev.m2_b[s.b_idx]) * s.b_info
     WF = F * _per_row(w_f)
     WB = B * _per_row(w_b)
 
     # pose blocks: one product per run ---------------------------------
     Hpp = np.zeros((P, P, 6, 6))
     gp = np.zeros((P, 6))
-    for (a, b), kv in zip(jac.f_spans, problem.f_run_var):
+    for (a, b), kv in zip(s.f_spans, problem.f_run_var):
         if a < b and kv >= 0:
             G = WF[:6, a:b].reshape(6, -1) @ F[:, a:b].reshape(10, -1).T
             Hpp[kv, kv] += G[:, :6]
             gp[kv] += G[:, 9]
-    for (a, b), (kv, jv) in zip(jac.b_spans, problem.b_run_var):
+    for (a, b), (kv, jv) in zip(s.b_spans, problem.b_run_var):
         if a == b or (kv < 0 and jv < 0):
             continue
         G = WB[:12, a:b].reshape(12, -1) @ B[:, a:b].reshape(16, -1).T
@@ -504,21 +576,9 @@ def _build_normal_equations(problem: OptimizationProblem, state: _State,
     # point blocks: one bincount per component, forward terms first ----
     if L == 0:
         return Hpp, np.zeros((P, 0, 6, 3)), np.zeros((0, 3, 3)), gp, np.zeros((0, 3))
-    fwd = problem.b_fwd[b_idx]
-    # J_pt^T w [J_pt | r] of every term, to its point
-    lv = np.concatenate([problem.f_pt_var[f_idx], problem.f_pt_var[fwd]])
-    Hll_gl = _block_sums(np.where(lv >= 0, lv, L), L,
-                         ((F[6:9], WF[6:10]), (B[12:15], WB[12:16])))
-    # J_pose^T w J_pt, to its (pose, point) pair: forward, observing, reference;
-    # an observing pose's term reaches a variable block only within the span
-    # of the variable runs, a reference pose's term anywhere
-    fs, fe = _variable_span(jac.f_spans, problem.f_run_var)
-    bs, be = _variable_span(jac.b_spans, [k for k, _ in problem.b_run_var])
-    nf = f_idx.size
-    kv = np.concatenate([problem.f_kf_var[f_idx[fs:fe]], problem.f_kf_var[fwd[bs:be]],
-                         problem.b_ref_var[b_idx]])
-    lv = np.concatenate([lv[fs:fe], lv[nf + bs:nf + be], lv[nf:]])
-    Hpl = _block_sums(np.where((kv >= 0) & (lv >= 0), kv * L + lv, P * L), P * L,
+    Hll_gl = _block_sums(s.ll_index, L, ((F[6:9], WF[6:10]), (B[12:15], WB[12:16])))
+    (fs, fe), (bs, be) = s.pl_spans
+    Hpl = _block_sums(s.pl_index, P * L,
                       ((F[:6, fs:fe], WF[6:9, fs:fe]), (B[:6, bs:be], WB[12:15, bs:be]),
                        (B[6:12], WB[12:15])))
     return (Hpp, Hpl.reshape(P, L, 6, 3), Hll_gl[:, :, :3], gp, Hll_gl[:, :, 3])
@@ -575,10 +635,11 @@ def _solve_step(Hpp, Hpl, Hll, gp, gl, lam):
 
 def _retract(problem: OptimizationProblem, state: _State, dp, dl):
     new = state.copy()
-    for i, row in enumerate(problem.var_pose_rows):
-        dw, dt = dp[i, :3], dp[i, 3:]
-        new.R[row] = orthonormalize_rotation(so3_exp(dw) @ state.R[row])
-        new.t[row] = state.t[row] + dt
+    rows = problem.var_pose_rows
+    if rows.size:
+        turned = [so3_exp(dw) @ state.R[row] for dw, row in zip(dp[:, :3], rows)]
+        new.R[rows] = orthonormalize_rotation(turned)
+        new.t[rows] = state.t[rows] + dp[:, 3:]
     if dl.size:
         new.pts[problem.var_pt_rows] += dl
     return new
@@ -626,9 +687,12 @@ def solve_problem(problem: OptimizationProblem,
     lam = _LAMBDA_INIT
     iterations = attempts = 0
     converged = False
+    structure = None
     for _ in range(MAX_ITERATIONS):
         if normal is None:
-            normal = _build_normal_equations(problem, state, ev)
+            if structure is None or not np.array_equal(structure.valid, valid):
+                structure = _Structure(problem, ev)
+            normal = _build_normal_equations(problem, state, ev, structure)
         H, normal = normal, None
         accepted = False
         while lam <= _LAMBDA_MAX:

@@ -28,6 +28,7 @@ from symvo.optimizer import (
     OptimizationProblem,
     _build_normal_equations,
     _evaluate,
+    _solve_step,
     _term_jacobians,
     optimize_pose,
     solve_problem,
@@ -55,6 +56,7 @@ from oracles import (
     reference_owners,
     reference_reselect_references,
     reference_search_for_triangulation,
+    reference_solve_step,
 )
 
 CAM = CameraIntrinsics(fx=500.0, fy=500.0, cx=320.0, cy=240.0, width=640, height=480)
@@ -408,6 +410,19 @@ def test_build_normal_equations_corridor_window(benchmark, corridor_window):
     got = benchmark.pedantic(_build_normal_equations, args=(problem, state, ev),
                              rounds=10, iterations=1, warmup_rounds=2)
     want = reference_normal_equations(problem, state, ev)
+    assert all(g.tobytes() == w.tobytes() and g.shape == w.shape
+               for g, w in zip(got, want))
+
+
+def test_solve_step_corridor_window(benchmark, corridor_window):
+    """One damped Schur step on a corridor-size window's normal equations;
+    the oracle damps and inverts each point block in a loop, bit for bit."""
+    problem = corridor_window
+    state = problem.initial_state()
+    H = _build_normal_equations(problem, state, _evaluate(problem, state))
+    got = benchmark.pedantic(_solve_step, args=(*H, 1e-4), rounds=10, iterations=1,
+                             warmup_rounds=2)
+    want = reference_solve_step(*H, 1e-4)
     assert all(g.tobytes() == w.tobytes() and g.shape == w.shape
                for g, w in zip(got, want))
 

@@ -756,6 +756,66 @@ class TestStepsKeepTermsInFront:
         assert result.attempts == result.iterations > 0
 
 
+def entering_view_case():
+    """One variable point that views 1 and 2 place at z = 12 but that
+    starts at z = 4, behind view 3 at z = 8: view 3's term comes in front
+    mid-solve, after two accepted steps."""
+    poses = {1: Pose.identity(), 2: Pose(np.eye(3), np.array([1.0, 0.0, 0.0])),
+             3: Pose(np.eye(3), np.array([0.0, 0.0, 8.0]))}
+    target = np.array([0.5, 0.1, 12.0])
+    terms = np.array([
+        reference_row(1, k, project(poses[k].inverse().apply(target), CAM), sigma2)
+        for k, sigma2 in ((1, 1.0), (2, 1.0), (3, 100.0))
+    ], dtype=OBSERVATION)
+    return OptimizationProblem(
+        cam=CAM, poses=poses, points={1: np.array([0.5, 0.1, 4.0])},
+        observations=terms, model=STANDARD, variable_point_ids=(1,),
+    )
+
+
+class TestSolveStructure:
+    """A solve builds its normal equations on a structure of its valid
+    terms, kept across iterations and rebuilt when the set changes."""
+
+    CASES = [(entering_view_case, None)] + [
+        (kernel_state, (case, seed)) for case, seed in (
+            (KERNEL_CASES[3], 2), (KERNEL_CASES[4], 2), (KERNEL_CASES[6], 0))]
+
+    @staticmethod
+    def solve(monkeypatch, problem, structure_of):
+        """``solve_problem`` with each build handed ``structure_of(s)``
+        for the structure ``s`` the solve hands it; the structures used."""
+        build, used = optimizer._build_normal_equations, []
+
+        def spy(problem, state, ev, s=None):
+            used.append(structure_of(s))
+            return build(problem, state, ev, used[-1])
+        with monkeypatch.context() as patch:
+            patch.setattr(optimizer, "_build_normal_equations", spy)
+            return solve_problem(problem), used
+
+    @pytest.mark.parametrize("make, args", CASES,
+                             ids=["entering-view", "symmetric-interior-fixed",
+                                  "standard-interior-fixed", "symmetric-no-points"])
+    def test_equals_a_structure_built_every_iteration(self, monkeypatch, make, args):
+        problem = make() if args is None else make(*args[0], args[1])[0]
+        kept, used = self.solve(monkeypatch, problem, lambda s: s)
+        # the valid set grows mid-solve, and the structure follows it
+        distinct = [s for i, s in enumerate(used) if i == 0 or s is not used[i - 1]]
+        assert len(distinct) > 1 and used.index(distinct[1]) > 0
+        assert all(a.valid.sum() < b.valid.sum() for a, b in zip(distinct, distinct[1:]))
+        fresh, _ = self.solve(monkeypatch, problem, lambda s: None)
+        stale, _ = self.solve(monkeypatch, problem, lambda s: used[0])
+
+        def outcome(result):
+            return (result.iterations, result.attempts, result.state.R.tobytes(),
+                    result.state.t.tobytes(), result.state.pts.tobytes(),
+                    np.float64(result.cost).tobytes())
+        assert outcome(fresh) == outcome(kept)
+        # a structure kept past the change would read the new terms wrongly
+        assert outcome(stale) != outcome(kept)
+
+
 class TestKernelBitIdentity:
     @pytest.mark.parametrize("case", KERNEL_CASES, ids=KERNEL_IDS)
     @pytest.mark.parametrize("seed", [0, 1, 2])
