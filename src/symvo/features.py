@@ -12,7 +12,8 @@ block hands it one set of buffers instead, and a 128-bit prefix distance
 then adds up in uint8, which moves a quarter of the int32 bytes.  The
 pyramid is fixed: ``PYRAMID_OCTAVES`` octaves, each ``PYRAMID_SCALE``
 coarser than the last, so a keypoint's variance (``sigma2_at``) follows
-from its octave alone.  Map points summarize their descriptor sets by a
+from its octave alone; it and the per-octave scale are read from tables
+of Python float powers, so neither depends on numpy's SIMD dispatch.  Map points summarize their descriptor sets by a
 single reference descriptor, chosen by a ``ReferenceRule`` from the
 point's current holders at every read: by appearance (least median
 distance to the rest, whatever the query) or by geometry (held by the
@@ -43,6 +44,11 @@ _PAST_ANY_DISTANCE = 1 << 30  # pads distance tables past any real distance
 PYRAMID_SCALE = 1.2
 PYRAMID_OCTAVES = 8
 DELTA_L = 1  # octave shift a point's depth-invariance interval allows
+# per-octave scale s^o and variance s^(2o), built with Python's float power:
+# numpy's vectorized power rounds 1.2 ** 4.0 one ulp apart on its AVX-512
+# loop, so computed per call they would depend on the host's SIMD dispatch
+OCTAVE_SCALE = np.array([PYRAMID_SCALE ** o for o in range(PYRAMID_OCTAVES)])
+_OCTAVE_SIGMA2 = np.array([PYRAMID_SCALE ** (2.0 * o) for o in range(PYRAMID_OCTAVES)])
 
 
 class ReferenceRule(enum.Enum):
@@ -115,8 +121,9 @@ def hamming_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def sigma2_at(octave) -> np.ndarray:
-    """Keypoint variance at a given octave (vectorized); 1 px^2 at octave 0."""
-    return PYRAMID_SCALE ** (2.0 * np.asarray(octave))
+    """Keypoint variance at integer octaves in [0, ``PYRAMID_OCTAVES``),
+    read from the per-octave table; 1 px^2 at octave 0."""
+    return _OCTAVE_SIGMA2[np.asarray(octave)]
 
 
 def octave_for_depth(z, z_far: float) -> np.ndarray:

@@ -22,6 +22,7 @@ import numpy as np
 from .errors import ParseError, SceneSpecError
 from .features import (
     DESCRIPTOR_BITS,
+    OCTAVE_SCALE,
     PYRAMID_OCTAVES,
     PYRAMID_SCALE,
     octave_for_depth,
@@ -211,7 +212,7 @@ def generate(spec: SceneSpec) -> SyntheticSequence:
         octaves = octave_for_depth(z_vis, z_far=z_ref)
         uv = uv_exact.copy()
         if spec.noise_px > 0:
-            sigma = spec.noise_px * PYRAMID_SCALE ** octaves.astype(np.float64)
+            sigma = spec.noise_px * OCTAVE_SCALE[octaves]
             uv = uv + rng.normal(size=uv.shape) * sigma[:, None]
             uv[:, 0] = np.clip(uv[:, 0], 0.0, cam.width - 1.0)
             uv[:, 1] = np.clip(uv[:, 1], 0.0, cam.height - 1.0)

@@ -34,7 +34,10 @@ A change that is meant to move poses re-records these values and says so.
 
 A digest must not depend on the BLAS thread count either: the benchmark's
 corridor scene, cut to 7 frames, runs in two subprocesses, at one and at
-two BLAS threads, and both give the same digest.
+two BLAS threads, and both give the same digest.  Nor on numpy's SIMD
+dispatch: the same scene runs in a subprocess with every AVX-512 group
+that numpy dispatches to switched off (``NPY_DISABLE_CPU_FEATURES``, set
+in that child's environment only) and gives the digest of this process.
 """
 
 import os
@@ -50,47 +53,47 @@ from symvo.synth import SceneSpec, generate
 
 DIGESTS = {
     ("orbit", "full", "fwd"):
-        "49470c38d34b2cee536f608181f46896f4c80ad8b130c5b120aa731c0fe7c697",
+        "35756e1b7a37bdfe6a611eff76c65fc49ff397e264f10ce29bdfbe896993bdc8",
     ("orbit", "full", "bwd"):
-        "065eeea7a66f53befbaa90b83b7793b50b8123360a4830e498417d42845e78eb",
+        "edc3b93662450480606de4e1d56d43c79166c90107ca86fbb2688636b6427f9a",
     ("orbit", "no_geometric_descriptor", "fwd"):
-        "a1cfd35a1fbb92df18a02d492c86af044cde35c89d29e2c01b209a62a6fb592e",
+        "a9f00581f4c2de79a62fb0a15581509d0e518b979220426f2984c236f09a56be",
     ("orbit", "no_geometric_descriptor", "bwd"):
-        "0400f7841c7a0d9726c681a7a525016cce4dde33525647ea051b8c6c2f14384e",
+        "a9bc3eef7b5bc5c733797cb6606b41681617ec65cc870c36dbe63a1eede8745a",
     ("orbit", "no_symmetric_covariance", "fwd"):
-        "d7fc04ed1c431b5c2f27175e9339fef429915fed2ecc3296f7708dc071ec485b",
+        "46eb2b9b072981849056adada9aa5db635656014dc5ce441663d47ed51d590a2",
     ("orbit", "no_symmetric_covariance", "bwd"):
-        "c0b6678436f633de888e31fbabb3757301b8c852bed525ebf7552c21849b004e",
+        "efdc1ec562d2ea0f943e71a514360464822920a08bf1af7a1ec03c667e7c858d",
     ("corridor", "full", "fwd"):
-        "ba9f70bd22bec026891c84a05847744d942ad1b0857840a9ad15da348d85e2f0",
+        "242b05f85c52494c7ae8657ad096631f750e841d12f4a5e4638de4d67d551930",
     ("corridor", "full", "bwd"):
-        "f2b1411278f5a38e0e31fec41a3e89f46f1d7955ab49b80ea5935c73064be16c",
+        "fe0f7673252a5c5ebf266e490feb159d6c6f517eb1a24091b27694b68fa21a78",
     ("corridor", "no_geometric_descriptor", "fwd"):
-        "a190d42b2feb0f585718f5fdfd587f46aa29e21d80589b59a16832bb0f5d1593",
+        "0fb317a8c1c7b619ec3dced35c3410ab5ddd95b2bcffad722c0aba7896491e16",
     ("corridor", "no_geometric_descriptor", "bwd"):
-        "da59c0caecc072d3725f3415d381346fc066431ab17e96a8dcd9bcf4840155bf",
+        "c5330d5c89bbd4fc63568a9c80456f5a5e793f9f8ffa72339b28a2c4c820a87b",
     ("corridor", "no_depth_filter", "fwd"):
-        "3969c31897b49ba0302a8494fe053d6276027202693ad19fa2171af1bc510945",
+        "23616aa8f1fc9666399a61b0154268cdf1263f2f5878d8c780a150d62b287b41",
     ("corridor", "no_depth_filter", "bwd"):
-        "e7239c7785d07bc036b52fc7d1b188d2aff903af5a24d6ed077f9d367c4b18fe",
+        "201b5b3cb03e3da7a8751d705a2d2a2449334f69df4ce895e157db7d805de0b0",
     ("corridor", "no_robust_matching", "fwd"):
-        "909adaa7cf27a76b5e5fdb861ce17551a347de83de9d4b669a92a9a589dd2640",
+        "32bb1e03836cea4c5728af516f4d9ba3b5af4d2b08901eb6ed61d8f3c53c6d8b",
     ("corridor", "no_robust_matching", "bwd"):
-        "20f5b7bb07d1b5b0ce37893bad67be1ee4b4cdde1f3782cbf876186ace43b939",
+        "92522124ca2ce6c5f6bd6853a1b93c63151b00a904b40c97250b7a26a9cc3d30",
     ("corridor", "no_symmetric_gates", "fwd"):
-        "d2f3e01b4b3a5bcda46e651b0dfee87cb255b6c45acdb48f74bea03c07684c30",
+        "9870865fc25f92317ee1d691f08e1f2d30c37d3d36d42a74c40519a2c3cbbbd8",
     ("corridor", "no_symmetric_gates", "bwd"):
-        "4db95ebd174eaf5d25b09971d771876cdfdeac55a650de644d6bf064c4ab4c3a",
+        "8131a2334b859d290bc1e9644d05ab5284eb3c611c85e875585cb56684c91313",
     ("corridor", "no_keep_all_outliers", "fwd"):
-        "7ff5f26f224ad3c441f401d6ffc958ba6b793165fcc0c4246893d136cc5be0ee",
+        "2434c6d978172ac1e1bff6d8345edc1e4e4102d42fb031bf333e135536551b88",
     ("corridor-63", "full", "fwd"):
-        "b39feac0249987e1e415b5e59359e5203d822cc943432ba8c057e0f5a147cbad",
+        "9cfaa4d3e347390359cb201513415d3fcf872d63e40208423c0cb22d89abd94f",
     ("corridor-63", "full", "bwd"):
-        "85843b2e5a2b0093071c332b84830345237cbc459eb806b4eb5378bcca6f9216",
+        "02cb1f5fed1d1394d2bac29ad976232406b83c5a6ecfcc1927ae0521a6f8f139",
     ("corridor-63", "no_keep_all_outliers", "fwd"):
-        "75fb0b2625df9d3c493619169ebc9f427c5d1872aa36aa632e14cedb2b2894f9",
+        "9a2cc19c48eece3318bbb7f21b0f6c87766d577960c0ad9bda9db022b92735af",
     ("corridor-63", "no_keep_all_outliers", "bwd"):
-        "7fcce864529eabe40da5539c1e80a1600789207dcff53bc273b39a1bd500b3c9",
+        "b0ac30b094f5f9c3b40f99b97c0b19369aa0465202819374d247069a2f29c488",
 }
 
 # (graph_stats: map points, local keyframes, inlier observations;
@@ -175,14 +178,29 @@ print(report.health, report.digest)
 """
 
 
-def test_digest_does_not_depend_on_blas_threads():
+def run_scene(**env) -> list:
+    """(health, digest) of ``THREADED_SCENE`` in a subprocess whose
+    environment adds ``env``."""
     src = pathlib.Path(__file__).parent.parent / "src"
-    outputs = []
-    for threads in ("1", "2"):  # one subprocess at a time
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
-               "OMP_NUM_THREADS": threads, "PYTHONPATH": str(src)}
-        run = subprocess.run([sys.executable, "-c", THREADED_SCENE], env=env,
-                             capture_output=True, text=True, check=True)
-        outputs.append(run.stdout.split())
+    env = {**os.environ, "PYTHONPATH": str(src), **env}
+    run = subprocess.run([sys.executable, "-c", THREADED_SCENE], env=env,
+                         capture_output=True, text=True, check=True)
+    return run.stdout.split()
+
+
+def test_digest_does_not_depend_on_blas_threads():
+    outputs = [run_scene(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+               for threads in ("1", "2")]  # one subprocess at a time
     assert outputs[0][0] == "ok"
     assert outputs[0] == outputs[1]
+
+
+def test_digest_does_not_depend_on_avx512_dispatch():
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    groups = [g for g in __cpu_dispatch__ if __cpu_features__.get(g)
+              and (g == "X86_V4" or g.startswith("AVX512"))]
+    if not groups:
+        pytest.skip("numpy dispatches no AVX-512 group on this host: nothing to disable")
+    want = run_scene()
+    assert want[0] == "ok"
+    assert run_scene(NPY_DISABLE_CPU_FEATURES=" ".join(groups)) == want

@@ -6,6 +6,8 @@ import pytest
 from symvo.errors import DescriptorMismatchError
 from symvo.features import (
     DELTA_L,
+    OCTAVE_SCALE,
+    PYRAMID_OCTAVES,
     PYRAMID_SCALE,
     DepthInterval,
     depth_invariance_interval,
@@ -359,6 +361,17 @@ class TestPyramid:
         assert np.all(np.diff(s2) > 0)
         assert s2[0] == pytest.approx(1.0)
         assert s2[3] == pytest.approx(1.2**6)
+
+    def test_tables_equal_the_scalar_powers(self):
+        """Each octave's variance and scale is Python's float power, the same
+        on every host, whatever loop numpy dispatches its own power to."""
+        octaves = np.arange(PYRAMID_OCTAVES)
+        assert sigma2_at(octaves).tolist() == [PYRAMID_SCALE ** (2.0 * o)
+                                               for o in range(PYRAMID_OCTAVES)]
+        assert [sigma2_at(o) for o in range(PYRAMID_OCTAVES)] == \
+            sigma2_at(octaves).tolist()
+        assert OCTAVE_SCALE.tolist() == [PYRAMID_SCALE ** o
+                                         for o in range(PYRAMID_OCTAVES)]
 
     def test_octave_for_depth_monotone(self):
         z = np.geomspace(1.0, 60.0, 50)

@@ -31,18 +31,19 @@ def test_random_walk_generates_at_study_length(seed):
     assert min(len(ids[ids >= 0]) for ids in seq.frame_landmark_ids) >= MIN_VISIBLE
 
 
-# frames_digest of each scene: the random-walk one recorded before the
-# scene generator projected through ``geometry.pinhole``, the others before
-# the random-walk box changed
+# frames_digest of each scene, recorded when the keypoint noise of each
+# octave became a table of Python float powers (``features.OCTAVE_SCALE``):
+# numpy's vectorized power had given these bytes only where it did not
+# dispatch to its AVX-512 loop
 FRAME_DIGESTS = {
     "forward-corridor":
-        "b81e483a29b800f692aae6552638f2bf70f7fc771777318cc53a0dac05c8080a",
+        "59a85fe32658ba5cade89955f4eec019cbbadaf4a0c0def3ef88b87922f0f0f2",
     "lateral":
-        "c1e6fe3854c7f174f37e6306e9df6d34468d190e4b7282f5ce88d2cb36a561c0",
+        "0858697034f3e8e956a04e73f8472408f594af543a914853ee7f8024fa664f0b",
     "orbit":
-        "89feb36d7daad585f0d7f6837b87f5c0999cfdd2da4fd7ede44bd608908b4b64",
+        "ca99908503adeaf2890ba9261fdb07430dae52a2ca0a4b782c4ae7b89eb5290b",
     "random-walk":
-        "8df8d9a501c724951e9e1a9b059bebf767831f60c59edbb385ca8284329a9624",
+        "b46f97cca345932457f641fb7100bcffd8d06ebc5f5bf32be1d46e24471bc01c",
 }
 
 SCENES = {
