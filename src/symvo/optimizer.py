@@ -30,14 +30,12 @@ camera costs zero and has no gradient, in the solver and in
 ``evaluate_cost``, which flags it.  A step that puts a term in front
 behind its camera is rejected like one that raises the cost (ORB-SLAM2
 drops such an edge), so the terms in front only grow during a solve.  A
-result reports the final cost, accepted steps and attempts, nothing more.
-
-A solve keeps the structure of its valid terms (``_Structure``): their
-indices and runs, the gathers of their per-term constants and the block
-indices of the point sums.  Each is a function of the valid set alone, so
-the solve builds it once and again only when an accepted step brings a
-term in front; reusing it changes no value.  A problem without variable
-points leaves the point Jacobians zero, since no block reads them.
+solve stops at its first accepted step that lowers the cost by less than
+``FUNCTION_TOLERANCE`` of it (Ceres Solver's default function tolerance),
+at its first damped step, accepted or rejected, shorter than
+``STEP_TOLERANCE``, when the damping passes its ceiling, or after
+``MAX_ITERATIONS`` accepted steps.  A result reports the final cost,
+accepted steps and attempts, nothing more.
 
 The order in which terms are summed into the normal equations is part
 of that contract.  Floating-point addition is not associative, so every
@@ -65,10 +63,20 @@ row ``row_order[i]``), and every per-row result comes back in caller rows.
   run whose observing pose is variable, and the reference-pose terms
   whole.  A term outside that span reaches no variable block, and leaving
   it out changes no block's sum.
-- The Schur step sums the eliminated points' share of the reduced system
+- The Schur step inverts each damped point block in closed form, its
+  adjugate over its determinant (``_inverse_3x3``), as g2o's Eigen blocks
+  do under ORB-SLAM2; a zero or non-finite determinant makes the problem
+  degenerate.  It sums the eliminated points' share of the reduced system
   over fixed chunks of points in order, each chunk a product small enough
   that BLAS runs it on one thread, so the sum does not depend on the BLAS
   thread count.
+
+A solve keeps the structure of its valid terms (``_Structure``): their
+indices and runs, the gathers of their per-term constants and the block
+indices of the point sums.  Each is a function of the valid set alone, so
+the solve builds it once and again only when an accepted step brings a
+term in front; reusing it changes no value.  A problem without variable
+points leaves the point Jacobians zero, since no block reads them.
 
 Changing how a product is contracted (``einsum``, a written-out sum, one
 product over more or fewer rows) rounds it differently and moves the
@@ -99,6 +107,11 @@ _LAMBDA_MAX = 1e12
 # 2 DoF, as ORB-SLAM2 fixes it (Mur-Artal & Tardos, IEEE T-RO 2017)
 CHI2_THRESHOLD = 5.991
 MAX_ITERATIONS = 50  # LM iterations of one solve
+# a solve ends at the first accepted step that lowers the cost by less than
+# this fraction: Ceres Solver's default function tolerance
+FUNCTION_TOLERANCE = 1e-6
+# and at the first damped step, accepted or not, shorter than this
+STEP_TOLERANCE = 1e-10
 POSE_ROUNDS = 3  # refine/reclassify rounds of optimize_pose
 
 
@@ -594,6 +607,30 @@ def _schur_columns(P: int) -> int:
     return 3 * max(1, _ONE_THREAD_PRODUCT // (3 * 6 * P * (6 * P + 1)))
 
 
+def _inverse_3x3(A: np.ndarray) -> np.ndarray:
+    """Inverses of an (n, 3, 3) stack: each block's adjugate over its
+    determinant, expanded along the first row.  A zero or non-finite
+    determinant raises ``LinAlgError``."""
+    a, b, c = A[:, 0, 0], A[:, 0, 1], A[:, 0, 2]
+    d, e, f = A[:, 1, 0], A[:, 1, 1], A[:, 1, 2]
+    g, h, i = A[:, 2, 0], A[:, 2, 1], A[:, 2, 2]
+    adj = np.empty_like(A)
+    adj[:, 0, 0] = e * i - f * h
+    adj[:, 0, 1] = c * h - b * i
+    adj[:, 0, 2] = b * f - c * e
+    adj[:, 1, 0] = f * g - d * i
+    adj[:, 1, 1] = a * i - c * g
+    adj[:, 1, 2] = c * d - a * f
+    adj[:, 2, 0] = d * h - e * g
+    adj[:, 2, 1] = b * g - a * h
+    adj[:, 2, 2] = a * e - b * d
+    det = a * adj[:, 0, 0] + b * adj[:, 1, 0] + c * adj[:, 2, 0]
+    if not np.all(np.isfinite(det) & (det != 0.0)):
+        raise np.linalg.LinAlgError("a point block is singular")
+    adj /= det[:, None, None]
+    return adj
+
+
 def _solve_step(Hpp, Hpl, Hll, gp, gl, lam):
     """Schur-complement solve of the damped normal equations."""
     P = Hpp.shape[0]
@@ -614,7 +651,7 @@ def _solve_step(Hpp, Hpl, Hll, gp, gl, lam):
     diag = np.where(diag > 1e-12, diag, 1e-12)
     Hpp_m += lam * np.diag(diag)
     gp_v = gp.reshape(6 * P)
-    Hll_inv = np.linalg.inv(Hll_d)
+    Hll_inv = _inverse_3x3(Hll_d)
     W_m = (Hpl @ Hll_inv).transpose(0, 2, 1, 3).reshape(6 * P, 3 * L)
     # [Hpl^T | gl]: one product gives the Schur complement and its
     # right-hand side, summed chunk by chunk in order
@@ -703,6 +740,7 @@ def solve_problem(problem: OptimizationProblem,
                     f"normal equations are singular: {exc}"
                 ) from exc
             attempts += 1
+            short = float(np.sqrt(np.sum(dp * dp) + np.sum(dl * dl))) < STEP_TOLERANCE
             candidate = _retract(problem, state, dp, dl)
             ev_new = _evaluate(problem, candidate)
             costs_new, valid_new = _term_costs(ev_new)
@@ -713,8 +751,9 @@ def solve_problem(problem: OptimizationProblem,
                 lam = max(lam * 0.1, 1e-12)
                 iterations += 1
                 accepted = True
-                step_norm = float(np.sqrt(np.sum(dp * dp) + np.sum(dl * dl)))
-                converged = rel < 1e-8 or step_norm < 1e-10
+                converged = rel < FUNCTION_TOLERANCE or short
+                break
+            if short:
                 break
             lam *= 10.0
         if converged or not accepted:

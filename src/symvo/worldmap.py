@@ -69,8 +69,7 @@ class Keyframe:
 
     @property
     def noise_sigma2(self) -> np.ndarray:
-        """(N,) keypoint variances, read from the whole octave array: numpy's
-        SIMD power may round an array element apart from the same scalar."""
+        """(N,) keypoint variances, one per keypoint's octave."""
         return sigma2_at(self.octaves)
 
 

@@ -8,7 +8,8 @@ block, an (n, a, b) stack from its own ``_term_products``, summed with
 sequential ``np.add.at`` calls in row order, the forward terms first.
 The kernel forms the same per-term values one block component at a time,
 and only for the terms that can reach a variable block.
-``reference_solve_step`` damps each point block in a loop and reduces the
+``reference_solve_step`` damps each point block in a loop, inverts it with
+``reference_inverse_3x3``, a written-out cofactor loop, and reduces the
 Schur complement point chunk by point chunk.  They take the kernels' own
 Jacobians and per-group products, and the kernels must agree with them
 bit for bit.
@@ -353,6 +354,25 @@ def per_term_normal_equations(problem, state, ev, einsum=False):
     return Hpp, Hpl, Hll, gp, gl
 
 
+def reference_inverse_3x3(block) -> list:
+    """The inverse of one 3x3 block, as nested lists: its cofactors, written
+    out one entry at a time in Python floats, transposed and divided by the
+    determinant, which is expanded along the first row.  Each cofactor takes
+    its sign from the cyclic order of the rows and columns it keeps, so
+    that no entry is negated."""
+    m = block.tolist()
+    cof = [[0.0] * 3 for _ in range(3)]
+    for r in range(3):
+        r1, r2 = (r + 1) % 3, (r + 2) % 3
+        for c in range(3):
+            c1, c2 = (c + 1) % 3, (c + 2) % 3
+            cof[r][c] = m[r1][c1] * m[r2][c2] - m[r1][c2] * m[r2][c1]
+    det = m[0][0] * cof[0][0] + m[0][1] * cof[0][1] + m[0][2] * cof[0][2]
+    if det == 0.0 or not math.isfinite(det):
+        raise np.linalg.LinAlgError("a point block is singular")
+    return [[cof[c][r] / det for c in range(3)] for r in range(3)]
+
+
 def reference_solve_step(Hpp, Hpl, Hll, gp, gl, lam):
     P = Hpp.shape[0]
     L = Hll.shape[0]
@@ -374,7 +394,7 @@ def reference_solve_step(Hpp, Hpl, Hll, gp, gl, lam):
     if L == 0:
         dp = -np.linalg.solve(Hpp_m, gp_v)
         return dp.reshape(P, 6), np.zeros((0, 3))
-    Hll_inv = np.linalg.inv(Hll_d)
+    Hll_inv = np.array([reference_inverse_3x3(block) for block in Hll_d]).reshape(L, 3, 3)
     Hpl_m = Hpl.transpose(0, 2, 1, 3).reshape(6 * P, 3 * L)
     W = Hpl @ Hll_inv
     W_m = W.transpose(0, 2, 1, 3).reshape(6 * P, 3 * L)

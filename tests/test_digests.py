@@ -53,47 +53,47 @@ from symvo.synth import SceneSpec, generate
 
 DIGESTS = {
     ("orbit", "full", "fwd"):
-        "35756e1b7a37bdfe6a611eff76c65fc49ff397e264f10ce29bdfbe896993bdc8",
+        "38e3ce640be7b110ba284427f3c541c0b560c4358d112608d1cadc94e1a10104",
     ("orbit", "full", "bwd"):
-        "edc3b93662450480606de4e1d56d43c79166c90107ca86fbb2688636b6427f9a",
+        "7502b8f45a2b38b44ee03f79abc2209ecc4353b25926c7aa329f210c699b1ae2",
     ("orbit", "no_geometric_descriptor", "fwd"):
-        "a9f00581f4c2de79a62fb0a15581509d0e518b979220426f2984c236f09a56be",
+        "1e9fafab609be38ee42e28539b02350ca4b3550152a3fc44faf9e87f5c151249",
     ("orbit", "no_geometric_descriptor", "bwd"):
-        "a9bc3eef7b5bc5c733797cb6606b41681617ec65cc870c36dbe63a1eede8745a",
+        "4231f250501af6d07071ad76a85421ddea56fc6b8e0f515384fdc7b100eb5d86",
     ("orbit", "no_symmetric_covariance", "fwd"):
-        "46eb2b9b072981849056adada9aa5db635656014dc5ce441663d47ed51d590a2",
+        "92d3364862cd1f6beae11ae4c5a3d421c8f0152917e9a8b58697b6ded904ddd2",
     ("orbit", "no_symmetric_covariance", "bwd"):
-        "efdc1ec562d2ea0f943e71a514360464822920a08bf1af7a1ec03c667e7c858d",
+        "102aff9384f975858c82a6290d90f5965a5dec47833ecb80c2a7f668d10db5f9",
     ("corridor", "full", "fwd"):
-        "242b05f85c52494c7ae8657ad096631f750e841d12f4a5e4638de4d67d551930",
+        "529bd325887560ce8f56496016067936c63b2b3cdf24aa7350a46046670f8a93",
     ("corridor", "full", "bwd"):
-        "fe0f7673252a5c5ebf266e490feb159d6c6f517eb1a24091b27694b68fa21a78",
+        "45ef148864f21934a10c1832d4f859ef67da1888d97a0f5e1694f6a04d9eca26",
     ("corridor", "no_geometric_descriptor", "fwd"):
-        "0fb317a8c1c7b619ec3dced35c3410ab5ddd95b2bcffad722c0aba7896491e16",
+        "9c0bf6ef5f9f55dbd6306aa55dc5e54d5cef74aba225eea58cb56d92b36c546c",
     ("corridor", "no_geometric_descriptor", "bwd"):
-        "c5330d5c89bbd4fc63568a9c80456f5a5e793f9f8ffa72339b28a2c4c820a87b",
+        "035e0f6a2e4349bece7decf2ca5bfaf3487f087f044ed53b164a53bd5ef258f1",
     ("corridor", "no_depth_filter", "fwd"):
-        "23616aa8f1fc9666399a61b0154268cdf1263f2f5878d8c780a150d62b287b41",
+        "aa20a3ddb407a76e2848fa868fd0843bba3f27356ded007566175cf1498dde5a",
     ("corridor", "no_depth_filter", "bwd"):
-        "201b5b3cb03e3da7a8751d705a2d2a2449334f69df4ce895e157db7d805de0b0",
+        "e0c96c2c9fb94cdc81ff23406bdfacc938a9a921973c2f843efc0eb6f2d4bff8",
     ("corridor", "no_robust_matching", "fwd"):
-        "32bb1e03836cea4c5728af516f4d9ba3b5af4d2b08901eb6ed61d8f3c53c6d8b",
+        "8a8e25c3dae8873c34bfc8520f7ca26a601931108b4b7ef841cd766e3c4f5527",
     ("corridor", "no_robust_matching", "bwd"):
-        "92522124ca2ce6c5f6bd6853a1b93c63151b00a904b40c97250b7a26a9cc3d30",
+        "0c39d86af02fdaf48c67163fdaa53f3a3c77e6cc5b007004cf034de03124f1e7",
     ("corridor", "no_symmetric_gates", "fwd"):
-        "9870865fc25f92317ee1d691f08e1f2d30c37d3d36d42a74c40519a2c3cbbbd8",
+        "10771e0c21c673e9b46c4372e587cc0baeb4ada499b3bd14e92ed19e519628eb",
     ("corridor", "no_symmetric_gates", "bwd"):
-        "8131a2334b859d290bc1e9644d05ab5284eb3c611c85e875585cb56684c91313",
+        "eae7e81e8fef6713879104f7578ae1079e73711546eec76d6c7d6b164a97057a",
     ("corridor", "no_keep_all_outliers", "fwd"):
-        "2434c6d978172ac1e1bff6d8345edc1e4e4102d42fb031bf333e135536551b88",
+        "c49a81b1783ec3ece072dbea78e52c240352ffbd63b020eb88bb19d24c014253",
     ("corridor-63", "full", "fwd"):
-        "9cfaa4d3e347390359cb201513415d3fcf872d63e40208423c0cb22d89abd94f",
+        "551b6cf38444de20c30052af226f8eef203413506aec27035793dc5ec379a7a0",
     ("corridor-63", "full", "bwd"):
-        "02cb1f5fed1d1394d2bac29ad976232406b83c5a6ecfcc1927ae0521a6f8f139",
+        "8d7349f236a1cc9aacc927e51369c0c3216f5c8f53f166b2908274f3345b1199",
     ("corridor-63", "no_keep_all_outliers", "fwd"):
-        "9a2cc19c48eece3318bbb7f21b0f6c87766d577960c0ad9bda9db022b92735af",
+        "ec37d458aaeeec39f369e51012f0ce99778e3f20fd4cd7cc9b24c1a9993d201e",
     ("corridor-63", "no_keep_all_outliers", "bwd"):
-        "b0ac30b094f5f9c3b40f99b97c0b19369aa0465202819374d247069a2f29c488",
+        "1632dd8f9773f018362ba3e68a01cf387af2df75c19d59e92b70b314128b0b32",
 }
 
 # (graph_stats: map points, local keyframes, inlier observations;

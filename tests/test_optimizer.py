@@ -14,6 +14,7 @@ from symvo.optimizer import (
     OutlierMode,
     _build_normal_equations,
     _evaluate,
+    _inverse_3x3,
     _retract,
     _solve_step,
     _term_jacobians,
@@ -846,6 +847,128 @@ class TestKernelBitIdentity:
         Hll[1, 2, 2] = -1.0
         H = (Hpp, Hpl, Hll, gp, gl)
         assert_bit_identical(_solve_step(*H, lam), reference_solve_step(*H, lam))
+
+
+def distant_point_blocks(rng, depth, n=100):
+    """Damped point blocks ``J^T w J`` of points about ``depth`` ahead of
+    2-7 views a few decimetres apart: the farther, the worse conditioned."""
+    blocks = np.zeros((n, 3, 3))
+    for block in blocks:
+        p = np.array([rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0), depth])
+        for k in range(int(rng.integers(2, 8))):
+            R = so3_exp(rng.normal(scale=0.01, size=3))
+            q = R @ (p - np.array([0.1 * k, 0.0, 0.2 * k]))
+            A = np.array([[-CAM.fx / q[2], 0.0, CAM.fx * q[0] / q[2] ** 2],
+                          [0.0, -CAM.fy / q[2], CAM.fy * q[1] / q[2] ** 2]])
+            J = A @ R
+            block += rng.uniform(0.2, 1.0) * (J.T @ J)
+        block += 1e-4 * np.diag(np.diagonal(block))
+    return blocks
+
+
+class TestPointBlockInverse:
+    """``_inverse_3x3``, the adjugate over the determinant, against LAPACK's
+    ``np.linalg.inv``: both leave ``H H^-1 - I`` within a few ``cond(H)``
+    ulps, and agree to that order."""
+
+    @staticmethod
+    def assert_accurate(H):
+        eps = np.finfo(np.float64).eps
+        cond = np.linalg.cond(H)
+        got, want = _inverse_3x3(H), np.linalg.inv(H)
+        residual = np.linalg.norm(H @ got - np.eye(3), ord=2, axis=(1, 2))
+        assert np.all(residual <= 4.0 * cond * eps)
+        gap = np.linalg.norm(got - want, ord=2, axis=(1, 2))
+        assert np.all(gap <= 4.0 * cond * eps * np.linalg.norm(want, ord=2, axis=(1, 2)))
+        return cond
+
+    def test_random_spd_blocks(self):
+        J = np.random.default_rng(30).normal(size=(500, 6, 3))
+        self.assert_accurate(J.transpose(0, 2, 1) @ J)
+
+    @pytest.mark.parametrize("depth", [5.0, 500.0, 5e4])
+    def test_distant_point_blocks(self, depth):
+        cond = self.assert_accurate(distant_point_blocks(np.random.default_rng(31), depth))
+        assert cond.max() > {5.0: 1e3, 500.0: 1e7, 5e4: 1e11}[depth]
+        assert cond.max() < 1e13
+
+    @pytest.mark.parametrize("bad", [0.0, np.inf, np.nan])
+    def test_singular_or_non_finite_block_raises(self, bad):
+        H = np.stack([np.eye(3), np.eye(3)])
+        H[1, 2] = bad  # a zero row, or one that makes the determinant non-finite
+        with pytest.raises(np.linalg.LinAlgError), np.errstate(invalid="ignore"):
+            _inverse_3x3(H)
+
+    def test_singular_damped_block_raises_from_solve(self, monkeypatch):
+        """A point block whose damped form is exactly singular: its diagonal
+        is zero, so damping sets it to lam * 1e-12, which its first two rows
+        then repeat."""
+        problem = OptimizationProblem(**permutation_case())
+        build = optimizer._build_normal_equations
+        x = optimizer._LAMBDA_INIT * 1e-12
+
+        def singular(*args):
+            Hpp, Hpl, Hll, gp, gl = build(*args)
+            Hll[0] = [[0.0, x, 0.0], [x, 0.0, 0.0], [0.0, 0.0, 1.0]]
+            return Hpp, Hpl, Hll, gp, gl
+        monkeypatch.setattr(optimizer, "_build_normal_equations", singular)
+        with pytest.raises(DegenerateProblemError, match="singular"):
+            solve_problem(problem)
+
+
+class TestStoppingRule:
+    """A solve stops at its first accepted step that lowers the cost by
+    less than ``FUNCTION_TOLERANCE`` of it, and at its first damped step,
+    accepted or not, shorter than ``STEP_TOLERANCE``."""
+
+    @staticmethod
+    def problem():
+        rng = np.random.default_rng(10)
+        poses, points = make_scene(rng, n_poses=3, n_points=25)
+        terms = make_observations(poses, points, SYMMETRIC, noise=1.0, rng=rng)
+        start_poses, start_points = perturbed(poses, points, rng, skip=(1,))
+        return OptimizationProblem(
+            cam=CAM, poses=start_poses, points=start_points, observations=terms,
+            model=SYMMETRIC, variable_pose_ids=(2, 3),
+            variable_point_ids=tuple(sorted(points)),
+        )
+
+    def test_stops_at_the_first_small_relative_decrease(self, monkeypatch):
+        problem = self.problem()
+        result = solve_problem(problem)
+        assert 2 < result.iterations < optimizer.MAX_ITERATIONS
+        costs = []  # the cost after each accepted step, the initial one first
+        for n in range(result.iterations + 1):
+            monkeypatch.setattr(optimizer, "MAX_ITERATIONS", n)
+            costs.append(solve_problem(problem).cost)
+        assert costs[-1] == result.cost
+        rel = [(a - b) / a for a, b in zip(costs, costs[1:])]
+        assert all(r >= optimizer.FUNCTION_TOLERANCE for r in rel[:-1])
+        assert 0 < rel[-1] < optimizer.FUNCTION_TOLERANCE
+
+    @pytest.mark.parametrize("norm, ends", [(1e-11, True), (1e-9, False)])
+    def test_a_short_rejected_step_ends_the_solve(self, monkeypatch, norm, ends):
+        """Every step is turned uphill and scaled to ``norm``, so each is
+        rejected: one shorter than ``STEP_TOLERANCE`` ends the solve at its
+        first attempt, with the state unchanged; a longer one lets λ climb."""
+        problem = self.problem()
+        step = optimizer._solve_step
+
+        def uphill(*args):
+            dp, dl = step(*args)
+            scale = -norm / np.sqrt(np.sum(dp * dp) + np.sum(dl * dl))
+            return dp * scale, dl * scale
+        monkeypatch.setattr(optimizer, "_solve_step", uphill)
+        result = solve_problem(problem)
+        start = problem.initial_state()
+        assert result.iterations == 0
+        assert result.cost == evaluate_cost(problem).total
+        assert (result.state.R.tobytes(), result.state.t.tobytes(),
+                result.state.pts.tobytes()) == (start.R.tobytes(), start.t.tobytes(),
+                                                start.pts.tobytes())
+        assert (result.attempts == 1) == ends
+        if not ends:  # λ climbs from 1e-4 past 1e12
+            assert result.attempts == 17
 
 
 class TestMatmulAgreesWithEinsum:
