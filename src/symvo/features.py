@@ -13,14 +13,15 @@ then adds up in uint8, which moves a quarter of the int32 bytes.  The
 pyramid is fixed: ``PYRAMID_OCTAVES`` octaves, each ``PYRAMID_SCALE``
 coarser than the last, so a keypoint's variance (``sigma2_at``) follows
 from its octave alone; it and the per-octave scale are read from tables
-of Python float powers, so neither depends on numpy's SIMD dispatch.  Map points summarize their descriptor sets by a
-single reference descriptor, chosen by a ``ReferenceRule`` from the
-point's current holders at every read: by appearance (least median
-distance to the rest, whatever the query) or by geometry (held by the
-keyframe closest to each query; the map reads that one from its binding
-table).  The depth-invariance interval bounds the query depths at which a
-point's appearance stays within ``DELTA_L`` octaves of its reference
-observation, so it follows from that one depth.
+of Python float powers, so neither depends on numpy's SIMD dispatch.  Map
+points summarize their descriptor sets by a single reference descriptor,
+chosen by a ``ReferenceRule`` from the point's current holders at every
+read: by appearance (least median distance to the rest, whatever the
+query) or by geometry (held by the keyframe closest to each query; the
+map reads that one from its binding table).  The depth-invariance
+interval bounds the query depths at which a point's appearance stays
+within ``DELTA_L`` octaves of its reference observation, so it follows
+from that one depth.
 
 The appearance rule is a per-point rule over the keyframes that observe a
 point; it takes a point's holders as one run of rows, the runs beginning

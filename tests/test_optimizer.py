@@ -918,8 +918,8 @@ class TestPointBlockInverse:
 
 class TestStoppingRule:
     """A solve stops at its first accepted step that lowers the cost by
-    less than ``FUNCTION_TOLERANCE`` of it, and at its first damped step,
-    accepted or not, shorter than ``STEP_TOLERANCE``."""
+    less than 1e-6 of it (``FUNCTION_TOLERANCE``), and at its first damped
+    step, accepted or not, shorter than 1e-10 (``STEP_TOLERANCE``)."""
 
     @staticmethod
     def problem():
@@ -943,8 +943,8 @@ class TestStoppingRule:
             costs.append(solve_problem(problem).cost)
         assert costs[-1] == result.cost
         rel = [(a - b) / a for a, b in zip(costs, costs[1:])]
-        assert all(r >= optimizer.FUNCTION_TOLERANCE for r in rel[:-1])
-        assert 0 < rel[-1] < optimizer.FUNCTION_TOLERANCE
+        assert all(r >= 1e-6 for r in rel[:-1])
+        assert 0 < rel[-1] < 1e-6
 
     @pytest.mark.parametrize("norm, ends", [(1e-11, True), (1e-9, False)])
     def test_a_short_rejected_step_ends_the_solve(self, monkeypatch, norm, ends):
