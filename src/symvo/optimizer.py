@@ -416,7 +416,7 @@ class _Structure:
         self.b_kf = problem.f_kf[fwd]
         self.b_ref = problem.b_ref[idx]
         self.b_info = problem.b_info[idx]
-        self.b_dir = d = problem.b_dir[idx].T  # its third component is 1
+        self.b_dir = d = problem.b_dir[idx].T  # component-first; the third is 1
         self.b_dir0, self.b_dir1 = _per_row(d[0]), _per_row(d[1])
 
         P, L = len(problem.variable_pose_ids), len(problem.variable_point_ids)
