@@ -778,9 +778,13 @@ class TestSolveStructure:
     """A solve builds its normal equations on a structure of its valid
     terms, kept across iterations and rebuilt when the set changes."""
 
-    CASES = [(entering_view_case, None)] + [
-        (kernel_state, (case, seed)) for case, seed in (
-            (KERNEL_CASES[3], 2), (KERNEL_CASES[4], 2), (KERNEL_CASES[6], 0))]
+    # problems whose valid set grows mid-solve
+    CASES = {
+        "entering-view": entering_view_case,
+        "symmetric-interior-fixed": lambda: kernel_state(*KERNEL_CASES[3], 2)[0],
+        "standard-interior-fixed": lambda: kernel_state(*KERNEL_CASES[4], 2)[0],
+        "symmetric-no-points": lambda: kernel_state(*KERNEL_CASES[6], 0)[0],
+    }
 
     @staticmethod
     def solve(monkeypatch, problem, structure_of):
@@ -795,11 +799,9 @@ class TestSolveStructure:
             patch.setattr(optimizer, "_build_normal_equations", spy)
             return solve_problem(problem), used
 
-    @pytest.mark.parametrize("make, args", CASES,
-                             ids=["entering-view", "symmetric-interior-fixed",
-                                  "standard-interior-fixed", "symmetric-no-points"])
-    def test_equals_a_structure_built_every_iteration(self, monkeypatch, make, args):
-        problem = make() if args is None else make(*args[0], args[1])[0]
+    @pytest.mark.parametrize("make", list(CASES.values()), ids=list(CASES))
+    def test_equals_a_structure_built_every_iteration(self, monkeypatch, make):
+        problem = make()
         kept, used = self.solve(monkeypatch, problem, lambda s: s)
         # the valid set grows mid-solve, and the structure follows it
         distinct = [s for i, s in enumerate(used) if i == 0 or s is not used[i - 1]]
